@@ -143,6 +143,11 @@ impl Mat {
         &self.data
     }
 
+    /// Mutably borrow the underlying row-major buffer.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Consume the matrix and return the underlying row-major buffer.
     pub fn into_vec(self) -> Vec<f64> {
         self.data

@@ -227,6 +227,37 @@ mod tests {
     }
 
     #[test]
+    fn care_axis_eigenvalues_have_no_solution() {
+        // a = 0, g = −1, q = 1: H = [0, 1; −1, 0] has eigenvalues ±i.
+        let r = care(
+            &Mat::zeros(1, 1),
+            &Mat::filled(1, 1, -1.0),
+            &Mat::identity(1),
+        );
+        assert!(matches!(r, Err(Error::NoSolution { op: "care", .. })));
+    }
+
+    #[test]
+    fn care_near_boundary_hinf_style_still_solves() {
+        // Two decoupled H∞-style states. State 1 sits just inside the
+        // boundary: g₁ = −(1 − 1e-8) gives Hamiltonian eigenvalues ±1e-4
+        // next to ±√5 from state 2, a gap |Re λ|/max|λ| ≈ 4.5e-5 like the
+        // tightest feasible γ candidates of a real synthesis.
+        let a = Mat::diag(&[-1.0, -2.0]);
+        let g = Mat::diag(&[-(1.0 - 1e-8), 1.0]);
+        let q = Mat::identity(2);
+        let x = care(&a, &g, &q).unwrap();
+        // care's own residual check passed; confirm it and the closed loop.
+        let resid = &(&(&(&a.t() * &x) + &(&x * &a)) - &(&(&x * &g) * &x)) + &q;
+        assert!(resid.fro_norm() < 1e-6);
+        let acl = &a - &(&g * &x);
+        assert!(max_real_part(&acl).unwrap() < 0.0);
+        // Scalar roots: x₁ = (1 − 1e-4)/(1 − 1e-8), x₂ = −2 + √5.
+        assert!((x[(0, 0)] - (1.0 - 1e-4) / (1.0 - 1e-8)).abs() < 1e-6);
+        assert!((x[(1, 1)] - (5f64.sqrt() - 2.0)).abs() < 1e-9);
+    }
+
+    #[test]
     fn dare_matches_fixed_point() {
         let a = Mat::from_rows(&[&[1.1, 0.3], &[0.0, 0.9]]);
         let b = Mat::from_rows(&[&[0.0], &[1.0]]);

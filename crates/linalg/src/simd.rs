@@ -231,6 +231,69 @@ pub(crate) mod avx2 {
         }
     }
 
+    /// `dst[j] -= c[t] * src[t·stride + j]` for `t = 0, 1, …` in turn,
+    /// skipping zero `c[t]`, with a separate multiply and subtract (no
+    /// FMA): every element sees the same operations in the same order as
+    /// the scalar row-by-row loop, so the result is bit-identical to it.
+    /// `dst` is held in registers 16 columns at a time across all terms.
+    ///
+    /// # Safety
+    ///
+    /// Caller must guarantee AVX2, and
+    /// `src.len() >= (c.len() − 1)·stride + dst.len()` when `c` is not
+    /// empty.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn sub_rows(dst: &mut [f64], c: &[f64], src: &[f64], stride: usize) {
+        debug_assert!(c.is_empty() || src.len() >= (c.len() - 1) * stride + dst.len());
+        let n = dst.len();
+        let dp = dst.as_mut_ptr();
+        let sp = src.as_ptr();
+        let mut j = 0;
+        while j + 16 <= n {
+            let mut a0 = _mm256_loadu_pd(dp.add(j));
+            let mut a1 = _mm256_loadu_pd(dp.add(j + 4));
+            let mut a2 = _mm256_loadu_pd(dp.add(j + 8));
+            let mut a3 = _mm256_loadu_pd(dp.add(j + 12));
+            for (t, &ct) in c.iter().enumerate() {
+                if ct == 0.0 {
+                    continue;
+                }
+                let vc = _mm256_set1_pd(ct);
+                let s = sp.add(t * stride + j);
+                a0 = _mm256_sub_pd(a0, _mm256_mul_pd(vc, _mm256_loadu_pd(s)));
+                a1 = _mm256_sub_pd(a1, _mm256_mul_pd(vc, _mm256_loadu_pd(s.add(4))));
+                a2 = _mm256_sub_pd(a2, _mm256_mul_pd(vc, _mm256_loadu_pd(s.add(8))));
+                a3 = _mm256_sub_pd(a3, _mm256_mul_pd(vc, _mm256_loadu_pd(s.add(12))));
+            }
+            _mm256_storeu_pd(dp.add(j), a0);
+            _mm256_storeu_pd(dp.add(j + 4), a1);
+            _mm256_storeu_pd(dp.add(j + 8), a2);
+            _mm256_storeu_pd(dp.add(j + 12), a3);
+            j += 16;
+        }
+        while j + 4 <= n {
+            let mut a = _mm256_loadu_pd(dp.add(j));
+            for (t, &ct) in c.iter().enumerate() {
+                if ct != 0.0 {
+                    let s = _mm256_loadu_pd(sp.add(t * stride + j));
+                    a = _mm256_sub_pd(a, _mm256_mul_pd(_mm256_set1_pd(ct), s));
+                }
+            }
+            _mm256_storeu_pd(dp.add(j), a);
+            j += 4;
+        }
+        while j < n {
+            let mut a = dst[j];
+            for (t, &ct) in c.iter().enumerate() {
+                if ct != 0.0 {
+                    a -= ct * src[t * stride + j];
+                }
+            }
+            dst[j] = a;
+            j += 1;
+        }
+    }
+
     /// Sum of squares of an `f64` slice (4-lane FMA accumulation).
     ///
     /// # Safety
