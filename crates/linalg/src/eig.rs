@@ -7,6 +7,7 @@
 //! stability). Eigen*vectors* are never needed, which keeps this module
 //! compact.
 
+use crate::qr::reflect_rows;
 use crate::{C64, Error, Mat, Result};
 
 /// Reduces a square matrix to upper Hessenberg form by Householder
@@ -37,6 +38,7 @@ pub fn hessenberg_q(a: &Mat) -> (Mat, Mat) {
 fn hessenberg_impl(a: &Mat, mut q: Option<&mut Mat>) -> Mat {
     let n = a.rows();
     let mut h = a.clone();
+    let mut scratch = vec![0.0; n];
     for k in 0..n.saturating_sub(2) {
         let mut norm = 0.0;
         for i in (k + 1)..n {
@@ -57,16 +59,7 @@ fn hessenberg_impl(a: &Mat, mut q: Option<&mut Mat>) -> Mat {
             continue;
         }
         // H ← P H P with P = I − 2vvᵀ/(vᵀv): apply from the left…
-        for j in 0..n {
-            let mut dot = 0.0;
-            for i in (k + 1)..n {
-                dot += v[i] * h[(i, j)];
-            }
-            let s = 2.0 * dot / vnorm_sq;
-            for i in (k + 1)..n {
-                h[(i, j)] -= s * v[i];
-            }
-        }
+        reflect_rows(&mut h, &v, k + 1, vnorm_sq, &mut scratch);
         // …and from the right.
         for i in 0..n {
             let mut dot = 0.0;
