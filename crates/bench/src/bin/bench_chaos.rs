@@ -28,7 +28,9 @@
 use yukta_bench::campaign::Campaign;
 use yukta_bench::eval_options;
 use yukta_board::FaultPlan;
-use yukta_core::runtime::{Experiment, RecoveryOptions, RunOptions, SwapSpec, UnifiedOptions};
+use yukta_core::runtime::{
+    Experiment, RecoveryOptions, RunOptions, SwapSpec, SwapTrigger, UnifiedOptions,
+};
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
 use yukta_workloads::catalog;
@@ -100,35 +102,36 @@ fn run_cell(
     for &at in v.crashes {
         plan = plan.with_crash(at);
     }
-    let sup_cfg = SupervisorConfig::default();
-    // The crash-stripped twin: run_supervised_with_swap drops crash
-    // points, so the same plan doubles as the uninterrupted ground truth
-    // (swap variants), and run_supervised covers the swap-free ones.
-    let twin = match v.swap_at {
-        Some(at) => exp
-            .run_supervised_with_swap(wl, sup_cfg, Some(plan.clone()), at, None)
-            .expect("twin swap run"),
-        None => {
-            let mut stripped = plan.clone();
-            stripped.crashes.clear();
-            exp.run_supervised(wl, sup_cfg, Some(stripped))
-                .expect("twin supervised run")
-        }
-    };
+    let sup_cfg = Some(SupervisorConfig::default());
+    let swap = v.swap_at.map(|at| SwapSpec {
+        trigger: SwapTrigger::AtStep(at),
+        scheme: None,
+    });
+    // The crash-stripped twin: the same plan without its crash points is
+    // the uninterrupted ground truth.
+    let twin = exp
+        .run_unified(
+            wl,
+            UnifiedOptions {
+                sup_cfg,
+                plan: Some(plan.clone().without_crashes()),
+                swap,
+                ..Default::default()
+            },
+        )
+        .expect("twin run")
+        .report;
     let run = exp
         .run_unified(
             wl,
             UnifiedOptions {
-                sup_cfg: Some(sup_cfg),
+                sup_cfg,
                 plan: Some(plan),
-                swap: v.swap_at.map(|at| SwapSpec {
-                    at_step: at,
-                    scheme: None,
-                }),
+                swap,
                 recovery: Some(RecoveryOptions {
                     checkpoint_interval: 20,
                 }),
-                serving: None,
+                ..Default::default()
             },
         )
         .expect("unified chaos run");

@@ -35,11 +35,31 @@ use std::time::Instant;
 use yukta_bench::campaign::Campaign;
 use yukta_bench::eval_options;
 use yukta_board::{FaultChannel, FaultKind, FaultPlan, ScheduledFault};
-use yukta_core::runtime::{AdaptiveOptions, Experiment, RunOptions};
+use yukta_core::runtime::{Experiment, RunOptions, SwapSpec, SwapTrigger, UnifiedOptions};
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
 use yukta_obs::health::HealthConfig;
 use yukta_workloads::{App, PhaseSpec, Suite, Workload, catalog};
+
+/// A supervised run under the health monitor whose first phase-change
+/// verdict re-identifies the plant and swaps in `scheme` (the
+/// experiment's own when `None`).
+fn adaptive(
+    health: HealthConfig,
+    plan: Option<FaultPlan>,
+    scheme: Option<Scheme>,
+) -> UnifiedOptions {
+    UnifiedOptions {
+        sup_cfg: Some(SupervisorConfig::default()),
+        plan,
+        health: Some(health),
+        swap: Some(SwapSpec {
+            trigger: SwapTrigger::PhaseChange { max_swaps: 1 },
+            scheme,
+        }),
+        ..Default::default()
+    }
+}
 
 /// Detection-latency gate: periods between ground truth and the verdict.
 const MAX_DETECT_LATENCY: u64 = 20;
@@ -137,41 +157,36 @@ fn main() {
             _ => HealthConfig::default(),
         };
         let Some(run) = camp.cell(&label, || {
-            exp.run_adaptive(
-                &stationary_wl,
-                AdaptiveOptions {
-                    health: cell_health,
-                    ..Default::default()
-                },
-            )
-            .expect("stationary adaptive run")
+            exp.run_unified(&stationary_wl, adaptive(cell_health, None, None))
+                .expect("stationary adaptive run")
         }) else {
             continue;
         };
+        let stats = run.health.expect("monitor was attached");
+        let violations = run.recovery.invariant_violations;
         if !run.report.metrics.completed {
             camp.fail(&format!("{label}: workload timed out"));
         }
-        if run.health.alarms > 0 || !run.cycles.is_empty() {
+        if stats.alarms > 0 || !run.cycles.is_empty() {
             camp.fail(&format!(
                 "{label}: false positive — {} alarm(s), first swap at step {:?}",
-                run.health.alarms,
+                stats.alarms,
                 run.cycles.first().map(|c| c.detect_step)
             ));
         }
-        if run.invariant_violations > 0 {
+        if violations > 0 {
             camp.fail(&format!(
-                "{label}: {} mode-automaton invariant violations",
-                run.invariant_violations
+                "{label}: {violations} mode-automaton invariant violations"
             ));
         }
         println!(
             "  [{label}] {} samples, res_mean {:.4}, margin_mean {:.3}, sat duty {:.3}, \
              alarms {}",
-            run.health.samples,
-            run.health.residual_mean,
-            run.health.margin_mean,
-            run.health.saturation_duty,
-            run.health.alarms
+            stats.samples,
+            stats.residual_mean,
+            stats.margin_mean,
+            stats.saturation_duty,
+            stats.alarms
         );
         camp.push_row(format!(
             "    {{\"cell\": \"stationary\", \"scheme\": \"{}\", \"workload\": \"{}\", \
@@ -180,43 +195,33 @@ fn main() {
              \"invariant_violations\": {}}}",
             scheme.label(),
             stationary_wl.name,
-            run.health.samples,
-            run.health.residual_mean,
-            run.health.margin_mean,
-            run.health.saturation_duty,
-            run.health.alarms,
+            stats.samples,
+            stats.residual_mean,
+            stats.margin_mean,
+            stats.saturation_duty,
+            stats.alarms,
             run.cycles.len(),
-            run.invariant_violations,
+            violations,
         ));
     }
 
     // ------------------------------------------------------------------
     // Gates 2 + 4: phase-change detection latency and the adaptive E×D
     // payoff. The adaptive run starts on the weaker decoupled heuristic
-    // and hot-swaps to the experiment's coordinated scheme on detection;
-    // the non-adaptive baseline is the same initial scheme left alone.
+    // and hot-swaps to the coordinated scheme on detection; the
+    // non-adaptive baseline is the same initial scheme left alone.
     // ------------------------------------------------------------------
     let pc_wl = phase_change_workload();
     let initial = Scheme::DecoupledHeuristic;
     let upgraded = Scheme::CoordinatedHeuristic;
     {
         let label = "phase-change adaptive";
-        let exp = Experiment::new(upgraded)
-            .expect("experiment construction")
-            .with_options(options);
         let base_exp = Experiment::new(initial)
             .expect("experiment construction")
             .with_options(options);
         let cell = camp.cell(label, || {
-            let run = exp
-                .run_adaptive(
-                    &pc_wl,
-                    AdaptiveOptions {
-                        initial: Some(initial),
-                        max_swaps: 1,
-                        ..Default::default()
-                    },
-                )
+            let run = base_exp
+                .run_unified(&pc_wl, adaptive(health, None, Some(upgraded)))
                 .expect("adaptive run");
             let baseline = base_exp
                 .run_supervised(&pc_wl, SupervisorConfig::default(), None)
@@ -224,13 +229,14 @@ fn main() {
             (run, baseline)
         });
         if let Some((run, baseline)) = cell {
+            let stats = run.health.expect("monitor was attached");
+            let violations = run.recovery.invariant_violations;
             if !run.report.metrics.completed || !baseline.metrics.completed {
                 camp.fail(&format!("{label}: run timed out"));
             }
-            if run.invariant_violations > 0 {
+            if violations > 0 {
                 camp.fail(&format!(
-                    "{label}: {} mode-automaton invariant violations",
-                    run.invariant_violations
+                    "{label}: {violations} mode-automaton invariant violations"
                 ));
             }
             let truth = switch_step(&run.report);
@@ -239,7 +245,7 @@ fn main() {
                 (None, _) => {
                     camp.fail(&format!(
                         "{label}: phase change never detected (alarms {})",
-                        run.health.alarms
+                        stats.alarms
                     ));
                     (u64::MAX, 0)
                 }
@@ -292,10 +298,10 @@ fn main() {
                 },
                 cycle.map(|c| c.fit_residual).unwrap_or(-1.0),
                 cycle.map(|c| c.bumpless).unwrap_or(false),
-                run.health.alarms,
+                stats.alarms,
                 exd_adaptive,
                 exd_base,
-                run.invariant_violations,
+                violations,
             ));
         }
     }
@@ -326,28 +332,22 @@ fn main() {
             .expect("experiment construction")
             .with_options(options);
         let cell = camp.cell(label, || {
-            exp.run_adaptive(
-                &stationary_wl,
-                AdaptiveOptions {
-                    plan: Some(plan.clone()),
-                    max_swaps: 1,
-                    ..Default::default()
-                },
-            )
-            .expect("bias-onset adaptive run")
+            exp.run_unified(&stationary_wl, adaptive(health, Some(plan.clone()), None))
+                .expect("bias-onset adaptive run")
         });
         if let Some(run) = cell {
-            if run.invariant_violations > 0 {
+            let stats = run.health.expect("monitor was attached");
+            let violations = run.recovery.invariant_violations;
+            if violations > 0 {
                 camp.fail(&format!(
-                    "{label}: {} mode-automaton invariant violations",
-                    run.invariant_violations
+                    "{label}: {violations} mode-automaton invariant violations"
                 ));
             }
             let detect = run.cycles.first().map(|c| c.detect_step);
             match detect {
                 None => camp.fail(&format!(
                     "{label}: bias onset at step {onset_step} never detected (alarms {})",
-                    run.health.alarms
+                    stats.alarms
                 )),
                 Some(d) if d < onset_step => camp.fail(&format!(
                     "{label}: detector fired at step {d}, before the onset at {onset_step}"
@@ -370,8 +370,8 @@ fn main() {
                 onset_step,
                 detect.map(|d| d as i64).unwrap_or(-1),
                 detect.map(|d| (d - onset_step.min(d)) as i64).unwrap_or(-1),
-                run.health.alarms,
-                run.invariant_violations,
+                stats.alarms,
+                violations,
             ));
         }
     }
@@ -394,9 +394,15 @@ fn main() {
             let (monitored, stats) = exp
                 .run_monitored(&stationary_wl, SupervisorConfig::default(), None, health)
                 .expect("monitored run");
-            let (disabled, _) = exp
-                .run_monitored_opt(&stationary_wl, SupervisorConfig::default(), None, None)
-                .expect("disabled-monitor run");
+            // The disabled monitor: the one run loop with no tap attached.
+            let disabled_opts = UnifiedOptions {
+                sup_cfg: Some(SupervisorConfig::default()),
+                ..Default::default()
+            };
+            let disabled = exp
+                .run_unified(&stationary_wl, disabled_opts.clone())
+                .expect("disabled-monitor run")
+                .report;
             // The gated pair is supervised vs disabled-monitor (the seam
             // compiled in, no tap attached — what a deployment ships with
             // health telemetry off). The enabled-monitor cost is reported
@@ -433,7 +439,7 @@ fn main() {
             let (mut sups, mut r_off, mut r_on) = (Vec::new(), Vec::new(), Vec::new());
             for _ in 0..reps {
                 let (t_sup, off) = time_pair(&|| {
-                    exp.run_monitored_opt(&stationary_wl, SupervisorConfig::default(), None, None)
+                    exp.run_unified(&stationary_wl, disabled_opts.clone())
                         .expect("disabled-monitor rep");
                 });
                 let (_, on) = time_pair(&|| {

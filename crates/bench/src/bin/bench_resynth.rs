@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use yukta_bench::write_results;
+use yukta_bench::{time_best, write_results};
 use yukta_control::dk::{DkOptions, synthesize_ssv};
 use yukta_control::mu::{MuBlock, MuPeak, apply_scalings, log_grid, mu_peak_serial_with};
 use yukta_control::plant::SsvSpec;
@@ -137,20 +137,6 @@ fn pre_pr_mu_peak(sys: &StateSpace, blocks: &[MuBlock], grid: &[f64]) -> MuPeak 
 }
 
 const TWO_1X1: [MuBlock; 2] = [MuBlock { n_out: 1, n_in: 1 }, MuBlock { n_out: 1, n_in: 1 }];
-
-/// Best (minimum) wall time over `reps` runs after one untimed warmup,
-/// in seconds (see `bench_sweep` for why min-of-reps).
-fn time_best(reps: usize, mut f: impl FnMut() -> f64) -> (f64, f64) {
-    f();
-    let mut best = f64::INFINITY;
-    let mut last = 0.0;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        last = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    (best, last)
-}
 
 struct DsearchRow {
     pre_pr_s: f64,

@@ -72,9 +72,6 @@ fn run_cell(
             wl,
             UnifiedOptions {
                 sup_cfg: Some(SupervisorConfig::default()),
-                plan: None,
-                swap: None,
-                recovery: None,
                 serving: Some(ServingSpec {
                     traffic: TrafficConfig {
                         pattern,
@@ -86,6 +83,7 @@ fn run_cell(
                     ext_cap_f_big: ext_cap,
                     ..Default::default()
                 }),
+                ..Default::default()
             },
         )
         .expect("serving run");

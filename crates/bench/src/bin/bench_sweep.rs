@@ -35,7 +35,7 @@
 
 use std::time::Instant;
 
-use yukta_bench::write_results;
+use yukta_bench::{time_best, write_results};
 use yukta_control::mu::{
     MuBlock, MuPeak, log_grid, mu_peak, mu_peak_serial, mu_peak_serial_raw, mu_peak_serial_with,
 };
@@ -165,23 +165,6 @@ fn mu_peak_naive(sys: &StateSpace, blocks: &[MuBlock], grid: &[f64]) -> MuPeak {
         peak.point_scalings.push(scalings);
     }
     peak
-}
-
-/// Best (minimum) wall time over `reps` runs after one untimed warmup,
-/// in seconds. Scheduler interference and frequency ramps only ever add
-/// time, so the minimum is the robust location estimator at the
-/// sub-millisecond scale of these sweeps; the warmup keeps one-time
-/// costs (lazy Hessenberg construction, cold caches) out of every rep.
-fn time_best(reps: usize, mut f: impl FnMut() -> f64) -> (f64, f64) {
-    f(); // warmup, untimed
-    let mut best = f64::INFINITY;
-    let mut last = 0.0;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        last = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    (best, last)
 }
 
 /// Times one scalar-vs-SIMD µ-sweep comparison and returns

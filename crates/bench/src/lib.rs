@@ -9,6 +9,7 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
+use std::time::Instant;
 
 use yukta_core::metrics::Report;
 
@@ -182,6 +183,24 @@ impl Sweep {
         }
         write_results(path, &out);
     }
+}
+
+/// Best (minimum) wall time over `reps` runs after one untimed warmup,
+/// in seconds, with the value `f` returned on the last rep. Scheduler
+/// interference and frequency ramps only ever add time, so the minimum
+/// is the robust location estimator at the millisecond scale of the sweep
+/// and synthesis kernels; the warmup keeps one-time costs (lazy
+/// construction, cold caches) out of every rep.
+pub fn time_best(reps: usize, mut f: impl FnMut() -> f64) -> (f64, f64) {
+    f(); // warmup, untimed
+    let mut best = f64::INFINITY;
+    let mut last = 0.0;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        last = f();
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    (best, last)
 }
 
 /// Writes a file under `results/`, creating the directory if needed.

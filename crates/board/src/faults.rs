@@ -229,6 +229,14 @@ impl FaultPlan {
         self
     }
 
+    /// This plan without its crash points: the uninterrupted twin of a
+    /// crashing run. Crashes never touch the injector RNG or the fault
+    /// report, so the twin's board runs bit for bit the same.
+    pub fn without_crashes(mut self) -> Self {
+        self.crashes.clear();
+        self
+    }
+
     /// The planned crash points, sorted and deduplicated.
     pub fn crash_steps(&self) -> Vec<u64> {
         let mut steps: Vec<u64> = self

@@ -252,11 +252,6 @@ impl HealthTap {
         self.monitor.stats()
     }
 
-    /// Samples observed so far.
-    pub fn samples(&self) -> u64 {
-        self.monitor.samples()
-    }
-
     /// Emits the run-end health gauges (`health.*`) to a recorder. Called
     /// by the runtime after the loop, and only when recording is enabled —
     /// never on the hot path.

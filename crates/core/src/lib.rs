@@ -14,8 +14,8 @@
 //!   decoupled/monolithic LQG baselines (Section VI-B).
 //! * [`optimizer`] — the E×D target optimizers of Section IV-D.
 //! * [`schemes`] — the named two-layer schemes of the evaluation.
-//! * [`runtime`] — the 500 ms control loop wiring controllers, board, and
-//!   workload; produces [`metrics::Report`]s with full traces.
+//! * [`runtime`] — one 500 ms step loop wiring controllers, board, and
+//!   workload, with optional stages ([`runtime::UnifiedOptions`]).
 //! * [`modes`] — the checked reconfiguration automaton: one synchronous
 //!   state machine (Primary/Fallback/Safe × swap-pending × recovering)
 //!   through which every supervisor, hot-swap, and crash-recovery
@@ -64,8 +64,8 @@ pub use modes::{
 };
 pub use recorder::{Journal, JournalRecord, ReplayOutcome};
 pub use runtime::{
-    AdaptiveOptions, AdaptiveRun, Experiment, InjectedCrash, RecoveredRun, RecoveryOptions,
-    RecoveryReport, RunOptions, SwapCycle, SwapSpec, UnifiedOptions,
+    Experiment, InjectedCrash, RecoveredRun, RecoveryOptions, RecoveryReport, RunOptions,
+    SwapCycle, SwapSpec, SwapTrigger, UnifiedOptions,
 };
 pub use schemes::{ControllersState, Scheme};
 pub use supervisor::{

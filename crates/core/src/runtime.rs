@@ -2,13 +2,13 @@
 //! workload, invoking each controller every 500 ms exactly as the
 //! prototype's privileged processes did.
 //!
-//! Besides the plain run paths, the runtime is *crash-tolerant*
-//! (DESIGN.md §11): [`Experiment::run_recoverable`] journals every
-//! invocation into a [`Journal`], checkpoints the complete resumable state
-//! periodically, injects controller-process crashes from the fault plan
-//! ([`yukta_board::FaultKind::Crash`]), and recovers by restoring the
-//! latest checkpoint and replaying the journal suffix — bit-identically to
-//! a run that never crashed.
+//! Every entry point runs one step loop whose optional stages are set in
+//! [`UnifiedOptions`]: supervision, faults, a scheduled or detector-driven
+//! hot-swap, serving, the health tap, and crash tolerance (DESIGN.md §11),
+//! which journals every invocation into a [`Journal`], checkpoints the
+//! resumable state periodically, injects controller-process crashes from
+//! the fault plan ([`yukta_board::FaultKind::Crash`]), and recovers from
+//! the latest checkpoint and the journal suffix — bit-identically.
 
 use std::panic::{AssertUnwindSafe, catch_unwind, resume_unwind};
 use std::sync::Arc;
@@ -28,11 +28,13 @@ use crate::controllers::{HwSense, OsSense};
 use crate::design::{Design, default_design};
 use crate::health::{HealthTap, emit_verdict};
 use crate::metrics::{ComputeStats, FaultReport, Metrics, Report, SloReport, Trace, TraceSample};
-use crate::modes::{Knob, ModeAutomaton, ModeConfig, ModeSnapshot, TransitionRecord, level_label};
+use crate::modes::{Knob, ModeAutomaton, ModeConfig, ModeSnapshot, level_label};
 use crate::recorder::{Journal, JournalRecord, ReplayOutcome, replay_with};
 use crate::schemes::{Controllers, ControllersState, Scheme};
 use crate::signals::{HwInputs, HwOutputs, Limits, OsInputs, OsOutputs, SloSense, spare_capacity};
-use crate::supervisor::{Supervisor, SupervisorConfig, SupervisorMode, SupervisorState};
+use crate::supervisor::{
+    Supervisor, SupervisorConfig, SupervisorMode, SupervisorState, swap_controllers,
+};
 
 /// The invocation engine of one run: either the controllers directly (the
 /// paper's experiments) or the fault-containment supervisor wrapping them.
@@ -55,6 +57,18 @@ enum EngineState {
 }
 
 impl Engine {
+    /// Wraps `controllers` in the supervisor when `sup_cfg` is set; a raw
+    /// engine carries its own automaton with the default configuration.
+    fn new(controllers: Controllers, sup_cfg: Option<SupervisorConfig>) -> Self {
+        match sup_cfg {
+            None => Engine::Raw {
+                c: controllers,
+                auto: ModeAutomaton::new(ModeConfig::default()),
+            },
+            Some(cfg) => Engine::Supervised(Box::new(Supervisor::new(controllers, cfg))),
+        }
+    }
+
     fn invoke(&mut self, hw_sense: &HwSense, os_sense: &OsSense) -> Result<(HwInputs, OsInputs)> {
         match self {
             Engine::Raw { c, auto } => {
@@ -105,44 +119,13 @@ impl Engine {
         }
     }
 
-    /// Invariant violations recorded by the engine's mode automaton.
-    fn violations(&self) -> u64 {
+    /// The engine's checked mode automaton: swap and recovery events go
+    /// to it directly, and the runtime reads its violations and drains
+    /// its transition log.
+    fn automaton(&mut self) -> &mut ModeAutomaton {
         match self {
-            Engine::Raw { auto, .. } => auto.violations(),
-            Engine::Supervised(s) => s.violations(),
-        }
-    }
-
-    /// Drains the automaton's transition log for telemetry.
-    fn drain_transitions(&mut self) -> Vec<TransitionRecord> {
-        match self {
-            Engine::Raw { auto, .. } => auto.drain_transitions(),
-            Engine::Supervised(s) => s.drain_transitions(),
-        }
-    }
-
-    /// Enters the swap-pending window (the crash-vulnerable interval
-    /// between requesting a replacement and committing it).
-    fn request_swap(&mut self) {
-        match self {
-            Engine::Raw { auto, .. } => auto.request_swap(),
-            Engine::Supervised(s) => s.request_swap(),
-        }
-    }
-
-    /// Marks the start of a crash-recovery replay.
-    fn begin_recovery(&mut self) {
-        match self {
-            Engine::Raw { auto, .. } => auto.begin_recovery(),
-            Engine::Supervised(s) => s.begin_recovery(),
-        }
-    }
-
-    /// Marks the end of a crash-recovery replay.
-    fn end_recovery(&mut self) {
-        match self {
-            Engine::Raw { auto, .. } => auto.end_recovery(),
-            Engine::Supervised(s) => s.end_recovery(),
+            Engine::Raw { auto, .. } => auto,
+            Engine::Supervised(s) => s.automaton(),
         }
     }
 
@@ -172,26 +155,11 @@ impl Engine {
     }
 
     /// Commits a hot-swap of the serving controllers for a freshly
-    /// synthesized replacement (adaptive resynthesis, DESIGN.md §13),
-    /// routed through the automaton's request→commit protocol (a direct
-    /// call is an atomic request+commit). State transfers bumplessly when
-    /// the replacement has the same shape; otherwise it starts from reset.
-    /// Returns `true` when the transfer was bumpless.
-    fn swap_primary(&mut self, mut next: Controllers) -> bool {
+    /// synthesized replacement (adaptive resynthesis, DESIGN.md §13) via
+    /// [`swap_controllers`]. Returns `true` when the transfer was bumpless.
+    fn swap_primary(&mut self, next: Controllers) -> bool {
         match self {
-            Engine::Raw { c, auto } => {
-                if !auto.swap_pending() {
-                    auto.request_swap();
-                }
-                let saved = c.save_state();
-                let bumpless = next.restore_state(&saved).is_ok();
-                if !bumpless {
-                    next.reset();
-                }
-                *c = next;
-                auto.commit_swap();
-                bumpless
-            }
+            Engine::Raw { c, auto } => swap_controllers(c, next, auto),
             Engine::Supervised(s) => s.swap_primary(next),
         }
     }
@@ -257,9 +225,10 @@ impl Default for RecoveryOptions {
     }
 }
 
-/// What the crash-tolerance machinery did during one recoverable run.
-/// Reported out-of-band so the recovered [`Report`] stays bit-identical to
-/// an uninterrupted run of the same seed.
+/// What the crash-tolerance machinery did during one run (all zero but
+/// `invariant_violations` when recovery is off). Reported out-of-band so
+/// the recovered [`Report`] stays bit-identical to an uninterrupted run of
+/// the same seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
     /// Injected crashes that fired.
@@ -284,11 +253,28 @@ pub struct RecoveryReport {
 /// controller instance cannot be re-created from a checkpoint).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwapSpec {
-    /// Invocation index just before which the swap commits.
-    pub at_step: u64,
+    /// What fires the swap.
+    pub trigger: SwapTrigger,
     /// Scheme to instantiate as the replacement; `None` re-instantiates
     /// the experiment's own scheme (the zero-change resynthesis case).
     pub scheme: Option<Scheme>,
+}
+
+/// What fires a [`SwapSpec`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SwapTrigger {
+    /// One scheduled swap, committed just before this invocation index.
+    AtStep(u64),
+    /// Detector-driven swaps (DESIGN.md §16): on each `PhaseChange`
+    /// verdict of the health monitor the runtime re-identifies the plant
+    /// from the tap's retained history ([`fit_arx`] over the last ≤ 128 s
+    /// of normalized records), swaps in the next period, and re-arms the
+    /// detectors against the refit model — at most `max_swaps` times per
+    /// run. Requires [`UnifiedOptions::health`].
+    PhaseChange {
+        /// Cap on detector-triggered swaps for the whole run.
+        max_swaps: u32,
+    },
 }
 
 /// Request-serving configuration of a run: an open-loop arrival process
@@ -317,39 +303,32 @@ impl ServingSpec {
     ///
     /// [`yukta_linalg::Error::NoSolution`] naming the offending group.
     pub fn validate(&self, limits: &Limits) -> Result<()> {
-        if self.traffic.validate().is_err() {
-            return Err(Error::NoSolution {
-                op: "serving_spec",
-                why: "invalid traffic config (see TrafficConfig::validate)",
-            });
-        }
-        if self.queue.validate().is_err() {
-            return Err(Error::NoSolution {
-                op: "serving_spec",
-                why: "invalid queue config (see QueueConfig::validate)",
-            });
-        }
-        if !(limits.latency_slo_s.is_finite() && limits.latency_slo_s > 0.0) {
-            return Err(Error::NoSolution {
-                op: "serving_spec",
-                why: "latency SLO bound must be finite and positive",
-            });
-        }
-        if let Some(cap) = self.ext_cap_f_big {
-            if !(cap.is_finite() && cap > 0.0) {
-                return Err(Error::NoSolution {
-                    op: "serving_spec",
-                    why: "external frequency cap must be finite and positive",
-                });
-            }
-        }
-        Ok(())
+        let why = if self.traffic.validate().is_err() {
+            "invalid traffic config (see TrafficConfig::validate)"
+        } else if self.queue.validate().is_err() {
+            "invalid queue config (see QueueConfig::validate)"
+        } else if !(limits.latency_slo_s.is_finite() && limits.latency_slo_s > 0.0) {
+            "latency SLO bound must be finite and positive"
+        } else if self
+            .ext_cap_f_big
+            .is_some_and(|cap| !(cap.is_finite() && cap > 0.0))
+        {
+            "external frequency cap must be finite and positive"
+        } else {
+            return Ok(());
+        };
+        Err(Error::NoSolution {
+            op: "serving_spec",
+            why,
+        })
     }
 }
 
 /// The composed run configuration of [`Experiment::run_unified`]: any mix
-/// of supervision, fault injection, one mid-run hot-swap, crash recovery,
-/// and request serving, all driven through the checked mode automaton.
+/// of supervision, fault injection, a mid-run hot-swap (scheduled or
+/// detector-driven), crash recovery, request serving, and the health
+/// monitor, all driven through the checked mode automaton. Every stage is
+/// optional; the default is a plain run.
 #[derive(Debug, Clone, Default)]
 pub struct UnifiedOptions {
     /// Wrap the controllers in the fault-containment supervisor
@@ -358,7 +337,7 @@ pub struct UnifiedOptions {
     /// Fault-injection plan corrupting the board interface; its crash
     /// points fire only when `recovery` is enabled.
     pub plan: Option<FaultPlan>,
-    /// One mid-run controller hot-swap.
+    /// One mid-run controller hot-swap, or detector-driven swaps.
     pub swap: Option<SwapSpec>,
     /// Enable journaling + checkpoint/restore crash tolerance.
     pub recovery: Option<RecoveryOptions>,
@@ -366,43 +345,56 @@ pub struct UnifiedOptions {
     /// [`ServingSpec::validate`]). `None` keeps the run a pure batch
     /// execution, bit-identical to the pre-serving runtime.
     pub serving: Option<ServingSpec>,
+    /// Attach the loop-health monitor (DESIGN.md §16): every invocation
+    /// record streams through the drift/phase-change detectors. It only
+    /// observes — the report is bit-identical to the same run without it —
+    /// unless a [`SwapTrigger::PhaseChange`] swap acts on its verdicts.
+    pub health: Option<HealthConfig>,
 }
 
-/// Configuration of [`Experiment::run_adaptive`]: a supervised run whose
-/// health detectors drive re-identification and controller hot-swaps.
-#[derive(Debug, Clone)]
-pub struct AdaptiveOptions {
-    /// Supervisor configuration (validated via
-    /// [`SupervisorConfig::validate`]).
-    pub sup_cfg: SupervisorConfig,
-    /// Fault-injection plan corrupting the board interface (crash points
-    /// are not fired on this path).
-    pub plan: Option<FaultPlan>,
-    /// Health monitor configuration (validated via
-    /// [`HealthConfig::validate`]).
-    pub health: HealthConfig,
-    /// Scheme serving at the start of the run; `None` starts on the
-    /// experiment's own scheme (each swap always installs the
-    /// experiment's scheme).
-    pub initial: Option<Scheme>,
-    /// Cap on detector-triggered hot-swaps for the whole run.
-    pub max_swaps: u32,
-}
-
-impl Default for AdaptiveOptions {
-    fn default() -> Self {
-        AdaptiveOptions {
-            sup_cfg: SupervisorConfig::default(),
-            plan: None,
-            health: HealthConfig::default(),
-            initial: None,
-            max_swaps: 1,
+impl UnifiedOptions {
+    /// Rejects invalid stages and combinations with typed errors before a
+    /// run starts: a flapping-prone supervisor configuration, a degenerate
+    /// serving spec (checked against `limits`), crash points without
+    /// recovery, a phase-change swap trigger without the health monitor,
+    /// and the health monitor or a phase-change trigger together with
+    /// recovery (neither the tap nor detector-driven swaps are
+    /// checkpointed).
+    ///
+    /// # Errors
+    ///
+    /// [`yukta_linalg::Error::NoSolution`]: from
+    /// [`SupervisorConfig::validate`] and [`ServingSpec::validate`], and
+    /// with `op: "run_unified"` for the invalid combinations.
+    pub fn validate(&self, limits: &Limits) -> Result<()> {
+        if let Some(cfg) = &self.sup_cfg {
+            cfg.validate()?;
         }
+        if let Some(spec) = &self.serving {
+            spec.validate(limits)?;
+        }
+        let crashes = self.plan.as_ref().is_some_and(|p| !p.crashes.is_empty());
+        let detector_swap = self
+            .swap
+            .is_some_and(|s| matches!(s.trigger, SwapTrigger::PhaseChange { .. }));
+        let why = if crashes && self.recovery.is_none() {
+            "crash points in the fault plan require recovery to be enabled"
+        } else if detector_swap && self.health.is_none() {
+            "a phase-change swap trigger requires the health monitor"
+        } else if (detector_swap || self.health.is_some()) && self.recovery.is_some() {
+            "the health monitor and detector-driven swaps cannot be combined with recovery"
+        } else {
+            return Ok(());
+        };
+        Err(Error::NoSolution {
+            op: "run_unified",
+            why,
+        })
     }
 }
 
-/// One completed observe → detect → re-identify → hot-swap cycle of
-/// [`Experiment::run_adaptive`].
+/// One completed observe → detect → re-identify → hot-swap cycle of a
+/// run with a [`SwapTrigger::PhaseChange`] swap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwapCycle {
     /// Invocation whose verdict fired the detector.
@@ -418,29 +410,22 @@ pub struct SwapCycle {
     pub bumpless: bool,
 }
 
-/// The outcome of [`Experiment::run_adaptive`].
-#[derive(Debug)]
-pub struct AdaptiveRun {
-    /// The run's report.
-    pub report: Report,
-    /// Health-monitor aggregates over the whole run.
-    pub health: HealthStats,
-    /// Detector-triggered swap cycles, in order.
-    pub cycles: Vec<SwapCycle>,
-    /// Mode-automaton invariant violations observed by the engine. Must
-    /// be zero: every swap flows through the request→commit protocol.
-    pub invariant_violations: u64,
-}
-
-/// The outcome of [`Experiment::run_recoverable`].
+/// The outcome of [`Experiment::run_unified`] and
+/// [`Experiment::run_recoverable`].
 #[derive(Debug)]
 pub struct RecoveredRun {
     /// The run's report — bit-identical to an uninterrupted run.
     pub report: Report,
-    /// The complete flight-recorder journal of the run.
+    /// The complete flight-recorder journal of the run (empty unless
+    /// recovery was enabled).
     pub journal: Journal,
-    /// Crash/recovery counters.
+    /// Crash/recovery counters and the automaton's invariant violations.
     pub recovery: RecoveryReport,
+    /// Health-monitor aggregates over the whole run (`None` without the
+    /// monitor).
+    pub health: Option<HealthStats>,
+    /// Detector-triggered swap cycles, in order.
+    pub cycles: Vec<SwapCycle>,
 }
 
 /// The complete resumable state of a run between controller invocations:
@@ -467,8 +452,8 @@ struct RunState {
     /// Engine mode at the previous invocation, for `supervisor.transition`
     /// telemetry events.
     last_mode: Option<SupervisorMode>,
-    /// Whether the run's one hot-swap has committed (rolled back with the
-    /// checkpoint on crash recovery, so the replay re-performs it).
+    /// Whether a hot-swap has committed (rolled back with the checkpoint
+    /// on crash recovery, so the replay re-performs the scheduled swap).
     swapped: bool,
     /// Request-serving state (`None` for batch runs). Cloned with the
     /// checkpoint — the traffic RNG and queue roll back with everything
@@ -520,12 +505,7 @@ impl Experiment {
     /// Currently infallible for valid schemes; kept fallible for parity
     /// with [`Experiment::run`] call sites.
     pub fn new(scheme: Scheme) -> Result<Self> {
-        Ok(Experiment {
-            scheme,
-            design: default_design().clone(),
-            options: RunOptions::default(),
-            recorder: None,
-        })
+        Ok(Self::with_design(scheme, default_design().clone()))
     }
 
     /// Creates an experiment against an explicit design (sensitivity
@@ -555,15 +535,10 @@ impl Experiment {
     /// [`crate::design::design_for_seed`].
     pub fn with_seed(scheme: Scheme, seed: u64) -> Result<Self> {
         let design = crate::design::design_for_seed(seed)?;
-        Ok(Experiment {
-            scheme,
-            design,
-            options: RunOptions {
-                board_seed: Some(seed),
-                ..Default::default()
-            },
-            recorder: None,
-        })
+        Ok(Self::with_design(scheme, design).with_options(RunOptions {
+            board_seed: Some(seed),
+            ..Default::default()
+        }))
     }
 
     /// Overrides the run options.
@@ -629,14 +604,9 @@ impl Experiment {
         workload: &Workload,
         controllers: Controllers,
     ) -> Result<Report> {
-        self.execute(
-            workload,
-            Engine::Raw {
-                c: controllers,
-                auto: ModeAutomaton::new(ModeConfig::default()),
-            },
-            None,
-        )
+        Ok(self
+            .run_loop(workload, &UnifiedOptions::default(), Some(controllers))?
+            .report)
     }
 
     /// Runs the workload under the fault-containment supervisor, optionally
@@ -659,76 +629,12 @@ impl Experiment {
         sup_cfg: SupervisorConfig,
         plan: Option<FaultPlan>,
     ) -> Result<Report> {
-        let controllers = self.scheme.instantiate(&self.design, self.options.limits)?;
-        self.run_supervised_with_controllers(workload, controllers, sup_cfg, plan)
-    }
-
-    /// [`Experiment::run_supervised`] with externally supplied controllers
-    /// (property tests use cheap hand-built controller instances).
-    ///
-    /// # Errors
-    ///
-    /// Infallible at present; fallible signature for uniformity.
-    pub fn run_supervised_with_controllers(
-        &self,
-        workload: &Workload,
-        controllers: Controllers,
-        sup_cfg: SupervisorConfig,
-        plan: Option<FaultPlan>,
-    ) -> Result<Report> {
-        let sup = Box::new(Supervisor::new(controllers, sup_cfg));
-        self.execute(workload, Engine::Supervised(sup), plan)
-    }
-
-    /// [`Experiment::run_supervised`] with one mid-run controller swap:
-    /// just before invocation `swap_at`, the serving controllers are
-    /// hot-swapped for `next` (or, with `next = None`, for a fresh
-    /// instantiation of the same scheme — the zero-change resynthesis
-    /// case, whose run is bit-identical to an unswapped one because the
-    /// synthesis pipeline is deterministic and the transfer is bumpless).
-    /// Emits a `runtime.resynth` event recording the step and whether the
-    /// transfer was bumpless.
-    ///
-    /// This is the deployment seam for in-loop resynthesis: a background
-    /// D–K synthesis (fast enough to fit inside one controller period
-    /// after the batched-D/parallel-γ work, see `yukta_control::dk`)
-    /// produces `next`, and the runtime installs it between invocations
-    /// with no actuation gap.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller-instantiation failures.
-    pub fn run_supervised_with_swap(
-        &self,
-        workload: &Workload,
-        sup_cfg: SupervisorConfig,
-        plan: Option<FaultPlan>,
-        swap_at: u64,
-        next: Option<Controllers>,
-    ) -> Result<Report> {
-        // Crash points are documented as ignored on this path; strip them
-        // so the unified runner does not demand recovery options. Crashes
-        // never touch the injector RNG or the fault report, so the strip
-        // is bit-invisible.
-        let plan = plan.map(|mut p| {
-            p.crashes.clear();
-            p
-        });
-        let run = self.run_unified_impl(
-            workload,
-            UnifiedOptions {
-                sup_cfg: Some(sup_cfg),
-                plan,
-                swap: Some(SwapSpec {
-                    at_step: swap_at,
-                    scheme: None,
-                }),
-                recovery: None,
-                serving: None,
-            },
-            next,
-        )?;
-        Ok(run.report)
+        let opts = UnifiedOptions {
+            sup_cfg: Some(sup_cfg),
+            plan: plan.map(FaultPlan::without_crashes),
+            ..Default::default()
+        };
+        Ok(self.run_loop(workload, &opts, None)?.report)
     }
 
     /// [`Experiment::run_supervised`] with the loop-health monitor
@@ -738,7 +644,8 @@ impl Experiment {
     /// The [`Report`] is bit-identical to [`Experiment::run_supervised`]
     /// with the same inputs — the monitor never touches the board, the
     /// engine, or the RNG streams, and telemetry is emitted only when the
-    /// recorder is enabled.
+    /// recorder is enabled. Crash points in the plan are ignored, as in
+    /// [`Experiment::run_supervised`].
     ///
     /// # Errors
     ///
@@ -751,209 +658,94 @@ impl Experiment {
         plan: Option<FaultPlan>,
         health: HealthConfig,
     ) -> Result<(Report, HealthStats)> {
-        let (report, stats) = self.run_monitored_opt(workload, sup_cfg, plan, Some(health))?;
-        Ok((report, stats.expect("monitor was attached")))
+        let opts = UnifiedOptions {
+            sup_cfg: Some(sup_cfg),
+            plan: plan.map(FaultPlan::without_crashes),
+            health: Some(health),
+            ..Default::default()
+        };
+        let run = self.run_loop(workload, &opts, None)?;
+        Ok((run.report, run.health.expect("monitor was attached")))
     }
 
-    /// [`Experiment::run_monitored`] with the monitor optional: `None`
-    /// runs the same loop with the monitoring seam compiled in but no tap
-    /// attached — the disabled-monitor configuration a deployment ships
-    /// when health telemetry is off, and the one whose overhead
-    /// `bench_health` gates against plain [`Experiment::run_supervised`].
+    /// Runs the workload under the crash-tolerance machinery: every
+    /// invocation is journaled, the complete run state is checkpointed
+    /// every [`RecoveryOptions::checkpoint_interval`] invocations, and the
+    /// plan's crash points ([`FaultPlan::with_crash`]) kill the controller
+    /// process mid-invocation. Each crash is recovered by rebuilding the
+    /// engine from scratch, restoring the latest checkpoint, and replaying
+    /// the journal suffix; the replayed records are verified bit-for-bit
+    /// against the journal as they are reproduced.
+    ///
+    /// The recovered [`Report`] is bit-identical to what
+    /// [`Experiment::run_supervised`] (with `sup_cfg = Some`) or
+    /// [`Experiment::run`]/[`Experiment::run_with_controllers`]
+    /// (`sup_cfg = None`, no plan) produces for the same seed: crashes are
+    /// driven by the invocation counter and reported out-of-band in the
+    /// [`RecoveryReport`], so they never perturb the fault-injection RNG
+    /// stream or the plant.
     ///
     /// # Errors
     ///
-    /// Typed [`Error::NoSolution`] on an invalid [`HealthConfig`];
-    /// propagates controller-instantiation failures.
-    pub fn run_monitored_opt(
+    /// Propagates controller-instantiation and restore failures. A panic
+    /// that is not an [`InjectedCrash`] is re-raised, not swallowed.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises non-injected panics from the controller stack.
+    pub fn run_recoverable(
         &self,
         workload: &Workload,
-        sup_cfg: SupervisorConfig,
+        sup_cfg: Option<SupervisorConfig>,
         plan: Option<FaultPlan>,
-        health: Option<HealthConfig>,
-    ) -> Result<(Report, Option<HealthStats>)> {
-        let mut tap = match health {
-            Some(cfg) => Some(self.build_tap(cfg)?),
-            None => None,
+        ropts: RecoveryOptions,
+    ) -> Result<RecoveredRun> {
+        let opts = UnifiedOptions {
+            sup_cfg,
+            plan,
+            recovery: Some(ropts),
+            ..Default::default()
         };
-        let controllers = self.scheme.instantiate(&self.design, self.options.limits)?;
-        let mut engine = Engine::Supervised(Box::new(Supervisor::new(controllers, sup_cfg)));
-        let mut st = self.init_state(workload, plan.as_ref(), None);
-        while !st.done {
-            if let Some(record) = self.step_invocation(&mut st, &mut engine, false)? {
-                if let Some(tap) = tap.as_mut() {
-                    let verdict = tap.observe(&record);
-                    let rec = self.rec();
-                    if rec.enabled() {
-                        emit_verdict(rec, record.step, verdict);
-                    }
-                }
-            }
-        }
-        if let Some(tap) = tap.as_ref() {
-            let rec = self.rec();
-            if rec.enabled() {
-                tap.publish(rec);
-            }
-        }
-        let report = self.finish(st, &engine, plan.as_ref(), workload);
-        Ok((report, tap.map(|t| t.stats())))
+        self.run_unified(workload, opts)
     }
 
-    /// Closes the observe → detect → re-identify → hot-swap loop: the
-    /// health monitor watches the run as in [`Experiment::run_monitored`],
-    /// and on a `PhaseChange` verdict the runtime re-identifies the plant
-    /// from the tap's retained history ([`fit_arx`] over the last ≤ 128 s
-    /// of normalized records), installs the refit model as the tap's new
-    /// residual reference, and hot-swaps the serving controllers for a
-    /// fresh instantiation of the experiment's scheme through the
-    /// [`ModeAutomaton`]'s request→commit protocol — the same seam
-    /// [`Experiment::run_supervised_with_swap`] uses, so every swap is
-    /// audited for actuation gaps and dual writers.
+    /// The composed entry point: one run with any valid mix of the stages
+    /// of [`UnifiedOptions`] — supervision, fault injection, a scheduled or
+    /// detector-driven hot-swap, crash recovery, request serving, and the
+    /// health monitor — all flowing through the checked mode automaton. A
+    /// swap-enabled run is also checkpointable/recoverable, including a
+    /// crash that lands between swap-request and swap-commit, which
+    /// recovery replays to a bit-identical outcome.
     ///
-    /// With [`AdaptiveOptions::initial`] set, the run *starts* on that
-    /// scheme and each swap installs the experiment's own scheme — the
-    /// adapt-under-phase-change deployment story: a conservative
+    /// With a [`SwapTrigger::PhaseChange`] swap the run closes the
+    /// observe → detect → re-identify → hot-swap loop: it starts on the
+    /// experiment's scheme and each swap installs [`SwapSpec::scheme`] —
+    /// the adapt-under-phase-change deployment story, where a conservative
     /// controller serves until the detectors prove the plant moved, then
     /// the full synthesis takes over.
     ///
     /// # Errors
     ///
-    /// Typed [`Error::NoSolution`] on an invalid [`HealthConfig`] or
-    /// supervisor configuration; propagates controller-instantiation
-    /// failures.
-    pub fn run_adaptive(&self, workload: &Workload, opts: AdaptiveOptions) -> Result<AdaptiveRun> {
-        opts.sup_cfg.validate()?;
-        let mut tap = self.build_tap(opts.health)?;
-        let start_scheme = opts.initial.unwrap_or(self.scheme);
-        let controllers = start_scheme.instantiate(&self.design, self.options.limits)?;
-        let mut engine = Engine::Supervised(Box::new(Supervisor::new(controllers, opts.sup_cfg)));
-        let mut st = self.init_state(workload, opts.plan.as_ref(), None);
-        let mut cycles: Vec<SwapCycle> = Vec::new();
-        let mut pending_detect: Option<u64> = None;
-        while !st.done {
-            if let Some(detect_step) = pending_detect.take() {
-                if (cycles.len() as u32) < opts.max_swaps {
-                    let cycle = self.adapt_swap(&mut st, &mut engine, &mut tap, detect_step)?;
-                    cycles.push(cycle);
-                }
-            }
-            if let Some(record) = self.step_invocation(&mut st, &mut engine, false)? {
-                let verdict = tap.observe(&record);
-                let rec = self.rec();
-                if rec.enabled() {
-                    emit_verdict(rec, record.step, verdict);
-                }
-                if let HealthVerdict::PhaseChange { .. } = verdict {
-                    pending_detect = Some(record.step);
-                }
-            }
-        }
-        let rec = self.rec();
-        if rec.enabled() {
-            tap.publish(rec);
-        }
-        let invariant_violations = engine.violations();
-        let report = self.finish(st, &engine, opts.plan.as_ref(), workload);
-        Ok(AdaptiveRun {
-            report,
-            health: tap.stats(),
-            cycles,
-            invariant_violations,
-        })
+    /// Typed [`yukta_linalg::Error::NoSolution`] on invalid options
+    /// ([`UnifiedOptions::validate`]) or an invalid [`HealthConfig`].
+    /// Propagates controller-instantiation and restore failures.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises non-injected panics from the controller stack.
+    pub fn run_unified(&self, workload: &Workload, opts: UnifiedOptions) -> Result<RecoveredRun> {
+        opts.validate(&self.options.limits)?;
+        self.run_loop(workload, &opts, None)
     }
 
-    /// One adaptive cycle: refit the plant from the tap's history, swap in
-    /// a fresh instantiation of the experiment's scheme, and re-arm the
-    /// detectors against the refit model.
-    fn adapt_swap(
-        &self,
-        st: &mut RunState,
-        engine: &mut Engine,
-        tap: &mut HealthTap,
-        detect_step: u64,
-    ) -> Result<SwapCycle> {
-        // Re-identify from the retained window. The orders mirror the
-        // design pipeline's; ridge regularization keeps the regression
-        // posed on closed-loop data (inputs correlate with outputs).
-        let refit_cfg = yukta_control::sysid::SysIdConfig {
-            na: 2,
-            nb: 2,
-            nc: 0,
-            plr_iters: 0,
-            ridge: 1e-4,
-        };
-        let (u, y) = tap.history();
-        let refit = fit_arx(u, y, refit_cfg)
-            .and_then(|m| validation_residual(u, y, &m).map(|r| (m, r)))
-            .ok();
-        let fit_residual = refit.as_ref().map_or(-1.0, |(_, r)| *r);
-        let rec = self.rec();
-        if rec.enabled() {
-            rec.event(
-                "health.refit",
-                &[
-                    ("step", Value::U64(st.step)),
-                    ("fit_residual", Value::F64(fit_residual)),
-                ],
-            );
-        }
-        engine.request_swap();
-        let replacement = self.scheme.instantiate(&self.design, self.options.limits)?;
-        let bumpless = engine.swap_primary(replacement);
-        st.swapped = true;
-        if rec.enabled() {
-            rec.event(
-                "runtime.resynth",
-                &[
-                    ("step", Value::U64(st.step)),
-                    ("bumpless", Value::Bool(bumpless)),
-                ],
-            );
-        }
-        tap.rearm_after_swap(refit.map(|(m, _)| m.sys));
-        Ok(SwapCycle {
-            detect_step,
-            swap_step: st.step,
-            fit_residual,
-            bumpless,
-        })
-    }
-
-    /// Builds the run's health tap, mapping config errors to the
-    /// workspace's typed error (the dynamic detail is available from
-    /// [`HealthConfig::validate`] directly).
-    fn build_tap(&self, health: HealthConfig) -> Result<HealthTap> {
-        HealthTap::new(&self.design, health).map_err(|_| Error::NoSolution {
-            op: "health_config",
-            why: "invalid health configuration (see HealthConfig::validate)",
-        })
-    }
-
-    /// Instantiates the engine for this experiment: the scheme's
-    /// controllers, raw or wrapped in a supervisor. Recovery rebuilds the
-    /// engine through the same path (a crashed daemon restarts from its
-    /// binary, not from its heap).
-    fn build_engine(&self, sup_cfg: Option<SupervisorConfig>) -> Result<Engine> {
-        self.build_engine_for(self.scheme, sup_cfg)
-    }
-
-    /// [`Experiment::build_engine`] with an explicit serving scheme —
-    /// recovery rebuilds from the *post-swap* scheme when the checkpoint
-    /// being restored was taken after a cross-scheme hot-swap committed.
-    fn build_engine_for(
-        &self,
-        scheme: Scheme,
-        sup_cfg: Option<SupervisorConfig>,
-    ) -> Result<Engine> {
+    /// Instantiates the engine serving `scheme`: its controllers, raw or
+    /// wrapped in a supervisor. Recovery rebuilds the engine through the
+    /// same path (a crashed daemon restarts from its binary, not from its
+    /// heap), from the *post-swap* scheme when the checkpoint being
+    /// restored was taken after a cross-scheme hot-swap committed.
+    fn build_engine(&self, scheme: Scheme, sup_cfg: Option<SupervisorConfig>) -> Result<Engine> {
         let controllers = scheme.instantiate(&self.design, self.options.limits)?;
-        Ok(match sup_cfg {
-            None => Engine::Raw {
-                c: controllers,
-                auto: ModeAutomaton::new(ModeConfig::default()),
-            },
-            Some(cfg) => Engine::Supervised(Box::new(Supervisor::new(controllers, cfg))),
-        })
+        Ok(Engine::new(controllers, sup_cfg))
     }
 
     /// Fresh run state at simulated time zero.
@@ -1129,7 +921,7 @@ impl Experiment {
         let invoke_result = engine.invoke(&hw_sense, &os_sense);
         // Drain the automaton's transition log even on the error path so
         // an aborted invocation cannot leave stale records behind.
-        let transitions = engine.drain_transitions();
+        let transitions = engine.automaton().drain_transitions();
         let (hw_u, os_u) = invoke_result?;
         let invoke_ns = t0.elapsed().as_nanos() as u64;
         let mode = engine.mode();
@@ -1285,131 +1077,54 @@ impl Experiment {
         }
     }
 
-    fn execute(
+    /// The one step loop behind every entry point, over `controllers`
+    /// (default: this experiment's scheme). Each controller period it
+    /// takes a checkpoint when one is due, commits a scheduled or
+    /// detector-driven hot-swap, runs one invocation, streams its record
+    /// through the health tap, and journals it. Each stage runs only when
+    /// its option is set, so a plain run does none of them. With recovery
+    /// enabled, an injected crash rolls the run back to the latest
+    /// checkpoint and replays the journal suffix.
+    fn run_loop(
         &self,
         workload: &Workload,
-        mut engine: Engine,
-        plan: Option<FaultPlan>,
-    ) -> Result<Report> {
-        let mut st = self.init_state(workload, plan.as_ref(), None);
-        while !st.done {
-            self.step_invocation(&mut st, &mut engine, false)?;
-        }
-        Ok(self.finish(st, &engine, plan.as_ref(), workload))
-    }
-
-    /// Runs the workload under the crash-tolerance machinery: every
-    /// invocation is journaled, the complete run state is checkpointed
-    /// every [`RecoveryOptions::checkpoint_interval`] invocations, and the
-    /// plan's crash points ([`FaultPlan::with_crash`]) kill the controller
-    /// process mid-invocation. Each crash is recovered by rebuilding the
-    /// engine from scratch, restoring the latest checkpoint, and replaying
-    /// the journal suffix; the replayed records are verified bit-for-bit
-    /// against the journal as they are reproduced.
-    ///
-    /// The recovered [`Report`] is bit-identical to what
-    /// [`Experiment::run_supervised`] (with `sup_cfg = Some`) or
-    /// [`Experiment::run`]/[`Experiment::run_with_controllers`]
-    /// (`sup_cfg = None`, no plan) produces for the same seed: crashes are
-    /// driven by the invocation counter and reported out-of-band in the
-    /// [`RecoveryReport`], so they never perturb the fault-injection RNG
-    /// stream or the plant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller-instantiation and restore failures. A panic
-    /// that is not an [`InjectedCrash`] is re-raised, not swallowed.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises non-injected panics from the controller stack.
-    pub fn run_recoverable(
-        &self,
-        workload: &Workload,
-        sup_cfg: Option<SupervisorConfig>,
-        plan: Option<FaultPlan>,
-        ropts: RecoveryOptions,
+        opts: &UnifiedOptions,
+        controllers: Option<Controllers>,
     ) -> Result<RecoveredRun> {
-        self.run_unified_impl(
-            workload,
-            UnifiedOptions {
-                sup_cfg,
-                plan,
-                swap: None,
-                recovery: Some(ropts),
-                serving: None,
-            },
-            None,
-        )
-    }
-
-    /// The composed entry point: one runner for every combination of
-    /// supervision, fault injection, a mid-run hot-swap, and crash
-    /// recovery, all flowing through the checked mode automaton. The
-    /// pairwise paths ([`Experiment::run_recoverable`],
-    /// [`Experiment::run_supervised_with_swap`]) are thin wrappers over
-    /// this, so a swap-enabled run is also checkpointable/recoverable —
-    /// including a crash that lands between swap-request and swap-commit,
-    /// which recovery replays to a bit-identical outcome.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`yukta_linalg::Error::NoSolution`] on invalid combinations:
-    /// a flapping-prone supervisor configuration
-    /// ([`SupervisorConfig::validate`]), or crash points in the plan
-    /// without recovery enabled. Propagates controller-instantiation and
-    /// restore failures.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises non-injected panics from the controller stack.
-    pub fn run_unified(&self, workload: &Workload, opts: UnifiedOptions) -> Result<RecoveredRun> {
-        self.run_unified_impl(workload, opts, None)
-    }
-
-    /// [`Experiment::run_unified`] plus an optional externally supplied
-    /// replacement instance for the swap. Instance-based swaps are
-    /// rejected when recovery is on: a heap-only instance cannot be
-    /// rebuilt after a crash rollback, so recoverable runs must describe
-    /// the replacement by recipe ([`SwapSpec::scheme`]).
-    fn run_unified_impl(
-        &self,
-        workload: &Workload,
-        opts: UnifiedOptions,
-        mut instance_next: Option<Controllers>,
-    ) -> Result<RecoveredRun> {
-        if let Some(cfg) = &opts.sup_cfg {
-            cfg.validate()?;
-        }
-        if let Some(spec) = &opts.serving {
-            spec.validate(&self.options.limits)?;
-        }
-        let crash_steps: Vec<u64> = opts
+        // Health config errors map to the workspace's typed error (the
+        // dynamic detail is available from `HealthConfig::validate`).
+        let mut tap = opts
+            .health
+            .map(|cfg| HealthTap::new(&self.design, cfg))
+            .transpose()
+            .map_err(|_| Error::NoSolution {
+                op: "health_config",
+                why: "invalid health configuration (see HealthConfig::validate)",
+            })?;
+        let mut engine = match controllers {
+            Some(c) => Engine::new(c, opts.sup_cfg),
+            None => self.build_engine(self.scheme, opts.sup_cfg)?,
+        };
+        let swap_scheme = opts.swap.and_then(|s| s.scheme);
+        let (swap_at, max_swaps) = match opts.swap.map(|s| s.trigger) {
+            Some(SwapTrigger::AtStep(at)) => (Some(at), 0),
+            Some(SwapTrigger::PhaseChange { max_swaps }) => (None, max_swaps),
+            None => (None, 0),
+        };
+        let interval = opts.recovery.map(|r| r.checkpoint_interval.max(1));
+        // Crash points, soonest first; consumed as they fire so recovery
+        // does not re-crash at the same step.
+        let mut pending = opts
             .plan
             .as_ref()
             .map(FaultPlan::crash_steps)
             .unwrap_or_default();
-        if !crash_steps.is_empty() && opts.recovery.is_none() {
-            return Err(Error::NoSolution {
-                op: "run_unified",
-                why: "crash points in the fault plan require recovery to be enabled",
-            });
-        }
-        if instance_next.is_some() && opts.recovery.is_some() {
-            return Err(Error::NoSolution {
-                op: "run_unified",
-                why: "instance-based swap cannot be rebuilt after a crash; use SwapSpec::scheme",
-            });
-        }
-        let interval = opts.recovery.map(|r| r.checkpoint_interval.max(1));
-        let swap_spec = opts.swap;
-        // Crash points, soonest first; consumed as they fire so recovery
-        // does not re-crash at the same step.
-        let mut pending = crash_steps;
-        let mut engine = self.build_engine(opts.sup_cfg)?;
         let mut st = self.init_state(workload, opts.plan.as_ref(), opts.serving.as_ref());
         let mut journal = Journal::new();
         let mut recovery = RecoveryReport::default();
+        let mut cycles: Vec<SwapCycle> = Vec::new();
+        // The step of a phase-change verdict not yet acted on.
+        let mut detected: Option<u64> = None;
         let mut ckpt = interval.map(|_| Checkpoint {
             state: st.clone(),
             engine: engine.save_state(),
@@ -1439,32 +1154,50 @@ impl Experiment {
                     }
                 }
             }
+            // A detector-driven swap lands in the period after its verdict.
+            if let Some(detect_step) = detected.take() {
+                if (cycles.len() as u32) < max_swaps {
+                    let (bumpless, fit_residual) =
+                        self.perform_swap(&mut st, &mut engine, swap_scheme, false, tap.as_mut())?;
+                    cycles.push(SwapCycle {
+                        detect_step,
+                        swap_step: st.step,
+                        fit_residual,
+                        bumpless,
+                    });
+                }
+            }
             let crash_here = pending.first() == Some(&st.step);
-            let swap_here = match swap_spec {
-                Some(spec) => !st.swapped && st.step == spec.at_step,
-                None => false,
-            };
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let swap_here = !st.swapped && swap_at == Some(st.step);
+            let mut step = || {
                 if swap_here {
-                    if let Some(spec) = swap_spec {
-                        // A crash at the swap step lands inside the swap
-                        // window, between request and commit.
-                        self.perform_swap(
-                            &mut st,
-                            &mut engine,
-                            spec,
-                            &mut instance_next,
-                            crash_here,
-                        )?;
-                    }
+                    // A crash at the swap step lands inside the swap
+                    // window, between request and commit.
+                    self.perform_swap(&mut st, &mut engine, swap_scheme, crash_here, None)?;
                 }
                 self.step_invocation(&mut st, &mut engine, crash_here && !swap_here)
-            }));
+            };
+            // Only a recoverable run can crash, so only it guards the step.
+            let outcome = if ckpt.is_some() {
+                catch_unwind(AssertUnwindSafe(step))
+            } else {
+                Ok(step())
+            };
             match outcome {
                 Ok(result) => {
-                    if let Some(record) = result? {
+                    let Some(record) = result? else { continue };
+                    let rec = self.rec();
+                    if let Some(tap) = tap.as_mut() {
+                        let verdict = tap.observe(&record);
+                        if rec.enabled() {
+                            emit_verdict(rec, record.step, verdict);
+                        }
+                        if let HealthVerdict::PhaseChange { .. } = verdict {
+                            detected = Some(record.step);
+                        }
+                    }
+                    if ckpt.is_some() {
                         journal.push(record);
-                        let rec = self.rec();
                         if rec.enabled() {
                             rec.counter_add("runtime.journal_records", 1);
                         }
@@ -1475,8 +1208,8 @@ impl Experiment {
                         resume_unwind(payload);
                     }
                     let Some(c) = &ckpt else {
-                        // Unreachable: crashes were rejected above unless
-                        // recovery (and thus a checkpoint) exists.
+                        // Unreachable: the step is only guarded when a
+                        // checkpoint exists.
                         resume_unwind(payload);
                     };
                     pending.remove(0);
@@ -1492,28 +1225,21 @@ impl Experiment {
                     // The checkpoint may postdate a committed hot-swap, in
                     // which case the serving controllers are the swap
                     // recipe's, not the experiment's own scheme.
-                    let serving = match (c.state.swapped, swap_spec) {
-                        (true, Some(spec)) => spec.scheme.unwrap_or(self.scheme),
-                        _ => self.scheme,
+                    let serving = if c.state.swapped {
+                        swap_scheme.unwrap_or(self.scheme)
+                    } else {
+                        self.scheme
                     };
-                    engine = self.build_engine_for(serving, opts.sup_cfg)?;
+                    engine = self.build_engine(serving, opts.sup_cfg)?;
                     engine.restore_state(&c.engine)?;
-                    engine.begin_recovery();
+                    engine.automaton().begin_recovery();
                     st = c.state.clone();
                     for i in c.journal_len..journal.len() {
                         // A swap that committed after the checkpoint was
                         // rolled back with it: re-perform it at the same
                         // point of the replay (deterministic by recipe).
-                        if let Some(spec) = swap_spec {
-                            if !st.swapped && st.step == spec.at_step {
-                                self.perform_swap(
-                                    &mut st,
-                                    &mut engine,
-                                    spec,
-                                    &mut instance_next,
-                                    false,
-                                )?;
-                            }
+                        if !st.swapped && swap_at == Some(st.step) {
+                            self.perform_swap(&mut st, &mut engine, swap_scheme, false, None)?;
                         }
                         match self.step_invocation(&mut st, &mut engine, false)? {
                             Some(r) => {
@@ -1530,7 +1256,7 @@ impl Experiment {
                             }
                         }
                     }
-                    engine.end_recovery();
+                    engine.automaton().end_recovery();
                     recovery.recoveries += 1;
                     if rec.enabled() {
                         recover_span.end_with(&[
@@ -1547,42 +1273,82 @@ impl Experiment {
                 }
             }
         }
-        recovery.invariant_violations = engine.violations();
+        if let Some(tap) = &tap {
+            let rec = self.rec();
+            if rec.enabled() {
+                tap.publish(rec);
+            }
+        }
+        recovery.invariant_violations = engine.automaton().violations();
         let report = self.finish(st, &engine, opts.plan.as_ref(), workload);
         Ok(RecoveredRun {
             report,
             journal,
             recovery,
+            health: tap.map(|t| t.stats()),
+            cycles,
         })
     }
 
-    /// Stages and commits the run's hot-swap through the automaton's
-    /// request→commit protocol. With `crash_here`, the injected crash
-    /// fires inside the vulnerable window — after the request, before the
-    /// commit — which is exactly the interleaving the chaos campaign must
-    /// recover from bit-identically.
+    /// Stages and commits a hot-swap to `scheme` (default: the
+    /// experiment's own) through the automaton's request→commit protocol.
+    /// With `crash_here`, the injected crash fires inside the vulnerable
+    /// window — after the request, before the commit — which is exactly
+    /// the interleaving the chaos campaign must recover from
+    /// bit-identically.
+    ///
+    /// A detector-driven swap passes the health tap: the plant is first
+    /// re-identified from the tap's retained window, and after the commit
+    /// the detectors are re-armed against the refit model. Returns whether
+    /// the transfer was bumpless and the refit's worst-output relative RMS
+    /// residual (−1.0 without a tap or when the regression failed).
     fn perform_swap(
         &self,
         st: &mut RunState,
         engine: &mut Engine,
-        spec: SwapSpec,
-        instance_next: &mut Option<Controllers>,
+        scheme: Option<Scheme>,
         crash_here: bool,
-    ) -> Result<()> {
-        engine.request_swap();
+        tap: Option<&mut HealthTap>,
+    ) -> Result<(bool, f64)> {
+        let rec = self.rec();
+        let mut fit_residual = -1.0;
+        let mut refit_sys = None;
+        if let Some(tap) = tap.as_deref() {
+            // The orders mirror the design pipeline's; ridge
+            // regularization keeps the regression posed on closed-loop
+            // data (inputs correlate with outputs).
+            let refit_cfg = yukta_control::sysid::SysIdConfig {
+                na: 2,
+                nb: 2,
+                nc: 0,
+                plr_iters: 0,
+                ridge: 1e-4,
+            };
+            let (u, y) = tap.history();
+            let refit = fit_arx(u, y, refit_cfg)
+                .and_then(|m| validation_residual(u, y, &m).map(|r| (m, r)))
+                .ok();
+            fit_residual = refit.as_ref().map_or(-1.0, |(_, r)| *r);
+            refit_sys = refit.map(|(m, _)| m.sys);
+            if rec.enabled() {
+                rec.event(
+                    "health.refit",
+                    &[
+                        ("step", Value::U64(st.step)),
+                        ("fit_residual", Value::F64(fit_residual)),
+                    ],
+                );
+            }
+        }
+        engine.automaton().request_swap();
         if crash_here {
             std::panic::panic_any(InjectedCrash { step: st.step });
         }
-        let replacement = match instance_next.take() {
-            Some(c) => c,
-            None => {
-                let scheme = spec.scheme.unwrap_or(self.scheme);
-                scheme.instantiate(&self.design, self.options.limits)?
-            }
-        };
+        let replacement = scheme
+            .unwrap_or(self.scheme)
+            .instantiate(&self.design, self.options.limits)?;
         let bumpless = engine.swap_primary(replacement);
         st.swapped = true;
-        let rec = self.rec();
         if rec.enabled() {
             rec.event(
                 "runtime.resynth",
@@ -1592,7 +1358,10 @@ impl Experiment {
                 ],
             );
         }
-        Ok(())
+        if let Some(tap) = tap {
+            tap.rearm_after_swap(refit_sys);
+        }
+        Ok((bumpless, fit_residual))
     }
 
     /// Replays a journal against a freshly instantiated engine for this
@@ -1609,7 +1378,7 @@ impl Experiment {
         journal: &Journal,
         sup_cfg: Option<SupervisorConfig>,
     ) -> Result<ReplayOutcome> {
-        let mut engine = self.build_engine(sup_cfg)?;
+        let mut engine = self.build_engine(self.scheme, sup_cfg)?;
         replay_with(journal, |hw, os| engine.invoke(hw, os))
     }
 }
@@ -1939,10 +1708,20 @@ mod tests {
             .run_supervised(&wl, SupervisorConfig::default(), None)
             .unwrap();
         let swapped = exp
-            .run_supervised_with_swap(&wl, SupervisorConfig::default(), None, 5, None)
+            .run_unified(
+                &wl,
+                UnifiedOptions {
+                    sup_cfg: Some(SupervisorConfig::default()),
+                    swap: Some(SwapSpec {
+                        trigger: SwapTrigger::AtStep(5),
+                        scheme: None,
+                    }),
+                    ..Default::default()
+                },
+            )
             .unwrap();
         assert!(
-            swapped.bit_identical(&base),
+            swapped.report.bit_identical(&base),
             "zero-change swap perturbed the run"
         );
     }
@@ -1958,12 +1737,20 @@ mod tests {
         let exp = Experiment::new(Scheme::CoordinatedHeuristic)
             .unwrap()
             .with_options(quick_options());
-        let next = Scheme::DecoupledHeuristic
-            .instantiate(exp.design(), exp.options.limits)
-            .unwrap();
         let rep = exp
-            .run_supervised_with_swap(&wl, SupervisorConfig::default(), None, 5, Some(next))
-            .unwrap();
+            .run_unified(
+                &wl,
+                UnifiedOptions {
+                    sup_cfg: Some(SupervisorConfig::default()),
+                    swap: Some(SwapSpec {
+                        trigger: SwapTrigger::AtStep(5),
+                        scheme: Some(Scheme::DecoupledHeuristic),
+                    }),
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+            .report;
         assert!(rep.metrics.completed, "swap stalled the workload");
         assert!(rep.metrics.energy_joules.is_finite());
         for (k, s) in rep.trace.samples.iter().enumerate() {
@@ -2043,9 +1830,7 @@ mod tests {
                 UnifiedOptions {
                     sup_cfg: Some(SupervisorConfig::default()),
                     plan: Some(FaultPlan::uniform(1, 0.0).with_crash(3)),
-                    swap: None,
-                    recovery: None,
-                    serving: None,
+                    ..Default::default()
                 },
             )
             .unwrap_err();
@@ -2082,6 +1867,46 @@ mod tests {
             ),
             "{err:?}"
         );
+        let detector_swap = Some(SwapSpec {
+            trigger: SwapTrigger::PhaseChange { max_swaps: 1 },
+            scheme: None,
+        });
+        for opts in [
+            // A phase-change trigger has no verdicts to act on without the
+            // health monitor.
+            UnifiedOptions {
+                sup_cfg: Some(SupervisorConfig::default()),
+                swap: detector_swap,
+                ..Default::default()
+            },
+            // Neither the tap nor detector-driven swaps are checkpointed,
+            // so neither composes with recovery.
+            UnifiedOptions {
+                sup_cfg: Some(SupervisorConfig::default()),
+                health: Some(HealthConfig::default()),
+                recovery: Some(RecoveryOptions::default()),
+                ..Default::default()
+            },
+            UnifiedOptions {
+                sup_cfg: Some(SupervisorConfig::default()),
+                swap: detector_swap,
+                health: Some(HealthConfig::default()),
+                recovery: Some(RecoveryOptions::default()),
+                ..Default::default()
+            },
+        ] {
+            let err = exp.run_unified(&wl, opts).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::NoSolution {
+                        op: "run_unified",
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -2099,31 +1924,35 @@ mod tests {
         let plan = FaultPlan::uniform(33, 0.4)
             .with_crash(swap_at)
             .with_crash(19);
-        // run_supervised_with_swap strips crash points, so the same plan
-        // doubles as the uninterrupted baseline.
+        let swap = Some(SwapSpec {
+            trigger: SwapTrigger::AtStep(swap_at),
+            scheme: None,
+        });
+        // The same plan without its crash points is the uninterrupted
+        // baseline.
         let base = exp
-            .run_supervised_with_swap(
+            .run_unified(
                 &wl,
-                SupervisorConfig::default(),
-                Some(plan.clone()),
-                swap_at,
-                None,
+                UnifiedOptions {
+                    sup_cfg: Some(SupervisorConfig::default()),
+                    plan: Some(plan.clone().without_crashes()),
+                    swap,
+                    ..Default::default()
+                },
             )
-            .unwrap();
+            .unwrap()
+            .report;
         let run = exp
             .run_unified(
                 &wl,
                 UnifiedOptions {
                     sup_cfg: Some(SupervisorConfig::default()),
                     plan: Some(plan),
-                    swap: Some(SwapSpec {
-                        at_step: swap_at,
-                        scheme: None,
-                    }),
+                    swap,
                     recovery: Some(RecoveryOptions {
                         checkpoint_interval: 5,
                     }),
-                    serving: None,
+                    ..Default::default()
                 },
             )
             .unwrap();
@@ -2153,13 +1982,13 @@ mod tests {
                     sup_cfg: None,
                     plan: Some(FaultPlan::uniform(9, 0.0).with_crash(swap_at)),
                     swap: Some(SwapSpec {
-                        at_step: swap_at,
+                        trigger: SwapTrigger::AtStep(swap_at),
                         scheme: None,
                     }),
                     recovery: Some(RecoveryOptions {
                         checkpoint_interval: 4,
                     }),
-                    serving: None,
+                    ..Default::default()
                 },
             )
             .unwrap();
@@ -2179,50 +2008,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn instance_swap_plus_recovery_is_a_typed_error() {
-        let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
-        let next = Scheme::DecoupledHeuristic
-            .instantiate(exp.design(), exp.options.limits)
-            .unwrap();
-        let err = exp
-            .run_unified_impl(
-                &wl,
-                UnifiedOptions {
-                    sup_cfg: Some(SupervisorConfig::default()),
-                    plan: None,
-                    swap: Some(SwapSpec {
-                        at_step: 4,
-                        scheme: None,
-                    }),
-                    recovery: Some(RecoveryOptions::default()),
-                    serving: None,
-                },
-                Some(next),
-            )
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::NoSolution {
-                    op: "run_unified",
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
-    }
-
     fn serving_options(spec: ServingSpec) -> UnifiedOptions {
         UnifiedOptions {
             sup_cfg: Some(SupervisorConfig::default()),
-            plan: None,
-            swap: None,
-            recovery: None,
             serving: Some(spec),
+            ..Default::default()
         }
     }
 
@@ -2348,9 +2138,8 @@ mod tests {
                 UnifiedOptions {
                     sup_cfg: Some(SupervisorConfig::default()),
                     plan: Some(FaultPlan::uniform(5, 0.3)),
-                    swap: None,
-                    recovery: None,
                     serving: Some(spec.clone()),
+                    ..Default::default()
                 },
             )
             .unwrap();
@@ -2360,11 +2149,11 @@ mod tests {
                 UnifiedOptions {
                     sup_cfg: Some(SupervisorConfig::default()),
                     plan: Some(FaultPlan::uniform(5, 0.3).with_crash(9)),
-                    swap: None,
                     recovery: Some(RecoveryOptions {
                         checkpoint_interval: 4,
                     }),
                     serving: Some(spec),
+                    ..Default::default()
                 },
             )
             .unwrap();
@@ -2473,6 +2262,43 @@ mod tests {
     }
 
     #[test]
+    fn monitored_serving_run_is_bit_identical_to_unmonitored() {
+        // The tap reads the SLO burn rate from the serving layer's senses
+        // but never acts on it: attaching it to a serving run leaves the
+        // report bit-identical.
+        let wl = catalog::spec::mcf();
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
+            .unwrap()
+            .with_options(quick_options());
+        let spec = ServingSpec {
+            traffic: TrafficConfig {
+                load_factor: 2.0,
+                service_mean_gi: 0.1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let base = exp.run_unified(&wl, serving_options(spec.clone())).unwrap();
+        let monitored = exp
+            .run_unified(
+                &wl,
+                UnifiedOptions {
+                    health: Some(HealthConfig::default()),
+                    ..serving_options(spec)
+                },
+            )
+            .unwrap();
+        assert!(base.report.slo.is_some_and(|slo| slo.offered > 0));
+        assert!(
+            monitored.report.bit_identical(&base.report),
+            "health monitoring perturbed the serving run"
+        );
+        let stats = monitored.health.expect("monitor was attached");
+        assert_eq!(stats.samples, monitored.report.trace.samples.len() as u64);
+        assert!(base.health.is_none());
+    }
+
+    #[test]
     fn invalid_health_config_is_rejected_with_typed_error() {
         let wl = catalog::spec::mcf();
         let exp = Experiment::new(Scheme::CoordinatedHeuristic)
@@ -2501,33 +2327,46 @@ mod tests {
         );
     }
 
+    /// A supervised, monitored run whose first phase-change verdict swaps
+    /// in `scheme`.
+    fn adaptive_options(scheme: Option<Scheme>) -> UnifiedOptions {
+        UnifiedOptions {
+            sup_cfg: Some(SupervisorConfig::default()),
+            health: Some(HealthConfig::default()),
+            swap: Some(SwapSpec {
+                trigger: SwapTrigger::PhaseChange { max_swaps: 1 },
+                scheme,
+            }),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn adaptive_run_completes_a_detect_refit_swap_cycle() {
         let wl = phase_change_workload();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
+        // Start on the weaker decoupled heuristic; each detector-driven
+        // swap installs the coordinated one.
+        let exp = Experiment::new(Scheme::DecoupledHeuristic)
             .unwrap()
             .with_options(quick_options());
         let run = exp
-            .run_adaptive(
-                &wl,
-                AdaptiveOptions {
-                    initial: Some(Scheme::DecoupledHeuristic),
-                    max_swaps: 1,
-                    ..Default::default()
-                },
-            )
+            .run_unified(&wl, adaptive_options(Some(Scheme::CoordinatedHeuristic)))
             .unwrap();
         assert!(run.report.metrics.completed, "adaptive run timed out");
-        assert_eq!(run.invariant_violations, 0, "swap violated the automaton");
+        assert_eq!(
+            run.recovery.invariant_violations, 0,
+            "swap violated the automaton"
+        );
+        let health = run.health.expect("monitor was attached");
         assert_eq!(
             run.cycles.len(),
             1,
             "expected one detect→swap cycle, alarms = {}",
-            run.health.alarms
+            health.alarms
         );
         let cycle = run.cycles[0];
         assert_eq!(cycle.swap_step, cycle.detect_step + 1);
-        assert!(run.health.alarms >= 1);
+        assert!(health.alarms >= 1);
     }
 
     #[test]
@@ -2536,13 +2375,13 @@ mod tests {
         let exp = Experiment::new(Scheme::CoordinatedHeuristic)
             .unwrap()
             .with_options(quick_options());
-        let run = exp.run_adaptive(&wl, AdaptiveOptions::default()).unwrap();
+        let run = exp.run_unified(&wl, adaptive_options(None)).unwrap();
         assert!(run.report.metrics.completed);
         assert!(
             run.cycles.is_empty(),
             "false-positive swap at step {:?}",
             run.cycles.first().map(|c| c.detect_step)
         );
-        assert_eq!(run.invariant_violations, 0);
+        assert_eq!(run.recovery.invariant_violations, 0);
     }
 }

@@ -47,8 +47,7 @@ use yukta_linalg::{Error, Result};
 use crate::controllers::heuristic::{CoordinatedHeuristicHw, CoordinatedHeuristicOs};
 use crate::controllers::{HwPolicy, HwSense, OsPolicy, OsSense};
 use crate::modes::{
-    InvariantViolation, Knob, LevelChange, ModeAutomaton, ModeConfig, ModeSnapshot,
-    TransitionRecord, level_label,
+    Knob, LevelChange, ModeAutomaton, ModeConfig, ModeSnapshot, TransitionRecord, level_label,
 };
 use crate::schemes::{Controllers, ControllersState};
 use crate::signals::{HwInputs, HwOutputs, Limits, OsInputs, OsOutputs, SloSense};
@@ -381,6 +380,31 @@ fn repair(v: &mut f64, rail: (f64, f64), last_good: f64, stats: &mut SupervisorS
     }
 }
 
+/// Replaces the serving controllers `primary` with `next`, routed through
+/// the automaton's request→commit protocol. Callers that staged the swap
+/// earlier (entering the crash-vulnerable window) request it on the
+/// automaton first, and this call commits it; a direct call is an atomic
+/// request+commit. The current state transfers into `next` when the
+/// shapes match (bumpless transfer); otherwise `next` starts from a clean
+/// reset. Returns `true` when the transfer was bumpless.
+pub(crate) fn swap_controllers(
+    primary: &mut Controllers,
+    mut next: Controllers,
+    auto: &mut ModeAutomaton,
+) -> bool {
+    if !auto.swap_pending() {
+        auto.request_swap();
+    }
+    let saved = primary.save_state();
+    let bumpless = next.restore_state(&saved).is_ok();
+    if !bumpless {
+        next.reset();
+    }
+    *primary = next;
+    auto.commit_swap();
+    bumpless
+}
+
 /// Wraps a scheme's controllers with fault detection, fallback, and
 /// actuation saturation. Mode decisions flow through the checked
 /// [`ModeAutomaton`]; see the module docs for the full state machine.
@@ -482,46 +506,15 @@ impl Supervisor {
         s
     }
 
-    /// Invariant violations recorded by the mode automaton (zero in any
-    /// correct run).
-    pub fn violations(&self) -> u64 {
-        self.auto.violations()
-    }
-
-    /// The first invariant violation recorded, if any (diagnostic).
-    pub fn first_violation(&self) -> Option<InvariantViolation> {
-        self.auto.first_violation()
-    }
-
     /// Drains the automaton's transition log for telemetry.
     pub fn drain_transitions(&mut self) -> Vec<TransitionRecord> {
         self.auto.drain_transitions()
     }
 
-    /// Whether a hot-swap has been requested but not yet committed.
-    pub fn swap_pending(&self) -> bool {
-        self.auto.swap_pending()
-    }
-
-    /// Enters the swap-pending window (replacement being prepared). The
-    /// commit happens in [`Supervisor::swap_primary`].
-    pub fn request_swap(&mut self) {
-        self.auto.request_swap();
-    }
-
-    /// Marks the start of a crash-recovery replay.
-    pub fn begin_recovery(&mut self) {
-        self.auto.begin_recovery();
-    }
-
-    /// Marks the end of a crash-recovery replay.
-    pub fn end_recovery(&mut self) {
-        self.auto.end_recovery();
-    }
-
-    /// A label combining the supervised controllers' names.
-    pub fn label(&self) -> String {
-        format!("supervised({})", self.primary.label())
+    /// The checked mode automaton the supervisor drives. The runtime sends
+    /// swap and recovery events to it directly and reads its violations.
+    pub(crate) fn automaton(&mut self) -> &mut ModeAutomaton {
+        &mut self.auto
     }
 
     /// Snapshots the complete supervisor state (mode automaton, watchdogs,
@@ -573,30 +566,13 @@ impl Supervisor {
     }
 
     /// Hot-swaps the primary controllers for a freshly synthesized
-    /// replacement without interrupting supervision. The current primary
-    /// state is transferred into `next` when the shapes match (bumpless
-    /// transfer); otherwise `next` starts from a clean reset. Mode
-    /// machine, watchdogs, and fallbacks are untouched, so the swap
-    /// introduces no actuation gap.
-    ///
-    /// The swap is routed through the automaton's request→commit protocol;
-    /// callers that staged the swap earlier (entering the crash-vulnerable
-    /// window) use [`Supervisor::request_swap`] first, and this call
-    /// commits it. A direct call is an atomic request+commit.
+    /// replacement without interrupting supervision (see
+    /// [`swap_controllers`]). Mode machine, watchdogs, and fallbacks are
+    /// untouched, so the swap introduces no actuation gap.
     ///
     /// Returns `true` when the transfer was bumpless.
-    pub fn swap_primary(&mut self, mut next: Controllers) -> bool {
-        if !self.auto.swap_pending() {
-            self.auto.request_swap();
-        }
-        let saved = self.primary.save_state();
-        let bumpless = next.restore_state(&saved).is_ok();
-        if !bumpless {
-            next.reset();
-        }
-        self.primary = next;
-        self.auto.commit_swap();
-        bumpless
+    pub fn swap_primary(&mut self, next: Controllers) -> bool {
+        swap_controllers(&mut self.primary, next, &mut self.auto)
     }
 
     /// Performs the driver action matching an automaton level change:
@@ -1412,7 +1388,7 @@ mod tests {
 
     #[test]
     fn staged_swap_window_is_transparent_and_checked() {
-        // request_swap opens the crash-vulnerable window; steps inside it
+        // A swap request opens the crash-vulnerable window; steps inside it
         // and the eventual commit are bit-transparent vs an unswapped
         // twin, and the protocol records no violations.
         let cfg = SupervisorConfig::default();
@@ -1424,21 +1400,22 @@ mod tests {
             jitter(&mut h, &mut o, k);
             assert_eq!(sup.step(&h, &o), twin.step(&h, &o));
         }
-        sup.request_swap();
-        assert!(sup.swap_pending());
+        sup.automaton().request_swap();
+        assert!(sup.automaton().swap_pending());
         let mut h = clean_hw_sense();
         let mut o = clean_os_sense();
         jitter(&mut h, &mut o, 4);
         assert_eq!(sup.step(&h, &o), twin.step(&h, &o), "pending window");
         assert!(sup.swap_primary(heuristic_primary()), "commit is bumpless");
-        assert!(!sup.swap_pending());
+        assert!(!sup.automaton().swap_pending());
         for k in 5..15 {
             let mut h = clean_hw_sense();
             let mut o = clean_os_sense();
             jitter(&mut h, &mut o, k);
             assert_eq!(sup.step(&h, &o), twin.step(&h, &o), "sample {k}");
         }
-        assert_eq!(sup.violations(), 0, "{:?}", sup.first_violation());
+        let auto = sup.automaton();
+        assert_eq!(auto.violations(), 0, "{:?}", auto.first_violation());
     }
 
     #[test]

@@ -8,7 +8,9 @@
 
 use proptest::prelude::*;
 use yukta_board::FaultPlan;
-use yukta_core::runtime::{Experiment, RecoveryOptions, RunOptions, SwapSpec, UnifiedOptions};
+use yukta_core::runtime::{
+    Experiment, RecoveryOptions, RunOptions, SwapSpec, SwapTrigger, UnifiedOptions,
+};
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
 use yukta_workloads::catalog;
@@ -30,31 +32,35 @@ fn check_crash_offset(seed: u64, severity: f64, swap_at: u64, offset: i64) {
         .with_options(quick_options());
     let crash_at = swap_at.saturating_add_signed(offset).max(1);
     let plan = FaultPlan::uniform(seed, severity).with_crash(crash_at);
-    // run_supervised_with_swap strips crash points, so the same plan
-    // doubles as the uninterrupted baseline.
+    let swap = Some(SwapSpec {
+        trigger: SwapTrigger::AtStep(swap_at),
+        scheme: None,
+    });
+    // The same plan without its crash points is the uninterrupted
+    // baseline.
     let base = exp
-        .run_supervised_with_swap(
+        .run_unified(
             &wl,
-            SupervisorConfig::default(),
-            Some(plan.clone()),
-            swap_at,
-            None,
+            UnifiedOptions {
+                sup_cfg: Some(SupervisorConfig::default()),
+                plan: Some(plan.clone().without_crashes()),
+                swap,
+                ..Default::default()
+            },
         )
-        .unwrap();
+        .unwrap()
+        .report;
     let run = exp
         .run_unified(
             &wl,
             UnifiedOptions {
                 sup_cfg: Some(SupervisorConfig::default()),
                 plan: Some(plan),
-                swap: Some(SwapSpec {
-                    at_step: swap_at,
-                    scheme: None,
-                }),
+                swap,
                 recovery: Some(RecoveryOptions {
                     checkpoint_interval: 5,
                 }),
-                serving: None,
+                ..Default::default()
             },
         )
         .unwrap();
@@ -100,13 +106,13 @@ fn check_interleaving(
                 sup_cfg: Some(SupervisorConfig::default()),
                 plan: Some(plan),
                 swap: swap_at.map(|at| SwapSpec {
-                    at_step: at,
+                    trigger: SwapTrigger::AtStep(at),
                     scheme: Some(Scheme::DecoupledHeuristic),
                 }),
                 recovery: Some(RecoveryOptions {
                     checkpoint_interval: 7,
                 }),
-                serving: None,
+                ..Default::default()
             },
         )
         .unwrap();
