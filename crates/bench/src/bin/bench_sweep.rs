@@ -15,34 +15,22 @@
 //!   crossbeam sweep driver (`mu_peak`); identical results, fans out on
 //!   multi-core hosts.
 //!
-//! A second table (`simd_rows`) pits the scalar reference kernels against
-//! the AVX2/FMA path (`SimdPolicy::ForceScalar` vs `ForceSimd`) on the
-//! same sweeps, for two block structures: `two_1x1` (D-scaling-search
-//! dominated — the honest end-to-end number) and `full_2x2` (a single
-//! full block, µ = σ̄, so the sweep is evaluation-dominated and shows the
-//! kernel speedup itself).
-//!
-//! A third measurement is the telemetry overhead gate: the same
+//! A second measurement is the telemetry overhead gate: the
 //! order-16/120-point sweep through the instrumented entry point
-//! (`mu_peak_serial_with`, no-op recorder) against the uninstrumented
+//! (`mu_peak_serial`, no-op recorder) against the uninstrumented
 //! `mu_peak_serial_raw`. Disabled telemetry must cost < 2%; the measured
 //! number goes to `results/BENCH_obs.json`.
 //!
-//! `--quick` runs the overhead gate plus the order-16/120-point SIMD
-//! comparison (the latter only when the host has AVX2/FMA) and fails on
-//! either regression — the CI gate. It does not rewrite
-//! `results/BENCH_sweep.json`.
+//! `--quick` runs only the overhead gate and fails on a regression — the
+//! CI gate. It does not rewrite `results/BENCH_sweep.json`.
 
 use std::time::Instant;
 
 use yukta_bench::{time_best, write_results};
-use yukta_control::mu::{
-    MuBlock, MuPeak, log_grid, mu_peak, mu_peak_serial, mu_peak_serial_raw, mu_peak_serial_with,
-};
+use yukta_control::mu::{MuBlock, MuPeak, log_grid, mu_peak, mu_peak_serial, mu_peak_serial_raw};
 use yukta_control::ss::StateSpace;
-use yukta_control::sweep::SimdPolicy;
 use yukta_linalg::svd::sigma_max_power;
-use yukta_linalg::{C64, CMat, Mat, simd};
+use yukta_linalg::{C64, CMat, Mat};
 
 /// Deterministic pseudo-random value in `[-0.5, 0.5)`.
 fn splitmix(s: &mut u64) -> f64 {
@@ -167,71 +155,14 @@ fn mu_peak_naive(sys: &StateSpace, blocks: &[MuBlock], grid: &[f64]) -> MuPeak {
     peak
 }
 
-/// Times one scalar-vs-SIMD µ-sweep comparison and returns
-/// `(json_row, speedup)`, or `None` when the host has no AVX2/FMA.
-///
-/// Both paths run on the same cached `FreqSystem`, so the comparison
-/// isolates the per-point kernels; peaks must agree to 1e-9 relative
-/// (the D-scaling golden-section search can amplify last-ulp kernel
-/// differences, so bitwise equality only holds within a path).
-fn simd_row(
-    order: usize,
-    points: usize,
-    blocks: &[MuBlock],
-    label: &str,
-    reps: usize,
-) -> Option<(String, f64)> {
-    if !simd::detected() {
-        return None;
-    }
-    let sys = stable_sys(order, order as u64);
-    let grid = log_grid(1e-3, 0.98 * std::f64::consts::PI / 0.5, points);
-    let run = |policy: SimdPolicy| {
-        mu_peak_serial_with(&sys, blocks, &grid, policy)
-            .unwrap()
-            .peak
-    };
-    // Interleave the two paths rep-by-rep so slow drift (frequency
-    // ramps, noisy neighbors on shared hosts) hits both minimums alike
-    // instead of biasing whichever path was measured later.
-    let (mut p_scalar, mut p_simd) = (run(SimdPolicy::ForceScalar), run(SimdPolicy::ForceSimd));
-    let (mut t_scalar, mut t_simd) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        p_scalar = run(SimdPolicy::ForceScalar);
-        t_scalar = t_scalar.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        p_simd = run(SimdPolicy::ForceSimd);
-        t_simd = t_simd.min(t0.elapsed().as_secs_f64());
-    }
-    assert!(
-        (p_scalar - p_simd).abs() <= 1e-9 * p_scalar.abs().max(1.0),
-        "SIMD path diverged from scalar on {label}: {p_scalar} vs {p_simd}"
-    );
-    let speedup = t_scalar / t_simd;
-    println!(
-        "{:>6} {:>6} {:>9} | {:>12.6} {:>12.6} | {:>8.2}",
-        order, points, label, t_scalar, t_simd, speedup
-    );
-    let row = format!(
-        concat!(
-            "    {{\"order\": {}, \"grid_points\": {}, \"blocks\": \"{}\", ",
-            "\"scalar_s\": {:.6}, \"simd_s\": {:.6}, ",
-            "\"speedup_simd\": {:.2}, \"peak\": {:.12}}}"
-        ),
-        order, points, label, t_scalar, t_simd, speedup, p_simd
-    );
-    Some((row, speedup))
-}
-
 const TWO_1X1: [MuBlock; 2] = [MuBlock { n_out: 1, n_in: 1 }, MuBlock { n_out: 1, n_in: 1 }];
-const FULL_2X2: [MuBlock; 1] = [MuBlock { n_out: 2, n_in: 2 }];
 
 /// Telemetry overhead gate on the order-16/120-point sweep: the
 /// instrumented entry point under the **no-op** recorder
-/// (`mu_peak_serial_with`) against the fully uninstrumented baseline
-/// (`mu_peak_serial_raw`). Both run the scalar kernels so the gate is
-/// meaningful on any host, interleaved rep-by-rep like [`simd_row`].
+/// (`mu_peak_serial`) against the fully uninstrumented baseline
+/// (`mu_peak_serial_raw`), interleaved rep-by-rep so slow drift
+/// (frequency ramps, noisy neighbors on shared hosts) hits both minimums
+/// alike.
 /// Writes `results/BENCH_obs.json` and fails the process beyond 2% —
 /// unless a recording (enabled) recorder is installed, in which case the
 /// measurement is of *enabled* capture and only reported.
@@ -239,16 +170,8 @@ fn obs_overhead_gate() {
     let (order, points, reps) = (16usize, 120usize, 15usize);
     let sys = stable_sys(order, order as u64);
     let grid = log_grid(1e-3, 0.98 * std::f64::consts::PI / 0.5, points);
-    let raw = || {
-        mu_peak_serial_raw(&sys, &TWO_1X1, &grid, SimdPolicy::ForceScalar)
-            .unwrap()
-            .peak
-    };
-    let noop = || {
-        mu_peak_serial_with(&sys, &TWO_1X1, &grid, SimdPolicy::ForceScalar)
-            .unwrap()
-            .peak
-    };
+    let raw = || mu_peak_serial_raw(&sys, &TWO_1X1, &grid).unwrap().peak;
+    let noop = || mu_peak_serial(&sys, &TWO_1X1, &grid).unwrap().peak;
     let (mut p_raw, mut p_inst) = (raw(), noop()); // warmup, untimed
     let (mut t_raw, mut t_inst) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
@@ -292,30 +215,10 @@ fn obs_overhead_gate() {
     }
 }
 
-/// CI gate: the telemetry overhead check plus the order-16/120-point SIMD
-/// comparison; fails the process if either regresses.
-fn run_quick() {
-    obs_overhead_gate();
-    if !simd::detected() {
-        println!("bench_sweep --quick: no AVX2/FMA on this host, skipping the SIMD gate");
-        return;
-    }
-    println!(
-        "{:>6} {:>6} {:>9} | {:>12} {:>12} | {:>8}",
-        "order", "grid", "blocks", "scalar (s)", "simd (s)", "simd x"
-    );
-    let (_, full_speedup) = simd_row(16, 120, &FULL_2X2, "full_2x2", 9).expect("detected above");
-    simd_row(16, 120, &TWO_1X1, "two_1x1", 9);
-    assert!(
-        full_speedup >= 1.0,
-        "SIMD path slower than scalar on the order-16/120-point sweep: {full_speedup:.2}x"
-    );
-}
-
 fn main() {
     let _obs = yukta_bench::obs::capture("bench_sweep");
     if std::env::args().any(|a| a == "--quick") {
-        run_quick();
+        obs_overhead_gate();
         return;
     }
     obs_overhead_gate();
@@ -373,35 +276,17 @@ fn main() {
             ));
         }
     }
-    println!();
-    println!(
-        "{:>6} {:>6} {:>9} | {:>12} {:>12} | {:>8}",
-        "order", "grid", "blocks", "scalar (s)", "simd (s)", "simd x"
-    );
-    let mut simd_rows = Vec::new();
-    for &order in &[4usize, 8, 16] {
-        for &points in &[30usize, 60, 120] {
-            if let Some((row, _)) = simd_row(order, points, &FULL_2X2, "full_2x2", reps) {
-                simd_rows.push(row);
-            }
-            if let Some((row, _)) = simd_row(order, points, &TWO_1X1, "two_1x1", reps) {
-                simd_rows.push(row);
-            }
-        }
-    }
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let json = format!(
         concat!(
-            "{{\n  \"threads\": {},\n  \"reps\": {},\n  \"simd_detected\": {},\n",
-            "  \"rows\": [\n{}\n  ],\n  \"simd_rows\": [\n{}\n  ]\n}}\n"
+            "{{\n  \"threads\": {},\n  \"reps\": {},\n",
+            "  \"rows\": [\n{}\n  ]\n}}\n"
         ),
         threads,
         reps,
-        simd::detected(),
-        rows.join(",\n"),
-        simd_rows.join(",\n")
+        rows.join(",\n")
     );
     write_results("BENCH_sweep.json", &json);
 }

@@ -17,7 +17,7 @@
 //! The D-search runs in two stages. First, [Osborne
 //! balancing](yukta_linalg::osborne) of the block-norm matrix gives a
 //! near-optimal starting scaling in closed form — batched across a whole
-//! frequency-grid chunk with shared workspaces and an AVX2 path for the
+//! frequency-grid chunk with shared workspaces and a closed form for the
 //! dominant two-block structure. Second, a short golden-section
 //! refinement polishes each free scaling within ±1 decade of the Osborne
 //! point, evaluating candidates through the fused scale-and-reduce kernel
@@ -28,7 +28,6 @@ use std::cell::RefCell;
 
 use yukta_linalg::freq::FreqEvaluator;
 use yukta_linalg::osborne;
-use yukta_linalg::simd::SimdPath;
 use yukta_linalg::svd::{sigma_max, sigma_max_scaled};
 use yukta_linalg::{C64, CMat, Error, Result};
 use yukta_obs::{Recorder, Value};
@@ -154,7 +153,6 @@ fn probe(
     r0: usize,
     c0: usize,
     ld: f64,
-    path: SimdPath,
     row_w: &mut [f64],
     col_w: &mut [f64],
     scratch: &mut CMat,
@@ -162,7 +160,7 @@ fn probe(
     let dv = 10f64.powf(ld);
     row_w[r0..r0 + b.n_out].fill(dv);
     col_w[c0..c0 + b.n_in].fill(1.0 / dv);
-    sigma_max_scaled(n, row_w, col_w, path, scratch)
+    sigma_max_scaled(n, row_w, col_w, scratch)
 }
 
 /// Polishes an Osborne-initialized scaling `d` by golden-section search
@@ -173,7 +171,6 @@ fn refine_point(
     n: &CMat,
     blocks: &[MuBlock],
     d: &mut [f64],
-    path: SimdPath,
     row_w: &mut Vec<f64>,
     col_w: &mut Vec<f64>,
     scratch: &mut CMat,
@@ -187,7 +184,7 @@ fn refine_point(
     if nb == 1 {
         // Single block: D cancels, µ upper bound is just σ̄.
         d[0] = 1.0;
-        let value = sigma_max_scaled(n, row_w, col_w, path, scratch);
+        let value = sigma_max_scaled(n, row_w, col_w, scratch);
         return MuInfo {
             value,
             scalings: vec![1.0],
@@ -202,21 +199,21 @@ fn refine_point(
         let (mut lo, mut hi) = (ld0 - REFINE_HALF_DECADES, ld0 + REFINE_HALF_DECADES);
         let mut x1 = hi - phi * (hi - lo);
         let mut x2 = lo + phi * (hi - lo);
-        let mut f1 = probe(n, b, r0, c0, x1, path, row_w, col_w, scratch);
-        let mut f2 = probe(n, b, r0, c0, x2, path, row_w, col_w, scratch);
+        let mut f1 = probe(n, b, r0, c0, x1, row_w, col_w, scratch);
+        let mut f2 = probe(n, b, r0, c0, x2, row_w, col_w, scratch);
         for _ in 0..REFINE_ITERS {
             if f1 < f2 {
                 hi = x2;
                 x2 = x1;
                 f2 = f1;
                 x1 = hi - phi * (hi - lo);
-                f1 = probe(n, b, r0, c0, x1, path, row_w, col_w, scratch);
+                f1 = probe(n, b, r0, c0, x1, row_w, col_w, scratch);
             } else {
                 lo = x1;
                 x1 = x2;
                 f1 = f2;
                 x2 = lo + phi * (hi - lo);
-                f2 = probe(n, b, r0, c0, x2, path, row_w, col_w, scratch);
+                f2 = probe(n, b, r0, c0, x2, row_w, col_w, scratch);
             }
         }
         let ld = if f1 < f2 { x1 } else { x2 };
@@ -228,10 +225,10 @@ fn refine_point(
     }
     // Final consistency: report the value at the final scalings, never
     // above the unscaled bound (D = I is always admissible).
-    let final_sig = sigma_max_scaled(n, row_w, col_w, path, scratch);
+    let final_sig = sigma_max_scaled(n, row_w, col_w, scratch);
     row_w.fill(1.0);
     col_w.fill(1.0);
-    let unscaled = sigma_max_scaled(n, row_w, col_w, path, scratch);
+    let unscaled = sigma_max_scaled(n, row_w, col_w, scratch);
     MuInfo {
         value: final_sig.min(unscaled),
         scalings: d.to_vec(),
@@ -272,7 +269,6 @@ pub fn mu_upper_bound(n: &CMat, blocks: &[MuBlock]) -> Result<MuInfo> {
             scalings: vec![1.0],
         });
     }
-    let path = yukta_linalg::simd::global_path();
     let row_sizes: Vec<usize> = blocks.iter().map(|b| b.n_out).collect();
     let col_sizes: Vec<usize> = blocks.iter().map(|b| b.n_in).collect();
     let mut norms = vec![0.0; nb * nb];
@@ -286,7 +282,6 @@ pub fn mu_upper_bound(n: &CMat, blocks: &[MuBlock]) -> Result<MuInfo> {
         n,
         blocks,
         &mut d,
-        path,
         &mut row_w,
         &mut col_w,
         &mut scratch,
@@ -430,7 +425,6 @@ fn mu_chunk(
         let ws = &mut *cell.borrow_mut();
         let nb = blocks.len();
         let pts = freqs.len();
-        let path = ev.path();
         ws.row_sizes.clear();
         ws.row_sizes.extend(blocks.iter().map(|b| b.n_out));
         ws.col_sizes.clear();
@@ -459,7 +453,7 @@ fn mu_chunk(
             // Singular points keep zero norms; the batched update's
             // finiteness guard pins their scalings at 1.
         }
-        osborne::osborne_batch(&ws.norms, nb, pts, OSBORNE_SWEEPS, path, &mut ws.d);
+        osborne::osborne_batch(&ws.norms, nb, pts, OSBORNE_SWEEPS, &mut ws.d);
         let MuWorkspace {
             d,
             row_w,
@@ -476,7 +470,6 @@ fn mu_chunk(
                     n,
                     blocks,
                     &mut d[p * nb..(p + 1) * nb],
-                    path,
                     row_w,
                     col_w,
                     scratch,
@@ -591,76 +584,21 @@ pub fn mu_peak_serial(sys: &StateSpace, blocks: &[MuBlock], grid: &[f64]) -> Res
     Ok(peak)
 }
 
-/// [`mu_peak`] under an explicit [`sweep::SimdPolicy`], resolved strictly
-/// (the policy-less variants use the process-wide `YUKTA_SIMD` policy).
-///
-/// # Errors
-///
-/// Same as [`mu_peak`], plus
-/// [`yukta_linalg::Error::SimdUnsupported`] for
-/// [`sweep::SimdPolicy::ForceSimd`] on hardware without AVX2+FMA.
-pub fn mu_peak_with(
-    sys: &StateSpace,
-    blocks: &[MuBlock],
-    grid: &[f64],
-    policy: sweep::SimdPolicy,
-) -> Result<MuPeak> {
-    check_blocks(sys.n_outputs(), sys.n_inputs(), blocks)?;
-    let rec = yukta_obs::handle();
-    let span = yukta_obs::span(rec, "mu.sweep");
-    let ts = sys.ts();
-    let results = sweep::sweep_chunks_with(sys.freq_system(), grid, policy, |_, ws, ev| {
-        mu_chunk(blocks, ts, ws, ev)
-    })?;
-    let peak = fold_peak(grid, results, blocks);
-    end_mu_span(span, rec, "parallel", sys, grid, &peak);
-    Ok(peak)
-}
-
-/// [`mu_peak_serial`] under an explicit [`sweep::SimdPolicy`], resolved
-/// strictly.
-///
-/// # Errors
-///
-/// Same as [`mu_peak_with`].
-pub fn mu_peak_serial_with(
-    sys: &StateSpace,
-    blocks: &[MuBlock],
-    grid: &[f64],
-    policy: sweep::SimdPolicy,
-) -> Result<MuPeak> {
-    check_blocks(sys.n_outputs(), sys.n_inputs(), blocks)?;
-    let rec = yukta_obs::handle();
-    let span = yukta_obs::span(rec, "mu.sweep");
-    let ts = sys.ts();
-    let results = sweep::sweep_serial_chunks_with(sys.freq_system(), grid, policy, |_, ws, ev| {
-        mu_chunk(blocks, ts, ws, ev)
-    })?;
-    let peak = fold_peak(grid, results, blocks);
-    end_mu_span(span, rec, "serial", sys, grid, &peak);
-    Ok(peak)
-}
-
-/// [`mu_peak_serial_with`] with **no instrumentation at all** — not even
-/// the disabled-recorder virtual calls. This is the honest baseline the
+/// [`mu_peak_serial`] with **no instrumentation at all** — not even the
+/// disabled-recorder virtual calls. This is the honest baseline the
 /// `bench_sweep --quick` overhead gate compares the no-op-instrumented
 /// path against; it must stay semantically identical to
-/// [`mu_peak_serial_with`].
+/// [`mu_peak_serial`].
 ///
 /// # Errors
 ///
-/// Same as [`mu_peak_serial_with`].
-pub fn mu_peak_serial_raw(
-    sys: &StateSpace,
-    blocks: &[MuBlock],
-    grid: &[f64],
-    policy: sweep::SimdPolicy,
-) -> Result<MuPeak> {
+/// Same as [`mu_peak_serial`].
+pub fn mu_peak_serial_raw(sys: &StateSpace, blocks: &[MuBlock], grid: &[f64]) -> Result<MuPeak> {
     check_blocks(sys.n_outputs(), sys.n_inputs(), blocks)?;
     let ts = sys.ts();
-    let results = sweep::sweep_serial_chunks_with(sys.freq_system(), grid, policy, |_, ws, ev| {
+    let results = sweep::sweep_serial_chunks(sys.freq_system(), grid, |_, ws, ev| {
         mu_chunk(blocks, ts, ws, ev)
-    })?;
+    });
     Ok(fold_peak(grid, results, blocks))
 }
 

@@ -21,16 +21,12 @@
 //!    ([`FreqSystem::working_set_bytes`]) rather than `len / workers`:
 //!    big systems get short chunks that keep their scratch hot, small
 //!    systems get long chunks that amortize thread handoff.
-//! 4. **Kernel-path control.** The `_with` variants take a
-//!    [`SimdPolicy`] resolved *strictly* (so `ForceSimd` on unsupported
-//!    hardware is a typed error); the policy-less variants use the
-//!    process-wide `YUKTA_SIMD` policy leniently. Every worker of one
-//!    sweep runs the same resolved [`SimdPath`].
+//! 4. **One arithmetic path.** Every evaluator runs the same scalar
+//!    kernels on every host (`yukta-linalg` has no vector variant that
+//!    rounds differently), so a sweep's bits depend only on its inputs,
+//!    never on the CPU it runs on.
 
-use yukta_linalg::Result;
 use yukta_linalg::freq::{FreqEvaluator, FreqSystem};
-use yukta_linalg::simd;
-pub use yukta_linalg::simd::{SimdPath, SimdPolicy};
 use yukta_obs::Value;
 
 /// Fewest grid points a worker must receive before thread fan-out pays
@@ -67,8 +63,8 @@ fn chunk_points(sys: &FreqSystem) -> usize {
 }
 
 /// Maps `f` over every grid point in order, single-threaded, reusing one
-/// evaluator on the process-global kernel path. `f` receives the point's
-/// index in `grid`, its value, and the evaluator.
+/// evaluator. `f` receives the point's index in `grid`, its value, and
+/// the evaluator.
 ///
 /// This is the reference semantics for [`sweep`]; the two are
 /// bit-identical by construction.
@@ -76,33 +72,7 @@ pub fn sweep_serial<T, F>(sys: &FreqSystem, grid: &[f64], f: F) -> Vec<T>
 where
     F: Fn(usize, f64, &mut FreqEvaluator<'_>) -> T,
 {
-    sweep_serial_for_path(sys, grid, simd::global_path(), f)
-}
-
-/// [`sweep_serial`] under an explicit [`SimdPolicy`], resolved strictly.
-///
-/// # Errors
-///
-/// Returns [`yukta_linalg::Error::SimdUnsupported`] for
-/// [`SimdPolicy::ForceSimd`] on hardware without AVX2+FMA.
-pub fn sweep_serial_with<T, F>(
-    sys: &FreqSystem,
-    grid: &[f64],
-    policy: SimdPolicy,
-    f: F,
-) -> Result<Vec<T>>
-where
-    F: Fn(usize, f64, &mut FreqEvaluator<'_>) -> T,
-{
-    let path = simd::resolve(policy, simd::detected())?;
-    Ok(sweep_serial_for_path(sys, grid, path, f))
-}
-
-fn sweep_serial_for_path<T, F>(sys: &FreqSystem, grid: &[f64], path: SimdPath, f: F) -> Vec<T>
-where
-    F: Fn(usize, f64, &mut FreqEvaluator<'_>) -> T,
-{
-    let mut ev = sys.evaluator_for_path(path);
+    let mut ev = sys.evaluator();
     grid.iter()
         .enumerate()
         .map(|(k, &w)| f(k, w, &mut ev))
@@ -119,40 +89,8 @@ pub fn sweep_serial_chunks<T, F>(sys: &FreqSystem, grid: &[f64], f: F) -> Vec<T>
 where
     F: Fn(usize, &[f64], &mut FreqEvaluator<'_>) -> Vec<T>,
 {
-    sweep_serial_chunks_for_path(sys, grid, simd::global_path(), f)
-}
-
-/// [`sweep_serial_chunks`] under an explicit [`SimdPolicy`], resolved
-/// strictly.
-///
-/// # Errors
-///
-/// Returns [`yukta_linalg::Error::SimdUnsupported`] for
-/// [`SimdPolicy::ForceSimd`] on hardware without AVX2+FMA.
-pub fn sweep_serial_chunks_with<T, F>(
-    sys: &FreqSystem,
-    grid: &[f64],
-    policy: SimdPolicy,
-    f: F,
-) -> Result<Vec<T>>
-where
-    F: Fn(usize, &[f64], &mut FreqEvaluator<'_>) -> Vec<T>,
-{
-    let path = simd::resolve(policy, simd::detected())?;
-    Ok(sweep_serial_chunks_for_path(sys, grid, path, f))
-}
-
-fn sweep_serial_chunks_for_path<T, F>(
-    sys: &FreqSystem,
-    grid: &[f64],
-    path: SimdPath,
-    f: F,
-) -> Vec<T>
-where
-    F: Fn(usize, &[f64], &mut FreqEvaluator<'_>) -> Vec<T>,
-{
     let chunk = chunk_points(sys);
-    let mut ev = sys.evaluator_for_path(path);
+    let mut ev = sys.evaluator();
     let mut out = Vec::with_capacity(grid.len());
     let mut start = 0;
     while start < grid.len() {
@@ -174,40 +112,12 @@ where
     T: Send,
     F: Fn(usize, &[f64], &mut FreqEvaluator<'_>) -> Vec<T> + Sync,
 {
-    sweep_chunks_for_path(sys, grid, simd::global_path(), f)
-}
-
-/// [`sweep_chunks`] under an explicit [`SimdPolicy`], resolved strictly.
-///
-/// # Errors
-///
-/// Returns [`yukta_linalg::Error::SimdUnsupported`] for
-/// [`SimdPolicy::ForceSimd`] on hardware without AVX2+FMA.
-pub fn sweep_chunks_with<T, F>(
-    sys: &FreqSystem,
-    grid: &[f64],
-    policy: SimdPolicy,
-    f: F,
-) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize, &[f64], &mut FreqEvaluator<'_>) -> Vec<T> + Sync,
-{
-    let path = simd::resolve(policy, simd::detected())?;
-    Ok(sweep_chunks_for_path(sys, grid, path, f))
-}
-
-fn sweep_chunks_for_path<T, F>(sys: &FreqSystem, grid: &[f64], path: SimdPath, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &[f64], &mut FreqEvaluator<'_>) -> Vec<T> + Sync,
-{
     let workers = worker_count(grid.len());
     let chunk = chunk_points(sys);
     let nchunks = grid.len().div_ceil(chunk);
     let workers = workers.min(nchunks);
     if workers <= 1 {
-        return sweep_serial_chunks_for_path(sys, grid, path, f);
+        return sweep_serial_chunks(sys, grid, f);
     }
     let rec = yukta_obs::handle();
     if rec.enabled() {
@@ -217,7 +127,6 @@ where
                 ("points", Value::U64(grid.len() as u64)),
                 ("workers", Value::U64(workers as u64)),
                 ("chunk_points", Value::U64(chunk as u64)),
-                ("path", Value::Str(path.label())),
             ],
         );
     }
@@ -229,7 +138,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|t| {
                 scope.spawn(move |_| {
-                    let mut ev = sys.evaluator_for_path(path);
+                    let mut ev = sys.evaluator();
                     let mut parts: Vec<(usize, Vec<T>)> = Vec::new();
                     let mut ci = t;
                     while ci * chunk < grid.len() {
@@ -320,34 +229,11 @@ where
     T: Send,
     F: Fn(usize, f64, &mut FreqEvaluator<'_>) -> T + Sync,
 {
-    sweep_for_path(sys, grid, simd::global_path(), f)
-}
-
-/// [`sweep`] under an explicit [`SimdPolicy`], resolved strictly.
-///
-/// # Errors
-///
-/// Returns [`yukta_linalg::Error::SimdUnsupported`] for
-/// [`SimdPolicy::ForceSimd`] on hardware without AVX2+FMA.
-pub fn sweep_with<T, F>(sys: &FreqSystem, grid: &[f64], policy: SimdPolicy, f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize, f64, &mut FreqEvaluator<'_>) -> T + Sync,
-{
-    let path = simd::resolve(policy, simd::detected())?;
-    Ok(sweep_for_path(sys, grid, path, f))
-}
-
-fn sweep_for_path<T, F>(sys: &FreqSystem, grid: &[f64], path: SimdPath, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, f64, &mut FreqEvaluator<'_>) -> T + Sync,
-{
     if worker_count(grid.len()) <= 1 {
-        return sweep_serial_for_path(sys, grid, path, f);
+        return sweep_serial(sys, grid, f);
     }
     // Per-point sweeps are the chunked driver with a 1:1 adapter.
-    sweep_chunks_for_path(sys, grid, path, |start, ws, ev| {
+    sweep_chunks(sys, grid, |start, ws, ev| {
         ws.iter()
             .enumerate()
             .map(|(k, &w)| f(start + k, w, ev))
@@ -358,7 +244,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yukta_linalg::{C64, Error, Mat};
+    use yukta_linalg::{C64, Mat};
 
     fn sys() -> FreqSystem {
         let a = Mat::from_rows(&[&[-0.5, 0.2, 0.0], &[0.1, -1.0, 0.3], &[0.0, 0.4, -2.0]]);
@@ -381,48 +267,6 @@ mod tests {
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn parallel_bit_identical_to_serial_under_each_policy() {
-        let s = sys();
-        let grid: Vec<f64> = (0..300).map(|k| 0.01 * 1.04f64.powi(k)).collect();
-        for policy in [
-            SimdPolicy::Auto,
-            SimdPolicy::ForceScalar,
-            SimdPolicy::ForceSimd,
-        ] {
-            let serial = match sweep_serial_with(&s, &grid, policy, gain) {
-                Ok(v) => v,
-                // ForceSimd on a host without AVX2+FMA: the parallel
-                // variant must fail identically.
-                Err(Error::SimdUnsupported { .. }) => {
-                    assert!(matches!(
-                        sweep_with(&s, &grid, policy, gain),
-                        Err(Error::SimdUnsupported { .. })
-                    ));
-                    continue;
-                }
-                Err(e) => panic!("unexpected error: {e}"),
-            };
-            let parallel = sweep_with(&s, &grid, policy, gain).unwrap();
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn scalar_and_simd_policies_agree() {
-        let s = sys();
-        let grid: Vec<f64> = (0..120).map(|k| 0.01 * 1.07f64.powi(k)).collect();
-        let scalar = sweep_serial_with(&s, &grid, SimdPolicy::ForceScalar, gain).unwrap();
-        let Ok(simd) = sweep_serial_with(&s, &grid, SimdPolicy::ForceSimd, gain) else {
-            return; // host without AVX2+FMA: nothing to compare
-        };
-        for (a, b) in scalar.iter().zip(&simd) {
-            assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0));
         }
     }
 
@@ -478,24 +322,6 @@ mod tests {
         let chunked = sweep_serial_chunks(&s, &grid, gain_chunk);
         for (a, b) in per_point.iter().zip(&chunked) {
             assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn chunked_with_policy_propagates_simd_errors() {
-        let s = sys();
-        let grid: Vec<f64> = (0..40).map(|k| 0.1 * k as f64 + 0.1).collect();
-        let scalar = sweep_serial_chunks_with(&s, &grid, SimdPolicy::ForceScalar, gain_chunk)
-            .expect("scalar path always available");
-        assert_eq!(scalar.len(), grid.len());
-        match sweep_chunks_with(&s, &grid, SimdPolicy::ForceSimd, gain_chunk) {
-            Ok(simd) => {
-                for (a, b) in scalar.iter().zip(&simd) {
-                    assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0));
-                }
-            }
-            Err(Error::SimdUnsupported { .. }) => {}
-            Err(e) => panic!("unexpected error: {e}"),
         }
     }
 

@@ -1,36 +1,29 @@
 //! Golden-vector regression tests for the frequency-sweep stack.
 //!
-//! Two fixed plants pin the scalar kernel path bit-for-bit: every
-//! constant below is an `f64` bit pattern captured from a
-//! `SimdPolicy::ForceScalar` run. The scalar assertions are exact, so
-//! any change to the scalar elimination, back-substitution, µ fold, or
-//! D-scale search that moves even the last ulp fails here. The SIMD
-//! path re-associates FMAs and is held to rounding distance instead
-//! (1e-12 on raw responses, 1e-9 on µ-level scalars).
+//! Two fixed plants pin the sweep stack bit-for-bit: every constant
+//! below is an `f64` bit pattern, and every assertion is exact, so any
+//! change to the elimination, back-substitution, µ fold, or D-scale
+//! search that moves even the last ulp fails here. The stack has one
+//! arithmetic path, so the same bits hold on every host.
 //!
 //! A third fixed model pins the synthesis stack the same way: the
 //! multi-candidate γ-bisection (γ and the central controller's A/B/C)
-//! and a full SSV D–K synthesis (γ and µ̂). Synthesis multiplies through
-//! the process-global matmul kernel, so these goldens are kept per
-//! kernel path and are exact on both.
+//! and a full SSV D–K synthesis (γ and µ̂).
 //!
 //! Regenerate after an *intentional* numerical change with:
 //!
 //! ```text
 //! cargo test -p yukta-control --test golden_freq -- --ignored --nocapture
-//! YUKTA_SIMD=force_scalar cargo test -p yukta-control --test golden_freq -- --ignored --nocapture
 //! ```
 //!
 //! and paste the printed constants over the ones below.
 
 use yukta_control::dk::{DkOptions, synthesize_ssv};
 use yukta_control::hinf::hinf_bisect_multi;
-use yukta_control::mu::{MuBlock, MuPeak, log_grid, mu_peak_serial_with};
+use yukta_control::mu::{MuBlock, MuPeak, log_grid, mu_peak_serial};
 use yukta_control::plant::{SsvSpec, build_ssv_plant};
 use yukta_control::ss::StateSpace;
-use yukta_control::sweep::SimdPolicy;
 use yukta_linalg::freq::FreqSystem;
-use yukta_linalg::simd::{self, SimdPath};
 use yukta_linalg::{C64, Mat};
 
 /// Plant A: order-4 discrete 2×2 system (ts = 0.5), spectral radius
@@ -145,7 +138,7 @@ fn synth_opts() -> DkOptions {
     }
 }
 
-/// Synthesis goldens for one kernel path: bisection γ bits, an FNV-1a
+/// Synthesis goldens: bisection γ bits, an FNV-1a
 /// digest of the bisected controller's A, B, C bits (row-major, in that
 /// order), then the D–K γ and µ̂ bits.
 #[derive(Debug, PartialEq)]
@@ -156,19 +149,12 @@ struct SynthBits {
     dk_mu: u64,
 }
 
-const GOLDEN_SYNTH_SCALAR: SynthBits = SynthBits {
+const GOLDEN_SYNTH: SynthBits = SynthBits {
     bisect_gamma: 4613793967730044645,
     bisect_abc: 460527468485002808,
     dk_gamma: 4609350056269375623,
     dk_mu: 4609341432889998683,
 };
-const GOLDEN_SYNTH_AVX2: SynthBits = SynthBits {
-    bisect_gamma: 4613793967730044645,
-    bisect_abc: 359031890080226968,
-    dk_gamma: 4609350056269375623,
-    dk_mu: 4609341432889998866,
-};
-
 fn fnv_bits(mats: &[&Mat]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in mats.iter().flat_map(|m| m.as_slice()) {
@@ -201,13 +187,8 @@ fn lambda_b(w: f64) -> C64 {
     C64::new(0.0, w)
 }
 
-fn responses(
-    fs: &FreqSystem,
-    probes: &[f64],
-    mk: fn(f64) -> C64,
-    policy: SimdPolicy,
-) -> Vec<[f64; 8]> {
-    let mut ev = fs.evaluator_with(policy).unwrap();
+fn responses(fs: &FreqSystem, probes: &[f64], mk: fn(f64) -> C64) -> Vec<[f64; 8]> {
+    let mut ev = fs.evaluator();
     probes
         .iter()
         .map(|&p| {
@@ -233,8 +214,8 @@ fn mu_grid_b() -> Vec<f64> {
     log_grid(1e-2, 1e2, 80)
 }
 
-fn mu_value(sys: &StateSpace, grid: &[f64], policy: SimdPolicy) -> MuPeak {
-    mu_peak_serial_with(sys, &MU_BLOCKS, grid, policy).unwrap()
+fn mu_value(sys: &StateSpace, grid: &[f64]) -> MuPeak {
+    mu_peak_serial(sys, &MU_BLOCKS, grid).unwrap()
 }
 
 fn hinf_value(sys: &StateSpace) -> f64 {
@@ -246,13 +227,7 @@ fn hinf_value(sys: &StateSpace) -> f64 {
 }
 
 #[test]
-fn scalar_path_matches_golden_response_bits() {
-    // The goldens were captured with YUKTA_SIMD=force_scalar, where the
-    // Hessenberg *construction* (matmul kernels behind
-    // `StateSpace::freq_system`) also ran scalar. When the process-global
-    // path is SIMD the construction re-associates FMAs, so exactness is
-    // only demanded when the whole process is on the scalar path.
-    let exact = simd::global_path() == SimdPath::Scalar;
+fn responses_match_golden_bits() {
     for (sys, probes, mk, golden) in [
         (
             plant_a(),
@@ -267,76 +242,28 @@ fn scalar_path_matches_golden_response_bits() {
             &GOLDEN_RESP_B,
         ),
     ] {
-        let got = responses(sys.freq_system(), probes, mk, SimdPolicy::ForceScalar);
-        let scale = golden
-            .iter()
-            .flatten()
-            .fold(1.0f64, |acc, &w| acc.max(f64::from_bits(w).abs()));
+        let got = responses(sys.freq_system(), probes, mk);
         for (flat, want) in got.iter().zip(golden) {
             for (v, &w) in flat.iter().zip(want) {
-                if exact {
-                    assert_eq!(
-                        v.to_bits(),
-                        w,
-                        "scalar response drifted: {v} vs {}",
-                        f64::from_bits(w)
-                    );
-                } else {
-                    let err = (v - f64::from_bits(w)).abs();
-                    assert!(err <= 1e-12 * scale, "scalar response drifted: {err}");
-                }
+                assert_eq!(
+                    v.to_bits(),
+                    w,
+                    "response drifted: {v} vs {}",
+                    f64::from_bits(w)
+                );
             }
         }
     }
 }
 
 #[test]
-fn simd_path_stays_within_rounding_of_golden_responses() {
-    if !simd::detected() {
-        return;
-    }
-    for (sys, probes, mk, golden) in [
-        (
-            plant_a(),
-            &PROBES_A,
-            lambda_a as fn(f64) -> C64,
-            &GOLDEN_RESP_A,
-        ),
-        (
-            plant_b(),
-            &PROBES_B,
-            lambda_b as fn(f64) -> C64,
-            &GOLDEN_RESP_B,
-        ),
-    ] {
-        let got = responses(sys.freq_system(), probes, mk, SimdPolicy::ForceSimd);
-        let scale = golden
-            .iter()
-            .flatten()
-            .fold(1.0f64, |acc, &w| acc.max(f64::from_bits(w).abs()));
-        for (flat, want) in got.iter().zip(golden) {
-            for (v, &w) in flat.iter().zip(want) {
-                let err = (v - f64::from_bits(w)).abs();
-                assert!(err <= 1e-12 * scale, "SIMD response drifted: {err}");
-            }
-        }
-    }
-}
-
-#[test]
-fn scalar_path_matches_golden_mu_bits() {
+fn mu_matches_golden_bits() {
     for (sys, grid, (peak, w_peak)) in [
         (plant_a(), mu_grid_a(), GOLDEN_MU_A),
         (plant_b(), mu_grid_b(), GOLDEN_MU_B),
     ] {
-        let got = mu_value(&sys, &grid, SimdPolicy::ForceScalar);
-        if simd::global_path() == SimdPath::Scalar {
-            assert_eq!(got.peak.to_bits(), peak, "µ peak drifted: {}", got.peak);
-        } else {
-            // Construction-path rounding (see the response test above).
-            let want = f64::from_bits(peak);
-            assert!((got.peak - want).abs() <= 1e-9 * want.abs().max(1.0));
-        }
+        let got = mu_value(&sys, &grid);
+        assert_eq!(got.peak.to_bits(), peak, "µ peak drifted: {}", got.peak);
         assert_eq!(
             got.w_peak.to_bits(),
             w_peak,
@@ -347,63 +274,28 @@ fn scalar_path_matches_golden_mu_bits() {
 }
 
 #[test]
-fn simd_path_stays_within_rounding_of_golden_mu() {
-    if !simd::detected() {
-        return;
-    }
-    for (sys, grid, (peak, w_peak)) in [
-        (plant_a(), mu_grid_a(), GOLDEN_MU_A),
-        (plant_b(), mu_grid_b(), GOLDEN_MU_B),
-    ] {
-        let got = mu_value(&sys, &grid, SimdPolicy::ForceSimd);
-        let want = f64::from_bits(peak);
-        assert!((got.peak - want).abs() <= 1e-9 * want.abs().max(1.0));
-        // The peak must land on the same grid point: the µ curve's
-        // maximum is well separated on both plants.
-        assert_eq!(got.w_peak.to_bits(), w_peak);
-    }
-}
-
-#[test]
 fn hinf_estimate_matches_golden() {
-    // `hinf_norm_estimate` runs on the process-global kernel path
-    // (YUKTA_SIMD): exact bits on the scalar path, rounding distance on
-    // the SIMD path. The CI matrix runs this under both settings.
     for (sys, golden) in [(plant_a(), GOLDEN_HINF_A), (plant_b(), GOLDEN_HINF_B)] {
         let got = hinf_value(&sys);
         let want = f64::from_bits(golden);
-        match simd::global_path() {
-            SimdPath::Scalar => assert_eq!(got.to_bits(), golden, "H∞ drifted: {got} vs {want}"),
-            SimdPath::Avx2Fma => assert!((got - want).abs() <= 1e-9 * want.abs().max(1.0)),
-        }
+        assert_eq!(got.to_bits(), golden, "H∞ drifted: {got} vs {want}");
     }
 }
 
 #[test]
 fn synthesis_matches_golden_bits() {
-    let want = match simd::global_path() {
-        SimdPath::Scalar => GOLDEN_SYNTH_SCALAR,
-        SimdPath::Avx2Fma => GOLDEN_SYNTH_AVX2,
-    };
-    assert_eq!(synth_bits(), want, "synthesis drifted");
+    assert_eq!(synth_bits(), GOLDEN_SYNTH, "synthesis drifted");
 }
 
-/// Prints the golden constants. Run with `-- --ignored --nocapture`
-/// once per kernel path (see the module docs) and paste the output over
-/// the constants above.
+/// Prints the golden constants. Run with `-- --ignored --nocapture` (see
+/// the module docs) and paste the output over the constants above.
 #[test]
 #[ignore]
 fn regenerate_golden_vectors() {
-    // Synthesis goldens are per kernel path; the SIMD run prints only its
-    // own, every other golden comes from the scalar run.
-    if simd::global_path() == SimdPath::Avx2Fma {
-        println!("const GOLDEN_SYNTH_AVX2: SynthBits = {:?};", synth_bits());
-        return;
-    }
-    println!("const GOLDEN_SYNTH_SCALAR: SynthBits = {:?};", synth_bits());
+    println!("const GOLDEN_SYNTH: SynthBits = {:?};", synth_bits());
     let print_resp = |name: &str, sys: &StateSpace, probes: &[f64], mk: fn(f64) -> C64| {
         println!("const GOLDEN_RESP_{name}: [[u64; 8]; 3] = [");
-        for flat in responses(sys.freq_system(), probes, mk, SimdPolicy::ForceScalar) {
+        for flat in responses(sys.freq_system(), probes, mk) {
             let bits: Vec<String> = flat.iter().map(|v| v.to_bits().to_string()).collect();
             println!("    [{}],", bits.join(", "));
         }
@@ -413,8 +305,8 @@ fn regenerate_golden_vectors() {
     let b = plant_b();
     print_resp("A", &a, &PROBES_A, lambda_a);
     print_resp("B", &b, &PROBES_B, lambda_b);
-    let mu_a = mu_value(&a, &mu_grid_a(), SimdPolicy::ForceScalar);
-    let mu_b = mu_value(&b, &mu_grid_b(), SimdPolicy::ForceScalar);
+    let mu_a = mu_value(&a, &mu_grid_a());
+    let mu_b = mu_value(&b, &mu_grid_b());
     println!(
         "const GOLDEN_MU_A: (u64, u64) = ({}, {});",
         mu_a.peak.to_bits(),
@@ -425,8 +317,6 @@ fn regenerate_golden_vectors() {
         mu_b.peak.to_bits(),
         mu_b.w_peak.to_bits()
     );
-    // The H∞ goldens come from the scalar kernel (the early return above
-    // keeps a SIMD run from baking its rounding into them).
     println!("const GOLDEN_HINF_A: u64 = {};", hinf_value(&a).to_bits());
     println!("const GOLDEN_HINF_B: u64 = {};", hinf_value(&b).to_bits());
 }

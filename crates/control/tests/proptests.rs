@@ -2,16 +2,14 @@
 
 use proptest::prelude::*;
 use yukta_control::c2d::{c2d_tustin, d2c_tustin};
-use yukta_control::mu::{
-    MuBlock, log_grid, mu_peak, mu_peak_serial, mu_peak_serial_with, mu_peak_with,
-};
+use yukta_control::mu::{MuBlock, log_grid, mu_peak, mu_peak_serial};
 use yukta_control::quant::{InputGrid, SignalScaler};
 use yukta_control::ss::StateSpace;
-use yukta_control::sweep::{self, SimdPolicy};
+use yukta_control::sweep;
 use yukta_linalg::freq::FreqEvaluator;
-use yukta_linalg::{C64, CMat, Mat, simd};
+use yukta_linalg::{C64, CMat, Mat};
 
-/// Per-point payload for the dual-path sweeps: the full response matrix
+/// Per-point payload for the sweep tests: the full response matrix
 /// at λ = e^{iθ} (all systems below are discrete and stable, so the
 /// resolvent exists on the whole unit circle).
 fn response(_: usize, theta: f64, ev: &mut FreqEvaluator<'_>) -> CMat {
@@ -23,35 +21,6 @@ fn theta_grid(points: usize) -> Vec<f64> {
     (0..points)
         .map(|k| (k as f64 + 0.5) * std::f64::consts::PI / (points as f64 + 1.0))
         .collect()
-}
-
-fn max_abs(mats: &[CMat]) -> f64 {
-    mats.iter().fold(0.0f64, |acc, m| acc.max(m.max_abs()))
-}
-
-/// Random stable discrete MIMO system whose order and I/O count are
-/// themselves sampled (`1..=max_n` states, `1..=max_io` inputs/outputs),
-/// so the dual-path tests cover every lane-padding residue including
-/// n = 1 and single-column right-hand sides.
-fn stable_mimo_sys_any_shape(max_n: usize, max_io: usize) -> impl Strategy<Value = StateSpace> {
-    (
-        1..=max_n,
-        1..=max_io,
-        prop::collection::vec(-1.0..1.0f64, max_n * max_n),
-        prop::collection::vec(-1.0..1.0f64, max_n * max_io),
-        prop::collection::vec(-1.0..1.0f64, max_io * max_n),
-        prop::collection::vec(-0.5..0.5f64, max_io * max_io),
-    )
-        .prop_map(move |(n, io, av, bv, cv, dv)| {
-            let mut a = Mat::from_vec(n, n, av[..n * n].to_vec());
-            // Scale into the unit disk (row sums < 1) so the resolvent
-            // exists on the whole unit circle.
-            a = a.scale(0.9 / (a.inf_norm() + 1e-9));
-            let b = Mat::from_vec(n, io, bv[..n * io].to_vec());
-            let c = Mat::from_vec(io, n, cv[..io * n].to_vec());
-            let d = Mat::from_vec(io, io, dv[..io * io].to_vec());
-            StateSpace::new(a, b, c, d, Some(0.5)).unwrap()
-        })
 }
 
 fn stable_cont_sys(n: usize) -> impl Strategy<Value = StateSpace> {
@@ -216,59 +185,17 @@ proptest! {
     }
 
     #[test]
-    fn scalar_and_simd_sweeps_agree_for_random_orders(
-        sys in stable_mimo_sys_any_shape(24, 3),
+    fn parallel_mu_peak_bit_identical_to_serial_continuous(
+        sys in stable_mimo_sys(4, 2, None),
     ) {
-        let grid = theta_grid(40);
-        let fs = sys.freq_system();
-        let scalar = sweep::sweep_serial_with(fs, &grid, SimdPolicy::ForceScalar, response).unwrap();
-        let Ok(vec) = sweep::sweep_serial_with(fs, &grid, SimdPolicy::ForceSimd, response) else {
-            return Ok(()); // host without AVX2+FMA: nothing to compare
-        };
-        let scale = max_abs(&scalar).max(1.0);
-        for (gs, gv) in scalar.iter().zip(&vec) {
-            let err = gs.sub(gv).max_abs();
-            prop_assert!(err <= 1e-12 * scale, "scalar vs SIMD response differs: {err} (scale {scale})");
-        }
-    }
-
-    #[test]
-    fn auto_sweep_is_bit_identical_to_its_selected_path(
-        sys in stable_mimo_sys_any_shape(12, 2),
-    ) {
-        let grid = theta_grid(24);
-        let fs = sys.freq_system();
-        let auto = sweep::sweep_serial_with(fs, &grid, SimdPolicy::Auto, response).unwrap();
-        let forced = if simd::detected() { SimdPolicy::ForceSimd } else { SimdPolicy::ForceScalar };
-        let same = sweep::sweep_serial_with(fs, &grid, forced, response).unwrap();
-        for (ga, gf) in auto.iter().zip(&same) {
-            let (p, m) = ga.shape();
-            for i in 0..p {
-                for j in 0..m {
-                    let (a, f) = (ga.get(i, j), gf.get(i, j));
-                    prop_assert_eq!(a.re.to_bits(), f.re.to_bits());
-                    prop_assert_eq!(a.im.to_bits(), f.im.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_mu_peak_bit_identical_to_serial_under_force_simd(
-        sys in stable_mimo_sys(4, 2, Some(0.5)),
-    ) {
-        // PR 1's parallel-vs-serial determinism contract must also hold on
-        // the vectorized kernel path.
-        if !simd::detected() {
-            return Ok(());
-        }
+        // The same determinism contract on the λ = jω branch of the sweep.
         let blocks = [
             MuBlock { n_out: 1, n_in: 1 },
             MuBlock { n_out: 1, n_in: 1 },
         ];
-        let grid = log_grid(1e-3, 0.98 * std::f64::consts::PI / 0.5, 120);
-        let par = mu_peak_with(&sys, &blocks, &grid, SimdPolicy::ForceSimd).unwrap();
-        let ser = mu_peak_serial_with(&sys, &blocks, &grid, SimdPolicy::ForceSimd).unwrap();
+        let grid = log_grid(1e-2, 1e2, 120);
+        let par = mu_peak(&sys, &blocks, &grid).unwrap();
+        let ser = mu_peak_serial(&sys, &blocks, &grid).unwrap();
         prop_assert_eq!(par.peak.to_bits(), ser.peak.to_bits());
         prop_assert_eq!(par.w_peak.to_bits(), ser.w_peak.to_bits());
         prop_assert_eq!(par.curve.len(), ser.curve.len());
@@ -297,11 +224,12 @@ proptest! {
     }
 }
 
-/// Degenerate shapes the lane-padded SIMD path must get right: a 1×1
-/// scalar plant (n = 1), a single-column RHS (one input), and an empty
-/// grid. Deterministic so failures shrink to nothing.
+/// Degenerate shapes the sweep must get right: a 1×1 scalar plant
+/// (n = 1), a single-column RHS (one input), and an empty grid, checked
+/// against the dense reference evaluation. Deterministic so failures
+/// shrink to nothing.
 #[test]
-fn dual_path_agrees_on_degenerate_shapes() {
+fn degenerate_shapes_match_reference() {
     let plants = [
         // n = 1, SISO.
         StateSpace::new(
@@ -325,20 +253,11 @@ fn dual_path_agrees_on_degenerate_shapes() {
     for sys in &plants {
         let fs = sys.freq_system();
         let grid = theta_grid(16);
-        let scalar =
-            sweep::sweep_serial_with(fs, &grid, SimdPolicy::ForceScalar, response).unwrap();
-        if let Ok(vec) = sweep::sweep_serial_with(fs, &grid, SimdPolicy::ForceSimd, response) {
-            let scale = max_abs(&scalar).max(1.0);
-            for (gs, gv) in scalar.iter().zip(&vec) {
-                assert!(gs.sub(gv).max_abs() <= 1e-12 * scale);
-            }
+        for (g, &theta) in sweep::sweep_serial(fs, &grid, response).iter().zip(&grid) {
+            let want = sys.eval_at_reference(C64::cis(theta)).unwrap();
+            assert!(g.sub(&want).max_abs() < 1e-9);
         }
-        // Empty grid: both policies yield empty output, no error.
-        let empty = sweep::sweep_serial_with(fs, &[], SimdPolicy::ForceScalar, response).unwrap();
-        assert!(empty.is_empty());
-        if simd::detected() {
-            let empty = sweep::sweep_serial_with(fs, &[], SimdPolicy::ForceSimd, response).unwrap();
-            assert!(empty.is_empty());
-        }
+        // Empty grid: empty output, no error.
+        assert!(sweep::sweep_serial(fs, &[], response).is_empty());
     }
 }

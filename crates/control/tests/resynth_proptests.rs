@@ -4,11 +4,9 @@
 
 use proptest::prelude::*;
 use yukta_control::hinf::{GenPlant, hinf_bisect_multi, hinf_bisect_multi_serial};
-use yukta_control::mu::{MuBlock, log_grid, mu_peak_serial_with, mu_peak_with};
+use yukta_control::mu::{MuBlock, log_grid, mu_peak, mu_peak_serial};
 use yukta_control::ss::StateSpace;
-use yukta_control::sweep::SimdPolicy;
 use yukta_linalg::osborne::{block_norms_into, osborne_batch, osborne_point};
-use yukta_linalg::simd::{self, SimdPath};
 use yukta_linalg::svd::{sigma_max, sigma_max_scaled};
 use yukta_linalg::{C64, CMat, Mat};
 
@@ -20,8 +18,7 @@ fn theta_grid(points: usize) -> Vec<f64> {
 }
 
 /// Random stable discrete MIMO system whose order and I/O count are
-/// themselves sampled, covering every lane-padding residue of the batch
-/// kernels including n = 1 (same recipe as `proptests.rs`).
+/// themselves sampled, including n = 1 (same recipe as `proptests.rs`).
 fn stable_mimo_sys_any_shape(max_n: usize, max_io: usize) -> impl Strategy<Value = StateSpace> {
     (
         1..=max_n,
@@ -70,15 +67,6 @@ fn grid_norms(sys: &StateSpace, grid: &[f64], nb: usize) -> Vec<f64> {
     norms
 }
 
-/// Paths to exercise on this host: always scalar, plus AVX2 when present.
-fn paths() -> Vec<SimdPath> {
-    let mut v = vec![SimdPath::Scalar];
-    if simd::detected() {
-        v.push(SimdPath::Avx2Fma);
-    }
-    v
-}
-
 fn assert_mu_bits_eq(par: &yukta_control::mu::MuPeak, ser: &yukta_control::mu::MuPeak) {
     assert_eq!(par.peak.to_bits(), ser.peak.to_bits());
     assert_eq!(par.w_peak.to_bits(), ser.w_peak.to_bits());
@@ -96,7 +84,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Batched Osborne balancing equals the per-point reference on the
-    /// block norms of real frequency responses, on both kernel paths.
+    /// block norms of real frequency responses, bit for bit.
     /// The D–K fast path feeds whole grid chunks through the batch; any
     /// drift here would silently move the µ upper bound.
     #[test]
@@ -114,24 +102,24 @@ proptest! {
                 &mut reference[p * nb..(p + 1) * nb],
             );
         }
-        for path in paths() {
-            let mut batch = vec![0.0; grid.len() * nb];
-            osborne_batch(&norms, nb, grid.len(), sweeps, path, &mut batch);
-            for (i, (b, r)) in batch.iter().zip(&reference).enumerate() {
-                let rel = (b - r).abs() / r.abs().max(1e-300);
-                prop_assert!(
-                    rel <= 1e-12,
-                    "{path:?} point {} block {}: batch {b} vs per-point {r}",
-                    i / nb,
-                    i % nb
-                );
-            }
+        let mut batch = vec![0.0; grid.len() * nb];
+        osborne_batch(&norms, nb, grid.len(), sweeps, &mut batch);
+        for (i, (b, r)) in batch.iter().zip(&reference).enumerate() {
+            prop_assert_eq!(
+                b.to_bits(),
+                r.to_bits(),
+                "point {} block {}: batch {} vs per-point {}",
+                i / nb,
+                i % nb,
+                b,
+                r
+            );
         }
     }
 
     /// The fused scaled-σ̄ kernel equals σ̄ of the materialized
     /// diag(row_w)·G·diag(col_w) for real frequency responses of any
-    /// shape, on both kernel paths.
+    /// shape.
     #[test]
     fn fused_scaled_sigma_matches_materialized(
         sys in stable_mimo_sys_any_shape(24, 3),
@@ -152,14 +140,9 @@ proptest! {
         }
         let reference = sigma_max(&scaled);
         let mut scratch = CMat::zeros(1, 1);
-        for path in paths() {
-            let fused = sigma_max_scaled(&resp, &row_w, &col_w, path, &mut scratch);
-            let rel = (fused - reference).abs() / reference.max(1e-300);
-            prop_assert!(
-                rel <= 1e-10,
-                "{path:?}: fused {fused} vs materialized {reference}"
-            );
-        }
+        let fused = sigma_max_scaled(&resp, &row_w, &col_w, &mut scratch);
+        let rel = (fused - reference).abs() / reference.max(1e-300);
+        prop_assert!(rel <= 1e-10, "fused {fused} vs materialized {reference}");
     }
 
     /// The parallel multi-candidate γ-bisection is bit-identical to its
@@ -185,9 +168,8 @@ proptest! {
     }
 
     /// The chunked µ sweep stays bit-identical between its parallel and
-    /// serial drivers for random plant orders up to 24, under both forced
-    /// kernel paths — the determinism contract the in-loop D-step relies
-    /// on.
+    /// serial drivers for random plant orders up to 24 — the determinism
+    /// contract the in-loop D-step relies on.
     #[test]
     fn chunked_mu_sweep_parallel_bit_identical_any_order(
         sys in stable_mimo_sys_any_shape(24, 3),
@@ -195,14 +177,8 @@ proptest! {
         let nb = sys.n_outputs();
         let blocks = vec![MuBlock { n_out: 1, n_in: 1 }; nb];
         let grid = log_grid(1e-3, 0.98 * std::f64::consts::PI / 0.5, 60);
-        let mut policies = vec![SimdPolicy::ForceScalar];
-        if simd::detected() {
-            policies.push(SimdPolicy::ForceSimd);
-        }
-        for policy in policies {
-            let par = mu_peak_with(&sys, &blocks, &grid, policy).unwrap();
-            let ser = mu_peak_serial_with(&sys, &blocks, &grid, policy).unwrap();
-            assert_mu_bits_eq(&par, &ser);
-        }
+        let par = mu_peak(&sys, &blocks, &grid).unwrap();
+        let ser = mu_peak_serial(&sys, &blocks, &grid).unwrap();
+        assert_mu_bits_eq(&par, &ser);
     }
 }

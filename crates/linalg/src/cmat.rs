@@ -461,26 +461,10 @@ impl CMat {
 /// Cache-blocked complex product accumulating `out += a · b` (`a` is
 /// `m × k`, `b` is `k × n`, `out` is `m × n`, all row-major).
 ///
-/// Same tiling as the real kernel in [`crate::mat`], and the same runtime
-/// dispatch on [`crate::simd::global_path`]: the scalar twin accumulates
-/// each output entry's `k`-terms in ascending order with exact zeros in
-/// `a` skipped — bit-identical to the naive triple loop — while the AVX2
-/// twin keeps the same tiling and order but fuses the complex
-/// multiply-adds (two `C64`s per 256-bit lane), agreeing to rounding
-/// (≤ 1e-12 relative) rather than bitwise.
+/// Same tiling as the real kernel in [`crate::mat`]: each output entry
+/// accumulates its `k`-terms in ascending order with exact zeros in `a`
+/// skipped — bit-identical to the naive triple loop.
 fn cmatmul_kernel(a: &[C64], b: &[C64], out: &mut [C64], m: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::global_path() == crate::simd::SimdPath::Avx2Fma {
-        // SAFETY: global_path() only reports Avx2Fma when runtime
-        // detection confirmed AVX2+FMA on this host.
-        unsafe { cmatmul_kernel_avx2(a, b, out, m, k, n) };
-        return;
-    }
-    cmatmul_kernel_scalar(a, b, out, m, k, n);
-}
-
-/// Scalar reference micro-kernel (the always-available path).
-fn cmatmul_kernel_scalar(a: &[C64], b: &[C64], out: &mut [C64], m: usize, k: usize, n: usize) {
     const BK: usize = 48;
     const BN: usize = 64;
     for k0 in (0..k).step_by(BK) {
@@ -499,37 +483,6 @@ fn cmatmul_kernel_scalar(a: &[C64], b: &[C64], out: &mut [C64], m: usize, k: usi
                     for (o, &bv) in orow.iter_mut().zip(brow) {
                         *o += aik * bv;
                     }
-                }
-            }
-        }
-    }
-}
-
-/// AVX2/FMA twin of [`cmatmul_kernel_scalar`] over interleaved `C64`
-/// lanes.
-///
-/// # Safety
-///
-/// Caller must guarantee the host supports AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn cmatmul_kernel_avx2(a: &[C64], b: &[C64], out: &mut [C64], m: usize, k: usize, n: usize) {
-    const BK: usize = 48;
-    const BN: usize = 64;
-    for k0 in (0..k).step_by(BK) {
-        let k1 = (k0 + BK).min(k);
-        for j0 in (0..n).step_by(BN) {
-            let j1 = (j0 + BN).min(n);
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                let orow = &mut out[i * n + j0..i * n + j1];
-                for kk in k0..k1 {
-                    let aik = arow[kk];
-                    if aik == C64::ZERO {
-                        continue;
-                    }
-                    let brow = &b[kk * n + j0..kk * n + j1];
-                    crate::simd::avx2::caxpy(orow, brow, aik);
                 }
             }
         }
@@ -589,7 +542,7 @@ mod tests {
                 *v = C64::new(next(), next());
             }
             let mut blocked = CMat::zeros(m, n);
-            cmatmul_kernel_scalar(&a.data, &b.data, &mut blocked.data, m, k, n);
+            cmatmul_kernel(&a.data, &b.data, &mut blocked.data, m, k, n);
             let mut naive = CMat::zeros(m, n);
             for i in 0..m {
                 for kk in 0..k {
@@ -601,41 +554,7 @@ mod tests {
                 }
             }
             assert_eq!(blocked, naive, "({m},{k},{n})");
-            // The dispatching product (scalar or AVX2, per the global
-            // policy) agrees with naive to FMA rounding.
-            let fast = a.matmul(&b).unwrap();
-            assert!(
-                fast.sub(&naive).max_abs() <= 1e-12 * naive.max_abs().max(1.0),
-                "({m},{k},{n}): {}",
-                fast.sub(&naive).max_abs()
-            );
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_cmatmul_matches_scalar_kernel() {
-        if !crate::simd::detected() {
-            return;
-        }
-        let mut s = 99u64;
-        let mut next = || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        for &(m, k, n) in &[(1, 1, 1), (5, 9, 4), (49, 97, 65)] {
-            let a: Vec<C64> = (0..m * k).map(|_| C64::new(next(), next())).collect();
-            let b: Vec<C64> = (0..k * n).map(|_| C64::new(next(), next())).collect();
-            let mut scalar = vec![C64::ZERO; m * n];
-            let mut simd = vec![C64::ZERO; m * n];
-            cmatmul_kernel_scalar(&a, &b, &mut scalar, m, k, n);
-            // SAFETY: detected() confirmed AVX2+FMA above.
-            unsafe { cmatmul_kernel_avx2(&a, &b, &mut simd, m, k, n) };
-            for (x, y) in simd.iter().zip(&scalar) {
-                assert!((*x - *y).abs() <= 1e-12 * y.abs().max(1.0), "({m},{k},{n})");
-            }
+            assert_eq!(a.matmul(&b).unwrap(), naive, "({m},{k},{n})");
         }
     }
 

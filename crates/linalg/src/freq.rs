@@ -24,7 +24,6 @@
 //! evaluator.
 
 use crate::eig::hessenberg_q;
-use crate::simd::{self, SimdPath, SimdPolicy};
 use crate::{C64, CMat, Error, Mat, Result};
 
 /// A state-space realization `(A, B, C, D)` preprocessed for repeated
@@ -133,75 +132,25 @@ impl FreqSystem {
         self.p
     }
 
-    /// Creates an evaluator with its own scratch buffers, on the kernel
-    /// path selected by the process-wide [`simd::global_policy`]
-    /// (leniently resolved — never fails, degrading to scalar if needed).
+    /// Creates an evaluator with its own scratch buffers.
     ///
     /// Evaluators are cheap (two `n·max(n, m)` complex buffers); give each
     /// worker thread its own rather than sharing one behind a lock.
     pub fn evaluator(&self) -> FreqEvaluator<'_> {
-        self.evaluator_for_path(simd::global_path())
-    }
-
-    /// Creates an evaluator under an explicit [`SimdPolicy`], resolved
-    /// strictly against the host's real feature detection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SimdUnsupported`] for
-    /// [`SimdPolicy::ForceSimd`] on hardware without AVX2+FMA.
-    pub fn evaluator_with(&self, policy: SimdPolicy) -> Result<FreqEvaluator<'_>> {
-        self.evaluator_with_detected(policy, simd::detected())
-    }
-
-    /// Like [`Self::evaluator_with`] but with the detector result supplied
-    /// by the caller, so tests can exercise the unsupported-hardware
-    /// branches on any host. A mocked `avx2_fma_available: true` is still
-    /// safe: [`Self::evaluator_for_path`] re-checks the real detector
-    /// before ever taking the SIMD path.
-    pub fn evaluator_with_detected(
-        &self,
-        policy: SimdPolicy,
-        avx2_fma_available: bool,
-    ) -> Result<FreqEvaluator<'_>> {
-        Ok(self.evaluator_for_path(simd::resolve(policy, avx2_fma_available)?))
-    }
-
-    /// Creates an evaluator for an already-resolved [`SimdPath`].
-    ///
-    /// Safe for any input: if `path` is [`SimdPath::Avx2Fma`] but the
-    /// host cannot actually run it, the evaluator silently uses the
-    /// scalar path (this cannot happen for paths obtained from
-    /// [`simd::resolve`] with the real detector result).
-    pub fn evaluator_for_path(&self, path: SimdPath) -> FreqEvaluator<'_> {
-        let path = if path == SimdPath::Avx2Fma && !simd::detected() {
-            SimdPath::Scalar
-        } else {
-            path
-        };
-        match path {
-            SimdPath::Scalar => FreqEvaluator {
-                sys: self,
-                path,
-                lu: vec![C64::ZERO; self.n * self.n],
-                x: vec![C64::ZERO; self.n * self.m],
-                scratch: None,
-            },
-            SimdPath::Avx2Fma => FreqEvaluator {
-                sys: self,
-                path,
-                lu: Vec::new(),
-                x: Vec::new(),
-                scratch: Some(SimdScratch::new(self.n, self.m)),
-            },
+        FreqEvaluator {
+            sys: self,
+            lu: vec![C64::ZERO; self.n * self.n],
+            x: vec![C64::ZERO; self.n * self.m],
         }
     }
 
-    /// Bytes one evaluation streams over: the per-evaluator scratch plus
-    /// the shared system tables and the output matrix.
+    /// Bytes one evaluation streams over, as a chunk-sizing estimate.
     ///
     /// `yukta_control::sweep` sizes its per-worker grid chunks from this
-    /// so a chunk's working set stays inside the L2 budget.
+    /// so a chunk's working set stays inside the L2 budget. The formula
+    /// still counts the 4-padded split-plane scratch of an earlier vector
+    /// evaluator; it is kept as it was so the chunk sizes, and with them
+    /// the Osborne batch shapes, do not move.
     pub fn working_set_bytes(&self) -> usize {
         let (n, m, p) = (self.n, self.m, self.p);
         let np = n.next_multiple_of(4);
@@ -212,102 +161,28 @@ impl FreqSystem {
     }
 }
 
-/// Split re/im-plane scratch for the AVX2 evaluation path.
-///
-/// Rows are padded to a multiple of 4 columns (`np`, `mp`) so every
-/// vector load/store in the hot loops is a full 4-lane operation; the
-/// padding lanes hold zeros invariantly (assembly writes them, updates
-/// add `a·0`, swaps exchange zeros).
-#[derive(Debug)]
-struct SimdScratch {
-    /// Padded LU row stride (`n` rounded up to a multiple of 4).
-    np: usize,
-    /// Padded RHS row stride (`m` rounded up to a multiple of 4).
-    mp: usize,
-    /// Real plane of `λI − H`, row-major `n × np`.
-    lure: Vec<f64>,
-    /// Imaginary plane of `λI − H`, row-major `n × np`.
-    luim: Vec<f64>,
-    /// Real plane of the RHS/solution, row-major `n × mp`.
-    xre: Vec<f64>,
-    /// Imaginary plane of the RHS/solution, row-major `n × mp`.
-    xim: Vec<f64>,
-    /// One output row (real plane), length `mp`.
-    ore: Vec<f64>,
-    /// One output row (imaginary plane), length `mp`.
-    oim: Vec<f64>,
-}
-
-impl SimdScratch {
-    fn new(n: usize, m: usize) -> SimdScratch {
-        let np = n.next_multiple_of(4);
-        let mp = m.next_multiple_of(4);
-        SimdScratch {
-            np,
-            mp,
-            lure: vec![0.0; n * np],
-            luim: vec![0.0; n * np],
-            xre: vec![0.0; n * mp],
-            xim: vec![0.0; n * mp],
-            ore: vec![0.0; mp],
-            oim: vec![0.0; mp],
-        }
-    }
-}
-
 /// Reusable scratch for evaluating one [`FreqSystem`] at many points.
 ///
 /// Not `Sync`: clone one per thread via [`FreqSystem::evaluator`].
 #[derive(Debug)]
 pub struct FreqEvaluator<'a> {
     sys: &'a FreqSystem,
-    /// Which kernel this evaluator runs (fixed at construction).
-    path: SimdPath,
-    /// Working copy of `λI − H`, row-major `n × n` (scalar path only).
+    /// Working copy of `λI − H`, row-major `n × n`.
     lu: Vec<C64>,
     /// Right-hand side, overwritten with the solution `X`, row-major
-    /// `n × m` (scalar path only).
+    /// `n × m`.
     x: Vec<C64>,
-    /// Split-plane scratch (AVX2 path only).
-    scratch: Option<SimdScratch>,
 }
 
 impl FreqEvaluator<'_> {
-    /// The kernel path this evaluator was constructed with.
-    pub fn path(&self) -> SimdPath {
-        self.path
-    }
-
     /// Evaluates `G(λ) = C (λI − A)⁻¹ B + D` at one point of the complex
     /// plane (`λ = jω` for continuous time, `λ = e^{jωT}` for discrete).
-    ///
-    /// Dispatches to the kernel path fixed at construction; the scalar
-    /// path is bit-for-bit the pre-SIMD implementation, and the AVX2 path
-    /// agrees with it to ≤ 1e-12 relative (FMA contraction rounds
-    /// differently, so the two are not bitwise identical).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Singular`] if `λ` is (numerically) an eigenvalue
     /// of `A`.
     pub fn eval(&mut self, lambda: C64) -> Result<CMat> {
-        match self.path {
-            SimdPath::Scalar => self.eval_scalar(lambda),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `path` is only Avx2Fma when `simd::detected()`
-            // confirmed AVX2+FMA at construction (`evaluator_for_path`
-            // re-checks even caller-supplied paths).
-            SimdPath::Avx2Fma => unsafe { self.eval_avx2(lambda) },
-            #[cfg(not(target_arch = "x86_64"))]
-            // Unreachable: detection is always false off x86_64, so
-            // construction never yields this path.
-            SimdPath::Avx2Fma => self.eval_scalar(lambda),
-        }
-    }
-
-    /// The scalar reference path: exact Hessenberg elimination as shipped
-    /// before vectorization, preserved bit-for-bit.
-    fn eval_scalar(&mut self, lambda: C64) -> Result<CMat> {
         let (n, m, p) = (self.sys.n, self.sys.m, self.sys.p);
         let mut out = CMat::zeros(p, m);
         for i in 0..p {
@@ -388,233 +263,6 @@ impl FreqEvaluator<'_> {
                     }
                 }
                 out.set(i, j, acc);
-            }
-        }
-        Ok(out)
-    }
-
-    /// AVX2/FMA path: the same Hessenberg elimination over split re/im
-    /// planes, so each 4-lane FMA touches four contiguous RHS columns.
-    ///
-    /// Row updates start at `floor4(k + 1)`, which may rewrite a few
-    /// strictly-lower-triangle "garbage" lanes of the destination row.
-    /// That is sound: the factor/pivot entries of a column are read
-    /// *before* its row update, back-substitution reads only the diagonal
-    /// and the strict upper triangle, and whole-row swaps merely move
-    /// garbage between never-read positions. Padding lanes (`n..np`,
-    /// `m..mp`) hold zeros invariantly.
-    ///
-    /// # Safety
-    ///
-    /// Caller must guarantee the host supports AVX2+FMA.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn eval_avx2(&mut self, lambda: C64) -> Result<CMat> {
-        use core::arch::x86_64::*;
-
-        let (n, m, p) = (self.sys.n, self.sys.m, self.sys.p);
-        let mut out = CMat::zeros(p, m);
-        if self.scratch.is_none() {
-            // evaluator_for_path always allocates scratch on this path.
-            return self.eval_scalar(lambda);
-        }
-        let s = self.scratch.as_mut().unwrap();
-        let (np, mp) = (s.np, s.mp);
-
-        if n > 0 {
-            // Assemble the planes of λI − H and the right-hand side QᵀB.
-            for i in 0..n {
-                let hrow = &self.sys.h[i * n..(i + 1) * n];
-                let lre = &mut s.lure[i * np..(i + 1) * np];
-                let lim = &mut s.luim[i * np..(i + 1) * np];
-                for (d, &h) in lre.iter_mut().zip(hrow) {
-                    *d = -h;
-                }
-                lre[n..].fill(0.0);
-                lim.fill(0.0);
-                lre[i] += lambda.re;
-                lim[i] = lambda.im;
-            }
-            for i in 0..n {
-                let brow = &self.sys.qtb[i * m..(i + 1) * m];
-                let xre = &mut s.xre[i * mp..(i + 1) * mp];
-                xre[..m].copy_from_slice(brow);
-                xre[m..].fill(0.0);
-            }
-            s.xim.fill(0.0);
-
-            // The factorization and solve work through raw plane pointers
-            // so the inner loops carry no bounds checks and accumulate in
-            // registers; all offsets stay inside the `n × np` / `n × mp`
-            // allocations by construction.
-            let lure = s.lure.as_mut_ptr();
-            let luim = s.luim.as_mut_ptr();
-            let xre = s.xre.as_mut_ptr();
-            let xim = s.xim.as_mut_ptr();
-
-            // Hessenberg elimination, vectorized across row lanes.
-            for k in 0..n - 1 {
-                let piv = C64::new(*lure.add(k * np + k), *luim.add(k * np + k));
-                let sub = C64::new(*lure.add((k + 1) * np + k), *luim.add((k + 1) * np + k));
-                if sub.abs_sq() > piv.abs_sq() {
-                    let (r0, r1) = (k * np, (k + 1) * np);
-                    let mut j = 0;
-                    while j < np {
-                        let a = _mm256_loadu_pd(lure.add(r0 + j));
-                        let b = _mm256_loadu_pd(lure.add(r1 + j));
-                        _mm256_storeu_pd(lure.add(r0 + j), b);
-                        _mm256_storeu_pd(lure.add(r1 + j), a);
-                        let a = _mm256_loadu_pd(luim.add(r0 + j));
-                        let b = _mm256_loadu_pd(luim.add(r1 + j));
-                        _mm256_storeu_pd(luim.add(r0 + j), b);
-                        _mm256_storeu_pd(luim.add(r1 + j), a);
-                        j += 4;
-                    }
-                    let (x0, x1) = (k * mp, (k + 1) * mp);
-                    let mut j = 0;
-                    while j < mp {
-                        let a = _mm256_loadu_pd(xre.add(x0 + j));
-                        let b = _mm256_loadu_pd(xre.add(x1 + j));
-                        _mm256_storeu_pd(xre.add(x0 + j), b);
-                        _mm256_storeu_pd(xre.add(x1 + j), a);
-                        let a = _mm256_loadu_pd(xim.add(x0 + j));
-                        let b = _mm256_loadu_pd(xim.add(x1 + j));
-                        _mm256_storeu_pd(xim.add(x0 + j), b);
-                        _mm256_storeu_pd(xim.add(x1 + j), a);
-                        j += 4;
-                    }
-                }
-                let pivot = C64::new(*lure.add(k * np + k), *luim.add(k * np + k));
-                // Cheap pre-filter: abs_sq ≥ 1e-280 ⇒ abs ≥ 1e-140, so the
-                // libm hypot in `abs` only runs for pathological pivots;
-                // the predicate is exactly `pivot.abs() < 1e-300`.
-                if pivot.abs_sq() < 1e-280 && pivot.abs() < 1e-300 {
-                    return Err(Error::Singular { op: "freq_eval" });
-                }
-                let factor =
-                    C64::new(*lure.add((k + 1) * np + k), *luim.add((k + 1) * np + k)) / pivot;
-                if factor != C64::ZERO {
-                    // row_{k+1} += (−factor) · row_k on both planes:
-                    // re += ar·sre − ai·sim, im += ar·sim + ai·sre with
-                    // (ar, ai) = (−factor.re, −factor.im).
-                    let vfr = _mm256_set1_pd(-factor.re);
-                    let vfi = _mm256_set1_pd(-factor.im);
-                    // Start at the 4-aligned column at or below k+1; see
-                    // the garbage-lane argument in the method docs.
-                    let j0 = (k + 1) & !3usize;
-                    let (sr0, dr0) = (k * np, (k + 1) * np);
-                    let mut j = j0;
-                    while j < np {
-                        let sr = _mm256_loadu_pd(lure.add(sr0 + j));
-                        let si = _mm256_loadu_pd(luim.add(sr0 + j));
-                        let mut dr = _mm256_loadu_pd(lure.add(dr0 + j));
-                        let mut di = _mm256_loadu_pd(luim.add(dr0 + j));
-                        dr = _mm256_fmadd_pd(vfr, sr, dr);
-                        dr = _mm256_fnmadd_pd(vfi, si, dr);
-                        di = _mm256_fmadd_pd(vfr, si, di);
-                        di = _mm256_fmadd_pd(vfi, sr, di);
-                        _mm256_storeu_pd(lure.add(dr0 + j), dr);
-                        _mm256_storeu_pd(luim.add(dr0 + j), di);
-                        j += 4;
-                    }
-                    let (sx0, dx0) = (k * mp, (k + 1) * mp);
-                    let mut j = 0;
-                    while j < mp {
-                        let sr = _mm256_loadu_pd(xre.add(sx0 + j));
-                        let si = _mm256_loadu_pd(xim.add(sx0 + j));
-                        let mut dr = _mm256_loadu_pd(xre.add(dx0 + j));
-                        let mut di = _mm256_loadu_pd(xim.add(dx0 + j));
-                        dr = _mm256_fmadd_pd(vfr, sr, dr);
-                        dr = _mm256_fnmadd_pd(vfi, si, dr);
-                        di = _mm256_fmadd_pd(vfr, si, di);
-                        di = _mm256_fmadd_pd(vfi, sr, di);
-                        _mm256_storeu_pd(xre.add(dx0 + j), dr);
-                        _mm256_storeu_pd(xim.add(dx0 + j), di);
-                        j += 4;
-                    }
-                }
-            }
-            let last = n - 1;
-            let lp = C64::new(*lure.add(last * np + last), *luim.add(last * np + last));
-            if lp.abs_sq() < 1e-280 && lp.abs() < 1e-300 {
-                return Err(Error::Singular { op: "freq_eval" });
-            }
-
-            // Back substitution: each lane chunk of row k accumulates
-            // X[k] − Σᵢ LU[k,i]·X[i] in registers, then multiplies by the
-            // reciprocal pivot. The four partial products (cr·br, ci·bi,
-            // cr·bi, ci·br) accumulate in *independent* registers — one
-            // FMA per chain per solved row — so the Σᵢ loop is FMA
-            // throughput-bound instead of serializing on a two-FMA-deep
-            // dependency chain.
-            for k in (0..n).rev() {
-                let r = C64::ONE / C64::new(*lure.add(k * np + k), *luim.add(k * np + k));
-                let vrr = _mm256_set1_pd(r.re);
-                let vri = _mm256_set1_pd(r.im);
-                let mut j = 0;
-                while j < mp {
-                    let mut s_rr = _mm256_setzero_pd();
-                    let mut s_ii = _mm256_setzero_pd();
-                    let mut s_ri = _mm256_setzero_pd();
-                    let mut s_ir = _mm256_setzero_pd();
-                    for i in (k + 1)..n {
-                        let cr = _mm256_set1_pd(*lure.add(k * np + i));
-                        let ci = _mm256_set1_pd(*luim.add(k * np + i));
-                        let br = _mm256_loadu_pd(xre.add(i * mp + j));
-                        let bi = _mm256_loadu_pd(xim.add(i * mp + j));
-                        s_rr = _mm256_fmadd_pd(cr, br, s_rr);
-                        s_ii = _mm256_fmadd_pd(ci, bi, s_ii);
-                        s_ri = _mm256_fmadd_pd(cr, bi, s_ri);
-                        s_ir = _mm256_fmadd_pd(ci, br, s_ir);
-                    }
-                    // acc = X[k] − Σ (cr·br − ci·bi)  /  − Σ (cr·bi + ci·br)
-                    let ar = _mm256_add_pd(
-                        _mm256_sub_pd(_mm256_loadu_pd(xre.add(k * mp + j)), s_rr),
-                        s_ii,
-                    );
-                    let ai = _mm256_sub_pd(
-                        _mm256_sub_pd(_mm256_loadu_pd(xim.add(k * mp + j)), s_ri),
-                        s_ir,
-                    );
-                    // acc ·= 1/pivot
-                    let nr = _mm256_fnmadd_pd(vri, ai, _mm256_mul_pd(vrr, ar));
-                    let ni = _mm256_fmadd_pd(vri, ar, _mm256_mul_pd(vrr, ai));
-                    _mm256_storeu_pd(xre.add(k * mp + j), nr);
-                    _mm256_storeu_pd(xim.add(k * mp + j), ni);
-                    j += 4;
-                }
-            }
-        }
-
-        // out = CQ · X + D: each lane chunk of output row i accumulates
-        // D[i] + Σₖ cq[i,k]·X[k] in registers (CQ is real, so the planes
-        // scale independently).
-        for i in 0..p {
-            s.ore[..m].copy_from_slice(&self.sys.d[i * m..(i + 1) * m]);
-            s.ore[m..].fill(0.0);
-            s.oim.fill(0.0);
-            let crow = &self.sys.cq[i * n..(i + 1) * n];
-            let xre = s.xre.as_ptr();
-            let xim = s.xim.as_ptr();
-            let ore = s.ore.as_mut_ptr();
-            let oim = s.oim.as_mut_ptr();
-            let mut j = 0;
-            while j < mp {
-                let mut accr = _mm256_loadu_pd(ore.add(j));
-                let mut acci = _mm256_loadu_pd(oim.add(j));
-                for (k, &c) in crow.iter().enumerate() {
-                    if c != 0.0 {
-                        let vc = _mm256_set1_pd(c);
-                        accr = _mm256_fmadd_pd(vc, _mm256_loadu_pd(xre.add(k * mp + j)), accr);
-                        acci = _mm256_fmadd_pd(vc, _mm256_loadu_pd(xim.add(k * mp + j)), acci);
-                    }
-                }
-                _mm256_storeu_pd(ore.add(j), accr);
-                _mm256_storeu_pd(oim.add(j), acci);
-                j += 4;
-            }
-            for j in 0..m {
-                out.set(i, j, C64::new(s.ore[j], s.oim[j]));
             }
         }
         Ok(out)
@@ -727,72 +375,6 @@ mod tests {
             sys.evaluator().eval(C64::ONE),
             Err(Error::Singular { .. })
         ));
-    }
-
-    #[test]
-    fn avx2_path_matches_scalar_path() {
-        if !simd::detected() {
-            return;
-        }
-        let (a, b, c, d) = test_system();
-        let sys = FreqSystem::new(&a, &b, &c, &d).unwrap();
-        let mut scalar = sys.evaluator_for_path(SimdPath::Scalar);
-        let mut vec = sys.evaluator_for_path(SimdPath::Avx2Fma);
-        assert_eq!(scalar.path(), SimdPath::Scalar);
-        assert_eq!(vec.path(), SimdPath::Avx2Fma);
-        for k in 0..40 {
-            let lambda = C64::new(0.0, 0.01 * 1.3f64.powi(k));
-            let g0 = scalar.eval(lambda).unwrap();
-            let g1 = vec.eval(lambda).unwrap();
-            let scale = g0.max_abs().max(1.0);
-            assert!(
-                g0.sub(&g1).max_abs() <= 1e-12 * scale,
-                "paths diverge at λ = {lambda:?}: {}",
-                g0.sub(&g1).max_abs()
-            );
-        }
-    }
-
-    #[test]
-    fn avx2_path_reports_singular_like_scalar() {
-        if !simd::detected() {
-            return;
-        }
-        let a = Mat::diag(&[1.0, 2.0, 3.0]);
-        let b = Mat::col(&[1.0, 1.0, 1.0]);
-        let c = Mat::row(&[1.0, 1.0, 1.0]);
-        let d = Mat::zeros(1, 1);
-        let sys = FreqSystem::new(&a, &b, &c, &d).unwrap();
-        let mut vec = sys.evaluator_for_path(SimdPath::Avx2Fma);
-        assert!(matches!(
-            vec.eval(C64::real(2.0)),
-            Err(Error::Singular { .. })
-        ));
-        // Still usable after the error, and correct.
-        let g = vec.eval(C64::real(5.0)).unwrap();
-        let want = 1.0 / 4.0 + 1.0 / 3.0 + 1.0 / 2.0;
-        assert!((g.get(0, 0).re - want).abs() < 1e-12);
-    }
-
-    #[test]
-    fn evaluator_with_detected_mocks_the_detector() {
-        let (a, b, c, d) = test_system();
-        let sys = FreqSystem::new(&a, &b, &c, &d).unwrap();
-        // Auto on a host without AVX2/FMA must fall back to scalar.
-        let ev = sys
-            .evaluator_with_detected(SimdPolicy::Auto, false)
-            .unwrap();
-        assert_eq!(ev.path(), SimdPath::Scalar);
-        // ForceSimd on such a host is a typed error, not a crash.
-        assert!(matches!(
-            sys.evaluator_with_detected(SimdPolicy::ForceSimd, false),
-            Err(Error::SimdUnsupported { .. })
-        ));
-        // ForceScalar never needs the detector.
-        let ev = sys
-            .evaluator_with_detected(SimdPolicy::ForceScalar, false)
-            .unwrap();
-        assert_eq!(ev.path(), SimdPath::Scalar);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * [`Mat`] — a dense, row-major `f64` matrix with the usual arithmetic.
 //! * [`CMat`]/[`C64`] — complex matrices for frequency-domain analysis.
 //! * [`lu`] — LU factorization with partial pivoting (real and complex);
-//!   linear solves, inverses, determinants.
+//!   linear solves, inverses, determinants. Its row-update kernel has an
+//!   AVX2 loop, chosen by hardware detection, that gives the same bits as
+//!   the portable one; it is the crate's only vector code.
 //! * [`qr`] — Householder QR, including the column-pivoted variant used for
 //!   stable-invariant-subspace extraction.
 //! * [`eig`] — eigenvalues via Hessenberg reduction plus Francis
@@ -29,13 +31,11 @@
 //! * [`riccati`] — CARE (sign-function method) and DARE
 //!   (structure-preserving doubling).
 //! * [`lyap`] — small discrete Lyapunov solves via Kronecker vectorization.
-//! * [`simd`] — runtime-dispatched AVX2/FMA kernels behind a
-//!   [`simd::SimdPolicy`]; every vectorized hot loop keeps its scalar twin
-//!   as the always-available reference path.
 //!
 //! Sizes in this domain are small (controller state dimensions of a few
 //! tens), so all algorithms favour robustness and clarity over asymptotic
-//! performance.
+//! performance. There is one arithmetic path: every host computes the
+//! same bits.
 //!
 //! ```
 //! use yukta_linalg::Mat;
@@ -60,7 +60,6 @@ pub mod qr;
 pub mod ratfit;
 pub mod riccati;
 pub mod sign;
-pub mod simd;
 pub mod svd;
 pub mod symeig;
 
@@ -104,12 +103,6 @@ pub enum Error {
         /// Human-readable explanation.
         why: &'static str,
     },
-    /// A SIMD path was demanded ([`simd::SimdPolicy::ForceSimd`]) but the
-    /// host CPU lacks the required instruction-set extensions.
-    SimdUnsupported {
-        /// The missing feature set, e.g. `"avx2+fma"`.
-        required: &'static str,
-    },
 }
 
 impl std::fmt::Display for Error {
@@ -125,9 +118,6 @@ impl std::fmt::Display for Error {
                 write!(f, "{op} did not converge after {iters} iterations")
             }
             Error::NoSolution { op, why } => write!(f, "{op} has no valid solution: {why}"),
-            Error::SimdUnsupported { required } => {
-                write!(f, "SIMD path forced but host CPU lacks {required}")
-            }
         }
     }
 }

@@ -4,7 +4,6 @@
 //! These are the only dense direct solvers in the stack; everything from
 //! Riccati doubling to frequency responses funnels through them.
 
-use crate::simd::{self, SimdPath};
 use crate::{Error, Mat, Result};
 
 /// An LU factorization `P·A = L·U` with partial pivoting.
@@ -227,20 +226,25 @@ impl Lu {
 const PANEL: usize = 16;
 
 /// `dst[j] −= c[t]·src[t·stride + j]` for `t = 0, 1, …` in turn, skipping
-/// zero `c[t]`: the row update `xᵢ −= Σₜ cₜ·xₜ` of every kernel here.
-/// Neither path fuses the multiply-add, and both give each element its
-/// terms in `t` order, so they round as the scalar expression does and
-/// give the same bits. The AVX2 path follows the process-global kernel
-/// path, so `YUKTA_SIMD=force_scalar` keeps it scalar.
-fn sub_rows(dst: &mut [f64], c: &[f64], src: &[f64], stride: usize) {
+/// zero `c[t]`: the row update `xᵢ −= Σₜ cₜ·xₜ` of every kernel here and,
+/// with negated coefficients, of [`Mat::matmul`]. On hosts with AVX2 it
+/// runs [`sub_rows_avx2`]; neither loop fuses the multiply-add, and both
+/// give each element its terms in `t` order, so they round as the scalar
+/// expression does and give the same bits.
+pub(crate) fn sub_rows(dst: &mut [f64], c: &[f64], src: &[f64], stride: usize) {
     #[cfg(target_arch = "x86_64")]
-    if simd::global_path() == SimdPath::Avx2Fma {
+    if std::arch::is_x86_feature_detected!("avx2") {
         assert!(c.is_empty() || src.len() >= (c.len() - 1) * stride + dst.len());
-        // SAFETY: the global path is AVX2+FMA only when the host was
-        // detected to have both; the bound on `src` is asserted above.
-        unsafe { simd::avx2::sub_rows(dst, c, src, stride) };
+        // SAFETY: AVX2 was detected on this host; the bound on `src` is
+        // asserted above.
+        unsafe { sub_rows_avx2(dst, c, src, stride) };
         return;
     }
+    sub_rows_scalar(dst, c, src, stride);
+}
+
+/// The portable loop of [`sub_rows`].
+fn sub_rows_scalar(dst: &mut [f64], c: &[f64], src: &[f64], stride: usize) {
     for (t, &ct) in c.iter().enumerate() {
         if ct == 0.0 {
             continue;
@@ -248,6 +252,70 @@ fn sub_rows(dst: &mut [f64], c: &[f64], src: &[f64], stride: usize) {
         for (d, &v) in dst.iter_mut().zip(&src[t * stride..]) {
             *d -= ct * v;
         }
+    }
+}
+
+/// The AVX2 loop of [`sub_rows`]: a separate multiply and subtract (no
+/// FMA), so every element sees the same operations in the same order as
+/// [`sub_rows_scalar`] and gets the same bits. `dst` is held in registers
+/// 16 columns at a time across all terms.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2, and
+/// `src.len() >= (c.len() − 1)·stride + dst.len()` when `c` is not
+/// empty.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sub_rows_avx2(dst: &mut [f64], c: &[f64], src: &[f64], stride: usize) {
+    use core::arch::x86_64::*;
+
+    let n = dst.len();
+    let dp = dst.as_mut_ptr();
+    let sp = src.as_ptr();
+    let mut j = 0;
+    while j + 16 <= n {
+        let mut a0 = _mm256_loadu_pd(dp.add(j));
+        let mut a1 = _mm256_loadu_pd(dp.add(j + 4));
+        let mut a2 = _mm256_loadu_pd(dp.add(j + 8));
+        let mut a3 = _mm256_loadu_pd(dp.add(j + 12));
+        for (t, &ct) in c.iter().enumerate() {
+            if ct == 0.0 {
+                continue;
+            }
+            let vc = _mm256_set1_pd(ct);
+            let s = sp.add(t * stride + j);
+            a0 = _mm256_sub_pd(a0, _mm256_mul_pd(vc, _mm256_loadu_pd(s)));
+            a1 = _mm256_sub_pd(a1, _mm256_mul_pd(vc, _mm256_loadu_pd(s.add(4))));
+            a2 = _mm256_sub_pd(a2, _mm256_mul_pd(vc, _mm256_loadu_pd(s.add(8))));
+            a3 = _mm256_sub_pd(a3, _mm256_mul_pd(vc, _mm256_loadu_pd(s.add(12))));
+        }
+        _mm256_storeu_pd(dp.add(j), a0);
+        _mm256_storeu_pd(dp.add(j + 4), a1);
+        _mm256_storeu_pd(dp.add(j + 8), a2);
+        _mm256_storeu_pd(dp.add(j + 12), a3);
+        j += 16;
+    }
+    while j + 4 <= n {
+        let mut a = _mm256_loadu_pd(dp.add(j));
+        for (t, &ct) in c.iter().enumerate() {
+            if ct != 0.0 {
+                let s = _mm256_loadu_pd(sp.add(t * stride + j));
+                a = _mm256_sub_pd(a, _mm256_mul_pd(_mm256_set1_pd(ct), s));
+            }
+        }
+        _mm256_storeu_pd(dp.add(j), a);
+        j += 4;
+    }
+    while j < n {
+        let mut a = dst[j];
+        for (t, &ct) in c.iter().enumerate() {
+            if ct != 0.0 {
+                a -= ct * src[t * stride + j];
+            }
+        }
+        dst[j] = a;
+        j += 1;
     }
 }
 
@@ -428,6 +496,46 @@ mod tests {
             }
         }
         a
+    }
+
+    /// The AVX2 row kernel against the portable loop, bit for bit: every
+    /// `dst` length up to 40 (the 16-wide blocks, the 4-wide blocks and
+    /// the scalar tail), zero and non-zero coefficients, no terms at all,
+    /// and source rows longer than `dst`.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_sub_rows_matches_scalar_bits() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0x5ab_0ef5);
+        for len in 0..=40usize {
+            for terms in 0..=5usize {
+                for stride in [len, len + 3, 2 * len + 7] {
+                    let c: Vec<f64> = (0..terms)
+                        .map(|t| match t % 3 {
+                            1 => 0.0,
+                            _ => rng.gen_range(-2.0..2.0),
+                        })
+                        .collect();
+                    let src_len = terms.saturating_sub(1) * stride + len;
+                    let src: Vec<f64> = (0..src_len).map(|_| rng.gen_range(-1e3..1e3)).collect();
+                    let dst: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let mut want = dst.clone();
+                    sub_rows_scalar(&mut want, &c, &src, stride);
+                    let mut got = dst;
+                    // SAFETY: AVX2 was detected above; `src` holds
+                    // `(terms − 1)·stride + len` values.
+                    unsafe { sub_rows_avx2(&mut got, &c, &src, stride) };
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "len {len}, c {c:?}, stride {stride}"
+                    );
+                }
+            }
+        }
     }
 
     proptest! {

@@ -407,78 +407,31 @@ impl Mat {
 /// Cache-blocked row-major product accumulating `out += a · b`, where `a`
 /// is `m × k`, `b` is `k × n`, and `out` is `m × n`.
 ///
-/// Dispatches on [`crate::simd::global_path`]: the scalar twin
-/// ([`matmul_kernel_scalar`]) tiles over the `k` and `n` dimensions so a
-/// `BK × BN` panel of `b` stays resident in cache while every row of `a`
-/// streams past it, accumulating `k`-terms in ascending order with exact
-/// zeros in `a` skipped — bit-identical to the textbook triple loop. The
-/// AVX2 twin keeps the same tiling and order but fuses the multiply-adds,
-/// so it agrees to rounding (≤ 1e-12 relative), not bitwise.
+/// Tiles over the `k` and `n` dimensions so a `BK × BN` panel of `b`
+/// stays resident in cache while every row of `a` streams past it. Each
+/// output row takes its `k`-terms through LU's row kernel
+/// [`crate::lu::sub_rows`] as `o −= (−aᵢₖ)·bₖ`: negation is exact and
+/// `o − (−p)` is `o + p`, the terms arrive in ascending `k` and exact
+/// zeros in `a` are skipped, so the product is bit-identical to the
+/// textbook triple loop.
 fn matmul_kernel(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::global_path() == crate::simd::SimdPath::Avx2Fma {
-        // SAFETY: global_path() only reports Avx2Fma when runtime
-        // detection confirmed AVX2+FMA on this host.
-        unsafe { matmul_kernel_avx2(a, b, out, m, k, n) };
-        return;
-    }
-    matmul_kernel_scalar(a, b, out, m, k, n);
-}
-
-/// Scalar reference micro-kernel (the always-available path).
-fn matmul_kernel_scalar(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     const BK: usize = 64;
     const BN: usize = 128;
+    let mut neg = [0.0f64; BK];
     for k0 in (0..k).step_by(BK) {
         let k1 = (k0 + BK).min(k);
         for j0 in (0..n).step_by(BN) {
             let j1 = (j0 + BN).min(n);
             for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                let orow = &mut out[i * n + j0..i * n + j1];
-                for kk in k0..k1 {
-                    let aik = arow[kk];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[kk * n + j0..kk * n + j1];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += aik * bv;
-                    }
+                for (c, &v) in neg.iter_mut().zip(&a[i * k + k0..i * k + k1]) {
+                    *c = -v;
                 }
-            }
-        }
-    }
-}
-
-/// AVX2/FMA twin of [`matmul_kernel_scalar`]: identical tiling, `k`-order,
-/// and zero-skip; the inner row update is a 4-lane fused axpy, so results
-/// agree with the scalar path to FMA-rounding (≤ 1e-12 relative), not
-/// bitwise.
-///
-/// # Safety
-///
-/// Caller must guarantee the host supports AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn matmul_kernel_avx2(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
-    const BK: usize = 64;
-    const BN: usize = 128;
-    for k0 in (0..k).step_by(BK) {
-        let k1 = (k0 + BK).min(k);
-        for j0 in (0..n).step_by(BN) {
-            let j1 = (j0 + BN).min(n);
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                let orow = &mut out[i * n + j0..i * n + j1];
-                for kk in k0..k1 {
-                    let aik = arow[kk];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[kk * n + j0..kk * n + j1];
-                    crate::simd::avx2::axpy(orow, brow, aik);
-                }
+                crate::lu::sub_rows(
+                    &mut out[i * n + j0..i * n + j1],
+                    &neg[..k1 - k0],
+                    &b[k0 * n + j0..],
+                    n,
+                );
             }
         }
     }
@@ -645,7 +598,7 @@ mod tests {
             let a = Mat::from_vec(m, k, (0..m * k).map(|_| next()).collect());
             let b = Mat::from_vec(k, n, (0..k * n).map(|_| next()).collect());
             let mut blocked = Mat::zeros(m, n);
-            matmul_kernel_scalar(a.as_slice(), b.as_slice(), &mut blocked.data, m, k, n);
+            matmul_kernel(a.as_slice(), b.as_slice(), &mut blocked.data, m, k, n);
             let mut naive = Mat::zeros(m, n);
             for i in 0..m {
                 for kk in 0..k {
@@ -656,42 +609,7 @@ mod tests {
                 }
             }
             assert_eq!(blocked, naive, "({m},{k},{n})");
-            // The dispatching product (scalar or AVX2, per the global
-            // policy) agrees with naive to FMA rounding.
-            let fast = a.matmul(&b).unwrap();
-            let tol = 1e-12 * naive.fro_norm().max(1.0);
-            assert!(
-                (&fast - &naive).fro_norm() <= tol,
-                "({m},{k},{n}): {}",
-                (&fast - &naive).fro_norm()
-            );
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_matmul_matches_scalar_kernel() {
-        if !crate::simd::detected() {
-            return;
-        }
-        let mut s = 7u64;
-        let mut next = || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        for &(m, k, n) in &[(1, 1, 1), (3, 4, 5), (17, 31, 13), (65, 130, 129)] {
-            let a: Vec<f64> = (0..m * k).map(|_| next()).collect();
-            let b: Vec<f64> = (0..k * n).map(|_| next()).collect();
-            let mut scalar = vec![0.0; m * n];
-            let mut simd = vec![0.0; m * n];
-            matmul_kernel_scalar(&a, &b, &mut scalar, m, k, n);
-            // SAFETY: detected() confirmed AVX2+FMA above.
-            unsafe { matmul_kernel_avx2(&a, &b, &mut simd, m, k, n) };
-            for (x, y) in simd.iter().zip(&scalar) {
-                assert!((x - y).abs() <= 1e-12 * y.abs().max(1.0), "({m},{k},{n})");
-            }
+            assert_eq!(a.matmul(&b).unwrap(), naive, "({m},{k},{n})");
         }
     }
 

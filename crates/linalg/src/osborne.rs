@@ -17,13 +17,12 @@
 //!
 //! The µ sweep calls these kernels through [`osborne_batch`], which runs
 //! the elimination across a whole chunk of grid points in one pass over
-//! shared caller-owned buffers — no per-point allocation — with an
-//! AVX2/FMA path that vectorizes the dominant two-block update across four
-//! grid points at a time. [`osborne_point`] is the per-point reference the
-//! batch is property-tested against (`crates/control/tests`).
+//! shared caller-owned buffers — no per-point allocation — with the
+//! dominant two-block update in closed form. [`osborne_point`] is the
+//! per-point reference the batch is property-tested against
+//! (`crates/control/tests`).
 
 use crate::CMat;
-use crate::simd::SimdPath;
 
 /// Writes the Frobenius norm of every `(i, j)` block of `n` into `out`
 /// (row-major, `out[i * nb + j] = ‖N_ij‖_F`), where the block partition is
@@ -115,30 +114,14 @@ pub fn osborne_point(norms: &[f64], nb: usize, sweeps: usize, d: &mut [f64]) {
 /// (`points × nb`). Results are identical to calling [`osborne_point`] on
 /// every point — the batch exists so the µ sweep's D-initialization runs
 /// over a whole grid chunk with zero per-point allocation, and so the
-/// dominant two-block case can take the vectorized sweep below.
-pub fn osborne_batch(
-    norms: &[f64],
-    nb: usize,
-    points: usize,
-    sweeps: usize,
-    path: SimdPath,
-    d: &mut [f64],
-) {
+/// dominant two-block case can take the closed form below.
+pub fn osborne_batch(norms: &[f64], nb: usize, points: usize, sweeps: usize, d: &mut [f64]) {
     debug_assert_eq!(norms.len(), points * nb * nb);
     debug_assert_eq!(d.len(), points * nb);
     if nb == 2 {
-        #[cfg(target_arch = "x86_64")]
-        if path == SimdPath::Avx2Fma {
-            // SAFETY: Avx2Fma is only ever resolved on hosts where
-            // `simd::detected()` confirmed AVX2+FMA.
-            unsafe { two_block_batch_avx2(norms, points, d) };
-            return;
-        }
-        let _ = path;
-        two_block_batch_scalar(norms, points, d);
+        two_block_batch(norms, points, d);
         return;
     }
-    let _ = path;
     for p in 0..points {
         osborne_point(
             &norms[p * nb * nb..(p + 1) * nb * nb],
@@ -152,7 +135,7 @@ pub fn osborne_batch(
 /// Two-block closed form per point: `r = M₀₁²`, `c = M₁₀²`,
 /// `d₀ = √(√(c/r))`, guarded to 1. Written to round exactly like
 /// [`balance_one`] so batch and per-point results are bit-identical.
-fn two_block_batch_scalar(norms: &[f64], points: usize, d: &mut [f64]) {
+fn two_block_batch(norms: &[f64], points: usize, d: &mut [f64]) {
     for p in 0..points {
         let m01 = norms[4 * p + 1];
         let m10 = norms[4 * p + 2];
@@ -168,61 +151,10 @@ fn two_block_batch_scalar(norms: &[f64], points: usize, d: &mut [f64]) {
     }
 }
 
-/// The two-block update vectorized across four grid points: gathers the
-/// off-diagonal norms of points `p..p+4`, squares, divides, double-sqrts,
-/// and blends the `d = 1` guard in with a finite-and-positive mask. Same
-/// operation order as the scalar twin, so the results match bit-for-bit.
-///
-/// # Safety
-///
-/// Caller must guarantee AVX2+FMA (i.e. hold [`SimdPath::Avx2Fma`] from a
-/// resolver backed by [`crate::simd::detected`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn two_block_batch_avx2(norms: &[f64], points: usize, d: &mut [f64]) {
-    use core::arch::x86_64::*;
-    let mut p = 0;
-    while p + 4 <= points {
-        let m01 = _mm256_setr_pd(
-            norms[4 * p + 1],
-            norms[4 * (p + 1) + 1],
-            norms[4 * (p + 2) + 1],
-            norms[4 * (p + 3) + 1],
-        );
-        let m10 = _mm256_setr_pd(
-            norms[4 * p + 2],
-            norms[4 * (p + 1) + 2],
-            norms[4 * (p + 2) + 2],
-            norms[4 * (p + 3) + 2],
-        );
-        let r = _mm256_mul_pd(m01, m01);
-        let c = _mm256_mul_pd(m10, m10);
-        let upd = _mm256_sqrt_pd(_mm256_sqrt_pd(_mm256_div_pd(c, r)));
-        // Guard: keep d = 1 unless the update is finite and positive.
-        // `GT` and the self-subtraction are both false on NaN, so the mask
-        // is exactly `upd.is_finite() && upd > 0.0`.
-        let zero = _mm256_setzero_pd();
-        let pos = _mm256_cmp_pd(upd, zero, _CMP_GT_OQ);
-        let inf = _mm256_set1_pd(f64::INFINITY);
-        let fin = _mm256_cmp_pd(upd, inf, _CMP_LT_OQ);
-        let mask = _mm256_and_pd(pos, fin);
-        let one = _mm256_set1_pd(1.0);
-        let d0 = _mm256_blendv_pd(one, upd, mask);
-        let mut lanes = [0.0f64; 4];
-        _mm256_storeu_pd(lanes.as_mut_ptr(), d0);
-        for (k, &v) in lanes.iter().enumerate() {
-            d[2 * (p + k)] = v;
-            d[2 * (p + k) + 1] = 1.0;
-        }
-        p += 4;
-    }
-    two_block_batch_scalar(&norms[4 * p..], points - p, &mut d[2 * p..]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{C64, simd};
+    use crate::C64;
 
     fn cmat_from_abs(rows: usize, cols: usize, vals: &[f64]) -> CMat {
         let mut m = CMat::zeros(rows, cols);
@@ -300,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_per_point_on_both_paths() {
+    fn batch_matches_per_point() {
         let mut norms = Vec::new();
         let mut seed = 0x9E3779B97F4A7C15u64;
         let points = 13;
@@ -323,18 +255,8 @@ mod tests {
             );
         }
         let mut batch = vec![0.0; points * 2];
-        osborne_batch(&norms, 2, points, 4, SimdPath::Scalar, &mut batch);
-        assert_eq!(per_point, batch, "scalar batch drifted");
-        if simd::detected() {
-            let mut batch = vec![0.0; points * 2];
-            osborne_batch(&norms, 2, points, 4, SimdPath::Avx2Fma, &mut batch);
-            for (a, b) in per_point.iter().zip(&batch) {
-                assert!(
-                    (a - b).abs() <= 1e-12 * a.abs().max(1.0),
-                    "avx2 batch drifted: {a} vs {b}"
-                );
-            }
-        }
+        osborne_batch(&norms, 2, points, 4, &mut batch);
+        assert_eq!(per_point, batch, "batch drifted");
     }
 
     #[test]
@@ -344,7 +266,7 @@ mod tests {
             0.0, 1.0, 2.0, 3.0, 0.0, 4.0, 5.0, 6.0, 0.0, // point 1
         ];
         let mut batch = vec![0.0; 6];
-        osborne_batch(&norms, 3, 2, 24, SimdPath::Scalar, &mut batch);
+        osborne_batch(&norms, 3, 2, 24, &mut batch);
         for p in 0..2 {
             let mut d = [0.0; 3];
             osborne_point(&norms[9 * p..9 * (p + 1)], 3, 24, &mut d);

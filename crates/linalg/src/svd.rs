@@ -4,7 +4,6 @@
 //! `sigma_max` on complex frequency responses is the inner loop of the
 //! structured-singular-value upper bound, so it gets a dedicated fast path.
 
-use crate::simd::SimdPath;
 use crate::{C64, CMat, Error, Mat, Result};
 
 /// Result of a real singular value decomposition `A = U·Σ·Vᵀ`.
@@ -168,17 +167,6 @@ pub fn sigma_max(a: &CMat) -> f64 {
     if m == 0 || n == 0 {
         return 0.0;
     }
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::global_path() == crate::simd::SimdPath::Avx2Fma {
-        // SAFETY: global_path() only reports Avx2Fma when runtime
-        // detection confirmed AVX2+FMA on this host.
-        return unsafe { sigma_max_avx2(a, m, n) };
-    }
-    sigma_max_scalar(a, m, n)
-}
-
-/// Scalar reference path of [`sigma_max`] (always available).
-fn sigma_max_scalar(a: &CMat, m: usize, n: usize) -> f64 {
     // A vector's largest singular value is its 2-norm.
     if m == 1 || n == 1 {
         return a.fro_norm();
@@ -230,38 +218,16 @@ fn gram2_sigma(g00: f64, g11: f64, g01_abs_sq: f64) -> f64 {
 /// `scratch` (resized only on shape change) and fall back to
 /// [`sigma_max_power`].
 ///
-/// The kernel path is the caller's resolved choice, not the process
-/// global, so forced-scalar and forced-SIMD sweeps stay on their path.
-///
 /// # Panics
 ///
 /// Debug-asserts `row_w.len() == m` and `col_w.len() == n`.
-pub fn sigma_max_scaled(
-    a: &CMat,
-    row_w: &[f64],
-    col_w: &[f64],
-    path: SimdPath,
-    scratch: &mut CMat,
-) -> f64 {
+pub fn sigma_max_scaled(a: &CMat, row_w: &[f64], col_w: &[f64], scratch: &mut CMat) -> f64 {
     let (m, n) = a.shape();
     debug_assert_eq!(row_w.len(), m);
     debug_assert_eq!(col_w.len(), n);
     if m == 0 || n == 0 {
         return 0.0;
     }
-    #[cfg(target_arch = "x86_64")]
-    if path == SimdPath::Avx2Fma {
-        // SAFETY: Avx2Fma is only resolved on hosts where runtime
-        // detection confirmed AVX2+FMA.
-        return unsafe { sigma_max_scaled_avx2(a, row_w, col_w, scratch) };
-    }
-    let _ = path;
-    sigma_max_scaled_scalar(a, row_w, col_w, scratch)
-}
-
-/// Scalar reference path of [`sigma_max_scaled`] (always available).
-fn sigma_max_scaled_scalar(a: &CMat, row_w: &[f64], col_w: &[f64], scratch: &mut CMat) -> f64 {
-    let (m, n) = a.shape();
     if m == 1 {
         let mut acc = 0.0f64;
         for (z, &w) in a.as_slice().iter().zip(col_w) {
@@ -328,316 +294,6 @@ fn scale_into(a: &CMat, row_w: &[f64], col_w: &[f64], scratch: &mut CMat) {
             scratch.set(i, j, a.get(i, j) * (r * c));
         }
     }
-}
-
-/// AVX2/FMA twin of [`sigma_max_scaled_scalar`]: the weighted vector and
-/// rank-2 Gram reductions stream interleaved `[re, im, …]` data through
-/// 4-lane FMAs with the per-pair column weights broadcast in-register.
-///
-/// # Safety
-///
-/// Caller must guarantee the host supports AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn sigma_max_scaled_avx2(a: &CMat, row_w: &[f64], col_w: &[f64], scratch: &mut CMat) -> f64 {
-    let (m, n) = a.shape();
-    if m == 1 {
-        return row_w[0] * wsum_sq_avx2(a.as_slice(), col_w).sqrt();
-    }
-    if n == 1 {
-        return col_w[0] * wsum_sq_avx2(a.as_slice(), row_w).sqrt();
-    }
-    if m == 2 {
-        let d = a.as_slice();
-        let (g00, g11, re, im) = gram2_rows_weighted_avx2(&d[..n], &d[n..], col_w);
-        let (r0, r1) = (row_w[0], row_w[1]);
-        return gram2_sigma(
-            r0 * r0 * g00,
-            r1 * r1 * g11,
-            (r0 * r1) * (r0 * r1) * (re * re + im * im),
-        );
-    }
-    if n == 2 {
-        let (g00, g11, re, im) = gram2_cols_weighted_avx2(a.as_slice(), row_w);
-        let (c0, c1) = (col_w[0], col_w[1]);
-        return gram2_sigma(
-            c0 * c0 * g00,
-            c1 * c1 * g11,
-            (c0 * c1) * (c0 * c1) * (re * re + im * im),
-        );
-    }
-    scale_into(a, row_w, col_w, scratch);
-    sigma_max_power(scratch)
-}
-
-/// Weighted sum of squares `Σ w_k² |x_k|²` over a complex slice, one
-/// weight per complex element (4-lane FMA, fused scalar tail).
-///
-/// # Safety
-///
-/// Caller must guarantee the host supports AVX2+FMA;
-/// `w.len() == x.len()` required.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn wsum_sq_avx2(x: &[C64], w: &[f64]) -> f64 {
-    use core::arch::x86_64::*;
-
-    use crate::simd::avx2::{c64_as_f64, hsum};
-
-    debug_assert_eq!(w.len(), x.len());
-    let d = c64_as_f64(x);
-    let mut acc = _mm256_setzero_pd();
-    let mut k = 0;
-    while k + 2 <= x.len() {
-        let v = _mm256_loadu_pd(d.as_ptr().add(2 * k));
-        let wv = _mm256_setr_pd(w[k], w[k], w[k + 1], w[k + 1]);
-        // w²·v·v in two FMAs: (w·v) then ·(w·v).
-        let vw = _mm256_mul_pd(v, wv);
-        acc = _mm256_fmadd_pd(vw, vw, acc);
-        k += 2;
-    }
-    let mut total = hsum(acc);
-    while k < x.len() {
-        let z = x[k];
-        let wre = w[k] * z.re;
-        let wim = w[k] * z.im;
-        total = wim.mul_add(wim, wre.mul_add(wre, total));
-        k += 1;
-    }
-    total
-}
-
-/// Weighted Gram reduction for a two-row matrix: returns
-/// `(Σ w_j²|x_j|², Σ w_j²|y_j|², Re Σ w_j² x_j ȳ_j, Im Σ w_j² x_j ȳ_j)`
-/// for rows `x`, `y` with one weight per column.
-///
-/// # Safety
-///
-/// Caller must guarantee the host supports AVX2+FMA;
-/// `w.len() == row0.len() == row1.len()` required.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gram2_rows_weighted_avx2(row0: &[C64], row1: &[C64], w: &[f64]) -> (f64, f64, f64, f64) {
-    use core::arch::x86_64::*;
-
-    use crate::simd::avx2::{c64_as_f64, hsum};
-
-    debug_assert_eq!(w.len(), row0.len());
-    debug_assert_eq!(w.len(), row1.len());
-    let x = c64_as_f64(row0);
-    let y = c64_as_f64(row1);
-    let mut a00 = _mm256_setzero_pd();
-    let mut a11 = _mm256_setzero_pd();
-    let mut are = _mm256_setzero_pd();
-    let mut aim = _mm256_setzero_pd();
-    // Lane signs as in the unweighted reduction: swapped pairs [xi, −xr]
-    // dotted with [yr, yi] give Im(x · ȳ).
-    let sign = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
-    let mut j = 0;
-    while j + 2 <= w.len() {
-        let vx = _mm256_loadu_pd(x.as_ptr().add(2 * j));
-        let vy = _mm256_loadu_pd(y.as_ptr().add(2 * j));
-        let wv = _mm256_setr_pd(w[j], w[j], w[j + 1], w[j + 1]);
-        // wx = w·x; pairing wx with (w·y or y) distributes the w² weight.
-        let wx = _mm256_mul_pd(vx, wv);
-        let wy = _mm256_mul_pd(vy, wv);
-        a00 = _mm256_fmadd_pd(wx, wx, a00);
-        a11 = _mm256_fmadd_pd(wy, wy, a11);
-        are = _mm256_fmadd_pd(wx, wy, are);
-        // The weight is constant within a pair, so the pair-swap commutes
-        // with the weighting.
-        let sxs = _mm256_xor_pd(_mm256_permute_pd(wx, 0b0101), sign);
-        aim = _mm256_fmadd_pd(sxs, wy, aim);
-        j += 2;
-    }
-    let mut g00 = hsum(a00);
-    let mut g11 = hsum(a11);
-    let mut re = hsum(are);
-    let mut im = hsum(aim);
-    while j < w.len() {
-        let (xr, xi) = (w[j] * x[2 * j], w[j] * x[2 * j + 1]);
-        let (yr, yi) = (w[j] * y[2 * j], w[j] * y[2 * j + 1]);
-        g00 = xi.mul_add(xi, xr.mul_add(xr, g00));
-        g11 = yi.mul_add(yi, yr.mul_add(yr, g11));
-        re = xi.mul_add(yi, xr.mul_add(yr, re));
-        im = xr.mul_add(-yi, xi.mul_add(yr, im));
-        j += 1;
-    }
-    (g00, g11, re, im)
-}
-
-/// Weighted Gram reduction for a two-column matrix: each row
-/// `[xr, xi, yr, yi]` is one 256-bit vector scaled by its row weight;
-/// returns `(Σ w_i²|x_i|², Σ w_i²|y_i|², Re Σ w_i² x̄_i y_i,
-/// Im Σ w_i² x̄_i y_i)`.
-///
-/// # Safety
-///
-/// Caller must guarantee the host supports AVX2+FMA;
-/// `w.len() == data.len() / 2` required.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gram2_cols_weighted_avx2(data: &[C64], w: &[f64]) -> (f64, f64, f64, f64) {
-    use core::arch::x86_64::*;
-
-    use crate::simd::avx2::c64_as_f64;
-
-    debug_assert_eq!(w.len(), data.len() / 2);
-    let d = c64_as_f64(data);
-    let mut asq = _mm256_setzero_pd();
-    let mut are = _mm256_setzero_pd();
-    let mut aim = _mm256_setzero_pd();
-    for (i, &wi) in w.iter().enumerate() {
-        let v = _mm256_loadu_pd(d.as_ptr().add(4 * i));
-        let vw = _mm256_mul_pd(v, _mm256_set1_pd(wi));
-        // vw·vw: lanes 0–1 accumulate w²‖x‖², lanes 2–3 w²‖y‖².
-        asq = _mm256_fmadd_pd(vw, vw, asq);
-        // w = [yr, yi, xr, xi] (half-swap); vw·w lanes 0–1 sum to
-        // w²·Re(x̄·y) after pairing with the weighted swap.
-        let sw = _mm256_permute2f128_pd(vw, vw, 0x01);
-        are = _mm256_fmadd_pd(vw, sw, are);
-        // ws = [yi, yr, xi, xr]; lane0 − lane1 = w²·Im(x̄·y).
-        let ws = _mm256_permute_pd(sw, 0b0101);
-        aim = _mm256_fmadd_pd(vw, ws, aim);
-    }
-    let mut sq = [0.0f64; 4];
-    let mut re4 = [0.0f64; 4];
-    let mut im4 = [0.0f64; 4];
-    _mm256_storeu_pd(sq.as_mut_ptr(), asq);
-    _mm256_storeu_pd(re4.as_mut_ptr(), are);
-    _mm256_storeu_pd(im4.as_mut_ptr(), aim);
-    (
-        sq[0] + sq[1],
-        sq[2] + sq[3],
-        re4[0] + re4[1],
-        im4[0] - im4[1],
-    )
-}
-
-/// AVX2/FMA twin of [`sigma_max_scalar`]: the vector and rank-2 Gram
-/// reductions stream the interleaved `[re, im, …]` column data through
-/// 4-lane FMAs; general shapes still use [`sigma_max_power`].
-///
-/// # Safety
-///
-/// Caller must guarantee the host supports AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn sigma_max_avx2(a: &CMat, m: usize, n: usize) -> f64 {
-    use crate::simd::avx2::{c64_as_f64, sum_sq};
-
-    if m == 1 || n == 1 {
-        return sum_sq(c64_as_f64(a.as_slice())).sqrt();
-    }
-    if m == 2 {
-        // Rows are contiguous: Gram-reduce the two row slices directly.
-        let d = a.as_slice();
-        let (g00, g11, g01_re, g01_im) = gram2_rows_avx2(&d[..n], &d[n..]);
-        return gram2_sigma(g00, g11, g01_re * g01_re + g01_im * g01_im);
-    }
-    if n == 2 {
-        // Each row is one 256-bit vector [xr, xi, yr, yi].
-        let (g00, g11, g01_re, g01_im) = gram2_cols_avx2(a.as_slice());
-        return gram2_sigma(g00, g11, g01_re * g01_re + g01_im * g01_im);
-    }
-    sigma_max_power(a)
-}
-
-/// Gram reduction for a two-row matrix: returns
-/// `(‖x‖², ‖y‖², Re⟨x, ȳ⟩, Im⟨x, ȳ⟩)` for rows `x`, `y`, accumulating
-/// `x·ȳ` like the scalar `m == 2` branch.
-///
-/// # Safety
-///
-/// Caller must guarantee the host supports AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gram2_rows_avx2(row0: &[C64], row1: &[C64]) -> (f64, f64, f64, f64) {
-    use core::arch::x86_64::*;
-
-    use crate::simd::avx2::{c64_as_f64, hsum};
-
-    let x = c64_as_f64(row0);
-    let y = c64_as_f64(row1);
-    let len = x.len();
-    let mut a00 = _mm256_setzero_pd();
-    let mut a11 = _mm256_setzero_pd();
-    let mut are = _mm256_setzero_pd();
-    let mut aim = _mm256_setzero_pd();
-    // Lane signs [+, −, +, −] turn swapped pairs [xi, xr] into
-    // [xi, −xr], whose dot with [yr, yi] is Im(x · ȳ) = xi·yr − xr·yi.
-    let sign = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
-    let mut j = 0;
-    while j + 4 <= len {
-        let vx = _mm256_loadu_pd(x.as_ptr().add(j));
-        let vy = _mm256_loadu_pd(y.as_ptr().add(j));
-        a00 = _mm256_fmadd_pd(vx, vx, a00);
-        a11 = _mm256_fmadd_pd(vy, vy, a11);
-        // Re(x · ȳ) = xr·yr + xi·yi: plain lane dot.
-        are = _mm256_fmadd_pd(vx, vy, are);
-        let sxs = _mm256_xor_pd(_mm256_permute_pd(vx, 0b0101), sign);
-        aim = _mm256_fmadd_pd(sxs, vy, aim);
-        j += 4;
-    }
-    let mut g00 = hsum(a00);
-    let mut g11 = hsum(a11);
-    let mut re = hsum(are);
-    let mut im = hsum(aim);
-    while j + 2 <= len {
-        let (xr, xi) = (x[j], x[j + 1]);
-        let (yr, yi) = (y[j], y[j + 1]);
-        g00 = xi.mul_add(xi, xr.mul_add(xr, g00));
-        g11 = yi.mul_add(yi, yr.mul_add(yr, g11));
-        re = xi.mul_add(yi, xr.mul_add(yr, re));
-        im = xr.mul_add(-yi, xi.mul_add(yr, im));
-        j += 2;
-    }
-    (g00, g11, re, im)
-}
-
-/// Gram reduction for a two-column matrix: each row `[xr, xi, yr, yi]` is
-/// exactly one 256-bit vector; returns
-/// `(‖x‖², ‖y‖², Re⟨x̄, y⟩, Im⟨x̄, y⟩)` for columns `x`, `y`, accumulating
-/// `x̄·y` like the scalar `n == 2` branch.
-///
-/// # Safety
-///
-/// Caller must guarantee the host supports AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gram2_cols_avx2(data: &[C64]) -> (f64, f64, f64, f64) {
-    use core::arch::x86_64::*;
-
-    use crate::simd::avx2::c64_as_f64;
-
-    let d = c64_as_f64(data);
-    let mut asq = _mm256_setzero_pd();
-    let mut are = _mm256_setzero_pd();
-    let mut aim = _mm256_setzero_pd();
-    for i in 0..data.len() / 2 {
-        let v = _mm256_loadu_pd(d.as_ptr().add(4 * i));
-        // v·v: lanes 0–1 accumulate ‖x‖², lanes 2–3 accumulate ‖y‖².
-        asq = _mm256_fmadd_pd(v, v, asq);
-        // w = [yr, yi, xr, xi]; v·w lanes 0–1 sum to Re(x̄·y).
-        let w = _mm256_permute2f128_pd(v, v, 0x01);
-        are = _mm256_fmadd_pd(v, w, are);
-        // ws = [yi, yr, xi, xr]; v·ws lane0 − lane1 = xr·yi − xi·yr
-        // = Im(x̄·y).
-        let ws = _mm256_permute_pd(w, 0b0101);
-        aim = _mm256_fmadd_pd(v, ws, aim);
-    }
-    let mut sq = [0.0f64; 4];
-    let mut re4 = [0.0f64; 4];
-    let mut im4 = [0.0f64; 4];
-    _mm256_storeu_pd(sq.as_mut_ptr(), asq);
-    _mm256_storeu_pd(re4.as_mut_ptr(), are);
-    _mm256_storeu_pd(im4.as_mut_ptr(), aim);
-    (
-        sq[0] + sq[1],
-        sq[2] + sq[3],
-        re4[0] + re4[1],
-        im4[0] - im4[1],
-    )
 }
 
 /// Largest singular value via power iteration on `AᴴA`, with
@@ -884,47 +540,6 @@ mod tests {
         assert_eq!(sigma_max_power(&CMat::zeros(4, 5)), 0.0);
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_sigma_max_matches_scalar() {
-        if !crate::simd::detected() {
-            return;
-        }
-        let mut s = 23u64;
-        let mut next = || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-        };
-        for &(m, n) in &[
-            (1, 1),
-            (1, 6),
-            (5, 1),
-            (2, 2),
-            (2, 9),
-            (7, 2),
-            (3, 3),
-            (6, 5),
-        ] {
-            for _ in 0..10 {
-                let mut a = CMat::zeros(m, n);
-                for i in 0..m {
-                    for j in 0..n {
-                        a.set(i, j, C64::new(next(), next()));
-                    }
-                }
-                let scalar = sigma_max_scalar(&a, m, n);
-                // SAFETY: detected() confirmed AVX2+FMA above.
-                let simd = unsafe { sigma_max_avx2(&a, m, n) };
-                assert!(
-                    (scalar - simd).abs() <= 1e-12 * scalar.max(1.0),
-                    "({m},{n}): scalar {scalar} vs simd {simd}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn closed_form_known_values() {
         // Column vector: 2-norm.
@@ -940,7 +555,7 @@ mod tests {
     }
 
     /// Reference: materialize `diag(row_w)·A·diag(col_w)` and take the
-    /// plain scalar σ̄.
+    /// plain σ̄.
     fn scaled_reference(a: &CMat, row_w: &[f64], col_w: &[f64]) -> f64 {
         let (m, n) = a.shape();
         let mut s = CMat::zeros(m, n);
@@ -949,7 +564,7 @@ mod tests {
                 s.set(i, j, a.get(i, j) * (rw * cw));
             }
         }
-        sigma_max_scalar(&s, m, n)
+        sigma_max(&s)
     }
 
     #[test]
@@ -981,20 +596,11 @@ mod tests {
                 let row_w: Vec<f64> = (0..m).map(|_| (2.0 * next()).exp()).collect();
                 let col_w: Vec<f64> = (0..n).map(|_| (2.0 * next()).exp()).collect();
                 let want = scaled_reference(&a, &row_w, &col_w);
-                let got = sigma_max_scaled(&a, &row_w, &col_w, SimdPath::Scalar, &mut scratch);
+                let got = sigma_max_scaled(&a, &row_w, &col_w, &mut scratch);
                 assert!(
                     (want - got).abs() <= 1e-10 * want.max(1.0),
-                    "scalar ({m},{n}): {want} vs {got}"
+                    "({m},{n}): {want} vs {got}"
                 );
-                #[cfg(target_arch = "x86_64")]
-                if crate::simd::detected() {
-                    let simd =
-                        sigma_max_scaled(&a, &row_w, &col_w, SimdPath::Avx2Fma, &mut scratch);
-                    assert!(
-                        (want - simd).abs() <= 1e-10 * want.max(1.0),
-                        "simd ({m},{n}): {want} vs {simd}"
-                    );
-                }
             }
         }
     }
@@ -1009,8 +615,8 @@ mod tests {
         let ones_r = [1.0, 1.0];
         let ones_c = [1.0; 4];
         let mut scratch = CMat::zeros(1, 1);
-        let got = sigma_max_scaled(&a, &ones_r, &ones_c, SimdPath::Scalar, &mut scratch);
-        assert!((got - sigma_max_scalar(&a, 2, 4)).abs() < 1e-13);
+        let got = sigma_max_scaled(&a, &ones_r, &ones_c, &mut scratch);
+        assert!((got - sigma_max(&a)).abs() < 1e-13);
     }
 
     #[test]
@@ -1026,7 +632,7 @@ mod tests {
             let row_w: Vec<f64> = (0..m).map(|i| 0.5 + i as f64).collect();
             let col_w: Vec<f64> = (0..n).map(|j| 1.5 / (1.0 + j as f64)).collect();
             let want = scaled_reference(&a, &row_w, &col_w);
-            let got = sigma_max_scaled(&a, &row_w, &col_w, SimdPath::Scalar, &mut scratch);
+            let got = sigma_max_scaled(&a, &row_w, &col_w, &mut scratch);
             assert!((want - got).abs() <= 1e-9 * want.max(1.0), "({m},{n})");
         }
     }
