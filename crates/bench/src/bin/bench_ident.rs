@@ -21,12 +21,10 @@
 //! * when `results/BENCH_ident.json` holds a recorded baseline, the worst
 //!   measured µ̂ must not regress past 1.25× the recorded value.
 //!
-//! `--quick` (the CI job) runs one timing rep per plant and does not
+//! `--quick` (the CI job) runs min-of-2 timing reps per plant and does not
 //! rewrite the JSON; the full run uses min-of-3 timings and records it.
 
-use std::time::Instant;
-
-use yukta_bench::write_results;
+use yukta_bench::{recorded, splitmix, time_best, write_results};
 use yukta_control::dk::{DkOptions, synthesize_ssv};
 use yukta_control::plant::SsvSpec;
 use yukta_control::ss::StateSpace;
@@ -34,15 +32,6 @@ use yukta_control::sysid::{SysIdConfig, excitation, fit_arx, validation_residual
 use yukta_core::design::GuardbandConfig;
 use yukta_linalg::Mat;
 use yukta_linalg::lu::Lu;
-
-/// Deterministic pseudo-random value in `[-0.5, 0.5)` (same generator as
-/// `bench_resynth`, so the plant family is comparable across benches).
-fn splitmix(s: &mut u64) -> f64 {
-    *s = s
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    ((*s >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-}
 
 /// A stable order-16 evaluation plant: 2 outputs, 3 inputs (2 actuated +
 /// 1 external), sampled at the 500 ms controller period. The random
@@ -146,14 +135,8 @@ fn evaluate(plant_seed: u64, reps: usize) -> IdentRow {
         (model, residual)
     };
 
-    let (model, residual) = identify(false);
+    let (t_id, (model, residual)) = time_best(reps, || identify(false));
     let (_, residual_multisine) = identify(true);
-    let mut t_id = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let _ = identify(false);
-        t_id = t_id.min(t0.elapsed().as_secs_f64());
-    }
 
     let guardband = gb.radius(residual);
     let spec = SsvSpec {
@@ -166,13 +149,7 @@ fn evaluate(plant_seed: u64, reps: usize) -> IdentRow {
         n_freq: 25,
         ..DkOptions::default()
     };
-    let syn = synthesize_ssv(&model.sys, &spec, dk).unwrap();
-    let mut t_syn = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let _ = synthesize_ssv(&model.sys, &spec, dk).unwrap();
-        t_syn = t_syn.min(t0.elapsed().as_secs_f64());
-    }
+    let (t_syn, syn) = time_best(reps, || synthesize_ssv(&model.sys, &spec, dk).unwrap());
 
     let row = IdentRow {
         plant_seed,
@@ -197,18 +174,6 @@ fn evaluate(plant_seed: u64, reps: usize) -> IdentRow {
         row.synthesize_ms
     );
     row
-}
-
-/// Reads the recorded worst-case µ̂ from a previous full run, for the
-/// regression gate. Plain string scan — the results files are written by
-/// this crate in a fixed format.
-fn recorded_worst_mu() -> Option<f64> {
-    let text = std::fs::read_to_string("results/BENCH_ident.json").ok()?;
-    let key = "\"worst_mu\": ";
-    let at = text.find(key)? + key.len();
-    let rest = &text[at..];
-    let end = rest.find([',', '}', '\n'])?;
-    rest[..end].trim().parse().ok()
 }
 
 const MU_GATE: f64 = 2.0;
@@ -254,7 +219,7 @@ fn main() {
             r.synthesize_ms
         );
     }
-    if let Some(base) = recorded_worst_mu() {
+    if let Some(base) = recorded("results/BENCH_ident.json", &["worst_mu"]) {
         println!("recorded baseline worst_mu: {base:.3} (gate: <= 1.25x)");
         assert!(
             worst_mu <= 1.25 * base,

@@ -57,27 +57,12 @@ pub fn sweep(schemes: &[Scheme], workloads: &[Workload]) -> Sweep {
     // Force the (expensive, process-wide) design to build once before
     // fanning out.
     let _ = yukta_core::design::default_design();
-    let mut results: Vec<Vec<Report>> = Vec::with_capacity(workloads.len());
-    let reports: Vec<(usize, Vec<Report>)> = crossbeam::scope(|scope| {
-        let mut handles = Vec::new();
-        for (wi, wl) in workloads.iter().enumerate() {
-            let schemes = schemes.to_vec();
-            handles.push(scope.spawn(move |_| {
-                let per: Vec<Report> = schemes.iter().map(|s| run_one(*s, wl)).collect();
-                (wi, per)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
+    let results = yukta_control::sweep::parallel_map(workloads.len(), |wi| {
+        schemes
+            .iter()
+            .map(|s| run_one(*s, &workloads[wi]))
             .collect()
-    })
-    .expect("scope");
-    let mut sorted = reports;
-    sorted.sort_by_key(|(wi, _)| *wi);
-    for (_, per) in sorted {
-        results.push(per);
-    }
+    });
     Sweep {
         workloads: workloads.iter().map(|w| w.name.clone()).collect(),
         schemes: schemes.iter().map(|s| s.label()).collect(),
@@ -186,21 +171,42 @@ impl Sweep {
 }
 
 /// Best (minimum) wall time over `reps` runs after one untimed warmup,
-/// in seconds, with the value `f` returned on the last rep. Scheduler
+/// in seconds, with the value `f` returned on the last run. Scheduler
 /// interference and frequency ramps only ever add time, so the minimum
 /// is the robust location estimator at the millisecond scale of the sweep
 /// and synthesis kernels; the warmup keeps one-time costs (lazy
 /// construction, cold caches) out of every rep.
-pub fn time_best(reps: usize, mut f: impl FnMut() -> f64) -> (f64, f64) {
-    f(); // warmup, untimed
+pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut last = f(); // warmup, untimed
     let mut best = f64::INFINITY;
-    let mut last = 0.0;
     for _ in 0..reps {
         let t0 = Instant::now();
         last = f();
         best = best.min(t0.elapsed().as_secs_f64());
     }
     (best, last)
+}
+
+/// Deterministic pseudo-random value in `[-0.5, 0.5)`: the generator
+/// behind every synthetic plant in the benches, so plant families are
+/// comparable across them.
+pub fn splitmix(s: &mut u64) -> f64 {
+    *s = s
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    ((*s >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+}
+
+/// Reads a recorded number from a committed results file: the value at
+/// `keys` (a path of nested object keys) in the JSON at `path`. `None`
+/// when the file is missing, is not valid JSON, or lacks the key — the
+/// `--quick` regression gates then have no baseline to compare against.
+pub fn recorded(path: &str, keys: &[&str]) -> Option<f64> {
+    let text = fs::read_to_string(path).ok()?;
+    let root = yukta_obs::json::parse(&text).ok()?;
+    keys.iter()
+        .try_fold(&root, |node, key| node.get(key))?
+        .as_f64()
 }
 
 /// Writes a file under `results/`, creating the directory if needed.
@@ -271,6 +277,23 @@ mod tests {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
         assert!(geomean(&[]).is_nan());
+    }
+
+    #[test]
+    fn recorded_reads_nested_keys() {
+        let path = std::env::temp_dir().join(format!("yukta_recorded_{}.json", std::process::id()));
+        fs::write(
+            &path,
+            r#"{"worst_mu": 1.5, "resynth": {"total_ms": 167.768}}"#,
+        )
+        .unwrap();
+        let path_str = path.to_str().unwrap();
+        assert_eq!(recorded(path_str, &["worst_mu"]), Some(1.5));
+        assert_eq!(recorded(path_str, &["resynth", "total_ms"]), Some(167.768));
+        assert_eq!(recorded(path_str, &["total_ms"]), None);
+        assert_eq!(recorded(path_str, &["resynth", "mu_peak"]), None);
+        fs::remove_file(&path).unwrap();
+        assert_eq!(recorded(path_str, &["worst_mu"]), None);
     }
 
     #[test]

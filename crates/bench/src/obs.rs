@@ -52,7 +52,7 @@ impl Drop for ObsScope {
 }
 
 /// Whether telemetry capture was requested for this process.
-pub fn requested() -> bool {
+fn requested() -> bool {
     std::env::args().any(|a| a == "--obs")
         || std::env::var("YUKTA_OBS").is_ok_and(|v| v == "1" || v == "true")
 }
