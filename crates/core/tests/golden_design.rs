@@ -1,0 +1,133 @@
+//! Golden-digest regression test for the controller design pipeline.
+//!
+//! Characterize → identify → synthesize is deterministic, so every
+//! `f64` a [`Design`] carries is pinned here by one FNV-1a digest over
+//! its bit patterns: both SSV syntheses (controller, γ, µ̂, scalings, the
+//! rational D sections, guaranteed bounds), all five identified models,
+//! the fits, the uncertainty radii used and the validation residuals.
+//! A refactor of the pipeline is correct when these digests do not move.
+//!
+//! Regenerate after an *intentional* numerical change with:
+//!
+//! ```text
+//! cargo test -p yukta-core --test golden_design -- --ignored --nocapture
+//! ```
+//!
+//! and paste the printed constants over the ones below.
+
+use yukta_control::dk::SsvSynthesis;
+use yukta_control::ss::StateSpace;
+use yukta_core::design::{Design, DesignOptions, build_design, default_design};
+
+/// Digest of [`default_design`] (guardband auto-tuning on).
+const GOLDEN_DEFAULT: u64 = 0x0005b1eb736b1aa2;
+/// Digest of the design built with `guardband.auto = false`.
+const GOLDEN_FIXED_GUARDBAND: u64 = 0x40dce451b41ce487;
+
+/// FNV-1a over the little-endian bytes of each value, in order.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn f64s(&mut self, vs: &[f64]) {
+        for v in vs {
+            self.u64(v.to_bits());
+        }
+    }
+
+    fn ss(&mut self, s: &StateSpace) {
+        for m in [s.a(), s.b(), s.c(), s.d()] {
+            self.u64(m.rows() as u64);
+            self.u64(m.cols() as u64);
+            self.f64s(m.as_slice());
+        }
+        self.f64s(&[s.ts().unwrap_or(f64::NAN)]);
+    }
+
+    fn ssv(&mut self, s: &SsvSynthesis) {
+        self.ss(&s.controller);
+        self.f64s(&[s.gamma, s.mu_peak]);
+        self.f64s(&s.scalings);
+        for sec in &s.d_sections {
+            self.f64s(&[sec.k, sec.z, sec.p]);
+        }
+        self.u64(s.iterations as u64);
+        self.f64s(&s.guaranteed_bounds);
+    }
+}
+
+fn digest(d: &Design) -> u64 {
+    let mut h = Fnv::new();
+    h.ssv(&d.hw_ssv);
+    h.ssv(&d.os_ssv);
+    for m in [
+        &d.hw_model_full,
+        &d.os_model_full,
+        &d.hw_model_solo,
+        &d.os_model_solo,
+        &d.mono_model,
+    ] {
+        h.ss(m);
+    }
+    h.f64s(&d.hw_fit);
+    h.f64s(&d.os_fit);
+    h.f64s(&[
+        d.hw_uncertainty_used,
+        d.os_uncertainty_used,
+        d.hw_residual,
+        d.os_residual,
+    ]);
+    h.0
+}
+
+fn fixed_guardband_options() -> DesignOptions {
+    let mut opts = DesignOptions::default();
+    opts.guardband.auto = false;
+    opts
+}
+
+#[test]
+fn default_design_matches_golden_digest() {
+    assert_eq!(
+        digest(default_design()),
+        GOLDEN_DEFAULT,
+        "default design drifted"
+    );
+}
+
+#[test]
+fn fixed_guardband_design_matches_golden_digest() {
+    let opts = fixed_guardband_options();
+    let d = build_design(&opts).unwrap();
+    // With auto-tuning off the synthesis uses the configured radii as-is.
+    assert_eq!(d.hw_uncertainty_used, opts.hw_uncertainty);
+    assert_eq!(d.os_uncertainty_used, opts.os_uncertainty);
+    assert_eq!(
+        digest(&d),
+        GOLDEN_FIXED_GUARDBAND,
+        "fixed-guardband design drifted"
+    );
+}
+
+/// Prints the golden constants. Run with `-- --ignored --nocapture` (see
+/// the module docs) and paste the output over the constants above.
+#[test]
+#[ignore]
+fn regenerate_golden_digests() {
+    println!(
+        "const GOLDEN_DEFAULT: u64 = {:#018x};",
+        digest(default_design())
+    );
+    let d = build_design(&fixed_guardband_options()).unwrap();
+    println!("const GOLDEN_FIXED_GUARDBAND: u64 = {:#018x};", digest(&d));
+}
