@@ -25,11 +25,11 @@
 //! rewrite the JSON; the full run uses min-of-3 timings and records it.
 
 use yukta_bench::{recorded, splitmix, time_best, write_results};
-use yukta_control::dk::{DkOptions, synthesize_ssv};
+use yukta_control::dk::synthesize_ssv;
 use yukta_control::plant::SsvSpec;
 use yukta_control::ss::StateSpace;
 use yukta_control::sysid::{SysIdConfig, excitation, fit_arx, validation_residual};
-use yukta_core::design::GuardbandConfig;
+use yukta_core::design::{GuardbandConfig, SYSID_CONFIG, dk_options};
 use yukta_linalg::Mat;
 use yukta_linalg::lu::Lu;
 
@@ -115,10 +115,7 @@ fn evaluate(plant_seed: u64, reps: usize) -> IdentRow {
     let gb = GuardbandConfig::default();
     let cfg = SysIdConfig {
         na: 8,
-        nb: 2,
-        nc: 0,
-        plr_iters: 0,
-        ridge: 1e-4,
+        ..SYSID_CONFIG
     };
     let split = ((n_samples as f64) * (1.0 - gb.holdout_frac)) as usize;
 
@@ -143,13 +140,9 @@ fn evaluate(plant_seed: u64, reps: usize) -> IdentRow {
         uncertainty: guardband,
         ..SsvSpec::new(0.5, 2, 2, 1)
     };
-    let dk = DkOptions {
-        max_iters: 2,
-        gamma_iters: 14,
-        n_freq: 25,
-        ..DkOptions::default()
-    };
-    let (t_syn, syn) = time_best(reps, || synthesize_ssv(&model.sys, &spec, dk).unwrap());
+    let (t_syn, syn) = time_best(reps, || {
+        synthesize_ssv(&model.sys, &spec, dk_options()).unwrap()
+    });
 
     let row = IdentRow {
         plant_seed,

@@ -17,10 +17,11 @@
 //! by `bench_sweep`.
 
 use yukta_bench::{recorded, splitmix, time_best, write_results};
-use yukta_control::dk::{DkOptions, synthesize_ssv};
+use yukta_control::dk::synthesize_ssv;
 use yukta_control::plant::SsvSpec;
 use yukta_control::ss::StateSpace;
 use yukta_control::sysid::{SysIdConfig, fit_arx};
+use yukta_core::design::{SYSID_CONFIG, dk_options};
 use yukta_linalg::Mat;
 
 struct ResynthRow {
@@ -33,8 +34,8 @@ struct ResynthRow {
 
 /// One full in-loop resynthesis on an order-16 model: re-identify from
 /// logged I/O data, then run the complete D–K synthesis at the production
-/// option set (`max_iters` 2, `gamma_iters` 14, 25-point µ grid — the
-/// same knobs `yukta_core::design` deploys).
+/// option set (`yukta_core::design::dk_options`, the knobs the deployed
+/// controllers are built with).
 fn resynth_benchmark(reps: usize) -> ResynthRow {
     // Logged excitation: PRBS-ish inputs driving an order-16 truth plant
     // with 2 outputs and 3 inputs (2 actuated + 1 external), sampled at
@@ -58,18 +59,9 @@ fn resynth_benchmark(reps: usize) -> ResynthRow {
     // acceptance target (asserted below).
     let sysid_cfg = SysIdConfig {
         na: 8,
-        nb: 2,
-        nc: 0,
-        plr_iters: 0,
-        ridge: 1e-4,
+        ..SYSID_CONFIG
     };
     let spec = SsvSpec::new(0.5, 2, 2, 1);
-    let dk = DkOptions {
-        max_iters: 2,
-        gamma_iters: 14,
-        n_freq: 25,
-        ..DkOptions::default()
-    };
     let identify = || {
         fit_arx(&u, &y, sysid_cfg)
             .unwrap()
@@ -85,7 +77,9 @@ fn resynth_benchmark(reps: usize) -> ResynthRow {
         model.sys.order()
     );
     let (t_syn, mu) = time_best(reps, || {
-        synthesize_ssv(&model.sys, &spec, dk).unwrap().mu_peak
+        synthesize_ssv(&model.sys, &spec, dk_options())
+            .unwrap()
+            .mu_peak
     });
     let row = ResynthRow {
         model_order: model.sys.order(),

@@ -5,9 +5,9 @@
 
 use yukta_bench::{table_csv, write_results};
 use yukta_control::mu::{MuBlock, log_grid, mu_lower_bound, mu_upper_bound};
-use yukta_control::plant::{SsvSpec, build_ssv_plant};
+use yukta_control::plant::build_ssv_plant;
 use yukta_control::reduce::balanced_truncation;
-use yukta_core::design::{DesignOptions, default_design};
+use yukta_core::design::{Layer, default_design, layer_spec};
 use yukta_core::runtime::{Experiment, RunOptions};
 use yukta_core::schemes::Scheme;
 use yukta_linalg::eig::spectral_radius;
@@ -63,26 +63,11 @@ fn main() {
 
     // µ bracket across frequency for the HW design, on a freshly assembled
     // generalized plant (the closed loop of the *synthesis* model).
-    let opts = DesignOptions::default();
-    let spec = SsvSpec {
-        ts: 0.5,
-        output_bounds: opts.hw_bounds.to_vec(),
-        input_weights: opts.hw_weights.to_vec(),
-        n_ext: 3,
-        uncertainty: d.hw_uncertainty_used,
-        noise_eps: 0.05,
-        prefilter_tau: None,
-        unc_tau: None,
-        sensor_tau: None,
-        perf_dc_boost: opts.perf_dc_boost,
-        perf_corner: opts.perf_corner,
-        effort_scale: opts.effort_scale,
-    };
+    let spec = layer_spec(&d.options, Layer::Hw, d.hw_uncertainty_used);
     let plant = build_ssv_plant(&d.hw_model_full, &spec).expect("plant");
     let blocks: Vec<MuBlock> = plant.mu_blocks();
-    // Reconstruct the central-controller closed loop for analysis from the
-    // continuous design is not retained; analyze the plant's open loop as a
-    // reference curve plus the deployed controller's frequency response.
+    // The synthesis closed loop is not retained; the open generalized plant
+    // serves as the reference curve.
     let grid = log_grid(1e-3, 6.0, 40);
     let mut rows = Vec::new();
     println!("mu bracket of the open generalized plant across frequency:");

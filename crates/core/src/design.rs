@@ -1,15 +1,17 @@
 //! The end-to-end controller design pipeline of Figure 3.
 //!
 //! 1. **Characterize** — run the (disjoint) training workloads on the
-//!    board while random-walking every actuator over its discrete grid,
-//!    recording normalized inputs, external signals, and outputs at the
-//!    500 ms controller period.
+//!    board while driving every actuator over its discrete grid with its
+//!    own excitation schedule, recording normalized inputs, external
+//!    signals, and outputs at the 500 ms controller period.
 //! 2. **Identify** — fit black-box MIMO ARX models for each layer (the
 //!    hardware model takes the OS inputs as measured external signals and
 //!    vice versa), plus the layer-solo and joint models the LQG baselines
-//!    need.
-//! 3. **Synthesize** — run D–K iteration per layer with the Table II/III
-//!    bounds, weights, and guardbands.
+//!    need. Every model goes through [`identify_layer`] at the production
+//!    [`SYSID_CONFIG`].
+//! 3. **Synthesize** — run D–K iteration per layer at the production
+//!    [`dk_options`] on the spec [`layer_spec`] builds from the Table
+//!    II/III bounds, weights, and guardband.
 //!
 //! The default design is deterministic and cached process-wide
 //! ([`default_design`]); sensitivity experiments build variants through
@@ -23,8 +25,10 @@ use yukta_board::{Actuation, Board, BoardConfig, Cluster, Placement};
 use yukta_control::dk::{DkOptions, SsvSynthesis, synthesize_ssv};
 use yukta_control::plant::SsvSpec;
 use yukta_control::ss::StateSpace;
-use yukta_control::sysid::{SysIdConfig, calibrate_dc_gains, fit_arx, validation_residual};
-use yukta_linalg::{Error, Result};
+use yukta_control::sysid::{
+    IdModel, SysIdConfig, calibrate_dc_gains, fit_arx, validation_residual,
+};
+use yukta_linalg::{Error, Mat, Result};
 use yukta_workloads::WorkloadRun;
 use yukta_workloads::catalog::training;
 
@@ -114,6 +118,22 @@ impl GuardbandConfig {
     /// The tuned radius for a measured validation residual.
     pub fn radius(&self, residual: f64) -> f64 {
         (self.margin * residual).clamp(self.min, self.max)
+    }
+
+    /// One layer's `(residual, radius)`. With auto-tuning on, the layer is
+    /// re-fitted on the leading part of the record and the residual is
+    /// measured on the held-out tail: it bounds how wrong the production
+    /// model (fitted on all data, so at least as good) can be on unseen
+    /// data. With auto-tuning off: `(NaN, fixed)`.
+    fn tune(&self, u: &[Vec<f64>], y: &[Vec<f64>], fixed: f64) -> Result<(f64, f64)> {
+        if !self.auto {
+            return Ok((f64::NAN, fixed));
+        }
+        let (u, y) = align_for_arx(u, y);
+        let split = ((1.0 - self.holdout_frac) * u.len() as f64) as usize;
+        let train = fit_arx(&u[..split], &y[..split], SYSID_CONFIG)?;
+        let residual = validation_residual(&u[split..], &y[split..], &train)?;
+        Ok((residual, self.radius(residual)))
     }
 }
 
@@ -234,6 +254,40 @@ pub struct Design {
     pub options: DesignOptions,
 }
 
+/// The board actuation for the seven knob values `[#big, #little, f_big,
+/// f_little, threads_big, packing_big, packing_little]`.
+fn actuation(v: [f64; 7]) -> Actuation {
+    Actuation {
+        f_big: Some(v[2]),
+        f_little: Some(v[3]),
+        big_cores: Some(v[0] as usize),
+        little_cores: Some(v[1] as usize),
+        placement: Some(Placement {
+            threads_big: v[4] as usize,
+            packing_big: v[5],
+            packing_little: v[6],
+        }),
+    }
+}
+
+/// Reads the seven normalized outputs `[perf, p_big, p_little, temp,
+/// perf_little, perf_big, ΔSC]` given the windowed per-cluster BIPS, big
+/// power before little (the sensor-noise draw order).
+fn read_outputs(board: &mut Board, r: &SignalRanges, n_active: usize, bips: [f64; 2]) -> [f64; 7] {
+    let st = board.state();
+    let tb = st.placement.threads_big.min(n_active);
+    let sc = spare_capacity(st.big_cores, tb) - spare_capacity(st.little_cores, n_active - tb);
+    [
+        r.perf.normalize(bips[0] + bips[1]),
+        r.p_big.normalize(board.read_power(Cluster::Big)),
+        r.p_little.normalize(board.read_power(Cluster::Little)),
+        r.temp.normalize(st.t_hot),
+        r.perf_little.normalize(bips[1]),
+        r.perf_big.normalize(bips[0]),
+        r.spare_diff.normalize(sc),
+    ]
+}
+
 /// Collects excitation data by driving every actuator with its own
 /// deterministic schedule (PRBS, multisine, or the legacy random walk)
 /// while the training workloads run.
@@ -273,17 +327,16 @@ pub fn collect_excitation(opts: &DesignOptions) -> ExcitationData {
             0,
             0,
         ];
-        let grid_of = |k: usize| -> &yukta_control::quant::InputGrid {
-            match k {
-                0 => &grids.big_cores,
-                1 => &grids.little_cores,
-                2 => &grids.f_big,
-                3 => &grids.f_little,
-                4 => &grids.threads_big,
-                5 | 6 => &grids.packing,
-                _ => unreachable!(),
-            }
-        };
+        // The grid of each knob (same order as `idx`).
+        let knob_grid = [
+            &grids.big_cores,
+            &grids.little_cores,
+            &grids.f_big,
+            &grids.f_little,
+            &grids.threads_big,
+            &grids.packing,
+            &grids.packing,
+        ];
         let mut perf_reader_big = yukta_board::sensors::BipsReader::new();
         let mut perf_reader_little = yukta_board::sensors::BipsReader::new();
         let steps_per_interval = (0.5 / board.config().dt).round() as usize;
@@ -299,7 +352,7 @@ pub fn collect_excitation(opts: &DesignOptions) -> ExcitationData {
             kind => Some(
                 (0..7)
                     .map(|k| {
-                        let g = grid_of(k);
+                        let g = knob_grid[k];
                         let lo = g.values()[idx_lo[k]];
                         let sig = match kind {
                             // Chips held three controller periods: the
@@ -339,7 +392,7 @@ pub fn collect_excitation(opts: &DesignOptions) -> ExcitationData {
                 // every third controller period.
                 None if interval % 3 == 0 => {
                     for (k, i) in idx.iter_mut().enumerate() {
-                        let g = grid_of(k);
+                        let g = knob_grid[k];
                         let delta: i64 = rng.gen_range(-3..=3);
                         let next = (*i as i64 + delta).clamp(idx_lo[k] as i64, g.len() as i64 - 1);
                         *i = next as usize;
@@ -347,18 +400,8 @@ pub fn collect_excitation(opts: &DesignOptions) -> ExcitationData {
                 }
                 None => {}
             }
-            let act = Actuation {
-                f_big: Some(grids.f_big.values()[idx[2]]),
-                f_little: Some(grids.f_little.values()[idx[3]]),
-                big_cores: Some(grids.big_cores.values()[idx[0]] as usize),
-                little_cores: Some(grids.little_cores.values()[idx[1]] as usize),
-                placement: Some(Placement {
-                    threads_big: grids.threads_big.values()[idx[4]] as usize,
-                    packing_big: grids.packing.values()[idx[5]],
-                    packing_little: grids.packing.values()[idx[6]],
-                }),
-            };
-            board.actuate(&act);
+            let knobs = std::array::from_fn(|k| knob_grid[k].values()[idx[k]]);
+            board.actuate(&actuation(knobs));
             for _ in 0..steps_per_interval {
                 let loads = run.loads();
                 let rep = board.step(&loads);
@@ -375,8 +418,6 @@ pub fn collect_excitation(opts: &DesignOptions) -> ExcitationData {
             let bips_big = perf_reader_big.sample(&counter_big, board.time());
             let bips_little = perf_reader_little.sample(&counter_little, board.time());
             let tb_actual = st.placement.threads_big.min(n_active);
-            let sc = spare_capacity(st.big_cores, tb_actual)
-                - spare_capacity(st.little_cores, n_active - tb_actual);
             data.u_hw.push(vec![
                 ranges.cores.normalize(st.big_cores as f64),
                 ranges.cores.normalize(st.little_cores as f64),
@@ -388,17 +429,9 @@ pub fn collect_excitation(opts: &DesignOptions) -> ExcitationData {
                 ranges.packing.normalize(st.placement.packing_big),
                 ranges.packing.normalize(st.placement.packing_little),
             ]);
-            data.y_hw.push(vec![
-                ranges.perf.normalize(bips_big + bips_little),
-                ranges.p_big.normalize(board.read_power(Cluster::Big)),
-                ranges.p_little.normalize(board.read_power(Cluster::Little)),
-                ranges.temp.normalize(st.t_hot),
-            ]);
-            data.y_os.push(vec![
-                ranges.perf_little.normalize(bips_little),
-                ranges.perf_big.normalize(bips_big),
-                ranges.spare_diff.normalize(sc),
-            ]);
+            let y = read_outputs(&mut board, &ranges, n_active, [bips_big, bips_little]);
+            data.y_hw.push(y[..4].to_vec());
+            data.y_os.push(y[4..].to_vec());
         }
     }
     data
@@ -416,8 +449,7 @@ pub fn collect_excitation(opts: &DesignOptions) -> ExcitationData {
 /// `[perf, p_big, p_little, temp, perf_little, perf_big, ΔSC]`, columns
 /// the normalized inputs `[#big, #little, f_big, f_little, threads_big,
 /// packing_big, packing_little]`.
-pub fn measure_dc_gains(opts: &DesignOptions) -> yukta_linalg::Mat {
-    use yukta_linalg::Mat;
+pub fn measure_dc_gains(opts: &DesignOptions) -> Mat {
     let ranges = SignalRanges::xu3();
     let mut gains = Mat::zeros(7, 7);
     // Nominal operating point and the step applied per input.
@@ -433,20 +465,7 @@ pub fn measure_dc_gains(opts: &DesignOptions) -> yukta_linalg::Mat {
         let mut board = Board::new(cfg);
         let mut run = WorkloadRun::new(&wl);
         let mut vals = nominal;
-        let apply = |board: &mut Board, v: &[f64; 7]| {
-            board.actuate(&Actuation {
-                f_big: Some(v[2]),
-                f_little: Some(v[3]),
-                big_cores: Some(v[0] as usize),
-                little_cores: Some(v[1] as usize),
-                placement: Some(Placement {
-                    threads_big: v[4] as usize,
-                    packing_big: v[5],
-                    packing_little: v[6],
-                }),
-            });
-        };
-        apply(&mut board, &vals);
+        board.actuate(&actuation(vals));
         let measure = |board: &mut Board, run: &mut WorkloadRun, settle: f64, window: f64| {
             let dt = board.config().dt;
             for _ in 0..(settle / dt) as usize {
@@ -463,26 +482,15 @@ pub fn measure_dc_gains(opts: &DesignOptions) -> yukta_linalg::Mat {
                 run.advance(&rep.thread_progress);
             }
             let span = board.time() - t0;
-            let bips_big = (board.instructions(Cluster::Big) - ib0) / span;
-            let bips_little = (board.instructions(Cluster::Little) - il0) / span;
-            let st = board.state();
-            let n_active = run.active_threads();
-            let tb = st.placement.threads_big.min(n_active);
-            let sc =
-                spare_capacity(st.big_cores, tb) - spare_capacity(st.little_cores, n_active - tb);
-            [
-                ranges.perf.normalize(bips_big + bips_little),
-                ranges.p_big.normalize(board.read_power(Cluster::Big)),
-                ranges.p_little.normalize(board.read_power(Cluster::Little)),
-                ranges.temp.normalize(st.t_hot),
-                ranges.perf_little.normalize(bips_little),
-                ranges.perf_big.normalize(bips_big),
-                ranges.spare_diff.normalize(sc),
-            ]
+            let bips = [
+                (board.instructions(Cluster::Big) - ib0) / span,
+                (board.instructions(Cluster::Little) - il0) / span,
+            ];
+            read_outputs(board, &ranges, run.active_threads(), bips)
         };
         let before = measure(&mut board, &mut run, 12.0, 5.0);
         vals[j] += steps[j];
-        apply(&mut board, &vals);
+        board.actuate(&actuation(vals));
         let after = measure(&mut board, &mut run, 8.0, 5.0);
         // Normalized input step size.
         let d_norm = match j {
@@ -502,11 +510,7 @@ pub fn measure_dc_gains(opts: &DesignOptions) -> yukta_linalg::Mat {
 fn concat(a: &[Vec<f64>], b: &[Vec<f64>]) -> Vec<Vec<f64>> {
     a.iter()
         .zip(b)
-        .map(|(x, y)| {
-            let mut row = x.clone();
-            row.extend_from_slice(y);
-            row
-        })
+        .map(|(x, y)| [x.as_slice(), y.as_slice()].concat())
         .collect()
 }
 
@@ -518,14 +522,83 @@ fn concat(a: &[Vec<f64>], b: &[Vec<f64>]) -> Vec<Vec<f64>> {
 /// the input series back by one sample makes the identified one-step delay
 /// equal the real controller-period delay (command at invocation `t`,
 /// effect visible at invocation `t+1`).
-fn align_for_arx(u: &[Vec<f64>], y: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+fn align_for_arx<'a>(u: &'a [Vec<f64>], y: &'a [Vec<f64>]) -> (&'a [Vec<f64>], &'a [Vec<f64>]) {
     let n = u.len();
     if n < 2 {
-        return (u.to_vec(), y.to_vec());
+        return (u, y);
     }
-    let u_fit = u[1..].to_vec();
-    let y_fit = y[..n - 1].to_vec();
-    (u_fit, y_fit)
+    (&u[1..], &y[..n - 1])
+}
+
+/// The production ARX configuration of every design model (the health tap's
+/// refit reuses it). The whiff of ridge keeps the joint (monolithic)
+/// regression posed: ΔSC is piecewise-linear in the inputs and can be
+/// exactly collinear with them over a run.
+pub const SYSID_CONFIG: SysIdConfig = SysIdConfig {
+    na: 2,
+    nb: 2,
+    nc: 0,
+    plr_iters: 0,
+    ridge: 1e-4,
+};
+
+/// The production D–K option set the deployed controllers are synthesized
+/// with: two D–K iterations, 14 γ-bisection rounds and a 25-point µ grid,
+/// the rest at their defaults.
+pub fn dk_options() -> DkOptions {
+    DkOptions {
+        max_iters: 2,
+        gamma_iters: 14,
+        n_freq: 25,
+        ..DkOptions::default()
+    }
+}
+
+/// A controller layer of the design.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// The hardware layer (Table II).
+    Hw,
+    /// The software layer (Table III).
+    Os,
+}
+
+/// The SSV specification of `layer` at uncertainty radius `uncertainty`:
+/// the layer's Table II/III bounds and weights, its external signals (the
+/// other layer's inputs: 3 for HW, 4 for OS) and the shaped-weight knobs
+/// of `opts`, at the 500 ms controller period.
+pub fn layer_spec(opts: &DesignOptions, layer: Layer, uncertainty: f64) -> SsvSpec {
+    let (bounds, weights, n_ext): (&[f64], &[f64], usize) = match layer {
+        Layer::Hw => (&opts.hw_bounds, &opts.hw_weights, 3),
+        Layer::Os => (&opts.os_bounds, &opts.os_weights, 4),
+    };
+    SsvSpec {
+        output_bounds: bounds.to_vec(),
+        input_weights: weights.to_vec(),
+        uncertainty,
+        perf_dc_boost: opts.perf_dc_boost,
+        perf_corner: opts.perf_corner,
+        effort_scale: opts.effort_scale,
+        ..SsvSpec::new(0.5, bounds.len(), weights.len(), n_ext)
+    }
+}
+
+/// Identifies one model from a logged record: aligns it to the ARX
+/// convention, fits [`SYSID_CONFIG`], stabilizes (spectral radius ≤ 0.97),
+/// resamples to the 500 ms controller period and calibrates the DC gains
+/// to the step-test measurement `dc` (outputs × inputs of this model).
+///
+/// # Errors
+///
+/// Propagates identification (insufficient excitation) and calibration
+/// failures.
+pub fn identify_layer(u: &[Vec<f64>], y: &[Vec<f64>], dc: &Mat) -> Result<IdModel> {
+    let (u, y) = align_for_arx(u, y);
+    let mut id = fit_arx(u, y, SYSID_CONFIG)?
+        .stabilized(0.97)?
+        .with_sample_period(0.5)?;
+    id.sys = calibrate_dc_gains(&id.sys, dc)?;
+    Ok(id)
 }
 
 /// Builds the full design from scratch (characterize → identify →
@@ -545,133 +618,47 @@ pub fn build_design(opts: &DesignOptions) -> Result<Design> {
             why: "insufficient excitation data collected",
         });
     }
-    // Local DC gains from step tests, used to calibrate every model.
-    let dc = measure_dc_gains(opts);
+    // Local DC gains from step tests, used to calibrate every model. Rows
+    // and columns index the 7 outputs and the 7 inputs (HW first).
+    let dc = &measure_dc_gains(opts);
     let pick = |rows: &[usize], cols: &[usize]| {
-        let mut m = yukta_linalg::Mat::zeros(rows.len(), cols.len());
-        for (i, &r) in rows.iter().enumerate() {
-            for (j, &c) in cols.iter().enumerate() {
-                m[(i, j)] = dc[(r, c)];
-            }
-        }
-        m
+        let v = rows
+            .iter()
+            .flat_map(|&r| cols.iter().map(move |&c| dc[(r, c)]));
+        Mat::from_vec(rows.len(), cols.len(), v.collect())
     };
-    let sysid_cfg = SysIdConfig {
-        na: 2,
-        nb: 2,
-        nc: 0,
-        plr_iters: 0,
-        // A whiff of ridge keeps the joint (monolithic) regression well
-        // posed: the spare-capacity output is piecewise-linear in the
-        // inputs and can be exactly collinear with them over a run.
-        ridge: 1e-4,
-    };
-    // Full models (with external signals).
+    let (hw, os): (&[usize], &[usize]) = (&[0, 1, 2, 3], &[4, 5, 6]);
+    let (all, os_hw) = (&[hw, os].concat(), &[os, hw].concat());
+    // Full models (with external signals) and their guardbands.
     let u_hw_full = concat(&data.u_hw, &data.u_os);
-    let (u_hwf, y_hwf) = align_for_arx(&u_hw_full, &data.y_hw);
-    let mut hw_id = fit_arx(&u_hwf, &y_hwf, sysid_cfg)?
-        .stabilized(0.97)?
-        .with_sample_period(0.5)?;
-    hw_id.sys = calibrate_dc_gains(&hw_id.sys, &pick(&[0, 1, 2, 3], &[0, 1, 2, 3, 4, 5, 6]))?;
     let u_os_full = concat(&data.u_os, &data.u_hw);
-    let (u_osf, y_osf) = align_for_arx(&u_os_full, &data.y_os);
-    let mut os_id = fit_arx(&u_osf, &y_osf, sysid_cfg)?
-        .stabilized(0.97)?
-        .with_sample_period(0.5)?;
-    os_id.sys = calibrate_dc_gains(&os_id.sys, &pick(&[4, 5, 6], &[4, 5, 6, 0, 1, 2, 3]))?;
-    // Guardband auto-tuning: re-fit each layer on the leading portion of
-    // the record and measure the one-step prediction residual on the
-    // held-out tail. The residual bounds how wrong the production model
-    // (fitted on *all* data, so at least as good) can be on data it has
-    // never seen; the uncertainty radius shrinks to a margin above it.
-    let (hw_residual, os_residual, hw_uncertainty, os_uncertainty) = if opts.guardband.auto {
-        let tune = |u: &[Vec<f64>], y: &[Vec<f64>]| -> Result<f64> {
-            let split = ((1.0 - opts.guardband.holdout_frac) * u.len() as f64) as usize;
-            let train = fit_arx(&u[..split], &y[..split], sysid_cfg)?;
-            validation_residual(&u[split..], &y[split..], &train)
-        };
-        let (hw_r, os_r) = (tune(&u_hwf, &y_hwf)?, tune(&u_osf, &y_osf)?);
-        (
-            hw_r,
-            os_r,
-            opts.guardband.radius(hw_r),
-            opts.guardband.radius(os_r),
-        )
-    } else {
-        (f64::NAN, f64::NAN, opts.hw_uncertainty, opts.os_uncertainty)
-    };
+    let hw_id = identify_layer(&u_hw_full, &data.y_hw, &pick(hw, all))?;
+    let os_id = identify_layer(&u_os_full, &data.y_os, &pick(os, os_hw))?;
+    let gb = &opts.guardband;
+    let (hw_residual, hw_uncertainty) = gb.tune(&u_hw_full, &data.y_hw, opts.hw_uncertainty)?;
+    let (os_residual, os_uncertainty) = gb.tune(&u_os_full, &data.y_os, opts.os_uncertainty)?;
     // Solo and joint models for the LQG baselines.
-    let (u_hws, y_hws) = align_for_arx(&data.u_hw, &data.y_hw);
-    let mut hw_solo = fit_arx(&u_hws, &y_hws, sysid_cfg)?
-        .stabilized(0.97)?
-        .with_sample_period(0.5)?;
-    hw_solo.sys = calibrate_dc_gains(&hw_solo.sys, &pick(&[0, 1, 2, 3], &[0, 1, 2, 3]))?;
-    let (u_oss, y_oss) = align_for_arx(&data.u_os, &data.y_os);
-    let mut os_solo = fit_arx(&u_oss, &y_oss, sysid_cfg)?
-        .stabilized(0.97)?
-        .with_sample_period(0.5)?;
-    os_solo.sys = calibrate_dc_gains(&os_solo.sys, &pick(&[4, 5, 6], &[4, 5, 6]))?;
+    let hw_solo = identify_layer(&data.u_hw, &data.y_hw, &pick(hw, hw))?;
+    let os_solo = identify_layer(&data.u_os, &data.y_os, &pick(os, os))?;
     let y_mono = concat(&data.y_hw, &data.y_os);
-    let (u_mono, y_monof) = align_for_arx(&u_hw_full, &y_mono);
-    let mut mono = fit_arx(&u_mono, &y_monof, sysid_cfg)?
-        .stabilized(0.97)?
-        .with_sample_period(0.5)?;
-    mono.sys = calibrate_dc_gains(
-        &mono.sys,
-        &pick(&[0, 1, 2, 3, 4, 5, 6], &[0, 1, 2, 3, 4, 5, 6]),
-    )?;
-
+    let mono = identify_layer(&u_hw_full, &y_mono, &pick(all, all))?;
     // SSV synthesis per layer.
-    let hw_spec = SsvSpec {
-        ts: 0.5,
-        output_bounds: opts.hw_bounds.to_vec(),
-        input_weights: opts.hw_weights.to_vec(),
-        n_ext: 3,
-        uncertainty: hw_uncertainty,
-        noise_eps: 0.05,
-        prefilter_tau: None,
-        unc_tau: None,
-        sensor_tau: None,
-        perf_dc_boost: opts.perf_dc_boost,
-        perf_corner: opts.perf_corner,
-        effort_scale: opts.effort_scale,
-    };
-    let dk = DkOptions {
-        max_iters: 2,
-        gamma_iters: 14,
-        n_freq: 25,
-        ..DkOptions::default()
-    };
-    let hw_ssv = synthesize_ssv(&hw_id.sys, &hw_spec, dk)?;
-    let os_spec = SsvSpec {
-        ts: 0.5,
-        output_bounds: opts.os_bounds.to_vec(),
-        input_weights: opts.os_weights.to_vec(),
-        n_ext: 4,
-        uncertainty: os_uncertainty,
-        noise_eps: 0.05,
-        prefilter_tau: None,
-        unc_tau: None,
-        sensor_tau: None,
-        perf_dc_boost: opts.perf_dc_boost,
-        perf_corner: opts.perf_corner,
-        effort_scale: opts.effort_scale,
-    };
-    let os_ssv = synthesize_ssv(&os_id.sys, &os_spec, dk)?;
+    let hw_spec = layer_spec(opts, Layer::Hw, hw_uncertainty);
+    let os_spec = layer_spec(opts, Layer::Os, os_uncertainty);
     Ok(Design {
-        hw_ssv,
-        os_ssv,
+        hw_ssv: synthesize_ssv(&hw_id.sys, &hw_spec, dk_options())?,
+        os_ssv: synthesize_ssv(&os_id.sys, &os_spec, dk_options())?,
         hw_model_full: hw_id.sys,
         os_model_full: os_id.sys,
         hw_model_solo: hw_solo.sys,
         os_model_solo: os_solo.sys,
         mono_model: mono.sys,
         hw_fit: hw_id.fit,
+        os_fit: os_id.fit,
         hw_uncertainty_used: hw_uncertainty,
         os_uncertainty_used: os_uncertainty,
         hw_residual,
         os_residual,
-        os_fit: os_id.fit,
         options: opts.clone(),
     })
 }

@@ -25,7 +25,7 @@ use yukta_control::sysid::{fit_arx, validation_residual};
 use yukta_obs::health::{HealthConfig, HealthStats, HealthVerdict};
 
 use crate::controllers::{HwSense, OsSense};
-use crate::design::{Design, default_design};
+use crate::design::{Design, SYSID_CONFIG, default_design};
 use crate::health::{HealthTap, emit_verdict};
 use crate::metrics::{ComputeStats, FaultReport, Metrics, Report, SloReport, Trace, TraceSample};
 use crate::modes::{Knob, ModeAutomaton, ModeConfig, ModeSnapshot, level_label};
@@ -267,10 +267,11 @@ pub enum SwapTrigger {
     AtStep(u64),
     /// Detector-driven swaps (DESIGN.md §16): on each `PhaseChange`
     /// verdict of the health monitor the runtime re-identifies the plant
-    /// from the tap's retained history ([`fit_arx`] over the last ≤ 128 s
-    /// of normalized records), swaps in the next period, and re-arms the
-    /// detectors against the refit model — at most `max_swaps` times per
-    /// run. Requires [`UnifiedOptions::health`].
+    /// from the tap's retained history ([`fit_arx`] at the production
+    /// [`SYSID_CONFIG`] over the last ≤ 128 s of normalized records),
+    /// swaps in the next period, and re-arms the detectors against the
+    /// refit model — at most `max_swaps` times per run. Requires
+    /// [`UnifiedOptions::health`].
     PhaseChange {
         /// Cap on detector-triggered swaps for the whole run.
         max_swaps: u32,
@@ -1314,18 +1315,11 @@ impl Experiment {
         let mut fit_residual = -1.0;
         let mut refit_sys = None;
         if let Some(tap) = tap.as_deref() {
-            // The orders mirror the design pipeline's; ridge
-            // regularization keeps the regression posed on closed-loop
-            // data (inputs correlate with outputs).
-            let refit_cfg = yukta_control::sysid::SysIdConfig {
-                na: 2,
-                nb: 2,
-                nc: 0,
-                plr_iters: 0,
-                ridge: 1e-4,
-            };
+            // The production ARX configuration; its ridge also keeps the
+            // regression posed on closed-loop data (inputs correlate with
+            // outputs).
             let (u, y) = tap.history();
-            let refit = fit_arx(u, y, refit_cfg)
+            let refit = fit_arx(u, y, SYSID_CONFIG)
                 .and_then(|m| validation_residual(u, y, &m).map(|r| (m, r)))
                 .ok();
             fit_residual = refit.as_ref().map_or(-1.0, |(_, r)| *r);
