@@ -456,15 +456,18 @@ pub fn hinf_bisect(p: &GenPlant, g_lo: f64, g_hi: f64, iters: usize) -> Result<(
 
 /// Interior candidates per round of the multi-candidate bisection: the
 /// bracket `[lo, hi]` is split at the geometric quartiles, so one round
-/// of 3 concurrent probes shrinks the bracket to a quarter of its
-/// (geometric) width — the resolution of two serial bisection steps.
+/// shrinks the bracket to a quarter of its (geometric) width — the
+/// resolution of two serial bisection steps. A round probes the
+/// candidates in index order and stops at the first feasible one.
 const GAMMA_CANDIDATES: usize = 3;
 
-/// Core of the multi-candidate γ-search. `probe_all` maps each candidate
-/// index to its synthesis result; the serial and parallel entry points
-/// differ *only* in how that map is executed, and
-/// [`crate::sweep::parallel_map`] returns results in index order, so both
-/// drivers make identical bracket decisions — bit-identical designs.
+/// Core of the multi-candidate γ-search. `probe_all` maps the candidates
+/// to their synthesis results, correct up to and including the first
+/// feasible one; the serial and parallel entry points differ *only* in
+/// how that map is executed (`sweep::first_feasible_serial` or
+/// `sweep::first_feasible`). A round reads nothing right of the
+/// first `Some`, so both drivers make identical bracket decisions —
+/// bit-identical designs.
 fn bisect_multi_core<P>(
     p: &GenPlant,
     fac: &DgkfFactors,
@@ -479,9 +482,9 @@ where
     let mut best = probe_ceiling(p, fac, g_hi)?;
     let mut hi = best.1;
     let mut lo = g_lo.min(hi * 0.5);
-    // One round of GAMMA_CANDIDATES concurrent probes refines the bracket
-    // as much as two serial halvings, so a budget of `iters` serial steps
-    // maps to half as many rounds at the same final resolution.
+    // One round of GAMMA_CANDIDATES candidates refines the bracket as much
+    // as two serial halvings, so a budget of `iters` serial steps maps to
+    // half as many rounds at the same final resolution.
     let rounds = iters.div_ceil(2);
     for _ in 0..rounds {
         let ratio = hi / lo;
@@ -515,13 +518,14 @@ where
     Ok(best)
 }
 
-/// Multi-candidate γ-bisection: each round evaluates
-/// [`GAMMA_CANDIDATES`] interior γ concurrently through
-/// [`crate::sweep::parallel_map`], sharing one set of [`DgkfFactors`].
-/// Results are bit-identical to [`hinf_bisect_multi_serial`] with the
-/// same arguments; the search reaches the same bracket resolution as
-/// [`hinf_bisect`] with `iters` serial steps in half as many rounds of
-/// wall-clock latency.
+/// Multi-candidate γ-bisection on one shared set of [`DgkfFactors`]:
+/// each round probes up to three (`GAMMA_CANDIDATES`) interior γ through
+/// `sweep::first_feasible`, which runs them on parallel workers
+/// in index order and skips any candidate right of one found feasible.
+/// Results are bit-identical to
+/// [`hinf_bisect_multi_serial`] with the same arguments; the search
+/// reaches the same bracket resolution as [`hinf_bisect`] with `iters`
+/// serial steps in half as many rounds of wall-clock latency.
 ///
 /// # Errors
 ///
@@ -554,14 +558,14 @@ pub fn hinf_bisect_multi_factored(
     iters: usize,
 ) -> Result<(HinfDesign, f64)> {
     bisect_multi_core(p, fac, g_lo, g_hi, iters, |cands| {
-        crate::sweep::parallel_map(cands.len(), |i| hinf_syn_factored(p, fac, cands[i]).ok())
+        crate::sweep::first_feasible(cands.len(), |i| hinf_syn_factored(p, fac, cands[i]).ok())
     })
 }
 
-/// Single-threaded twin of [`hinf_bisect_multi`]: identical candidate
-/// schedule, identical bracket decisions, evaluated in index order on one
-/// thread. Exists so differential tests can pin the parallel search to
-/// the serial semantics.
+/// Single-threaded twin of [`hinf_bisect_multi`]: identical candidates,
+/// identical bracket decisions, evaluated in index order on one thread
+/// up to the first feasible candidate. Exists so differential tests can
+/// pin the parallel search to the serial semantics.
 ///
 /// # Errors
 ///
@@ -575,10 +579,9 @@ pub fn hinf_bisect_multi_serial(
     validate_dgkf_plant(p)?;
     let fac = DgkfFactors::new(p);
     bisect_multi_core(p, &fac, g_lo, g_hi, iters, |cands| {
-        cands
-            .iter()
-            .map(|&g| hinf_syn_factored(p, &fac, g).ok())
-            .collect()
+        crate::sweep::first_feasible_serial(cands.len(), |i| {
+            hinf_syn_factored(p, &fac, cands[i]).ok()
+        })
     })
 }
 

@@ -181,9 +181,8 @@ where
 
 /// Deterministic parallel map over `0..n`: `f(i)` runs once per index on
 /// a round-robin worker assignment and results come back in index order,
-/// bit-identical to `(0..n).map(f)`. This is the fan-out behind parallel
-/// γ-bisection, where each index is one candidate γ probed through a full
-/// H∞ synthesis — heavy, uniform, and independent.
+/// bit-identical to `(0..n).map(f)`. The figure sweeps of `yukta-bench`
+/// fan their per-workload runs out through it.
 pub fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -219,6 +218,124 @@ where
     .expect("parallel_map scope");
     tagged.sort_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, v)| v).collect()
+}
+
+/// Probes candidates `0..n` in index order and stops at the first
+/// feasible one: `probe(i)` returns `Some` when candidate `i` is
+/// feasible. Entry `i` of the result is `probe(i)` for every `i` up to
+/// and including the first feasible index and `None` after it. This is
+/// the serial twin of [`first_feasible`] and its reference semantics.
+pub(crate) fn first_feasible_serial<T, F>(n: usize, probe: F) -> Vec<Option<T>>
+where
+    F: Fn(usize) -> Option<T>,
+{
+    let mut out = Vec::with_capacity(n);
+    let mut found = false;
+    for i in 0..n {
+        let r = if found { None } else { probe(i) };
+        found |= r.is_some();
+        out.push(r);
+    }
+    out
+}
+
+/// [`first_feasible_serial`] on up to `available_parallelism` workers.
+/// Workers claim candidates in index order and skip any candidate to the
+/// right of one already found feasible. Every index left of the first
+/// feasible one is probed, so the results agree with the serial twin up
+/// to and including the first `Some`; to its right they may hold extra
+/// `Some`s that were in flight when it was found. Callers read only up
+/// to the first `Some`. This is the fan-out behind γ-bisection, where
+/// each candidate is a full H∞ synthesis and a feasible γ makes every
+/// larger one moot.
+pub(crate) fn first_feasible<T, F>(n: usize, probe: F) -> Vec<Option<T>>
+where
+    T: Send,
+    F: Fn(usize) -> Option<T> + Sync,
+{
+    let cores = std::thread::available_parallelism()
+        .map(|c| c.get())
+        .unwrap_or(1);
+    first_feasible_on(n, cores.min(n), probe, |_| {})
+}
+
+/// A step of the [`first_feasible`] driver, reported to its observer in
+/// the order the steps took effect.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Claim {
+    /// A worker took the candidate and will probe it.
+    Probed(usize),
+    /// A worker passed over the candidate: a feasible one lies left of it.
+    Skipped(usize),
+    /// The candidate's probe came back feasible.
+    Found(usize),
+}
+
+/// The shared claim state: the next unclaimed index and the smallest
+/// feasible index found so far (`n` while there is none).
+struct Claims {
+    next: usize,
+    first_found: usize,
+}
+
+/// [`first_feasible`] on `workers` threads (one of them the caller's),
+/// reporting each claim, skip and find to `observe` under the claim lock.
+fn first_feasible_on<T, F, O>(n: usize, workers: usize, probe: F, observe: O) -> Vec<Option<T>>
+where
+    T: Send,
+    F: Fn(usize) -> Option<T> + Sync,
+    O: Fn(Claim) + Sync,
+{
+    if workers <= 1 {
+        return first_feasible_serial(n, probe);
+    }
+    let claims = std::sync::Mutex::new(Claims {
+        next: 0,
+        first_found: n,
+    });
+    let lock = || claims.lock().expect("first_feasible claims poisoned");
+    let work = || {
+        let mut out = Vec::new();
+        loop {
+            let claimed = {
+                let mut c = lock();
+                let mut claimed = None;
+                while claimed.is_none() && c.next < n {
+                    let i = c.next;
+                    c.next += 1;
+                    if i > c.first_found {
+                        observe(Claim::Skipped(i));
+                        out.push((i, None));
+                    } else {
+                        observe(Claim::Probed(i));
+                        claimed = Some(i);
+                    }
+                }
+                claimed
+            };
+            let Some(i) = claimed else { break };
+            let r = probe(i);
+            if r.is_some() {
+                let mut c = lock();
+                c.first_found = c.first_found.min(i);
+                observe(Claim::Found(i));
+            }
+            out.push((i, r));
+        }
+        out
+    };
+    let mut tagged: Vec<(usize, Option<T>)> = crossbeam::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(move |_| work())).collect();
+        let mut all = work();
+        for h in handles {
+            all.extend(h.join().expect("first_feasible worker panicked"));
+        }
+        all
+    })
+    .expect("first_feasible scope");
+    tagged.sort_by_key(|&(i, _)| i);
+    tagged.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Maps `f` over every grid point, fanning out across cache-sized
@@ -331,6 +448,134 @@ mod tests {
         assert_eq!(vals, (0..37).map(|i| 3 * i + 1).collect::<Vec<_>>());
         let empty = parallel_map(0, |i| i);
         assert!(empty.is_empty());
+    }
+
+    /// A distinct "design" per candidate, so a wrong pick shows in the bits.
+    fn design(i: usize) -> Mat {
+        Mat::filled(2, 2, 0.1 + i as f64)
+    }
+
+    /// The round decision `bisect_multi_core` takes: the first feasible
+    /// index and its design.
+    fn decision(results: Vec<Option<Mat>>) -> Option<(usize, Vec<u64>)> {
+        let j = results.iter().position(|r| r.is_some())?;
+        let d = results.into_iter().nth(j).flatten()?;
+        Some((j, d.as_slice().iter().map(|v| v.to_bits()).collect()))
+    }
+
+    fn feasible(pattern: u32, i: usize) -> bool {
+        pattern >> i & 1 == 1
+    }
+
+    #[test]
+    fn first_feasible_decides_like_the_serial_twin_on_every_pattern() {
+        for pattern in 0..8u32 {
+            let probe = |i: usize| feasible(pattern, i).then(|| design(i));
+            let want = decision(first_feasible_serial(3, probe));
+            for workers in 1..=4 {
+                for _ in 0..10 {
+                    let got = decision(first_feasible_on(3, workers, probe, |_| {}));
+                    assert_eq!(got, want, "pattern {pattern:03b}, {workers} workers");
+                }
+            }
+            assert_eq!(decision(first_feasible(3, probe)), want);
+        }
+        assert!(first_feasible(0, |_| Some(1)).is_empty());
+    }
+
+    #[test]
+    fn first_feasible_skips_the_candidate_right_of_a_found_one() {
+        // Two workers, only candidate 0 feasible. Candidate 1's probe is
+        // held until candidate 0 has been found, so whichever worker
+        // claims candidate 2 does so after the find and must skip it.
+        let found = (std::sync::Mutex::new(false), std::sync::Condvar::new());
+        let probed = std::sync::Mutex::new(Vec::new());
+        let probe = |i: usize| {
+            probed.lock().unwrap().push(i);
+            if i == 1 {
+                let (flag, cv) = &found;
+                let _held = cv.wait_while(flag.lock().unwrap(), |f| !*f).unwrap();
+            }
+            (i == 0).then(|| design(0))
+        };
+        let log = std::sync::Mutex::new(Vec::new());
+        let got = first_feasible_on(3, 2, probe, |c| {
+            if c == Claim::Found(0) {
+                *found.0.lock().unwrap() = true;
+                found.1.notify_all();
+            }
+            log.lock().unwrap().push(c);
+        });
+        let log = log.into_inner().unwrap();
+        assert!(log.contains(&Claim::Skipped(2)), "{log:?}");
+        assert!(!probed.into_inner().unwrap().contains(&2));
+        let want = first_feasible_serial(3, |i| (i == 0).then(|| design(i)));
+        assert_eq!(decision(got), decision(want));
+    }
+
+    #[test]
+    fn first_feasible_claims_nothing_right_of_a_found_candidate() {
+        for pattern in 0..8u32 {
+            for workers in 2..=4 {
+                for rep in 0..6u64 {
+                    let log = std::sync::Mutex::new(Vec::new());
+                    let probed = std::sync::Mutex::new(Vec::new());
+                    // Uneven probe times vary the interleavings.
+                    let probe = |i: usize| {
+                        probed.lock().unwrap().push(i);
+                        let ms = (i as u64 * 3 + rep) % 4;
+                        std::thread::sleep(std::time::Duration::from_millis(ms));
+                        feasible(pattern, i).then(|| design(i))
+                    };
+                    let got = first_feasible_on(3, workers, probe, |c| log.lock().unwrap().push(c));
+                    let log = log.into_inner().unwrap();
+                    let mut probed = probed.into_inner().unwrap();
+                    for (at, c) in log.iter().enumerate() {
+                        if let Claim::Found(i) = *c {
+                            assert!(
+                                !log[at..]
+                                    .iter()
+                                    .any(|c| matches!(*c, Claim::Probed(j) if j > i)),
+                                "pattern {pattern:03b}: probed right of {i} after finding it: {log:?}"
+                            );
+                        }
+                    }
+                    // Every index is claimed exactly once, probed or skipped.
+                    let mut seen: Vec<usize> = log
+                        .iter()
+                        .filter_map(|c| match *c {
+                            Claim::Probed(i) | Claim::Skipped(i) => Some(i),
+                            Claim::Found(_) => None,
+                        })
+                        .collect();
+                    seen.sort_unstable();
+                    assert_eq!(seen, vec![0, 1, 2], "{log:?}");
+                    probed.sort_unstable();
+                    let want: Vec<usize> = log
+                        .iter()
+                        .filter_map(|c| match *c {
+                            Claim::Probed(i) => Some(i),
+                            _ => None,
+                        })
+                        .collect();
+                    let mut want = want;
+                    want.sort_unstable();
+                    assert_eq!(probed, want);
+                    assert_eq!(
+                        decision(got),
+                        decision(
+                            first_feasible_serial(3, |i| feasible(pattern, i).then(|| design(i)))
+                        )
+                    );
+                    // With candidates 0 and 1 both feasible, two workers
+                    // never reach candidate 2: whichever finishes first
+                    // has found a feasible one before it claims again.
+                    if workers == 2 && pattern & 0b011 == 0b011 {
+                        assert!(log.contains(&Claim::Skipped(2)), "{log:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! model; the uncertainty guardband absorbs whatever the polynomial family
 //! cannot capture (that is the paper's central robustness argument).
 
-use yukta_linalg::qr::Qr;
+use yukta_linalg::qr::lstsq;
 use yukta_linalg::{Error, Mat, Result};
 
 use crate::ss::StateSpace;
@@ -114,9 +114,8 @@ pub fn fit_arx(u: &[Vec<f64>], y: &[Vec<f64>], config: SysIdConfig) -> Result<Id
     } else {
         (phi.clone(), targets.clone())
     };
-    let theta_t = Qr::new(&phi_solve)
-        .solve_least_squares(&targets_solve)
-        .map_err(|_| Error::Singular { op: "fit_arx" })?;
+    let theta_t =
+        lstsq(&phi_solve, &targets_solve).map_err(|_| Error::Singular { op: "fit_arx" })?;
     let theta = theta_t.t();
     let fit = fit_scores(&phi, &theta_t, &targets);
     let sys = realize_arx(&theta, ny, nu, config.na, config.nb)?;
@@ -147,7 +146,7 @@ pub fn fit_armax(u: &[Vec<f64>], y: &[Vec<f64>], config: SysIdConfig) -> Result<
     for _ in 0..config.plr_iters {
         let (phi, targets, ny, nu) =
             build_regression(u, y, config.na, config.nb, Some(&resid), config.nc)?;
-        let theta_t = match Qr::new(&phi).solve_least_squares(&targets) {
+        let theta_t = match lstsq(&phi, &targets) {
             Ok(t) => t,
             Err(_) => break, // extended regressor became degenerate; keep best
         };

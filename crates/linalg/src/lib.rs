@@ -11,8 +11,8 @@
 //!   linear solves, inverses, determinants. Its row-update kernel has an
 //!   AVX2 loop, chosen by hardware detection, that gives the same bits as
 //!   the portable one; it is the crate's only vector code.
-//! * [`qr`] — Householder QR, including the column-pivoted variant used for
-//!   stable-invariant-subspace extraction.
+//! * [`qr`] — Householder least squares (without forming `Q`) and the
+//!   column-pivoted QR used for stable-invariant-subspace extraction.
 //! * [`eig`] — eigenvalues via Hessenberg reduction plus Francis
 //!   double-shift QR iteration.
 //! * [`freq`] — Hessenberg-preconditioned fast evaluation of

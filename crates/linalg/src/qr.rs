@@ -1,131 +1,167 @@
 //! Householder QR factorization, plain and column-pivoted.
 //!
-//! The plain variant backs least-squares system identification; the
+//! [`lstsq`] backs least-squares system identification; the
 //! column-pivoted variant extracts well-conditioned bases for invariant
 //! subspaces in the Riccati sign-function solver.
 
 use crate::{Error, Mat, Result};
 
-/// A Householder QR factorization `A = Q·R`.
+/// Solves the least-squares problem `min ‖A·x − b‖₂` for a
+/// full-column-rank `m × n` matrix `A` (`m ≥ n`) by Householder QR and
+/// back substitution on `R·x = Qᵀ·b`, without forming `Q`.
+///
+/// `R` is factored in place and the Householder vectors are kept. The
+/// rows of `Q = H₀·H₁·…` are then rebuilt four at a time: each starts as
+/// a row of the identity and takes every reflection in turn, its dot
+/// products summed in column order. Each finished row `t` adds its terms
+/// to `Qᵀb` in ascending `t` as `acc −= (−q)·b`, skipping `q == 0`, the
+/// order [`Mat::matmul`] uses. So the result is bit for bit that of an
+/// explicit `m × m` `Q` multiplied out, in O(m·n) memory.
 ///
 /// ```
-/// use yukta_linalg::{Mat, qr::Qr};
+/// use yukta_linalg::{Mat, qr::lstsq};
 ///
 /// # fn main() -> Result<(), yukta_linalg::Error> {
-/// let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-/// let f = Qr::new(&a);
-/// let qr = &f.q() * &f.r();
-/// assert!(qr.approx_eq(&a, 1e-12));
+/// // Fit y = 2 + 3x over x = 0..4 exactly.
+/// let a = Mat::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0], &[1.0, 3.0], &[1.0, 4.0]]);
+/// let b = Mat::col(&[2.0, 5.0, 8.0, 11.0, 14.0]);
+/// let x = lstsq(&a, &b)?;
+/// assert!(x.approx_eq(&Mat::col(&[2.0, 3.0]), 1e-12));
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct Qr {
-    q: Mat,
-    r: Mat,
+///
+/// # Errors
+///
+/// * [`Error::DimensionMismatch`] if `b` does not conform or `m < n`.
+/// * [`Error::Singular`] if `A` is column-rank-deficient.
+pub fn lstsq(a: &Mat, b: &Mat) -> Result<Mat> {
+    let (m, n) = a.shape();
+    if b.rows() != m || m < n {
+        return Err(Error::DimensionMismatch {
+            op: "qr_lstsq",
+            lhs: (m, n),
+            rhs: b.shape(),
+        });
+    }
+    let (r, reflectors) = householder_r(a);
+    let tol = 1e-12 * r.max_abs().max(1e-30);
+    if (0..n).any(|i| r[(i, i)].abs() < tol) {
+        return Err(Error::Singular { op: "qr_lstsq" });
+    }
+    let qtb = qt_times(&reflectors, b, n);
+    let p = b.cols();
+    let mut x = Mat::zeros(n, p);
+    for i in (0..n).rev() {
+        let d = r[(i, i)];
+        for j in 0..p {
+            let mut acc = qtb[(i, j)];
+            for k in (i + 1)..n {
+                acc -= r[(i, k)] * x[(k, j)];
+            }
+            x[(i, j)] = acc / d;
+        }
+    }
+    Ok(x)
 }
 
-impl Qr {
-    /// Factors an `m × n` matrix with `m >= n` (thin factorization is not
-    /// used; `Q` is full `m × m`).
-    pub fn new(a: &Mat) -> Self {
-        let (m, n) = a.shape();
-        let mut r = a.clone();
-        let mut q = Mat::identity(m);
-        for k in 0..n.min(m.saturating_sub(1)) {
-            // Householder vector for column k.
-            let mut norm = 0.0;
-            for i in k..m {
-                norm += r[(i, k)] * r[(i, k)];
-            }
-            let norm = norm.sqrt();
-            if norm < 1e-300 {
-                continue;
-            }
-            let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
-            let mut v = vec![0.0; m];
-            for i in k..m {
-                v[i] = r[(i, k)];
-            }
-            v[k] -= alpha;
-            let vnorm_sq: f64 = v[k..].iter().map(|x| x * x).sum();
-            if vnorm_sq < 1e-300 {
-                continue;
-            }
-            // Apply H = I - 2 v vᵀ / (vᵀv) to R (left) and accumulate into Q.
-            for j in 0..n {
-                let mut dot = 0.0;
-                for i in k..m {
-                    dot += v[i] * r[(i, j)];
-                }
-                let s = 2.0 * dot / vnorm_sq;
-                for i in k..m {
-                    r[(i, j)] -= s * v[i];
-                }
-            }
-            for j in 0..m {
-                let mut dot = 0.0;
-                for i in k..m {
-                    dot += v[i] * q[(j, i)];
-                }
-                let s = 2.0 * dot / vnorm_sq;
-                for i in k..m {
-                    q[(j, i)] -= s * v[i];
-                }
-            }
-        }
-        // Zero the strictly-lower part of R that should be exactly zero.
-        for i in 0..m {
-            for j in 0..n.min(i) {
-                r[(i, j)] = 0.0;
-            }
-        }
-        Qr { q, r }
-    }
+/// One Householder reflection `H = I − 2vvᵀ/(vᵀv)` acting on rows and
+/// columns `k..`: `v` holds its entries `k..m`.
+struct Reflector {
+    k: usize,
+    v: Vec<f64>,
+    vnorm_sq: f64,
+}
 
-    /// The orthogonal factor `Q` (`m × m`).
-    pub fn q(&self) -> Mat {
-        self.q.clone()
-    }
-
-    /// The upper-triangular factor `R` (`m × n`).
-    pub fn r(&self) -> Mat {
-        self.r.clone()
-    }
-
-    /// Solves the least-squares problem `min ‖A·x − b‖₂` for full-column-rank
-    /// `A` via back substitution on `R·x = Qᵀ·b`.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::DimensionMismatch`] if `b` does not conform.
-    /// * [`Error::Singular`] if `A` is column-rank-deficient.
-    pub fn solve_least_squares(&self, b: &Mat) -> Result<Mat> {
-        let (m, n) = self.r.shape();
-        if b.rows() != m {
-            return Err(Error::DimensionMismatch {
-                op: "qr_lstsq",
-                lhs: (m, n),
-                rhs: b.shape(),
-            });
+/// Reduces `a` (`m × n`) to upper-triangular `R` by Householder
+/// reflections from the left, returning `R` and the reflections taken.
+/// Column `k` is skipped when its residual norm or its reflector is
+/// below `1e-300`, and the last column of a square matrix is never
+/// reflected.
+fn householder_r(a: &Mat) -> (Mat, Vec<Reflector>) {
+    let (m, n) = a.shape();
+    let mut r = a.clone();
+    let mut reflectors = Vec::with_capacity(n);
+    let mut scratch = vec![0.0; n];
+    let mut v = vec![0.0; m];
+    for k in 0..n.min(m.saturating_sub(1)) {
+        let mut norm = 0.0;
+        for row in r.as_slice().chunks_exact(n).skip(k) {
+            norm += row[k] * row[k];
         }
-        let qtb = &self.q.t() * b;
-        let mut x = Mat::zeros(n, b.cols());
-        for i in (0..n).rev() {
-            let d = self.r[(i, i)];
-            if d.abs() < 1e-12 * self.r.max_abs().max(1e-30) {
-                return Err(Error::Singular { op: "qr_lstsq" });
-            }
-            for j in 0..b.cols() {
-                let mut acc = qtb[(i, j)];
-                for k in (i + 1)..n {
-                    acc -= self.r[(i, k)] * x[(k, j)];
+        let norm = norm.sqrt();
+        if norm < 1e-300 {
+            continue;
+        }
+        let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
+        for (vi, row) in v.iter_mut().zip(r.as_slice().chunks_exact(n)).skip(k) {
+            *vi = row[k];
+        }
+        v[k] -= alpha;
+        let vnorm_sq: f64 = v[k..].iter().map(|x| x * x).sum();
+        if vnorm_sq < 1e-300 {
+            continue;
+        }
+        reflect_rows(&mut r, &v, k, 0, vnorm_sq, &mut scratch);
+        reflectors.push(Reflector {
+            k,
+            v: v[k..].to_vec(),
+            vnorm_sq,
+        });
+    }
+    // Zero the strictly-lower part of R that should be exactly zero.
+    for i in 1..m {
+        for j in 0..n.min(i) {
+            r[(i, j)] = 0.0;
+        }
+    }
+    (r, reflectors)
+}
+
+/// The first `rows` rows of `Qᵀ·b`, where `Q = H₀·H₁·…` is the product of
+/// `reflectors` (each of order `b.rows()`). `Q` is rebuilt one block of
+/// four rows at a time, lane `l` of `block[i]` holding `Q[t + l, i]`.
+fn qt_times(reflectors: &[Reflector], b: &Mat, rows: usize) -> Mat {
+    const LANES: usize = 4;
+    let (m, p) = b.shape();
+    let mut qtb = Mat::zeros(rows, p);
+    if p == 0 {
+        return qtb;
+    }
+    let mut block = vec![[0.0f64; LANES]; m];
+    for t in (0..m).step_by(LANES) {
+        block.fill([0.0; LANES]);
+        for (l, q) in block[t..].iter_mut().take(LANES).enumerate() {
+            q[l] = 1.0;
+        }
+        for h in reflectors {
+            let tail = &mut block[h.k..];
+            let mut dot = [0.0f64; LANES];
+            for (q, &vi) in tail.iter().zip(&h.v) {
+                for l in 0..LANES {
+                    dot[l] += vi * q[l];
                 }
-                x[(i, j)] = acc / d;
+            }
+            let s = dot.map(|d| 2.0 * d / h.vnorm_sq);
+            for (q, &vi) in tail.iter_mut().zip(&h.v) {
+                for l in 0..LANES {
+                    q[l] -= s[l] * vi;
+                }
             }
         }
-        Ok(x)
+        for (l, brow) in b.as_slice().chunks_exact(p).skip(t).take(LANES).enumerate() {
+            for (i, out) in qtb.as_mut_slice().chunks_exact_mut(p).enumerate() {
+                let c = -block[i][l];
+                if c == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in out.iter_mut().zip(brow) {
+                    *o -= c * bv;
+                }
+            }
+        }
     }
+    qtb
 }
 
 /// Column-pivoted QR: `A·Π = Q·R` with diagonal of `R` non-increasing in
@@ -188,8 +224,8 @@ impl PivotedQr {
             if vnorm_sq < 1e-300 {
                 continue;
             }
-            reflect_rows(&mut r, &v, k, vnorm_sq, &mut sums);
-            reflect_rows(&mut qt, &v, k, vnorm_sq, &mut sums);
+            reflect_rows(&mut r, &v, k, 0, vnorm_sq, &mut sums);
+            reflect_rows(&mut qt, &v, k, 0, vnorm_sq, &mut sums);
         }
         for i in 0..m {
             for j in 0..n.min(i) {
@@ -233,15 +269,25 @@ impl PivotedQr {
     }
 }
 
-/// Applies `H = I − 2vvᵀ/(vᵀv)` from the left to rows `k..` of `x`:
-/// `dⱼ = Σᵢ vᵢ·xᵢⱼ` accumulated in row order from `+0`, then
-/// `xᵢⱼ −= (2dⱼ/vᵀv)·vᵢ`. `scratch` must hold `x.cols()` values.
-pub(crate) fn reflect_rows(x: &mut Mat, v: &[f64], k: usize, vnorm_sq: f64, scratch: &mut [f64]) {
+/// Applies `H = I − 2vvᵀ/(vᵀv)` from the left to rows `k..` of `x`,
+/// columns `col0..`: `dⱼ = Σᵢ vᵢ·xᵢⱼ` accumulated in row order from
+/// `+0`, then `xᵢⱼ −= (2dⱼ/vᵀv)·vᵢ`. `scratch` must hold `x.cols()`
+/// values. Skipping columns is exact only where rows `k..` hold `+0.0`
+/// and `v` is finite: such a column's `dⱼ` is `+0` and `+0 − (+0)·vᵢ`
+/// is `+0`.
+pub(crate) fn reflect_rows(
+    x: &mut Mat,
+    v: &[f64],
+    k: usize,
+    col0: usize,
+    vnorm_sq: f64,
+    scratch: &mut [f64],
+) {
     let cols = x.cols();
-    let d = &mut scratch[..cols];
+    let d = &mut scratch[col0..cols];
     d.fill(0.0);
     for (row, &vi) in x.as_slice().chunks_exact(cols).zip(v).skip(k) {
-        for (dj, &xij) in d.iter_mut().zip(row) {
+        for (dj, &xij) in d.iter_mut().zip(&row[col0..]) {
             *dj += vi * xij;
         }
     }
@@ -249,18 +295,122 @@ pub(crate) fn reflect_rows(x: &mut Mat, v: &[f64], k: usize, vnorm_sq: f64, scra
         *dj = 2.0 * *dj / vnorm_sq;
     }
     for (row, &vi) in x.as_mut_slice().chunks_exact_mut(cols).zip(v).skip(k) {
-        for (xij, &sj) in row.iter_mut().zip(d.iter()) {
+        for (xij, &sj) in row[col0..].iter_mut().zip(d.iter()) {
             *xij -= sj * vi;
         }
     }
 }
 
-/// The column-at-a-time loops `PivotedQr::new` replaced, kept as the
-/// reference the row-oriented version is pinned to bit for bit.
+/// The column-at-a-time loops `PivotedQr::new` replaced and the full-`Q`
+/// factorization [`lstsq`] replaced, kept as the references the
+/// row-oriented versions are pinned to bit for bit.
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use super::PivotedQr;
-    use crate::Mat;
+    use crate::{Error, Mat, Result};
+
+    /// A Householder QR factorization `A = Q·R` with `Q` full `m × m`.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Qr {
+        q: Mat,
+        r: Mat,
+    }
+
+    impl Qr {
+        /// Factors an `m × n` matrix with `m >= n`.
+        pub(crate) fn new(a: &Mat) -> Self {
+            let (m, n) = a.shape();
+            let mut r = a.clone();
+            let mut q = Mat::identity(m);
+            for k in 0..n.min(m.saturating_sub(1)) {
+                // Householder vector for column k.
+                let mut norm = 0.0;
+                for i in k..m {
+                    norm += r[(i, k)] * r[(i, k)];
+                }
+                let norm = norm.sqrt();
+                if norm < 1e-300 {
+                    continue;
+                }
+                let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
+                let mut v = vec![0.0; m];
+                for i in k..m {
+                    v[i] = r[(i, k)];
+                }
+                v[k] -= alpha;
+                let vnorm_sq: f64 = v[k..].iter().map(|x| x * x).sum();
+                if vnorm_sq < 1e-300 {
+                    continue;
+                }
+                // Apply H = I - 2 v vᵀ / (vᵀv) to R (left) and accumulate into Q.
+                for j in 0..n {
+                    let mut dot = 0.0;
+                    for i in k..m {
+                        dot += v[i] * r[(i, j)];
+                    }
+                    let s = 2.0 * dot / vnorm_sq;
+                    for i in k..m {
+                        r[(i, j)] -= s * v[i];
+                    }
+                }
+                for j in 0..m {
+                    let mut dot = 0.0;
+                    for i in k..m {
+                        dot += v[i] * q[(j, i)];
+                    }
+                    let s = 2.0 * dot / vnorm_sq;
+                    for i in k..m {
+                        q[(j, i)] -= s * v[i];
+                    }
+                }
+            }
+            // Zero the strictly-lower part of R that should be exactly zero.
+            for i in 0..m {
+                for j in 0..n.min(i) {
+                    r[(i, j)] = 0.0;
+                }
+            }
+            Qr { q, r }
+        }
+
+        /// The orthogonal factor `Q` (`m × m`).
+        pub(crate) fn q(&self) -> &Mat {
+            &self.q
+        }
+
+        /// The upper-triangular factor `R` (`m × n`).
+        pub(crate) fn r(&self) -> &Mat {
+            &self.r
+        }
+
+        /// Back substitution on `R·x = Qᵀ·b`.
+        pub(crate) fn solve_least_squares(&self, b: &Mat) -> Result<Mat> {
+            let (m, n) = self.r.shape();
+            if b.rows() != m {
+                return Err(Error::DimensionMismatch {
+                    op: "qr_lstsq",
+                    lhs: (m, n),
+                    rhs: b.shape(),
+                });
+            }
+            let qtb = &self.q.t() * b;
+            let mut x = Mat::zeros(n, b.cols());
+            for i in (0..n).rev() {
+                let d = self.r[(i, i)];
+                if d.abs() < 1e-12 * self.r.max_abs().max(1e-30) {
+                    return Err(Error::Singular { op: "qr_lstsq" });
+                }
+                for j in 0..b.cols() {
+                    let mut acc = qtb[(i, j)];
+                    for k in (i + 1)..n {
+                        acc -= self.r[(i, k)] * x[(k, j)];
+                    }
+                    x[(i, j)] = acc / d;
+                }
+            }
+            Ok(x)
+        }
+    }
 
     /// `PivotedQr::new` as the column-at-a-time loops wrote it.
     pub(super) fn pivoted(a: &Mat) -> PivotedQr {
@@ -345,22 +495,18 @@ mod tests {
     }
 
     #[test]
-    fn qr_reconstructs() {
+    fn reference_qr_reconstructs() {
         let a = Mat::from_rows(&[
             &[12.0, -51.0, 4.0],
             &[6.0, 167.0, -68.0],
             &[-4.0, 24.0, -41.0],
         ]);
-        let f = Qr::new(&a);
-        assert!(orthonormal(&f.q(), 1e-12));
-        assert!((&f.q() * &f.r()).approx_eq(&a, 1e-10));
-    }
-
-    #[test]
-    fn qr_tall_matrix() {
-        let a = Mat::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0], &[1.0, 3.0]]);
-        let f = Qr::new(&a);
-        assert!((&f.q() * &f.r()).approx_eq(&a, 1e-12));
+        let f = reference::Qr::new(&a);
+        assert!(orthonormal(f.q(), 1e-12));
+        assert!((f.q() * f.r()).approx_eq(&a, 1e-10));
+        let tall = Mat::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0], &[1.0, 3.0]]);
+        let f = reference::Qr::new(&tall);
+        assert!((f.q() * f.r()).approx_eq(&tall, 1e-12));
     }
 
     #[test]
@@ -374,7 +520,7 @@ mod tests {
             &[1.0, 4.0],
         ]);
         let b = Mat::col(&[2.0, 5.0, 8.0, 11.0, 14.0]);
-        let x = Qr::new(&a).solve_least_squares(&b).unwrap();
+        let x = lstsq(&a, &b).unwrap();
         assert!(x.approx_eq(&Mat::col(&[2.0, 3.0]), 1e-12));
     }
 
@@ -382,7 +528,7 @@ mod tests {
     fn least_squares_overdetermined_residual_orthogonal() {
         let a = Mat::from_rows(&[&[1.0, 1.0], &[1.0, 2.0], &[1.0, 3.0]]);
         let b = Mat::col(&[1.0, 2.0, 2.0]);
-        let x = Qr::new(&a).solve_least_squares(&b).unwrap();
+        let x = lstsq(&a, &b).unwrap();
         let resid = &(&a * &x) - &b;
         // Residual must be orthogonal to the column space.
         let proj = &a.t() * &resid;
@@ -393,10 +539,26 @@ mod tests {
     fn rank_deficient_least_squares_rejected() {
         let a = Mat::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]);
         let b = Mat::col(&[1.0, 2.0, 3.0]);
+        assert!(matches!(lstsq(&a, &b), Err(Error::Singular { .. })));
+    }
+
+    #[test]
+    fn least_squares_shape_errors_and_empty_shapes() {
+        let a = Mat::zeros(3, 2);
         assert!(matches!(
-            Qr::new(&a).solve_least_squares(&b),
-            Err(Error::Singular { .. })
+            lstsq(&a, &Mat::zeros(2, 1)),
+            Err(Error::DimensionMismatch { op: "qr_lstsq", .. })
         ));
+        assert!(matches!(
+            lstsq(&Mat::zeros(2, 3), &Mat::zeros(2, 1)),
+            Err(Error::DimensionMismatch { op: "qr_lstsq", .. })
+        ));
+        let a = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 2.0], &[1.0, 1.0]]);
+        assert_eq!(lstsq(&a, &Mat::zeros(3, 0)).unwrap().shape(), (2, 0));
+        assert_eq!(
+            lstsq(&Mat::zeros(3, 0), &Mat::zeros(3, 2)).unwrap().shape(),
+            (0, 2)
+        );
     }
 
     #[test]
@@ -461,6 +623,115 @@ mod tests {
             prop_assert_eq!(bits(got.r()), bits(want.r()));
             prop_assert_eq!(got.pivots(), want.pivots());
         }
+    }
+
+    /// How a least-squares input is shaped beyond its random draw.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// The draw as is.
+        Plain,
+        /// `[A; √λ·I]`, the ridge-stacked regression of `fit_arx`.
+        Ridge,
+        /// One column set to zero: its reflection is skipped
+        /// (`norm < 1e-300`) and the solve is `Singular`.
+        ZeroColumn,
+    }
+
+    fn lstsq_input(
+        rows: usize,
+        cols: usize,
+        rank: usize,
+        seed: u64,
+        zeros: bool,
+        shape: Shape,
+    ) -> (Mat, Mat) {
+        let mut a = low_rank(rows, cols, rank, seed, zeros);
+        match shape {
+            Shape::Plain => {}
+            Shape::Ridge => {
+                let reg = Mat::identity(cols).scale(1e-4f64.sqrt());
+                a = Mat::vstack(&a, &reg).unwrap();
+            }
+            Shape::ZeroColumn => {
+                let j = (seed % cols as u64) as usize;
+                for i in 0..rows {
+                    a[(i, j)] = 0.0;
+                }
+            }
+        }
+        let b = low_rank(a.rows(), 1 + (seed % 4) as usize, 4, seed ^ 0x9e37, zeros);
+        (a, b)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn lstsq_matches_full_q_reference_bits(
+            rows in 1usize..=100,
+            cols_pct in 1usize..=100,
+            rank_pct in 0usize..=100,
+            seed in 0u64..u64::MAX,
+            zeros in 0u32..2,
+            shape in 0u32..3,
+        ) {
+            let shape = [Shape::Plain, Shape::Ridge, Shape::ZeroColumn][shape as usize];
+            let cols = (rows * cols_pct).div_ceil(100);
+            let rank = if rank_pct >= 50 { cols } else { (cols * rank_pct).div_ceil(100) };
+            let (a, b) = lstsq_input(rows, cols, rank, seed, zeros == 1, shape);
+            let want_f = reference::Qr::new(&a);
+            let (r, reflectors) = householder_r(&a);
+            prop_assert_eq!(bits(&r), bits(want_f.r()));
+            let want_qtb = &want_f.q().t() * &b;
+            prop_assert_eq!(bits(&qt_times(&reflectors, &b, cols)), bits(&want_qtb.block(0, cols, 0, b.cols())));
+            let got = lstsq(&a, &b);
+            let want = want_f.solve_least_squares(&b);
+            match (got, want) {
+                (Ok(x), Ok(y)) => prop_assert_eq!(bits(&x), bits(&y)),
+                (got, want) => prop_assert_eq!(got.err(), want.err()),
+            }
+            if matches!(shape, Shape::ZeroColumn) {
+                prop_assert_eq!(lstsq(&a, &b).err(), Some(Error::Singular { op: "qr_lstsq" }));
+            }
+        }
+    }
+
+    #[test]
+    fn lstsq_skip_and_rank_deficient_paths_are_exercised() {
+        // A zero first column: its reflection is skipped, the solve is
+        // Singular in both.
+        let (a, b) = lstsq_input(40, 7, 7, 14, false, Shape::ZeroColumn);
+        assert!(householder_r(&a).1.iter().all(|h| h.k != 0));
+        assert_eq!(
+            lstsq(&a, &b).err(),
+            Some(Error::Singular { op: "qr_lstsq" })
+        );
+        assert_eq!(
+            reference::Qr::new(&a).solve_least_squares(&b).err(),
+            Some(Error::Singular { op: "qr_lstsq" })
+        );
+        // Rank deficiency without a zero column: the same Singular error.
+        let (a, b) = lstsq_input(60, 9, 4, 12, true, Shape::Plain);
+        assert_eq!(householder_r(&a).1.len(), 9);
+        assert_eq!(
+            lstsq(&a, &b).err(),
+            Some(Error::Singular { op: "qr_lstsq" })
+        );
+        assert_eq!(
+            reference::Qr::new(&a).solve_least_squares(&b).err(),
+            Some(Error::Singular { op: "qr_lstsq" })
+        );
+    }
+
+    /// A full-length identification regression: 717 rows of 22
+    /// regressors plus 22 ridge rows, the shape of the deployed HW
+    /// layer's `fit_arx`.
+    #[test]
+    fn lstsq_matches_reference_at_identification_size() {
+        let (a, b) = lstsq_input(717, 22, 22, 5, false, Shape::Ridge);
+        assert_eq!(a.shape(), (739, 22));
+        let want = reference::Qr::new(&a).solve_least_squares(&b).unwrap();
+        assert_eq!(bits(&lstsq(&a, &b).unwrap()), bits(&want));
     }
 
     fn bits(m: &Mat) -> Vec<u64> {
