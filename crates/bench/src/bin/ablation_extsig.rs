@@ -14,8 +14,9 @@ use yukta_workloads::catalog;
 
 fn controllers(coordinated: bool) -> Controllers {
     let d = default_design();
-    let hw = SsvHwController::new(&d.hw_ssv, HwOptimizer::new(Limits::default()));
-    let os = SsvOsController::new(&d.os_ssv, OsOptimizer::new());
+    let hw = SsvHwController::new(&d.hw_ssv, HwOptimizer::new(Limits::default()))
+        .expect("hw SSV deployment");
+    let os = SsvOsController::new(&d.os_ssv, OsOptimizer::new()).expect("os SSV deployment");
     if coordinated {
         Controllers::Split {
             hw: Box::new(hw),

@@ -18,7 +18,8 @@ use yukta_workloads::catalog;
 
 fn controllers(aware: bool) -> Controllers {
     let d = default_design();
-    let hw = SsvHwController::new(&d.hw_ssv, HwOptimizer::new(Limits::default()));
+    let hw = SsvHwController::new(&d.hw_ssv, HwOptimizer::new(Limits::default()))
+        .expect("hw SSV deployment");
     let hw = if aware {
         hw
     } else {

@@ -28,7 +28,7 @@ fn design_with_bounds(perf_bound: f64) -> Design {
     build_design(&opts).expect("bounds design")
 }
 
-fn fixed_target_controllers(design: &Design) -> Controllers {
+fn fixed_target_controllers(design: &Design) -> yukta_linalg::Result<Controllers> {
     let hw_targets = HwOutputs {
         perf: 5.5,
         p_big: 2.5,
@@ -40,16 +40,16 @@ fn fixed_target_controllers(design: &Design) -> Controllers {
         perf_big: 4.5,
         spare_diff: 1.0,
     };
-    Controllers::Split {
+    Ok(Controllers::Split {
         hw: Box::new(SsvHwController::with_fixed_targets(
             &design.hw_ssv,
             hw_targets,
-        )),
+        )?),
         os: Box::new(SsvOsController::with_fixed_targets(
             &design.os_ssv,
             os_targets,
-        )),
-    }
+        )?),
+    })
 }
 
 fn main() {
@@ -66,8 +66,8 @@ fn main() {
         let design = design_with_bounds(*b);
         let exp = Experiment::with_design(Scheme::YuktaHwSsvOsSsv, design.clone())
             .with_options(eval_options());
-        let rep = exp
-            .run_with_controllers(&wl, fixed_target_controllers(&design))
+        let rep = fixed_target_controllers(&design)
+            .and_then(|c| exp.run_with_controllers(&wl, c))
             .expect("fixed-target run");
         // Deviation statistics over the steady portion (skip start/end 10%).
         let n = rep.trace.samples.len();

@@ -38,11 +38,14 @@ fn main() {
             temp: 70.0,
         };
         let controllers = Controllers::Split {
-            hw: Box::new(SsvHwController::with_fixed_targets(
-                &design.hw_ssv,
-                hw_targets,
-            )),
-            os: Box::new(SsvOsController::new(&design.os_ssv, OsOptimizer::new())),
+            hw: Box::new(
+                SsvHwController::with_fixed_targets(&design.hw_ssv, hw_targets)
+                    .expect("hw SSV deployment"),
+            ),
+            os: Box::new(
+                SsvOsController::new(&design.os_ssv, OsOptimizer::new())
+                    .expect("os SSV deployment"),
+            ),
         };
         let rep = Experiment::with_design(Scheme::YuktaHwSsvOsSsv, design)
             .with_options(eval_options())

@@ -30,7 +30,7 @@ fn main() {
             cost.storage_bytes
         );
         // Measured latency of one invocation on this machine.
-        let mut rt = ObsAwController::new(&syn.controller);
+        let mut rt = ObsAwController::new(&syn.controller).expect("deployed controller");
         let meas = vec![0.1; rt.n_meas()];
         let ident = |u: &[f64]| u.to_vec();
         let iters = 20_000;

@@ -11,9 +11,9 @@ use yukta_linalg::ratfit::{self, RatSection};
 use yukta_linalg::{Error, Result};
 use yukta_obs::{Recorder, Value};
 
-use crate::hinf::{DgkfFactors, GenPlant, hinf_bisect_multi, hinf_bisect_multi_factored};
-use crate::mu::{log_grid, mu_peak, mu_peak_obs};
-use crate::plant::{SsvPlant, SsvSpec, build_ssv_plant};
+use crate::hinf::{DgkfFactors, GenPlant, hinf_bisect_multi_factored};
+use crate::mu::{log_grid, mu_peak_obs};
+use crate::plant::{SsvSpec, build_ssv_plant};
 use crate::ss::StateSpace;
 
 /// Result of an SSV synthesis.
@@ -390,31 +390,6 @@ struct DkCandidate {
     sections: Vec<RatSection>,
 }
 
-/// Convenience: synthesize directly against an [`SsvPlant`] you already
-/// built (used by ablation studies that tweak the plant).
-///
-/// # Errors
-///
-/// Same as [`synthesize_ssv`].
-pub fn synthesize_on_plant(plant: &SsvPlant, opts: DkOptions) -> Result<SsvSynthesis> {
-    opts.validate(plant.ts)?;
-    let blocks = plant.mu_blocks();
-    let grid = opts.grid(plant.ts);
-    let (design, gamma) = hinf_bisect_multi(&plant.gen, 0.05, 64.0, opts.gamma_iters)?;
-    let cl = plant.gen.lft(&design.k)?;
-    let peak = mu_peak(&cl, &blocks, &grid)?;
-    let controller = plant.deploy_anti_windup(&design)?;
-    Ok(SsvSynthesis {
-        controller,
-        gamma,
-        mu_peak: peak.peak,
-        scalings: peak.scalings,
-        d_sections: Vec::new(),
-        iterations: 1,
-        guaranteed_bounds: Vec::new(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,7 +432,7 @@ mod tests {
         // converges near a feasible target.
         let model = toy_model();
         let syn = synthesize_ssv(&toy_model(), &toy_spec(), DkOptions::default()).unwrap();
-        let mut aw = crate::runtime::ObsAwController::new(&syn.controller);
+        let mut aw = crate::runtime::ObsAwController::new(&syn.controller).unwrap();
         let mut xg = vec![0.0; model.order()];
         let mut y = vec![0.0; 2];
         // Feasible target: DC output for a constant u=0.5, e=0.

@@ -17,9 +17,10 @@
 //! 4. **Synthesize** — [`dk::synthesize_ssv`] runs D–K iteration:
 //!    [`hinf`] central-controller synthesis (two Riccati equations via the
 //!    matrix sign function) alternating with [`mu`] upper-bound D-scaling.
-//! 5. **Deploy** — [`runtime::LtiRuntime`] executes the resulting discrete
-//!    state machine (Equations 3–4 of the paper); [`quant::InputGrid`]
-//!    snaps its commands onto the legal actuator values.
+//! 5. **Deploy** — [`runtime::ObsAwController`] executes the resulting
+//!    discrete state machine (Equations 3–4 of the paper), propagating the
+//!    input actually applied after [`quant::InputGrid`] snaps its commands
+//!    onto the legal actuator values.
 //!
 //! The LQG baseline of Section VI-B lives in [`lqg`].
 //!
@@ -40,7 +41,7 @@
 //!     Some(0.5),
 //! )?;
 //! let syn = synthesize_ssv(&model, &SsvSpec::new(0.5, 1, 1, 1), DkOptions::default())?;
-//! let mut k = ObsAwController::new(&syn.controller);
+//! let mut k = ObsAwController::new(&syn.controller)?;
 //! // Δy = 0.3, external = 0; actuator snaps to tenths in [-1, 1].
 //! let snap = |u: &[f64]| vec![(u[0].clamp(-1.0, 1.0) * 10.0).round() / 10.0];
 //! let (_, applied) = k.step(&[0.3, 0.0], &snap)?;

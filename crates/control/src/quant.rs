@@ -100,9 +100,10 @@ impl InputGrid {
         self.values.len()
     }
 
-    /// Whether the grid has exactly one value (a fixed actuator).
+    /// Always `false`: every constructor yields at least one value (kept
+    /// beside [`InputGrid::len`] by convention).
     pub fn is_empty(&self) -> bool {
-        false // grids are never empty by construction
+        false
     }
 }
 

@@ -8,234 +8,14 @@
 //! u(T)   = C·x(T) + D·Δy(T)
 //! ```
 //!
-//! [`LtiRuntime`] executes it with a state-energy clamp (a cheap
-//! anti-windup guard for long saturation episodes), and
+//! [`ObsAwController`] executes it in observer form, propagating the
+//! input that was actually applied so quantization cannot wind it up, and
 //! [`ControllerCost`] reports the arithmetic/storage footprint that the
 //! paper analyzes in Section VI-D.
 
 use yukta_linalg::{Error, Result};
 
 use crate::ss::StateSpace;
-
-/// Executes a discrete LTI controller step by step.
-///
-/// # Examples
-///
-/// ```
-/// use yukta_control::runtime::LtiRuntime;
-/// use yukta_control::ss::StateSpace;
-/// use yukta_linalg::Mat;
-///
-/// # fn main() -> Result<(), yukta_linalg::Error> {
-/// let k = StateSpace::new(
-///     Mat::filled(1, 1, 0.5),
-///     Mat::filled(1, 1, 1.0),
-///     Mat::identity(1),
-///     Mat::filled(1, 1, 0.1),
-///     Some(0.5),
-/// )?;
-/// let mut rt = LtiRuntime::new(&k);
-/// let u0 = rt.step(&[1.0])?;
-/// assert!((u0[0] - 0.1).abs() < 1e-12); // first step: D·Δy only
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct LtiRuntime {
-    sys: StateSpace,
-    x: Vec<f64>,
-    /// Maximum allowed state ∞-norm; beyond it the state is rescaled.
-    state_clamp: f64,
-}
-
-impl LtiRuntime {
-    /// Wraps a discrete controller for execution (initial state zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system is not discrete.
-    pub fn new(sys: &StateSpace) -> Self {
-        assert!(sys.is_discrete(), "LtiRuntime requires a discrete system");
-        LtiRuntime {
-            x: vec![0.0; sys.order()],
-            sys: sys.clone(),
-            state_clamp: 1e3,
-        }
-    }
-
-    /// Sets the anti-windup clamp on the state ∞-norm.
-    pub fn with_state_clamp(mut self, clamp: f64) -> Self {
-        self.state_clamp = clamp;
-        self
-    }
-
-    /// One controller invocation: consumes the measurement vector `Δy` and
-    /// returns the new actuator command `u`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::DimensionMismatch`] if `dy` has the wrong length. The
-    /// controller state is untouched on error.
-    pub fn step(&mut self, dy: &[f64]) -> Result<Vec<f64>> {
-        let mut u = self.sys.d().matvec(dy)?;
-        let cx = self.sys.c().matvec(&self.x)?;
-        for (ui, ci) in u.iter_mut().zip(&cx) {
-            *ui += ci;
-        }
-        let mut xn = self.sys.a().matvec(&self.x)?;
-        let bu = self.sys.b().matvec(dy)?;
-        for (xi, bi) in xn.iter_mut().zip(&bu) {
-            *xi += bi;
-        }
-        // Anti-windup: rescale a runaway state rather than letting it
-        // accumulate during long actuator-saturation episodes.
-        let norm = xn.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-        if norm > self.state_clamp {
-            let s = self.state_clamp / norm;
-            for v in &mut xn {
-                *v *= s;
-            }
-        }
-        self.x = xn;
-        Ok(u)
-    }
-
-    /// Resets the controller state to zero.
-    pub fn reset(&mut self) {
-        self.x.iter_mut().for_each(|v| *v = 0.0);
-    }
-
-    /// The wrapped system.
-    pub fn system(&self) -> &StateSpace {
-        &self.sys
-    }
-
-    /// Current internal state (for diagnostics).
-    pub fn state(&self) -> &[f64] {
-        &self.x
-    }
-}
-
-/// Runtime for a controller with back-calculation anti-windup.
-///
-/// Actuators take only discrete, bounded values; when the commanded input
-/// is clipped, an uncorrected controller keeps integrating phantom
-/// actuation and winds up. `AwController` applies the classical fix: after
-/// the caller quantizes the command, the state is corrected by
-/// `L_aw·(u_applied − u_cmd)` so the internal observer tracks the input
-/// the plant actually received. With `u_applied == u_cmd` it is exactly
-/// the wrapped controller.
-///
-/// # Examples
-///
-/// ```
-/// use yukta_control::runtime::AwController;
-/// use yukta_control::ss::StateSpace;
-/// use yukta_linalg::Mat;
-///
-/// # fn main() -> Result<(), yukta_linalg::Error> {
-/// let k = StateSpace::new(
-///     Mat::filled(1, 1, 1.0), // integrator
-///     Mat::filled(1, 1, 0.5),
-///     Mat::identity(1),
-///     Mat::zeros(1, 1),
-///     Some(0.5),
-/// )?;
-/// let mut aw = AwController::new(&k, Mat::filled(1, 1, 1.0));
-/// // Saturate hard at 1.0: the state stays bounded.
-/// for _ in 0..100 {
-///     let (_, applied) = aw.step(&[1.0], &|u| vec![u[0].min(1.0)])?;
-///     assert!(applied[0] <= 1.0);
-/// }
-/// assert!(aw.state()[0] < 3.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct AwController {
-    sys: StateSpace,
-    l_aw: yukta_linalg::Mat,
-    x: Vec<f64>,
-}
-
-impl AwController {
-    /// Wraps a discrete controller with the given anti-windup gain
-    /// (`n_state × n_outputs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system is not discrete or `l_aw` has the wrong shape.
-    pub fn new(sys: &StateSpace, l_aw: yukta_linalg::Mat) -> Self {
-        assert!(sys.is_discrete(), "AwController requires a discrete system");
-        assert_eq!(
-            l_aw.shape(),
-            (sys.order(), sys.n_outputs()),
-            "anti-windup gain shape"
-        );
-        AwController {
-            x: vec![0.0; sys.order()],
-            sys: sys.clone(),
-            l_aw,
-        }
-    }
-
-    /// One invocation: computes the command `u = C·x + D·meas`, lets
-    /// `quantize` map it onto the legal actuator values, then updates the
-    /// state with the back-calculation correction. Returns
-    /// `(commanded, applied)`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::DimensionMismatch`] if `meas` has the wrong length or
-    /// `quantize` changes the vector length. The controller state is
-    /// untouched on error.
-    pub fn step(
-        &mut self,
-        meas: &[f64],
-        quantize: &dyn Fn(&[f64]) -> Vec<f64>,
-    ) -> Result<(Vec<f64>, Vec<f64>)> {
-        let mut u = self.sys.d().matvec(meas)?;
-        let cx = self.sys.c().matvec(&self.x)?;
-        for (ui, ci) in u.iter_mut().zip(&cx) {
-            *ui += ci;
-        }
-        let applied = quantize(&u);
-        if applied.len() != u.len() {
-            return Err(Error::DimensionMismatch {
-                op: "aw_quantize",
-                lhs: (u.len(), 1),
-                rhs: (applied.len(), 1),
-            });
-        }
-        let mut xn = self.sys.a().matvec(&self.x)?;
-        let bu = self.sys.b().matvec(meas)?;
-        let mut delta = vec![0.0; u.len()];
-        for i in 0..u.len() {
-            delta[i] = applied[i] - u[i];
-        }
-        let corr = self.l_aw.matvec(&delta)?;
-        for ((xi, bi), ci) in xn.iter_mut().zip(&bu).zip(&corr) {
-            *xi += bi + ci;
-        }
-        self.x = xn;
-        Ok((u, applied))
-    }
-
-    /// Resets the controller state to zero.
-    pub fn reset(&mut self) {
-        self.x.iter_mut().for_each(|v| *v = 0.0);
-    }
-
-    /// Current internal state (for diagnostics).
-    pub fn state(&self) -> &[f64] {
-        &self.x
-    }
-
-    /// The wrapped system.
-    pub fn system(&self) -> &StateSpace {
-        &self.sys
-    }
-}
 
 /// Runtime for an observer-form controller with an applied-input port.
 ///
@@ -258,24 +38,30 @@ impl ObsAwController {
     /// Wraps a deployed observer-form controller whose last `n_u` inputs
     /// are the applied-input port (`n_u` = number of outputs).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the system is not discrete or has fewer inputs than
-    /// outputs.
-    pub fn new(sys: &StateSpace) -> Self {
-        assert!(
-            sys.is_discrete(),
-            "ObsAwController requires a discrete system"
-        );
-        assert!(
-            sys.n_inputs() > sys.n_outputs(),
-            "system must have measurement inputs plus an applied-input port"
-        );
-        ObsAwController {
+    /// [`Error::NoSolution`] if the system is not discrete;
+    /// [`Error::DimensionMismatch`] if it has no measurement inputs beyond
+    /// the applied-input port.
+    pub fn new(sys: &StateSpace) -> Result<Self> {
+        if !sys.is_discrete() {
+            return Err(Error::NoSolution {
+                op: "obs_aw_new",
+                why: "the deployed controller must be discrete",
+            });
+        }
+        if sys.n_inputs() <= sys.n_outputs() {
+            return Err(Error::DimensionMismatch {
+                op: "obs_aw_new",
+                lhs: (sys.n_outputs(), sys.n_outputs() + 1),
+                rhs: (sys.n_outputs(), sys.n_inputs()),
+            });
+        }
+        Ok(ObsAwController {
             n_meas: sys.n_inputs() - sys.n_outputs(),
             x: vec![0.0; sys.order()],
             sys: sys.clone(),
-        }
+        })
     }
 
     /// Width of the measurement vector expected by [`ObsAwController::step`].
@@ -430,48 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn runtime_matches_batch_simulation() {
-        let sys = toy();
-        let inputs: Vec<Vec<f64>> = (0..30).map(|t| vec![(t as f64 * 0.37).sin()]).collect();
-        let batch = sys.simulate(&inputs).unwrap();
-        let mut rt = LtiRuntime::new(&sys);
-        for (t, u) in inputs.iter().enumerate() {
-            let y = rt.step(u).unwrap();
-            assert!((y[0] - batch[t][0]).abs() < 1e-12, "step {t}");
-        }
-    }
-
-    #[test]
-    fn reset_restores_initial_behaviour() {
-        let sys = toy();
-        let mut rt = LtiRuntime::new(&sys);
-        let first = rt.step(&[1.0]).unwrap();
-        rt.step(&[2.0]).unwrap();
-        rt.reset();
-        let again = rt.step(&[1.0]).unwrap();
-        assert_eq!(first, again);
-    }
-
-    #[test]
-    fn state_clamp_limits_windup() {
-        // Marginally unstable controller with persistent input would wind
-        // up unboundedly; the clamp bounds it.
-        let sys = StateSpace::new(
-            Mat::filled(1, 1, 1.05),
-            Mat::identity(1),
-            Mat::identity(1),
-            Mat::zeros(1, 1),
-            Some(0.5),
-        )
-        .unwrap();
-        let mut rt = LtiRuntime::new(&sys).with_state_clamp(10.0);
-        for _ in 0..500 {
-            rt.step(&[1.0]).unwrap();
-        }
-        assert!(rt.state()[0].abs() <= 10.0 + 1e-9);
-    }
-
-    #[test]
     fn cost_matches_paper_dimensions() {
         // The paper's hardware controller: N=20, I=4, O+E=7 →
         // ops = 2(20·20 + 20·7 + 4·20 + 4·7) = 2·648 = 1296 total ops, of
@@ -494,12 +238,6 @@ mod tests {
 
     #[test]
     fn wrong_measurement_width_is_a_typed_error() {
-        let sys = toy();
-        let mut rt = LtiRuntime::new(&sys);
-        assert!(matches!(
-            rt.step(&[1.0, 2.0]),
-            Err(Error::DimensionMismatch { .. })
-        ));
         // Observer form: 2-input 1-output system expects 1 measurement.
         let obs = StateSpace::new(
             Mat::from_rows(&[&[0.5]]),
@@ -509,7 +247,7 @@ mod tests {
             Some(0.5),
         )
         .unwrap();
-        let mut aw = ObsAwController::new(&obs);
+        let mut aw = ObsAwController::new(&obs).unwrap();
         assert!(matches!(
             aw.step(&[1.0, 2.0], &|u| u.to_vec()),
             Err(Error::DimensionMismatch { .. })
@@ -518,6 +256,27 @@ mod tests {
         assert!(matches!(
             aw.step(&[1.0], &|_| vec![0.0, 0.0]),
             Err(Error::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn unusable_controllers_are_typed_errors() {
+        // No measurement inputs beyond the applied-input port.
+        assert!(matches!(
+            ObsAwController::new(&toy()),
+            Err(Error::DimensionMismatch { .. })
+        ));
+        let continuous = StateSpace::new(
+            Mat::from_rows(&[&[-1.0]]),
+            Mat::from_rows(&[&[1.0, 0.2]]),
+            Mat::from_rows(&[&[1.0]]),
+            Mat::zeros(1, 2),
+            None,
+        )
+        .unwrap();
+        assert!(matches!(
+            ObsAwController::new(&continuous),
+            Err(Error::NoSolution { .. })
         ));
     }
 
@@ -531,7 +290,7 @@ mod tests {
             Some(0.5),
         )
         .unwrap();
-        let mut aw = ObsAwController::new(&obs);
+        let mut aw = ObsAwController::new(&obs).unwrap();
         for t in 0..20 {
             aw.step(&[(t as f64 * 0.3).sin()], &|u| u.to_vec()).unwrap();
         }

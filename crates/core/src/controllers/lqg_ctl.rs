@@ -6,13 +6,18 @@
 //! paper's ISCA'16 predecessor). Both also lack output bounds,
 //! quantization awareness, and uncertainty guardbands — the gap the
 //! evaluation quantifies.
+//!
+//! LQG is quantization-blind: it emits continuous commands and the
+//! deployment snaps them onto the actuator grids, feeding the snapped
+//! values back so the estimator at least tracks reality. The optimizers
+//! own the tracked targets.
 
 use yukta_control::lqg::LqgTracker;
 use yukta_linalg::Result;
 
-use crate::controllers::{ControllerState, HwPolicy, HwSense, OsPolicy, OsSense};
+use crate::controllers::{ControllerState, HwPolicy, HwSense, OsPolicy, OsSense, check_widths};
 use crate::optimizer::{HwOptimizer, OsOptimizer};
-use crate::signals::{ActuatorGrids, HwInputs, HwOutputs, OsInputs, OsOutputs, SignalRanges};
+use crate::signals::{ActuatorGrids, HwInputs, OsInputs, SignalRanges};
 
 /// Decoupled hardware-layer LQG controller (no external signals).
 #[derive(Debug, Clone)]
@@ -21,58 +26,36 @@ pub struct LqgHwController {
     ranges: SignalRanges,
     grids: ActuatorGrids,
     optimizer: HwOptimizer,
-    targets: HwOutputs,
 }
 
 impl LqgHwController {
     /// Deploys a tracker designed on the hardware-only model (4 inputs →
     /// 4 outputs, normalized).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the tracker's plant is not 4×4.
-    pub fn new(tracker: LqgTracker, optimizer: HwOptimizer) -> Self {
-        assert_eq!(tracker.plant().n_inputs(), 4, "hw LQG inputs");
-        assert_eq!(tracker.plant().n_outputs(), 4, "hw LQG outputs");
-        LqgHwController {
+    /// [`yukta_linalg::Error::DimensionMismatch`] if the tracker's plant
+    /// is not 4×4.
+    pub fn new(tracker: LqgTracker, optimizer: HwOptimizer) -> Result<Self> {
+        check_widths("hw_lqg", tracker.plant(), 4, 4)?;
+        Ok(LqgHwController {
             tracker,
             ranges: SignalRanges::xu3(),
             grids: ActuatorGrids::xu3(),
             optimizer,
-            targets: HwOutputs::default(),
-        }
+        })
     }
 }
 
 impl HwPolicy for LqgHwController {
     fn invoke(&mut self, sense: &HwSense) -> Result<HwInputs> {
-        self.targets = self.optimizer.update(&sense.outputs);
-        let r = self.ranges.norm_hw_outputs(&self.targets);
+        let targets = self.optimizer.update(&sense.outputs);
+        let r = self.ranges.norm_hw_outputs(&targets);
         let y = self.ranges.norm_hw_outputs(&sense.outputs);
         let u = self.tracker.step(&r, &y)?;
-        // LQG is quantization-blind: it emits continuous commands; the
-        // board saturates/snaps them. Feed the snapped values back so the
-        // estimator at least tracks reality.
-        let out = HwInputs {
-            big_cores: self
-                .grids
-                .big_cores
-                .quantize(self.ranges.cores.denormalize(u[0])),
-            little_cores: self
-                .grids
-                .little_cores
-                .quantize(self.ranges.cores.denormalize(u[1])),
-            f_big: self
-                .grids
-                .f_big
-                .quantize(self.ranges.f_big.denormalize(u[2])),
-            f_little: self
-                .grids
-                .f_little
-                .quantize(self.ranges.f_little.denormalize(u[3])),
-        };
-        let applied = self.ranges.norm_hw_inputs(&out);
-        self.tracker.set_applied_input(&applied)?;
+        let out = self.ranges.snap_hw(&self.grids, &u);
+        self.tracker
+            .set_applied_input(&self.ranges.norm_hw_inputs(&out))?;
         Ok(out)
     }
 
@@ -84,32 +67,21 @@ impl HwPolicy for LqgHwController {
         self.tracker.reset();
     }
 
-    /// Floats: tracker state, then the 4 targets, then the optimizer
-    /// payload. Ints: the optimizer's ints.
+    /// Floats: tracker state, then the optimizer payload. Ints: the
+    /// optimizer's ints.
     fn save_state(&self) -> ControllerState {
         let mut s = ControllerState::stateless(self.name());
-        s.floats.extend_from_slice(&self.tracker.save_state());
-        s.floats.extend_from_slice(&self.targets.to_vec());
+        s.floats = self.tracker.save_state();
         self.optimizer.save_state(&mut s.floats, &mut s.ints);
         s
     }
 
     fn restore_state(&mut self, state: &ControllerState) -> Result<()> {
-        let n = self.tracker.state_len();
-        state.check(
-            self.name(),
-            n + 4 + HwOptimizer::STATE_FLOATS,
-            HwOptimizer::STATE_INTS,
-        )?;
+        let (n, (nf, ni)) = (self.tracker.state_len(), HwOptimizer::STATE_LEN);
+        state.check(self.name(), n + nf, ni)?;
         self.tracker.restore_state(&state.floats[..n])?;
-        self.targets = HwOutputs {
-            perf: state.floats[n],
-            p_big: state.floats[n + 1],
-            p_little: state.floats[n + 2],
-            temp: state.floats[n + 3],
-        };
         self.optimizer
-            .restore_state(&state.floats[n + 4..], &state.ints);
+            .restore_state(&state.floats[n..], &state.ints);
         Ok(())
     }
 }
@@ -121,53 +93,36 @@ pub struct LqgOsController {
     ranges: SignalRanges,
     grids: ActuatorGrids,
     optimizer: OsOptimizer,
-    targets: OsOutputs,
 }
 
 impl LqgOsController {
     /// Deploys a tracker designed on the software-only model (3 inputs →
     /// 3 outputs, normalized).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the tracker's plant is not 3×3.
-    pub fn new(tracker: LqgTracker, optimizer: OsOptimizer) -> Self {
-        assert_eq!(tracker.plant().n_inputs(), 3, "os LQG inputs");
-        assert_eq!(tracker.plant().n_outputs(), 3, "os LQG outputs");
-        LqgOsController {
+    /// [`yukta_linalg::Error::DimensionMismatch`] if the tracker's plant
+    /// is not 3×3.
+    pub fn new(tracker: LqgTracker, optimizer: OsOptimizer) -> Result<Self> {
+        check_widths("os_lqg", tracker.plant(), 3, 3)?;
+        Ok(LqgOsController {
             tracker,
             ranges: SignalRanges::xu3(),
             grids: ActuatorGrids::xu3(),
             optimizer,
-            targets: OsOutputs::default(),
-        }
+        })
     }
 }
 
 impl OsPolicy for LqgOsController {
     fn invoke(&mut self, sense: &OsSense) -> Result<OsInputs> {
-        self.targets = self.optimizer.update(&sense.outputs, &sense.system);
-        let r = self.ranges.norm_os_outputs(&self.targets);
+        let targets = self.optimizer.update(&sense.outputs, &sense.system);
+        let r = self.ranges.norm_os_outputs(&targets);
         let y = self.ranges.norm_os_outputs(&sense.outputs);
         let u = self.tracker.step(&r, &y)?;
-        let tb = self
-            .grids
-            .threads_big
-            .quantize(self.ranges.threads_big.denormalize(u[0]))
-            .min(sense.active_threads as f64);
-        let out = OsInputs {
-            threads_big: tb,
-            packing_big: self
-                .grids
-                .packing
-                .quantize(self.ranges.packing.denormalize(u[1])),
-            packing_little: self
-                .grids
-                .packing
-                .quantize(self.ranges.packing.denormalize(u[2])),
-        };
-        let applied = self.ranges.norm_os_inputs(&out);
-        self.tracker.set_applied_input(&applied)?;
+        let out = self.ranges.snap_os(&self.grids, &u, sense.active_threads);
+        self.tracker
+            .set_applied_input(&self.ranges.norm_os_inputs(&out))?;
         Ok(out)
     }
 
@@ -179,31 +134,21 @@ impl OsPolicy for LqgOsController {
         self.tracker.reset();
     }
 
-    /// Floats: tracker state, then the 3 targets, then the optimizer
-    /// payload. Ints: the optimizer's ints.
+    /// Floats: tracker state, then the optimizer payload. Ints: the
+    /// optimizer's ints.
     fn save_state(&self) -> ControllerState {
         let mut s = ControllerState::stateless(self.name());
-        s.floats.extend_from_slice(&self.tracker.save_state());
-        s.floats.extend_from_slice(&self.targets.to_vec());
+        s.floats = self.tracker.save_state();
         self.optimizer.save_state(&mut s.floats, &mut s.ints);
         s
     }
 
     fn restore_state(&mut self, state: &ControllerState) -> Result<()> {
-        let n = self.tracker.state_len();
-        state.check(
-            self.name(),
-            n + 3 + OsOptimizer::STATE_FLOATS,
-            OsOptimizer::STATE_INTS,
-        )?;
+        let (n, (nf, ni)) = (self.tracker.state_len(), OsOptimizer::STATE_LEN);
+        state.check(self.name(), n + nf, ni)?;
         self.tracker.restore_state(&state.floats[..n])?;
-        self.targets = OsOutputs {
-            perf_little: state.floats[n],
-            perf_big: state.floats[n + 1],
-            spare_diff: state.floats[n + 2],
-        };
         self.optimizer
-            .restore_state(&state.floats[n + 3..], &state.ints);
+            .restore_state(&state.floats[n..], &state.ints);
         Ok(())
     }
 }
@@ -217,29 +162,29 @@ pub struct MonolithicLqg {
     grids: ActuatorGrids,
     hw_optimizer: HwOptimizer,
     os_optimizer: OsOptimizer,
-    hw_targets: HwOutputs,
-    os_targets: OsOutputs,
 }
 
 impl MonolithicLqg {
     /// Deploys a tracker designed on the joint model: inputs
     /// `[u_hw(4); u_os(3)]`, outputs `[y_hw(4); y_os(3)]`, normalized.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the tracker's plant is not 7×7.
-    pub fn new(tracker: LqgTracker, hw_optimizer: HwOptimizer, os_optimizer: OsOptimizer) -> Self {
-        assert_eq!(tracker.plant().n_inputs(), 7, "monolithic LQG inputs");
-        assert_eq!(tracker.plant().n_outputs(), 7, "monolithic LQG outputs");
-        MonolithicLqg {
+    /// [`yukta_linalg::Error::DimensionMismatch`] if the tracker's plant
+    /// is not 7×7.
+    pub fn new(
+        tracker: LqgTracker,
+        hw_optimizer: HwOptimizer,
+        os_optimizer: OsOptimizer,
+    ) -> Result<Self> {
+        check_widths("monolithic_lqg", tracker.plant(), 7, 7)?;
+        Ok(MonolithicLqg {
             tracker,
             ranges: SignalRanges::xu3(),
             grids: ActuatorGrids::xu3(),
             hw_optimizer,
             os_optimizer,
-            hw_targets: HwOutputs::default(),
-            os_targets: OsOutputs::default(),
-        }
+        })
     }
 
     /// One joint invocation over both layers' sensors; returns the full
@@ -249,49 +194,17 @@ impl MonolithicLqg {
     ///
     /// Same contract as [`HwPolicy::invoke`](crate::controllers::HwPolicy::invoke).
     pub fn invoke(&mut self, hw: &HwSense, os: &OsSense) -> Result<(HwInputs, OsInputs)> {
-        self.hw_targets = self.hw_optimizer.update(&hw.outputs);
-        self.os_targets = self.os_optimizer.update(&os.outputs, &hw.outputs);
-        let rh = self.ranges.norm_hw_outputs(&self.hw_targets);
-        let ro = self.ranges.norm_os_outputs(&self.os_targets);
+        let hw_targets = self.hw_optimizer.update(&hw.outputs);
+        let os_targets = self.os_optimizer.update(&os.outputs, &hw.outputs);
+        let rh = self.ranges.norm_hw_outputs(&hw_targets);
+        let ro = self.ranges.norm_os_outputs(&os_targets);
         let yh = self.ranges.norm_hw_outputs(&hw.outputs);
         let yo = self.ranges.norm_os_outputs(&os.outputs);
         let r = [rh[0], rh[1], rh[2], rh[3], ro[0], ro[1], ro[2]];
         let y = [yh[0], yh[1], yh[2], yh[3], yo[0], yo[1], yo[2]];
         let u = self.tracker.step(&r, &y)?;
-        let hw_out = HwInputs {
-            big_cores: self
-                .grids
-                .big_cores
-                .quantize(self.ranges.cores.denormalize(u[0])),
-            little_cores: self
-                .grids
-                .little_cores
-                .quantize(self.ranges.cores.denormalize(u[1])),
-            f_big: self
-                .grids
-                .f_big
-                .quantize(self.ranges.f_big.denormalize(u[2])),
-            f_little: self
-                .grids
-                .f_little
-                .quantize(self.ranges.f_little.denormalize(u[3])),
-        };
-        let tb = self
-            .grids
-            .threads_big
-            .quantize(self.ranges.threads_big.denormalize(u[4]))
-            .min(os.active_threads as f64);
-        let os_out = OsInputs {
-            threads_big: tb,
-            packing_big: self
-                .grids
-                .packing
-                .quantize(self.ranges.packing.denormalize(u[5])),
-            packing_little: self
-                .grids
-                .packing
-                .quantize(self.ranges.packing.denormalize(u[6])),
-        };
+        let hw_out = self.ranges.snap_hw(&self.grids, &u[..4]);
+        let os_out = self.ranges.snap_os(&self.grids, &u[4..], os.active_threads);
         let hwn = self.ranges.norm_hw_inputs(&hw_out);
         let osn = self.ranges.norm_os_inputs(&os_out);
         self.tracker
@@ -304,14 +217,11 @@ impl MonolithicLqg {
         self.tracker.reset();
     }
 
-    /// Snapshots the joint controller: tracker state, then the 4 hardware
-    /// targets, the 3 software targets, and both optimizers' payloads
-    /// (hardware first).
+    /// Snapshots the joint controller: tracker state, then both
+    /// optimizers' payloads (hardware first).
     pub fn save_state(&self) -> ControllerState {
         let mut s = ControllerState::stateless("monolithic-lqg");
-        s.floats.extend_from_slice(&self.tracker.save_state());
-        s.floats.extend_from_slice(&self.hw_targets.to_vec());
-        s.floats.extend_from_slice(&self.os_targets.to_vec());
+        s.floats = self.tracker.save_state();
         self.hw_optimizer.save_state(&mut s.floats, &mut s.ints);
         self.os_optimizer.save_state(&mut s.floats, &mut s.ints);
         s
@@ -326,28 +236,12 @@ impl MonolithicLqg {
     /// [`yukta_linalg::Error::NoSolution`] on tag or shape mismatch.
     pub fn restore_state(&mut self, state: &ControllerState) -> Result<()> {
         let n = self.tracker.state_len();
-        state.check(
-            "monolithic-lqg",
-            n + 7 + HwOptimizer::STATE_FLOATS + OsOptimizer::STATE_FLOATS,
-            HwOptimizer::STATE_INTS + OsOptimizer::STATE_INTS,
-        )?;
+        let ((hf, hi), (of, oi)) = (HwOptimizer::STATE_LEN, OsOptimizer::STATE_LEN);
+        state.check("monolithic-lqg", n + hf + of, hi + oi)?;
         self.tracker.restore_state(&state.floats[..n])?;
-        self.hw_targets = HwOutputs {
-            perf: state.floats[n],
-            p_big: state.floats[n + 1],
-            p_little: state.floats[n + 2],
-            temp: state.floats[n + 3],
-        };
-        self.os_targets = OsOutputs {
-            perf_little: state.floats[n + 4],
-            perf_big: state.floats[n + 5],
-            spare_diff: state.floats[n + 6],
-        };
-        let f = &state.floats[n + 7..];
-        self.hw_optimizer
-            .restore_state(&f[..HwOptimizer::STATE_FLOATS], &state.ints[..1]);
-        self.os_optimizer
-            .restore_state(&f[HwOptimizer::STATE_FLOATS..], &state.ints[1..]);
+        let (hw, os) = state.floats[n..].split_at(hf);
+        self.hw_optimizer.restore_state(hw, &state.ints[..hi]);
+        self.os_optimizer.restore_state(os, &state.ints[hi..]);
         Ok(())
     }
 }
@@ -355,7 +249,7 @@ impl MonolithicLqg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::signals::Limits;
+    use crate::signals::{HwOutputs, Limits, OsOutputs};
     use yukta_control::lqg::LqgWeights;
     use yukta_control::ss::StateSpace;
     use yukta_linalg::Mat;
@@ -433,7 +327,7 @@ mod tests {
     #[test]
     fn hw_lqg_emits_grid_values() {
         let tracker = LqgTracker::design(&model(4), LqgWeights::default()).unwrap();
-        let mut c = LqgHwController::new(tracker, HwOptimizer::new(Limits::default()));
+        let mut c = LqgHwController::new(tracker, HwOptimizer::new(Limits::default())).unwrap();
         let u = c.invoke(&hw_sense()).unwrap();
         let g = ActuatorGrids::xu3();
         assert_eq!(g.f_big.quantize(u.f_big), u.f_big);
@@ -443,7 +337,7 @@ mod tests {
     #[test]
     fn os_lqg_respects_active_thread_count() {
         let tracker = LqgTracker::design(&model(3), LqgWeights::default()).unwrap();
-        let mut c = LqgOsController::new(tracker, OsOptimizer::new());
+        let mut c = LqgOsController::new(tracker, OsOptimizer::new()).unwrap();
         let mut s = os_sense();
         s.active_threads = 1;
         let u = c.invoke(&s).unwrap();
@@ -457,7 +351,8 @@ mod tests {
             tracker,
             HwOptimizer::new(Limits::default()),
             OsOptimizer::new(),
-        );
+        )
+        .unwrap();
         let (hw, os) = c.invoke(&hw_sense(), &os_sense()).unwrap();
         assert!((1.0..=4.0).contains(&hw.big_cores));
         assert!((0.0..=8.0).contains(&os.threads_big));
@@ -466,7 +361,7 @@ mod tests {
     #[test]
     fn save_restore_roundtrips_lqg_controllers_bit_for_bit() {
         let tracker = LqgTracker::design(&model(4), LqgWeights::default()).unwrap();
-        let mut hw = LqgHwController::new(tracker, HwOptimizer::new(Limits::default()));
+        let mut hw = LqgHwController::new(tracker, HwOptimizer::new(Limits::default())).unwrap();
         for _ in 0..6 {
             hw.invoke(&hw_sense()).unwrap();
         }
@@ -487,7 +382,8 @@ mod tests {
             tracker,
             HwOptimizer::new(Limits::default()),
             OsOptimizer::new(),
-        );
+        )
+        .unwrap();
         for _ in 0..5 {
             mono.invoke(&hw_sense(), &os_sense()).unwrap();
         }
@@ -509,11 +405,19 @@ mod tests {
     }
 
     #[test]
-    fn wrong_model_shape_panics() {
+    fn wrong_model_shape_is_a_typed_error() {
         let tracker = LqgTracker::design(&model(3), LqgWeights::default()).unwrap();
-        let result = std::panic::catch_unwind(move || {
-            LqgHwController::new(tracker, HwOptimizer::new(Limits::default()))
-        });
-        assert!(result.is_err());
+        assert!(matches!(
+            LqgHwController::new(tracker.clone(), HwOptimizer::new(Limits::default())),
+            Err(yukta_linalg::Error::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            MonolithicLqg::new(
+                tracker,
+                HwOptimizer::new(Limits::default()),
+                OsOptimizer::new()
+            ),
+            Err(yukta_linalg::Error::DimensionMismatch { .. })
+        ));
     }
 }

@@ -9,6 +9,7 @@ pub mod heuristic;
 pub mod lqg_ctl;
 pub mod ssv;
 
+use yukta_control::ss::StateSpace;
 use yukta_linalg::{Error, Result};
 
 use crate::signals::{HwInputs, HwOutputs, Limits, OsInputs, OsOutputs, SloSense};
@@ -64,6 +65,29 @@ impl ControllerState {
         }
         Ok(())
     }
+}
+
+/// The width check every deployment applies to the model or controller
+/// it wraps: `sys` must map `n_in` inputs to `n_out` outputs.
+///
+/// # Errors
+///
+/// [`Error::DimensionMismatch`] naming `op`, with the expected
+/// `(outputs, inputs)` on the left and the actual on the right.
+pub(crate) fn check_widths(
+    op: &'static str,
+    sys: &StateSpace,
+    n_in: usize,
+    n_out: usize,
+) -> Result<()> {
+    if (sys.n_outputs(), sys.n_inputs()) == (n_out, n_in) {
+        return Ok(());
+    }
+    Err(Error::DimensionMismatch {
+        op,
+        lhs: (n_out, n_in),
+        rhs: (sys.n_outputs(), sys.n_inputs()),
+    })
 }
 
 /// Everything the hardware-layer controller can observe at one invocation.

@@ -1,55 +1,140 @@
 //! Runtime wrappers deploying the synthesized SSV controllers.
 //!
 //! Each wrapper owns the discrete controller state machine (Equations 3–4),
-//! the signal scalers, the actuator grids, and — unless the experiment
-//! pins fixed targets — an optimizer module (Figure 5).
+//! the layer's signal interface, and the optimizer module (Figure 5) that
+//! owns the tracked targets. A fixed-target deployment is an optimizer
+//! that is never stepped.
 
 use yukta_control::dk::SsvSynthesis;
 use yukta_control::runtime::ObsAwController;
-use yukta_linalg::Result;
+use yukta_linalg::{Error, Result};
 
-use crate::controllers::{ControllerState, HwPolicy, HwSense, OsPolicy, OsSense};
+use crate::controllers::{ControllerState, HwPolicy, HwSense, OsPolicy, OsSense, check_widths};
 use crate::optimizer::{HwOptimizer, OsOptimizer};
 use crate::signals::{ActuatorGrids, HwInputs, HwOutputs, OsInputs, OsOutputs, SignalRanges};
+
+/// What both SSV layers deploy alike: the observer-form runtime, the
+/// signal interface, and the deployment switches.
+#[derive(Debug, Clone)]
+struct SsvRuntime {
+    rt: ObsAwController,
+    ranges: SignalRanges,
+    grids: ActuatorGrids,
+    /// The optimizer is never stepped, so the targets stay as set.
+    fixed_targets: bool,
+    ignore_external: bool,
+    naive_quantization: bool,
+}
+
+impl SsvRuntime {
+    fn new(syn: &SsvSynthesis, n_in: usize, n_out: usize) -> Result<Self> {
+        check_widths("ssv_controller", &syn.controller, n_in, n_out)?;
+        Ok(SsvRuntime {
+            rt: ObsAwController::new(&syn.controller)?,
+            ranges: SignalRanges::xu3(),
+            grids: ActuatorGrids::xu3(),
+            fixed_targets: false,
+            ignore_external: false,
+            naive_quantization: false,
+        })
+    }
+
+    /// One invocation on normalized signals: the measurement vector is the
+    /// target errors followed by the other layer's external signals
+    /// (zeroed under the external-signal ablation), and `snap` maps a
+    /// command onto the actuation it lands on. Returns the applied input,
+    /// normalized — the raw command under the naive-quantization ablation,
+    /// whose observer believes the command went through unchanged (the
+    /// board still snaps it downstream).
+    fn step(
+        &mut self,
+        target: &[f64],
+        measured: &[f64],
+        ext: &[f64],
+        snap: impl Fn(&SignalRanges, &ActuatorGrids, &[f64]) -> Vec<f64>,
+    ) -> Result<Vec<f64>> {
+        // Both layers measure 7 signals: 4 errors + 3 external (HW), 3 + 4 (OS).
+        let mut meas = [0.0; 7];
+        let (errors, external) = meas.split_at_mut(target.len());
+        for ((e, t), y) in errors.iter_mut().zip(target).zip(measured) {
+            *e = t - y;
+        }
+        if !self.ignore_external {
+            external.copy_from_slice(ext);
+        }
+        let (ranges, grids, naive) = (&self.ranges, &self.grids, self.naive_quantization);
+        let quantize = |u: &[f64]| {
+            if naive {
+                u.to_vec()
+            } else {
+                snap(ranges, grids, u)
+            }
+        };
+        Ok(self.rt.step(&meas, &quantize)?.1)
+    }
+
+    /// Floats: observer state, then the optimizer payload. Ints: the
+    /// fixed-target flag, then the optimizer's ints.
+    fn save_state(
+        &self,
+        tag: &'static str,
+        optimizer: impl FnOnce(&mut Vec<f64>, &mut Vec<i64>),
+    ) -> ControllerState {
+        let mut s = ControllerState::stateless(tag);
+        s.floats.extend_from_slice(self.rt.state());
+        s.ints.push(i64::from(self.fixed_targets));
+        optimizer(&mut s.floats, &mut s.ints);
+        s
+    }
+
+    /// Validates a snapshot taken by [`SsvRuntime::save_state`], restores
+    /// the observer state, and returns the optimizer payload.
+    fn restore_state<'a>(
+        &mut self,
+        state: &'a ControllerState,
+        tag: &'static str,
+        (optimizer_floats, optimizer_ints): (usize, usize),
+    ) -> Result<(&'a [f64], &'a [i64])> {
+        let n = self.rt.state().len();
+        state.check(tag, n + optimizer_floats, 1 + optimizer_ints)?;
+        if (state.ints[0] != 0) != self.fixed_targets {
+            return Err(Error::NoSolution {
+                op: "controller_restore_state",
+                why: "fixed-target mismatch",
+            });
+        }
+        self.rt.set_state(&state.floats[..n])?;
+        Ok((&state.floats[n..], &state.ints[1..]))
+    }
+}
 
 /// The hardware-layer SSV controller (Table II) at runtime.
 #[derive(Debug, Clone)]
 pub struct SsvHwController {
-    rt: ObsAwController,
-    ranges: SignalRanges,
-    grids: ActuatorGrids,
-    optimizer: Option<HwOptimizer>,
-    targets: HwOutputs,
-    ignore_external: bool,
-    naive_quantization: bool,
+    ssv: SsvRuntime,
+    optimizer: HwOptimizer,
 }
 
 impl SsvHwController {
     /// Deploys a synthesized controller with an E×D optimizer.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the controller does not have 11 inputs (4 output errors +
-    /// 3 external signals + 4 applied inputs) and 4 outputs.
-    pub fn new(syn: &SsvSynthesis, optimizer: HwOptimizer) -> Self {
-        assert_eq!(syn.controller.n_inputs(), 11, "hw SSV controller inputs");
-        assert_eq!(syn.controller.n_outputs(), 4, "hw SSV controller outputs");
-        SsvHwController {
-            rt: ObsAwController::new(&syn.controller),
-            ranges: SignalRanges::xu3(),
-            grids: ActuatorGrids::xu3(),
-            optimizer: Some(optimizer),
-            targets: HwOutputs::default(),
-            ignore_external: false,
-            naive_quantization: false,
-        }
+    /// [`Error::DimensionMismatch`] unless the controller has 11 inputs (4
+    /// output errors + 3 external signals + 4 applied inputs) and 4
+    /// outputs; [`Error::NoSolution`] if it is not discrete.
+    pub fn new(syn: &SsvSynthesis, optimizer: HwOptimizer) -> Result<Self> {
+        Ok(SsvHwController {
+            ssv: SsvRuntime::new(syn, 11, 4)?,
+            optimizer,
+        })
     }
 
     /// Ablation: run without coordination — the external-signal channels
     /// are zeroed at runtime (the controller was still synthesized with
     /// them; this measures the value of the information itself).
     pub fn without_external_signals(mut self) -> Self {
-        self.ignore_external = true;
+        self.ssv.ignore_external = true;
         self
     }
 
@@ -58,77 +143,41 @@ impl SsvHwController {
     /// wrapper would. Measures the value of saturation/quantization
     /// awareness.
     pub fn with_naive_quantization(mut self) -> Self {
-        self.naive_quantization = true;
+        self.ssv.naive_quantization = true;
         self
     }
 
     /// Deploys with fixed output targets (the Figure 15(a) experiment).
-    pub fn with_fixed_targets(syn: &SsvSynthesis, targets: HwOutputs) -> Self {
-        let mut c = SsvHwController::new(syn, HwOptimizer::new(Default::default()));
-        c.optimizer = None;
-        c.targets = targets;
-        c
+    ///
+    /// # Errors
+    ///
+    /// As [`SsvHwController::new`].
+    pub fn with_fixed_targets(syn: &SsvSynthesis, targets: HwOutputs) -> Result<Self> {
+        let mut c = SsvHwController::new(syn, HwOptimizer::new(Default::default()))?;
+        c.optimizer.targets = targets;
+        c.ssv.fixed_targets = true;
+        Ok(c)
     }
 
     /// The targets currently being tracked.
     pub fn targets(&self) -> HwOutputs {
-        self.targets
+        self.optimizer.targets
     }
 }
 
 impl HwPolicy for SsvHwController {
     fn invoke(&mut self, sense: &HwSense) -> Result<HwInputs> {
-        if let Some(opt) = &mut self.optimizer {
-            self.targets = opt.update(&sense.outputs);
+        if !self.ssv.fixed_targets {
+            self.optimizer.update(&sense.outputs);
         }
-        let ty = self.ranges.norm_hw_outputs(&self.targets);
-        let my = self.ranges.norm_hw_outputs(&sense.outputs);
-        let mut ext = self.ranges.norm_os_inputs(&sense.ext);
-        if self.ignore_external {
-            ext = [0.0; 3];
-        }
-        let meas = [
-            ty[0] - my[0],
-            ty[1] - my[1],
-            ty[2] - my[2],
-            ty[3] - my[3],
-            ext[0],
-            ext[1],
-            ext[2],
-        ];
-        let ranges = self.ranges.clone();
-        let grids = self.grids.clone();
-        let naive = self.naive_quantization;
-        let quantize = move |u: &[f64]| -> Vec<f64> {
-            if naive {
-                // Quantization-blind: tell the observer the command went
-                // through unchanged (the board still snaps it).
-                return u.to_vec();
-            }
-            vec![
-                ranges
-                    .cores
-                    .normalize(grids.big_cores.quantize(ranges.cores.denormalize(u[0]))),
-                ranges
-                    .cores
-                    .normalize(grids.little_cores.quantize(ranges.cores.denormalize(u[1]))),
-                ranges
-                    .f_big
-                    .normalize(grids.f_big.quantize(ranges.f_big.denormalize(u[2]))),
-                ranges
-                    .f_little
-                    .normalize(grids.f_little.quantize(ranges.f_little.denormalize(u[3]))),
-            ]
-        };
-        let (_, applied) = self.rt.step(&meas, &quantize)?;
-        // (Under the naive-quantization ablation `applied` is the raw
-        // command; the board's own snapping still applies downstream.)
-        Ok(HwInputs {
-            big_cores: self.ranges.cores.denormalize(applied[0]),
-            little_cores: self.ranges.cores.denormalize(applied[1]),
-            f_big: self.ranges.f_big.denormalize(applied[2]),
-            f_little: self.ranges.f_little.denormalize(applied[3]),
-        })
+        let r = &self.ssv.ranges;
+        let ty = r.norm_hw_outputs(&self.optimizer.targets);
+        let my = r.norm_hw_outputs(&sense.outputs);
+        let ext = r.norm_os_inputs(&sense.ext);
+        let applied = self.ssv.step(&ty, &my, &ext, |r, g, u| {
+            r.norm_hw_inputs(&r.snap_hw(g, u)).to_vec()
+        })?;
+        Ok(self.ssv.ranges.denorm_hw_inputs(&applied))
     }
 
     fn name(&self) -> &'static str {
@@ -136,49 +185,19 @@ impl HwPolicy for SsvHwController {
     }
 
     fn reset(&mut self) {
-        self.rt.reset();
+        self.ssv.rt.reset();
     }
 
-    /// Floats: observer state, then the 4 targets, then the optimizer
-    /// payload (if present). Ints: optimizer-present flag, then the
-    /// optimizer's ints.
     fn save_state(&self) -> ControllerState {
-        let mut s = ControllerState::stateless(self.name());
-        s.floats.extend_from_slice(self.rt.state());
-        s.floats.extend_from_slice(&self.targets.to_vec());
-        s.ints.push(i64::from(self.optimizer.is_some()));
-        if let Some(opt) = &self.optimizer {
-            opt.save_state(&mut s.floats, &mut s.ints);
-        }
-        s
+        self.ssv
+            .save_state(self.name(), |f, i| self.optimizer.save_state(f, i))
     }
 
     fn restore_state(&mut self, state: &ControllerState) -> Result<()> {
-        let n = self.rt.state().len();
-        let (nf, ni) = match &self.optimizer {
-            Some(_) => (
-                n + 4 + HwOptimizer::STATE_FLOATS,
-                1 + HwOptimizer::STATE_INTS,
-            ),
-            None => (n + 4, 1),
-        };
-        state.check(self.name(), nf, ni)?;
-        if (state.ints[0] != 0) != self.optimizer.is_some() {
-            return Err(yukta_linalg::Error::NoSolution {
-                op: "controller_restore_state",
-                why: "optimizer presence mismatch",
-            });
-        }
-        self.rt.set_state(&state.floats[..n])?;
-        self.targets = HwOutputs {
-            perf: state.floats[n],
-            p_big: state.floats[n + 1],
-            p_little: state.floats[n + 2],
-            temp: state.floats[n + 3],
-        };
-        if let Some(opt) = &mut self.optimizer {
-            opt.restore_state(&state.floats[n + 4..], &state.ints[1..]);
-        }
+        let (f, i) = self
+            .ssv
+            .restore_state(state, "hw-ssv", HwOptimizer::STATE_LEN)?;
+        self.optimizer.restore_state(f, i);
         Ok(())
     }
 }
@@ -186,114 +205,74 @@ impl HwPolicy for SsvHwController {
 /// The software-layer SSV controller (Table III) at runtime.
 #[derive(Debug, Clone)]
 pub struct SsvOsController {
-    rt: ObsAwController,
-    ranges: SignalRanges,
-    grids: ActuatorGrids,
-    optimizer: Option<OsOptimizer>,
-    targets: OsOutputs,
-    ignore_external: bool,
-    naive_quantization: bool,
+    ssv: SsvRuntime,
+    optimizer: OsOptimizer,
 }
 
 impl SsvOsController {
     /// Deploys a synthesized controller with an E×D optimizer.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the controller does not have 10 inputs (3 output errors +
-    /// 4 external signals + 3 applied inputs) and 3 outputs.
-    pub fn new(syn: &SsvSynthesis, optimizer: OsOptimizer) -> Self {
-        assert_eq!(syn.controller.n_inputs(), 10, "os SSV controller inputs");
-        assert_eq!(syn.controller.n_outputs(), 3, "os SSV controller outputs");
-        SsvOsController {
-            rt: ObsAwController::new(&syn.controller),
-            ranges: SignalRanges::xu3(),
-            grids: ActuatorGrids::xu3(),
-            optimizer: Some(optimizer),
-            targets: OsOutputs::default(),
-            ignore_external: false,
-            naive_quantization: false,
-        }
+    /// [`Error::DimensionMismatch`] unless the controller has 10 inputs (3
+    /// output errors + 4 external signals + 3 applied inputs) and 3
+    /// outputs; [`Error::NoSolution`] if it is not discrete.
+    pub fn new(syn: &SsvSynthesis, optimizer: OsOptimizer) -> Result<Self> {
+        Ok(SsvOsController {
+            ssv: SsvRuntime::new(syn, 10, 3)?,
+            optimizer,
+        })
     }
 
     /// Ablation: run without coordination (external signals zeroed).
     pub fn without_external_signals(mut self) -> Self {
-        self.ignore_external = true;
+        self.ssv.ignore_external = true;
         self
     }
 
     /// Ablation: quantization-blind deployment (see
     /// [`SsvHwController::with_naive_quantization`]).
     pub fn with_naive_quantization(mut self) -> Self {
-        self.naive_quantization = true;
+        self.ssv.naive_quantization = true;
         self
     }
 
     /// Deploys with fixed output targets (the Figure 15(a) experiment).
-    pub fn with_fixed_targets(syn: &SsvSynthesis, targets: OsOutputs) -> Self {
-        let mut c = SsvOsController::new(syn, OsOptimizer::new());
-        c.optimizer = None;
-        c.targets = targets;
-        c
+    ///
+    /// # Errors
+    ///
+    /// As [`SsvOsController::new`].
+    pub fn with_fixed_targets(syn: &SsvSynthesis, targets: OsOutputs) -> Result<Self> {
+        let mut c = SsvOsController::new(syn, OsOptimizer::new())?;
+        c.optimizer.targets = targets;
+        c.ssv.fixed_targets = true;
+        Ok(c)
     }
 
     /// The targets currently being tracked.
     pub fn targets(&self) -> OsOutputs {
-        self.targets
+        self.optimizer.targets
     }
 }
 
 impl OsPolicy for SsvOsController {
     fn invoke(&mut self, sense: &OsSense) -> Result<OsInputs> {
-        if let Some(opt) = &mut self.optimizer {
-            self.targets = opt.update(&sense.outputs, &sense.system);
+        if !self.ssv.fixed_targets {
+            self.optimizer.update(&sense.outputs, &sense.system);
         }
-        let ty = self.ranges.norm_os_outputs(&self.targets);
-        let my = self.ranges.norm_os_outputs(&sense.outputs);
-        let mut ext = self.ranges.norm_hw_inputs(&sense.ext);
-        if self.ignore_external {
-            ext = [0.0; 4];
-        }
-        let meas = [
-            ty[0] - my[0],
-            ty[1] - my[1],
-            ty[2] - my[2],
-            ext[0],
-            ext[1],
-            ext[2],
-            ext[3],
-        ];
-        let n_active = sense.active_threads as f64;
-        let ranges = self.ranges.clone();
-        let grids = self.grids.clone();
-        let naive = self.naive_quantization;
-        let quantize = move |u: &[f64]| -> Vec<f64> {
-            if naive {
-                return u.to_vec();
-            }
-            let tb = grids
-                .threads_big
-                .quantize(ranges.threads_big.denormalize(u[0]))
-                .min(n_active);
-            vec![
-                ranges.threads_big.normalize(tb),
-                ranges
-                    .packing
-                    .normalize(grids.packing.quantize(ranges.packing.denormalize(u[1]))),
-                ranges
-                    .packing
-                    .normalize(grids.packing.quantize(ranges.packing.denormalize(u[2]))),
-            ]
-        };
-        let (_, applied) = self.rt.step(&meas, &quantize)?;
+        let r = &self.ssv.ranges;
+        let ty = r.norm_os_outputs(&self.optimizer.targets);
+        let my = r.norm_os_outputs(&sense.outputs);
+        let ext = r.norm_hw_inputs(&sense.ext);
+        let n_active = sense.active_threads;
+        let applied = self.ssv.step(&ty, &my, &ext, |r, g, u| {
+            r.norm_os_inputs(&r.snap_os(g, u, n_active)).to_vec()
+        })?;
+        let u = self.ssv.ranges.denorm_os_inputs(&applied);
         Ok(OsInputs {
-            threads_big: self
-                .ranges
-                .threads_big
-                .denormalize(applied[0])
-                .clamp(0.0, n_active),
-            packing_big: self.ranges.packing.denormalize(applied[1]).clamp(1.0, 4.0),
-            packing_little: self.ranges.packing.denormalize(applied[2]).clamp(1.0, 4.0),
+            threads_big: u.threads_big.clamp(0.0, n_active as f64),
+            packing_big: u.packing_big.clamp(1.0, 4.0),
+            packing_little: u.packing_little.clamp(1.0, 4.0),
         })
     }
 
@@ -302,48 +281,19 @@ impl OsPolicy for SsvOsController {
     }
 
     fn reset(&mut self) {
-        self.rt.reset();
+        self.ssv.rt.reset();
     }
 
-    /// Floats: observer state, then the 3 targets, then the optimizer
-    /// payload (if present). Ints: optimizer-present flag, then the
-    /// optimizer's ints.
     fn save_state(&self) -> ControllerState {
-        let mut s = ControllerState::stateless(self.name());
-        s.floats.extend_from_slice(self.rt.state());
-        s.floats.extend_from_slice(&self.targets.to_vec());
-        s.ints.push(i64::from(self.optimizer.is_some()));
-        if let Some(opt) = &self.optimizer {
-            opt.save_state(&mut s.floats, &mut s.ints);
-        }
-        s
+        self.ssv
+            .save_state(self.name(), |f, i| self.optimizer.save_state(f, i))
     }
 
     fn restore_state(&mut self, state: &ControllerState) -> Result<()> {
-        let n = self.rt.state().len();
-        let (nf, ni) = match &self.optimizer {
-            Some(_) => (
-                n + 3 + OsOptimizer::STATE_FLOATS,
-                1 + OsOptimizer::STATE_INTS,
-            ),
-            None => (n + 3, 1),
-        };
-        state.check(self.name(), nf, ni)?;
-        if (state.ints[0] != 0) != self.optimizer.is_some() {
-            return Err(yukta_linalg::Error::NoSolution {
-                op: "controller_restore_state",
-                why: "optimizer presence mismatch",
-            });
-        }
-        self.rt.set_state(&state.floats[..n])?;
-        self.targets = OsOutputs {
-            perf_little: state.floats[n],
-            perf_big: state.floats[n + 1],
-            spare_diff: state.floats[n + 2],
-        };
-        if let Some(opt) = &mut self.optimizer {
-            opt.restore_state(&state.floats[n + 3..], &state.ints[1..]);
-        }
+        let (f, i) = self
+            .ssv
+            .restore_state(state, "os-ssv", OsOptimizer::STATE_LEN)?;
+        self.optimizer.restore_state(f, i);
         Ok(())
     }
 }
@@ -416,7 +366,8 @@ mod tests {
     #[test]
     fn hw_outputs_land_on_actuator_grids() {
         let mut c =
-            SsvHwController::new(&dummy_hw_synthesis(), HwOptimizer::new(Limits::default()));
+            SsvHwController::new(&dummy_hw_synthesis(), HwOptimizer::new(Limits::default()))
+                .unwrap();
         let u = c.invoke(&hw_sense()).unwrap();
         let g = ActuatorGrids::xu3();
         assert_eq!(g.f_big.quantize(u.f_big), u.f_big);
@@ -433,16 +384,42 @@ mod tests {
             p_little: 0.2,
             temp: 70.0,
         };
-        let mut c = SsvHwController::with_fixed_targets(&dummy_hw_synthesis(), t);
+        let mut c = SsvHwController::with_fixed_targets(&dummy_hw_synthesis(), t).unwrap();
         c.invoke(&hw_sense()).unwrap();
         c.invoke(&hw_sense()).unwrap();
         assert_eq!(c.targets(), t);
+        // The snapshot carries the targets and the fixed-target flag.
+        let snap = c.save_state();
+        let mut twin =
+            SsvHwController::with_fixed_targets(&dummy_hw_synthesis(), HwOutputs::default())
+                .unwrap();
+        twin.restore_state(&snap).unwrap();
+        assert_eq!(twin.targets(), t);
+        let mut optimizing =
+            SsvHwController::new(&dummy_hw_synthesis(), HwOptimizer::new(Limits::default()))
+                .unwrap();
+        assert!(optimizing.restore_state(&snap).is_err());
+    }
+
+    #[test]
+    fn wrong_controller_shape_is_a_typed_error() {
+        let hw = SsvHwController::new(&dummy_os_synthesis(), HwOptimizer::new(Limits::default()));
+        assert!(matches!(
+            hw,
+            Err(yukta_linalg::Error::DimensionMismatch { .. })
+        ));
+        let os = SsvOsController::new(&dummy_hw_synthesis(), OsOptimizer::new());
+        assert!(matches!(
+            os,
+            Err(yukta_linalg::Error::DimensionMismatch { .. })
+        ));
     }
 
     #[test]
     fn optimizer_moves_targets_between_invocations() {
         let mut c =
-            SsvHwController::new(&dummy_hw_synthesis(), HwOptimizer::new(Limits::default()));
+            SsvHwController::new(&dummy_hw_synthesis(), HwOptimizer::new(Limits::default()))
+                .unwrap();
         c.invoke(&hw_sense()).unwrap();
         let t1 = c.targets();
         c.invoke(&hw_sense()).unwrap();
@@ -453,7 +430,8 @@ mod tests {
     #[test]
     fn save_restore_roundtrips_hw_controller_bit_for_bit() {
         let mut c =
-            SsvHwController::new(&dummy_hw_synthesis(), HwOptimizer::new(Limits::default()));
+            SsvHwController::new(&dummy_hw_synthesis(), HwOptimizer::new(Limits::default()))
+                .unwrap();
         for _ in 0..5 {
             c.invoke(&hw_sense()).unwrap();
         }
@@ -475,14 +453,14 @@ mod tests {
         }
         assert_eq!(c.targets(), twin.targets());
         // A foreign snapshot is rejected with a typed error.
-        let mut os = SsvOsController::new(&dummy_os_synthesis(), OsOptimizer::new());
+        let mut os = SsvOsController::new(&dummy_os_synthesis(), OsOptimizer::new()).unwrap();
         assert!(OsPolicy::restore_state(&mut os, &ControllerState::stateless("os-ssv")).is_err());
         assert!(HwPolicy::restore_state(&mut c, &ControllerState::stateless("os-ssv")).is_err());
     }
 
     #[test]
     fn os_threads_never_exceed_active() {
-        let mut c = SsvOsController::new(&dummy_os_synthesis(), OsOptimizer::new());
+        let mut c = SsvOsController::new(&dummy_os_synthesis(), OsOptimizer::new()).unwrap();
         let sense = OsSense {
             outputs: OsOutputs {
                 perf_little: 0.3,

@@ -32,6 +32,7 @@ use yukta_linalg::{Error, Mat, Result};
 use yukta_workloads::WorkloadRun;
 use yukta_workloads::catalog::training;
 
+use crate::controllers::check_widths;
 use crate::signals::{ActuatorGrids, SignalRanges, spare_capacity};
 
 /// The excitation schedule used during characterization.
@@ -254,6 +255,30 @@ pub struct Design {
     pub options: DesignOptions,
 }
 
+impl Design {
+    /// Checks that every deployed part has its layer interface's widths.
+    /// Every field is public, so a hand-assembled design (say, with the
+    /// hardware and software parts swapped) is rejected here with a typed
+    /// error instead of failing mid-run.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::DimensionMismatch`] naming the first mismatched part.
+    pub fn check_widths(&self) -> Result<()> {
+        for (part, sys, n_in, n_out) in [
+            ("hw_ssv", &self.hw_ssv.controller, 11, 4),
+            ("os_ssv", &self.os_ssv.controller, 10, 3),
+            ("hw_model_full", &self.hw_model_full, 7, 4),
+            ("hw_model_solo", &self.hw_model_solo, 4, 4),
+            ("os_model_solo", &self.os_model_solo, 3, 3),
+            ("mono_model", &self.mono_model, 7, 7),
+        ] {
+            check_widths(part, sys, n_in, n_out)?;
+        }
+        Ok(())
+    }
+}
+
 /// The board actuation for the seven knob values `[#big, #little, f_big,
 /// f_little, threads_big, packing_big, packing_little]`.
 fn actuation(v: [f64; 7]) -> Actuation {
@@ -297,6 +322,8 @@ pub fn collect_excitation(opts: &DesignOptions) -> ExcitationData {
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let ranges = SignalRanges::xu3();
     let grids = ActuatorGrids::xu3();
+    // The grid of each knob, in actuation order.
+    let knob_grid = grids.knobs();
     for (wl_index, wl) in training::all().into_iter().enumerate() {
         let mut cfg = BoardConfig::odroid_xu3();
         cfg.seed = opts.seed ^ 0xB0A2D;
@@ -308,35 +335,11 @@ pub fn collect_excitation(opts: &DesignOptions) -> ExcitationData {
         // identifying where the closed loop operates (upper half of the
         // frequency range, 2-4 cores) keeps the local fit accurate — the
         // guardband covers the rest, exactly as the paper argues.
-        let mut idx = [
-            grids.big_cores.quantize_index(4.0),
-            grids.little_cores.quantize_index(4.0),
-            grids.f_big.quantize_index(1.4),
-            grids.f_little.quantize_index(1.0),
-            grids.threads_big.quantize_index(4.0),
-            grids.packing.quantize_index(1.0),
-            grids.packing.quantize_index(1.0),
-        ];
+        let start = [4.0, 4.0, 1.4, 1.0, 4.0, 1.0, 1.0];
+        let mut idx: [usize; 7] = std::array::from_fn(|k| knob_grid[k].quantize_index(start[k]));
         // Lower bound of each walk (same order as `idx`).
-        let idx_lo = [
-            grids.big_cores.quantize_index(2.0),
-            grids.little_cores.quantize_index(2.0),
-            grids.f_big.quantize_index(0.8),
-            grids.f_little.quantize_index(0.5),
-            grids.threads_big.quantize_index(2.0),
-            0,
-            0,
-        ];
-        // The grid of each knob (same order as `idx`).
-        let knob_grid = [
-            &grids.big_cores,
-            &grids.little_cores,
-            &grids.f_big,
-            &grids.f_little,
-            &grids.threads_big,
-            &grids.packing,
-            &grids.packing,
-        ];
+        let floor = [2.0, 2.0, 0.8, 0.5, 2.0, 1.0, 1.0];
+        let idx_lo: [usize; 7] = std::array::from_fn(|k| knob_grid[k].quantize_index(floor[k]));
         let mut perf_reader_big = yukta_board::sensors::BipsReader::new();
         let mut perf_reader_little = yukta_board::sensors::BipsReader::new();
         let steps_per_interval = (0.5 / board.config().dt).round() as usize;

@@ -17,9 +17,11 @@
 //! [`Recorder::enabled`].
 
 use yukta_control::ss::StateSpace;
+use yukta_linalg::{Error, Result};
 use yukta_obs::health::{HealthConfig, HealthMonitor, HealthSample, HealthStats, HealthVerdict};
 use yukta_obs::{Recorder, Value};
 
+use crate::controllers::check_widths;
 use crate::design::Design;
 use crate::recorder::JournalRecord;
 use crate::signals::{ActuatorGrids, SignalRanges};
@@ -85,12 +87,16 @@ impl HealthTap {
     ///
     /// # Errors
     ///
-    /// Propagates [`HealthConfig::validate`] failures.
-    pub fn new(
-        design: &Design,
-        cfg: HealthConfig,
-    ) -> Result<Self, yukta_obs::health::HealthConfigError> {
-        let mut monitor = HealthMonitor::new(cfg)?;
+    /// [`Error::NoSolution`] (op `health_config`) if
+    /// [`HealthConfig::validate`] fails; [`Error::DimensionMismatch`] if
+    /// the model does not map the 7 inputs to the 4 hardware outputs.
+    pub fn new(design: &Design, cfg: HealthConfig) -> Result<Self> {
+        check_widths("health_model", &design.hw_model_full, N_U, N_Y)?;
+        // The dynamic detail is available from `HealthConfig::validate`.
+        let mut monitor = HealthMonitor::new(cfg).map_err(|_| Error::NoSolution {
+            op: "health_config",
+            why: "invalid health configuration (see HealthConfig::validate)",
+        })?;
         // Treat run start like a hot-swap: the loop spends its first
         // seconds ramping from the reset actuation to the operating point,
         // and a baseline learned on that transient reads the settled
@@ -165,25 +171,13 @@ impl HealthTap {
     /// step — the classic symptom of a plant that drifted outside the
     /// model's envelope (the linear controller winds up against limits).
     fn saturation_frac(&self, r: &JournalRecord) -> f64 {
-        let g = &self.grids;
-        let at_rail =
-            |v: f64, lo: f64, hi: f64| (v - lo).abs() < RAIL_EPS || (v - hi).abs() < RAIL_EPS;
-        let pinned = [
-            at_rail(r.hw_u.big_cores, g.big_cores.min(), g.big_cores.max()),
-            at_rail(
-                r.hw_u.little_cores,
-                g.little_cores.min(),
-                g.little_cores.max(),
-            ),
-            at_rail(r.hw_u.f_big, g.f_big.min(), g.f_big.max()),
-            at_rail(r.hw_u.f_little, g.f_little.min(), g.f_little.max()),
-            at_rail(r.os_u.threads_big, g.threads_big.min(), g.threads_big.max()),
-            at_rail(r.os_u.packing_big, g.packing.min(), g.packing.max()),
-            at_rail(r.os_u.packing_little, g.packing.min(), g.packing.max()),
-        ]
-        .iter()
-        .filter(|&&p| p)
-        .count();
+        let (hw, os) = (r.hw_u.to_vec(), r.os_u.to_vec());
+        let pinned = hw
+            .iter()
+            .chain(&os)
+            .zip(self.grids.knobs())
+            .filter(|&(&v, g)| (v - g.min()).abs() < RAIL_EPS || (v - g.max()).abs() < RAIL_EPS)
+            .count();
         pinned as f64 / N_U as f64
     }
 
@@ -237,7 +231,7 @@ impl HealthTap {
     /// new plant model, the open-loop recursion restarts against it.
     pub fn rearm_after_swap(&mut self, refit: Option<StateSpace>) {
         if let Some(model) = refit {
-            if model.n_inputs() == N_U && model.n_outputs() == N_Y {
+            if check_widths("health_model", &model, N_U, N_Y).is_ok() {
                 self.x = vec![0.0; model.order()];
                 self.u_prev = None;
                 self.bias = None;

@@ -134,38 +134,24 @@ impl HwOptimizer {
         self.targets
     }
 
-    /// Floats appended by [`HwOptimizer::save_state`].
-    pub const STATE_FLOATS: usize = 6;
-    /// Ints appended by [`HwOptimizer::save_state`].
-    pub const STATE_INTS: usize = 1;
+    /// `(floats, ints)` appended by [`HwOptimizer::save_state`].
+    pub const STATE_LEN: (usize, usize) = (6, 1);
 
     /// Appends the hill-climbing state (EMA, best-seen, targets,
     /// initialized flag) to a checkpoint payload. `limits` is
     /// construction-time configuration and is not part of the state.
     pub fn save_state(&self, floats: &mut Vec<f64>, ints: &mut Vec<i64>) {
-        floats.extend_from_slice(&[
-            self.ema_exd,
-            self.best_exd,
-            self.targets.perf,
-            self.targets.p_big,
-            self.targets.p_little,
-            self.targets.temp,
-        ]);
+        floats.extend_from_slice(&[self.ema_exd, self.best_exd]);
+        floats.extend_from_slice(&self.targets.to_vec());
         ints.push(i64::from(self.initialized));
     }
 
     /// Restores state appended by [`HwOptimizer::save_state`]. Slices must
-    /// be exactly [`HwOptimizer::STATE_FLOATS`]/[`HwOptimizer::STATE_INTS`]
-    /// long (the caller validates lengths before splitting the payload).
+    /// be exactly [`HwOptimizer::STATE_LEN`] long (the caller validates lengths before splitting the payload).
     pub fn restore_state(&mut self, floats: &[f64], ints: &[i64]) {
         self.ema_exd = floats[0];
         self.best_exd = floats[1];
-        self.targets = HwOutputs {
-            perf: floats[2],
-            p_big: floats[3],
-            p_little: floats[4],
-            temp: floats[5],
-        };
+        self.targets = HwOutputs::from_slice(&floats[2..]);
         self.initialized = ints[0] != 0;
     }
 }
@@ -251,39 +237,26 @@ impl OsOptimizer {
         self.targets
     }
 
-    /// Floats appended by [`OsOptimizer::save_state`].
-    pub const STATE_FLOATS: usize = 6;
-    /// Ints appended by [`OsOptimizer::save_state`].
-    pub const STATE_INTS: usize = 2;
+    /// `(floats, ints)` appended by [`OsOptimizer::save_state`].
+    pub const STATE_LEN: (usize, usize) = (6, 2);
 
     /// Appends the hill-climbing state (EMA, best-seen, probe step and
     /// direction, targets, tick count, initialized flag) to a checkpoint
     /// payload.
     pub fn save_state(&self, floats: &mut Vec<f64>, ints: &mut Vec<i64>) {
-        floats.extend_from_slice(&[
-            self.ema_exd,
-            self.best_exd,
-            self.spare_step,
-            self.targets.perf_little,
-            self.targets.perf_big,
-            self.targets.spare_diff,
-        ]);
+        floats.extend_from_slice(&[self.ema_exd, self.best_exd, self.spare_step]);
+        floats.extend_from_slice(&self.targets.to_vec());
         ints.push(i64::from(self.initialized));
         ints.push(self.ticks as i64);
     }
 
     /// Restores state appended by [`OsOptimizer::save_state`]. Slices must
-    /// be exactly [`OsOptimizer::STATE_FLOATS`]/[`OsOptimizer::STATE_INTS`]
-    /// long (the caller validates lengths before splitting the payload).
+    /// be exactly [`OsOptimizer::STATE_LEN`] long (the caller validates lengths before splitting the payload).
     pub fn restore_state(&mut self, floats: &[f64], ints: &[i64]) {
         self.ema_exd = floats[0];
         self.best_exd = floats[1];
         self.spare_step = floats[2];
-        self.targets = OsOutputs {
-            perf_little: floats[3],
-            perf_big: floats[4],
-            spare_diff: floats[5],
-        };
+        self.targets = OsOutputs::from_slice(&floats[3..]);
         self.initialized = ints[0] != 0;
         self.ticks = ints[1] as u64;
     }

@@ -1092,16 +1092,10 @@ impl Experiment {
         opts: &UnifiedOptions,
         controllers: Option<Controllers>,
     ) -> Result<RecoveredRun> {
-        // Health config errors map to the workspace's typed error (the
-        // dynamic detail is available from `HealthConfig::validate`).
         let mut tap = opts
             .health
             .map(|cfg| HealthTap::new(&self.design, cfg))
-            .transpose()
-            .map_err(|_| Error::NoSolution {
-                op: "health_config",
-                why: "invalid health configuration (see HealthConfig::validate)",
-            })?;
+            .transpose()?;
         let mut engine = match controllers {
             Some(c) => Engine::new(c, opts.sup_cfg),
             None => self.build_engine(self.scheme, opts.sup_cfg)?,
@@ -2319,6 +2313,29 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn wrong_shaped_design_is_a_typed_error_for_every_scheme() {
+        let mut d = default_design().clone();
+        std::mem::swap(&mut d.hw_ssv, &mut d.os_ssv);
+        std::mem::swap(&mut d.hw_model_full, &mut d.os_model_full);
+        std::mem::swap(&mut d.hw_model_solo, &mut d.os_model_solo);
+        let wl = catalog::spec::mcf();
+        for scheme in Scheme::all() {
+            let exp = Experiment::with_design(scheme, d.clone()).with_options(quick_options());
+            let err = exp.run(&wl).unwrap_err();
+            assert!(matches!(err, Error::DimensionMismatch { .. }), "{err:?}");
+            let err = exp
+                .run_monitored(
+                    &wl,
+                    SupervisorConfig::default(),
+                    None,
+                    HealthConfig::default(),
+                )
+                .unwrap_err();
+            assert!(matches!(err, Error::DimensionMismatch { .. }), "{err:?}");
+        }
     }
 
     /// A supervised, monitored run whose first phase-change verdict swaps

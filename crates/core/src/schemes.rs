@@ -205,9 +205,11 @@ impl Scheme {
     ///
     /// # Errors
     ///
-    /// Propagates LQG design failures (Riccati infeasibility on the
-    /// identified models).
+    /// [`yukta_linalg::Error::DimensionMismatch`] if a part of the design
+    /// has the wrong widths ([`Design::check_widths`]); propagates LQG
+    /// design failures (Riccati infeasibility on the identified models).
     pub fn instantiate(&self, design: &Design, limits: Limits) -> Result<Controllers> {
+        design.check_widths()?;
         let lqg_hw_weights = LqgWeights {
             qy: 1.0,
             qi: 0.5,
@@ -219,6 +221,7 @@ impl Scheme {
             ru: 2.0, // comparable to the SSV software input weights
             ..lqg_hw_weights
         };
+        let hw_ssv = || SsvHwController::new(&design.hw_ssv, HwOptimizer::new(limits));
         Ok(match self {
             Scheme::CoordinatedHeuristic => Controllers::Split {
                 hw: Box::new(CoordinatedHeuristicHw::new()),
@@ -229,34 +232,28 @@ impl Scheme {
                 os: Box::new(DecoupledHeuristicOs::new()),
             },
             Scheme::YuktaHwSsvOsHeuristic => Controllers::Split {
-                hw: Box::new(SsvHwController::new(
-                    &design.hw_ssv,
-                    HwOptimizer::new(limits),
-                )),
+                hw: Box::new(hw_ssv()?),
                 os: Box::new(CoordinatedHeuristicOs::new()),
             },
             Scheme::YuktaHwSsvOsSsv => Controllers::Split {
-                hw: Box::new(SsvHwController::new(
-                    &design.hw_ssv,
-                    HwOptimizer::new(limits),
-                )),
-                os: Box::new(SsvOsController::new(&design.os_ssv, OsOptimizer::new())),
+                hw: Box::new(hw_ssv()?),
+                os: Box::new(SsvOsController::new(&design.os_ssv, OsOptimizer::new())?),
             },
             Scheme::DecoupledLqg => Controllers::Split {
                 hw: Box::new(LqgHwController::new(
                     LqgTracker::design(&design.hw_model_solo, lqg_hw_weights)?,
                     HwOptimizer::new(limits),
-                )),
+                )?),
                 os: Box::new(LqgOsController::new(
                     LqgTracker::design(&design.os_model_solo, lqg_os_weights)?,
                     OsOptimizer::new(),
-                )),
+                )?),
             },
             Scheme::MonolithicLqg => Controllers::Monolithic(Box::new(MonolithicLqg::new(
                 LqgTracker::design(&design.mono_model, lqg_hw_weights)?,
                 HwOptimizer::new(limits),
                 OsOptimizer::new(),
-            ))),
+            )?)),
         })
     }
 }

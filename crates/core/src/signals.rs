@@ -84,6 +84,17 @@ impl HwOutputs {
     pub fn to_vec(self) -> [f64; 4] {
         [self.perf, self.p_big, self.p_little, self.temp]
     }
+
+    /// Outputs from the first four values of `v`, in Table II order (the
+    /// inverse of [`HwOutputs::to_vec`]).
+    pub fn from_slice(v: &[f64]) -> Self {
+        HwOutputs {
+            perf: v[0],
+            p_big: v[1],
+            p_little: v[2],
+            temp: v[3],
+        }
+    }
 }
 
 /// The hardware controller's actuated inputs (Table II).
@@ -140,6 +151,16 @@ impl OsOutputs {
     /// Outputs as a vector in Table III order.
     pub fn to_vec(self) -> [f64; 3] {
         [self.perf_little, self.perf_big, self.spare_diff]
+    }
+
+    /// Outputs from the first three values of `v`, in Table III order (the
+    /// inverse of [`OsOutputs::to_vec`]).
+    pub fn from_slice(v: &[f64]) -> Self {
+        OsOutputs {
+            perf_little: v[0],
+            perf_big: v[1],
+            spare_diff: v[2],
+        }
     }
 }
 
@@ -237,6 +258,52 @@ impl SignalRanges {
             self.spare_diff.normalize(y.spare_diff),
         ]
     }
+
+    /// Denormalizes a hardware input vector (the inverse of
+    /// [`SignalRanges::norm_hw_inputs`]).
+    pub fn denorm_hw_inputs(&self, u: &[f64]) -> HwInputs {
+        HwInputs {
+            big_cores: self.cores.denormalize(u[0]),
+            little_cores: self.cores.denormalize(u[1]),
+            f_big: self.f_big.denormalize(u[2]),
+            f_little: self.f_little.denormalize(u[3]),
+        }
+    }
+
+    /// Denormalizes a software input vector (the inverse of
+    /// [`SignalRanges::norm_os_inputs`]).
+    pub fn denorm_os_inputs(&self, u: &[f64]) -> OsInputs {
+        OsInputs {
+            threads_big: self.threads_big.denormalize(u[0]),
+            packing_big: self.packing.denormalize(u[1]),
+            packing_little: self.packing.denormalize(u[2]),
+        }
+    }
+
+    /// The hardware actuation a normalized command lands on: denormalized,
+    /// then snapped onto the actuator grids.
+    pub fn snap_hw(&self, grids: &ActuatorGrids, u: &[f64]) -> HwInputs {
+        HwInputs {
+            big_cores: grids.big_cores.quantize(self.cores.denormalize(u[0])),
+            little_cores: grids.little_cores.quantize(self.cores.denormalize(u[1])),
+            f_big: grids.f_big.quantize(self.f_big.denormalize(u[2])),
+            f_little: grids.f_little.quantize(self.f_little.denormalize(u[3])),
+        }
+    }
+
+    /// The software actuation a normalized command lands on: denormalized,
+    /// snapped onto the actuator grids, and with no more threads on the
+    /// big cluster than `active_threads`.
+    pub fn snap_os(&self, grids: &ActuatorGrids, u: &[f64], active_threads: usize) -> OsInputs {
+        OsInputs {
+            threads_big: grids
+                .threads_big
+                .quantize(self.threads_big.denormalize(u[0]))
+                .min(active_threads as f64),
+            packing_big: grids.packing.quantize(self.packing.denormalize(u[1])),
+            packing_little: grids.packing.quantize(self.packing.denormalize(u[2])),
+        }
+    }
 }
 
 /// The discrete actuator grids of the prototype (Table II/III): core
@@ -269,6 +336,21 @@ impl ActuatorGrids {
             threads_big: InputGrid::stepped(0.0, 8.0, 1.0),
             packing: InputGrid::stepped(1.0, 4.0, 0.5),
         }
+    }
+
+    /// The grid of each of the seven knobs, in actuation order `[#big,
+    /// #little, f_big, f_little, threads_big, packing_big,
+    /// packing_little]` (Table II's inputs, then Table III's).
+    pub fn knobs(&self) -> [&InputGrid; 7] {
+        [
+            &self.big_cores,
+            &self.little_cores,
+            &self.f_big,
+            &self.f_little,
+            &self.threads_big,
+            &self.packing,
+            &self.packing,
+        ]
     }
 }
 
@@ -334,6 +416,42 @@ mod tests {
         assert_eq!(g.f_little.len(), 13);
         assert_eq!(g.big_cores.len(), 4);
         assert_eq!(g.threads_big.len(), 9);
+    }
+
+    #[test]
+    fn snaps_land_on_grids_and_invert_normalization() {
+        let (r, g) = (SignalRanges::xu3(), ActuatorGrids::xu3());
+        let hw = r.snap_hw(&g, &[0.13, -2.0, 0.41, 0.07]);
+        assert_eq!(hw.little_cores, 1.0, "saturates at the rail");
+        for (v, grid) in hw.to_vec().iter().zip(g.knobs()) {
+            assert_eq!(grid.quantize(*v), *v);
+        }
+        let back = r.denorm_hw_inputs(&r.norm_hw_inputs(&hw));
+        for (a, b) in back.to_vec().iter().zip(hw.to_vec()) {
+            assert!((a - b).abs() < 1e-12);
+        }
+        let os = r.snap_os(&g, &[1.0, 0.3, -0.3], 3);
+        assert_eq!(os.threads_big, 3.0, "capped at the active threads");
+        assert_eq!(g.packing.quantize(os.packing_big), os.packing_big);
+        let back = r.denorm_os_inputs(&r.norm_os_inputs(&os));
+        assert!((back.packing_little - os.packing_little).abs() < 1e-12);
+    }
+
+    #[test]
+    fn from_slice_inverts_to_vec() {
+        let y = HwOutputs {
+            perf: 1.0,
+            p_big: 2.0,
+            p_little: 3.0,
+            temp: 4.0,
+        };
+        assert_eq!(HwOutputs::from_slice(&y.to_vec()), y);
+        let o = OsOutputs {
+            perf_little: 0.5,
+            perf_big: 2.5,
+            spare_diff: -1.0,
+        };
+        assert_eq!(OsOutputs::from_slice(&o.to_vec()), o);
     }
 
     #[test]

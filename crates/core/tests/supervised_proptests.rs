@@ -74,36 +74,44 @@ fn all_controller_families() -> Vec<(&'static str, Controllers)> {
         (
             "ssv-ssv",
             Controllers::Split {
-                hw: Box::new(SsvHwController::new(
-                    &dummy_synthesis(4, 11),
-                    HwOptimizer::new(limits),
-                )),
-                os: Box::new(SsvOsController::new(
-                    &dummy_synthesis(3, 10),
-                    OsOptimizer::new(),
-                )),
+                hw: Box::new(
+                    SsvHwController::new(&dummy_synthesis(4, 11), HwOptimizer::new(limits))
+                        .unwrap(),
+                ),
+                os: Box::new(
+                    SsvOsController::new(&dummy_synthesis(3, 10), OsOptimizer::new()).unwrap(),
+                ),
             },
         ),
         (
             "decoupled-lqg",
             Controllers::Split {
-                hw: Box::new(LqgHwController::new(
-                    LqgTracker::design(&model(4), LqgWeights::default()).unwrap(),
-                    HwOptimizer::new(limits),
-                )),
-                os: Box::new(LqgOsController::new(
-                    LqgTracker::design(&model(3), LqgWeights::default()).unwrap(),
-                    OsOptimizer::new(),
-                )),
+                hw: Box::new(
+                    LqgHwController::new(
+                        LqgTracker::design(&model(4), LqgWeights::default()).unwrap(),
+                        HwOptimizer::new(limits),
+                    )
+                    .unwrap(),
+                ),
+                os: Box::new(
+                    LqgOsController::new(
+                        LqgTracker::design(&model(3), LqgWeights::default()).unwrap(),
+                        OsOptimizer::new(),
+                    )
+                    .unwrap(),
+                ),
             },
         ),
         (
             "monolithic-lqg",
-            Controllers::Monolithic(Box::new(MonolithicLqg::new(
-                LqgTracker::design(&model(7), LqgWeights::default()).unwrap(),
-                HwOptimizer::new(limits),
-                OsOptimizer::new(),
-            ))),
+            Controllers::Monolithic(Box::new(
+                MonolithicLqg::new(
+                    LqgTracker::design(&model(7), LqgWeights::default()).unwrap(),
+                    HwOptimizer::new(limits),
+                    OsOptimizer::new(),
+                )
+                .unwrap(),
+            )),
         ),
     ]
 }

@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5. Deploy with the anti-windup runtime against the *true* nonlinear
     //    plant, with a quantized actuator (21 levels in [-1, 1]).
     let grid = InputGrid::stepped(-1.0, 1.0, 0.1);
-    let mut rt = ObsAwController::new(&syn.controller);
+    let mut rt = ObsAwController::new(&syn.controller)?;
     let mut state = [0.0f64; 2];
     let mut y = [0.0f64; 2];
     let target = [0.4, 0.2];
