@@ -26,10 +26,8 @@
 //! Any violation exits non-zero, which gates CI. `--quick` runs a reduced
 //! grid for smoke coverage.
 
-use std::time::Instant;
-
 use yukta_bench::campaign::Campaign;
-use yukta_bench::eval_options;
+use yukta_bench::{eval_options, time_interleaved};
 use yukta_board::{FaultChannel, FaultKind, FaultPlan, ScheduledFault};
 use yukta_core::runtime::{Experiment, RunOptions, SwapSpec, SwapTrigger, UnifiedOptions};
 use yukta_core::schemes::Scheme;
@@ -417,20 +415,9 @@ fn main() {
             // variant is timed last. The median over reps keeps one
             // scheduler burst from swinging the figure.
             let inner = 4;
-            let (mut sups, mut ratios) = (Vec::new(), Vec::new());
-            for _ in 0..reps {
-                let (mut t_sup, mut t_mon) = (0.0, 0.0);
-                for _ in 0..inner {
-                    let t0 = Instant::now();
-                    sup_run();
-                    t_sup += t0.elapsed().as_secs_f64();
-                    let t0 = Instant::now();
-                    mon_run();
-                    t_mon += t0.elapsed().as_secs_f64();
-                }
-                sups.push(t_sup / inner as f64);
-                ratios.push(t_mon / t_sup);
-            }
+            let pairs = time_interleaved(reps, inner, sup_run, mon_run);
+            let mut sups: Vec<f64> = pairs.iter().map(|&(s, _)| s / inner as f64).collect();
+            let mut ratios: Vec<f64> = pairs.iter().map(|&(s, m)| m / s).collect();
             let median = |v: &mut Vec<f64>| {
                 v.sort_by(|a, b| a.total_cmp(b));
                 v[v.len() / 2]

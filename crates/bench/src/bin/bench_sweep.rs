@@ -23,9 +23,7 @@
 //! `--quick` runs only the overhead gate and fails on a regression — the
 //! CI gate. It does not rewrite `results/BENCH_sweep.json`.
 
-use std::time::Instant;
-
-use yukta_bench::{splitmix, time_best, write_results};
+use yukta_bench::{splitmix, time_best, time_interleaved, write_results};
 use yukta_control::mu::{MuBlock, log_grid, mu_peak, mu_peak_serial, mu_peak_serial_raw};
 use yukta_control::ss::StateSpace;
 use yukta_linalg::Mat;
@@ -59,15 +57,9 @@ fn obs_overhead_gate() {
     let raw = || mu_peak_serial_raw(&sys, &TWO_1X1, &grid).unwrap().peak;
     let noop = || mu_peak_serial(&sys, &TWO_1X1, &grid).unwrap().peak;
     let (mut p_raw, mut p_inst) = (raw(), noop()); // warmup, untimed
-    let (mut t_raw, mut t_inst) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        p_raw = raw();
-        t_raw = t_raw.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        p_inst = noop();
-        t_inst = t_inst.min(t0.elapsed().as_secs_f64());
-    }
+    let pairs = time_interleaved(reps, 1, || p_raw = raw(), || p_inst = noop());
+    let t_raw = pairs.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
+    let t_inst = pairs.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
     assert_eq!(
         p_raw.to_bits(),
         p_inst.to_bits(),

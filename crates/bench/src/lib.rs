@@ -187,6 +187,35 @@ pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, last)
 }
 
+/// Times two variants alternately: each of `reps` reps runs `a` then `b`,
+/// `inner` times over (a, b, a, b, …), and yields the pair of summed wall
+/// times in seconds. Both sides sample the same moment's machine state,
+/// so drift that is linear across a rep (frequency ramp-up, thermal
+/// throttle, a noisy neighbour winding down) lands on both alike instead
+/// of on whichever variant is timed last. Each call's value is dropped
+/// inside its timing; callers choose the statistic over the pairs.
+pub fn time_interleaved<A, B>(
+    reps: usize,
+    inner: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> Vec<(f64, f64)> {
+    (0..reps)
+        .map(|_| {
+            let (mut t_a, mut t_b) = (0.0, 0.0);
+            for _ in 0..inner {
+                let t0 = Instant::now();
+                a();
+                t_a += t0.elapsed().as_secs_f64();
+                let t0 = Instant::now();
+                b();
+                t_b += t0.elapsed().as_secs_f64();
+            }
+            (t_a, t_b)
+        })
+        .collect()
+}
+
 /// Deterministic pseudo-random value in `[-0.5, 0.5)`: the generator
 /// behind every synthetic plant in the benches, so plant families are
 /// comparable across them.

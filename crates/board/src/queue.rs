@@ -2,7 +2,7 @@
 //! instructions into request completions and per-request latency.
 //!
 //! This is the serving-side complement of the batch workload model. An
-//! open-loop arrival stream ([`yukta_workloads::traffic`] upstream)
+//! open-loop arrival stream (`yukta_workloads::traffic` upstream)
 //! offers requests; the queue admits them subject to load shedding and
 //! a bounded backlog, serves them FIFO at whatever instruction
 //! throughput the board actually delivered over each control window,

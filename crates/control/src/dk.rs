@@ -9,10 +9,10 @@
 
 use yukta_linalg::ratfit::{self, RatSection};
 use yukta_linalg::{Error, Result};
-use yukta_obs::{Recorder, Value};
+use yukta_obs::{NoopRecorder, Recorder, Value};
 
-use crate::hinf::{DgkfFactors, GenPlant, hinf_bisect_multi_factored};
-use crate::mu::{log_grid, mu_peak_obs};
+use crate::hinf::{DgkfFactors, GenPlant, HinfDesign, hinf_bisect};
+use crate::mu::{MuPeak, log_grid, mu_peak_obs};
 use crate::plant::{SsvSpec, build_ssv_plant};
 use crate::ss::StateSpace;
 
@@ -193,39 +193,30 @@ pub fn synthesize_ssv_obs(
     let plant = build_ssv_plant(model, spec)?;
     let blocks = plant.mu_blocks();
     let grid = opts.grid(spec.ts);
-    // D-scaling preserves the DGKF regularity structure (see
-    // `SsvPlant::scaled`), so the assumptions are checked once here and
-    // every K-step runs on the pre-validated factored path.
-    crate::hinf::validate_dgkf_plant(&plant.gen)?;
+    // The D-step's measurement of a K-step design: µ on the *unscaled*
+    // closed loop. The µ sweep optimizes the scalings at every grid
+    // point, so the ones at the peak are exactly what re-evaluating the
+    // loop there would produce: the next constant D reuses them.
+    let measure = |design: HinfDesign, gamma: f64, sections: Vec<RatSection>| {
+        let cl = plant.gen.lft(&design.k)?;
+        let peak = mu_peak_obs(&cl, &blocks, &grid, rec)?;
+        Ok::<_, Error>(DkCandidate {
+            design,
+            gamma,
+            peak,
+            sections,
+        })
+    };
 
     let mut d_scale = 1.0f64;
     let mut best_design: Option<DkCandidate> = None;
     let mut iters = 0;
-    // Scaled plants and their γ-independent DGKF factors, keyed by the
-    // exact bits of the scaling that produced them: iterations that
-    // revisit a scaling (oscillating D-steps, zero-change resynthesis)
-    // reuse the extraction instead of re-slicing and re-multiplying.
-    let mut fac_cache: Vec<(u64, GenPlant, DgkfFactors)> = Vec::new();
     for _ in 0..opts.max_iters.max(1) {
         iters += 1;
         let iter_span = yukta_obs::span(rec, "dk.iteration");
         let k_span = yukta_obs::span(rec, "dk.k_step");
-        let cache_idx = match fac_cache
-            .iter()
-            .position(|(bits, _, _)| *bits == d_scale.to_bits())
-        {
-            Some(i) => i,
-            None => {
-                let scaled = plant.scaled(d_scale)?;
-                let fac = DgkfFactors::new(&scaled);
-                fac_cache.push((d_scale.to_bits(), scaled, fac));
-                fac_cache.len() - 1
-            }
-        };
-        let (_, scaled, fac) = &fac_cache[cache_idx];
-        let gb_span = yukta_obs::span(rec, "dk.gamma_bisect");
-        let bisect = hinf_bisect_multi_factored(scaled, fac, 0.05, 64.0, opts.gamma_iters);
-        let (design, gamma) = match bisect {
+        let scaled = plant.scaled(d_scale)?;
+        let (design, gamma) = match k_step(&scaled, opts.gamma_iters, rec, iters) {
             Ok(kg) => kg,
             Err(e) => {
                 if best_design.is_some() {
@@ -235,37 +226,18 @@ pub fn synthesize_ssv_obs(
             }
         };
         if rec.enabled() {
-            gb_span.end_with(&[
-                ("iter", Value::U64(iters as u64)),
-                ("gamma", Value::F64(gamma)),
-            ]);
             k_span.end_with(&[
                 ("iter", Value::U64(iters as u64)),
                 ("gamma", Value::F64(gamma)),
                 ("gamma_iters", Value::U64(opts.gamma_iters as u64)),
             ]);
         }
-        // D-step: evaluate µ on the *unscaled* closed loop; the µ sweep
-        // already optimized the scalings at every grid point, so the ones
-        // reported at the peak frequency are exactly what re-evaluating
-        // the loop there would produce — reuse them instead of paying
-        // another solve + D-optimization.
         let d_span = yukta_obs::span(rec, "dk.d_step");
-        let cl = plant.gen.lft(&design.k)?;
-        let peak = mu_peak_obs(&cl, &blocks, &grid, rec)?;
-        let better = best_design
-            .as_ref()
-            .map(|c| peak.peak < c.peak.peak)
-            .unwrap_or(true);
-        let new_d = peak.scalings[0].clamp(1e-3, 1e3);
-        let mu_here = peak.peak;
-        if better {
-            best_design = Some(DkCandidate {
-                design,
-                gamma,
-                peak,
-                sections: Vec::new(),
-            });
+        let candidate = measure(design, gamma, Vec::new())?;
+        let new_d = candidate.peak.scalings[0].clamp(1e-3, 1e3);
+        let mu_here = candidate.peak.peak;
+        if best_design.as_ref().is_none_or(|c| mu_here < c.peak.peak) {
+            best_design = Some(candidate);
         }
         if rec.enabled() {
             d_span.end_with(&[
@@ -308,35 +280,22 @@ pub fn synthesize_ssv_obs(
             // step the loop already took.
             if omega.len() >= 3 && spread > 1.05 {
                 let rat_span = yukta_obs::span(rec, "dk.rational_step");
-                let mut rat_mu = f64::NAN;
-                if let Ok(fitted) = ratfit::fit_sections(&omega, &mags, opts.d_fit_sections) {
-                    let shaped = fitted.iter().any(|s| s.z != s.p);
-                    if shaped {
-                        if let Ok(scaled) = plant.scaled_rational(&fitted) {
-                            let fac = DgkfFactors::new(&scaled);
-                            if let Ok((design, gamma)) = hinf_bisect_multi_factored(
-                                &scaled,
-                                &fac,
-                                0.05,
-                                64.0,
-                                opts.gamma_iters,
-                            ) {
-                                if let Ok(cl) = plant.gen.lft(&design.k) {
-                                    if let Ok(peak) = mu_peak_obs(&cl, &blocks, &grid, rec) {
-                                        iters += 1;
-                                        rat_mu = peak.peak;
-                                        if peak.peak < best_mu {
-                                            best_design = Some(DkCandidate {
-                                                design,
-                                                gamma,
-                                                peak,
-                                                sections: fitted,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                // `dk.rational_step` times this K-step, so it reports no
+                // `dk.gamma_bisect` span of its own.
+                let rational = ratfit::fit_sections(&omega, &mags, opts.d_fit_sections)
+                    .ok()
+                    .filter(|fitted| fitted.iter().any(|s| s.z != s.p))
+                    .and_then(|fitted| {
+                        let scaled = plant.scaled_rational(&fitted).ok()?;
+                        let (design, gamma) =
+                            k_step(&scaled, opts.gamma_iters, &NoopRecorder, iters).ok()?;
+                        measure(design, gamma, fitted).ok()
+                    });
+                let rat_mu = rational.as_ref().map_or(f64::NAN, |c| c.peak.peak);
+                if let Some(candidate) = rational {
+                    iters += 1;
+                    if candidate.peak.peak < best_mu {
+                        best_design = Some(candidate);
                     }
                 }
                 if rec.enabled() {
@@ -380,13 +339,35 @@ pub fn synthesize_ssv_obs(
     })
 }
 
+/// The K-step shared by the constant-D iterations and the rational-D
+/// step: factor the D-scaled plant (which checks the synthesis
+/// assumptions) and run the γ-search on it inside a `dk.gamma_bisect`
+/// span tagged with `iter`.
+fn k_step(
+    scaled: &GenPlant,
+    gamma_iters: usize,
+    rec: &dyn Recorder,
+    iter: usize,
+) -> Result<(HinfDesign, f64)> {
+    let fac = DgkfFactors::new(scaled)?;
+    let span = yukta_obs::span(rec, "dk.gamma_bisect");
+    let (design, gamma) = hinf_bisect(scaled, &fac, 0.05, 64.0, gamma_iters)?;
+    if rec.enabled() {
+        span.end_with(&[
+            ("iter", Value::U64(iter as u64)),
+            ("gamma", Value::F64(gamma)),
+        ]);
+    }
+    Ok((design, gamma))
+}
+
 /// One D–K candidate: the H∞ design, its achieved γ, the µ sweep of its
 /// unscaled closed loop, and the rational D(s) sections that produced it
 /// (empty for constant-D iterations).
 struct DkCandidate {
-    design: crate::hinf::HinfDesign,
+    design: HinfDesign,
     gamma: f64,
-    peak: crate::mu::MuPeak,
+    peak: MuPeak,
     sections: Vec<RatSection>,
 }
 

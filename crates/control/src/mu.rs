@@ -384,7 +384,7 @@ pub fn log_grid(w_min: f64, w_max: f64, n: usize) -> Vec<f64> {
 /// Reusable per-thread buffers for the batched µ chunk worker: block-norm
 /// matrices and Osborne scalings for a whole chunk of grid points, weight
 /// expansions and the σ̄ scratch for the refinement, and the chunk's
-/// stored responses. Thread-local because the sweep drivers share one
+/// stored responses. Thread-local because the sweep driver shares one
 /// `Fn` closure across workers.
 struct MuWorkspace {
     norms: Vec<f64>,
@@ -503,27 +503,6 @@ fn fold_peak(grid: &[f64], results: Vec<Option<MuInfo>>, blocks: &[MuBlock]) -> 
     peak
 }
 
-/// Closes a `mu.sweep` span with the sweep's shape and result attached.
-/// Skips field construction entirely on disabled recorders.
-fn end_mu_span(
-    span: yukta_obs::Span<'_>,
-    rec: &dyn Recorder,
-    mode: &'static str,
-    sys: &StateSpace,
-    grid: &[f64],
-    peak: &MuPeak,
-) {
-    if rec.enabled() {
-        span.end_with(&[
-            ("mode", Value::Str(mode)),
-            ("points", Value::U64(grid.len() as u64)),
-            ("order", Value::U64(sys.order() as u64)),
-            ("mu", Value::F64(peak.peak)),
-            ("w_peak", Value::F64(peak.w_peak)),
-        ]);
-    }
-}
-
 /// Sweeps the µ upper bound of a closed-loop system over a frequency grid
 /// and returns the peak.
 ///
@@ -553,53 +532,66 @@ pub fn mu_peak_obs(
     grid: &[f64],
     rec: &dyn Recorder,
 ) -> Result<MuPeak> {
-    check_blocks(sys.n_outputs(), sys.n_inputs(), blocks)?;
-    let span = yukta_obs::span(rec, "mu.sweep");
-    let ts = sys.ts();
-    let results = sweep::sweep_chunks(sys.freq_system(), grid, |_, ws, ev| {
-        mu_chunk(blocks, ts, ws, ev)
-    });
-    let peak = fold_peak(grid, results, blocks);
-    end_mu_span(span, rec, "parallel", sys, grid, &peak);
-    Ok(peak)
+    peak_sweep(sys, blocks, grid, false, Some(rec))
 }
 
-/// Single-threaded reference for [`mu_peak`]: identical per-point work,
-/// identical fold, no fan-out. Exists so differential tests can pin the
-/// parallel sweep to the serial semantics.
+/// Single-threaded reference for [`mu_peak`]: the same sweep driver on
+/// one worker. Exists so differential tests can pin the parallel sweep
+/// to the serial semantics.
 ///
 /// # Errors
 ///
 /// Same as [`mu_peak`].
 pub fn mu_peak_serial(sys: &StateSpace, blocks: &[MuBlock], grid: &[f64]) -> Result<MuPeak> {
-    check_blocks(sys.n_outputs(), sys.n_inputs(), blocks)?;
-    let rec = yukta_obs::handle();
-    let span = yukta_obs::span(rec, "mu.sweep");
-    let ts = sys.ts();
-    let results = sweep::sweep_serial_chunks(sys.freq_system(), grid, |_, ws, ev| {
-        mu_chunk(blocks, ts, ws, ev)
-    });
-    let peak = fold_peak(grid, results, blocks);
-    end_mu_span(span, rec, "serial", sys, grid, &peak);
-    Ok(peak)
+    peak_sweep(sys, blocks, grid, true, Some(yukta_obs::handle()))
 }
 
 /// [`mu_peak_serial`] with **no instrumentation at all** — not even the
 /// disabled-recorder virtual calls. This is the honest baseline the
 /// `bench_sweep --quick` overhead gate compares the no-op-instrumented
-/// path against; it must stay semantically identical to
-/// [`mu_peak_serial`].
+/// path against.
 ///
 /// # Errors
 ///
 /// Same as [`mu_peak_serial`].
 pub fn mu_peak_serial_raw(sys: &StateSpace, blocks: &[MuBlock], grid: &[f64]) -> Result<MuPeak> {
+    peak_sweep(sys, blocks, grid, true, None)
+}
+
+/// The µ sweep behind every `mu_peak*` entry point: batched chunks
+/// ([`mu_chunk`]) on the fan-out driver, on one worker when `serial`,
+/// folded into the peak record. With a recorder, one `mu.sweep` span
+/// carries the sweep's shape and result.
+fn peak_sweep(
+    sys: &StateSpace,
+    blocks: &[MuBlock],
+    grid: &[f64],
+    serial: bool,
+    rec: Option<&dyn Recorder>,
+) -> Result<MuPeak> {
     check_blocks(sys.n_outputs(), sys.n_inputs(), blocks)?;
+    let span = rec.map(|r| yukta_obs::span(r, "mu.sweep"));
     let ts = sys.ts();
-    let results = sweep::sweep_serial_chunks(sys.freq_system(), grid, |_, ws, ev| {
-        mu_chunk(blocks, ts, ws, ev)
-    });
-    Ok(fold_peak(grid, results, blocks))
+    let chunk = |_, ws: &[f64], ev: &mut FreqEvaluator<'_>| mu_chunk(blocks, ts, ws, ev);
+    let results = if serial {
+        sweep::sweep_chunks_on(sys.freq_system(), grid, 1, chunk)
+    } else {
+        sweep::sweep_chunks(sys.freq_system(), grid, chunk)
+    };
+    let peak = fold_peak(grid, results, blocks);
+    if let Some(span) = span.filter(|_| rec.is_some_and(|r| r.enabled())) {
+        span.end_with(&[
+            (
+                "mode",
+                Value::Str(if serial { "serial" } else { "parallel" }),
+            ),
+            ("points", Value::U64(grid.len() as u64)),
+            ("order", Value::U64(sys.order() as u64)),
+            ("mu", Value::F64(peak.peak)),
+            ("w_peak", Value::F64(peak.w_peak)),
+        ]);
+    }
+    Ok(peak)
 }
 
 #[cfg(test)]

@@ -1,30 +1,33 @@
-//! Parallel frequency-sweep driver.
+//! Deterministic fan-out driver.
 //!
 //! Every frequency-domain analysis in this crate — µ upper-bound peaks
 //! ([`crate::mu::mu_peak`]), H∞ norm estimates, D-scale fitting inside
 //! D–K iteration — is a map over a frequency grid where each point is
 //! independent: evaluate the transfer matrix, reduce it to a scalar or a
-//! small record. This module provides that map once, with four
-//! guarantees:
+//! small record. The γ-bisection probes its candidates the same way, and
+//! the figure binaries fan their runs out through [`parallel_map`]. All
+//! of them run on one private claim driver, with four guarantees:
 //!
 //! 1. **One Hessenberg reduction per sweep.** The caller supplies a
 //!    [`FreqSystem`] (built once, O(n³)); each grid point costs an O(n²)
 //!    solve through a per-worker [`FreqEvaluator`] whose scratch buffers
-//!    are reused across the whole chunk.
-//! 2. **Deterministic results.** The grid is split into contiguous
-//!    chunks, workers claim chunks round-robin, and chunk outputs are
-//!    reassembled in grid order. Each point's computation is identical in
-//!    serial and parallel mode, so [`sweep`] is *bit-identical* to
-//!    [`sweep_serial`].
+//!    are reused across every chunk the worker claims.
+//! 2. **Deterministic results.** Workers claim indices (grid chunks,
+//!    map items, γ candidates) in order under one lock and results are
+//!    reassembled in index order. Each index's computation is the same
+//!    on any worker, so every fan-out is *bit-identical* to the same
+//!    driver on one worker, which is how the serial forms run.
 //! 3. **Cache-footprint chunking.** Chunk sizes come from the
 //!    evaluator's working-set bytes against a 256 KiB L2 budget
 //!    ([`FreqSystem::working_set_bytes`]) rather than `len / workers`:
 //!    big systems get short chunks that keep their scratch hot, small
-//!    systems get long chunks that amortize thread handoff.
+//!    systems get long chunks that amortize the claim handoff.
 //! 4. **One arithmetic path.** Every evaluator runs the same scalar
 //!    kernels on every host (`yukta-linalg` has no vector variant that
 //!    rounds differently), so a sweep's bits depend only on its inputs,
 //!    never on the CPU it runs on.
+
+use std::sync::Mutex;
 
 use yukta_linalg::freq::{FreqEvaluator, FreqSystem};
 use yukta_obs::Value;
@@ -41,12 +44,13 @@ const L2_BUDGET_BYTES: usize = 256 * 1024;
 /// into enough chunks to occupy every worker.
 const MAX_CHUNK_POINTS: usize = 256;
 
-/// Number of workers a sweep of `len` points should use on this host.
-fn worker_count(len: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    cores.min(len / MIN_POINTS_PER_WORKER).max(1)
+/// Workers for `n` independent jobs on this host: one per core, at most
+/// one per job, at least one.
+pub(crate) fn workers(n: usize) -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, |c| c.get())
+        .min(n)
+        .max(1)
 }
 
 /// Grid points per chunk for `sys`: how many evaluations fit the L2
@@ -62,239 +66,57 @@ fn chunk_points(sys: &FreqSystem) -> usize {
     (L2_BUDGET_BYTES / ws).clamp(MIN_POINTS_PER_WORKER, MAX_CHUNK_POINTS)
 }
 
-/// Maps `f` over every grid point in order, single-threaded, reusing one
-/// evaluator. `f` receives the point's index in `grid`, its value, and
-/// the evaluator.
-///
-/// This is the reference semantics for [`sweep`]; the two are
-/// bit-identical by construction.
-pub fn sweep_serial<T, F>(sys: &FreqSystem, grid: &[f64], f: F) -> Vec<T>
-where
-    F: Fn(usize, f64, &mut FreqEvaluator<'_>) -> T,
-{
-    let mut ev = sys.evaluator();
-    grid.iter()
-        .enumerate()
-        .map(|(k, &w)| f(k, w, &mut ev))
-        .collect()
-}
-
-/// Chunk-granular variant of [`sweep_serial`]: `f` receives a whole
-/// contiguous grid chunk (its start index, its frequencies, and the
-/// evaluator) and returns one result per point. Chunk boundaries are the
-/// same cache-sized partition the parallel driver uses, so batched
-/// kernels (e.g. the Osborne D-scaling initializer) see identical batch
-/// shapes in serial and parallel mode.
-pub fn sweep_serial_chunks<T, F>(sys: &FreqSystem, grid: &[f64], f: F) -> Vec<T>
-where
-    F: Fn(usize, &[f64], &mut FreqEvaluator<'_>) -> Vec<T>,
-{
-    let chunk = chunk_points(sys);
-    let mut ev = sys.evaluator();
-    let mut out = Vec::with_capacity(grid.len());
-    let mut start = 0;
-    while start < grid.len() {
-        let end = (start + chunk).min(grid.len());
-        let vals = f(start, &grid[start..end], &mut ev);
-        debug_assert_eq!(vals.len(), end - start, "chunk closure must map 1:1");
-        out.extend(vals);
-        start = end;
-    }
-    out
-}
-
-/// Chunk-granular variant of [`sweep`]: like [`sweep_serial_chunks`] but
-/// fanning chunks out across cores. Chunk partition, per-chunk inputs,
-/// and reassembly order are identical to the serial variant, so results
-/// are bit-identical to [`sweep_serial_chunks`].
-pub fn sweep_chunks<T, F>(sys: &FreqSystem, grid: &[f64], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &[f64], &mut FreqEvaluator<'_>) -> Vec<T> + Sync,
-{
-    let workers = worker_count(grid.len());
-    let chunk = chunk_points(sys);
-    let nchunks = grid.len().div_ceil(chunk);
-    let workers = workers.min(nchunks);
-    if workers <= 1 {
-        return sweep_serial_chunks(sys, grid, f);
-    }
-    let rec = yukta_obs::handle();
-    if rec.enabled() {
-        rec.event(
-            "sweep.fanout",
-            &[
-                ("points", Value::U64(grid.len() as u64)),
-                ("workers", Value::U64(workers as u64)),
-                ("chunk_points", Value::U64(chunk as u64)),
-            ],
-        );
-    }
-    // Worker t claims chunks t, t + workers, t + 2·workers, … — a static
-    // round-robin that needs no work queue and keeps assignment (hence
-    // evaluator state per point) deterministic.
-    let mut tagged: Vec<(usize, Vec<T>)> = crossbeam::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                scope.spawn(move |_| {
-                    let mut ev = sys.evaluator();
-                    let mut parts: Vec<(usize, Vec<T>)> = Vec::new();
-                    let mut ci = t;
-                    while ci * chunk < grid.len() {
-                        let start = ci * chunk;
-                        let end = (start + chunk).min(grid.len());
-                        let token = rec.enabled().then(|| rec.span_begin("sweep.chunk"));
-                        let vals = f(start, &grid[start..end], &mut ev);
-                        debug_assert_eq!(vals.len(), end - start, "chunk closure must map 1:1");
-                        if let Some(token) = token {
-                            rec.span_end(
-                                "sweep.chunk",
-                                token,
-                                &[
-                                    ("chunk", Value::U64(ci as u64)),
-                                    ("start", Value::U64(start as u64)),
-                                    ("len", Value::U64((end - start) as u64)),
-                                ],
-                            );
-                        }
-                        parts.push((ci, vals));
-                        ci += workers;
-                    }
-                    parts
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    })
-    .expect("sweep scope");
-    tagged.sort_by_key(|&(ci, _)| ci);
-    let mut out = Vec::with_capacity(grid.len());
-    for (_, mut part) in tagged {
-        out.append(&mut part);
-    }
-    out
-}
-
-/// Deterministic parallel map over `0..n`: `f(i)` runs once per index on
-/// a round-robin worker assignment and results come back in index order,
-/// bit-identical to `(0..n).map(f)`. The figure sweeps of `yukta-bench`
-/// fan their per-workload runs out through it.
-pub fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    let workers = cores.min(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let mut tagged: Vec<(usize, T)> = crossbeam::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                scope.spawn(move |_| {
-                    let mut out = Vec::new();
-                    let mut i = t;
-                    while i < n {
-                        out.push((i, f(i)));
-                        i += workers;
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("parallel_map worker panicked"))
-            .collect()
-    })
-    .expect("parallel_map scope");
-    tagged.sort_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, v)| v).collect()
-}
-
-/// Probes candidates `0..n` in index order and stops at the first
-/// feasible one: `probe(i)` returns `Some` when candidate `i` is
-/// feasible. Entry `i` of the result is `probe(i)` for every `i` up to
-/// and including the first feasible index and `None` after it. This is
-/// the serial twin of [`first_feasible`] and its reference semantics.
-pub(crate) fn first_feasible_serial<T, F>(n: usize, probe: F) -> Vec<Option<T>>
-where
-    F: Fn(usize) -> Option<T>,
-{
-    let mut out = Vec::with_capacity(n);
-    let mut found = false;
-    for i in 0..n {
-        let r = if found { None } else { probe(i) };
-        found |= r.is_some();
-        out.push(r);
-    }
-    out
-}
-
-/// [`first_feasible_serial`] on up to `available_parallelism` workers.
-/// Workers claim candidates in index order and skip any candidate to the
-/// right of one already found feasible. Every index left of the first
-/// feasible one is probed, so the results agree with the serial twin up
-/// to and including the first `Some`; to its right they may hold extra
-/// `Some`s that were in flight when it was found. Callers read only up
-/// to the first `Some`. This is the fan-out behind γ-bisection, where
-/// each candidate is a full H∞ synthesis and a feasible γ makes every
-/// larger one moot.
-pub(crate) fn first_feasible<T, F>(n: usize, probe: F) -> Vec<Option<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Option<T> + Sync,
-{
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    first_feasible_on(n, cores.min(n), probe, |_| {})
-}
-
-/// A step of the [`first_feasible`] driver, reported to its observer in
-/// the order the steps took effect.
+/// A step of the claim driver, reported to its observer in the order the
+/// steps took effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Claim {
-    /// A worker took the candidate and will probe it.
+    /// A worker took the index and will run its job.
     Probed(usize),
-    /// A worker passed over the candidate: a feasible one lies left of it.
+    /// A worker passed over the index: a `Some` lies left of it.
     Skipped(usize),
-    /// The candidate's probe came back feasible.
+    /// The index's job returned `Some` on a stopping run.
     Found(usize),
 }
 
 /// The shared claim state: the next unclaimed index and the smallest
-/// feasible index found so far (`n` while there is none).
+/// index whose job returned `Some` (`n` while there is none).
 struct Claims {
     next: usize,
     first_found: usize,
 }
 
-/// [`first_feasible`] on `workers` threads (one of them the caller's),
-/// reporting each claim, skip and find to `observe` under the claim lock.
-fn first_feasible_on<T, F, O>(n: usize, workers: usize, probe: F, observe: O) -> Vec<Option<T>>
+/// The one fan-out driver. `workers` workers (the caller's thread and
+/// `workers − 1` scoped threads) claim the indices `0..n` in order under
+/// one lock. Each worker builds its own state with `init` and runs
+/// `job(&mut state, i)` on every index it claims. With `stop` set, a
+/// worker skips any index right of the first one whose job returned
+/// `Some`, leaving `None` there, and no index left of it is skipped.
+/// Results come back in index order; each claim, skip and find is
+/// reported to `observe` under the claim lock.
+///
+/// One worker runs every job in index order on the caller's thread: that
+/// is the serial form, and more workers give the same results wherever a
+/// job's output depends only on its index. On a stopping run, entries
+/// right of the first `Some` may hold extra `Some`s that were in flight
+/// when it was found; callers read only up to the first `Some`.
+fn claim<S, T>(
+    n: usize,
+    workers: usize,
+    stop: bool,
+    init: impl Fn() -> S + Sync,
+    job: impl Fn(&mut S, usize) -> Option<T> + Sync,
+    observe: impl Fn(Claim) + Sync,
+) -> Vec<Option<T>>
 where
     T: Send,
-    F: Fn(usize) -> Option<T> + Sync,
-    O: Fn(Claim) + Sync,
 {
-    if workers <= 1 {
-        return first_feasible_serial(n, probe);
-    }
-    let claims = std::sync::Mutex::new(Claims {
+    let claims = Mutex::new(Claims {
         next: 0,
         first_found: n,
     });
-    let lock = || claims.lock().expect("first_feasible claims poisoned");
+    let lock = || claims.lock().expect("claim state poisoned");
     let work = || {
+        let mut state = init();
         let mut out = Vec::new();
         loop {
             let claimed = {
@@ -314,8 +136,8 @@ where
                 claimed
             };
             let Some(i) = claimed else { break };
-            let r = probe(i);
-            if r.is_some() {
+            let r = job(&mut state, i);
+            if stop && r.is_some() {
                 let mut c = lock();
                 c.first_found = c.first_found.min(i);
                 observe(Claim::Found(i));
@@ -324,31 +146,33 @@ where
         }
         out
     };
-    let mut tagged: Vec<(usize, Option<T>)> = crossbeam::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(move |_| work())).collect();
-        let mut all = work();
-        for h in handles {
-            all.extend(h.join().expect("first_feasible worker panicked"));
-        }
-        all
-    })
-    .expect("first_feasible scope");
+    let mut tagged = if workers <= 1 {
+        work()
+    } else {
+        crossbeam::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(move |_| work())).collect();
+            let mut all = work();
+            for h in handles {
+                all.extend(h.join().expect("fan-out worker panicked"));
+            }
+            all
+        })
+        .expect("fan-out scope")
+    };
     tagged.sort_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Maps `f` over every grid point, fanning out across cache-sized
-/// contiguous chunks on multi-core hosts. Results come back in grid order
-/// and are bit-identical to [`sweep_serial`] with the same arguments.
+/// contiguous chunks on multi-core hosts. `f` receives the point's index
+/// in `grid`, its value, and the worker's evaluator. Results come back
+/// in grid order and are bit-identical on any number of workers.
 pub fn sweep<T, F>(sys: &FreqSystem, grid: &[f64], f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, f64, &mut FreqEvaluator<'_>) -> T + Sync,
 {
-    if worker_count(grid.len()) <= 1 {
-        return sweep_serial(sys, grid, f);
-    }
     // Per-point sweeps are the chunked driver with a 1:1 adapter.
     sweep_chunks(sys, grid, |start, ws, ev| {
         ws.iter()
@@ -356,6 +180,100 @@ where
             .map(|(k, &w)| f(start + k, w, ev))
             .collect()
     })
+}
+
+/// Chunk-granular variant of [`sweep`]: `f` receives a whole contiguous
+/// grid chunk (its start index, its frequencies, and the worker's
+/// evaluator) and returns one result per point, so batched kernels (e.g.
+/// the Osborne D-scaling initializer) see the same cache-sized batch
+/// shapes on any number of workers.
+pub fn sweep_chunks<T, F>(sys: &FreqSystem, grid: &[f64], f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, &[f64], &mut FreqEvaluator<'_>) -> Vec<T> + Sync,
+{
+    let workers = workers(grid.len() / MIN_POINTS_PER_WORKER);
+    sweep_chunks_on(sys, grid, workers, f)
+}
+
+/// [`sweep_chunks`] on at most `workers` workers; one worker is the
+/// serial form. The fan-out is traced (a `sweep.fanout` event and one
+/// `sweep.chunk` span per chunk) only when more than one worker runs.
+pub(crate) fn sweep_chunks_on<T, F>(sys: &FreqSystem, grid: &[f64], workers: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, &[f64], &mut FreqEvaluator<'_>) -> Vec<T> + Sync,
+{
+    let chunk = chunk_points(sys);
+    let nchunks = grid.len().div_ceil(chunk);
+    let workers = workers.min(nchunks);
+    let rec = yukta_obs::handle();
+    let traced = workers > 1 && rec.enabled();
+    if traced {
+        rec.event(
+            "sweep.fanout",
+            &[
+                ("points", Value::U64(grid.len() as u64)),
+                ("workers", Value::U64(workers as u64)),
+                ("chunk_points", Value::U64(chunk as u64)),
+            ],
+        );
+    }
+    let job = |ev: &mut FreqEvaluator<'_>, ci: usize| {
+        let start = ci * chunk;
+        let end = (start + chunk).min(grid.len());
+        let token = traced.then(|| rec.span_begin("sweep.chunk"));
+        let vals = f(start, &grid[start..end], ev);
+        debug_assert_eq!(vals.len(), end - start, "chunk closure must map 1:1");
+        if let Some(token) = token {
+            rec.span_end(
+                "sweep.chunk",
+                token,
+                &[
+                    ("chunk", Value::U64(ci as u64)),
+                    ("start", Value::U64(start as u64)),
+                    ("len", Value::U64((end - start) as u64)),
+                ],
+            );
+        }
+        Some(vals)
+    };
+    claim(nchunks, workers, false, || sys.evaluator(), job, |_| {})
+        .into_iter()
+        .flatten()
+        .flatten()
+        .collect()
+}
+
+/// Deterministic parallel map over `0..n`: `f(i)` runs once per index on
+/// up to one worker per core and results come back in index order,
+/// bit-identical to `(0..n).map(f)`. The figure sweeps of `yukta-bench`
+/// fan their per-workload runs out through it.
+pub fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    claim(n, workers(n), false, || (), |_, i| Some(f(i)), |_| {})
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// Probes candidates `0..n` on `workers` workers and stops at the first
+/// feasible one: `probe(i)` returns `Some` when candidate `i` is
+/// feasible. Entry `i` of the result is `probe(i)` for every `i` up to
+/// and including the first feasible index; to its right it is `None`,
+/// or on more than one worker possibly a `Some` that was in flight when
+/// the first was found. Callers read only up to the first `Some`. This
+/// is the fan-out behind γ-bisection, where each candidate is a full H∞
+/// synthesis and a feasible γ makes every larger one moot.
+pub(crate) fn first_feasible<T, F>(n: usize, workers: usize, probe: F) -> Vec<Option<T>>
+where
+    T: Send,
+    F: Fn(usize) -> Option<T> + Sync,
+{
+    claim(n, workers, true, || (), |_, i| probe(i), |_| {})
 }
 
 #[cfg(test)]
@@ -375,16 +293,24 @@ mod tests {
         ev.eval(C64::new(0.0, w)).unwrap().get(0, 0).abs()
     }
 
+    fn gain_chunk(start: usize, ws: &[f64], ev: &mut FreqEvaluator<'_>) -> Vec<f64> {
+        ws.iter()
+            .enumerate()
+            .map(|(k, &w)| gain(start + k, w, ev))
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn parallel_bit_identical_to_serial() {
         let s = sys();
         let grid: Vec<f64> = (0..200).map(|k| 0.01 * 1.05f64.powi(k)).collect();
-        let serial = sweep_serial(&s, &grid, gain);
+        let serial = sweep_chunks_on(&s, &grid, 1, gain_chunk);
         let parallel = sweep(&s, &grid, gain);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(bits(&serial), bits(&parallel));
     }
 
     #[test]
@@ -397,7 +323,7 @@ mod tests {
 
     #[test]
     fn indices_arrive_in_grid_order_across_many_chunks() {
-        // A grid much longer than one chunk exercises the round-robin
+        // A grid much longer than one chunk exercises the claim-order
         // reassembly even when chunk_points clamps low.
         let s = sys();
         let grid: Vec<f64> = (1..=1000).map(|k| k as f64 * 0.01).collect();
@@ -412,34 +338,28 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    fn gain_chunk(start: usize, ws: &[f64], ev: &mut FreqEvaluator<'_>) -> Vec<f64> {
-        ws.iter()
-            .enumerate()
-            .map(|(k, &w)| gain(start + k, w, ev))
-            .collect()
-    }
-
     #[test]
     fn chunked_parallel_bit_identical_to_chunked_serial() {
         let s = sys();
         let grid: Vec<f64> = (0..300).map(|k| 0.01 * 1.04f64.powi(k)).collect();
-        let serial = sweep_serial_chunks(&s, &grid, gain_chunk);
+        let serial = sweep_chunks_on(&s, &grid, 1, gain_chunk);
         let parallel = sweep_chunks(&s, &grid, gain_chunk);
         assert_eq!(serial.len(), grid.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(bits(&serial), bits(&parallel));
     }
 
     #[test]
     fn chunked_matches_per_point_sweep() {
         let s = sys();
         let grid: Vec<f64> = (0..150).map(|k| 0.02 * 1.05f64.powi(k)).collect();
-        let per_point = sweep_serial(&s, &grid, gain);
-        let chunked = sweep_serial_chunks(&s, &grid, gain_chunk);
-        for (a, b) in per_point.iter().zip(&chunked) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let mut ev = s.evaluator();
+        let per_point: Vec<f64> = grid
+            .iter()
+            .enumerate()
+            .map(|(k, &w)| gain(k, w, &mut ev))
+            .collect();
+        let chunked = sweep_chunks_on(&s, &grid, 1, gain_chunk);
+        assert_eq!(bits(&per_point), bits(&chunked));
     }
 
     #[test]
@@ -455,32 +375,80 @@ mod tests {
         Mat::filled(2, 2, 0.1 + i as f64)
     }
 
-    /// The round decision `bisect_multi_core` takes: the first feasible
+    /// The round decision the γ-bisection takes: the first feasible
     /// index and its design.
     fn decision(results: Vec<Option<Mat>>) -> Option<(usize, Vec<u64>)> {
         let j = results.iter().position(|r| r.is_some())?;
         let d = results.into_iter().nth(j).flatten()?;
-        Some((j, d.as_slice().iter().map(|v| v.to_bits()).collect()))
+        Some((j, bits(d.as_slice())))
     }
 
     fn feasible(pattern: u32, i: usize) -> bool {
         pattern >> i & 1 == 1
     }
 
+    /// The stopping driver on `workers` workers with an observer.
+    fn first_feasible_on<T: Send>(
+        n: usize,
+        workers: usize,
+        probe: impl Fn(usize) -> Option<T> + Sync,
+        observe: impl Fn(Claim) + Sync,
+    ) -> Vec<Option<T>> {
+        claim(n, workers, true, || (), |_, i| probe(i), observe)
+    }
+
+    /// The driver's three uses (a chunked sweep with a per-worker
+    /// evaluator, a plain map, a stop at the first feasible candidate)
+    /// give the one-worker result bit for bit on 1–4 workers.
+    #[test]
+    fn driver_at_one_to_four_workers_matches_one_worker_for_every_use() {
+        let s = sys();
+        let grid: Vec<f64> = (0..400).map(|k| 0.01 * 1.03f64.powi(k)).collect();
+        let chunked = sweep_chunks_on(&s, &grid, 1, gain_chunk);
+        let map = |workers| {
+            claim(
+                37,
+                workers,
+                false,
+                || (),
+                |_, i| Some((i as f64).ln_1p()),
+                |_| {},
+            )
+            .into_iter()
+            .map(|v| v.map(f64::to_bits))
+            .collect::<Vec<_>>()
+        };
+        for workers in 1..=4 {
+            for _ in 0..5 {
+                let got = sweep_chunks_on(&s, &grid, workers, gain_chunk);
+                assert_eq!(bits(&got), bits(&chunked), "sweep, {workers} workers");
+                assert_eq!(map(workers), map(1), "map, {workers} workers");
+                for pattern in 0..8u32 {
+                    let probe = |i: usize| feasible(pattern, i).then(|| design(i));
+                    assert_eq!(
+                        decision(first_feasible(3, workers, probe)),
+                        decision(first_feasible(3, 1, probe)),
+                        "first feasible, pattern {pattern:03b}, {workers} workers"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn first_feasible_decides_like_the_serial_twin_on_every_pattern() {
         for pattern in 0..8u32 {
             let probe = |i: usize| feasible(pattern, i).then(|| design(i));
-            let want = decision(first_feasible_serial(3, probe));
+            let want = decision(first_feasible(3, 1, probe));
             for workers in 1..=4 {
                 for _ in 0..10 {
                     let got = decision(first_feasible_on(3, workers, probe, |_| {}));
                     assert_eq!(got, want, "pattern {pattern:03b}, {workers} workers");
                 }
             }
-            assert_eq!(decision(first_feasible(3, probe)), want);
+            assert_eq!(decision(first_feasible(3, workers(3), probe)), want);
         }
-        assert!(first_feasible(0, |_| Some(1)).is_empty());
+        assert!(first_feasible(0, workers(0), |_| Some(1)).is_empty());
     }
 
     #[test]
@@ -509,7 +477,7 @@ mod tests {
         let log = log.into_inner().unwrap();
         assert!(log.contains(&Claim::Skipped(2)), "{log:?}");
         assert!(!probed.into_inner().unwrap().contains(&2));
-        let want = first_feasible_serial(3, |i| (i == 0).then(|| design(i)));
+        let want = first_feasible(3, 1, |i| (i == 0).then(|| design(i)));
         assert_eq!(decision(got), decision(want));
     }
 
@@ -563,9 +531,7 @@ mod tests {
                     assert_eq!(probed, want);
                     assert_eq!(
                         decision(got),
-                        decision(
-                            first_feasible_serial(3, |i| feasible(pattern, i).then(|| design(i)))
-                        )
+                        decision(first_feasible(3, 1, |i| feasible(pattern, i).then(|| design(i))))
                     );
                     // With candidates 0 and 1 both feasible, two workers
                     // never reach candidate 2: whichever finishes first

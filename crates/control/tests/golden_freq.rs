@@ -19,7 +19,7 @@
 //! and paste the printed constants over the ones below.
 
 use yukta_control::dk::{DkOptions, synthesize_ssv};
-use yukta_control::hinf::hinf_bisect_multi;
+use yukta_control::hinf::{DgkfFactors, hinf_bisect};
 use yukta_control::mu::{MuBlock, MuPeak, log_grid, mu_peak_serial};
 use yukta_control::plant::{SsvSpec, build_ssv_plant};
 use yukta_control::ss::StateSpace;
@@ -168,7 +168,8 @@ fn fnv_bits(mats: &[&Mat]) -> u64 {
 
 fn synth_bits() -> SynthBits {
     let plant = build_ssv_plant(&synth_model(), &synth_spec()).unwrap();
-    let (design, gamma) = hinf_bisect_multi(&plant.gen, 0.1, 100.0, 14).unwrap();
+    let fac = DgkfFactors::new(&plant.gen).unwrap();
+    let (design, gamma) = hinf_bisect(&plant.gen, &fac, 0.1, 100.0, 14).unwrap();
     let k = &design.k;
     let syn = synthesize_ssv(&synth_model(), &synth_spec(), synth_opts()).unwrap();
     SynthBits {

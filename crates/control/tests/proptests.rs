@@ -253,11 +253,11 @@ fn degenerate_shapes_match_reference() {
     for sys in &plants {
         let fs = sys.freq_system();
         let grid = theta_grid(16);
-        for (g, &theta) in sweep::sweep_serial(fs, &grid, response).iter().zip(&grid) {
+        for (g, &theta) in sweep::sweep(fs, &grid, response).iter().zip(&grid) {
             let want = sys.eval_at_reference(C64::cis(theta)).unwrap();
             assert!(g.sub(&want).max_abs() < 1e-9);
         }
         // Empty grid: empty output, no error.
-        assert!(sweep::sweep_serial(fs, &[], response).is_empty());
+        assert!(sweep::sweep(fs, &[], response).is_empty());
     }
 }

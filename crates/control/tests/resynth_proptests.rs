@@ -1,9 +1,10 @@
 //! Property-based tests for the in-loop resynthesis fast paths: batched
-//! Osborne D-initialization, the fused scaled-σ̄ kernel, and the parallel
-//! γ-bisection, each pinned to its slow per-point / serial reference.
+//! Osborne D-initialization, the fused scaled-σ̄ kernel, and the chunked
+//! µ sweep, each pinned to its slow per-point / serial reference. The
+//! γ-bisection's twin property lives beside its private one-worker form
+//! in `hinf.rs`.
 
 use proptest::prelude::*;
-use yukta_control::hinf::{GenPlant, hinf_bisect_multi, hinf_bisect_multi_serial};
 use yukta_control::mu::{MuBlock, log_grid, mu_peak, mu_peak_serial};
 use yukta_control::ss::StateSpace;
 use yukta_linalg::osborne::{block_norms_into, osborne_batch, osborne_point};
@@ -36,18 +37,6 @@ fn stable_mimo_sys_any_shape(max_n: usize, max_io: usize) -> impl Strategy<Value
             let d = Mat::from_vec(io, io, dv[..io * io].to_vec());
             StateSpace::new(a, b, c, d, Some(0.5)).unwrap()
         })
-}
-
-/// The mixed-sensitivity generalized plant from the H∞ unit tests (DGKF
-/// assumptions hold exactly), parameterized by the error weight so the
-/// bisection property runs over a family of achievable γ levels.
-fn mixed_sensitivity_plant(we: f64) -> GenPlant {
-    let a = Mat::from_rows(&[&[-1.0, 0.0], &[0.0, -2.0]]);
-    let b = Mat::from_rows(&[&[0.0, 0.0, 1.0], &[2.0, 0.0, 0.0]]);
-    let c = Mat::from_rows(&[&[-we, we], &[0.0, 0.0], &[-1.0, 1.0]]);
-    let d = Mat::from_rows(&[&[0.0, 0.0, 0.0], &[0.0, 0.0, 1.0], &[0.0, 1.0, 0.0]]);
-    let sys = StateSpace::new(a, b, c, d, None).unwrap();
-    GenPlant::new(sys, 2, 1, 2, 1).unwrap()
 }
 
 /// Block-norm matrices of the system's response at every grid point, in
@@ -143,28 +132,6 @@ proptest! {
         let fused = sigma_max_scaled(&resp, &row_w, &col_w, &mut scratch);
         let rel = (fused - reference).abs() / reference.max(1e-300);
         prop_assert!(rel <= 1e-10, "fused {fused} vs materialized {reference}");
-    }
-
-    /// The parallel multi-candidate γ-bisection is bit-identical to its
-    /// single-threaded twin: same γ, same controller realization, for any
-    /// error weight (i.e. any achievable γ level).
-    #[test]
-    fn parallel_gamma_bisection_bit_identical_to_serial(we in 0.5..15.0f64) {
-        let p = mixed_sensitivity_plant(we);
-        let (kp, gp) = hinf_bisect_multi(&p, 0.05, 64.0, 20).unwrap();
-        let (ks, gs) = hinf_bisect_multi_serial(&p, 0.05, 64.0, 20).unwrap();
-        prop_assert_eq!(gp.to_bits(), gs.to_bits());
-        for (mp, ms) in [
-            (kp.k.a(), ks.k.a()),
-            (kp.k.b(), ks.k.b()),
-            (kp.k.c(), ks.k.c()),
-            (kp.k.d(), ks.k.d()),
-        ] {
-            prop_assert_eq!((mp.rows(), mp.cols()), (ms.rows(), ms.cols()));
-            for (x, y) in mp.as_slice().iter().zip(ms.as_slice()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
     }
 
     /// The chunked µ sweep stays bit-identical between its parallel and

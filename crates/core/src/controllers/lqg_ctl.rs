@@ -192,7 +192,7 @@ impl MonolithicLqg {
     ///
     /// # Errors
     ///
-    /// Same contract as [`HwPolicy::invoke`](crate::controllers::HwPolicy::invoke).
+    /// Same contract as [`HwPolicy::invoke`].
     pub fn invoke(&mut self, hw: &HwSense, os: &OsSense) -> Result<(HwInputs, OsInputs)> {
         let hw_targets = self.hw_optimizer.update(&hw.outputs);
         let os_targets = self.os_optimizer.update(&os.outputs, &hw.outputs);
@@ -229,7 +229,7 @@ impl MonolithicLqg {
 
     /// Restores a snapshot taken by [`MonolithicLqg::save_state`]; same
     /// bit-identity contract as
-    /// [`HwPolicy::restore_state`](crate::controllers::HwPolicy::restore_state).
+    /// [`HwPolicy::restore_state`].
     ///
     /// # Errors
     ///

@@ -31,6 +31,10 @@ pub const JOURNAL_MAGIC: u32 = 0x594B_544A;
 /// journal is a per-run crash-recovery artifact, not an archival format.
 pub const JOURNAL_VERSION: u32 = 2;
 
+/// Encoded size of one fault event: `time:f64, kind:u8, at_step:u64,
+/// channel:u8, value:f64`.
+const FAULT_EVENT_BYTES: usize = 26;
+
 /// Everything the runtime knew and decided at one controller invocation.
 #[derive(Debug, Clone)]
 pub struct JournalRecord {
@@ -55,75 +59,46 @@ pub struct JournalRecord {
 
 impl JournalRecord {
     /// Whether two records are bit-identical: every `f64` compared via
-    /// [`f64::to_bits`], discrete fields via equality.
+    /// [`f64::to_bits`], discrete fields via equality. Two records are
+    /// bit-identical exactly when their [`Journal::to_bytes`] encodings
+    /// are equal, so that is how they are compared.
     pub fn bit_identical(&self, other: &JournalRecord) -> bool {
-        fn eq(a: f64, b: f64) -> bool {
-            a.to_bits() == b.to_bits()
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        self.encode(&mut a);
+        other.encode(&mut b);
+        a == b
+    }
+
+    /// Appends this record's wire encoding (see [`Journal::to_bytes`]).
+    fn encode(&self, out: &mut Vec<u8>) {
+        let (hw, os) = (&self.hw_sense, &self.os_sense);
+        put_u64(out, self.step);
+        put_f64(out, self.time);
+        put_f64s(out, &hw.outputs.to_vec());
+        put_f64s(out, &hw.ext.to_vec());
+        put_f64s(out, &hw.current.to_vec());
+        put_limits(out, &hw.limits);
+        put_u64(out, hw.active_threads as u64);
+        put_slo(out, &hw.slo);
+        put_f64s(out, &os.outputs.to_vec());
+        put_f64s(out, &os.ext.to_vec());
+        put_f64s(out, &os.current.to_vec());
+        put_f64s(out, &os.system.to_vec());
+        put_limits(out, &os.limits);
+        put_u64(out, os.active_threads as u64);
+        put_slo(out, &os.slo);
+        put_f64s(out, &self.hw_u.to_vec());
+        put_f64s(out, &self.os_u.to_vec());
+        out.push(mode_code(self.mode));
+        put_u32(out, self.fault_events.len() as u32);
+        for e in &self.fault_events {
+            put_f64(out, e.time);
+            let (kind, at_step) = kind_code(e.kind);
+            out.push(kind);
+            put_u64(out, at_step);
+            out.push(channel_code(e.channel));
+            put_f64(out, e.value);
         }
-        fn hw_out(a: &HwOutputs, b: &HwOutputs) -> bool {
-            eq(a.perf, b.perf)
-                && eq(a.p_big, b.p_big)
-                && eq(a.p_little, b.p_little)
-                && eq(a.temp, b.temp)
-        }
-        fn hw_in(a: &HwInputs, b: &HwInputs) -> bool {
-            eq(a.big_cores, b.big_cores)
-                && eq(a.little_cores, b.little_cores)
-                && eq(a.f_big, b.f_big)
-                && eq(a.f_little, b.f_little)
-        }
-        fn os_in(a: &OsInputs, b: &OsInputs) -> bool {
-            eq(a.threads_big, b.threads_big)
-                && eq(a.packing_big, b.packing_big)
-                && eq(a.packing_little, b.packing_little)
-        }
-        fn os_out(a: &OsOutputs, b: &OsOutputs) -> bool {
-            eq(a.perf_little, b.perf_little)
-                && eq(a.perf_big, b.perf_big)
-                && eq(a.spare_diff, b.spare_diff)
-        }
-        fn lim(a: &Limits, b: &Limits) -> bool {
-            eq(a.p_big_max, b.p_big_max)
-                && eq(a.p_little_max, b.p_little_max)
-                && eq(a.temp_max, b.temp_max)
-                && eq(a.latency_slo_s, b.latency_slo_s)
-        }
-        fn slo(a: &SloSense, b: &SloSense) -> bool {
-            a.active == b.active
-                && eq(a.p95_s, b.p95_s)
-                && eq(a.p99_s, b.p99_s)
-                && eq(a.backlog_frac, b.backlog_frac)
-                && eq(a.drop_frac, b.drop_frac)
-        }
-        self.step == other.step
-            && eq(self.time, other.time)
-            && hw_out(&self.hw_sense.outputs, &other.hw_sense.outputs)
-            && os_in(&self.hw_sense.ext, &other.hw_sense.ext)
-            && hw_in(&self.hw_sense.current, &other.hw_sense.current)
-            && self.hw_sense.active_threads == other.hw_sense.active_threads
-            && slo(&self.hw_sense.slo, &other.hw_sense.slo)
-            && lim(&self.hw_sense.limits, &other.hw_sense.limits)
-            && os_out(&self.os_sense.outputs, &other.os_sense.outputs)
-            && hw_in(&self.os_sense.ext, &other.os_sense.ext)
-            && os_in(&self.os_sense.current, &other.os_sense.current)
-            && self.os_sense.active_threads == other.os_sense.active_threads
-            && hw_out(&self.os_sense.system, &other.os_sense.system)
-            && slo(&self.os_sense.slo, &other.os_sense.slo)
-            && lim(&self.os_sense.limits, &other.os_sense.limits)
-            && hw_in(&self.hw_u, &other.hw_u)
-            && os_in(&self.os_u, &other.os_u)
-            && self.mode == other.mode
-            && self.fault_events.len() == other.fault_events.len()
-            && self
-                .fault_events
-                .iter()
-                .zip(&other.fault_events)
-                .all(|(x, y)| {
-                    eq(x.time, y.time)
-                        && x.kind == y.kind
-                        && x.channel == y.channel
-                        && eq(x.value, y.value)
-                })
     }
 }
 
@@ -183,51 +158,7 @@ impl Journal {
         put_u32(&mut out, JOURNAL_VERSION);
         put_u64(&mut out, self.records.len() as u64);
         for r in &self.records {
-            put_u64(&mut out, r.step);
-            put_f64(&mut out, r.time);
-            for v in r.hw_sense.outputs.to_vec() {
-                put_f64(&mut out, v);
-            }
-            for v in r.hw_sense.ext.to_vec() {
-                put_f64(&mut out, v);
-            }
-            for v in r.hw_sense.current.to_vec() {
-                put_f64(&mut out, v);
-            }
-            put_limits(&mut out, &r.hw_sense.limits);
-            put_u64(&mut out, r.hw_sense.active_threads as u64);
-            put_slo(&mut out, &r.hw_sense.slo);
-            for v in r.os_sense.outputs.to_vec() {
-                put_f64(&mut out, v);
-            }
-            for v in r.os_sense.ext.to_vec() {
-                put_f64(&mut out, v);
-            }
-            for v in r.os_sense.current.to_vec() {
-                put_f64(&mut out, v);
-            }
-            for v in r.os_sense.system.to_vec() {
-                put_f64(&mut out, v);
-            }
-            put_limits(&mut out, &r.os_sense.limits);
-            put_u64(&mut out, r.os_sense.active_threads as u64);
-            put_slo(&mut out, &r.os_sense.slo);
-            for v in r.hw_u.to_vec() {
-                put_f64(&mut out, v);
-            }
-            for v in r.os_u.to_vec() {
-                put_f64(&mut out, v);
-            }
-            out.push(mode_code(r.mode));
-            put_u32(&mut out, r.fault_events.len() as u32);
-            for e in &r.fault_events {
-                put_f64(&mut out, e.time);
-                let (kind, at_step) = kind_code(e.kind);
-                out.push(kind);
-                put_u64(&mut out, at_step);
-                out.push(channel_code(e.channel));
-                put_f64(&mut out, e.value);
-            }
+            r.encode(&mut out);
         }
         out
     }
@@ -283,7 +214,11 @@ impl Journal {
             let os_u = c.os_inputs()?;
             let mode = mode_decode(c.u8()?)?;
             let n_events = c.u32()?;
-            let mut fault_events = Vec::with_capacity(n_events as usize);
+            // The count is untrusted: reserve no more events than the
+            // bytes left could hold, so a corrupt count fails as a
+            // truncated journal instead of a huge allocation.
+            let fit = (bytes.len() - c.pos) / FAULT_EVENT_BYTES;
+            let mut fault_events = Vec::with_capacity((n_events as usize).min(fit));
             for _ in 0..n_events {
                 let time = c.f64()?;
                 let kind_byte = c.u8()?;
@@ -406,19 +341,22 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
+fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
+    for &v in vs {
+        put_f64(out, v);
+    }
+}
+
 fn put_limits(out: &mut Vec<u8>, l: &Limits) {
-    put_f64(out, l.p_big_max);
-    put_f64(out, l.p_little_max);
-    put_f64(out, l.temp_max);
-    put_f64(out, l.latency_slo_s);
+    put_f64s(
+        out,
+        &[l.p_big_max, l.p_little_max, l.temp_max, l.latency_slo_s],
+    );
 }
 
 fn put_slo(out: &mut Vec<u8>, s: &SloSense) {
     out.push(u8::from(s.active));
-    put_f64(out, s.p95_s);
-    put_f64(out, s.p99_s);
-    put_f64(out, s.backlog_frac);
-    put_f64(out, s.drop_frac);
+    put_f64s(out, &[s.p95_s, s.p99_s, s.backlog_frac, s.drop_frac]);
 }
 
 fn mode_code(mode: Option<SupervisorMode>) -> u8 {
@@ -574,6 +512,7 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn record(step: u64) -> JournalRecord {
         let k = step as f64;
@@ -732,6 +671,66 @@ mod tests {
         let mode_at = b2.len() - 4 - 1;
         b2[mode_at] = 9;
         assert!(Journal::from_bytes(&b2).is_err());
+    }
+
+    /// The shortest journal whose fault-event count asks for 171 GB: one
+    /// event-free record (439 bytes in all) whose count reads
+    /// `u32::MAX`. The decoder must report it truncated, not reserve it.
+    #[test]
+    fn huge_fault_event_count_is_a_truncated_journal() {
+        let mut r = record(2);
+        r.fault_events.clear();
+        let mut j = Journal::new();
+        j.push(r);
+        let mut bytes = j.to_bytes();
+        assert_eq!(bytes.len(), 439);
+        let count_at = bytes.len() - 4;
+        bytes[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        match Journal::from_bytes(&bytes) {
+            Err(Error::NoSolution {
+                op: "journal_decode",
+                why: "truncated journal",
+            }) => {}
+            other => panic!("expected a truncated-journal error, got {other:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Random, truncated and bit-flipped journals decode to `Ok` or
+        /// the typed `journal_decode` error, never a panic or an abort.
+        #[test]
+        fn damaged_journals_decode_to_ok_or_a_typed_error(
+            n_records in 0..4u64,
+            damage in 0..3u32,
+            cut in 0.0..1.0f64,
+            flips in prop::collection::vec((0.0..1.0f64, 0..8u32), 1..4),
+            noise in prop::collection::vec(0..=255u8, 0..600),
+        ) {
+            let mut j = Journal::new();
+            for s in 0..n_records {
+                j.push(record(s));
+            }
+            let mut bytes = j.to_bytes();
+            match damage {
+                0 => bytes.truncate((cut * bytes.len() as f64) as usize),
+                1 => {
+                    for (at, bit) in flips {
+                        let i = ((at * bytes.len() as f64) as usize).min(bytes.len() - 1);
+                        bytes[i] ^= 1 << bit;
+                    }
+                }
+                // A valid magic and version, then random bytes.
+                _ => {
+                    bytes.truncate(8);
+                    bytes.extend(noise);
+                }
+            }
+            match Journal::from_bytes(&bytes) {
+                Ok(_) | Err(Error::NoSolution { op: "journal_decode", .. }) => {}
+                Err(e) => panic!("untyped decode error {e:?}"),
+            }
+        }
     }
 
     #[test]

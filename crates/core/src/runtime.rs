@@ -364,7 +364,7 @@ impl UnifiedOptions {
     ///
     /// # Errors
     ///
-    /// [`yukta_linalg::Error::NoSolution`]: from
+    /// [`yukta_linalg::Error::NoSolution`] from
     /// [`SupervisorConfig::validate`] and [`ServingSpec::validate`], and
     /// with `op: "run_unified"` for the invalid combinations.
     pub fn validate(&self, limits: &Limits) -> Result<()> {

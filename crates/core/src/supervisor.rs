@@ -567,7 +567,7 @@ impl Supervisor {
 
     /// Hot-swaps the primary controllers for a freshly synthesized
     /// replacement without interrupting supervision (see
-    /// [`swap_controllers`]). Mode machine, watchdogs, and fallbacks are
+    /// `swap_controllers`). Mode machine, watchdogs, and fallbacks are
     /// untouched, so the swap introduces no actuation gap.
     ///
     /// Returns `true` when the transfer was bumpless.

@@ -22,14 +22,14 @@
 //! estimated over the first [`HealthConfig::warmup`] samples by Welford's
 //! algorithm, so thresholds are in noise-σ units and transfer across
 //! schemes and workloads. Windowed BIPS/W phase statistics reuse
-//! [`FixedHistogram`](crate::hist::FixedHistogram) with the streaming
+//! [`FixedHistogram`] with the streaming
 //! reset/merge APIs: each completed window contributes one mean-throughput
 //! observation to the phase-channel detectors and its distribution merges
 //! into a lifetime histogram for reporting.
 //!
 //! Everything here is deterministic and allocation-free after
 //! construction: the monitor owns fixed-size state, consumes plain `f64`
-//! samples, never reads a clock, and never touches a [`Recorder`]
+//! samples, never reads a clock, and never touches a [`Recorder`](crate::Recorder)
 //! (verdict emission is the runtime's job), so running a monitor alongside
 //! a control loop cannot perturb it — monitored-but-not-acting runs stay
 //! bit-identical to bare ones.
