@@ -162,7 +162,6 @@ fn main() {
     let _obs = yukta_bench::obs::capture("bench_chaos");
     let mut camp = Campaign::new("bench_chaos");
     let quick = camp.quick();
-    Campaign::silence_injected_crashes();
 
     let schemes: Vec<Scheme> = if quick {
         vec![Scheme::CoordinatedHeuristic, Scheme::YuktaHwSsvOsSsv]

@@ -36,7 +36,6 @@ fn main() {
     let _obs = yukta_bench::obs::capture("bench_crash");
     let mut camp = Campaign::new("bench_crash");
     let quick = camp.quick();
-    Campaign::silence_injected_crashes();
 
     let schemes: Vec<Scheme> = if quick {
         vec![Scheme::CoordinatedHeuristic, Scheme::DecoupledHeuristic]

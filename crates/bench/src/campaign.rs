@@ -1,13 +1,12 @@
 //! Shared campaign scaffolding for the robustness benches
 //! (`bench_faults`, `bench_crash`, `bench_chaos`, `bench_slo`): the
-//! `catch_unwind` cell runner, panic/failure accounting, the
-//! injected-crash panic-hook filter, and the standard JSON envelope
-//! written under `results/`. Every campaign gates CI the same way — any
+//! `catch_unwind` cell runner, panic/failure accounting, and the
+//! standard JSON envelope written under `results/`. Injected controller
+//! crashes are values the runtime recovers from, never panics, so any
+//! panic a cell raises is a real failure. Every campaign gates CI the same way — any
 //! panic or gate violation exits non-zero from [`Campaign::finish`].
 
-use std::panic::{self, AssertUnwindSafe, catch_unwind};
-
-use yukta_core::runtime::InjectedCrash;
+use std::panic::{AssertUnwindSafe, catch_unwind};
 
 use crate::write_results;
 
@@ -48,18 +47,6 @@ impl Campaign {
     /// Gate violations recorded so far (panics included).
     pub fn failures(&self) -> usize {
         self.failures
-    }
-
-    /// Installs a panic hook that silences the backtrace spam of
-    /// *injected* crashes (`panic_any(InjectedCrash)` unwinds are consumed
-    /// by the recovery machinery) while leaving real panics loud.
-    pub fn silence_injected_crashes() {
-        let default_hook = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<InjectedCrash>().is_none() {
-                default_hook(info);
-            }
-        }));
     }
 
     /// Runs one campaign cell under `catch_unwind`. Returns the cell's

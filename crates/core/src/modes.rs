@@ -444,6 +444,12 @@ impl ModeAutomaton {
         }
     }
 
+    /// Records `v` and returns it as the rejected event's outcome.
+    fn reject(&mut self, v: InvariantViolation) -> Result<Decision, InvariantViolation> {
+        self.record_violation(v);
+        Err(v)
+    }
+
     fn record_transition(
         &mut self,
         from: SupervisorMode,
@@ -546,12 +552,10 @@ impl ModeAutomaton {
                     // The no-flapping invariant: the hysteresis guard is
                     // re-verified at the moment the promotion fires.
                     if self.clean_streak < self.cfg.reengage_after {
-                        let v = InvariantViolation::Flapping {
+                        return self.reject(InvariantViolation::Flapping {
                             streak: self.clean_streak,
                             required: self.cfg.reengage_after,
-                        };
-                        self.record_violation(v);
-                        return Err(v);
+                        });
                     }
                     let to = match self.level {
                         Safe => Fallback,
@@ -580,68 +584,33 @@ impl ModeAutomaton {
                     change = Some(self.fire(Fallback, "controller_error"));
                     self.clean_streak = 0;
                 }
-                level => {
-                    let v = InvariantViolation::IllegalEvent { level, event };
-                    self.record_violation(v);
-                    return Err(v);
-                }
+                level => return self.reject(InvariantViolation::IllegalEvent { level, event }),
             },
             ModeEvent::FallbackError => match self.level {
                 Fallback => change = Some(self.fire(Safe, "fallback_error")),
                 Safe => {} // already parked; tolerated no-op
                 level @ Primary => {
-                    let v = InvariantViolation::IllegalEvent { level, event };
-                    self.record_violation(v);
-                    return Err(v);
+                    return self.reject(InvariantViolation::IllegalEvent { level, event });
                 }
             },
-            ModeEvent::SwapRequest => {
-                if self.swap_pending {
-                    let v = InvariantViolation::IllegalEvent {
-                        level: self.level,
-                        event,
-                    };
-                    self.record_violation(v);
-                    return Err(v);
+            // The swap and recovery protocol: each event sets or clears
+            // its phase flag, and a repeat is illegal.
+            ModeEvent::SwapRequest
+            | ModeEvent::SwapCommit
+            | ModeEvent::RecoveryBegin
+            | ModeEvent::RecoveryEnd => {
+                let (phase, enter) = match event {
+                    ModeEvent::SwapRequest => (&mut self.swap_pending, true),
+                    ModeEvent::SwapCommit => (&mut self.swap_pending, false),
+                    ModeEvent::RecoveryBegin => (&mut self.recovering, true),
+                    _ => (&mut self.recovering, false),
+                };
+                if *phase == enter {
+                    let level = self.level;
+                    return self.reject(InvariantViolation::IllegalEvent { level, event });
                 }
-                self.swap_pending = true;
-                self.record_transition(self.level, self.level, "swap_request");
-            }
-            ModeEvent::SwapCommit => {
-                if !self.swap_pending {
-                    let v = InvariantViolation::IllegalEvent {
-                        level: self.level,
-                        event,
-                    };
-                    self.record_violation(v);
-                    return Err(v);
-                }
-                self.swap_pending = false;
-                self.record_transition(self.level, self.level, "swap_commit");
-            }
-            ModeEvent::RecoveryBegin => {
-                if self.recovering {
-                    let v = InvariantViolation::IllegalEvent {
-                        level: self.level,
-                        event,
-                    };
-                    self.record_violation(v);
-                    return Err(v);
-                }
-                self.recovering = true;
-                self.record_transition(self.level, self.level, "recovery_begin");
-            }
-            ModeEvent::RecoveryEnd => {
-                if !self.recovering {
-                    let v = InvariantViolation::IllegalEvent {
-                        level: self.level,
-                        event,
-                    };
-                    self.record_violation(v);
-                    return Err(v);
-                }
-                self.recovering = false;
-                self.record_transition(self.level, self.level, "recovery_end");
+                *phase = enter;
+                self.record_transition(self.level, self.level, event.label());
             }
         }
         Ok(Decision {

@@ -10,7 +10,6 @@
 //! the fault plan ([`yukta_board::FaultKind::Crash`]), and recovers from
 //! the latest checkpoint and the journal suffix — bit-identically.
 
-use std::panic::{AssertUnwindSafe, catch_unwind, resume_unwind};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -73,13 +72,7 @@ impl Engine {
         match self {
             Engine::Raw { c, auto } => {
                 auto.begin_invocation();
-                let out = (|| match c {
-                    Controllers::Split { hw, os } => {
-                        Ok((hw.invoke(hw_sense)?, os.invoke(os_sense)?))
-                    }
-                    Controllers::Monolithic(m) => m.invoke(hw_sense, os_sense),
-                })();
-                match out {
+                match c.invoke(hw_sense, os_sense) {
                     Ok(u) => {
                         // The raw controllers are the single writer of all
                         // three knobs every step.
@@ -173,16 +166,20 @@ fn mode_label(mode: Option<SupervisorMode>) -> &'static str {
     }
 }
 
-/// The panic payload of an injected controller-process crash
-/// ([`yukta_board::FaultKind::Crash`]). Thrown inside the runtime loop via
-/// [`std::panic::panic_any`] and caught by
-/// [`Experiment::run_recoverable`]'s `catch_unwind`; any other panic is a
-/// real bug and is re-raised.
+/// An injected controller-process crash
+/// ([`yukta_board::FaultKind::Crash`]): the value a controller period
+/// returns in place of its journal record when a crash point of the plan
+/// fires. The run loop recovers from it (DESIGN.md §11).
 #[derive(Debug, Clone, Copy)]
 pub struct InjectedCrash {
     /// Invocation index at which the crash fired.
     pub step: u64,
 }
+
+/// What one controller period produced: its journal record (`None` when
+/// the run ended during plant evolution), or the injected crash that cut
+/// it short.
+type Period = std::result::Result<Option<JournalRecord>, InjectedCrash>;
 
 /// Options controlling one experiment run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -622,7 +619,8 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Propagates controller-instantiation failures; the supervised loop
+    /// Typed [`Error::NoSolution`] on an invalid [`SupervisorConfig`];
+    /// propagates controller-instantiation failures. The supervised loop
     /// itself never returns a controller error.
     pub fn run_supervised(
         &self,
@@ -650,8 +648,8 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Typed [`Error::NoSolution`] on an invalid [`HealthConfig`];
-    /// propagates controller-instantiation failures.
+    /// Typed [`Error::NoSolution`] on an invalid [`SupervisorConfig`] or
+    /// [`HealthConfig`]; propagates controller-instantiation failures.
     pub fn run_monitored(
         &self,
         workload: &Workload,
@@ -688,12 +686,9 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Propagates controller-instantiation and restore failures. A panic
-    /// that is not an [`InjectedCrash`] is re-raised, not swallowed.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises non-injected panics from the controller stack.
+    /// Typed [`Error::NoSolution`] on invalid options
+    /// ([`UnifiedOptions::validate`]); propagates controller-instantiation
+    /// and restore failures.
     pub fn run_recoverable(
         &self,
         workload: &Workload,
@@ -730,12 +725,7 @@ impl Experiment {
     /// Typed [`yukta_linalg::Error::NoSolution`] on invalid options
     /// ([`UnifiedOptions::validate`]) or an invalid [`HealthConfig`].
     /// Propagates controller-instantiation and restore failures.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises non-injected panics from the controller stack.
     pub fn run_unified(&self, workload: &Workload, opts: UnifiedOptions) -> Result<RecoveredRun> {
-        opts.validate(&self.options.limits)?;
         self.run_loop(workload, &opts, None)
     }
 
@@ -801,7 +791,7 @@ impl Experiment {
     /// Returns `None` when the run ended (workload done or timeout) during
     /// the plant-evolution phase, before the controllers were invoked.
     ///
-    /// With `crash_here` the injected crash fires after the plant evolved
+    /// With `crash` the injected crash is returned after the plant evolved
     /// but before the sense/invoke/actuate half of the invocation — the
     /// partial step must be discarded by recovery, exactly as a daemon
     /// dying between sysfs reads would lose its in-flight work.
@@ -809,8 +799,8 @@ impl Experiment {
         &self,
         st: &mut RunState,
         engine: &mut Engine,
-        crash_here: bool,
-    ) -> Result<Option<JournalRecord>> {
+        crash: bool,
+    ) -> Result<Period> {
         // One controller period of plant evolution.
         for _ in 0..st.steps_per_invocation {
             let loads = st.run.loads();
@@ -819,15 +809,15 @@ impl Experiment {
             if st.run.is_done() {
                 st.completed = true;
                 st.done = true;
-                return Ok(None);
+                return Ok(Ok(None));
             }
             if st.board.time() >= self.options.timeout_s {
                 st.done = true;
-                return Ok(None);
+                return Ok(Ok(None));
             }
         }
-        if crash_here {
-            std::panic::panic_any(InjectedCrash { step: st.step });
+        if crash {
+            return Ok(Err(InjectedCrash { step: st.step }));
         }
         // Gather both layers' sensor views.
         let bs = st.board.state();
@@ -1021,7 +1011,7 @@ impl Experiment {
             fault_events,
         };
         st.step += 1;
-        Ok(Some(record))
+        Ok(Ok(Some(record)))
     }
 
     /// Assembles the final report from a finished run state.
@@ -1079,12 +1069,12 @@ impl Experiment {
     }
 
     /// The one step loop behind every entry point, over `controllers`
-    /// (default: this experiment's scheme). Each controller period it
-    /// takes a checkpoint when one is due, commits a scheduled or
-    /// detector-driven hot-swap, runs one invocation, streams its record
-    /// through the health tap, and journals it. Each stage runs only when
-    /// its option is set, so a plain run does none of them. With recovery
-    /// enabled, an injected crash rolls the run back to the latest
+    /// (default: this experiment's scheme). It validates `opts`, then each
+    /// controller period takes a checkpoint when one is due, commits a
+    /// scheduled or detector-driven hot-swap, runs one invocation, streams
+    /// its record through the health tap, and journals it. Each stage runs
+    /// only when its option is set, so a plain run does none of them. With
+    /// recovery enabled, an injected crash rolls the run back to the latest
     /// checkpoint and replays the journal suffix.
     fn run_loop(
         &self,
@@ -1092,6 +1082,7 @@ impl Experiment {
         opts: &UnifiedOptions,
         controllers: Option<Controllers>,
     ) -> Result<RecoveredRun> {
+        opts.validate(&self.options.limits)?;
         let mut tap = opts
             .health
             .map(|cfg| HealthTap::new(&self.design, cfg))
@@ -1107,13 +1098,6 @@ impl Experiment {
             None => (None, 0),
         };
         let interval = opts.recovery.map(|r| r.checkpoint_interval.max(1));
-        // Crash points, soonest first; consumed as they fire so recovery
-        // does not re-crash at the same step.
-        let mut pending = opts
-            .plan
-            .as_ref()
-            .map(FaultPlan::crash_steps)
-            .unwrap_or_default();
         let mut st = self.init_state(workload, opts.plan.as_ref(), opts.serving.as_ref());
         let mut journal = Journal::new();
         let mut recovery = RecoveryReport::default();
@@ -1128,6 +1112,13 @@ impl Experiment {
         if ckpt.is_some() {
             recovery.checkpoints = 1;
         }
+        // Crash points, soonest first, read only when there is a checkpoint
+        // to recover from; consumed as they fire so recovery does not
+        // re-crash at the same step.
+        let mut pending = match (&opts.plan, &ckpt) {
+            (Some(plan), Some(_)) => plan.crash_steps(),
+            _ => Vec::new(),
+        };
         while !st.done {
             if let (Some(interval), Some(c)) = (interval, &mut ckpt) {
                 if st.step > c.state.step && st.step.is_multiple_of(interval) {
@@ -1152,8 +1143,9 @@ impl Experiment {
             // A detector-driven swap lands in the period after its verdict.
             if let Some(detect_step) = detected.take() {
                 if (cycles.len() as u32) < max_swaps {
+                    engine.automaton().request_swap();
                     let (bumpless, fit_residual) =
-                        self.perform_swap(&mut st, &mut engine, swap_scheme, false, tap.as_mut())?;
+                        self.perform_swap(&mut st, &mut engine, swap_scheme, tap.as_mut())?;
                     cycles.push(SwapCycle {
                         detect_step,
                         swap_step: st.step,
@@ -1163,24 +1155,9 @@ impl Experiment {
                 }
             }
             let crash_here = pending.first() == Some(&st.step);
-            let swap_here = !st.swapped && swap_at == Some(st.step);
-            let mut step = || {
-                if swap_here {
-                    // A crash at the swap step lands inside the swap
-                    // window, between request and commit.
-                    self.perform_swap(&mut st, &mut engine, swap_scheme, crash_here, None)?;
-                }
-                self.step_invocation(&mut st, &mut engine, crash_here && !swap_here)
-            };
-            // Only a recoverable run can crash, so only it guards the step.
-            let outcome = if ckpt.is_some() {
-                catch_unwind(AssertUnwindSafe(step))
-            } else {
-                Ok(step())
-            };
-            match outcome {
-                Ok(result) => {
-                    let Some(record) = result? else { continue };
+            let crash = match self.period(&mut st, &mut engine, swap_at, swap_scheme, crash_here)? {
+                Ok(None) => continue,
+                Ok(Some(record)) => {
                     let rec = self.rec();
                     if let Some(tap) = tap.as_mut() {
                         let verdict = tap.observe(&record);
@@ -1197,75 +1174,66 @@ impl Experiment {
                             rec.counter_add("runtime.journal_records", 1);
                         }
                     }
+                    continue;
                 }
-                Err(payload) => {
-                    if payload.downcast_ref::<InjectedCrash>().is_none() {
-                        resume_unwind(payload);
-                    }
-                    let Some(c) = &ckpt else {
-                        // Unreachable: the step is only guarded when a
-                        // checkpoint exists.
-                        resume_unwind(payload);
-                    };
-                    pending.remove(0);
-                    recovery.crashes += 1;
-                    let rec = self.rec();
-                    if rec.enabled() {
-                        rec.event("runtime.crash", &[("step", Value::U64(st.step))]);
-                    }
-                    // The daemon died mid-invocation: its partial step is
-                    // lost. Restart from the binary (fresh instantiation),
-                    // load the checkpoint, replay the journal suffix.
-                    let recover_span = yukta_obs::span(rec, "runtime.recover");
-                    // The checkpoint may postdate a committed hot-swap, in
-                    // which case the serving controllers are the swap
-                    // recipe's, not the experiment's own scheme.
-                    let serving = if c.state.swapped {
-                        swap_scheme.unwrap_or(self.scheme)
-                    } else {
-                        self.scheme
-                    };
-                    engine = self.build_engine(serving, opts.sup_cfg)?;
-                    engine.restore_state(&c.engine)?;
-                    engine.automaton().begin_recovery();
-                    st = c.state.clone();
-                    for i in c.journal_len..journal.len() {
-                        // A swap that committed after the checkpoint was
-                        // rolled back with it: re-perform it at the same
-                        // point of the replay (deterministic by recipe).
-                        if !st.swapped && swap_at == Some(st.step) {
-                            self.perform_swap(&mut st, &mut engine, swap_scheme, false, None)?;
-                        }
-                        match self.step_invocation(&mut st, &mut engine, false)? {
-                            Some(r) => {
-                                recovery.replayed_records += 1;
-                                if !r.bit_identical(&journal.records()[i]) {
-                                    recovery.replay_divergences += 1;
-                                }
-                            }
-                            None => {
-                                // The journal says this invocation completed;
-                                // ending early is a divergence.
-                                recovery.replay_divergences += 1;
-                                break;
-                            }
-                        }
-                    }
-                    engine.automaton().end_recovery();
-                    recovery.recoveries += 1;
-                    if rec.enabled() {
-                        recover_span.end_with(&[
-                            ("step", Value::U64(st.step)),
-                            (
-                                "replayed",
-                                Value::U64((journal.len() - c.journal_len) as u64),
-                            ),
-                            ("divergences", Value::U64(recovery.replay_divergences)),
-                        ]);
-                    } else {
-                        drop(recover_span);
-                    }
+                Err(crash) => crash,
+            };
+            let Some(c) = &ckpt else {
+                return Err(Error::NoSolution {
+                    op: "run_loop",
+                    why: "injected crash without a checkpoint",
+                });
+            };
+            pending.remove(0);
+            recovery.crashes += 1;
+            let rec = self.rec();
+            if rec.enabled() {
+                rec.event("runtime.crash", &[("step", Value::U64(crash.step))]);
+            }
+            // The daemon died mid-invocation: its partial step is lost.
+            // Restart from the binary (fresh instantiation), load the
+            // checkpoint, replay the journal suffix.
+            let recover_span = yukta_obs::span(rec, "runtime.recover");
+            // The checkpoint may postdate a committed hot-swap, in which
+            // case the serving controllers are the swap recipe's, not the
+            // experiment's own scheme.
+            let serving = if c.state.swapped {
+                swap_scheme.unwrap_or(self.scheme)
+            } else {
+                self.scheme
+            };
+            engine = self.build_engine(serving, opts.sup_cfg)?;
+            engine.restore_state(&c.engine)?;
+            engine.automaton().begin_recovery();
+            st = c.state.clone();
+            for i in c.journal_len..journal.len() {
+                // A swap that committed after the checkpoint was rolled back
+                // with it: the period re-performs it at the same point.
+                let Ok(Some(r)) = self.period(&mut st, &mut engine, swap_at, swap_scheme, false)?
+                else {
+                    // The journal says this invocation completed; ending
+                    // early is a divergence.
+                    recovery.replay_divergences += 1;
+                    break;
+                };
+                recovery.replayed_records += 1;
+                if !r.bit_identical(&journal.records()[i]) {
+                    recovery.replay_divergences += 1;
                 }
+            }
+            engine.automaton().end_recovery();
+            recovery.recoveries += 1;
+            if rec.enabled() {
+                recover_span.end_with(&[
+                    ("step", Value::U64(st.step)),
+                    (
+                        "replayed",
+                        Value::U64((journal.len() - c.journal_len) as u64),
+                    ),
+                    ("divergences", Value::U64(recovery.replay_divergences)),
+                ]);
+            } else {
+                drop(recover_span);
             }
         }
         if let Some(tap) = &tap {
@@ -1285,12 +1253,35 @@ impl Experiment {
         })
     }
 
-    /// Stages and commits a hot-swap to `scheme` (default: the
-    /// experiment's own) through the automaton's request→commit protocol.
-    /// With `crash_here`, the injected crash fires inside the vulnerable
-    /// window — after the request, before the commit — which is exactly
-    /// the interleaving the chaos campaign must recover from
-    /// bit-identically.
+    /// One controller period, the same for the live loop and the replay
+    /// after a restore: commit the scheduled hot-swap (to `swap_scheme`)
+    /// when it is due at `swap_at`, then run one invocation. With `crash`
+    /// the period returns the injected crash instead — at a swap step
+    /// inside the swap window, after the request and before the commit
+    /// (the interleaving the chaos campaign must recover from
+    /// bit-identically), else after the plant evolved.
+    fn period(
+        &self,
+        st: &mut RunState,
+        engine: &mut Engine,
+        swap_at: Option<u64>,
+        swap_scheme: Option<Scheme>,
+        crash: bool,
+    ) -> Result<Period> {
+        let swap_due = !st.swapped && swap_at == Some(st.step);
+        if swap_due {
+            engine.automaton().request_swap();
+            if crash {
+                return Ok(Err(InjectedCrash { step: st.step }));
+            }
+            self.perform_swap(st, engine, swap_scheme, None)?;
+        }
+        self.step_invocation(st, engine, crash && !swap_due)
+    }
+
+    /// Commits a requested hot-swap to `scheme` (default: the experiment's
+    /// own) through the automaton's request→commit protocol; the caller
+    /// has already requested it.
     ///
     /// A detector-driven swap passes the health tap: the plant is first
     /// re-identified from the tap's retained window, and after the commit
@@ -1302,7 +1293,6 @@ impl Experiment {
         st: &mut RunState,
         engine: &mut Engine,
         scheme: Option<Scheme>,
-        crash_here: bool,
         tap: Option<&mut HealthTap>,
     ) -> Result<(bool, f64)> {
         let rec = self.rec();
@@ -1327,10 +1317,6 @@ impl Experiment {
                     ],
                 );
             }
-        }
-        engine.automaton().request_swap();
-        if crash_here {
-            std::panic::panic_any(InjectedCrash { step: st.step });
         }
         let replacement = scheme
             .unwrap_or(self.scheme)
@@ -1895,6 +1881,42 @@ mod tests {
                 "{err:?}"
             );
         }
+    }
+
+    #[test]
+    fn supervised_and_monitored_runs_validate_the_supervisor_config() {
+        // The flapping-prone configuration `run_unified` rejects is
+        // rejected by every entry point, before the run starts.
+        let wl = catalog::spec::mcf();
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
+            .unwrap()
+            .with_options(quick_options());
+        let bad = SupervisorConfig {
+            reengage_after: 0,
+            ..Default::default()
+        };
+        let rejected = |err: Error| {
+            assert!(
+                matches!(
+                    err,
+                    Error::NoSolution {
+                        op: "supervisor_config",
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+        };
+        rejected(exp.run_supervised(&wl, bad, None).unwrap_err());
+        rejected(
+            exp.run_monitored(&wl, bad, None, HealthConfig::default())
+                .unwrap_err(),
+        );
+        let opts = UnifiedOptions {
+            sup_cfg: Some(bad),
+            ..Default::default()
+        };
+        rejected(exp.run_unified(&wl, opts).unwrap_err());
     }
 
     #[test]

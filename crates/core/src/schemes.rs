@@ -10,10 +10,10 @@ use crate::controllers::heuristic::{
 };
 use crate::controllers::lqg_ctl::{LqgHwController, LqgOsController, MonolithicLqg};
 use crate::controllers::ssv::{SsvHwController, SsvOsController};
-use crate::controllers::{ControllerState, HwPolicy, OsPolicy};
+use crate::controllers::{ControllerState, HwPolicy, HwSense, OsPolicy, OsSense};
 use crate::design::Design;
 use crate::optimizer::{HwOptimizer, OsOptimizer};
-use crate::signals::Limits;
+use crate::signals::{HwInputs, Limits, OsInputs};
 
 /// The two-layer controller schemes compared in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -137,6 +137,26 @@ impl Controllers {
         match self {
             Controllers::Split { hw, os } => format!("{}+{}", hw.name(), os.name()),
             Controllers::Monolithic(_) => "monolithic-lqg".to_string(),
+        }
+    }
+
+    /// Invokes both layers on their sensor views. A split pair runs both
+    /// layers even when one fails, and the first error is returned.
+    ///
+    /// # Errors
+    ///
+    /// The first typed error of the layers, HW before OS.
+    pub fn invoke(
+        &mut self,
+        hw_sense: &HwSense,
+        os_sense: &OsSense,
+    ) -> Result<(HwInputs, OsInputs)> {
+        match self {
+            Controllers::Split { hw, os } => {
+                let (hw_u, os_u) = (hw.invoke(hw_sense), os.invoke(os_sense));
+                Ok((hw_u?, os_u?))
+            }
+            Controllers::Monolithic(m) => m.invoke(hw_sense, os_sense),
         }
     }
 

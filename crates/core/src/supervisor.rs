@@ -723,15 +723,8 @@ impl Supervisor {
     /// Invokes the scheme under test; `None` on typed error or non-finite
     /// output (both count as controller errors).
     fn invoke_primary(&mut self, hw: &HwSense, os: &OsSense) -> Option<(HwInputs, OsInputs)> {
-        let out = match &mut self.primary {
-            Controllers::Split { hw: h, os: o } => match (h.invoke(hw), o.invoke(os)) {
-                (Ok(hu), Ok(ou)) => Some((hu, ou)),
-                _ => None,
-            },
-            Controllers::Monolithic(m) => m.invoke(hw, os).ok(),
-        };
-        match out {
-            Some((hu, ou)) if finite_hw(&hu) && finite_os(&ou) => Some((hu, ou)),
+        match self.primary.invoke(hw, os) {
+            Ok((hu, ou)) if finite_hw(&hu) && finite_os(&ou) => Some((hu, ou)),
             _ => {
                 self.stats.controller_errors += 1;
                 None
@@ -798,7 +791,11 @@ impl Supervisor {
 mod tests {
     use super::*;
     use crate::controllers::heuristic::{DecoupledHeuristicHw, DecoupledHeuristicOs};
+    use crate::runtime::Experiment;
+    use crate::schemes::Scheme;
     use crate::signals::Limits;
+    use std::cell::Cell;
+    use std::rc::Rc;
     use yukta_linalg::{Error, Result};
 
     fn heuristic_primary() -> Controllers {
@@ -956,6 +953,59 @@ mod tests {
         fn name(&self) -> &'static str {
             "failing-hw"
         }
+    }
+
+    /// An OS layer that counts its invocations and otherwise acts as the
+    /// decoupled heuristic.
+    struct CountingOs(Rc<Cell<u32>>, DecoupledHeuristicOs);
+    impl OsPolicy for CountingOs {
+        fn invoke(&mut self, sense: &OsSense) -> Result<OsInputs> {
+            self.0.set(self.0.get() + 1);
+            self.1.invoke(sense)
+        }
+        fn name(&self) -> &'static str {
+            "counting-os"
+        }
+    }
+
+    /// A split primary whose HW layer fails, with a counting OS layer.
+    fn failing_hw_counting_os(calls: &Rc<Cell<u32>>) -> Controllers {
+        Controllers::Split {
+            hw: Box::new(FailingHw),
+            os: Box::new(CountingOs(Rc::clone(calls), DecoupledHeuristicOs::new())),
+        }
+    }
+
+    #[test]
+    fn a_failing_hw_layer_still_steps_the_os_layer() {
+        let mut hw = clean_hw_sense();
+        let mut os = clean_os_sense();
+        jitter(&mut hw, &mut os, 0);
+        // The layer dispatch runs both layers and returns the HW error.
+        let calls = Rc::new(Cell::new(0));
+        let err = failing_hw_counting_os(&calls).invoke(&hw, &os).unwrap_err();
+        assert!(matches!(err, Error::Singular { op: "test" }), "{err:?}");
+        assert_eq!(calls.get(), 1);
+        // A supervised invocation goes through the same dispatch.
+        let calls = Rc::new(Cell::new(0));
+        let mut sup = Supervisor::new(failing_hw_counting_os(&calls), SupervisorConfig::default());
+        sup.step(&hw, &os);
+        assert_eq!(calls.get(), 1);
+        assert_eq!(sup.stats().controller_errors, 1);
+        assert_eq!(sup.mode(), SupervisorMode::Fallback);
+    }
+
+    #[test]
+    fn raw_run_over_a_failing_hw_layer_returns_its_error() {
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).unwrap();
+        let primary = Controllers::Split {
+            hw: Box::new(FailingHw),
+            os: Box::new(DecoupledHeuristicOs::new()),
+        };
+        let err = exp
+            .run_with_controllers(&yukta_workloads::catalog::spec::mcf(), primary)
+            .unwrap_err();
+        assert!(matches!(err, Error::Singular { op: "test" }), "{err:?}");
     }
 
     /// A primary that commands far outside the legal actuation ranges.

@@ -18,9 +18,10 @@
 //! * [`freq`] — Hessenberg-preconditioned fast evaluation of
 //!   `C (λI − A)⁻¹ B + D` for frequency sweeps: O(n²) per grid point
 //!   after a one-time O(n³) reduction.
-//! * [`svd`] — one-sided Jacobi SVD for real matrices and a complex largest
-//!   singular value via power iteration (the workhorse of the structured
-//!   singular value upper bound).
+//! * [`svd`] — the largest singular value of a complex matrix, in closed
+//!   form for vectors and two-row/two-column shapes and by power iteration
+//!   otherwise (the workhorse of the structured singular value upper
+//!   bound).
 //! * [`osborne`] — Osborne block balancing on block-norm matrices, batched
 //!   across frequency-grid chunks; the initializer of the µ D-scaling
 //!   search.

@@ -1,147 +1,10 @@
-//! Singular values: one-sided Jacobi SVD for real matrices and a complex
-//! largest-singular-value routine via power iteration.
+//! Largest singular values of complex matrices: closed forms for vectors
+//! and rank-2 Gram matrices, power iteration otherwise.
 //!
 //! `sigma_max` on complex frequency responses is the inner loop of the
 //! structured-singular-value upper bound, so it gets a dedicated fast path.
 
-use crate::{C64, CMat, Error, Mat, Result};
-
-/// Result of a real singular value decomposition `A = U·Σ·Vᵀ`.
-#[derive(Debug, Clone)]
-pub struct Svd {
-    /// Left singular vectors, `m × n` (thin).
-    pub u: Mat,
-    /// Singular values in non-increasing order, length `n`.
-    pub sigma: Vec<f64>,
-    /// Right singular vectors, `n × n`.
-    pub v: Mat,
-}
-
-/// Computes the thin SVD of an `m × n` real matrix with `m >= n` by
-/// one-sided Jacobi rotations (Hestenes method). For `m < n`, the transpose
-/// is factored and the roles of `U`/`V` swapped.
-///
-/// One-sided Jacobi is slower than bidiagonalization but unconditionally
-/// robust — ideal for the small matrices in controller synthesis.
-///
-/// # Errors
-///
-/// Returns [`Error::NoConvergence`] if the sweep limit is exhausted.
-///
-/// # Examples
-///
-/// ```
-/// use yukta_linalg::{Mat, svd::svd};
-///
-/// # fn main() -> Result<(), yukta_linalg::Error> {
-/// let a = Mat::from_rows(&[&[3.0, 0.0], &[0.0, 2.0], &[0.0, 0.0]]);
-/// let f = svd(&a)?;
-/// assert!((f.sigma[0] - 3.0).abs() < 1e-12);
-/// assert!((f.sigma[1] - 2.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn svd(a: &Mat) -> Result<Svd> {
-    let (m, n) = a.shape();
-    if m < n {
-        let f = svd(&a.t())?;
-        return Ok(Svd {
-            u: f.v,
-            sigma: f.sigma,
-            v: f.u,
-        });
-    }
-    // Work on columns of U (initialized to A); V accumulates rotations.
-    let mut u = a.clone();
-    let mut v = Mat::identity(n);
-    let max_sweeps = 60;
-    let eps = 1e-14;
-    let mut converged = false;
-    for _ in 0..max_sweeps {
-        let mut off = 0.0f64;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                // Dot products of columns p and q.
-                let mut app = 0.0;
-                let mut aqq = 0.0;
-                let mut apq = 0.0;
-                for i in 0..m {
-                    app += u[(i, p)] * u[(i, p)];
-                    aqq += u[(i, q)] * u[(i, q)];
-                    apq += u[(i, p)] * u[(i, q)];
-                }
-                if apq.abs() <= eps * (app * aqq).sqrt().max(1e-300) {
-                    continue;
-                }
-                off = off.max(apq.abs());
-                // Jacobi rotation that orthogonalizes the two columns.
-                let tau = (aqq - app) / (2.0 * apq);
-                let t = if tau >= 0.0 {
-                    1.0 / (tau + (1.0 + tau * tau).sqrt())
-                } else {
-                    -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                for i in 0..m {
-                    let (up, uq) = (u[(i, p)], u[(i, q)]);
-                    u[(i, p)] = c * up - s * uq;
-                    u[(i, q)] = s * up + c * uq;
-                }
-                for i in 0..n {
-                    let (vp, vq) = (v[(i, p)], v[(i, q)]);
-                    v[(i, p)] = c * vp - s * vq;
-                    v[(i, q)] = s * vp + c * vq;
-                }
-            }
-        }
-        if off < eps {
-            converged = true;
-            break;
-        }
-    }
-    if !converged {
-        return Err(Error::NoConvergence {
-            op: "svd",
-            iters: max_sweeps,
-        });
-    }
-    // Column norms are the singular values; normalize U.
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut sig = vec![0.0; n];
-    for (j, s) in sig.iter_mut().enumerate() {
-        let norm: f64 = (0..m).map(|i| u[(i, j)] * u[(i, j)]).sum::<f64>().sqrt();
-        *s = norm;
-    }
-    order.sort_by(|&x, &y| sig[y].partial_cmp(&sig[x]).unwrap());
-    let mut u_out = Mat::zeros(m, n);
-    let mut v_out = Mat::zeros(n, n);
-    let mut sigma = vec![0.0; n];
-    for (jj, &j) in order.iter().enumerate() {
-        sigma[jj] = sig[j];
-        let inv = if sig[j] > 1e-300 { 1.0 / sig[j] } else { 0.0 };
-        for i in 0..m {
-            u_out[(i, jj)] = u[(i, j)] * inv;
-        }
-        for i in 0..n {
-            v_out[(i, jj)] = v[(i, j)];
-        }
-    }
-    Ok(Svd {
-        u: u_out,
-        sigma,
-        v: v_out,
-    })
-}
-
-/// Largest singular value of a real matrix.
-///
-/// # Errors
-///
-/// Propagates SVD failures.
-pub fn sigma_max_real(a: &Mat) -> Result<f64> {
-    Ok(svd(a)?.sigma.first().copied().unwrap_or(0.0))
-}
+use crate::{C64, CMat};
 
 /// Largest singular value of a complex matrix.
 ///
@@ -372,62 +235,15 @@ pub fn sigma_max_power(a: &CMat) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn svd_reconstructs() {
-        let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let f = svd(&a).unwrap();
-        let sig = Mat::diag(&f.sigma);
-        let recon = &(&f.u * &sig) * &f.v.t();
-        assert!(recon.approx_eq(&a, 1e-10));
-    }
-
-    #[test]
-    fn svd_orthogonality() {
-        let a = Mat::from_rows(&[&[2.0, 0.5, 1.0], &[-1.0, 3.0, 0.0], &[0.3, 0.2, -2.0]]);
-        let f = svd(&a).unwrap();
-        assert!((&f.u.t() * &f.u).approx_eq(&Mat::identity(3), 1e-10));
-        assert!((&f.v.t() * &f.v).approx_eq(&Mat::identity(3), 1e-10));
-    }
-
-    #[test]
-    fn singular_values_sorted_and_known() {
-        let a = Mat::diag(&[1.0, 5.0, 3.0]);
-        let f = svd(&a).unwrap();
-        assert!((f.sigma[0] - 5.0).abs() < 1e-12);
-        assert!((f.sigma[1] - 3.0).abs() < 1e-12);
-        assert!((f.sigma[2] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wide_matrix_handled() {
-        let a = Mat::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 2.0, 0.0]]);
-        let f = svd(&a).unwrap();
-        assert!((f.sigma[0] - 2.0).abs() < 1e-12);
-        assert!((f.sigma[1] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rank_deficient_zero_sigma() {
-        let a = Mat::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        let f = svd(&a).unwrap();
-        assert!(f.sigma[1] < 1e-12);
-    }
-
-    #[test]
-    fn sigma_max_real_vs_fro_bounds() {
-        let a = Mat::from_rows(&[&[1.0, -2.0], &[0.5, 0.7]]);
-        let s = sigma_max_real(&a).unwrap();
-        // sigma_max <= fro <= sqrt(n) sigma_max
-        assert!(s <= a.fro_norm() + 1e-12);
-        assert!(a.fro_norm() <= 2f64.sqrt() * s + 1e-12);
-    }
+    use crate::Mat;
+    use crate::symeig::symmetric_eigen;
 
     #[test]
     fn complex_sigma_max_matches_real_case() {
         let r = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let c = CMat::from_real(&r);
-        let s_real = sigma_max_real(&r).unwrap();
+        // σ̄(R) = √λmax(RᵀR).
+        let s_real = symmetric_eigen(&(&r.t() * &r)).unwrap().values[0].sqrt();
         assert!((sigma_max(&c) - s_real).abs() < 1e-8);
     }
 
