@@ -26,16 +26,6 @@ pub struct ObsScope {
     meta: RunMeta,
 }
 
-impl ObsScope {
-    /// Refines the stamped run metadata once the binary knows its seed
-    /// and scheme — [`capture`] runs before either exists, so it defaults
-    /// to seed 0 and the binary name.
-    pub fn annotate(&mut self, seed: u64, scheme: &str) {
-        self.meta.seed = seed;
-        self.meta.scheme = scheme.to_string();
-    }
-}
-
 impl Drop for ObsScope {
     fn drop(&mut self) {
         if let Some((rec, name)) = self.rec.take() {

@@ -14,8 +14,11 @@
 //!    cycle-identical.
 //! 2. **Allocation-free hot path.** Field lists are stack slices of borrowed
 //!    [`Value`]s; histograms use fixed bucket bounds with linear-scan
-//!    increment. Only the in-memory sink ([`mem::MemRecorder`]) allocates,
-//!    when it copies an entry under its lock.
+//!    increment. The in-memory sink ([`mem::MemRecorder`]) copies an entry
+//!    under its lock into append-only storage shared by all entries (one
+//!    entry list, one field arena), and interns string values once per
+//!    recorder, so a recorded span or event allocates no `Vec` or `String`
+//!    of its own.
 //! 3. **Offline-safe.** No dependencies at all — exporters ([`export`]) and
 //!    the validating JSON parser ([`json`]) are hand-rolled, matching the
 //!    `third_party/` vendored-stub policy.
@@ -221,6 +224,6 @@ mod tests {
         assert_eq!(snap.entries.len(), 2);
         assert_eq!(snap.entries[0].name, "a");
         assert_eq!(snap.entries[1].name, "b");
-        assert_eq!(snap.entries[1].fields.len(), 1);
+        assert_eq!(snap.fields_of(&snap.entries[1]).len(), 1);
     }
 }

@@ -1,33 +1,32 @@
 //! In-memory recorder: the concrete sink behind `--obs` runs.
+//!
+//! A recorded span or event allocates nothing of its own: its fields are
+//! appended to one field arena shared by every entry of the recorder, and
+//! string values are interned once per recorder, so repeated labels (mode,
+//! level, cluster, verdict, fault kind) share one allocation.
 
-use std::sync::Mutex;
+use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::hist::FixedHistogram;
 use crate::{Fields, Recorder, Value};
 
 /// An owned field value, produced when an entry is copied into the sink.
+/// Strings are the recorder's interned copies.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OwnedValue {
     U64(u64),
     I64(i64),
     F64(f64),
-    Str(String),
+    Str(Arc<str>),
     Bool(bool),
 }
 
-impl From<Value<'_>> for OwnedValue {
-    fn from(v: Value<'_>) -> Self {
-        match v {
-            Value::U64(x) => OwnedValue::U64(x),
-            Value::I64(x) => OwnedValue::I64(x),
-            Value::F64(x) => OwnedValue::F64(x),
-            Value::Str(s) => OwnedValue::Str(s.to_string()),
-            Value::Bool(b) => OwnedValue::Bool(b),
-        }
-    }
-}
+/// One recorded field: its name and owned value.
+pub type Field = (&'static str, OwnedValue);
 
 /// One recorded span or event.
 #[derive(Debug, Clone)]
@@ -39,18 +38,30 @@ pub struct Entry {
     /// Small dense thread index (0 = first thread seen by this recorder).
     pub tid: u32,
     pub name: &'static str,
-    pub fields: Vec<(&'static str, OwnedValue)>,
+    /// This entry's slice of the field arena; read it through
+    /// [`Snapshot::fields_of`].
+    pub fields: Range<usize>,
 }
 
 /// A consistent copy of everything a [`MemRecorder`] has captured.
 /// `entries` are sorted by `ts_ns` (stable, so same-timestamp entries keep
-/// their recording order).
+/// their recording order); their fields live in the shared `fields` arena,
+/// which the sort leaves in recording order.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     pub entries: Vec<Entry>,
+    /// Every entry's fields, back to back in recording order.
+    pub fields: Vec<Field>,
     pub counters: Vec<(&'static str, u64)>,
     pub gauges: Vec<(&'static str, f64)>,
     pub hists: Vec<(&'static str, FixedHistogram)>,
+}
+
+impl Snapshot {
+    /// The fields recorded with `entry`, in call-site order.
+    pub fn fields_of(&self, entry: &Entry) -> &[Field] {
+        &self.fields[entry.fields.clone()]
+    }
 }
 
 enum Clock {
@@ -64,6 +75,8 @@ enum Clock {
 #[derive(Default)]
 struct Inner {
     entries: Vec<Entry>,
+    fields: Vec<Field>,
+    strings: HashSet<Arc<str>>,
     counters: Vec<(&'static str, u64)>,
     gauges: Vec<(&'static str, f64)>,
     hists: Vec<(&'static str, FixedHistogram)>,
@@ -81,11 +94,21 @@ impl Inner {
             }
         }
     }
+
+    /// The recorder's shared copy of `s`, made on first sight.
+    fn intern(&mut self, s: &str) -> Arc<str> {
+        if let Some(shared) = self.strings.get(s) {
+            return shared.clone();
+        }
+        let shared: Arc<str> = Arc::from(s);
+        self.strings.insert(shared.clone());
+        shared
+    }
 }
 
 /// Captures telemetry into memory for export at end of run. Span begin is
 /// lock-free (one clock read); every completed span/event takes the mutex
-/// once to append.
+/// once to append its entry and fields.
 pub struct MemRecorder {
     clock: Clock,
     inner: Mutex<Inner>,
@@ -154,6 +177,7 @@ impl MemRecorder {
         entries.sort_by_key(|e| e.ts_ns);
         Snapshot {
             entries,
+            fields: inner.fields.clone(),
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),
             hists: inner.hists.clone(),
@@ -170,12 +194,20 @@ impl MemRecorder {
     }
 
     fn push(&self, ts_ns: u64, dur_ns: Option<u64>, name: &'static str, fields: Fields<'_>) {
-        let fields: Vec<(&'static str, OwnedValue)> = fields
-            .iter()
-            .map(|(k, v)| (*k, OwnedValue::from(*v)))
-            .collect();
         let mut inner = self.lock();
         let tid = inner.tid();
+        let start = inner.fields.len();
+        for &(k, v) in fields {
+            let v = match v {
+                Value::U64(x) => OwnedValue::U64(x),
+                Value::I64(x) => OwnedValue::I64(x),
+                Value::F64(x) => OwnedValue::F64(x),
+                Value::Str(s) => OwnedValue::Str(inner.intern(s)),
+                Value::Bool(b) => OwnedValue::Bool(b),
+            };
+            inner.fields.push((k, v));
+        }
+        let fields = start..inner.fields.len();
         inner.entries.push(Entry {
             ts_ns,
             dur_ns,
@@ -287,6 +319,43 @@ mod tests {
         // inner *completes* first but outer *starts* first.
         assert_eq!(snap.entries[0].name, "outer");
         assert_eq!(snap.entries[1].name, "inner");
+    }
+
+    #[test]
+    fn fields_follow_their_entries_through_the_sort() {
+        let rec = MemRecorder::manual();
+        rec.set_time_ns(10);
+        let outer = rec.span_begin("outer");
+        rec.advance_ns(5);
+        rec.event(
+            "tick",
+            &[("n", Value::U64(1)), ("mode", Value::Str("safe"))],
+        );
+        rec.event("bare", &[]);
+        rec.span_end("outer", outer, &[("mode", Value::Str("safe"))]);
+        let snap = rec.snapshot();
+        let names: Vec<_> = snap.entries.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["outer", "tick", "bare"]);
+        let safe = OwnedValue::Str(Arc::from("safe"));
+        assert_eq!(snap.fields_of(&snap.entries[0]), [("mode", safe.clone())]);
+        assert_eq!(
+            snap.fields_of(&snap.entries[1]),
+            [("n", OwnedValue::U64(1)), ("mode", safe)]
+        );
+        assert!(snap.fields_of(&snap.entries[2]).is_empty());
+    }
+
+    #[test]
+    fn string_values_are_interned_per_recorder() {
+        let rec = MemRecorder::manual();
+        let label = String::from("drifting");
+        rec.event("a", &[("verdict", Value::Str(&label))]);
+        rec.event("b", &[("verdict", Value::Str("drifting"))]);
+        let snap = rec.snapshot();
+        let [(_, OwnedValue::Str(a)), (_, OwnedValue::Str(b))] = &snap.fields[..] else {
+            panic!("expected two string fields, got {:?}", snap.fields);
+        };
+        assert!(Arc::ptr_eq(a, b), "equal labels must share one copy");
     }
 
     #[test]
