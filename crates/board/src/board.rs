@@ -6,6 +6,8 @@
 //! frequencies, core counts, thread placement) in, sampled sensors
 //! (windowed power, temperature, instruction counters) out.
 
+use std::ops::Deref;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -94,12 +96,35 @@ pub struct ActuationAudit {
     pub tmu_cap_expansions: u64,
 }
 
+/// A borrowed per-slot view: the thread loads a workload hands to
+/// [`Board::step`] and the per-thread progress the step hands back.
+///
+/// It derefs to `[T]`, so `&view` coerces to `&[T]` wherever a slice is
+/// taken. It wraps the slice instead of being one so that call sites
+/// written against owned vectors (`board.step(&loads)`,
+/// `run.advance(&rep.thread_progress)`) keep compiling unchanged: a
+/// plain `&[T]` there would be a needless borrow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Slots<'a, T>(pub &'a [T]);
+
+impl<T> Deref for Slots<'_, T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        self.0
+    }
+}
+
 /// What happened during one simulation step.
+///
+/// The report borrows the board: [`StepReport::thread_progress`] is a view
+/// of a buffer the board reuses on every step, so a report must be
+/// consumed before the board is stepped or read again.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StepReport {
+pub struct StepReport<'a> {
     /// Giga-instructions retired by each thread (aligned with the `loads`
-    /// slice passed to [`Board::step`]).
-    pub thread_progress: Vec<f64>,
+    /// slice passed to [`Board::step`]; inactive slots are exactly 0).
+    pub thread_progress: Slots<'a, f64>,
     /// True instantaneous big-cluster power (W).
     pub p_big: f64,
     /// True instantaneous little-cluster power (W).
@@ -154,6 +179,9 @@ pub struct Board {
     /// Telemetry sink for actuation/TMU/fault events. Never consulted by
     /// the physics: an instrumented board is bit-identical to a plain one.
     obs: ObsHandle,
+    /// Per-thread progress of the last step, reused so a step allocates
+    /// nothing once it has seen its widest `loads`.
+    progress: Vec<f64>,
 }
 
 impl Board {
@@ -195,6 +223,7 @@ impl Board {
             audit: ActuationAudit::default(),
             acts_since_step: 0,
             obs: ObsHandle::default(),
+            progress: Vec::new(),
         }
     }
 
@@ -319,15 +348,18 @@ impl Board {
             }
         }
         if let Some(p) = act.placement {
+            // Clamp before comparing: the stored packings are ≥ 1, so a
+            // raw sub-1 request would otherwise read as a change forever.
+            let p = Placement {
+                threads_big: p.threads_big,
+                packing_big: p.packing_big.max(1.0),
+                packing_little: p.packing_little.max(1.0),
+            };
             let changed = p.threads_big != self.placement.threads_big
                 || (p.packing_big - self.placement.packing_big).abs() > 1e-9
                 || (p.packing_little - self.placement.packing_little).abs() > 1e-9;
             if changed {
-                self.placement = Placement {
-                    threads_big: p.threads_big,
-                    packing_big: p.packing_big.max(1.0),
-                    packing_little: p.packing_little.max(1.0),
-                };
+                self.placement = p;
                 // Migration costs both clusters a brief stall.
                 self.stall_big = self.stall_big.max(self.cfg.migration_stall);
                 self.stall_little = self.stall_little.max(self.cfg.migration_stall);
@@ -403,7 +435,11 @@ impl Board {
     }
 
     /// Advances the board by one timestep given each thread's current load.
-    pub fn step(&mut self, loads: &[ThreadLoad]) -> StepReport {
+    ///
+    /// Allocation-free once the board has seen `loads.len()` slots: the
+    /// active slots are split between the clusters in place, and the
+    /// progress lands in a buffer the board owns and the report borrows.
+    pub fn step(&mut self, loads: &[ThreadLoad]) -> StepReport<'_> {
         let dt = self.cfg.dt;
         // Refresh the HMP packing-noise factors every 500 ms.
         self.hmp_timer += dt;
@@ -434,19 +470,13 @@ impl Board {
         }
         self.acts_since_step = 0;
 
-        // Partition the active threads.
-        let active: Vec<usize> = loads
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.active)
-            .map(|(i, _)| i)
-            .collect();
-        let n_big = self.placement.threads_big.min(active.len());
-        let (big_ids, little_ids) = active.split_at(n_big);
-
-        let mux_big = multiplex(big_ids.len(), big_cores, self.placement.packing_big);
+        // Partition the active threads: the first `n_big` active slots run
+        // on big, the rest on little.
+        let n_active = loads.iter().filter(|l| l.active).count();
+        let n_big = self.placement.threads_big.min(n_active);
+        let mux_big = multiplex(n_big, big_cores, self.placement.packing_big);
         let mux_little = multiplex(
-            little_ids.len(),
+            n_active - n_big,
             little_cores,
             self.placement.packing_little,
         );
@@ -457,34 +487,39 @@ impl Board {
         self.stall_big = (self.stall_big - dt).max(0.0);
         self.stall_little = (self.stall_little - dt).max(0.0);
 
-        let mut progress = vec![0.0; loads.len()];
+        self.progress.clear();
+        self.progress.resize(loads.len(), 0.0);
         let mut instr_big = 0.0;
         let mut instr_little = 0.0;
-        for &tid in big_ids {
-            let l = &loads[tid];
-            let gips = thread_gips(
-                &self.cfg.big,
-                l.ipc_factor_big,
-                l.mem_intensity,
-                f_big,
-                mux_big.share_per_thread,
-            ) * self.hmp_factor_big
-                * exec_big;
-            progress[tid] = gips * dt;
-            instr_big += gips * dt;
-        }
-        for &tid in little_ids {
-            let l = &loads[tid];
-            let gips = thread_gips(
-                &self.cfg.little,
-                l.ipc_factor_little,
-                l.mem_intensity,
-                f_little,
-                mux_little.share_per_thread,
-            ) * self.hmp_factor_little
-                * exec_little;
-            progress[tid] = gips * dt;
-            instr_little += gips * dt;
+        let mut big_left = n_big;
+        for (l, progress) in loads.iter().zip(&mut self.progress) {
+            if !l.active {
+                continue;
+            }
+            if big_left > 0 {
+                big_left -= 1;
+                let gips = thread_gips(
+                    &self.cfg.big,
+                    l.ipc_factor_big,
+                    l.mem_intensity,
+                    f_big,
+                    mux_big.share_per_thread,
+                ) * self.hmp_factor_big
+                    * exec_big;
+                *progress = gips * dt;
+                instr_big += gips * dt;
+            } else {
+                let gips = thread_gips(
+                    &self.cfg.little,
+                    l.ipc_factor_little,
+                    l.mem_intensity,
+                    f_little,
+                    mux_little.share_per_thread,
+                ) * self.hmp_factor_little
+                    * exec_little;
+                *progress = gips * dt;
+                instr_little += gips * dt;
+            }
         }
 
         // Power and thermal.
@@ -572,7 +607,7 @@ impl Board {
 
         self.time += dt;
         StepReport {
-            thread_progress: progress,
+            thread_progress: Slots(&self.progress),
             p_big,
             p_little,
             t_hot: self.thermal.t_hot,
@@ -613,15 +648,6 @@ impl Board {
             self.emit_fault_events(from);
         }
         read
-    }
-
-    /// Whether a cluster's power sensor has completed its first window
-    /// (readings before that are a hard zero, not a measurement).
-    pub fn power_ready(&self, c: Cluster) -> bool {
-        match c {
-            Cluster::Big => self.p_sensor_big.has_reading(),
-            Cluster::Little => self.p_sensor_little.has_reading(),
-        }
     }
 
     /// Temperature-sensor reading: hotspot plus sensor noise (°C), as seen
@@ -685,11 +711,6 @@ impl Board {
         self.ext_cap_f_big = cap
             .filter(|c| c.is_finite())
             .map(|c| c.clamp(self.cfg.big.f_min, self.cfg.big.f_max));
-    }
-
-    /// The external big-cluster frequency cap currently in force.
-    pub fn external_cap_f_big(&self) -> Option<f64> {
-        self.ext_cap_f_big
     }
 
     /// A snapshot of the effective operating point.
@@ -908,6 +929,112 @@ mod tests {
     }
 
     #[test]
+    fn repeated_sub_one_packing_request_does_not_stall() {
+        let mut b = board();
+        let act = Actuation {
+            f_big: Some(1.0),
+            placement: Some(Placement {
+                threads_big: 8,
+                packing_big: 0.5,
+                packing_little: 0.5,
+            }),
+            ..Default::default()
+        };
+        let loads = eight_threads();
+        b.actuate(&act);
+        run(&mut b, &loads, 1.0);
+        b.actuate(&act);
+        run(&mut b, &loads, 1.0);
+        // The stored placement is the clamped request, so sending the same
+        // request again is no change: no migration, no stall.
+        b.actuate(&act);
+        let rep = b.step(&loads);
+        assert!(rep.instr_big > 0.0, "identical request re-charged a stall");
+        assert_eq!(b.state().placement.packing_big, 1.0);
+    }
+
+    /// Checks one report against the loads it was stepped with: one
+    /// progress entry per slot, exact zeros on inactive slots, and the
+    /// cluster totals equal to the per-slot sums bit for bit.
+    fn check_report(rep: &StepReport<'_>, loads: &[ThreadLoad], threads_big: usize) {
+        assert_eq!(rep.thread_progress.len(), loads.len());
+        let (mut big, mut little) = (0.0, 0.0);
+        let mut big_left = threads_big;
+        for (l, &g) in loads.iter().zip(rep.thread_progress.iter()) {
+            if !l.active {
+                assert_eq!(g.to_bits(), 0.0f64.to_bits(), "stale progress");
+            } else if big_left > 0 {
+                big_left -= 1;
+                big += g;
+            } else {
+                little += g;
+            }
+        }
+        assert_eq!(big.to_bits(), rep.instr_big.to_bits());
+        assert_eq!(little.to_bits(), rep.instr_little.to_bits());
+    }
+
+    #[test]
+    fn progress_buffer_is_reused_without_stale_entries() {
+        let mut b = board();
+        b.actuate(&Actuation {
+            f_big: Some(1.2),
+            f_little: Some(1.0),
+            placement: Some(Placement {
+                threads_big: 2,
+                packing_big: 1.0,
+                packing_little: 1.0,
+            }),
+            ..Default::default()
+        });
+        // Slot counts 8 → 3 → 0 → 8, each with shifting active flags.
+        let mut shapes = Vec::new();
+        for n in [8usize, 3, 0, 8] {
+            for k in 0..4 {
+                let loads: Vec<ThreadLoad> = (0..n)
+                    .map(|i| match (i + k) % 3 {
+                        0 => ThreadLoad::idle(),
+                        _ => ThreadLoad::nominal(),
+                    })
+                    .collect();
+                shapes.push(loads);
+            }
+        }
+        let bits = |rep: StepReport<'_>| {
+            let mut v: Vec<u64> = rep.thread_progress.iter().map(|g| g.to_bits()).collect();
+            v.extend(
+                [
+                    rep.p_big,
+                    rep.p_little,
+                    rep.t_hot,
+                    rep.instr_big,
+                    rep.instr_little,
+                ]
+                .map(f64::to_bits),
+            );
+            v
+        };
+        let schedule = || shapes.iter().cycle().take(3 * shapes.len());
+        let mut twin = None;
+        let mut after_clone = Vec::new();
+        for (i, loads) in schedule().enumerate() {
+            if i == shapes.len() {
+                twin = Some(b.clone());
+            }
+            let rep = b.step(loads);
+            check_report(&rep, loads, 2);
+            if twin.is_some() {
+                after_clone.push(bits(rep));
+            }
+        }
+        // A clone taken mid-run replays the rest of the run bit for bit.
+        let mut twin = twin.unwrap();
+        for (loads, want) in schedule().skip(shapes.len()).zip(&after_clone) {
+            assert_eq!(&bits(twin.step(loads)), want);
+        }
+    }
+
+    #[test]
     fn temperature_rises_under_load() {
         let mut b = board();
         b.actuate(&Actuation {
@@ -979,11 +1106,14 @@ mod tests {
 
     #[test]
     fn power_ready_tracks_first_window() {
+        // Before the first window completes a reading is the hard startup
+        // zero; after it, both clusters report a measurement.
         let mut b = board();
-        assert!(!b.power_ready(Cluster::Big));
+        assert_eq!(b.read_power(Cluster::Big), 0.0);
+        assert_eq!(b.read_power(Cluster::Little), 0.0);
         run(&mut b, &eight_threads(), 0.3);
-        assert!(b.power_ready(Cluster::Big));
-        assert!(b.power_ready(Cluster::Little));
+        assert!(b.read_power(Cluster::Big) > 0.0);
+        assert!(b.read_power(Cluster::Little) > 0.0);
     }
 
     #[test]
@@ -1116,9 +1246,9 @@ mod tests {
         assert_eq!(b.actuation_audit().tmu_cap_expansions, 0);
         // Non-finite caps are ignored; out-of-range caps are clamped.
         b.set_external_cap_f_big(Some(f64::NAN));
-        assert_eq!(b.external_cap_f_big(), None);
+        assert!((b.state().f_big - 1.8).abs() < 1e-9);
         b.set_external_cap_f_big(Some(0.05));
-        assert!((b.external_cap_f_big().unwrap() - 0.2).abs() < 1e-12);
+        assert!((b.state().f_big - 0.2).abs() < 1e-12);
     }
 
     #[test]

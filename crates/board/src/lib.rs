@@ -55,7 +55,7 @@ pub mod sensors;
 pub mod thermal;
 pub mod tmu;
 
-pub use board::{Actuation, ActuationAudit, Board, BoardState, Placement, StepReport};
+pub use board::{Actuation, ActuationAudit, Board, BoardState, Placement, Slots, StepReport};
 pub use config::{BoardConfig, Cluster};
 pub use faults::{
     FaultChannel, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultStats, ScheduledFault,

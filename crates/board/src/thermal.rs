@@ -35,11 +35,6 @@ impl ThermalState {
         self.t_hot += dhot * dt;
         self.t_board += dboard * dt;
     }
-
-    /// The steady-state hotspot temperature for constant powers.
-    pub fn steady_hot(cfg: &ThermalConfig, p_big: f64, p_total: f64) -> f64 {
-        cfg.t_ambient + p_total * cfg.r_board + p_big * cfg.r_hot
-    }
 }
 
 #[cfg(test)]
@@ -49,6 +44,11 @@ mod tests {
 
     fn cfg() -> ThermalConfig {
         BoardConfig::odroid_xu3().thermal
+    }
+
+    /// The steady-state hotspot temperature for constant powers.
+    fn steady_hot(cfg: &ThermalConfig, p_big: f64, p_total: f64) -> f64 {
+        cfg.t_ambient + p_total * cfg.r_board + p_big * cfg.r_hot
     }
 
     fn settle(state: &mut ThermalState, cfg: &ThermalConfig, p_big: f64, p_total: f64, secs: f64) {
@@ -64,7 +64,7 @@ mod tests {
         let c = cfg();
         let mut s = ThermalState::at_ambient(&c);
         settle(&mut s, &c, 3.3, 3.8, 600.0);
-        let expect = ThermalState::steady_hot(&c, 3.3, 3.8);
+        let expect = steady_hot(&c, 3.3, 3.8);
         assert!(
             (s.t_hot - expect).abs() < 0.5,
             "t_hot {} vs {}",
@@ -78,10 +78,10 @@ mod tests {
         // The paper's temperature limit (79 °C) should be in play exactly
         // when the big cluster runs near its 3.3 W power limit.
         let c = cfg();
-        let t = ThermalState::steady_hot(&c, 3.3, 3.7);
+        let t = steady_hot(&c, 3.3, 3.7);
         assert!((70.0..80.0).contains(&t), "steady hotspot {t}");
         // Max power clearly overshoots the limit.
-        let t_max = ThermalState::steady_hot(&c, 5.5, 6.0);
+        let t_max = steady_hot(&c, 5.5, 6.0);
         assert!(t_max > 85.0, "max-power hotspot {t_max}");
     }
 
@@ -114,7 +114,7 @@ mod tests {
         // Pre-settle the board node so we isolate the hotspot dynamics.
         settle(&mut s, &c, 0.0, 0.5, 2000.0);
         let t0 = s.t_hot;
-        let target = ThermalState::steady_hot(&c, 3.0, 3.5);
+        let target = steady_hot(&c, 3.0, 3.5);
         let dt = 0.01;
         let mut elapsed = 0.0;
         while s.t_hot < t0 + 0.63 * (target - t0) && elapsed < 100.0 {

@@ -8,7 +8,7 @@
 //! exactly the role the real binaries played on the XU3.
 
 use serde::{Deserialize, Serialize};
-use yukta_board::ThreadLoad;
+use yukta_board::{Slots, ThreadLoad};
 
 /// Which benchmark suite an application models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -131,6 +131,34 @@ struct AppRun {
     remaining_gi: f64,
 }
 
+impl AppRun {
+    /// Everything the app's slot loads depend on besides the app itself.
+    fn loads_key(&self) -> (usize, bool) {
+        (self.phase, self.remaining_gi > 0.0)
+    }
+
+    /// Writes the app's per-slot loads: the current phase's
+    /// characteristics on its first `threads` slots while the phase has
+    /// work left, idle everywhere else.
+    fn write_loads(&self, app: &App, out: &mut [ThreadLoad]) {
+        let phase = app
+            .phases
+            .get(self.phase)
+            .filter(|_| self.remaining_gi > 0.0);
+        for (slot, load) in out.iter_mut().enumerate() {
+            *load = match phase {
+                Some(p) if slot < p.threads => ThreadLoad {
+                    active: true,
+                    mem_intensity: p.mem_intensity,
+                    ipc_factor_big: p.ipc_big,
+                    ipc_factor_little: p.ipc_little,
+                },
+                _ => ThreadLoad::idle(),
+            };
+        }
+    }
+}
+
 /// The runtime engine driving a [`Workload`] against the board.
 ///
 /// # Examples
@@ -160,12 +188,15 @@ struct AppRun {
 pub struct WorkloadRun {
     workload: Workload,
     runs: Vec<AppRun>,
+    /// Per-slot loads of the current phases. An app's slots are rewritten
+    /// only when its [`AppRun::loads_key`] changes.
+    loads: Vec<ThreadLoad>,
 }
 
 impl WorkloadRun {
     /// Starts the workload from its first phase.
     pub fn new(workload: &Workload) -> Self {
-        let runs = workload
+        let runs: Vec<AppRun> = workload
             .apps
             .iter()
             .map(|a| AppRun {
@@ -173,9 +204,16 @@ impl WorkloadRun {
                 remaining_gi: a.phases.first().map_or(0.0, |p| p.work_gi),
             })
             .collect();
+        let mut loads = vec![ThreadLoad::idle(); workload.n_slots()];
+        let mut base = 0;
+        for (app, run) in workload.apps.iter().zip(&runs) {
+            run.write_loads(app, &mut loads[base..base + app.slots]);
+            base += app.slots;
+        }
         WorkloadRun {
             workload: workload.clone(),
             runs,
+            loads,
         }
     }
 
@@ -186,23 +224,13 @@ impl WorkloadRun {
 
     /// Current per-slot thread loads, one entry per slot across all
     /// components (component order, then slot order).
-    pub fn loads(&self) -> Vec<ThreadLoad> {
-        let mut out = Vec::with_capacity(self.workload.n_slots());
-        for (app, run) in self.workload.apps.iter().zip(&self.runs) {
-            let phase = app.phases.get(run.phase);
-            for slot in 0..app.slots {
-                match phase {
-                    Some(p) if slot < p.threads && run.remaining_gi > 0.0 => out.push(ThreadLoad {
-                        active: true,
-                        mem_intensity: p.mem_intensity,
-                        ipc_factor_big: p.ipc_big,
-                        ipc_factor_little: p.ipc_little,
-                    }),
-                    _ => out.push(ThreadLoad::idle()),
-                }
-            }
-        }
-        out
+    ///
+    /// The view borrows a cache that [`WorkloadRun::advance`] rewrites
+    /// only where an app changes phase or drains its phase's work, so
+    /// reading the loads allocates nothing. Copy them out (`to_vec`) to
+    /// keep them across an `advance`.
+    pub fn loads(&self) -> Slots<'_, ThreadLoad> {
+        Slots(&self.loads)
     }
 
     /// Consumes the board's per-slot progress (giga-instructions retired)
@@ -215,11 +243,13 @@ impl WorkloadRun {
         assert_eq!(progress.len(), self.workload.n_slots(), "slot count");
         let mut base = 0;
         for (app, run) in self.workload.apps.iter().zip(self.runs.iter_mut()) {
-            let done: f64 = progress[base..base + app.slots].iter().sum();
+            let slots = base..base + app.slots;
             base += app.slots;
+            let done: f64 = progress[slots.clone()].iter().sum();
             if run.phase >= app.phases.len() {
                 continue;
             }
+            let key = run.loads_key();
             run.remaining_gi -= done;
             while run.remaining_gi <= 0.0 && run.phase < app.phases.len() {
                 let carry = -run.remaining_gi;
@@ -228,6 +258,9 @@ impl WorkloadRun {
                     .phases
                     .get(run.phase)
                     .map_or(0.0, |p| (p.work_gi - carry).max(0.0));
+            }
+            if run.loads_key() != key {
+                run.write_loads(app, &mut self.loads[slots]);
             }
         }
     }
@@ -261,13 +294,101 @@ impl WorkloadRun {
     /// Number of currently active threads across all components — the
     /// signal the OS layer watches.
     pub fn active_threads(&self) -> usize {
-        self.loads().iter().filter(|l| l.active).count()
+        self.loads.iter().filter(|l| l.active).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-call builder the loads cache replaced: every slot's load
+    /// recomputed from the phase tables.
+    fn reference_loads(run: &WorkloadRun) -> Vec<ThreadLoad> {
+        let mut out = Vec::with_capacity(run.workload.n_slots());
+        for (app, r) in run.workload.apps.iter().zip(&run.runs) {
+            let phase = app.phases.get(r.phase);
+            for slot in 0..app.slots {
+                match phase {
+                    Some(p) if slot < p.threads && r.remaining_gi > 0.0 => out.push(ThreadLoad {
+                        active: true,
+                        mem_intensity: p.mem_intensity,
+                        ipc_factor_big: p.ipc_big,
+                        ipc_factor_little: p.ipc_little,
+                    }),
+                    _ => out.push(ThreadLoad::idle()),
+                }
+            }
+        }
+        out
+    }
+
+    fn app_strategy() -> impl Strategy<Value = App> {
+        let work = prop_oneof![1 => Just(0.0), 4 => 0.5..20.0f64];
+        (
+            1usize..=8,
+            prop::collection::vec((1usize..=8, work, 0.0..1.0f64, 0.5..2.0f64), 1..=4),
+        )
+            .prop_map(|(slots, specs)| App {
+                name: "prop".into(),
+                suite: Suite::Training,
+                slots,
+                phases: specs
+                    .into_iter()
+                    .map(|(threads, work_gi, mem_intensity, ipc)| PhaseSpec {
+                        name: "p".into(),
+                        threads: threads.min(slots),
+                        work_gi,
+                        mem_intensity,
+                        ipc_big: ipc,
+                        ipc_little: 0.5 * ipc,
+                    })
+                    .collect(),
+            })
+    }
+
+    /// Per-slot progress values: zero, tiny, ordinary, huge, negative, NaN.
+    fn chunk_strategy() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            2 => Just(0.0),
+            1 => 1e-12..1e-9f64,
+            6 => 0.01..2.0f64,
+            1 => 1e3..1e6f64,
+            1 => -2.0..-1e-6f64,
+            1 => Just(f64::NAN),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn cached_loads_match_reference(
+            apps in prop::collection::vec(app_strategy(), 1..=3),
+            chunks in prop::collection::vec(chunk_strategy(), 1..=64),
+            steps in 1usize..=80,
+        ) {
+            let wl = Workload::mix("prop", apps);
+            let mut run = WorkloadRun::new(&wl);
+            let slots = wl.n_slots();
+            let check = |run: &WorkloadRun| {
+                let want = reference_loads(run);
+                assert_eq!(&run.loads()[..], &want[..]);
+                assert_eq!(
+                    run.active_threads(),
+                    want.iter().filter(|l| l.active).count()
+                );
+            };
+            check(&run);
+            let mut next = chunks.iter().cycle();
+            for _ in 0..steps {
+                let progress: Vec<f64> = next.by_ref().take(slots).copied().collect();
+                run.advance(&progress);
+                check(&run);
+            }
+        }
+    }
 
     fn two_phase_app() -> App {
         App {

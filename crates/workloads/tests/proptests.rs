@@ -95,7 +95,7 @@ proptest! {
         // Progress credited to inactive slots must not advance the run.
         let wl = Workload::single(app);
         let mut run = WorkloadRun::new(&wl);
-        let loads = run.loads();
+        let loads = run.loads().to_vec();
         let before = run.progress_fraction();
         let progress: Vec<f64> = loads.iter().map(|l| if l.active { 0.0 } else { 100.0 }).collect();
         run.advance(&progress);
