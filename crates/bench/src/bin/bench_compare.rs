@@ -18,8 +18,9 @@
 //!   `seed`, …), with any residual collisions paired by occurrence
 //!   order. Baseline rows missing from a fresh `--quick` envelope are
 //!   skipped (the smoke grid is a subset); missing from a fresh *full*
-//!   envelope is a failure. Fresh-only rows (new cells) are reported,
-//!   never fatal.
+//!   envelope is a failure. A fresh row that matches no baseline row is
+//!   a failure too: its metrics would otherwise go unchecked, so a new
+//!   cell gates only once its baseline is committed.
 //! * Within a matched row, simulated metrics are compared field by
 //!   field: integer-valued numbers and booleans exactly (the simulation
 //!   is deterministic), floats within `atol + tol·max(|a|,|b|)`.
@@ -263,7 +264,7 @@ fn compare_file(name: &str, base: &Json, fresh: &Json, args: &Args) -> usize {
     }
     for fid in &fresh_ids {
         if !base_ids.contains(fid) {
-            println!("  note {name}: new row [{}] (no baseline)", fid.0);
+            fail(format!("fresh row [{}] matches no baseline row", fid.0));
         }
     }
     println!(
@@ -339,4 +340,48 @@ fn main() {
         std::process::exit(1);
     }
     println!("bench_compare OK: {compared} envelope(s) within tolerance");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args() -> Args {
+        Args {
+            baseline: String::new(),
+            fresh: String::new(),
+            tol: 0.25,
+            atol: 0.05,
+            time_ratio: 4.0,
+        }
+    }
+
+    fn envelope(quick: bool, rows: &str) -> Json {
+        json::parse(&format!(
+            "{{\"quick\": {quick}, \"panics\": 0, \"failures\": 0, \"rows\": [{rows}]}}"
+        ))
+        .unwrap()
+    }
+
+    const ROW_A: &str = "{\"cell\": \"a\", \"reps\": 40, \"bit_identical\": true}";
+    const ROW_B: &str = "{\"cell\": \"b\", \"reps\": 40, \"bit_identical\": true}";
+
+    #[test]
+    fn orphaned_fresh_row_fails() {
+        let base = envelope(false, ROW_A);
+        // Same cell at another grid coordinate: matches no baseline row.
+        let orphan = "{\"cell\": \"a\", \"reps\": 25, \"bit_identical\": false}";
+        let fresh = envelope(true, &format!("{ROW_A}, {orphan}"));
+        assert_eq!(compare_file("BENCH_t.json", &base, &fresh, &args()), 1);
+    }
+
+    #[test]
+    fn baseline_row_absent_from_quick_run_is_skipped() {
+        let base = envelope(false, &format!("{ROW_A}, {ROW_B}"));
+        let fresh = envelope(true, ROW_A);
+        assert_eq!(compare_file("BENCH_t.json", &base, &fresh, &args()), 0);
+        // The same subset from a full run is a failure.
+        let full = envelope(false, ROW_A);
+        assert_eq!(compare_file("BENCH_t.json", &base, &full, &args()), 1);
+    }
 }

@@ -375,7 +375,10 @@ fn main() {
     // ------------------------------------------------------------------
     {
         let label = "observer purity";
-        let reps = if quick { 25 } else { 40 };
+        // One reps count for quick and full: `reps` is a row key, so a
+        // quick row with its own count would match no committed baseline
+        // row and its bit-identity would go ungated.
+        let reps = 40;
         let exp = Experiment::new(Scheme::CoordinatedHeuristic)
             .expect("experiment construction")
             .with_options(options);

@@ -7,7 +7,7 @@
 //! * `fast_serial`  — the Hessenberg fast path with closed-form small-σ̄,
 //!   single-threaded (`mu_peak_serial`).
 //! * `fast_parallel` — the same fast path through the chunked
-//!   crossbeam sweep driver (`mu_peak`); identical results, fans out on
+//!   scoped-thread sweep driver (`mu_peak`); identical results, fans out on
 //!   multi-core hosts.
 //!
 //! The fast path's accuracy against a thorough golden-section D-search is

@@ -10,7 +10,6 @@ use std::ops::Deref;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use yukta_obs::{ObsHandle, Value};
 
 use crate::config::{BoardConfig, Cluster};
@@ -23,7 +22,7 @@ use crate::tmu::{Tmu, TmuCaps};
 
 /// The OS-layer thread placement decision — the three inputs of the
 /// paper's software controller (Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Placement {
     /// Threads assigned to the big cluster (the rest go to little).
     pub threads_big: usize,
@@ -44,7 +43,7 @@ impl Default for Placement {
 }
 
 /// A (partial) actuation request; `None` fields leave the knob unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Actuation {
     /// Requested big-cluster frequency (GHz) — snapped to the DVFS grid.
     pub f_big: Option<f64>,
@@ -59,7 +58,7 @@ pub struct Actuation {
 }
 
 /// A snapshot of the board's actuated/physical state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoardState {
     /// Simulated time (s).
     pub time: f64,
@@ -84,7 +83,7 @@ pub struct BoardState {
 /// guarantee. A well-formed run issues exactly one actuation request per
 /// control invocation (so no step sees two writers racing), and the TMU
 /// only ever *shrinks* the requested operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ActuationAudit {
     /// Total actuation requests received.
     pub actuation_requests: u64,

@@ -9,10 +9,8 @@
 //! cluster near 1.0 GHz, and a hotspot that approaches 79 °C at sustained
 //! full power.
 
-use serde::{Deserialize, Serialize};
-
 /// Which cluster a core belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cluster {
     /// The high-performance out-of-order cluster (Cortex-A15).
     Big,
@@ -35,7 +33,7 @@ impl std::fmt::Display for Cluster {
 }
 
 /// Per-cluster electrical and microarchitectural constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of physical cores.
     pub n_cores: usize,
@@ -66,7 +64,7 @@ pub struct ClusterConfig {
 }
 
 /// Thermal RC network constants (two nodes: hotspot and board).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalConfig {
     /// Ambient temperature (°C).
     pub t_ambient: f64,
@@ -86,7 +84,7 @@ pub struct ThermalConfig {
 
 /// Trip points and timings of the emergency thermal/power heuristics
 /// (modeled on the Exynos TMU driver the paper cites).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TmuConfig {
     /// First thermal trip (°C): clamp the big-cluster frequency.
     pub t_throttle: f64,
@@ -113,7 +111,7 @@ pub struct TmuConfig {
 }
 
 /// Sensor timing constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorConfig {
     /// Power-sensor update period in seconds (260 ms on the XU3's INA231s).
     pub power_period: f64,
@@ -122,7 +120,7 @@ pub struct SensorConfig {
 }
 
 /// Full board configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoardConfig {
     /// Big-cluster constants.
     pub big: ClusterConfig,
@@ -230,11 +228,6 @@ impl ClusterConfig {
         let fc = f.clamp(self.f_min, self.f_max);
         self.v_min + self.v_slope * (fc - self.f_min)
     }
-
-    /// Number of DVFS steps.
-    pub fn n_freq_levels(&self) -> usize {
-        ((self.f_max - self.f_min) / self.f_step + 0.5).floor() as usize + 1
-    }
 }
 
 impl Default for BoardConfig {
@@ -253,15 +246,17 @@ mod tests {
         // Paper: big 0.2–2.0 GHz, little 0.2–1.4 GHz, steps of 0.1, 4 cores each.
         assert_eq!(cfg.big.n_cores, 4);
         assert_eq!(cfg.little.n_cores, 4);
-        assert_eq!(cfg.big.n_freq_levels(), 19);
-        assert_eq!(cfg.little.n_freq_levels(), 13);
+        let levels = |c: &ClusterConfig| ((c.f_max - c.f_min) / c.f_step).round() as usize + 1;
+        assert_eq!(levels(&cfg.big), 19);
+        assert_eq!(levels(&cfg.little), 13);
     }
 
     #[test]
     fn voltage_curve_monotone_and_in_range() {
         let cfg = BoardConfig::odroid_xu3();
         let mut prev = 0.0;
-        for k in 0..cfg.big.n_freq_levels() {
+        let levels = ((cfg.big.f_max - cfg.big.f_min) / cfg.big.f_step).round() as usize + 1;
+        for k in 0..levels {
             let f = cfg.big.f_min + k as f64 * cfg.big.f_step;
             let v = cfg.big.voltage(f);
             assert!(v >= prev);

@@ -16,10 +16,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The sensor/actuator channels that faults can target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultChannel {
     /// Big-cluster INA231 power reading.
     PowerBig,
@@ -50,7 +49,7 @@ impl FaultChannel {
 }
 
 /// The fault taxonomy (DESIGN.md §10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Sensor latches its current value for a drawn duration.
     StuckAt,
@@ -111,7 +110,7 @@ impl FaultKind {
 
 /// A fault forced on for a time window, independent of the probabilistic
 /// draws — the deterministic half of a plan's schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledFault {
     /// Fault class to force.
     pub kind: FaultKind,
@@ -125,7 +124,7 @@ pub struct ScheduledFault {
 
 /// Per-read/per-actuation fault probabilities, all scaled by a single
 /// severity knob in `[0, 1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// RNG seed for the (plant-independent) fault stream.
     pub seed: u64,
@@ -159,19 +158,12 @@ pub struct FaultPlan {
     /// *all three* sensor channels latch together, the failure mode that
     /// drives the supervisor's Fallback→Safe escalation. Zero disables
     /// bursts and leaves the fault stream bit-identical to older plans.
-    #[serde(default)]
     pub n_bursts: u32,
     /// Duration of each burst window (simulated seconds).
-    #[serde(default)]
     pub burst_secs: f64,
     /// Burst window starts are drawn uniformly from `[0, burst_region)`
     /// simulated seconds.
-    #[serde(default = "default_burst_region")]
     pub burst_region: f64,
-}
-
-fn default_burst_region() -> f64 {
-    600.0
 }
 
 impl FaultPlan {
@@ -198,7 +190,7 @@ impl FaultPlan {
             crashes: Vec::new(),
             n_bursts: 0,
             burst_secs: 0.0,
-            burst_region: default_burst_region(),
+            burst_region: 600.0,
         }
     }
 
@@ -251,26 +243,10 @@ impl FaultPlan {
         steps.dedup();
         steps
     }
-
-    /// Whether the plan can ever inject anything.
-    pub fn is_active(&self) -> bool {
-        (self.severity > 0.0
-            && (self.p_stuck > 0.0
-                || self.p_drop > 0.0
-                || self.p_spike > 0.0
-                || self.bias_frac > 0.0
-                || self.p_delay > 0.0
-                || self.p_dvfs_reject > 0.0
-                || self.p_hotplug_ignore > 0.0
-                || self.p_act_lag > 0.0))
-            || !self.schedule.is_empty()
-            || !self.crashes.is_empty()
-            || (self.n_bursts > 0 && self.burst_secs > 0.0)
-    }
 }
 
 /// One injected fault, as recorded in the deterministic fault trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Simulated time of the injection (s).
     pub time: f64,
@@ -284,7 +260,7 @@ pub struct FaultEvent {
 }
 
 /// Aggregate injection counters, suitable for `Report`s and JSON.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Sensor reads corrupted (any sensor fault class).
     pub sensor_faults: u64,
@@ -303,7 +279,6 @@ pub struct FaultStats {
     /// Actuations applied with one period of lag.
     pub actuation_lags: u64,
     /// Correlated burst windows entered (each latches every sensor).
-    #[serde(default)]
     pub burst_windows: u64,
 }
 
@@ -852,15 +827,13 @@ mod tests {
     }
 
     #[test]
-    fn crash_points_are_sorted_deduped_and_activate_the_plan() {
+    fn crash_points_are_sorted_and_deduped() {
         let plan = FaultPlan::uniform(9, 0.0)
             .with_crash(40)
             .with_crash(12)
             .with_crash(40);
         assert_eq!(plan.crash_steps(), vec![12, 40]);
-        assert!(plan.is_active(), "crash-only plan must count as active");
         assert_eq!(FaultKind::Crash { at_step: 12 }.label(), "crash");
-        assert!(!FaultPlan::uniform(9, 0.0).is_active());
     }
 
     #[test]
@@ -881,7 +854,6 @@ mod tests {
         let plan = FaultPlan::uniform(21, 0.0)
             .with_bursts(1, 5.0)
             .with_burst_region(1.0);
-        assert!(plan.is_active(), "burst-only plan must count as active");
         let mut inj = FaultInjector::new(plan);
         // First read inside the window latches each channel's truth...
         assert_eq!(inj.filter_power_big(1.0, 2.0), 2.0);
@@ -923,8 +895,17 @@ mod tests {
 
     #[test]
     fn degenerate_burst_configs_stay_inactive() {
-        assert!(!FaultPlan::uniform(9, 0.0).with_bursts(0, 5.0).is_active());
-        assert!(!FaultPlan::uniform(9, 0.0).with_bursts(2, 0.0).is_active());
+        for plan in [
+            FaultPlan::uniform(9, 0.0).with_bursts(0, 5.0),
+            FaultPlan::uniform(9, 0.0).with_bursts(2, 0.0),
+        ] {
+            let mut inj = FaultInjector::new(plan.with_burst_region(1.0));
+            for v in read_n(&mut inj, 20, 2.5) {
+                assert_eq!(v.to_bits(), 2.5f64.to_bits());
+            }
+            assert_eq!(inj.stats().total(), 0);
+            assert_eq!(inj.stats().burst_windows, 0);
+        }
     }
 
     #[test]

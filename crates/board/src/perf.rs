@@ -1,13 +1,11 @@
 //! Throughput model: how fast threads retire instructions given core type,
 //! frequency, memory-boundedness, and time multiplexing.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ClusterConfig;
 
 /// The execution characteristics of one software thread, supplied by the
 /// workload model each step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadLoad {
     /// Whether the thread currently has work (blocked threads consume no
     /// core time).

@@ -17,7 +17,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use yukta_obs::hist::FixedHistogram;
 
 /// Latency histogram ladder (seconds): ×2 geometric from 2 ms to 65 s.
@@ -29,7 +28,7 @@ pub const LATENCY_BOUNDS_S: [f64; 16] = [
 ];
 
 /// Static configuration of the admission queue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueConfig {
     /// Maximum queued (admitted but unfinished) requests; arrivals
     /// beyond this are rejected at the door.
@@ -74,7 +73,7 @@ impl QueueConfig {
 }
 
 /// Cumulative request accounting over a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueStats {
     /// Requests offered by the arrival process.
     pub offered: u64,
@@ -98,7 +97,7 @@ impl QueueStats {
 }
 
 /// Windowed latency/drop snapshot — the raw material of the SLO signal.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencySnapshot {
     /// p50 latency over the window (s); 0 when nothing completed.
     pub p50_s: f64,

@@ -5,8 +5,6 @@
 //! refreshes see the last completed window. Performance counters are
 //! cumulative and windowed by the reader, like Linux `perf`.
 
-use serde::{Deserialize, Serialize};
-
 /// A windowed-average power sensor.
 ///
 /// ```
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert!((s.read() - 2.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PowerSensor {
     period: f64,
     acc_energy: f64,
@@ -69,7 +67,7 @@ impl PowerSensor {
 }
 
 /// A cumulative instruction counter (`perf`-style).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PerfCounter {
     total_giga: f64,
 }
@@ -92,7 +90,7 @@ impl PerfCounter {
 }
 
 /// A reader that converts two counter samples into BIPS over the interval.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BipsReader {
     last_total: f64,
     last_time: f64,

@@ -1,12 +1,10 @@
 //! Two-node RC thermal model: a fast hotspot node above the big cluster
 //! and a slow board node coupling everything to ambient.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ThermalConfig;
 
 /// Thermal state of the board.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalState {
     /// Hotspot temperature above the big cluster (°C) — what the paper's
     /// controllers limit to 79 °C.

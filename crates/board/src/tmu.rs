@@ -7,12 +7,10 @@
 //! releasing the clamp gradually. The resulting sawtooth is exactly the
 //! oscillation the paper's Figure 10(b) shows for the decoupled heuristic.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::TmuConfig;
 
 /// Caps currently imposed by the emergency logic. `None` means unlimited.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TmuCaps {
     /// Maximum big-cluster frequency (GHz).
     pub f_big: Option<f64>,

@@ -563,13 +563,13 @@ mod tests {
             let y_meas = r - xg;
             // controller step
             let mut u = 0.0;
-            for (i, kv) in kd.c().row_vec(0).iter().enumerate() {
-                u += kv * kstate[i];
+            for (i, s) in kstate.iter().enumerate() {
+                u += kd.c()[(0, i)] * s;
             }
             u += kd.d()[(0, 0)] * y_meas;
             let mut next = kd.a().matvec(&kstate).unwrap();
-            for (i, b) in kd.b().col_vec(0).iter().enumerate() {
-                next[i] += b * y_meas;
+            for (i, n) in next.iter_mut().enumerate() {
+                *n += kd.b()[(i, 0)] * y_meas;
             }
             kstate = next;
             xg += 0.01 * (-xg + u);

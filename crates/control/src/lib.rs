@@ -6,7 +6,7 @@
 //!
 //! The pipeline mirrors the paper's Figure 3 design flow:
 //!
-//! 1. **Identify** — [`sysid`] fits a black-box MIMO ARX/ARMAX model from
+//! 1. **Identify** — [`sysid`] fits a black-box MIMO ARX model from
 //!    excitation data collected on the (simulated) board, in normalized
 //!    units ([`quant::SignalScaler`]).
 //! 2. **Specify** — [`plant::SsvSpec`] carries the designer knobs from

@@ -352,29 +352,6 @@ impl SsvPlant {
             Some(self.ts),
         )
     }
-
-    /// Undoes the synthesis normalizations on a controller synthesized
-    /// against this plant: rescales the controller output by `W⁻¹` and its
-    /// input by `1/ε`, yielding a controller that maps *normalized
-    /// physical* measurements `[target − y; ext]` to *normalized physical*
-    /// actuator commands.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reconstruction failures (should not occur).
-    pub fn unscale_controller(&self, k: &StateSpace) -> Result<StateSpace> {
-        let winv = Mat::diag(
-            &self
-                .input_weights
-                .iter()
-                .map(|w| 1.0 / w)
-                .collect::<Vec<_>>(),
-        );
-        let b = k.b().scale(1.0 / self.noise_eps);
-        let c = &winv * k.c();
-        let d = (&winv * k.d()).scale(1.0 / self.noise_eps);
-        StateSpace::new(k.a().clone(), b, c, d, k.ts())
-    }
 }
 
 /// Builds the SSV generalized plant from an identified model.
@@ -751,17 +728,5 @@ mod tests {
         let mut spec2 = toy_spec();
         spec2.output_bounds[0] = -0.1;
         assert!(build_ssv_plant(&toy_model(), &spec2).is_err());
-    }
-
-    #[test]
-    fn unscale_controller_applies_weights() {
-        let mut spec = toy_spec();
-        spec.input_weights = vec![2.0];
-        let p = build_ssv_plant(&toy_model(), &spec).unwrap();
-        let k = StateSpace::from_gain(Mat::filled(1, 3, 1.0), None);
-        let ku = p.unscale_controller(&k).unwrap();
-        // Output scaled by 1/(w·effort_scale) = 1/0.6, input by 1/ε = 20.
-        let expect = (1.0 / (2.0 * spec.effort_scale)) * 20.0;
-        assert!((ku.d()[(0, 0)] - expect).abs() < 1e-9);
     }
 }

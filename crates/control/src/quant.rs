@@ -6,8 +6,6 @@
 //! commands onto it; [`SignalScaler`] maps raw physical signals into the
 //! normalized ±1 space in which models are identified and controllers run.
 
-use serde::{Deserialize, Serialize};
-
 /// The legal discrete values of one actuator, sorted ascending.
 ///
 /// ```
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(freq.quantize(1.234), 1.2);
 /// assert_eq!(freq.quantize(9.0), 2.0); // saturates
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InputGrid {
     values: Vec<f64>,
 }
@@ -116,7 +114,7 @@ impl InputGrid {
 /// assert_eq!(s.normalize(4.0), 1.0);
 /// assert_eq!(s.denormalize(-1.0), 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SignalScaler {
     center: f64,
     half_range: f64,
@@ -133,17 +131,6 @@ impl SignalScaler {
         SignalScaler {
             center,
             half_range: if half.abs() < 1e-12 { 1.0 } else { half },
-        }
-    }
-
-    /// A scaler inferred from observed data (min/max of the samples).
-    pub fn from_data(samples: &[f64]) -> Self {
-        let lo = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        if lo.is_finite() && hi.is_finite() {
-            SignalScaler::from_range(lo, hi)
-        } else {
-            SignalScaler::from_range(-1.0, 1.0)
         }
     }
 
@@ -249,13 +236,6 @@ mod tests {
             assert!((s.denormalize(s.normalize(x)) - x).abs() < 1e-12);
         }
         assert_eq!(s.normalize(6.0), 0.0);
-    }
-
-    #[test]
-    fn scaler_from_data() {
-        let s = SignalScaler::from_data(&[1.0, 5.0, 3.0]);
-        assert_eq!(s.normalize(1.0), -1.0);
-        assert_eq!(s.normalize(5.0), 1.0);
     }
 
     #[test]

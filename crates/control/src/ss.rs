@@ -7,7 +7,6 @@
 
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
 use yukta_linalg::eig::{eigenvalues, max_real_part, spectral_radius};
 use yukta_linalg::freq::FreqSystem;
 use yukta_linalg::{C64, CMat, Error, Mat, Result};
@@ -38,7 +37,7 @@ use yukta_linalg::{C64, CMat, Error, Mat, Result};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StateSpace {
     a: Mat,
     b: Mat,
@@ -47,8 +46,7 @@ pub struct StateSpace {
     ts: Option<f64>,
     /// Lazily built Hessenberg preprocessing for fast frequency sweeps.
     /// Derived entirely from `(a, b, c, d)`, so it is excluded from
-    /// equality and serialization; clones share the built value.
-    #[serde(skip)]
+    /// equality; clones share the built value.
     freq_cache: OnceLock<Arc<FreqSystem>>,
 }
 

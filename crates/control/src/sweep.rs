@@ -149,16 +149,15 @@ where
     let mut tagged = if workers <= 1 {
         work()
     } else {
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let work = &work;
-            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(move |_| work())).collect();
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
             let mut all = work();
             for h in handles {
                 all.extend(h.join().expect("fan-out worker panicked"));
             }
             all
         })
-        .expect("fan-out scope")
     };
     tagged.sort_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, r)| r).collect()

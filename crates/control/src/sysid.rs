@@ -1,13 +1,10 @@
 //! Black-box system identification.
 //!
 //! Yukta models the board from excitation data alone (Section IV-C of the
-//! paper uses Box–Jenkins in MATLAB). We implement:
+//! paper uses Box–Jenkins in MATLAB). We implement [`fit_arx`], MIMO ARX
+//! least squares: `y(t) = Σ Aₖ y(t−k) + Σ Bₖ u(t−k)`.
 //!
-//! * [`fit_arx`] — MIMO ARX least squares: `y(t) = Σ Aₖ y(t−k) + Σ Bₖ u(t−k)`.
-//! * [`fit_armax`] — ARMAX refinement by pseudo-linear regression, which
-//!   whitens correlated residuals by adding lagged-residual regressors.
-//!
-//! Both return an [`IdModel`]: a strictly proper state-space realization
+//! It returns an [`IdModel`]: a strictly proper state-space realization
 //! plus per-output fit scores. Controllers are synthesized against this
 //! model; the uncertainty guardband absorbs whatever the polynomial family
 //! cannot capture (that is the paper's central robustness argument).
@@ -17,16 +14,19 @@ use yukta_linalg::{Error, Mat, Result};
 
 use crate::ss::StateSpace;
 
-/// Configuration for ARX/ARMAX identification.
+/// Configuration for ARX identification.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SysIdConfig {
     /// Autoregressive order (lags of y).
     pub na: usize,
     /// Exogenous order (lags of u).
     pub nb: usize,
-    /// Moving-average order for ARMAX (lags of the residual); 0 disables.
+    /// Moving-average order (lags of the residual). Ignored by
+    /// [`fit_arx`]; the field stays because the `benchmark` package builds
+    /// this struct as a literal.
     pub nc: usize,
-    /// Pseudo-linear-regression passes for ARMAX.
+    /// Pseudo-linear-regression passes. Ignored by [`fit_arx`], kept for
+    /// the same reason as `nc`.
     pub plr_iters: usize,
     /// Ridge (Tikhonov) regularization strength; 0 disables. A small
     /// positive value (e.g. `1e-4`) keeps the regression well posed when
@@ -101,7 +101,7 @@ pub struct IdModel {
 /// # }
 /// ```
 pub fn fit_arx(u: &[Vec<f64>], y: &[Vec<f64>], config: SysIdConfig) -> Result<IdModel> {
-    let (phi, targets, ny, nu) = build_regression(u, y, config.na, config.nb, None, 0)?;
+    let (phi, targets, ny, nu) = build_regression(u, y, config.na, config.nb)?;
     let (phi_solve, targets_solve) = if config.ridge > 0.0 {
         // Tikhonov: append sqrt(λ)·I rows so the normal equations become
         // ΦᵀΦ + λI — always full rank.
@@ -127,58 +127,13 @@ pub fn fit_arx(u: &[Vec<f64>], y: &[Vec<f64>], config: SysIdConfig) -> Result<Id
     })
 }
 
-/// Fits a MIMO ARMAX model by pseudo-linear regression: alternately fit an
-/// extended ARX that includes lagged residuals, recompute residuals, and
-/// repeat. The returned realization keeps only the deterministic `(A, B)`
-/// part — the noise polynomial only serves to de-bias the estimates.
-///
-/// # Errors
-///
-/// Same failure modes as [`fit_arx`].
-pub fn fit_armax(u: &[Vec<f64>], y: &[Vec<f64>], config: SysIdConfig) -> Result<IdModel> {
-    if config.nc == 0 || config.plr_iters == 0 {
-        return fit_arx(u, y, config);
-    }
-    // Initial residuals from a plain ARX fit.
-    let base = fit_arx(u, y, config)?;
-    let mut resid = one_step_residuals(u, y, &base.theta, config.na, config.nb)?;
-    let mut best = base;
-    for _ in 0..config.plr_iters {
-        let (phi, targets, ny, nu) =
-            build_regression(u, y, config.na, config.nb, Some(&resid), config.nc)?;
-        let theta_t = match lstsq(&phi, &targets) {
-            Ok(t) => t,
-            Err(_) => break, // extended regressor became degenerate; keep best
-        };
-        let theta_full = theta_t.t();
-        // Deterministic part: first na·ny + nb·nu columns.
-        let det_cols = config.na * ny + config.nb * nu;
-        let theta_det = theta_full.block(0, ny, 0, det_cols);
-        let fit = fit_scores(&phi, &theta_t, &targets);
-        let sys = realize_arx(&theta_det, ny, nu, config.na, config.nb)?;
-        let improved = fit.iter().sum::<f64>() > best.fit.iter().sum::<f64>();
-        resid = one_step_residuals(u, y, &theta_det, config.na, config.nb)?;
-        if improved {
-            best = IdModel {
-                sys,
-                fit,
-                theta: theta_det,
-                config,
-            };
-        }
-    }
-    Ok(best)
-}
-
 /// Builds the ARX regression: one row per usable sample, columns
-/// `[y(t−1) … y(t−na), u(t−1) … u(t−nb), (resid lags…)]`.
+/// `[y(t−1) … y(t−na), u(t−1) … u(t−nb)]`.
 fn build_regression(
     u: &[Vec<f64>],
     y: &[Vec<f64>],
     na: usize,
     nb: usize,
-    resid: Option<&[Vec<f64>]>,
-    nc: usize,
 ) -> Result<(Mat, Mat, usize, usize)> {
     if u.len() != y.len() || u.is_empty() {
         return Err(Error::DimensionMismatch {
@@ -190,8 +145,8 @@ fn build_regression(
     let t_total = y.len();
     let ny = y[0].len();
     let nu = u[0].len();
-    let lag = na.max(nb).max(nc);
-    if t_total <= lag + (na * ny + nb * nu + nc * ny) {
+    let lag = na.max(nb);
+    if t_total <= lag + (na * ny + nb * nu) {
         return Err(Error::DimensionMismatch {
             op: "sysid_data_too_short",
             lhs: (t_total, 0),
@@ -199,7 +154,7 @@ fn build_regression(
         });
     }
     let n_rows = t_total - lag;
-    let n_cols = na * ny + nb * nu + nc * ny;
+    let n_cols = na * ny + nb * nu;
     let mut phi = Mat::zeros(n_rows, n_cols);
     let mut targets = Mat::zeros(n_rows, ny);
     for (row, t) in (lag..t_total).enumerate() {
@@ -216,39 +171,11 @@ fn build_regression(
                 col += 1;
             }
         }
-        if let Some(r) = resid {
-            for k in 1..=nc {
-                for &rj in r[t - k].iter().take(ny) {
-                    phi[(row, col)] = rj;
-                    col += 1;
-                }
-            }
-        }
         for j in 0..ny {
             targets[(row, j)] = y[t][j];
         }
     }
     Ok((phi, targets, ny, nu))
-}
-
-/// One-step-ahead residuals `y(t) − Θ·φ(t)` padded with zeros at the start.
-fn one_step_residuals(
-    u: &[Vec<f64>],
-    y: &[Vec<f64>],
-    theta: &Mat,
-    na: usize,
-    nb: usize,
-) -> Result<Vec<Vec<f64>>> {
-    let (phi, targets, ny, _) = build_regression(u, y, na, nb, None, 0)?;
-    let lag = na.max(nb);
-    let pred = &phi * &theta.t();
-    let mut out = vec![vec![0.0; ny]; y.len()];
-    for row in 0..phi.rows() {
-        for j in 0..ny {
-            out[lag + row][j] = targets[(row, j)] - pred[(row, j)];
-        }
-    }
-    Ok(out)
 }
 
 /// Per-output fit score `1 − ‖e‖/‖y − ȳ‖`.
@@ -422,7 +349,7 @@ pub fn calibrate_dc_gains(sys: &StateSpace, measured_dc: &Mat) -> Result<StateSp
 /// Same data-shape failures as [`fit_arx`] (mismatched lengths, too few
 /// samples for the model's orders).
 pub fn validation_residual(u: &[Vec<f64>], y: &[Vec<f64>], model: &IdModel) -> Result<f64> {
-    let (phi, targets, ny, _) = build_regression(u, y, model.config.na, model.config.nb, None, 0)?;
+    let (phi, targets, ny, _) = build_regression(u, y, model.config.na, model.config.nb)?;
     let pred = &phi * &model.theta.t();
     let n = targets.rows();
     let mut worst = 0.0f64;
@@ -636,47 +563,6 @@ mod tests {
             nrm += y[t][0].powi(2) + y[t][1].powi(2);
         }
         assert!(err / nrm.max(1e-12) < 0.05, "free-run error {}", err / nrm);
-    }
-
-    #[test]
-    fn armax_handles_colored_noise_better() {
-        // System with MA(1) noise: ARX estimates are biased, ARMAX less so.
-        let n = 1500;
-        let mut u = Vec::new();
-        let mut y = Vec::new();
-        let mut state = 0.0f64;
-        let mut e_prev = 0.0f64;
-        let mut seed = 99u64;
-        let mut rng = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-        };
-        let mut up = 0.0f64;
-        for _ in 0..n {
-            let ut = rng();
-            let e = 0.1 * rng();
-            y.push(vec![state]);
-            u.push(vec![ut]);
-            state = 0.7 * state + 0.5 * up + e + 0.8 * e_prev;
-            e_prev = e;
-            up = ut;
-        }
-        let cfg = SysIdConfig {
-            na: 1,
-            nb: 1,
-            nc: 1,
-            plr_iters: 4,
-            ridge: 0.0,
-        };
-        let armax = fit_armax(&u, &y, cfg).unwrap();
-        // ARMAX should still find the pole near 0.7.
-        assert!(
-            (armax.theta[(0, 0)] - 0.7).abs() < 0.1,
-            "pole {}",
-            armax.theta[(0, 0)]
-        );
     }
 
     #[test]

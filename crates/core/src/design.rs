@@ -668,42 +668,6 @@ pub fn build_design(opts: &DesignOptions) -> Result<Design> {
 
 static DEFAULT_DESIGN: OnceLock<Design> = OnceLock::new();
 
-/// Designs keyed by excitation seed, for experiments that thread their own
-/// seed through the whole pipeline (identification excitation included)
-/// rather than riding on the process-global default.
-static SEEDED_DESIGNS: OnceLock<std::sync::Mutex<std::collections::HashMap<u64, Design>>> =
-    OnceLock::new();
-
-/// The design whose identification excitation (and every downstream
-/// artifact) derives from `seed`. Results are cached process-wide, and the
-/// default seed shares [`default_design`]'s cache, so repeated calls are
-/// free and bit-identical — the property crash-recovery replay relies on.
-///
-/// # Errors
-///
-/// Propagates [`build_design`] failures for seeds whose excitation record
-/// turns out too poor to identify (practically: never for realistic
-/// seeds).
-pub fn design_for_seed(seed: u64) -> Result<Design> {
-    if seed == DesignOptions::default().seed {
-        return Ok(default_design().clone());
-    }
-    let cache =
-        SEEDED_DESIGNS.get_or_init(|| std::sync::Mutex::new(std::collections::HashMap::new()));
-    if let Some(d) = cache.lock().expect("design cache poisoned").get(&seed) {
-        return Ok(d.clone());
-    }
-    let d = build_design(&DesignOptions {
-        seed,
-        ..Default::default()
-    })?;
-    cache
-        .lock()
-        .expect("design cache poisoned")
-        .insert(seed, d.clone());
-    Ok(d)
-}
-
 /// The cached default design (Tables II/III parameters). Built once per
 /// process; deterministic.
 ///

@@ -1,13 +1,12 @@
 //! Execution metrics and time-series traces — the raw material of every
 //! figure in the paper's evaluation.
 
-use serde::{Deserialize, Serialize};
 use yukta_board::{ActuationAudit, FaultEvent, FaultStats};
 
 use crate::supervisor::SupervisorStats;
 
 /// Energy/delay metrics of one workload execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
     /// Cluster energy consumed (J).
     pub energy_joules: f64,
@@ -33,7 +32,7 @@ impl Metrics {
 ///
 /// Wall-clock times are inherently nondeterministic, so this struct is
 /// deliberately **excluded** from [`Report::bit_identical`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ComputeStats {
     /// Controller invocations measured.
     pub invocations: u64,
@@ -61,7 +60,7 @@ impl ComputeStats {
 
 /// One sampled point of an execution trace (taken at each controller
 /// invocation, every 500 ms).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSample {
     /// Simulated time (s).
     pub time: f64,
@@ -92,7 +91,7 @@ pub struct TraceSample {
 }
 
 /// A full execution trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Samples in time order.
     pub samples: Vec<TraceSample>,
@@ -137,7 +136,7 @@ impl Trace {
 
 /// What the fault injector did during one run (attached to supervised
 /// executions that carried a fault plan).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultReport {
     /// Fault-plan RNG seed.
     pub seed: u64,
@@ -152,7 +151,7 @@ pub struct FaultReport {
 /// Request-serving outcome of one run (attached when the run carried a
 /// [`crate::runtime::ServingSpec`]). All fields are deterministic and part
 /// of [`Report::bit_identical`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SloReport {
     /// Requests offered by the open-loop arrival process.
     pub offered: u64,
@@ -194,7 +193,7 @@ impl SloReport {
 }
 
 /// The outcome of running one scheme on one workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// Workload name.
     pub workload: String,
@@ -209,12 +208,10 @@ pub struct Report {
     /// Fault-injection record (`None` when no faults were planned).
     pub faults: Option<FaultReport>,
     /// Request-serving outcome (`None` for batch runs).
-    #[serde(default)]
     pub slo: Option<SloReport>,
     /// Actuation-protocol audit from the board boundary: single writer
     /// per step window, TMU strictly a capper. Deterministic, so it *is*
     /// part of [`Report::bit_identical`].
-    #[serde(default)]
     pub actuation: ActuationAudit,
     /// Wall-clock controller compute cost (excluded from
     /// [`Report::bit_identical`] — real time is nondeterministic).

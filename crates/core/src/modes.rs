@@ -74,12 +74,10 @@
 //! checkpointable via [`ModeSnapshot`], and exactly restored across crash
 //! recovery.
 
-use serde::{Deserialize, Serialize};
-
 use crate::supervisor::SupervisorMode;
 
 /// The reconfiguration knobs a serving controller writes each invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Knob {
     /// Per-cluster frequency requests.
     Dvfs,
@@ -306,7 +304,7 @@ pub struct ModeState {
 }
 
 /// Guard thresholds of the automaton.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModeConfig {
     /// Consecutive clean samples before a demoted level is promoted one
     /// step (hysteresis guard `N`).

@@ -6,12 +6,10 @@
 //! and the power targets a little; when a move backfires, discard it and
 //! move the other way — performance down a little, power down a lot.
 
-use serde::{Deserialize, Serialize};
-
 use crate::signals::{HwOutputs, Limits, OsOutputs};
 
 /// Hill-climbing state shared by the optimizers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Direction {
     /// Pushing performance up (the optimistic move).
     Up,
@@ -26,7 +24,7 @@ enum Direction {
 /// optimizer compares an exponentially smoothed E×D against the best level
 /// seen so far, with a tolerance band: it keeps climbing inside the band,
 /// and only backs power off on a clear regression.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HwOptimizer {
     limits: Limits,
     ema_exd: f64,
@@ -57,11 +55,6 @@ impl HwOptimizer {
     /// One optimizer step: reads the measured outputs, moves the targets.
     pub fn update(&mut self, y: &HwOutputs) -> HwOutputs {
         let exd = Self::exd_proxy(y);
-        let rec = yukta_obs::handle();
-        if rec.enabled() {
-            rec.counter_add("optimizer.hw_steps", 1);
-            rec.gauge_set("optimizer.hw_exd_proxy", exd);
-        }
         if !self.initialized {
             self.initialized = true;
             // Optimistic start: aim near the constraint envelope right
@@ -158,7 +151,7 @@ impl HwOptimizer {
 
 /// Optimizer for the software controller's three output targets. Uses the
 /// same smoothed best-seen comparison as [`HwOptimizer`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OsOptimizer {
     ema_exd: f64,
     best_exd: f64,
@@ -187,11 +180,6 @@ impl OsOptimizer {
     pub fn update(&mut self, y: &OsOutputs, system: &HwOutputs) -> OsOutputs {
         self.ticks += 1;
         let exd = HwOptimizer::exd_proxy(system);
-        let rec = yukta_obs::handle();
-        if rec.enabled() {
-            rec.counter_add("optimizer.os_steps", 1);
-            rec.gauge_set("optimizer.os_exd_proxy", exd);
-        }
         if !self.initialized {
             self.initialized = true;
             // Optimistic start (see HwOptimizer): most of the throughput

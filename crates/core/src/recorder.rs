@@ -13,8 +13,9 @@
 //! must reproduce the recorded actuation stream exactly
 //! (`f64::to_bits`-equal), or the run was not deterministic.
 //!
-//! Serialization is a hand-rolled little-endian binary format (the vendored
-//! `serde` is a no-op stub); see [`Journal::to_bytes`] for the layout.
+//! Serialization is a hand-rolled little-endian binary format (no type in
+//! the workspace derives a serializer); see [`Journal::to_bytes`] for the
+//! layout.
 
 use yukta_board::{FaultChannel, FaultEvent, FaultKind};
 use yukta_linalg::{Error, Result};

@@ -517,28 +517,6 @@ impl Experiment {
         }
     }
 
-    /// Creates an experiment whose *entire* pipeline is seeded from
-    /// `seed`: the identification excitation (via the per-seed design
-    /// cache, so the design is built once and replayed bit-identically)
-    /// and the board RNG (`RunOptions::board_seed`). Two experiments
-    /// created with the same seed produce bit-identical designs and runs —
-    /// the contract `run_recoverable`'s crash-replay depends on.
-    ///
-    /// Note that a later `with_options` call replaces the whole
-    /// [`RunOptions`], including the board seed set here.
-    ///
-    /// # Errors
-    ///
-    /// Propagates design-pipeline failures from
-    /// [`crate::design::design_for_seed`].
-    pub fn with_seed(scheme: Scheme, seed: u64) -> Result<Self> {
-        let design = crate::design::design_for_seed(seed)?;
-        Ok(Self::with_design(scheme, design).with_options(RunOptions {
-            board_seed: Some(seed),
-            ..Default::default()
-        }))
-    }
-
     /// Overrides the run options.
     pub fn with_options(mut self, options: RunOptions) -> Self {
         self.options = options;
@@ -1360,6 +1338,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::design::{DesignOptions, build_design};
     use yukta_workloads::catalog;
 
     fn quick_options() -> RunOptions {
@@ -1529,25 +1508,26 @@ mod tests {
 
     #[test]
     fn seeded_experiment_design_and_replay_are_bit_identical() {
-        // Satellite of the excitation rework: the identification
-        // excitation is seeded from the *experiment* seed, so a replayed
-        // experiment rebuilds (from cache) the exact same design — and
-        // the run itself stays bit-for-bit reproducible on top of it.
+        // The identification excitation is seeded from the experiment
+        // seed, so a replayed experiment rebuilds the exact same design
+        // from scratch — and the run itself stays bit-for-bit
+        // reproducible on top of it.
         let seed = 0xD1CE_u64;
         let wl = catalog::spec::mcf();
-        let a = Experiment::with_seed(Scheme::YuktaHwSsvOsSsv, seed)
-            .unwrap()
-            .with_options(RunOptions {
+        let seeded = |seed: u64| {
+            let design = build_design(&DesignOptions {
+                seed,
+                ..Default::default()
+            })
+            .unwrap();
+            Experiment::with_design(Scheme::YuktaHwSsvOsSsv, design).with_options(RunOptions {
                 board_seed: Some(seed),
                 ..quick_options()
-            });
-        let b = Experiment::with_seed(Scheme::YuktaHwSsvOsSsv, seed)
-            .unwrap()
-            .with_options(RunOptions {
-                board_seed: Some(seed),
-                ..quick_options()
-            });
-        // The designs are the same object bit-for-bit: same synthesized
+            })
+        };
+        let a = seeded(seed);
+        let b = seeded(seed);
+        // The two designs agree bit for bit: same synthesized
         // controllers, same µ, same tuned guardbands.
         assert_eq!(
             a.design().hw_ssv.mu_peak.to_bits(),
@@ -1566,7 +1546,7 @@ mod tests {
         );
         // And it is genuinely the seed driving the excitation: a design
         // from a different seed differs.
-        let c = Experiment::with_seed(Scheme::YuktaHwSsvOsSsv, seed ^ 1).unwrap();
+        let c = seeded(seed ^ 1);
         assert!(
             !a.design()
                 .hw_model_full

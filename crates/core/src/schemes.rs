@@ -1,7 +1,6 @@
 //! The controller schemes of the evaluation (Table IV plus the LQG
 //! arrangements of Section VI-B).
 
-use serde::{Deserialize, Serialize};
 use yukta_control::lqg::{LqgTracker, LqgWeights};
 use yukta_linalg::Result;
 
@@ -16,7 +15,7 @@ use crate::optimizer::{HwOptimizer, OsOptimizer};
 use crate::signals::{HwInputs, Limits, OsInputs};
 
 /// The two-layer controller schemes compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Table IV(a): HMP-style E×D-aware scheduler + safe-climb governor,
     /// coordinated through the shared interface. The paper's baseline.

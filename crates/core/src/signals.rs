@@ -2,13 +2,12 @@
 //! external signals of Tables II and III, their physical ranges, and the
 //! constraint limits of the evaluation (Section V-A).
 
-use serde::{Deserialize, Serialize};
 use yukta_control::quant::{InputGrid, SignalScaler};
 
 /// The constraint limits used throughout the evaluation: 3.3 W big-cluster
 /// power, 0.33 W little-cluster power, 79 °C hotspot — plus, for serving
 /// runs, the tail-latency SLO that joins them in the B specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Limits {
     /// Sustained big-cluster power limit (W).
     pub p_big_max: f64,
@@ -20,12 +19,7 @@ pub struct Limits {
     /// is a B-specification bound: the controllers treat it as a
     /// constraint, the supervisor treats sustained excursions as
     /// overload. Only meaningful when a serving layer is attached.
-    #[serde(default = "default_latency_slo_s")]
     pub latency_slo_s: f64,
-}
-
-fn default_latency_slo_s() -> f64 {
-    1.0
 }
 
 impl Default for Limits {
@@ -34,7 +28,7 @@ impl Default for Limits {
             p_big_max: 3.3,
             p_little_max: 0.33,
             temp_max: 79.0,
-            latency_slo_s: default_latency_slo_s(),
+            latency_slo_s: 1.0,
         }
     }
 }
@@ -43,7 +37,7 @@ impl Default for Limits {
 /// sense vectors. `active` is false on batch runs (every field zero),
 /// which keeps non-serving executions bit-identical to the pre-serving
 /// code path — controllers must gate any SLO-aware behavior on it.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SloSense {
     /// A serving layer is attached and the fields below are live.
     pub active: bool,
@@ -58,16 +52,8 @@ pub struct SloSense {
     pub drop_frac: f64,
 }
 
-impl SloSense {
-    /// Headroom of the p99 against the SLO bound: negative when the
-    /// bound is violated. Mirrors how the power limits enter the B spec.
-    pub fn headroom_s(&self, limits: &Limits) -> f64 {
-        limits.latency_slo_s - self.p99_s
-    }
-}
-
 /// The hardware controller's measured outputs (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HwOutputs {
     /// Total committed BIPS across both clusters.
     pub perf: f64,
@@ -98,7 +84,7 @@ impl HwOutputs {
 }
 
 /// The hardware controller's actuated inputs (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HwInputs {
     /// Powered big cores (1–4).
     pub big_cores: f64,
@@ -119,7 +105,7 @@ impl HwInputs {
 
 /// The software controller's actuated inputs (Table III) — also the
 /// hardware controller's external signals.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsInputs {
     /// Threads assigned to the big cluster.
     pub threads_big: f64,
@@ -137,7 +123,7 @@ impl OsInputs {
 }
 
 /// The software controller's measured outputs (Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OsOutputs {
     /// Little-cluster committed BIPS.
     pub perf_little: f64,
@@ -368,16 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn slo_sense_headroom_mirrors_b_spec_margins() {
-        let limits = Limits::default();
-        let mut slo = SloSense {
-            active: true,
-            p99_s: 0.4,
-            ..Default::default()
-        };
-        assert!((slo.headroom_s(&limits) - 0.6).abs() < 1e-12);
-        slo.p99_s = 1.5;
-        assert!(slo.headroom_s(&limits) < 0.0);
+    fn slo_sense_default_is_inactive() {
         assert!(!SloSense::default().active, "batch default is inactive");
     }
 

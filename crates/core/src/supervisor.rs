@@ -40,8 +40,6 @@
 //! injected the supervisor is exactly transparent (clean samples take the
 //! primary path and in-range values are returned bit-identically).
 
-use serde::{Deserialize, Serialize};
-
 use yukta_linalg::{Error, Result};
 
 use crate::controllers::heuristic::{CoordinatedHeuristicHw, CoordinatedHeuristicOs};
@@ -52,10 +50,6 @@ use crate::modes::{
 use crate::schemes::{Controllers, ControllersState};
 use crate::signals::{HwInputs, HwOutputs, Limits, OsInputs, OsOutputs, SloSense};
 
-fn default_escalate_after() -> u32 {
-    24
-}
-
 /// Overload-protection policy: when the serving layer's tail latency blows
 /// past the SLO for a sustained streak, the supervisor sheds a fraction of
 /// incoming requests (admission control) instead of letting the backlog
@@ -63,7 +57,7 @@ fn default_escalate_after() -> u32 {
 /// the single writer of the [`Knob::Admission`] knob, and the shed
 /// fraction moves hysteretically (engage high, release low) so admission
 /// does not flap at the SLO boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShedPolicy {
     /// p99/SLO ratio at or above which a sample counts as overloaded.
     pub engage_ratio: f64,
@@ -159,7 +153,7 @@ impl ShedPolicy {
 }
 
 /// Tuning knobs of the supervisor's fault handling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorConfig {
     /// Consecutive clean samples required before a demoted controller is
     /// promoted one level (Safe → Fallback → Primary).
@@ -172,20 +166,18 @@ pub struct SupervisorConfig {
     pub windup_reset_after: u32,
     /// Consecutive dirty samples in Fallback before escalating to Safe
     /// (sustained correlated faults defeat the heuristic's sensor view).
-    #[serde(default = "default_escalate_after")]
     pub escalate_after: u32,
     /// Overload-protection (load-shedding) policy for request-serving runs.
-    #[serde(default)]
     pub shed: ShedPolicy,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            reengage_after: 6,                        // 3 s of clean telemetry at 500 ms
-            stuck_window: 4,                          // 2 s of frozen readings
-            windup_reset_after: 8,                    // 4 s of continuous saturation
-            escalate_after: default_escalate_after(), // 12 s of sustained dirt
+            reengage_after: 6,     // 3 s of clean telemetry at 500 ms
+            stuck_window: 4,       // 2 s of frozen readings
+            windup_reset_after: 8, // 4 s of continuous saturation
+            escalate_after: 24,    // 12 s of sustained dirt
             shed: ShedPolicy::default(),
         }
     }
@@ -237,7 +229,7 @@ impl SupervisorConfig {
 }
 
 /// Which controller is currently in charge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SupervisorMode {
     /// The scheme under test.
     Primary,
@@ -248,7 +240,7 @@ pub enum SupervisorMode {
 }
 
 /// Fault-handling counters surfaced in [`crate::metrics::Report`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SupervisorStats {
     /// Non-finite sensor readings replaced with the last good value.
     pub nonfinite_repairs: u64,
@@ -274,11 +266,9 @@ pub struct SupervisorStats {
     pub degraded_invocations: u64,
     /// Mode-automaton invariant violations (actuation gaps, dual writers,
     /// flapping, illegal events). Zero in any correct run.
-    #[serde(default)]
     pub invariant_violations: u64,
     /// Load-shedding engagements: transitions of the shed fraction from
     /// zero to positive (one per overload episode).
-    #[serde(default)]
     pub shed_engagements: u64,
 }
 

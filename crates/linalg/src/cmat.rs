@@ -6,8 +6,6 @@
 //! minimal complex double; we implement it ourselves because the stack is
 //! dependency-free by design.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Error, Mat, Result};
 
 /// A complex number with `f64` components.
@@ -18,7 +16,7 @@ use crate::{Error, Mat, Result};
 /// let i = C64::new(0.0, 1.0);
 /// assert_eq!(i * i, C64::new(-1.0, 0.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(C)]
 pub struct C64 {
     /// Real part.
@@ -164,7 +162,7 @@ impl std::fmt::Display for C64 {
 /// let m = CMat::from_real(&Mat::identity(2));
 /// assert_eq!(m.get(0, 0), C64::ONE);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CMat {
     rows: usize,
     cols: usize,
@@ -199,16 +197,6 @@ impl CMat {
             }
         }
         out
-    }
-
-    /// Creates a square diagonal complex matrix from real diagonal entries.
-    pub fn diag_real(entries: &[f64]) -> Self {
-        let n = entries.len();
-        let mut m = CMat::zeros(n, n);
-        for (i, &v) in entries.iter().enumerate() {
-            m.set(i, i, C64::real(v));
-        }
-        m
     }
 
     /// Number of rows.

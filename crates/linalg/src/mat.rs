@@ -6,8 +6,6 @@
 //! shape — and all the numerical sophistication lives in the factorization
 //! modules.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Error, Result};
 
 /// A dense, row-major matrix of `f64`.
@@ -21,7 +19,7 @@ use crate::{Error, Result};
 /// let b = Mat::identity(2);
 /// assert_eq!(&a * &b, a);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Mat {
     rows: usize,
     cols: usize,
@@ -308,13 +306,6 @@ impl Mat {
             .fold(0.0f64, f64::max)
     }
 
-    /// Induced 1-norm (maximum absolute column sum).
-    pub fn one_norm(&self) -> f64 {
-        (0..self.cols)
-            .map(|j| (0..self.rows).map(|i| self[(i, j)].abs()).sum::<f64>())
-            .fold(0.0f64, f64::max)
-    }
-
     /// Trace (sum of diagonal entries).
     ///
     /// # Panics
@@ -357,26 +348,6 @@ impl Mat {
                 .iter()
                 .zip(&other.data)
                 .all(|(a, b)| (a - b).abs() <= tol)
-    }
-
-    /// The column `j` as a `Vec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn col_vec(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "column index out of range");
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
-    /// The row `i` as a `Vec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn row_vec(&self, i: usize) -> Vec<f64> {
-        assert!(i < self.rows, "row index out of range");
-        self.data[i * self.cols..(i + 1) * self.cols].to_vec()
     }
 
     /// Multiplies the matrix by a vector, returning a vector.
@@ -668,7 +639,6 @@ mod tests {
         assert!((a.fro_norm() - 5.0).abs() < 1e-15);
         assert_eq!(a.max_abs(), 4.0);
         assert_eq!(a.inf_norm(), 7.0);
-        assert_eq!(a.one_norm(), 4.0);
     }
 
     #[test]

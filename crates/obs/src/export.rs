@@ -55,13 +55,7 @@ impl RunMeta {
         }
     }
 
-    /// The header's JSONL line (no trailing newline).
-    pub fn to_jsonl_line(&self) -> String {
-        let mut out = String::new();
-        self.line_into(&mut out);
-        out
-    }
-
+    /// Appends the header's JSONL line (no trailing newline) to `out`.
     fn line_into(&self, out: &mut String) {
         out.push_str("{\"type\":\"meta\",\"name\":\"run\",\"schema_version\":");
         int_into(out, self.schema_version);
@@ -697,7 +691,7 @@ mod tests {
     fn meta_record_rejected_mid_stream() {
         let meta = RunMeta::new(1, "x", false);
         let mut text = to_jsonl(&sample());
-        text.push_str(&meta.to_jsonl_line());
+        meta.line_into(&mut text);
         text.push('\n');
         let err = validate_jsonl(&text).unwrap_err();
         assert!(err.contains("first line"), "{err}");

@@ -1,5 +1,5 @@
 //! Minimal strict JSON parser, used to validate exporter output and to
-//! drive `obs_report` aggregation. The container has no `serde_json`, so
+//! drive `obs_report` aggregation. The workspace has no JSON crate, so
 //! this is hand-rolled (recursive descent) against RFC 8259: no trailing
 //! commas, no comments, no bare NaN/Infinity.
 //!

@@ -7,11 +7,10 @@
 //! [`ThreadLoad`]s for the board and consumes the board's progress report,
 //! exactly the role the real binaries played on the XU3.
 
-use serde::{Deserialize, Serialize};
 use yukta_board::{Slots, ThreadLoad};
 
 /// Which benchmark suite an application models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// PARSEC multithreaded benchmarks (native inputs in the paper).
     Parsec,
@@ -26,7 +25,7 @@ pub enum Suite {
 }
 
 /// One phase of an application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSpec {
     /// Human-readable phase name ("serial", "parallel", …).
     pub name: String,
@@ -43,7 +42,7 @@ pub struct PhaseSpec {
 }
 
 /// One modeled application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct App {
     /// Benchmark name ("blackscholes", "mcf", …).
     pub name: String,
@@ -88,7 +87,7 @@ impl App {
 }
 
 /// A runnable workload: one application, or several side by side (a mix).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Workload name (the label used in the paper's figures).
     pub name: String,

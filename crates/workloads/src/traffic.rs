@@ -15,7 +15,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Seed-domain separator: keeps the traffic stream decorrelated from the
 /// fault injector (which XORs its own constant into the shared run seed).
@@ -24,7 +23,7 @@ const TRAFFIC_SEED_SALT: u64 = 0x7452_4146_4649_4331; // "TRAFFIC1"
 /// Shape of the offered-load curve over time. Each variant multiplies
 /// the configured base rate; shapes average roughly 1.0 over their
 /// period so `base_rate_rps × load_factor` stays the mean offered load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficPattern {
     /// Fixed rate: the M/G/1-style baseline.
     Constant,
@@ -102,7 +101,7 @@ impl TrafficPattern {
 }
 
 /// Full specification of one open-loop traffic stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficConfig {
     /// Offered-load shape over time.
     pub pattern: TrafficPattern,
@@ -226,7 +225,7 @@ impl TrafficConfig {
 }
 
 /// One request emitted by the arrival process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Arrival time (s, simulated).
     pub arrival_s: f64,
