@@ -11,7 +11,7 @@ use yukta_linalg::ratfit::{self, RatSection};
 use yukta_linalg::{Error, Result};
 use yukta_obs::{NoopRecorder, Recorder, Value};
 
-use crate::hinf::{DgkfFactors, GenPlant, HinfDesign, hinf_bisect};
+use crate::hinf::{DgkfFactors, GenPlant, HinfDesign, hinf_bisect_counted};
 use crate::mu::{MuPeak, log_grid, mu_peak_obs};
 use crate::plant::{SsvSpec, build_ssv_plant};
 use crate::ss::StateSpace;
@@ -342,7 +342,8 @@ pub fn synthesize_ssv_obs(
 /// The K-step shared by the constant-D iterations and the rational-D
 /// step: factor the D-scaled plant (which checks the synthesis
 /// assumptions) and run the γ-search on it inside a `dk.gamma_bisect`
-/// span tagged with `iter`.
+/// span tagged with `iter`, the H∞ syntheses the search started
+/// (`probes`) and how many of those it abandoned as moot (`cancelled`).
 fn k_step(
     scaled: &GenPlant,
     gamma_iters: usize,
@@ -351,11 +352,13 @@ fn k_step(
 ) -> Result<(HinfDesign, f64)> {
     let fac = DgkfFactors::new(scaled)?;
     let span = yukta_obs::span(rec, "dk.gamma_bisect");
-    let (design, gamma) = hinf_bisect(scaled, &fac, 0.05, 64.0, gamma_iters)?;
+    let (design, gamma, spent) = hinf_bisect_counted(scaled, &fac, 0.05, 64.0, gamma_iters)?;
     if rec.enabled() {
         span.end_with(&[
             ("iter", Value::U64(iter as u64)),
             ("gamma", Value::F64(gamma)),
+            ("probes", Value::U64(spent.probes)),
+            ("cancelled", Value::U64(spent.cancelled)),
         ]);
     }
     Ok((design, gamma))
@@ -375,6 +378,7 @@ struct DkCandidate {
 mod tests {
     use super::*;
     use yukta_linalg::Mat;
+    use yukta_obs::mem::OwnedValue;
 
     /// 2-output, 1-control, 1-external stable model at 0.5 s.
     fn toy_model() -> StateSpace {
@@ -496,6 +500,23 @@ mod tests {
             "dk.d_step",
         ] {
             assert!(names.contains(&phase), "missing phase {phase} in {names:?}");
+        }
+        // Every γ-search reports what it spent: at least the ceiling
+        // probe, and never more abandoned probes than started ones.
+        for e in snap.entries.iter().filter(|e| e.name == "dk.gamma_bisect") {
+            let count = |key: &str| {
+                snap.fields_of(e).iter().find_map(|(k, v)| match v {
+                    OwnedValue::U64(n) if *k == key => Some(*n),
+                    _ => None,
+                })
+            };
+            let (probes, cancelled) = (count("probes"), count("cancelled"));
+            assert!(
+                probes.is_some_and(|p| p >= 1),
+                "probes in {:?}",
+                snap.fields_of(e)
+            );
+            assert!(cancelled.is_some_and(|c| c <= probes.unwrap()));
         }
     }
 

@@ -15,9 +15,11 @@
 //! `D12ᵀD12 = I`, `D21D21ᵀ = I`, `D12ᵀC1 = 0`, `B1D21ᵀ = 0`); the plant
 //! builder in [`crate::plant`] constructs plants in exactly this form.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
 use yukta_linalg::eig::{eigenvalues, spectral_radius};
-use yukta_linalg::riccati::care;
-use yukta_linalg::{Error, Mat, Result};
+use yukta_linalg::riccati::care_unless;
+use yukta_linalg::{Error, Mat, Moot, Result};
 
 use crate::ss::StateSpace;
 
@@ -309,21 +311,28 @@ impl DgkfFactors {
 /// [`Error::NoSolution`] if `gamma` is infeasible (Riccati failure,
 /// indefinite solution, or spectral-radius coupling violation).
 pub fn hinf_syn(p: &GenPlant, fac: &DgkfFactors, gamma: f64) -> Result<HinfDesign> {
+    syn_unless(p, fac, gamma, Moot::NEVER)
+}
+
+/// [`hinf_syn`] that gives up once `moot` is set: the two Riccati solves
+/// poll it between Newton steps, and the synthesis between its stages.
+fn syn_unless(p: &GenPlant, fac: &DgkfFactors, gamma: f64, moot: Moot<'_>) -> Result<HinfDesign> {
     let pb = &fac.pb;
     let n = pb.a.rows();
     let g2 = gamma * gamma;
     // X∞: AᵀX + XA − X(B2B2ᵀ − γ⁻²B1B1ᵀ)X + C1ᵀC1 = 0
     let gx = &fac.b2b2t - &fac.b1b1t.scale(1.0 / g2);
-    let x = care(&pb.a, &gx, &fac.c1tc1).map_err(|_| Error::NoSolution {
+    let x = care_unless(&pb.a, &gx, &fac.c1tc1, moot).map_err(|_| Error::NoSolution {
         op: "hinf_syn",
         why: "X Riccati infeasible at this gamma",
     })?;
     // Y∞: AY + YAᵀ − Y(C2ᵀC2 − γ⁻²C1ᵀC1)Y + B1B1ᵀ = 0
     let gy = &fac.c2tc2 - &fac.c1tc1.scale(1.0 / g2);
-    let y = care(&fac.at, &gy, &fac.b1b1t).map_err(|_| Error::NoSolution {
+    let y = care_unless(&fac.at, &gy, &fac.b1b1t, moot).map_err(|_| Error::NoSolution {
         op: "hinf_syn",
         why: "Y Riccati infeasible at this gamma",
     })?;
+    moot.check("hinf_syn")?;
     // Positive semidefiniteness of both solutions.
     if !is_psd(&x) || !is_psd(&y) {
         return Err(Error::NoSolution {
@@ -355,6 +364,7 @@ pub fn hinf_syn(p: &GenPlant, fac: &DgkfFactors, gamma: f64) -> Result<HinfDesig
     let dk = Mat::zeros(p.n_u, p.n_y);
     let k = StateSpace::new(a_hat.clone(), bk.clone(), ck.clone(), dk, None)?;
     // Sanity: the closed loop must be internally stable.
+    moot.check("hinf_syn")?;
     let cl = p.lft_with(pb, &k)?;
     if !cl.is_stable()? {
         return Err(Error::NoSolution {
@@ -371,25 +381,23 @@ pub fn hinf_syn(p: &GenPlant, fac: &DgkfFactors, gamma: f64) -> Result<HinfDesig
     })
 }
 
-/// Probes `g_hi` (expanding upward ×4 a few times if infeasible) to
-/// establish the feasible ceiling every bisection starts from.
-fn probe_ceiling(p: &GenPlant, fac: &DgkfFactors, g_hi: f64) -> Result<(HinfDesign, f64)> {
-    match hinf_syn(p, fac, g_hi) {
-        Ok(k) => Ok((k, g_hi)),
-        Err(_) => {
-            let mut g = g_hi;
-            for _ in 0..6 {
-                g *= 4.0;
-                if let Ok(k) = hinf_syn(p, fac, g) {
-                    return Ok((k, g));
-                }
-            }
-            Err(Error::NoSolution {
-                op: "hinf_bisect",
-                why: "no feasible gamma found in the search range",
-            })
+/// Expands an infeasible ceiling `g_hi` upward ×4 up to six times and
+/// returns the first feasible level with its design.
+fn expand_ceiling(
+    syn: impl Fn(f64, Moot<'_>) -> Option<HinfDesign>,
+    g_hi: f64,
+) -> Result<(HinfDesign, f64)> {
+    let mut g = g_hi;
+    for _ in 0..6 {
+        g *= 4.0;
+        if let Some(k) = syn(g, Moot::NEVER) {
+            return Ok((k, g));
         }
     }
+    Err(Error::NoSolution {
+        op: "hinf_bisect",
+        why: "no feasible gamma found in the search range",
+    })
 }
 
 /// Interior candidates per round of the γ-bisection: the bracket
@@ -399,13 +407,31 @@ fn probe_ceiling(p: &GenPlant, fac: &DgkfFactors, g_hi: f64) -> Result<(HinfDesi
 /// at the first feasible one.
 const GAMMA_CANDIDATES: usize = 3;
 
+/// A round's candidates: the geometric quartiles of `[lo, hi]`.
+fn candidates(lo: f64, hi: f64) -> [f64; GAMMA_CANDIDATES] {
+    let ratio = hi / lo;
+    std::array::from_fn(|k| lo * ratio.powf((k + 1) as f64 / (GAMMA_CANDIDATES + 1) as f64))
+}
+
+/// What a γ-search spent: the H∞ syntheses it started, and how many of
+/// them gave up because their result became moot (a feasible candidate
+/// left of theirs, or a failed ceiling under a speculative round).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct GammaProbes {
+    /// Syntheses started.
+    pub probes: u64,
+    /// Syntheses that returned early, their result moot.
+    pub cancelled: u64,
+}
+
 /// Bisects γ between `g_lo` and `g_hi` (expanding `g_hi` upward if it is
 /// infeasible) and returns the best controller found with its achieved
 /// level. Each round probes up to three (`GAMMA_CANDIDATES`) interior γ
 /// on parallel workers in index order, skipping any candidate right of
-/// one found feasible, so a budget of `iters` halvings takes half as
-/// many rounds. The result is bit-identical on any number of workers.
-/// `fac` must be `p`'s own [`DgkfFactors`].
+/// one found feasible and abandoning any such candidate in flight, so a
+/// budget of `iters` halvings takes half as many rounds. The ceiling
+/// probe shares its fan-out with round one. The result is bit-identical
+/// on any number of workers. `fac` must be `p`'s own [`DgkfFactors`].
 ///
 /// # Errors
 ///
@@ -418,19 +444,37 @@ pub fn hinf_bisect(
     g_hi: f64,
     iters: usize,
 ) -> Result<(HinfDesign, f64)> {
+    hinf_bisect_counted(p, fac, g_lo, g_hi, iters).map(|(k, g, _)| (k, g))
+}
+
+/// [`hinf_bisect`] that also reports what the search spent.
+pub(crate) fn hinf_bisect_counted(
+    p: &GenPlant,
+    fac: &DgkfFactors,
+    g_lo: f64,
+    g_hi: f64,
+    iters: usize,
+) -> Result<(HinfDesign, f64, GammaProbes)> {
     bisect_on(
         p,
         fac,
         g_lo,
         g_hi,
         iters,
-        crate::sweep::workers(GAMMA_CANDIDATES),
+        crate::sweep::workers(1 + GAMMA_CANDIDATES),
     )
 }
 
-/// [`hinf_bisect`] probing each round's candidates on `workers` workers.
-/// A round reads nothing right of the first feasible candidate, so every
-/// worker count makes the same bracket decisions.
+/// [`hinf_bisect`] probing on `workers` workers. A round reads nothing
+/// right of its first feasible candidate, so every worker count makes the
+/// same bracket decisions.
+///
+/// The ceiling `g_hi` is probed in one fan-out with the candidates round
+/// one takes if it is feasible: the ceiling first (it always runs to the
+/// end), then the three candidates, which stop at the first feasible one
+/// and give up if the ceiling fails. A failed ceiling discards them and
+/// expands as before. One worker runs the ceiling then the candidates in
+/// order, the serial search.
 fn bisect_on(
     p: &GenPlant,
     fac: &DgkfFactors,
@@ -438,17 +482,48 @@ fn bisect_on(
     g_hi: f64,
     iters: usize,
     workers: usize,
-) -> Result<(HinfDesign, f64)> {
-    let mut best = probe_ceiling(p, fac, g_hi)?;
+) -> Result<(HinfDesign, f64, GammaProbes)> {
+    let (probes, cancelled) = (AtomicU64::new(0), AtomicU64::new(0));
+    let syn = |gamma: f64, moot: Moot<'_>| {
+        probes.fetch_add(1, Ordering::Relaxed);
+        let k = syn_unless(p, fac, gamma, moot);
+        if k.is_err() && moot.is_set() {
+            cancelled.fetch_add(1, Ordering::Relaxed);
+        }
+        k.ok()
+    };
+    let rounds = iters.div_ceil(2);
+    let spec = candidates(g_lo.min(g_hi * 0.5), g_hi);
+    // A hint for the speculative candidates, publishing no other data:
+    // a stale read only lets a discarded candidate run a little longer.
+    let ceiling_failed = AtomicBool::new(false);
+    let speculative = if rounds > 0 { GAMMA_CANDIDATES } else { 0 };
+    let mut first = crate::sweep::first_feasible(1 + speculative, workers, 1, |i, moot| {
+        if i == 0 {
+            let k = syn(g_hi, moot);
+            ceiling_failed.store(k.is_none(), Ordering::Relaxed);
+            return k;
+        }
+        let dropped = || moot.is_set() || ceiling_failed.load(Ordering::Relaxed);
+        syn(spec[i - 1], Moot::new(&dropped))
+    });
+    let mut round_one = None;
+    let mut best = match first.remove(0) {
+        Some(k) => {
+            round_one = Some(first);
+            (k, g_hi)
+        }
+        None => expand_ceiling(syn, g_hi)?,
+    };
     let mut hi = best.1;
     let mut lo = g_lo.min(hi * 0.5);
-    for _ in 0..iters.div_ceil(2) {
-        let ratio = hi / lo;
-        let cands: Vec<f64> = (1..=GAMMA_CANDIDATES)
-            .map(|k| lo * ratio.powf(k as f64 / (GAMMA_CANDIDATES + 1) as f64))
-            .collect();
-        let results =
-            crate::sweep::first_feasible(cands.len(), workers, |i| hinf_syn(p, fac, cands[i]).ok());
+    for _ in 0..rounds {
+        let cands = candidates(lo, hi);
+        let results = round_one.take().unwrap_or_else(|| {
+            crate::sweep::first_feasible(GAMMA_CANDIDATES, workers, 0, |i, moot| {
+                syn(cands[i], moot)
+            })
+        });
         // The smallest feasible candidate becomes the new ceiling; its
         // infeasible left neighbour (if any) raises the floor.
         match results
@@ -471,7 +546,11 @@ fn bisect_on(
             break;
         }
     }
-    Ok(best)
+    let spent = GammaProbes {
+        probes: probes.into_inner(),
+        cancelled: cancelled.into_inner(),
+    };
+    Ok((best.0, best.1, spent))
 }
 
 /// Whether a symmetric matrix is positive semidefinite (within tolerance),
@@ -606,27 +685,54 @@ mod tests {
     fn multi_bisect_bit_identical_to_serial_twin() {
         let p = simple_plant(1.0);
         let fac = DgkfFactors::new(&p).unwrap();
-        let (ks, gs) = bisect_on(&p, &fac, 0.1, 100.0, 20, 1).unwrap();
+        let (ks, gs, _) = bisect_on(&p, &fac, 0.1, 100.0, 20, 1).unwrap();
         for workers in 2..=4 {
-            let (kp, gp) = bisect_on(&p, &fac, 0.1, 100.0, 20, workers).unwrap();
+            let (kp, gp, _) = bisect_on(&p, &fac, 0.1, 100.0, 20, workers).unwrap();
             assert_eq!(gp.to_bits(), gs.to_bits(), "{workers} workers");
             assert_designs_bit_identical(&kp, &ks);
         }
     }
 
+    #[test]
+    fn failed_ceiling_discards_the_speculative_round() {
+        // γ = 0.06 is far below what the plant achieves: the ceiling
+        // fails, so round one's three speculative candidates are moot
+        // before they start (one worker runs them after the ceiling),
+        // and the search expands ×4 to 0.24, 0.96, … as the serial
+        // search always has.
+        let p = simple_plant(1.0);
+        let fac = DgkfFactors::new(&p).unwrap();
+        let (_, gamma, spent) = bisect_on(&p, &fac, 0.05, 0.06, 20, 1).unwrap();
+        assert!(gamma > 0.06);
+        assert_eq!(spent.cancelled, GAMMA_CANDIDATES as u64, "{spent:?}");
+        // A feasible ceiling on one worker abandons nothing.
+        let (_, _, spent) = bisect_on(&p, &fac, 0.05, 64.0, 20, 1).unwrap();
+        assert_eq!(spent.cancelled, 0, "{spent:?}");
+    }
+
     proptest! {
-        /// The γ-bisection on the host's workers is bit-identical to the
-        /// same search on one worker: same γ, same controller
-        /// realization, for any error weight (i.e. any achievable γ
-        /// level).
+        /// The γ-bisection on 2–4 workers and on the host's workers is
+        /// bit-identical to the same search on one worker: same γ, same
+        /// controller realization, for any error weight (i.e. any
+        /// achievable γ level) and for ceilings above the achievable
+        /// level and below it (where the speculative round one is
+        /// discarded and the ceiling expands).
         #[test]
-        fn parallel_gamma_bisection_bit_identical_to_serial(we in 0.5..15.0f64) {
+        fn parallel_gamma_bisection_bit_identical_to_serial(
+            we in 0.5..15.0f64,
+            g_hi in prop_oneof![Just(64.0), 0.06..64.0f64],
+        ) {
             let p = simple_plant(we);
             let fac = DgkfFactors::new(&p).unwrap();
-            let (kp, gp) = hinf_bisect(&p, &fac, 0.05, 64.0, 20).unwrap();
-            let (ks, gs) = bisect_on(&p, &fac, 0.05, 64.0, 20, 1).unwrap();
+            let (ks, gs, _) = bisect_on(&p, &fac, 0.05, g_hi, 20, 1).unwrap();
+            let (kp, gp) = hinf_bisect(&p, &fac, 0.05, g_hi, 20).unwrap();
             prop_assert_eq!(gp.to_bits(), gs.to_bits());
             assert_designs_bit_identical(&kp, &ks);
+            for workers in 2..=4 {
+                let (kp, gp, _) = bisect_on(&p, &fac, 0.05, g_hi, 20, workers).unwrap();
+                prop_assert_eq!(gp.to_bits(), gs.to_bits(), "{} workers", workers);
+                assert_designs_bit_identical(&kp, &ks);
+            }
         }
     }
 

@@ -28,7 +28,9 @@
 //!    never on the CPU it runs on.
 
 use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+use yukta_linalg::Moot;
 use yukta_linalg::freq::{FreqEvaluator, FreqSystem};
 use yukta_obs::Value;
 
@@ -79,7 +81,7 @@ enum Claim {
 }
 
 /// The shared claim state: the next unclaimed index and the smallest
-/// index whose job returned `Some` (`n` while there is none).
+/// stopping index whose job returned `Some` (`n` while there is none).
 struct Claims {
     next: usize,
     first_found: usize,
@@ -88,9 +90,12 @@ struct Claims {
 /// The one fan-out driver. `workers` workers (the caller's thread and
 /// `workers − 1` scoped threads) claim the indices `0..n` in order under
 /// one lock. Each worker builds its own state with `init` and runs
-/// `job(&mut state, i)` on every index it claims. With `stop` set, a
-/// worker skips any index right of the first one whose job returned
-/// `Some`, leaving `None` there, and no index left of it is skipped.
+/// `job(&mut state, i, moot)` on every index it claims. Indices at or
+/// right of `stop_from` are stopping ones (none when `stop_from >= n`):
+/// a worker skips any index right of the first stopping index whose job
+/// returned `Some`, leaving `None` there, and no index left of it is
+/// skipped. A job's `moot` is set once such a `Some` lies left of its
+/// index, so a job in flight can give up early: its entry is never read.
 /// Results come back in index order; each claim, skip and find is
 /// reported to `observe` under the claim lock.
 ///
@@ -102,9 +107,9 @@ struct Claims {
 fn claim<S, T>(
     n: usize,
     workers: usize,
-    stop: bool,
+    stop_from: usize,
     init: impl Fn() -> S + Sync,
-    job: impl Fn(&mut S, usize) -> Option<T> + Sync,
+    job: impl Fn(&mut S, usize, Moot<'_>) -> Option<T> + Sync,
     observe: impl Fn(Claim) + Sync,
 ) -> Vec<Option<T>>
 where
@@ -114,6 +119,11 @@ where
         next: 0,
         first_found: n,
     });
+    // `first_found` again, outside the lock, for the jobs' moot checks:
+    // written under the lock, read with one load per poll. It publishes
+    // no other data (results travel through the join), so `Relaxed`
+    // suffices: a stale read only lets a moot job run a little longer.
+    let found = AtomicUsize::new(n);
     let lock = || claims.lock().expect("claim state poisoned");
     let work = || {
         let mut state = init();
@@ -136,16 +146,19 @@ where
                 claimed
             };
             let Some(i) = claimed else { break };
-            let r = job(&mut state, i);
-            if stop && r.is_some() {
+            let moot = || i > found.load(Ordering::Relaxed);
+            let r = job(&mut state, i, Moot::new(&moot));
+            if i >= stop_from && r.is_some() {
                 let mut c = lock();
                 c.first_found = c.first_found.min(i);
+                found.store(c.first_found, Ordering::Relaxed);
                 observe(Claim::Found(i));
             }
             out.push((i, r));
         }
         out
     };
+    let workers = workers.min(n);
     let mut tagged = if workers <= 1 {
         work()
     } else {
@@ -218,7 +231,7 @@ where
             ],
         );
     }
-    let job = |ev: &mut FreqEvaluator<'_>, ci: usize| {
+    let job = |ev: &mut FreqEvaluator<'_>, ci: usize, _: Moot<'_>| {
         let start = ci * chunk;
         let end = (start + chunk).min(grid.len());
         let token = traced.then(|| rec.span_begin("sweep.chunk"));
@@ -237,7 +250,7 @@ where
         }
         Some(vals)
     };
-    claim(nchunks, workers, false, || sys.evaluator(), job, |_| {})
+    claim(nchunks, workers, nchunks, || sys.evaluator(), job, |_| {})
         .into_iter()
         .flatten()
         .flatten()
@@ -253,26 +266,35 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    claim(n, workers(n), false, || (), |_, i| Some(f(i)), |_| {})
+    claim(n, workers(n), n, || (), |_, i, _| Some(f(i)), |_| {})
         .into_iter()
         .flatten()
         .collect()
 }
 
 /// Probes candidates `0..n` on `workers` workers and stops at the first
-/// feasible one: `probe(i)` returns `Some` when candidate `i` is
-/// feasible. Entry `i` of the result is `probe(i)` for every `i` up to
-/// and including the first feasible index; to its right it is `None`,
-/// or on more than one worker possibly a `Some` that was in flight when
-/// the first was found. Callers read only up to the first `Some`. This
-/// is the fan-out behind γ-bisection, where each candidate is a full H∞
-/// synthesis and a feasible γ makes every larger one moot.
-pub(crate) fn first_feasible<T, F>(n: usize, workers: usize, probe: F) -> Vec<Option<T>>
+/// feasible one at or right of `lead`: `probe(i, moot)` returns `Some`
+/// when candidate `i` is feasible. Candidates below `lead` are always
+/// probed to the end and never stop the search. Entry `i` of the result
+/// is `probe(i)` for every `i` up to and including the first feasible
+/// index at or right of `lead`; to its right it is `None`, or on more
+/// than one worker possibly a `Some` that was in flight when the first
+/// was found. `moot` is set once such a feasible candidate lies left of
+/// `i`: the probe may then give up, since its entry is never read.
+/// Callers read only up to the first `Some`. This is the fan-out behind
+/// γ-bisection, where each candidate is a full H∞ synthesis and a
+/// feasible γ makes every larger one moot.
+pub(crate) fn first_feasible<T, F>(
+    n: usize,
+    workers: usize,
+    lead: usize,
+    probe: F,
+) -> Vec<Option<T>>
 where
     T: Send,
-    F: Fn(usize) -> Option<T> + Sync,
+    F: Fn(usize, Moot<'_>) -> Option<T> + Sync,
 {
-    claim(n, workers, true, || (), |_, i| probe(i), |_| {})
+    claim(n, workers, lead, || (), |_, i, moot| probe(i, moot), |_| {})
 }
 
 #[cfg(test)]
@@ -393,7 +415,7 @@ mod tests {
         probe: impl Fn(usize) -> Option<T> + Sync,
         observe: impl Fn(Claim) + Sync,
     ) -> Vec<Option<T>> {
-        claim(n, workers, true, || (), |_, i| probe(i), observe)
+        claim(n, workers, 0, || (), |_, i, _| probe(i), observe)
     }
 
     /// The driver's three uses (a chunked sweep with a per-worker
@@ -408,9 +430,9 @@ mod tests {
             claim(
                 37,
                 workers,
-                false,
+                37,
                 || (),
-                |_, i| Some((i as f64).ln_1p()),
+                |_, i, _| Some((i as f64).ln_1p()),
                 |_| {},
             )
             .into_iter()
@@ -425,8 +447,8 @@ mod tests {
                 for pattern in 0..8u32 {
                     let probe = |i: usize| feasible(pattern, i).then(|| design(i));
                     assert_eq!(
-                        decision(first_feasible(3, workers, probe)),
-                        decision(first_feasible(3, 1, probe)),
+                        decision(first_feasible(3, workers, 0, |i, _| probe(i))),
+                        decision(first_feasible(3, 1, 0, |i, _| probe(i))),
                         "first feasible, pattern {pattern:03b}, {workers} workers"
                     );
                 }
@@ -438,16 +460,19 @@ mod tests {
     fn first_feasible_decides_like_the_serial_twin_on_every_pattern() {
         for pattern in 0..8u32 {
             let probe = |i: usize| feasible(pattern, i).then(|| design(i));
-            let want = decision(first_feasible(3, 1, probe));
+            let want = decision(first_feasible(3, 1, 0, |i, _| probe(i)));
             for workers in 1..=4 {
                 for _ in 0..10 {
                     let got = decision(first_feasible_on(3, workers, probe, |_| {}));
                     assert_eq!(got, want, "pattern {pattern:03b}, {workers} workers");
                 }
             }
-            assert_eq!(decision(first_feasible(3, workers(3), probe)), want);
+            assert_eq!(
+                decision(first_feasible(3, workers(3), 0, |i, _| probe(i))),
+                want
+            );
         }
-        assert!(first_feasible(0, workers(0), |_| Some(1)).is_empty());
+        assert!(first_feasible(0, workers(0), 0, |_, _| Some(1)).is_empty());
     }
 
     #[test]
@@ -476,7 +501,7 @@ mod tests {
         let log = log.into_inner().unwrap();
         assert!(log.contains(&Claim::Skipped(2)), "{log:?}");
         assert!(!probed.into_inner().unwrap().contains(&2));
-        let want = first_feasible(3, 1, |i| (i == 0).then(|| design(i)));
+        let want = first_feasible(3, 1, 0, |i, _| (i == 0).then(|| design(i)));
         assert_eq!(decision(got), decision(want));
     }
 
@@ -530,7 +555,9 @@ mod tests {
                     assert_eq!(probed, want);
                     assert_eq!(
                         decision(got),
-                        decision(first_feasible(3, 1, |i| feasible(pattern, i).then(|| design(i))))
+                        decision(
+                            first_feasible(3, 1, 0, |i, _| feasible(pattern, i).then(|| design(i)))
+                        )
                     );
                     // With candidates 0 and 1 both feasible, two workers
                     // never reach candidate 2: whichever finishes first
@@ -539,6 +566,76 @@ mod tests {
                         assert!(log.contains(&Claim::Skipped(2)), "{log:?}");
                     }
                 }
+            }
+        }
+    }
+
+    /// Spins until `done` holds, or panics after a generous deadline.
+    fn spin_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "waited for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A probe in flight right of a found candidate sees its `moot` set
+    /// and gives up; the lead candidates (the γ-search's ceiling) are
+    /// never moot, and nothing up to the first `Some` changes.
+    #[test]
+    fn probes_right_of_a_found_candidate_are_abandoned_in_flight() {
+        for lead in 0..=1usize {
+            // Candidates 0..=lead + 1 must all be in flight at once.
+            for workers in lead + 2..=4 {
+                // Candidate `lead` is feasible. It answers only once
+                // candidate `lead + 1` is running (so that one is in
+                // flight when the find lands); every candidate right of
+                // it spins until moot. A lead candidate left of it waits
+                // for the find, checks it is not moot, and is feasible
+                // too.
+                let running = std::sync::atomic::AtomicBool::new(false);
+                let found = std::sync::atomic::AtomicBool::new(false);
+                let abandoned = std::sync::Mutex::new(Vec::new());
+                let probe = |i: usize, moot: Moot<'_>| {
+                    if i < lead {
+                        spin_until("the find", || found.load(Ordering::Relaxed));
+                        assert!(!moot.is_set(), "lead candidate {i} went moot");
+                        return Some(design(i));
+                    }
+                    if i == lead {
+                        spin_until("a probe in flight", || running.load(Ordering::Relaxed));
+                        return Some(design(i));
+                    }
+                    running.store(true, Ordering::Relaxed);
+                    spin_until("moot", || moot.is_set());
+                    abandoned.lock().unwrap().push(i);
+                    None
+                };
+                let got = claim(
+                    5,
+                    workers,
+                    lead,
+                    || (),
+                    |_, i, moot| probe(i, moot),
+                    |c| {
+                        if c == Claim::Found(lead) {
+                            found.store(true, Ordering::Relaxed);
+                        }
+                    },
+                );
+                assert!(
+                    abandoned.into_inner().unwrap().contains(&(lead + 1)),
+                    "lead {lead}, {workers} workers"
+                );
+                let want: Vec<Option<Vec<u64>>> = (0..=lead)
+                    .map(|i| Some(bits(design(i).as_slice())))
+                    .collect();
+                let got: Vec<Option<Vec<u64>>> = got
+                    .into_iter()
+                    .take(lead + 1)
+                    .map(|d| d.map(|d| bits(d.as_slice())))
+                    .collect();
+                assert_eq!(got, want, "lead {lead}, {workers} workers");
             }
         }
     }

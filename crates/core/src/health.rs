@@ -63,6 +63,8 @@ pub struct HealthTap {
     delta: f64,
     /// Open-loop model state.
     x: Vec<f64>,
+    /// The next state, written by [`HealthTap::advance`] and swapped in.
+    x_next: Vec<f64>,
     /// Input committed at the previous step (the one this step's
     /// measurement responds to); `None` before the first actuation.
     u_prev: Option<[f64; N_U]>,
@@ -74,10 +76,12 @@ pub struct HealthTap {
     /// the plant's local behavior, not the standing offset. `None` until
     /// the first prediction seeds it.
     bias: Option<[f64; N_Y]>,
-    /// Normalized `(u, y)` history for re-identification, capped at
-    /// [`REFIT_HISTORY_CAP`].
-    hist_u: Vec<Vec<f64>>,
-    hist_y: Vec<Vec<f64>>,
+    /// Normalized `(u, y)` history for re-identification: a ring of
+    /// [`REFIT_HISTORY_CAP`] pairs, filled in order, then overwritten
+    /// oldest first at `hist_oldest`.
+    hist_u: Vec<[f64; N_U]>,
+    hist_y: Vec<[f64; N_Y]>,
+    hist_oldest: usize,
 }
 
 impl HealthTap {
@@ -109,16 +113,19 @@ impl HealthTap {
             grids: ActuatorGrids::xu3(),
             delta: design.hw_uncertainty_used.max(1e-9),
             x: vec![0.0; design.hw_model_full.order()],
+            x_next: vec![0.0; design.hw_model_full.order()],
             u_prev: None,
             bias: None,
             hist_u: Vec::with_capacity(REFIT_HISTORY_CAP),
             hist_y: Vec::with_capacity(REFIT_HISTORY_CAP),
+            hist_oldest: 0,
         })
     }
 
     /// Distills one invocation record into a [`HealthSample`], advances
     /// the open-loop model, and runs the detectors. Pure with respect to
-    /// the run: no I/O, no recorder.
+    /// the run: no I/O, no recorder. It does not allocate: the history
+    /// ring is reserved at [`REFIT_HISTORY_CAP`] up front.
     pub fn observe(&mut self, r: &JournalRecord) -> HealthVerdict {
         let u = self.normalized_input(r);
         let y = self.ranges.norm_hw_outputs(&r.hw_sense.outputs);
@@ -145,12 +152,14 @@ impl HealthTap {
         };
         self.advance(&u);
         self.u_prev = Some(u);
-        if self.hist_u.len() == REFIT_HISTORY_CAP {
-            self.hist_u.remove(0);
-            self.hist_y.remove(0);
+        if self.hist_u.len() < REFIT_HISTORY_CAP {
+            self.hist_u.push(u);
+            self.hist_y.push(y);
+        } else {
+            self.hist_u[self.hist_oldest] = u;
+            self.hist_y[self.hist_oldest] = y;
+            self.hist_oldest = (self.hist_oldest + 1) % REFIT_HISTORY_CAP;
         }
-        self.hist_u.push(u.to_vec());
-        self.hist_y.push(y.to_vec());
         let sample = HealthSample {
             residual,
             margin: residual / self.delta,
@@ -203,13 +212,12 @@ impl HealthTap {
         out
     }
 
-    /// `x ← A x + B u`.
+    /// `x ← A x + B u`, through the second state buffer.
     fn advance(&mut self, u: &[f64; N_U]) {
         let a = self.model.a();
         let b = self.model.b();
-        let n = self.x.len();
-        let mut next = vec![0.0; n];
-        for (i, nx) in next.iter_mut().enumerate() {
+        self.x_next.fill(0.0);
+        for (i, nx) in self.x_next.iter_mut().enumerate() {
             for (j, xj) in self.x.iter().enumerate() {
                 *nx += a[(i, j)] * xj;
             }
@@ -217,13 +225,19 @@ impl HealthTap {
                 *nx += b[(i, j)] * uj;
             }
         }
-        self.x = next;
+        std::mem::swap(&mut self.x, &mut self.x_next);
     }
 
-    /// The retained normalized `(u, y)` history, oldest first — the
-    /// training data for an online re-identification.
-    pub fn history(&self) -> (&[Vec<f64>], &[Vec<f64>]) {
-        (&self.hist_u, &self.hist_y)
+    /// A copy of the retained normalized `(u, y)` history, oldest first —
+    /// the training data for an online re-identification.
+    pub fn history(&self) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let split = self.hist_oldest;
+        let u = self.hist_u[split..].iter().chain(&self.hist_u[..split]);
+        let y = self.hist_y[split..].iter().chain(&self.hist_y[..split]);
+        (
+            u.map(|v| v.to_vec()).collect(),
+            y.map(|v| v.to_vec()).collect(),
+        )
     }
 
     /// Re-arms after a hot-swap: the detectors re-learn their baselines
@@ -233,6 +247,7 @@ impl HealthTap {
         if let Some(model) = refit {
             if check_widths("health_model", &model, N_U, N_Y).is_ok() {
                 self.x = vec![0.0; model.order()];
+                self.x_next = vec![0.0; model.order()];
                 self.u_prev = None;
                 self.bias = None;
                 self.model = model;
@@ -383,14 +398,23 @@ mod tests {
     fn history_is_capped_and_ordered() {
         let design = default_design();
         let mut tap = HealthTap::new(design, HealthConfig::default()).unwrap();
-        for step in 0..(REFIT_HISTORY_CAP as u64 + 50) {
-            tap.observe(&record(step, 5.0, 1.6));
+        let total = REFIT_HISTORY_CAP as u64 + 50;
+        let ranges = SignalRanges::xu3();
+        let perf = |step: u64| 2.0 + 0.01 * step as f64;
+        for step in 0..total {
+            tap.observe(&record(step, perf(step), 1.6));
         }
         let (u, y) = tap.history();
         assert_eq!(u.len(), REFIT_HISTORY_CAP);
         assert_eq!(y.len(), REFIT_HISTORY_CAP);
         assert_eq!(u[0].len(), N_U);
         assert_eq!(y[0].len(), N_Y);
+        // Oldest first: the last REFIT_HISTORY_CAP steps, in step order.
+        for (k, yk) in y.iter().enumerate() {
+            let step = total - REFIT_HISTORY_CAP as u64 + k as u64;
+            let want = ranges.norm_hw_outputs(&record(step, perf(step), 1.6).hw_sense.outputs);
+            assert_eq!(yk.as_slice(), want.as_slice(), "entry {k}");
+        }
     }
 
     #[test]

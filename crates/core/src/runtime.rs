@@ -1281,8 +1281,8 @@ impl Experiment {
             // regression posed on closed-loop data (inputs correlate with
             // outputs).
             let (u, y) = tap.history();
-            let refit = fit_arx(u, y, SYSID_CONFIG)
-                .and_then(|m| validation_residual(u, y, &m).map(|r| (m, r)))
+            let refit = fit_arx(&u, &y, SYSID_CONFIG)
+                .and_then(|m| validation_residual(&u, &y, &m).map(|r| (m, r)))
                 .ok();
             fit_residual = refit.as_ref().map_or(-1.0, |(_, r)| *r);
             refit_sys = refit.map(|(m, _)| m.sys);

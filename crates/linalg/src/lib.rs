@@ -30,7 +30,9 @@
 //! * [`sign`] — the matrix sign function (Newton iteration with determinant
 //!   scaling), used to solve continuous algebraic Riccati equations.
 //! * [`riccati`] — CARE (sign-function method) and DARE
-//!   (structure-preserving doubling).
+//!   (structure-preserving doubling). [`riccati::care_unless`] and
+//!   [`sign::matrix_sign_unless`] give up early once a [`Moot`] check
+//!   says the caller no longer needs the answer.
 //! * [`lyap`] — small discrete Lyapunov solves via Kronecker vectorization.
 //!
 //! Sizes in this domain are small (controller state dimensions of a few
@@ -127,3 +129,44 @@ impl std::error::Error for Error {}
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, Error>;
+
+/// A cheap check, polled between the steps of a long solve, that says
+/// whether the caller still needs its result. A parallel search that has
+/// already settled a question hands its in-flight solves a `Moot` that
+/// turns true, and they stop at their next poll instead of running to
+/// the end. A solve that is never moot runs exactly the code of its
+/// plain form, so a result that is returned does not depend on the check.
+#[derive(Clone, Copy)]
+pub struct Moot<'a>(Option<&'a dyn Fn() -> bool>);
+
+impl<'a> Moot<'a> {
+    /// The check that never fires: the plain solvers run with it.
+    pub const NEVER: Moot<'static> = Moot(None);
+
+    /// A check that fires once `is_moot` returns true. It is called once
+    /// per poll, so it should be a load or two, not a lock.
+    pub fn new(is_moot: &'a dyn Fn() -> bool) -> Self {
+        Moot(Some(is_moot))
+    }
+
+    /// Whether the result is no longer needed.
+    pub fn is_set(self) -> bool {
+        self.0.is_some_and(|f| f())
+    }
+
+    /// `Err` (a [`Error::NoSolution`] for `op`) once the result is moot,
+    /// so a solver can poll with `?`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::NoSolution`] when [`Moot::is_set`].
+    pub fn check(self, op: &'static str) -> Result<()> {
+        if self.is_set() {
+            return Err(Error::NoSolution {
+                op,
+                why: "abandoned: the caller no longer needs the result",
+            });
+        }
+        Ok(())
+    }
+}

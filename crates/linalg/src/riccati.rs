@@ -9,8 +9,8 @@
 //!   inverses.
 
 use crate::qr::PivotedQr;
-use crate::sign::matrix_sign;
-use crate::{Error, Mat, Result};
+use crate::sign::matrix_sign_unless;
+use crate::{Error, Mat, Moot, Result};
 
 /// Solves the continuous-time algebraic Riccati equation
 ///
@@ -42,6 +42,18 @@ use crate::{Error, Mat, Result};
 /// # }
 /// ```
 pub fn care(a: &Mat, g: &Mat, q: &Mat) -> Result<Mat> {
+    care_unless(a, g, q, Moot::NEVER)
+}
+
+/// [`care`] that polls `moot` between the sign function's Newton steps
+/// and before the subspace extraction, and stops once it is set. With a
+/// check that never fires it is [`care`].
+///
+/// # Errors
+///
+/// Those of [`care`], plus [`Error::NoSolution`] from [`Moot::check`]
+/// when the result became moot.
+pub fn care_unless(a: &Mat, g: &Mat, q: &Mat, moot: Moot<'_>) -> Result<Mat> {
     let n = a.rows();
     if !a.is_square() || g.shape() != (n, n) || q.shape() != (n, n) {
         return Err(Error::DimensionMismatch {
@@ -52,10 +64,11 @@ pub fn care(a: &Mat, g: &Mat, q: &Mat) -> Result<Mat> {
     }
     // Hamiltonian H = [A, −G; −Q, −Aᵀ].
     let h = Mat::block2x2(a, &-g, &-q, &-&a.t())?;
-    let s = matrix_sign(&h).map_err(|_| Error::NoSolution {
+    let s = matrix_sign_unless(&h, moot).map_err(|_| Error::NoSolution {
         op: "care",
         why: "hamiltonian has imaginary-axis eigenvalues (no stabilizing solution)",
     })?;
+    moot.check("care")?;
     // Projector onto the stable subspace; its range has dimension n.
     let p = (&Mat::identity(2 * n) - &s).scale(0.5);
     let f = PivotedQr::new(&p);

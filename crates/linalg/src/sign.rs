@@ -8,7 +8,7 @@
 
 use crate::eig::eigenvalues;
 use crate::lu::Lu;
-use crate::{Error, Mat, Result};
+use crate::{Error, Mat, Moot, Result};
 
 /// Computes the matrix sign function of a square matrix with no eigenvalues
 /// on the imaginary axis.
@@ -35,6 +35,17 @@ use crate::{Error, Mat, Result};
 /// # }
 /// ```
 pub fn matrix_sign(a: &Mat) -> Result<Mat> {
+    matrix_sign_unless(a, Moot::NEVER)
+}
+
+/// [`matrix_sign`] that polls `moot` before every Newton step and stops
+/// once it is set. With a check that never fires it is [`matrix_sign`].
+///
+/// # Errors
+///
+/// Those of [`matrix_sign`], plus [`Error::NoSolution`] from
+/// [`Moot::check`] when the result became moot.
+pub fn matrix_sign_unless(a: &Mat, moot: Moot<'_>) -> Result<Mat> {
     if !a.is_square() {
         return Err(Error::DimensionMismatch {
             op: "matrix_sign",
@@ -48,6 +59,7 @@ pub fn matrix_sign(a: &Mat) -> Result<Mat> {
     let mut prev_step = f64::INFINITY;
     let mut screened = false;
     for iter in 0..max_iters {
+        moot.check("matrix_sign")?;
         // One factorization gives both Z⁻¹ and the scaling's |det Z|.
         let lu = Lu::new(&z).map_err(|_| Error::Singular { op: "matrix_sign" })?;
         let zinv = lu.inverse()?;

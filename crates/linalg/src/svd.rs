@@ -164,16 +164,27 @@ fn scale_into(a: &CMat, row_w: &[f64], col_w: &[f64], scratch: &mut CMat) {
 /// the general-shape workhorse behind [`sigma_max`] and the iterative
 /// reference its closed-form small-shape paths are tested against.
 ///
-/// The result is accurate to ~1e-10 relative for well-separated leading
-/// singular values, and always a *lower* bound that is then certified by a
-/// residual check; for SSV upper bounds a small underestimate is guarded by
-/// the caller's tolerance margin.
+/// Each start iterates `x ← AᴴA·x/‖AᴴA·x‖` and reads the estimate
+/// `‖A·x‖/‖x‖`. A start stops when the estimate changes by at most 1e-12
+/// relative between two steps, or after 200 steps; the result is the
+/// larger of the two starts' last estimates. There is no residual check
+/// and no safety margin: `‖A·x‖/‖x‖ ≤ σ̄(A)` for every `x`, so the result
+/// can only underestimate σ̄. It is accurate to ~1e-10 relative when the
+/// two leading singular values are well separated; when they are close,
+/// the iteration converges slowly and stops low. A µ upper bound built
+/// on it can therefore sit slightly below the true bound at the final
+/// scalings.
+///
+/// The iteration allocates one buffer per call and reuses it for every
+/// step of both starts. `A·x` runs four rows per pass over `x`, `Aᴴ·y`
+/// one row of `A` at a time into every output, and each output element
+/// sums its terms in index order from zero, as [`CMat::matvec`] on `A`
+/// and on `Aᴴ` would.
 pub fn sigma_max_power(a: &CMat) -> f64 {
     let (m, n) = a.shape();
     if m == 0 || n == 0 {
         return 0.0;
     }
-    let ah = a.h();
     // Deterministic start seeded from the matrix itself: x₀ = Aᴴ eᵣ (the
     // conjugated largest-2-norm row). A data-independent start such as a
     // fixed ones-vector can be made exactly orthogonal to the leading
@@ -193,23 +204,25 @@ pub fn sigma_max_power(a: &CMat) -> f64 {
     if seed_norm <= 0.0 {
         return 0.0;
     }
+    let data = a.as_slice();
+    let mut buf = vec![C64::ZERO; 2 * n + m];
+    let (x, rest) = buf.split_at_mut(n);
+    let (y, z) = rest.split_at_mut(m);
     let mut best = 0.0f64;
     // Two deterministic starts: matrix-seeded, and alternating-phase.
     for start in 0..2 {
-        let mut x: Vec<C64> = (0..n)
-            .map(|j| {
-                if start == 0 {
-                    a.get(seed_row, j).conj()
-                } else {
-                    C64::cis(1.7 * j as f64 + 0.3)
-                }
-            })
-            .collect();
+        for (j, xj) in x.iter_mut().enumerate() {
+            *xj = if start == 0 {
+                a.get(seed_row, j).conj()
+            } else {
+                C64::cis(1.7 * j as f64 + 0.3)
+            };
+        }
         let mut prev = 0.0f64;
         for _ in 0..200 {
             // y = A x ; z = Aᴴ y ; σ² estimate = ‖y‖² / ‖x‖²
-            let y = a.matvec(&x).expect("shape checked");
-            let z = ah.matvec(&y).expect("shape checked");
+            mul_into(data, n, x, y);
+            mul_h_into(data, n, y, z);
             let xn: f64 = x.iter().map(|v| v.abs_sq()).sum::<f64>().sqrt();
             let yn: f64 = y.iter().map(|v| v.abs_sq()).sum::<f64>().sqrt();
             if xn < 1e-300 {
@@ -220,7 +233,9 @@ pub fn sigma_max_power(a: &CMat) -> f64 {
             if zn < 1e-300 {
                 break;
             }
-            x = z.iter().map(|&v| v * (1.0 / zn)).collect();
+            for (xj, &zj) in x.iter_mut().zip(z.iter()) {
+                *xj = zj * (1.0 / zn);
+            }
             if (est - prev).abs() <= 1e-12 * est.max(1e-300) {
                 prev = est;
                 break;
@@ -232,11 +247,114 @@ pub fn sigma_max_power(a: &CMat) -> f64 {
     best
 }
 
+/// `y = A·x` for a row-major `A` with `n` columns, four rows per pass
+/// over `x`. Each `yᵢ` starts from zero and adds `aᵢⱼ·xⱼ` for `j = 0, 1, …`.
+fn mul_into(a: &[C64], n: usize, x: &[C64], y: &mut [C64]) {
+    let mut rows = a.chunks_exact(4 * n);
+    let mut out = y.chunks_exact_mut(4);
+    for (quad, yq) in (&mut rows).zip(&mut out) {
+        let (r0, rest) = quad.split_at(n);
+        let (r1, rest) = rest.split_at(n);
+        let (r2, r3) = rest.split_at(n);
+        let mut acc = [C64::ZERO; 4];
+        for ((((&a0, &a1), &a2), &a3), &xj) in r0.iter().zip(r1).zip(r2).zip(r3).zip(x) {
+            acc[0] += a0 * xj;
+            acc[1] += a1 * xj;
+            acc[2] += a2 * xj;
+            acc[3] += a3 * xj;
+        }
+        yq.copy_from_slice(&acc);
+    }
+    for (row, yi) in rows.remainder().chunks_exact(n).zip(out.into_remainder()) {
+        let mut acc = C64::ZERO;
+        for (&aij, &xj) in row.iter().zip(x) {
+            acc += aij * xj;
+        }
+        *yi = acc;
+    }
+}
+
+/// `z = Aᴴ·y` for a row-major `A` with `n` columns, one row of `A` at a
+/// time into every `zⱼ`. Each `zⱼ` starts from zero and adds `āᵢⱼ·yᵢ`
+/// for `i = 0, 1, …`.
+fn mul_h_into(a: &[C64], n: usize, y: &[C64], z: &mut [C64]) {
+    z.fill(C64::ZERO);
+    for (row, &yi) in a.chunks_exact(n).zip(y) {
+        for (zj, &aij) in z.iter_mut().zip(row) {
+            *zj += aij.conj() * yi;
+        }
+    }
+}
+
+/// The power iteration [`sigma_max_power`] replaced, allocating its
+/// products every step, kept as the reference the buffered kernel is
+/// pinned to bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::{C64, CMat};
+
+    pub(crate) fn sigma_max_power(a: &CMat) -> f64 {
+        let (m, n) = a.shape();
+        if m == 0 || n == 0 {
+            return 0.0;
+        }
+        let ah = a.h();
+        let mut seed_row = 0usize;
+        let mut seed_norm = -1.0f64;
+        for i in 0..m {
+            let norm: f64 = (0..n).map(|j| a.get(i, j).abs_sq()).sum();
+            if norm > seed_norm {
+                seed_norm = norm;
+                seed_row = i;
+            }
+        }
+        if seed_norm <= 0.0 {
+            return 0.0;
+        }
+        let mut best = 0.0f64;
+        for start in 0..2 {
+            let mut x: Vec<C64> = (0..n)
+                .map(|j| {
+                    if start == 0 {
+                        a.get(seed_row, j).conj()
+                    } else {
+                        C64::cis(1.7 * j as f64 + 0.3)
+                    }
+                })
+                .collect();
+            let mut prev = 0.0f64;
+            for _ in 0..200 {
+                let y = a.matvec(&x).expect("shape checked");
+                let z = ah.matvec(&y).expect("shape checked");
+                let xn: f64 = x.iter().map(|v| v.abs_sq()).sum::<f64>().sqrt();
+                let yn: f64 = y.iter().map(|v| v.abs_sq()).sum::<f64>().sqrt();
+                if xn < 1e-300 {
+                    break;
+                }
+                let est = yn / xn;
+                let zn: f64 = z.iter().map(|v| v.abs_sq()).sum::<f64>().sqrt();
+                if zn < 1e-300 {
+                    break;
+                }
+                x = z.iter().map(|&v| v * (1.0 / zn)).collect();
+                if (est - prev).abs() <= 1e-12 * est.max(1e-300) {
+                    prev = est;
+                    break;
+                }
+                prev = est;
+            }
+            best = best.max(prev);
+        }
+        best
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Mat;
     use crate::symeig::symmetric_eigen;
+    use proptest::prelude::*;
 
     #[test]
     fn complex_sigma_max_matches_real_case() {
@@ -349,6 +467,85 @@ mod tests {
             (got - 1.0).abs() < 1e-6,
             "power iteration stalled below σ₁: got {got}"
         );
+    }
+
+    /// How a σ̄ kernel input is shaped beyond its random draw.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// The draw as is.
+        Plain,
+        /// Two dominant diagonal entries 1e-9 apart over 1e-3 noise:
+        /// near-equal top singular values, the slow case.
+        NearTie,
+        /// Some rows zeroed (all of them when the draw says so).
+        ZeroRows,
+        /// One entry NaN or ±∞.
+        NonFinite,
+    }
+
+    fn kernel_input(m: usize, n: usize, seed: u64, shape: Shape) -> CMat {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+        };
+        let mut a = CMat::zeros(m, n);
+        let noise = if matches!(shape, Shape::NearTie) {
+            2e-3
+        } else {
+            2.0
+        };
+        for i in 0..m {
+            for j in 0..n {
+                a.set(i, j, C64::new(next() * noise, next() * noise));
+            }
+        }
+        match shape {
+            Shape::Plain => {}
+            Shape::NearTie => {
+                a.set(0, 0, a.get(0, 0) + C64::real(1.0));
+                a.set(1, 1, a.get(1, 1) + C64::new(0.0, 1.0 + 1e-9));
+            }
+            Shape::ZeroRows => {
+                let every = 1 + ((next() + 0.5) * 4.0) as usize;
+                for i in (0..m).step_by(every) {
+                    for j in 0..n {
+                        a.set(i, j, C64::ZERO);
+                    }
+                }
+            }
+            Shape::NonFinite => {
+                let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                let mut draw = |k: usize| ((next() + 0.5) * k as f64) as usize % k;
+                let (pick, i, j) = (draw(3), draw(m), draw(n));
+                a.set(i, j, C64::new(bad[pick], 0.5));
+            }
+        }
+        a
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The buffered σ̄ kernel gives the old allocating loop's bits on
+        /// every general shape up to 24×24, the deployed HW µ shape
+        /// (12×18) included, and on near-ties, zero rows and non-finite
+        /// entries.
+        #[test]
+        fn power_kernel_matches_allocating_reference_bits(
+            m in 3usize..=24,
+            n in 3usize..=24,
+            hw in 0u32..4,
+            seed in 0u64..u64::MAX,
+            shape in 0u32..4,
+        ) {
+            let (m, n) = if hw == 0 { (12, 18) } else { (m, n) };
+            let shape = [Shape::Plain, Shape::NearTie, Shape::ZeroRows, Shape::NonFinite][shape as usize];
+            let a = kernel_input(m, n, seed, shape);
+            prop_assert_eq!(sigma_max_power(&a).to_bits(), reference::sigma_max_power(&a).to_bits());
+        }
     }
 
     #[test]

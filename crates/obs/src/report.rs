@@ -319,6 +319,10 @@ pub struct DkIterRow {
     pub k_step_ns: f64,
     /// γ-bisection time inside the K-step.
     pub gamma_bisect_ns: f64,
+    /// H∞ syntheses the γ-bisection started (its span's `probes`).
+    pub probes: u64,
+    /// Of those, the ones abandoned as moot (its span's `cancelled`).
+    pub cancelled: u64,
     /// D-step time: µ sweep plus scaling update.
     pub d_step_ns: f64,
     /// Whole-iteration wall time.
@@ -345,10 +349,12 @@ pub fn dk_phase_breakdown(text: &str) -> Result<Vec<DkIterRow>, String> {
         ) {
             continue;
         }
-        let iter = v
-            .get("fields")
-            .and_then(|f| f.get("iter"))
-            .and_then(Json::as_f64)
+        let field = |key: &str| {
+            v.get("fields")
+                .and_then(|f| f.get(key))
+                .and_then(Json::as_f64)
+        };
+        let iter = field("iter")
             .ok_or_else(|| format!("line {}: dk span {name:?} without iter field", i + 1))?
             as u64;
         let dur = v.get("dur_ns").and_then(Json::as_f64).unwrap_or(0.0);
@@ -365,7 +371,11 @@ pub fn dk_phase_breakdown(text: &str) -> Result<Vec<DkIterRow>, String> {
         match name {
             "dk.iteration" => row.iteration_ns += dur,
             "dk.k_step" => row.k_step_ns += dur,
-            "dk.gamma_bisect" => row.gamma_bisect_ns += dur,
+            "dk.gamma_bisect" => {
+                row.gamma_bisect_ns += dur;
+                row.probes += field("probes").unwrap_or(0.0) as u64;
+                row.cancelled += field("cancelled").unwrap_or(0.0) as u64;
+            }
             _ => row.d_step_ns += dur,
         }
     }
@@ -375,34 +385,33 @@ pub fn dk_phase_breakdown(text: &str) -> Result<Vec<DkIterRow>, String> {
 
 /// Renders the D–K breakdown as an aligned text table.
 pub fn render_dk(rows: &[DkIterRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<6} {:>12} {:>14} {:>12} {:>12}\n",
-        "iter", "k_step", "gamma_bisect", "d_step", "iteration"
-    ));
-    let mut total = DkIterRow::default();
-    for r in rows {
-        out.push_str(&format!(
-            "{:<6} {:>12} {:>14} {:>12} {:>12}\n",
-            r.iter,
+    let line = |iter: &dyn std::fmt::Display, r: &DkIterRow| {
+        format!(
+            "{:<6} {:>12} {:>14} {:>7} {:>9} {:>12} {:>12}\n",
+            iter,
             fmt_ns(r.k_step_ns),
             fmt_ns(r.gamma_bisect_ns),
+            r.probes,
+            r.cancelled,
             fmt_ns(r.d_step_ns),
             fmt_ns(r.iteration_ns)
-        ));
+        )
+    };
+    let mut out = format!(
+        "{:<6} {:>12} {:>14} {:>7} {:>9} {:>12} {:>12}\n",
+        "iter", "k_step", "gamma_bisect", "probes", "cancelled", "d_step", "iteration"
+    );
+    let mut total = DkIterRow::default();
+    for r in rows {
+        out.push_str(&line(&r.iter, r));
         total.k_step_ns += r.k_step_ns;
         total.gamma_bisect_ns += r.gamma_bisect_ns;
+        total.probes += r.probes;
+        total.cancelled += r.cancelled;
         total.d_step_ns += r.d_step_ns;
         total.iteration_ns += r.iteration_ns;
     }
-    out.push_str(&format!(
-        "{:<6} {:>12} {:>14} {:>12} {:>12}\n",
-        "total",
-        fmt_ns(total.k_step_ns),
-        fmt_ns(total.gamma_bisect_ns),
-        fmt_ns(total.d_step_ns),
-        fmt_ns(total.iteration_ns)
-    ));
+    out.push_str(&line(&"total", &total));
     out
 }
 
@@ -528,7 +537,12 @@ mod tests {
             let k = span(&rec, "dk.k_step");
             let g = span(&rec, "dk.gamma_bisect");
             rec.advance_ns(300);
-            g.end_with(&[("iter", Value::U64(iter)), ("gamma", Value::F64(2.0))]);
+            g.end_with(&[
+                ("iter", Value::U64(iter)),
+                ("gamma", Value::F64(2.0)),
+                ("probes", Value::U64(7 + iter)),
+                ("cancelled", Value::U64(iter)),
+            ]);
             rec.advance_ns(100);
             k.end_with(&[("iter", Value::U64(iter)), ("gamma", Value::F64(2.0))]);
             let d = span(&rec, "dk.d_step");
@@ -546,13 +560,17 @@ mod tests {
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r.iter, i as u64);
             assert_eq!(r.gamma_bisect_ns, 300.0);
+            assert_eq!((r.probes, r.cancelled), (7 + i as u64, i as u64));
             assert_eq!(r.k_step_ns, 400.0);
             assert_eq!(r.d_step_ns, 50.0);
             assert_eq!(r.iteration_ns, 450.0);
         }
         let text = render_dk(&rows);
         assert!(text.contains("gamma_bisect"));
-        assert!(text.contains("total"));
+        assert!(text.contains("cancelled"));
+        let total = text.lines().last().unwrap();
+        assert!(total.starts_with("total"), "{text}");
+        assert!(total.contains(" 15 ") && total.contains(" 1 "), "{text}");
     }
 
     #[test]
