@@ -44,22 +44,28 @@ const TWO_1X1: [MuBlock; 2] = [MuBlock { n_out: 1, n_in: 1 }, MuBlock { n_out: 1
 /// Telemetry overhead gate on the order-16/120-point sweep: the
 /// instrumented entry point under the **no-op** recorder
 /// (`mu_peak_serial`) against the fully uninstrumented baseline
-/// (`mu_peak_serial_raw`), interleaved rep-by-rep so slow drift
+/// (`mu_peak_serial_raw`), interleaved sweep-by-sweep so slow drift
 /// (frequency ramps, noisy neighbors on shared hosts) hits both minimums
-/// alike.
+/// alike. Each of the `reps` timed samples sums `inner` sweeps of each
+/// kind: one sweep takes 0.3–0.5 ms on a 2-vCPU x86-64 VM, where the
+/// minimums of single sweeps differed by up to ±25% between the two
+/// identical-cost sides; 24 sweeps span ≥ 7 ms, and 120 samples a side
+/// give each minimum more chances at the host's fast state. The reported
+/// times are per sweep.
 /// Writes `results/BENCH_obs.json` and fails the process beyond 2% —
 /// unless a recording (enabled) recorder is installed, in which case the
 /// measurement is of *enabled* capture and only reported.
 fn obs_overhead_gate() {
-    let (order, points, reps) = (16usize, 120usize, 15usize);
+    let (order, points, reps, inner) = (16usize, 120usize, 120usize, 24usize);
     let sys = stable_sys(order, order as u64);
     let grid = log_grid(1e-3, 0.98 * std::f64::consts::PI / 0.5, points);
     let raw = || mu_peak_serial_raw(&sys, &TWO_1X1, &grid).unwrap().peak;
     let noop = || mu_peak_serial(&sys, &TWO_1X1, &grid).unwrap().peak;
     let (mut p_raw, mut p_inst) = (raw(), noop()); // warmup, untimed
-    let pairs = time_interleaved(reps, 1, || p_raw = raw(), || p_inst = noop());
-    let t_raw = pairs.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
-    let t_inst = pairs.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+    let pairs = time_interleaved(reps, inner, || p_raw = raw(), || p_inst = noop());
+    let per_sweep = 1.0 / inner as f64;
+    let t_raw = per_sweep * pairs.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
+    let t_inst = per_sweep * pairs.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
     assert_eq!(
         p_raw.to_bits(),
         p_inst.to_bits(),
@@ -68,8 +74,9 @@ fn obs_overhead_gate() {
     let overhead = t_inst / t_raw - 1.0;
     let recording = yukta_obs::handle().enabled();
     println!(
-        "telemetry overhead (order-{order}/{points}-point sweep, min of {reps}): \
-         raw {t_raw:.6} s, instrumented {t_inst:.6} s -> {:+.2}%{}",
+        "telemetry overhead (order-{order}/{points}-point sweep, min of {reps} \
+         samples of {inner}): raw {t_raw:.6} s, instrumented {t_inst:.6} s per sweep \
+         -> {:+.2}%{}",
         overhead * 100.0,
         if recording { " [recorder ENABLED]" } else { "" }
     );
@@ -77,11 +84,11 @@ fn obs_overhead_gate() {
         "BENCH_obs.json",
         &format!(
             concat!(
-                "{{\n  \"order\": {}, \"grid_points\": {}, \"reps\": {},\n",
+                "{{\n  \"order\": {}, \"grid_points\": {}, \"reps\": {}, \"inner\": {},\n",
                 "  \"raw_s\": {:.6}, \"noop_s\": {:.6},\n",
                 "  \"overhead_frac\": {:.6}, \"recorder_enabled\": {}\n}}\n"
             ),
-            order, points, reps, t_raw, t_inst, overhead, recording
+            order, points, reps, inner, t_raw, t_inst, overhead, recording
         ),
     );
     if !recording {

@@ -32,7 +32,7 @@ fn main() {
         // Measured latency of one invocation on this machine.
         let mut rt = ObsAwController::new(&syn.controller).expect("deployed controller");
         let meas = vec![0.1; rt.n_meas()];
-        let ident = |u: &[f64]| u.to_vec();
+        let ident = |u: &[f64], out: &mut Vec<f64>| out.extend_from_slice(u);
         let iters = 20_000;
         let start = Instant::now();
         for _ in 0..iters {

@@ -425,10 +425,10 @@ mod tests {
         let target = [dc[(0, 0)] * 0.5, dc[(1, 0)] * 0.5];
         for _ in 0..400 {
             let meas = vec![target[0] - y[0], target[1] - y[1], 0.0];
-            let clamp = |u: &[f64]| vec![u[0].clamp(-1.5, 1.5)];
-            let (_, u) = aw.step(&meas, &clamp).unwrap();
+            let clamp = |u: &[f64], out: &mut Vec<f64>| out.push(u[0].clamp(-1.5, 1.5));
+            let u = aw.step(&meas, &clamp).unwrap().1[0];
             // plant step with [u, e=0]
-            let uin = vec![u[0], 0.0];
+            let uin = vec![u, 0.0];
             let mut xgn = model.a().matvec(&xg).unwrap();
             let bg = model.b().matvec(&uin).unwrap();
             for (xi, bi) in xgn.iter_mut().zip(&bg) {

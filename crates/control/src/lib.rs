@@ -42,8 +42,9 @@
 //! )?;
 //! let syn = synthesize_ssv(&model, &SsvSpec::new(0.5, 1, 1, 1), DkOptions::default())?;
 //! let mut k = ObsAwController::new(&syn.controller)?;
-//! // Δy = 0.3, external = 0; actuator snaps to tenths in [-1, 1].
-//! let snap = |u: &[f64]| vec![(u[0].clamp(-1.0, 1.0) * 10.0).round() / 10.0];
+//! // Δy = 0.3, external = 0; actuator snaps to tenths in [-1, 1]. The
+//! // quantizer pushes the applied input onto the controller's buffer.
+//! let snap = |u: &[f64], out: &mut Vec<f64>| out.push((u[0].clamp(-1.0, 1.0) * 10.0).round() / 10.0);
 //! let (_, applied) = k.step(&[0.3, 0.0], &snap)?;
 //! assert_eq!(applied.len(), 1);
 //! # Ok(())

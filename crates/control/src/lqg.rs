@@ -86,6 +86,26 @@ pub struct LqgTracker {
     xi: Vec<f64>,
     /// Last input applied (needed by the predictor).
     u_prev: Vec<f64>,
+    /// Per-step intermediates, owned so a step allocates nothing.
+    buf: LqgBuffers,
+}
+
+/// The intermediate vectors of one [`LqgTracker::step`]. Not state: the
+/// checkpoint and every step's result ignore what they held before.
+#[derive(Debug, Clone)]
+struct LqgBuffers {
+    /// `C·x̂`, then the innovation `y − C·x̂` in place (`ny`).
+    innov: Vec<f64>,
+    /// `L·innov`, then `B·u` (`n`).
+    corr: Vec<f64>,
+    /// The next filtered estimate (`n`).
+    xfilt: Vec<f64>,
+    /// The next error integral (`ny`).
+    xi: Vec<f64>,
+    /// `Kx·x̂(k|k)` (`nu`).
+    ux: Vec<f64>,
+    /// `Ki·xi` (`nu`).
+    ui: Vec<f64>,
 }
 
 impl LqgTracker {
@@ -155,18 +175,27 @@ impl LqgTracker {
             xfilt: vec![0.0; n],
             xi: vec![0.0; ny],
             u_prev: vec![0.0; nu],
+            buf: LqgBuffers {
+                innov: vec![0.0; ny],
+                corr: vec![0.0; n],
+                xfilt: vec![0.0; n],
+                xi: vec![0.0; ny],
+                ux: vec![0.0; nu],
+                ui: vec![0.0; nu],
+            },
         })
     }
 
     /// One control step: given the current targets `r` and measured outputs
-    /// `y`, returns the plant input to apply until the next invocation.
+    /// `y`, returns the plant input to apply until the next invocation
+    /// (borrowed until the tracker's next call). Allocates nothing.
     ///
     /// # Errors
     ///
     /// [`Error::DimensionMismatch`] if `r`/`y` lengths do not match the
     /// plant output count. Estimator and integrator state are untouched on
     /// error.
-    pub fn step(&mut self, r: &[f64], y: &[f64]) -> Result<Vec<f64>> {
+    pub fn step(&mut self, r: &[f64], y: &[f64]) -> Result<&[f64]> {
         let ny = self.plant.n_outputs();
         if r.len() != ny || y.len() != ny {
             return Err(Error::DimensionMismatch {
@@ -175,37 +204,32 @@ impl LqgTracker {
                 rhs: (r.len(), y.len()),
             });
         }
+        let s = &mut self.buf;
         // Measurement update: x̂(k|k) = x̂(k|k−1) + L (y − C x̂(k|k−1)).
-        let ypred = self.plant.c().matvec(&self.xhat)?;
-        let mut innov = vec![0.0; ny];
-        for j in 0..ny {
-            innov[j] = y[j] - ypred[j];
+        self.plant.c().matvec_into(&self.xhat, &mut s.innov)?;
+        for (e, &yj) in s.innov.iter_mut().zip(y) {
+            *e = yj - *e;
         }
-        let corr = self.l.matvec(&innov)?;
-        let mut xfilt = self.xhat.clone();
-        for (xf, c) in xfilt.iter_mut().zip(&corr) {
-            *xf += c;
+        self.l.matvec_into(&s.innov, &mut s.corr)?;
+        for ((xf, &xh), c) in s.xfilt.iter_mut().zip(&self.xhat).zip(&s.corr) {
+            *xf = xh + c;
         }
         // u = −Kx x̂(k|k) − Ki xi (with the error freshly integrated).
-        let ux = self.kx.matvec(&xfilt)?;
-        let mut xi = self.xi.clone();
-        for j in 0..ny {
-            xi[j] += r[j] - y[j];
+        self.kx.matvec_into(&s.xfilt, &mut s.ux)?;
+        for (j, xi) in s.xi.iter_mut().enumerate() {
+            *xi = self.xi[j] + (r[j] - y[j]);
         }
-        let ui = self.ki.matvec(&xi)?;
-        let nu = self.plant.n_inputs();
-        let mut u = vec![0.0; nu];
-        for i in 0..nu {
-            u[i] = -ux[i] - ui[i];
+        self.ki.matvec_into(&s.xi, &mut s.ui)?;
+        for ((u, ux), ui) in self.u_prev.iter_mut().zip(&s.ux).zip(&s.ui) {
+            *u = -ux - ui;
         }
         // All fallible work done: commit the state updates, then the time
         // update with the input we are about to apply:
         // x̂(k+1|k) = A x̂(k|k) + B u(k).
-        self.xi = xi;
-        self.xfilt = xfilt;
-        self.apply_time_update(&u)?;
-        self.u_prev = u.clone();
-        Ok(u)
+        std::mem::swap(&mut self.xi, &mut s.xi);
+        std::mem::swap(&mut self.xfilt, &mut s.xfilt);
+        self.apply_time_update()?;
+        Ok(&self.u_prev)
     }
 
     /// Overrides the input the estimator assumes was applied — call after
@@ -223,18 +247,18 @@ impl LqgTracker {
                 rhs: (u.len(), 1),
             });
         }
-        self.apply_time_update(u)?;
-        self.u_prev = u.to_vec();
-        Ok(())
+        self.u_prev.copy_from_slice(u);
+        self.apply_time_update()
     }
 
-    fn apply_time_update(&mut self, u: &[f64]) -> Result<()> {
-        let mut xpred = self.plant.a().matvec(&self.xfilt)?;
-        let bu = self.plant.b().matvec(u)?;
-        for (xp, b) in xpred.iter_mut().zip(&bu) {
+    /// `x̂ = A·x̂(k|k) + B·u_prev`, the two products added afterwards.
+    fn apply_time_update(&mut self) -> Result<()> {
+        let bu = &mut self.buf.corr;
+        self.plant.a().matvec_into(&self.xfilt, &mut self.xhat)?;
+        self.plant.b().matvec_into(&self.u_prev, bu)?;
+        for (xp, b) in self.xhat.iter_mut().zip(bu.iter()) {
             *xp += b;
         }
-        self.xhat = xpred;
         Ok(())
     }
 
@@ -298,6 +322,81 @@ impl LqgTracker {
     }
 }
 
+/// The allocating step [`LqgTracker::step`] and
+/// [`LqgTracker::set_applied_input`] are pinned to bit for bit, on the
+/// one-row-at-a-time matrix–vector loop.
+#[cfg(test)]
+mod reference {
+    use super::LqgTracker;
+    use yukta_linalg::Mat;
+
+    fn matvec(a: &Mat, x: &[f64]) -> Vec<f64> {
+        (0..a.rows())
+            .map(|i| {
+                let mut acc = 0.0;
+                for (j, &xj) in x.iter().enumerate() {
+                    acc += a[(i, j)] * xj;
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// The runtime state of a tracker, advanced with `t`'s gains.
+    pub(super) struct Old {
+        pub(super) xhat: Vec<f64>,
+        pub(super) xfilt: Vec<f64>,
+        pub(super) xi: Vec<f64>,
+        pub(super) u_prev: Vec<f64>,
+    }
+
+    impl Old {
+        pub(super) fn new(t: &LqgTracker) -> Self {
+            Old {
+                xhat: t.xhat.clone(),
+                xfilt: t.xfilt.clone(),
+                xi: t.xi.clone(),
+                u_prev: t.u_prev.clone(),
+            }
+        }
+
+        pub(super) fn step(&mut self, t: &LqgTracker, r: &[f64], y: &[f64]) -> Vec<f64> {
+            let ny = t.plant.n_outputs();
+            let ypred = matvec(t.plant.c(), &self.xhat);
+            let mut innov = vec![0.0; ny];
+            for j in 0..ny {
+                innov[j] = y[j] - ypred[j];
+            }
+            let corr = matvec(&t.l, &innov);
+            let mut xfilt = self.xhat.clone();
+            for (xf, c) in xfilt.iter_mut().zip(&corr) {
+                *xf += c;
+            }
+            let ux = matvec(&t.kx, &xfilt);
+            let mut xi = self.xi.clone();
+            for j in 0..ny {
+                xi[j] += r[j] - y[j];
+            }
+            let ui = matvec(&t.ki, &xi);
+            let u: Vec<f64> = ux.iter().zip(&ui).map(|(a, b)| -a - b).collect();
+            self.xi = xi;
+            self.xfilt = xfilt;
+            self.set_applied_input(t, &u);
+            u
+        }
+
+        pub(super) fn set_applied_input(&mut self, t: &LqgTracker, u: &[f64]) {
+            let mut xpred = matvec(t.plant.a(), &self.xfilt);
+            let bu = matvec(t.plant.b(), u);
+            for (xp, b) in xpred.iter_mut().zip(&bu) {
+                *xp += b;
+            }
+            self.xhat = xpred;
+            self.u_prev = u.to_vec();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,7 +431,7 @@ mod tests {
         for _ in 0..steps {
             let u = ctl.step(r, &y).unwrap();
             let mut xn = plant.a().matvec(&x).unwrap();
-            let bu = plant.b().matvec(&u).unwrap();
+            let bu = plant.b().matvec(u).unwrap();
             for (xi, bi) in xn.iter_mut().zip(&bu) {
                 *xi += bi;
             }
@@ -340,6 +439,69 @@ mod tests {
             y = plant.c().matvec(&x).unwrap();
         }
         y
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The buffered step and time update give the old allocating
+        /// ones' bits — input, prediction, filtered estimate, integrator —
+        /// over 64 closed-loop steps on random stable plants, with every
+        /// other step's input overridden by a snapped one.
+        #[test]
+        fn step_matches_allocating_reference_bits(
+            n in 1usize..=12,
+            nu in 1usize..=4,
+            ny in 1usize..=4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut s = seed | 1;
+            let mut draw = |len: usize| -> Vec<f64> {
+                (0..len)
+                    .map(|_| {
+                        s = s
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        ((s >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+                    })
+                    .collect()
+            };
+            let a = Mat::from_vec(n, n, draw(n * n));
+            let plant = StateSpace::new(
+                a.scale(0.9 / (a.inf_norm() + 1e-12)),
+                Mat::from_vec(n, nu, draw(n * nu)),
+                Mat::from_vec(ny, n, draw(ny * n)),
+                Mat::zeros(ny, nu),
+                Some(0.5),
+            )
+            .unwrap();
+            let Ok(mut ctl) = LqgTracker::design(&plant, LqgWeights::default()) else {
+                return Ok(());
+            };
+            let mut old = reference::Old::new(&ctl);
+            let r = draw(ny);
+            let (mut x, mut y) = (vec![0.0; n], vec![0.0; ny]);
+            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            for k in 0..64 {
+                let want = old.step(&ctl, &r, &y);
+                let mut u = ctl.step(&r, &y).unwrap().to_vec();
+                proptest::prop_assert_eq!(bits(&u), bits(&want), "input at step {}", k);
+                if k % 2 == 1 {
+                    u.iter_mut().for_each(|v| *v = (v.clamp(-1.0, 1.0) * 10.0).round() / 10.0);
+                    old.set_applied_input(&ctl, &u);
+                    ctl.set_applied_input(&u).unwrap();
+                }
+                let mut state = old.xhat.clone();
+                state.extend(old.xfilt.iter().chain(&old.xi).chain(&old.u_prev));
+                proptest::prop_assert_eq!(bits(&ctl.save_state()), bits(&state), "state at step {}", k);
+                let mut xn = plant.a().matvec(&x).unwrap();
+                for (xi, bi) in xn.iter_mut().zip(&plant.b().matvec(&u).unwrap()) {
+                    *xi += bi;
+                }
+                x = xn;
+                y = plant.c().matvec(&x).unwrap();
+            }
+        }
     }
 
     #[test]
@@ -390,7 +552,7 @@ mod tests {
         ctl.restore_state(&snap).unwrap();
         let a = ctl.step(&[1.0, -0.5], &[0.2, 0.1]).unwrap();
         let b = twin.step(&[1.0, -0.5], &[0.2, 0.1]).unwrap();
-        for (x, y) in a.iter().zip(&b) {
+        for (x, y) in a.iter().zip(b) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         // Wrong length is a typed error, not a panic.

@@ -27,11 +27,26 @@ use crate::ss::StateSpace;
 /// *actually applied* — so saturation and quantization cannot wind up the
 /// controller even when the underlying H∞ central controller is
 /// internally unstable.
+///
+/// An invocation allocates nothing in steady state: the controller owns
+/// every intermediate vector and swaps the next state in.
 #[derive(Debug, Clone)]
 pub struct ObsAwController {
     sys: StateSpace,
     n_meas: usize,
     x: Vec<f64>,
+    /// `A·x`, then the next state `A·x + B·[meas; u_applied]`.
+    x_next: Vec<f64>,
+    /// The input vector `[meas; u_applied]`.
+    full_in: Vec<f64>,
+    /// The command `D·[meas; 0] + C·x`.
+    u: Vec<f64>,
+    /// `C·x`.
+    cx: Vec<f64>,
+    /// The quantizer's output: the applied input.
+    applied: Vec<f64>,
+    /// `B·[meas; u_applied]`.
+    bu: Vec<f64>,
 }
 
 impl ObsAwController {
@@ -57,9 +72,16 @@ impl ObsAwController {
                 rhs: (sys.n_outputs(), sys.n_inputs()),
             });
         }
+        let (n, n_u) = (sys.order(), sys.n_outputs());
         Ok(ObsAwController {
-            n_meas: sys.n_inputs() - sys.n_outputs(),
-            x: vec![0.0; sys.order()],
+            n_meas: sys.n_inputs() - n_u,
+            x: vec![0.0; n],
+            x_next: vec![0.0; n],
+            full_in: vec![0.0; sys.n_inputs()],
+            u: vec![0.0; n_u],
+            cx: vec![0.0; n_u],
+            applied: Vec::with_capacity(n_u),
+            bu: vec![0.0; n],
             sys: sys.clone(),
         })
     }
@@ -71,18 +93,23 @@ impl ObsAwController {
 
     /// One invocation: computes `u_cmd = C·x + D_meas·meas`, lets
     /// `quantize` snap it to the actuator grids, updates the state with
-    /// `[meas; u_applied]`, and returns `(commanded, applied)`.
+    /// `[meas; u_applied]`, and returns `(commanded, applied)`, both
+    /// borrowed from the controller until its next call.
+    ///
+    /// `quantize` receives the command and an empty buffer, and pushes
+    /// the applied input onto the buffer (`n_u` values). The buffer is
+    /// the controller's own and keeps its capacity from call to call.
     ///
     /// # Errors
     ///
     /// [`Error::DimensionMismatch`] if `meas` has the wrong length or the
-    /// quantizer changes the vector length. The controller state is
+    /// quantizer pushes other than `n_u` values. The controller state is
     /// untouched on error.
     pub fn step(
         &mut self,
         meas: &[f64],
-        quantize: &dyn Fn(&[f64]) -> Vec<f64>,
-    ) -> Result<(Vec<f64>, Vec<f64>)> {
+        quantize: &dyn Fn(&[f64], &mut Vec<f64>),
+    ) -> Result<(&[f64], &[f64])> {
         if meas.len() != self.n_meas {
             return Err(Error::DimensionMismatch {
                 op: "obs_aw_step",
@@ -93,29 +120,32 @@ impl ObsAwController {
         let n_u = self.sys.n_outputs();
         // Command: feedthrough acts on measurements only (the applied-input
         // feedthrough columns are zero by construction).
-        let mut full_in = vec![0.0; self.n_meas + n_u];
-        full_in[..self.n_meas].copy_from_slice(meas);
-        let mut u = self.sys.d().matvec(&full_in)?;
-        let cx = self.sys.c().matvec(&self.x)?;
-        for (ui, ci) in u.iter_mut().zip(&cx) {
+        let (meas_in, applied_in) = self.full_in.split_at_mut(self.n_meas);
+        meas_in.copy_from_slice(meas);
+        applied_in.fill(0.0);
+        self.sys.d().matvec_into(&self.full_in, &mut self.u)?;
+        self.sys.c().matvec_into(&self.x, &mut self.cx)?;
+        for (ui, ci) in self.u.iter_mut().zip(&self.cx) {
             *ui += ci;
         }
-        let applied = quantize(&u);
-        if applied.len() != n_u {
+        self.applied.clear();
+        quantize(&self.u, &mut self.applied);
+        if self.applied.len() != n_u {
             return Err(Error::DimensionMismatch {
                 op: "obs_aw_quantize",
                 lhs: (n_u, 1),
-                rhs: (applied.len(), 1),
+                rhs: (self.applied.len(), 1),
             });
         }
-        full_in[self.n_meas..].copy_from_slice(&applied);
-        let mut xn = self.sys.a().matvec(&self.x)?;
-        let bu = self.sys.b().matvec(&full_in)?;
-        for (xi, bi) in xn.iter_mut().zip(&bu) {
+        self.full_in[self.n_meas..].copy_from_slice(&self.applied);
+        // `A·x` and `B·in` stay two products, added afterwards.
+        self.sys.a().matvec_into(&self.x, &mut self.x_next)?;
+        self.sys.b().matvec_into(&self.full_in, &mut self.bu)?;
+        for (xi, bi) in self.x_next.iter_mut().zip(&self.bu) {
             *xi += bi;
         }
-        self.x = xn;
-        Ok((u, applied))
+        std::mem::swap(&mut self.x, &mut self.x_next);
+        Ok((&self.u, &self.applied))
     }
 
     /// Resets the controller state to zero.
@@ -199,6 +229,54 @@ impl ControllerCost {
     }
 }
 
+/// The allocating invocation [`ObsAwController::step`] is pinned to bit
+/// for bit, on the one-row-at-a-time matrix–vector loop.
+#[cfg(test)]
+mod reference {
+    use yukta_linalg::{Mat, Result};
+
+    use crate::ss::StateSpace;
+
+    fn matvec(a: &Mat, x: &[f64]) -> Vec<f64> {
+        (0..a.rows())
+            .map(|i| {
+                let mut acc = 0.0;
+                for (j, &xj) in x.iter().enumerate() {
+                    acc += a[(i, j)] * xj;
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// One invocation of `sys` from state `x`; the quantizer returns the
+    /// applied input.
+    pub(super) fn step(
+        sys: &StateSpace,
+        x: &mut Vec<f64>,
+        meas: &[f64],
+        quantize: &dyn Fn(&[f64]) -> Vec<f64>,
+    ) -> Result<(Vec<f64>, Vec<f64>)> {
+        let n_meas = sys.n_inputs() - sys.n_outputs();
+        let mut full_in = vec![0.0; sys.n_inputs()];
+        full_in[..n_meas].copy_from_slice(meas);
+        let mut u = matvec(sys.d(), &full_in);
+        let cx = matvec(sys.c(), x);
+        for (ui, ci) in u.iter_mut().zip(&cx) {
+            *ui += ci;
+        }
+        let applied = quantize(&u);
+        full_in[n_meas..].copy_from_slice(&applied);
+        let mut xn = matvec(sys.a(), x);
+        let bu = matvec(sys.b(), &full_in);
+        for (xi, bi) in xn.iter_mut().zip(&bu) {
+            *xi += bi;
+        }
+        *x = xn;
+        Ok((u, applied))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,14 +327,126 @@ mod tests {
         .unwrap();
         let mut aw = ObsAwController::new(&obs).unwrap();
         assert!(matches!(
-            aw.step(&[1.0, 2.0], &|u| u.to_vec()),
+            aw.step(&[1.0, 2.0], &|u, out| out.extend_from_slice(u)),
             Err(Error::DimensionMismatch { .. })
         ));
         // A misbehaving quantizer is reported, not a panic.
         assert!(matches!(
-            aw.step(&[1.0], &|_| vec![0.0, 0.0]),
+            aw.step(&[1.0], &|_, out| out.extend_from_slice(&[0.0, 0.0])),
             Err(Error::DimensionMismatch { .. })
         ));
+    }
+
+    /// A discrete observer-form system of order `n` with `n_in` inputs and
+    /// `n_u` outputs, `A` scaled to ∞-norm 0.95 so 64 steps stay finite.
+    fn random_obs(n: usize, n_in: usize, n_u: usize, seed: u64) -> StateSpace {
+        let mut s = seed | 1;
+        let mut draw = |len: usize| -> Vec<f64> {
+            (0..len)
+                .map(|_| {
+                    s = s
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((s >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+                })
+                .collect()
+        };
+        let a = Mat::from_vec(n, n, draw(n * n));
+        let a = a.scale(0.95 / (a.inf_norm() + 1e-12));
+        let b = Mat::from_vec(n, n_in, draw(n * n_in));
+        let c = Mat::from_vec(n_u, n, draw(n_u * n));
+        let d = Mat::from_vec(n_u, n_in, draw(n_u * n_in));
+        StateSpace::new(a, b, c, d, Some(0.5)).unwrap()
+    }
+
+    /// Snaps a command onto tenths in [-1, 1], like an actuator grid.
+    fn snap(u: &[f64]) -> impl Iterator<Item = f64> + '_ {
+        u.iter().map(|v| (v.clamp(-1.0, 1.0) * 10.0).round() / 10.0)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The buffered invocation gives the old allocating step's bits,
+        /// state and both outputs, over 64 steps of a snapping quantizer,
+        /// on random systems of order 1..=45 and on the deployed
+        /// 41-state 11-in/4-out and 42-state 10-in/3-out shapes.
+        #[test]
+        fn step_matches_allocating_reference_bits(
+            order in 1usize..=45,
+            n_u in 1usize..=5,
+            extra in 1usize..=8,
+            deployed in 0u32..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (order, n_in, n_u) = match deployed {
+                0 => (41, 11, 4),
+                1 => (42, 10, 3),
+                _ => (order, n_u + extra, n_u),
+            };
+            let sys = random_obs(order, n_in, n_u, seed);
+            let mut aw = ObsAwController::new(&sys).unwrap();
+            let mut x_ref = vec![0.0; order];
+            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            for t in 0..64 {
+                let meas: Vec<f64> = (0..aw.n_meas())
+                    .map(|k| (0.37 * t as f64 + 1.3 * k as f64 + seed as f64).sin())
+                    .collect();
+                let want = reference::step(&sys, &mut x_ref, &meas, &|u| snap(u).collect()).unwrap();
+                let (cmd, applied) = aw.step(&meas, &|u, out| out.extend(snap(u))).unwrap();
+                proptest::prop_assert_eq!(bits(cmd), bits(&want.0), "command at step {}", t);
+                proptest::prop_assert_eq!(bits(applied), bits(&want.1), "applied at step {}", t);
+                proptest::prop_assert_eq!(bits(aw.state()), bits(&x_ref), "state at step {}", t);
+            }
+        }
+    }
+
+    #[test]
+    fn failed_steps_leave_the_state_untouched() {
+        let sys = random_obs(6, 5, 2, 7);
+        let mut aw = ObsAwController::new(&sys).unwrap();
+        for t in 0..5 {
+            aw.step(&[0.1 * t as f64, 0.2, -0.3], &|u, out| out.extend(snap(u)))
+                .unwrap();
+        }
+        let before = aw.state().to_vec();
+        let mut twin = aw.clone();
+        // Wrong measurement width.
+        assert!(matches!(
+            aw.step(&[0.1, 0.2], &|u, out| out.extend(snap(u))),
+            Err(Error::DimensionMismatch {
+                op: "obs_aw_step",
+                ..
+            })
+        ));
+        assert_eq!(aw.state(), before.as_slice());
+        // A quantizer writing one value too many, then one too few.
+        assert!(matches!(
+            aw.step(&[0.4, 0.5, 0.6], &|u, out| {
+                out.extend(snap(u));
+                out.push(0.0);
+            }),
+            Err(Error::DimensionMismatch {
+                op: "obs_aw_quantize",
+                ..
+            })
+        ));
+        assert_eq!(aw.state(), before.as_slice());
+        assert!(matches!(
+            aw.step(&[0.4, 0.5, 0.6], &|u, out| out.push(u[0])),
+            Err(Error::DimensionMismatch {
+                op: "obs_aw_quantize",
+                ..
+            })
+        ));
+        assert_eq!(aw.state(), before.as_slice());
+        // The failures left nothing behind: the next good step matches a
+        // twin that never saw them.
+        let q = |u: &[f64], out: &mut Vec<f64>| out.extend(snap(u));
+        let a = aw.step(&[0.4, 0.5, 0.6], &q).unwrap().1.to_vec();
+        let b = twin.step(&[0.4, 0.5, 0.6], &q).unwrap().1.to_vec();
+        assert_eq!(a, b);
+        assert_eq!(aw.state(), twin.state());
     }
 
     #[test]
@@ -292,16 +482,23 @@ mod tests {
         .unwrap();
         let mut aw = ObsAwController::new(&obs).unwrap();
         for t in 0..20 {
-            aw.step(&[(t as f64 * 0.3).sin()], &|u| u.to_vec()).unwrap();
+            aw.step(&[(t as f64 * 0.3).sin()], &|u, out| {
+                out.extend_from_slice(u)
+            })
+            .unwrap();
         }
         let snap = aw.state().to_vec();
         let mut twin = aw.clone();
         for _ in 0..10 {
-            aw.step(&[0.9], &|u| u.to_vec()).unwrap();
+            aw.step(&[0.9], &|u, out| out.extend_from_slice(u)).unwrap();
         }
         aw.set_state(&snap).unwrap();
-        let (ca, aa) = aw.step(&[0.25], &|u| u.to_vec()).unwrap();
-        let (cb, ab) = twin.step(&[0.25], &|u| u.to_vec()).unwrap();
+        let (ca, aa) = aw
+            .step(&[0.25], &|u, out| out.extend_from_slice(u))
+            .unwrap();
+        let (cb, ab) = twin
+            .step(&[0.25], &|u, out| out.extend_from_slice(u))
+            .unwrap();
         assert_eq!(ca[0].to_bits(), cb[0].to_bits());
         assert_eq!(aa[0].to_bits(), ab[0].to_bits());
         assert!(matches!(

@@ -393,7 +393,9 @@ impl StateSpace {
                 why: "simulation requires a discrete-time system",
             });
         }
-        let mut x = vec![0.0; self.order()];
+        let n = self.order();
+        let (mut x, mut xn, mut bu) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let mut du = vec![0.0; self.n_outputs()];
         let mut out = Vec::with_capacity(inputs.len());
         for u in inputs {
             if u.len() != self.n_inputs() {
@@ -403,18 +405,19 @@ impl StateSpace {
                     rhs: (u.len(), 1),
                 });
             }
-            let mut y = self.c.matvec(&x)?;
-            let du = self.d.matvec(u)?;
+            let mut y = vec![0.0; self.n_outputs()];
+            self.c.matvec_into(&x, &mut y)?;
+            self.d.matvec_into(u, &mut du)?;
             for (yi, di) in y.iter_mut().zip(&du) {
                 *yi += di;
             }
             out.push(y);
-            let mut xn = self.a.matvec(&x)?;
-            let bu = self.b.matvec(u)?;
+            self.a.matvec_into(&x, &mut xn)?;
+            self.b.matvec_into(u, &mut bu)?;
             for (xi, bi) in xn.iter_mut().zip(&bu) {
                 *xi += bi;
             }
-            x = xn;
+            std::mem::swap(&mut x, &mut xn);
         }
         Ok(out)
     }

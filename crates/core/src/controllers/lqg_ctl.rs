@@ -53,7 +53,7 @@ impl HwPolicy for LqgHwController {
         let r = self.ranges.norm_hw_outputs(&targets);
         let y = self.ranges.norm_hw_outputs(&sense.outputs);
         let u = self.tracker.step(&r, &y)?;
-        let out = self.ranges.snap_hw(&self.grids, &u);
+        let out = self.ranges.snap_hw(&self.grids, u);
         self.tracker
             .set_applied_input(&self.ranges.norm_hw_inputs(&out))?;
         Ok(out)
@@ -120,7 +120,7 @@ impl OsPolicy for LqgOsController {
         let r = self.ranges.norm_os_outputs(&targets);
         let y = self.ranges.norm_os_outputs(&sense.outputs);
         let u = self.tracker.step(&r, &y)?;
-        let out = self.ranges.snap_os(&self.grids, &u, sense.active_threads);
+        let out = self.ranges.snap_os(&self.grids, u, sense.active_threads);
         self.tracker
             .set_applied_input(&self.ranges.norm_os_inputs(&out))?;
         Ok(out)

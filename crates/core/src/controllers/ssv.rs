@@ -41,18 +41,19 @@ impl SsvRuntime {
 
     /// One invocation on normalized signals: the measurement vector is the
     /// target errors followed by the other layer's external signals
-    /// (zeroed under the external-signal ablation), and `snap` maps a
-    /// command onto the actuation it lands on. Returns the applied input,
-    /// normalized — the raw command under the naive-quantization ablation,
-    /// whose observer believes the command went through unchanged (the
-    /// board still snaps it downstream).
+    /// (zeroed under the external-signal ablation), and `snap` pushes the
+    /// normalized actuation a command lands on onto the buffer it is
+    /// given. Returns the signal ranges and the applied input, normalized
+    /// — the raw command under the naive-quantization ablation, whose
+    /// observer believes the command went through unchanged (the board
+    /// still snaps it downstream).
     fn step(
         &mut self,
         target: &[f64],
         measured: &[f64],
         ext: &[f64],
-        snap: impl Fn(&SignalRanges, &ActuatorGrids, &[f64]) -> Vec<f64>,
-    ) -> Result<Vec<f64>> {
+        snap: impl Fn(&SignalRanges, &ActuatorGrids, &[f64], &mut Vec<f64>),
+    ) -> Result<(&SignalRanges, &[f64])> {
         // Both layers measure 7 signals: 4 errors + 3 external (HW), 3 + 4 (OS).
         let mut meas = [0.0; 7];
         let (errors, external) = meas.split_at_mut(target.len());
@@ -63,14 +64,15 @@ impl SsvRuntime {
             external.copy_from_slice(ext);
         }
         let (ranges, grids, naive) = (&self.ranges, &self.grids, self.naive_quantization);
-        let quantize = |u: &[f64]| {
+        let quantize = |u: &[f64], out: &mut Vec<f64>| {
             if naive {
-                u.to_vec()
+                out.extend_from_slice(u);
             } else {
-                snap(ranges, grids, u)
+                snap(ranges, grids, u, out);
             }
         };
-        Ok(self.rt.step(&meas, &quantize)?.1)
+        let (_, applied) = self.rt.step(&meas, &quantize)?;
+        Ok((&self.ranges, applied))
     }
 
     /// Floats: observer state, then the optimizer payload. Ints: the
@@ -174,10 +176,10 @@ impl HwPolicy for SsvHwController {
         let ty = r.norm_hw_outputs(&self.optimizer.targets);
         let my = r.norm_hw_outputs(&sense.outputs);
         let ext = r.norm_os_inputs(&sense.ext);
-        let applied = self.ssv.step(&ty, &my, &ext, |r, g, u| {
-            r.norm_hw_inputs(&r.snap_hw(g, u)).to_vec()
+        let (r, applied) = self.ssv.step(&ty, &my, &ext, |r, g, u, out| {
+            out.extend_from_slice(&r.norm_hw_inputs(&r.snap_hw(g, u)));
         })?;
-        Ok(self.ssv.ranges.denorm_hw_inputs(&applied))
+        Ok(r.denorm_hw_inputs(applied))
     }
 
     fn name(&self) -> &'static str {
@@ -265,10 +267,10 @@ impl OsPolicy for SsvOsController {
         let my = r.norm_os_outputs(&sense.outputs);
         let ext = r.norm_hw_inputs(&sense.ext);
         let n_active = sense.active_threads;
-        let applied = self.ssv.step(&ty, &my, &ext, |r, g, u| {
-            r.norm_os_inputs(&r.snap_os(g, u, n_active)).to_vec()
+        let (r, applied) = self.ssv.step(&ty, &my, &ext, |r, g, u, out| {
+            out.extend_from_slice(&r.norm_os_inputs(&r.snap_os(g, u, n_active)));
         })?;
-        let u = self.ssv.ranges.denorm_os_inputs(&applied);
+        let u = r.denorm_os_inputs(applied);
         Ok(OsInputs {
             threads_big: u.threads_big.clamp(0.0, n_active as f64),
             packing_big: u.packing_big.clamp(1.0, 4.0),
@@ -456,6 +458,142 @@ mod tests {
         let mut os = SsvOsController::new(&dummy_os_synthesis(), OsOptimizer::new()).unwrap();
         assert!(OsPolicy::restore_state(&mut os, &ControllerState::stateless("os-ssv")).is_err());
         assert!(HwPolicy::restore_state(&mut c, &ControllerState::stateless("os-ssv")).is_err());
+    }
+
+    /// The allocating SSV invocation the wrappers used to run, on
+    /// one-row loops: command `D·[meas; 0] + C·x`, `snap` it, state
+    /// `A·x + B·[meas; applied]`. Returns the applied input.
+    fn hand_rolled_step(
+        sys: &yukta_control::ss::StateSpace,
+        x: &mut Vec<f64>,
+        meas: &[f64],
+        snap: impl Fn(&[f64]) -> Vec<f64>,
+    ) -> Vec<f64> {
+        let matvec = |a: &Mat, v: &[f64]| -> Vec<f64> {
+            (0..a.rows())
+                .map(|i| {
+                    let mut acc = 0.0;
+                    for (j, &vj) in v.iter().enumerate() {
+                        acc += a[(i, j)] * vj;
+                    }
+                    acc
+                })
+                .collect()
+        };
+        let mut full_in = vec![0.0; sys.n_inputs()];
+        full_in[..meas.len()].copy_from_slice(meas);
+        let mut u = matvec(sys.d(), &full_in);
+        for (ui, ci) in u.iter_mut().zip(&matvec(sys.c(), x)) {
+            *ui += ci;
+        }
+        let applied = snap(&u);
+        full_in[meas.len()..].copy_from_slice(&applied);
+        let mut xn = matvec(sys.a(), x);
+        for (xi, bi) in xn.iter_mut().zip(&matvec(sys.b(), &full_in)) {
+            *xi += bi;
+        }
+        *x = xn;
+        applied
+    }
+
+    fn os_sense(k: usize) -> OsSense {
+        let w = k as f64;
+        OsSense {
+            outputs: OsOutputs {
+                perf_little: 0.3 + 0.1 * (0.7 * w).sin(),
+                perf_big: 2.0 + 0.8 * (0.3 * w).cos(),
+                spare_diff: 0.2 * (1.1 * w).sin(),
+            },
+            ext: HwInputs {
+                big_cores: 4.0,
+                little_cores: 3.0,
+                f_big: 1.2 + 0.4 * (0.5 * w).sin(),
+                f_little: 1.0,
+            },
+            current: OsInputs {
+                threads_big: 2.0,
+                packing_big: 1.0,
+                packing_little: 1.0,
+            },
+            active_threads: 2 + k % 5,
+            system: HwOutputs::default(),
+            slo: Default::default(),
+            limits: Limits::default(),
+        }
+    }
+
+    /// The deployed HW and OS controllers, with and without the
+    /// naive-quantization ablation, actuate with the old allocating
+    /// invocation's bits over 40 periods.
+    #[test]
+    fn deployed_invocations_match_the_allocating_step_bits() {
+        let design = crate::design::default_design();
+        let (r, g) = (SignalRanges::xu3(), ActuatorGrids::xu3());
+        let t_hw = HwOutputs {
+            perf: 4.0,
+            p_big: 2.2,
+            p_little: 0.3,
+            temp: 65.0,
+        };
+        let t_os = OsOutputs {
+            perf_little: 0.4,
+            perf_big: 2.4,
+            spare_diff: 0.0,
+        };
+        for naive in [false, true] {
+            let mut hw = SsvHwController::with_fixed_targets(&design.hw_ssv, t_hw).unwrap();
+            let mut os = SsvOsController::with_fixed_targets(&design.os_ssv, t_os).unwrap();
+            if naive {
+                hw = hw.with_naive_quantization();
+                os = os.with_naive_quantization();
+            }
+            let mut x_hw = vec![0.0; design.hw_ssv.controller.order()];
+            let mut x_os = vec![0.0; design.os_ssv.controller.order()];
+            for k in 0..40 {
+                let mut sense = hw_sense();
+                sense.outputs.perf += 0.5 * (0.4 * k as f64).sin();
+                sense.outputs.temp += (k % 7) as f64;
+                let got = hw.invoke(&sense).unwrap();
+                let (ty, my) = (r.norm_hw_outputs(&t_hw), r.norm_hw_outputs(&sense.outputs));
+                let ext = r.norm_os_inputs(&sense.ext);
+                let meas: Vec<f64> = (0..4).map(|i| ty[i] - my[i]).chain(ext).collect();
+                let applied = hand_rolled_step(&design.hw_ssv.controller, &mut x_hw, &meas, |u| {
+                    if naive {
+                        u.to_vec()
+                    } else {
+                        r.norm_hw_inputs(&r.snap_hw(&g, u)).to_vec()
+                    }
+                });
+                let want = r.denorm_hw_inputs(&applied);
+                for (a, b) in got.to_vec().iter().zip(&want.to_vec()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "hw period {k}, naive {naive}");
+                }
+
+                let sense = os_sense(k);
+                let got = os.invoke(&sense).unwrap();
+                let (ty, my) = (r.norm_os_outputs(&t_os), r.norm_os_outputs(&sense.outputs));
+                let ext = r.norm_hw_inputs(&sense.ext);
+                let meas: Vec<f64> = (0..3).map(|i| ty[i] - my[i]).chain(ext).collect();
+                let n_active = sense.active_threads;
+                let applied = hand_rolled_step(&design.os_ssv.controller, &mut x_os, &meas, |u| {
+                    if naive {
+                        u.to_vec()
+                    } else {
+                        r.norm_os_inputs(&r.snap_os(&g, u, n_active)).to_vec()
+                    }
+                });
+                let want = r.denorm_os_inputs(&applied);
+                let want = [
+                    want.threads_big.clamp(0.0, n_active as f64),
+                    want.packing_big.clamp(1.0, 4.0),
+                    want.packing_little.clamp(1.0, 4.0),
+                ];
+                let got = [got.threads_big, got.packing_big, got.packing_little];
+                for (a, b) in got.iter().zip(&want) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "os period {k}, naive {naive}");
+                }
+            }
+        }
     }
 
     #[test]

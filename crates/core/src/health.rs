@@ -17,7 +17,7 @@
 //! [`Recorder::enabled`].
 
 use yukta_control::ss::StateSpace;
-use yukta_linalg::{Error, Result};
+use yukta_linalg::{Error, Mat, Result};
 use yukta_obs::health::{HealthConfig, HealthMonitor, HealthSample, HealthStats, HealthVerdict};
 use yukta_obs::{Recorder, Value};
 
@@ -55,16 +55,20 @@ pub const REFIT_HISTORY_CAP: usize = 256;
 #[derive(Clone)]
 pub struct HealthTap {
     monitor: HealthMonitor,
-    /// Reference plant model run open loop (replaced on refit).
-    model: StateSpace,
+    /// The reference plant model run open loop, stacked so each step is
+    /// one product over `[x; u]`: `[A B]` (replaced on refit).
+    ab: Mat,
+    /// `[C D]` of the reference model.
+    cd: Mat,
     ranges: SignalRanges,
     grids: ActuatorGrids,
     /// Uncertainty radius Δ the deployed synthesis guardbanded against.
     delta: f64,
-    /// Open-loop model state.
-    x: Vec<f64>,
-    /// The next state, written by [`HealthTap::advance`] and swapped in.
-    x_next: Vec<f64>,
+    /// Open-loop model state and the input driving it, stacked `[x; u]`.
+    xu: Vec<f64>,
+    /// The next state, written by [`HealthTap::advance`] into the head
+    /// and swapped in.
+    xu_next: Vec<f64>,
     /// Input committed at the previous step (the one this step's
     /// measurement responds to); `None` before the first actuation.
     u_prev: Option<[f64; N_U]>,
@@ -95,7 +99,7 @@ impl HealthTap {
     /// [`HealthConfig::validate`] fails; [`Error::DimensionMismatch`] if
     /// the model does not map the 7 inputs to the 4 hardware outputs.
     pub fn new(design: &Design, cfg: HealthConfig) -> Result<Self> {
-        check_widths("health_model", &design.hw_model_full, N_U, N_Y)?;
+        let (ab, cd) = stack(&design.hw_model_full)?;
         // The dynamic detail is available from `HealthConfig::validate`.
         let mut monitor = HealthMonitor::new(cfg).map_err(|_| Error::NoSolution {
             op: "health_config",
@@ -106,14 +110,16 @@ impl HealthTap {
         // and a baseline learned on that transient reads the settled
         // regime as a persistent shift. The re-arm hold-off skips it.
         monitor.rearm();
+        let n_xu = ab.cols();
         Ok(HealthTap {
             monitor,
-            model: design.hw_model_full.clone(),
+            ab,
+            cd,
             ranges: SignalRanges::xu3(),
             grids: ActuatorGrids::xu3(),
             delta: design.hw_uncertainty_used.max(1e-9),
-            x: vec![0.0; design.hw_model_full.order()],
-            x_next: vec![0.0; design.hw_model_full.order()],
+            xu: vec![0.0; n_xu],
+            xu_next: vec![0.0; n_xu],
             u_prev: None,
             bias: None,
             hist_u: Vec::with_capacity(REFIT_HISTORY_CAP),
@@ -196,36 +202,26 @@ impl HealthTap {
         [hw[0], hw[1], hw[2], hw[3], os[0], os[1], os[2]]
     }
 
-    /// `ŷ = C x + D u` against the current reference model.
-    fn predict(&self, u: &[f64; N_U]) -> [f64; N_Y] {
-        let c = self.model.c();
-        let d = self.model.d();
+    /// `ŷ = [C D]·[x; u]` against the current reference model: from
+    /// `0.0`, the `x` terms, then the `u` terms.
+    fn predict(&mut self, u: &[f64; N_U]) -> [f64; N_Y] {
+        let n = self.xu.len() - N_U;
+        self.xu[n..].copy_from_slice(u);
         let mut out = [0.0; N_Y];
-        for (i, o) in out.iter_mut().enumerate() {
-            for (j, xj) in self.x.iter().enumerate() {
-                *o += c[(i, j)] * xj;
-            }
-            for (j, uj) in u.iter().enumerate() {
-                *o += d[(i, j)] * uj;
-            }
-        }
+        self.cd
+            .matvec_into(&self.xu, &mut out)
+            .expect("stacked model widths are checked on install");
         out
     }
 
-    /// `x ← A x + B u`, through the second state buffer.
+    /// `x ← [A B]·[x; u]`, through the second state buffer.
     fn advance(&mut self, u: &[f64; N_U]) {
-        let a = self.model.a();
-        let b = self.model.b();
-        self.x_next.fill(0.0);
-        for (i, nx) in self.x_next.iter_mut().enumerate() {
-            for (j, xj) in self.x.iter().enumerate() {
-                *nx += a[(i, j)] * xj;
-            }
-            for (j, uj) in u.iter().enumerate() {
-                *nx += b[(i, j)] * uj;
-            }
-        }
-        std::mem::swap(&mut self.x, &mut self.x_next);
+        let n = self.xu.len() - N_U;
+        self.xu[n..].copy_from_slice(u);
+        self.ab
+            .matvec_into(&self.xu, &mut self.xu_next[..n])
+            .expect("stacked model widths are checked on install");
+        std::mem::swap(&mut self.xu, &mut self.xu_next);
     }
 
     /// A copy of the retained normalized `(u, y)` history, oldest first —
@@ -245,12 +241,13 @@ impl HealthTap {
     /// new plant model, the open-loop recursion restarts against it.
     pub fn rearm_after_swap(&mut self, refit: Option<StateSpace>) {
         if let Some(model) = refit {
-            if check_widths("health_model", &model, N_U, N_Y).is_ok() {
-                self.x = vec![0.0; model.order()];
-                self.x_next = vec![0.0; model.order()];
+            if let Ok((ab, cd)) = stack(&model) {
+                self.xu = vec![0.0; ab.cols()];
+                self.xu_next = vec![0.0; ab.cols()];
                 self.u_prev = None;
                 self.bias = None;
-                self.model = model;
+                self.ab = ab;
+                self.cd = cd;
             }
         }
         self.monitor.rearm();
@@ -281,6 +278,20 @@ impl HealthTap {
             rec.gauge_set("health.bips_per_watt_p99", q);
         }
     }
+}
+
+/// `([A B], [C D])` of a reference model mapping the 7 inputs to the 4
+/// hardware outputs.
+///
+/// # Errors
+///
+/// [`Error::DimensionMismatch`] for any other shape.
+fn stack(model: &StateSpace) -> Result<(Mat, Mat)> {
+    check_widths("health_model", model, N_U, N_Y)?;
+    Ok((
+        Mat::hstack(model.a(), model.b())?,
+        Mat::hstack(model.c(), model.d())?,
+    ))
 }
 
 /// Emits one `health.verdict` event for a non-healthy verdict. Healthy
@@ -415,6 +426,107 @@ mod tests {
             let want = ranges.norm_hw_outputs(&record(step, perf(step), 1.6).hw_sense.outputs);
             assert_eq!(yk.as_slice(), want.as_slice(), "entry {k}");
         }
+    }
+
+    /// The two-loop open-loop recursion the stacked model replaced: `C x`
+    /// then `D u` (and `A x` then `B u`) summed into one accumulator per
+    /// output from `0.0`.
+    struct TwoLoop {
+        model: StateSpace,
+        x: Vec<f64>,
+    }
+
+    impl TwoLoop {
+        fn new(model: &StateSpace) -> Self {
+            TwoLoop {
+                model: model.clone(),
+                x: vec![0.0; model.order()],
+            }
+        }
+
+        fn predict(&self, u: &[f64; N_U]) -> [f64; N_Y] {
+            let (c, d) = (self.model.c(), self.model.d());
+            let mut out = [0.0; N_Y];
+            for (i, o) in out.iter_mut().enumerate() {
+                for (j, xj) in self.x.iter().enumerate() {
+                    *o += c[(i, j)] * xj;
+                }
+                for (j, uj) in u.iter().enumerate() {
+                    *o += d[(i, j)] * uj;
+                }
+            }
+            out
+        }
+
+        fn advance(&mut self, u: &[f64; N_U]) {
+            let (a, b) = (self.model.a(), self.model.b());
+            let mut next = vec![0.0; self.x.len()];
+            for (i, nx) in next.iter_mut().enumerate() {
+                for (j, xj) in self.x.iter().enumerate() {
+                    *nx += a[(i, j)] * xj;
+                }
+                for (j, uj) in u.iter().enumerate() {
+                    *nx += b[(i, j)] * uj;
+                }
+            }
+            self.x = next;
+        }
+    }
+
+    /// Drives the tap's recursion and the two-loop one with the same
+    /// inputs and compares predictions and states bit for bit.
+    fn assert_matches_two_loop(tap: &mut HealthTap, old: &mut TwoLoop, steps: usize, phase: f64) {
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        let input = |k: usize| -> [f64; N_U] {
+            std::array::from_fn(|j| (0.3 * k as f64 + 0.9 * j as f64 + phase).sin())
+        };
+        for k in 1..=steps {
+            // As in `observe`: predict with the previous input, advance
+            // with this one.
+            let (up, u) = (input(k - 1), input(k));
+            assert_eq!(
+                bits(&tap.predict(&up)),
+                bits(&old.predict(&up)),
+                "prediction {k}"
+            );
+            tap.advance(&u);
+            old.advance(&u);
+            let n = old.x.len();
+            assert_eq!(bits(&tap.xu[..n]), bits(&old.x), "state {k}");
+        }
+    }
+
+    #[test]
+    fn stacked_model_matches_the_two_loop_recursion_bits() {
+        let design = default_design();
+        let mut tap = HealthTap::new(design, HealthConfig::default()).unwrap();
+        let mut old = TwoLoop::new(&design.hw_model_full);
+        assert_matches_two_loop(&mut tap, &mut old, 200, 0.0);
+        // A refit model of another order: the recursion restarts on it.
+        let mut s = 11u64;
+        let mut draw = |len: usize| -> Vec<f64> {
+            (0..len)
+                .map(|_| {
+                    s = s
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((s >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+                })
+                .collect()
+        };
+        let n = design.hw_model_full.order() + 3;
+        let a = Mat::from_vec(n, n, draw(n * n));
+        let refit = StateSpace::new(
+            a.scale(0.9 / a.inf_norm()),
+            Mat::from_vec(n, N_U, draw(n * N_U)),
+            Mat::from_vec(N_Y, n, draw(N_Y * n)),
+            Mat::from_vec(N_Y, N_U, draw(N_Y * N_U)),
+            Some(0.5),
+        )
+        .unwrap();
+        tap.rearm_after_swap(Some(refit.clone()));
+        let mut old = TwoLoop::new(&refit);
+        assert_matches_two_loop(&mut tap, &mut old, 200, 1.7);
     }
 
     #[test]

@@ -95,13 +95,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ext = 0.3; // external signal the controller can see but not change
     for step in 0..60 {
         let meas = [target[0] - y[0], target[1] - y[1], ext];
-        let quantize = |u: &[f64]| vec![grid.quantize(u[0])];
-        let (_, applied) = rt.step(&meas, &quantize)?;
-        y = plant_step(&mut state, applied[0], ext);
+        let quantize = |u: &[f64], out: &mut Vec<f64>| out.push(grid.quantize(u[0]));
+        let applied = rt.step(&meas, &quantize)?.1[0];
+        y = plant_step(&mut state, applied, ext);
         if step % 10 == 0 {
             println!(
                 "step {step:2}: u = {:+.1}, y = [{:+.3} {:+.3}] (targets [{:+.1} {:+.1}])",
-                applied[0], y[0], y[1], target[0], target[1]
+                applied, y[0], y[1], target[0], target[1]
             );
         }
     }
