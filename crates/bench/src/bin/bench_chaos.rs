@@ -26,7 +26,6 @@
 //! grid for smoke coverage. Output: `results/BENCH_chaos.json`.
 
 use yukta_bench::campaign::Campaign;
-use yukta_bench::eval_options;
 use yukta_board::FaultPlan;
 use yukta_core::runtime::{
     Experiment, RecoveryOptions, RunOptions, SwapSpec, SwapTrigger, UnifiedOptions,
@@ -182,7 +181,7 @@ fn main() {
     // grids keep the full evaluation timeout; the cells are cheap in
     // wall-clock terms either way.
     let wl = catalog::parsec::blackscholes();
-    let options: RunOptions = eval_options();
+    let options = RunOptions::default();
 
     let mut total_violations = 0u64;
     for (ci, scheme) in schemes.iter().enumerate() {

@@ -22,7 +22,6 @@
 //! grid for smoke coverage. Output: `results/BENCH_crash.json`.
 
 use yukta_bench::campaign::Campaign;
-use yukta_bench::eval_options;
 use yukta_board::FaultPlan;
 use yukta_core::recorder::Journal;
 use yukta_core::runtime::{Experiment, RecoveryOptions, RunOptions};
@@ -60,7 +59,7 @@ fn main() {
     };
     let options = RunOptions {
         timeout_s: if quick { 300.0 } else { 1200.0 },
-        ..eval_options()
+        ..RunOptions::default()
     };
 
     for (ci, scheme) in schemes.iter().enumerate() {

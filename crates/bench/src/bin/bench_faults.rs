@@ -17,7 +17,6 @@
 //! timeout) for CI smoke coverage. Output: `results/BENCH_faults.json`.
 
 use yukta_bench::campaign::Campaign;
-use yukta_bench::eval_options;
 use yukta_board::FaultPlan;
 use yukta_core::runtime::{Experiment, RunOptions};
 use yukta_core::schemes::Scheme;
@@ -51,7 +50,7 @@ fn main() {
     };
     let options = RunOptions {
         timeout_s: if quick { 300.0 } else { 1200.0 },
-        ..eval_options()
+        ..RunOptions::default()
     };
 
     for (ci, scheme) in schemes.iter().enumerate() {

@@ -27,7 +27,7 @@
 //! grid for smoke coverage.
 
 use yukta_bench::campaign::Campaign;
-use yukta_bench::{eval_options, time_interleaved};
+use yukta_bench::time_interleaved;
 use yukta_board::{FaultChannel, FaultKind, FaultPlan, ScheduledFault};
 use yukta_core::runtime::{Experiment, RunOptions, SwapSpec, SwapTrigger, UnifiedOptions};
 use yukta_core::schemes::Scheme;
@@ -108,7 +108,7 @@ fn main() {
     let _obs = yukta_bench::obs::capture("bench_health");
     let mut camp = Campaign::new("bench_health");
     let quick = camp.quick();
-    let options: RunOptions = eval_options();
+    let options = RunOptions::default();
     let stationary_wl = catalog::spec::mcf();
     let health = HealthConfig::default();
 

@@ -24,7 +24,6 @@
 //! grid for smoke coverage. Output: `results/BENCH_slo.json`.
 
 use yukta_bench::campaign::Campaign;
-use yukta_bench::eval_options;
 use yukta_core::runtime::{Experiment, RunOptions, ServingSpec, UnifiedOptions};
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
@@ -141,7 +140,7 @@ fn main() {
     // Overloaded cells legitimately stretch the batch run (the serving
     // queue steals no capacity, but throttled hardware does), so even the
     // quick grid keeps the full evaluation timeout.
-    let options: RunOptions = eval_options();
+    let options = RunOptions::default();
     // bodytrack: alternating 8-thread tracking and 2-thread reduction
     // phases keep both layers busy, so coordination (placement-sized
     // cores, big-first packing) actually differentiates the multilayer

@@ -44,14 +44,14 @@ const TWO_1X1: [MuBlock; 2] = [MuBlock { n_out: 1, n_in: 1 }, MuBlock { n_out: 1
 /// Telemetry overhead gate on the order-16/120-point sweep: the
 /// instrumented entry point under the **no-op** recorder
 /// (`mu_peak_serial`) against the fully uninstrumented baseline
-/// (`mu_peak_serial_raw`), interleaved sweep-by-sweep so slow drift
-/// (frequency ramps, noisy neighbors on shared hosts) hits both minimums
-/// alike. Each of the `reps` timed samples sums `inner` sweeps of each
-/// kind: one sweep takes 0.3–0.5 ms on a 2-vCPU x86-64 VM, where the
-/// minimums of single sweeps differed by up to ±25% between the two
-/// identical-cost sides; 24 sweeps span ≥ 7 ms, and 120 samples a side
-/// give each minimum more chances at the host's fast state. The reported
-/// times are per sweep.
+/// (`mu_peak_serial_raw`), interleaved sweep by sweep. Each of the `reps`
+/// samples sums `inner` sweeps of each kind (one sweep takes 0.3–0.5 ms on
+/// a 2-vCPU x86-64 VM; 24 span ≥ 7 ms), and the overhead is the median of
+/// the per-sample ratios instrumented / raw: both sides of a sample share
+/// the host's state at that moment, so its ratio cancels the slow drift
+/// (frequency ramps, noisy neighbours) that a minimum of each side leaves
+/// to chance, and the median ignores the samples a burst hit. The reported
+/// times are the per-sweep medians of each side.
 /// Writes `results/BENCH_obs.json` and fails the process beyond 2% —
 /// unless a recording (enabled) recorder is installed, in which case the
 /// measurement is of *enabled* capture and only reported.
@@ -64,18 +64,18 @@ fn obs_overhead_gate() {
     let (mut p_raw, mut p_inst) = (raw(), noop()); // warmup, untimed
     let pairs = time_interleaved(reps, inner, || p_raw = raw(), || p_inst = noop());
     let per_sweep = 1.0 / inner as f64;
-    let t_raw = per_sweep * pairs.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
-    let t_inst = per_sweep * pairs.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+    let t_raw = per_sweep * median(pairs.iter().map(|p| p.0).collect());
+    let t_inst = per_sweep * median(pairs.iter().map(|p| p.1).collect());
     assert_eq!(
         p_raw.to_bits(),
         p_inst.to_bits(),
         "telemetry changed the sweep result"
     );
-    let overhead = t_inst / t_raw - 1.0;
+    let overhead = median(pairs.iter().map(|p| p.1 / p.0).collect()) - 1.0;
     let recording = yukta_obs::handle().enabled();
     println!(
-        "telemetry overhead (order-{order}/{points}-point sweep, min of {reps} \
-         samples of {inner}): raw {t_raw:.6} s, instrumented {t_inst:.6} s per sweep \
+        "telemetry overhead (order-{order}/{points}-point sweep, median ratio of {reps} \
+         paired samples of {inner}): raw {t_raw:.6} s, instrumented {t_inst:.6} s per sweep \
          -> {:+.2}%{}",
         overhead * 100.0,
         if recording { " [recorder ENABLED]" } else { "" }
@@ -98,6 +98,12 @@ fn obs_overhead_gate() {
             overhead * 100.0
         );
     }
+}
+
+/// The upper median of `v`.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 fn main() {

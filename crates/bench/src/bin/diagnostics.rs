@@ -3,7 +3,7 @@
 //! the µ upper/lower bracket across frequency, Hankel spectrum, and the
 //! closed-loop robustness margins.
 
-use yukta_bench::{table_csv, write_results};
+use yukta_bench::{rounded, write_results};
 use yukta_control::mu::{MuBlock, log_grid, mu_lower_bound, mu_upper_bound};
 use yukta_control::plant::build_ssv_plant;
 use yukta_control::reduce::balanced_truncation;
@@ -20,11 +20,11 @@ fn main() {
     println!("identification fit (1 = perfect, one-step-ahead):");
     println!(
         "  HW model [perf, p_big, p_little, temp] = {:?}",
-        rounded(&d.hw_fit)
+        rounded(&d.hw_fit, 3)
     );
     println!(
         "  OS model [perf_little, perf_big, dSC]  = {:?}\n",
-        rounded(&d.os_fit)
+        rounded(&d.os_fit, 3)
     );
     println!("guardband (auto-tuned from held-out validation residual):");
     println!(
@@ -43,19 +43,14 @@ fn main() {
         println!("  mu upper bound     = {:.2}", syn.mu_peak);
         println!(
             "  guaranteed bounds  = {:?} (requested x mu)",
-            rounded(&syn.guaranteed_bounds)
+            rounded(&syn.guaranteed_bounds, 3)
         );
         println!(
             "  spectral radius    = {:.4} (deployed observer form)",
             spectral_radius(syn.controller.a()).unwrap()
         );
         if let Ok(red) = balanced_truncation(&syn.controller, syn.controller.order()) {
-            let h: Vec<f64> = red
-                .hankel
-                .iter()
-                .take(8)
-                .map(|v| (v * 1e3).round() / 1e3)
-                .collect();
+            let h = rounded(&red.hankel[..red.hankel.len().min(8)], 3);
             println!("  leading Hankel sv  = {h:?}");
         }
         println!();
@@ -69,24 +64,21 @@ fn main() {
     // The synthesis closed loop is not retained; the open generalized plant
     // serves as the reference curve.
     let grid = log_grid(1e-3, 6.0, 40);
-    let mut rows = Vec::new();
+    let mut csv = String::from("omega,mu_upper,mu_lower\n");
     println!("mu bracket of the open generalized plant across frequency:");
     for (i, &w) in grid.iter().enumerate() {
         if let Ok(n) = plant.gen.sys.freq_response(w) {
             let ub = mu_upper_bound(&n_block(&n, &blocks), &blocks).map(|m| m.value);
             let lb = mu_lower_bound(&n_block(&n, &blocks), &blocks);
             if let (Ok(ub), Ok(lb)) = (ub, lb) {
-                rows.push(vec![w, ub, lb]);
+                csv.push_str(&format!("{w:.5},{ub:.5},{lb:.5}\n"));
                 if i % 8 == 0 {
                     println!("  w = {w:8.4} rad/s : {lb:8.3} <= mu <= {ub:8.3}");
                 }
             }
         }
     }
-    write_results(
-        "diagnostics_mu_curve.csv",
-        &table_csv(&["omega", "mu_upper", "mu_lower"], &rows, 5),
-    );
+    write_results("diagnostics_mu_curve.csv", &csv);
 
     // Wall-clock controller compute cost: the real time the deployed stack
     // spends inside `invoke` (the control-law jitter budget — the paper's
@@ -121,8 +113,4 @@ fn n_block(g: &yukta_linalg::CMat, blocks: &[MuBlock]) -> yukta_linalg::CMat {
         }
     }
     out
-}
-
-fn rounded(v: &[f64]) -> Vec<f64> {
-    v.iter().map(|x| (x * 1e3).round() / 1e3).collect()
 }

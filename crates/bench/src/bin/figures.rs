@@ -1,0 +1,893 @@
+//! Every table and figure of the paper's evaluation (Figs 9–17, the §VI-D
+//! controller-cost table) and the three deployment ablations, from one
+//! process driven by a table of figure specs.
+//!
+//! Each spec registers the designs and cells (design, deployment, workload,
+//! run options) it needs with a [`Plan`]. Every distinct design is built
+//! once, the default options through `default_design()`, and every
+//! distinct cell runs once through one `parallel_map`, so figures share
+//! their common runs: the per-workload Coordinated baseline of Figs 9, 12,
+//! 15b and 16b, and the Fig 9 blackscholes runs that Figs 10/11 plot.
+//!
+//! A full run writes every scalar, at fixed decimals, to
+//! `results/BENCH_figures.json` (one row per line: `figure`, `metric`,
+//! labels, and the value in `default`), the time series to
+//! `results/fig*_trace_*.csv`, and prints the EXPERIMENTS.md headline
+//! table rendered from that JSON.
+//!
+//! ```text
+//! figures                  # every figure; rewrites results/BENCH_figures.json
+//! figures fig15 hwcost     # a subset: tables and traces, the JSON untouched
+//! ```
+
+use std::fmt::Write as _;
+
+use yukta_bench::{rounded, time_best, write_results};
+use yukta_control::reduce::balanced_truncation;
+use yukta_control::runtime::{ControllerCost, ObsAwController};
+use yukta_control::sweep::parallel_map;
+use yukta_core::controllers::OsPolicy;
+use yukta_core::controllers::heuristic::CoordinatedHeuristicOs;
+use yukta_core::controllers::ssv::{SsvHwController, SsvOsController};
+use yukta_core::design::{Design, DesignOptions, ExcitationKind, build_design, default_design};
+use yukta_core::metrics::{Report, TraceSample};
+use yukta_core::optimizer::{HwOptimizer, OsOptimizer};
+use yukta_core::runtime::{Experiment, RunOptions};
+use yukta_core::schemes::{Controllers, Scheme};
+use yukta_core::signals::{HwOutputs, Limits, OsOutputs};
+use yukta_linalg::Result;
+use yukta_obs::json::{self, Json};
+use yukta_workloads::catalog::{mixes, parsec, spec};
+use yukta_workloads::{Workload, catalog};
+
+/// A figure's renderer: prints its tables from the finished runs and
+/// records its scalars.
+type Render = Box<dyn FnOnce(&Lab, &mut Rows)>;
+
+/// A figure spec: registers the figure's designs and cells, returns its
+/// renderer.
+type Spec = fn(&mut Plan) -> Render;
+
+/// The figure specs, in print order.
+const FIGURES: [(&str, Spec); 11] = [
+    ("fig09", fig09),
+    ("fig10_11", fig10_11),
+    ("fig12_13", fig12_13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("fig17", fig17),
+    ("ablation_excitation", ablation_excitation),
+    ("ablation_extsig", ablation_extsig),
+    ("ablation_quant", ablation_quant),
+    ("hwcost", hwcost),
+];
+
+/// How a cell deploys its design.
+#[derive(Clone, Copy, PartialEq)]
+enum Deploy {
+    /// The scheme's own controllers ([`Scheme::instantiate`]).
+    Scheme(Scheme),
+    /// The SSV pair tracking fixed hardware targets, and fixed OS targets
+    /// when given (the OS layer otherwise keeps its optimizer).
+    Fixed(HwOutputs, Option<OsOutputs>),
+    /// HW SSV + OS heuristic, its observer believing its raw commands were
+    /// applied.
+    NaiveQuant,
+    /// The SSV pair with its external signals zeroed.
+    NoExtSig,
+}
+
+const SSV: Deploy = Deploy::Scheme(Scheme::YuktaHwSsvOsSsv);
+const COORDINATED: Deploy = Deploy::Scheme(Scheme::CoordinatedHeuristic);
+
+impl Deploy {
+    /// The scheme this deployment's runs report: for an ablation, the
+    /// scheme it ablates.
+    fn scheme(self) -> Scheme {
+        match self {
+            Deploy::Scheme(s) => s,
+            Deploy::NaiveQuant => Scheme::YuktaHwSsvOsHeuristic,
+            Deploy::Fixed(..) | Deploy::NoExtSig => Scheme::YuktaHwSsvOsSsv,
+        }
+    }
+
+    /// The controllers this deployment runs on `design`.
+    fn controllers(self, design: &Design, limits: Limits) -> Result<Controllers> {
+        let ssv_hw = || SsvHwController::new(&design.hw_ssv, HwOptimizer::new(limits));
+        let ssv_os = || SsvOsController::new(&design.os_ssv, OsOptimizer::new());
+        let (hw, os): (_, Box<dyn OsPolicy>) = match self {
+            Deploy::Scheme(s) => return s.instantiate(design, limits),
+            Deploy::Fixed(hw, os) => (
+                SsvHwController::with_fixed_targets(&design.hw_ssv, hw)?,
+                match os {
+                    Some(t) => Box::new(SsvOsController::with_fixed_targets(&design.os_ssv, t)?),
+                    None => Box::new(ssv_os()?),
+                },
+            ),
+            Deploy::NaiveQuant => (
+                ssv_hw()?.with_naive_quantization(),
+                Box::new(CoordinatedHeuristicOs::new()),
+            ),
+            Deploy::NoExtSig => (
+                ssv_hw()?.without_external_signals(),
+                Box::new(ssv_os()?.without_external_signals()),
+            ),
+        };
+        let hw = Box::new(hw);
+        Ok(Controllers::Split { hw, os })
+    }
+}
+
+/// One simulated run: indices into the plan's designs and workloads.
+#[derive(Clone, PartialEq)]
+struct Cell {
+    design: usize,
+    deploy: Deploy,
+    workload: usize,
+    opts: RunOptions,
+}
+
+/// Everything the selected figures need, each distinct item once.
+#[derive(Default)]
+struct Plan {
+    designs: Vec<DesignOptions>,
+    workloads: Vec<Workload>,
+    cells: Vec<Cell>,
+}
+
+/// The index of `item` in `items`, appending it if it is new.
+fn intern<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
+    items.iter().position(|x| *x == item).unwrap_or_else(|| {
+        items.push(item);
+        items.len() - 1
+    })
+}
+
+impl Plan {
+    fn design(&mut self, opts: DesignOptions) -> usize {
+        intern(&mut self.designs, opts)
+    }
+
+    /// A cell with run options `opts` (the defaults if `None`).
+    fn cell(
+        &mut self,
+        d: DesignOptions,
+        deploy: Deploy,
+        wl: Workload,
+        opts: Option<RunOptions>,
+    ) -> usize {
+        let (design, workload) = (self.design(d), intern(&mut self.workloads, wl));
+        let opts = opts.unwrap_or_default();
+        intern(
+            &mut self.cells,
+            Cell {
+                design,
+                deploy,
+                workload,
+                opts,
+            },
+        )
+    }
+
+    /// `deploy` on the default design with the default run options.
+    fn eval(&mut self, deploy: Deploy, wl: Workload) -> usize {
+        self.cell(DesignOptions::default(), deploy, wl, None)
+    }
+}
+
+/// The built designs and the finished runs, indexed as in the [`Plan`].
+struct Lab {
+    designs: Vec<Result<Design>>,
+    /// `None` where the cell's design failed to build.
+    reports: Vec<Option<Report>>,
+}
+
+impl Lab {
+    /// Builds every design, then runs every cell whose design built.
+    fn run(plan: &Plan) -> Lab {
+        let designs = parallel_map(plan.designs.len(), |i| match &plan.designs[i] {
+            opts if *opts == DesignOptions::default() => Ok(default_design().clone()),
+            opts => build_design(opts),
+        });
+        let reports = parallel_map(plan.cells.len(), |i| {
+            let cell = &plan.cells[i];
+            let design = designs[cell.design].as_ref().ok()?;
+            let controllers = cell.deploy.controllers(design, cell.opts.limits);
+            let controllers = controllers.expect("deployment");
+            let exp = Experiment::with_design(cell.deploy.scheme(), design.clone());
+            let exp = exp.with_options(cell.opts);
+            let wl = &plan.workloads[cell.workload];
+            Some(exp.run_with_controllers(wl, controllers).expect("run"))
+        });
+        Lab { designs, reports }
+    }
+
+    fn report(&self, cell: usize) -> &Report {
+        self.reports[cell].as_ref().expect("a deployed run")
+    }
+
+    /// Geomean over paired cells of `runs`' E×D normalized to `base`'s.
+    fn exd_vs(&self, runs: &[usize], base: &[usize]) -> f64 {
+        let exd = |c: &usize| self.report(*c).metrics.exd();
+        let ratios: Vec<f64> = runs
+            .iter()
+            .zip(base)
+            .map(|(r, b)| exd(r) / exd(b))
+            .collect();
+        geomean(&ratios)
+    }
+}
+
+/// A row's metric, value, and the decimals it is published at.
+type Value<'a> = (&'a str, f64, usize);
+
+/// The rows of `BENCH_figures.json`, one JSON object per entry, each
+/// tagged with the figure being rendered.
+#[derive(Default)]
+struct Rows {
+    figure: &'static str,
+    lines: Vec<String>,
+}
+
+impl Rows {
+    /// Records entries sharing one label set.
+    fn push(&mut self, labels: &[(&str, &str)], values: &[Value<'_>]) {
+        let figure = self.figure;
+        for &(metric, value, decimals) in values {
+            assert!(value.is_finite(), "{figure} {metric} {labels:?} is {value}");
+            let mut row = format!("{{\"figure\": \"{figure}\", \"metric\": \"{metric}\"");
+            for (key, label) in labels {
+                let _ = write!(row, ", \"{key}\": \"{label}\"");
+            }
+            let _ = write!(row, ", \"default\": {value:.decimals$}}}");
+            self.lines.push(row);
+        }
+    }
+
+    /// [`Rows::push`], also printing the entries as one table line: the
+    /// labels, then each metric and its value.
+    fn show(&mut self, labels: &[(&str, &str)], values: &[Value<'_>]) {
+        let mut line: Vec<String> = labels.iter().map(|(_, l)| format!("{l:<14}")).collect();
+        line.extend(values.iter().map(|(m, v, d)| format!("{m} {v:.d$}")));
+        println!("{}", line.join(" | "));
+        self.push(labels, values);
+    }
+
+    fn json(&self) -> String {
+        let rows = self.lines.join(",\n    ");
+        format!("{{\n  \"rows\": [\n    {rows}\n  ]\n}}\n")
+    }
+}
+
+/// `names` paired with `values`, all at `decimals`.
+fn named<'a>(names: &[&'a str], values: &[f64], decimals: usize) -> Vec<Value<'a>> {
+    names
+        .iter()
+        .zip(values)
+        .map(|(&m, &v)| (m, v, decimals))
+        .collect()
+}
+
+/// Geometric mean, the paper's average of normalized ratios.
+fn geomean(values: &[f64]) -> f64 {
+    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
+}
+
+/// A named trace-sample projection used as a CSV column.
+type TraceColumn<'a> = (&'a str, fn(&TraceSample) -> f64);
+
+/// Writes a trace time series as CSV (`time` plus named columns) under
+/// `results/`.
+fn write_trace(path: &str, report: &Report, columns: &[TraceColumn<'_>]) {
+    let mut out = String::from("time");
+    for (name, _) in columns {
+        let _ = write!(out, ",{name}");
+    }
+    for s in &report.trace.samples {
+        let _ = write!(out, "\n{:.2}", s.time);
+        for (_, f) in columns {
+            let _ = write!(out, ",{:.4}", f(s));
+        }
+    }
+    out.push('\n');
+    write_results(path, &out);
+}
+
+/// One table of a grid figure: its title, its metric's row name, and the
+/// per-run value it normalizes.
+type Panel = (&'static str, &'static str, fn(&Report) -> f64);
+
+const EXD: fn(&Report) -> f64 = |r| r.metrics.exd();
+const TIME: fn(&Report) -> f64 = |r| r.metrics.delay_seconds;
+
+/// A grid figure: `schemes` × `workloads` on the default design, one
+/// paper-style table per panel, each normalized to the first scheme with
+/// a row per workload and the SAv (SPEC), PAv (PARSEC) and Avg geomeans.
+/// Workload entries are recorded at four decimals, the geomeans at the
+/// three they are printed at.
+fn grid(
+    p: &mut Plan,
+    schemes: &[Scheme],
+    workloads: Vec<Workload>,
+    panels: &'static [Panel],
+) -> Render {
+    let n_spec = workloads.iter().filter(|w| spec::all().contains(w)).count();
+    let mut row = |w: Workload| -> Vec<usize> {
+        let mut cell = |s: &Scheme| p.eval(Deploy::Scheme(*s), w.clone());
+        schemes.iter().map(&mut cell).collect()
+    };
+    let cells: Vec<Vec<usize>> = workloads.into_iter().map(&mut row).collect();
+    Box::new(move |lab, rows| {
+        let runs: Vec<Vec<&Report>> = cells
+            .iter()
+            .map(|r| r.iter().map(|&c| lab.report(c)).collect())
+            .collect();
+        let schemes: Vec<&str> = runs[0].iter().map(|r| r.scheme.as_str()).collect();
+        let header: String = schemes.iter().map(|s| format!(" | {s:>26}")).collect();
+        for (title, metric, f) in panels {
+            let norm: Vec<Vec<f64>> = runs
+                .iter()
+                .map(|row| row.iter().map(|r| f(r) / f(row[0])).collect())
+                .collect();
+            println!(
+                "\n## {title} (normalized to {})\n{:<14}{header}",
+                schemes[0], "workload"
+            );
+            let mut line = |name: &str, values: &[f64], decimals: usize| {
+                let cells: String = values.iter().map(|v| format!(" | {v:>26.3}")).collect();
+                println!("{name:<14}{cells}");
+                for (s, &v) in schemes.iter().zip(values) {
+                    let labels = [("workload", name), ("scheme", s)];
+                    rows.push(&labels, &[(metric, v, decimals)]);
+                }
+            };
+            for (row, values) in runs.iter().zip(&norm) {
+                line(&row[0].workload, values, 4);
+            }
+            let avg = |part: &[Vec<f64>]| -> Vec<f64> {
+                let column = |j: usize| part.iter().map(|r| r[j]).collect::<Vec<f64>>();
+                (0..schemes.len()).map(|j| geomean(&column(j))).collect()
+            };
+            if n_spec > 0 && n_spec < norm.len() {
+                let (spec, parsec) = norm.split_at(n_spec);
+                line("SAv", &avg(spec), 3);
+                line("PAv", &avg(parsec), 3);
+            }
+            line("Avg", &avg(&norm), 3);
+        }
+        for r in runs.iter().flatten().filter(|r| !r.metrics.completed) {
+            println!("WARNING: {} under {} timed out", r.workload, r.scheme);
+        }
+    })
+}
+
+/// Figure 9: E×D (a) and execution time (b) of the four Table IV schemes
+/// over the evaluation set, normalized to Coordinated heuristic.
+fn fig09(p: &mut Plan) -> Render {
+    let panels = &[
+        ("Figure 9(a): Energy x Delay", "exd_norm", EXD),
+        ("Figure 9(b): Execution time", "time_norm", TIME),
+    ];
+    grid(p, &Scheme::figure9(), catalog::evaluation_set(), panels)
+}
+
+/// Figures 10 and 11: big-cluster power and total BIPS over time on
+/// blackscholes under the four Fig 9 schemes. Paper: the decoupled
+/// heuristic oscillates hardest; the Yukta variants hold power closest to
+/// the 3.3 W limit and finish first (320/270/205/180 s).
+fn fig10_11(p: &mut Plan) -> Render {
+    let cells = Scheme::figure9().map(|s| p.eval(Deploy::Scheme(s), parsec::blackscholes()));
+    Box::new(move |lab, rows| {
+        for (i, &c) in cells.iter().enumerate() {
+            let r = lab.report(c);
+            let (trace, m) = (&r.trace, &r.metrics);
+            let peaks = trace.crossings_above(|s| s.p_big, 3.3) as f64;
+            let values = [
+                ("time_s", m.delay_seconds, 1),
+                ("energy_j", m.energy_joules, 1),
+                ("mean_p_big_w", trace.mean_of(|s| s.p_big), 2),
+                ("crossings_3v3", peaks, 0),
+                ("mean_bips", trace.mean_of(|s| s.bips), 2),
+            ];
+            rows.show(&[("scheme", &r.scheme)], &values);
+            let cols: &[TraceColumn<'_>] = &[
+                ("p_big", |s| s.p_big),
+                ("bips", |s| s.bips),
+                ("f_big", |s| s.f_big),
+                ("big_cores", |s| s.big_cores as f64),
+            ];
+            write_trace(&format!("fig10_11_trace_{i}.csv"), r, cols);
+        }
+    })
+}
+
+/// Figures 12 and 13: E×D and execution time for the LQG comparison.
+/// Paper: Decoupled LQG ≈ baseline; Monolithic LQG −20% E×D / −11% time;
+/// Yukta −50% / −38%.
+fn fig12_13(p: &mut Plan) -> Render {
+    let panels = &[
+        ("Figure 12: Energy x Delay", "exd_norm", EXD),
+        ("Figure 13: Execution time", "time_norm", TIME),
+    ];
+    grid(p, &Scheme::figure12(), catalog::evaluation_set(), panels)
+}
+
+/// Figure 14: E×D of every scheme on the heterogeneous mixes. Paper: the
+/// Yukta designs lowest (−47%), then Monolithic LQG, then the heuristics.
+fn fig14(p: &mut Plan) -> Render {
+    let panels = &[("Figure 14: Energy x Delay", "exd_norm", EXD)];
+    grid(p, &Scheme::all(), mixes::all(), panels)
+}
+
+/// The `±N%` label of a bound or guardband fraction.
+fn percent(fraction: f64) -> String {
+    format!("±{:.0}%", fraction * 100.0)
+}
+
+/// Figure 15: sensitivity to the performance deviation bound ±20/30/50%
+/// (the OS performance bounds scale with it, Section VI-E1).
+///
+/// (a) Fixed-target tracking on blackscholes (HW: 5.5 BIPS, 2.5 W, 0.2 W,
+///     70 °C; OS: 1 / 4.5 BIPS, ΔSC 1): deviation from 5.5 BIPS over the
+///     run's middle 80%. Paper: tighter bounds hug the target closer.
+/// (b) E×D under each bound over the evaluation set, normalized to
+///     Coordinated heuristic. Paper: 0.50 / 0.59 / 0.70.
+fn fig15(p: &mut Plan) -> Render {
+    let hw = HwOutputs::from_slice(&[5.5, 2.5, 0.2, 70.0]);
+    let tracking = Deploy::Fixed(hw, Some(OsOutputs::from_slice(&[1.0, 4.5, 1.0])));
+    let wls = catalog::evaluation_set();
+    let base: Vec<usize> = wls.iter().map(|w| p.eval(COORDINATED, w.clone())).collect();
+    let bounds = [0.20, 0.30, 0.50].map(|b| {
+        let d = DesignOptions {
+            hw_bounds: [b, 0.10, 0.10, 0.10],
+            os_bounds: [b, b, 0.20],
+            ..Default::default()
+        };
+        let fixed = p.cell(d.clone(), tracking, parsec::blackscholes(), None);
+        let mut run = |w: &Workload| p.cell(d.clone(), SSV, w.clone(), None);
+        let runs: Vec<usize> = wls.iter().map(&mut run).collect();
+        (percent(b), fixed, runs)
+    });
+    Box::new(move |lab, rows| {
+        for (i, (bound, fixed, _)) in bounds.iter().enumerate() {
+            let r = lab.report(*fixed);
+            let n = r.trace.samples.len();
+            let steady = &r.trace.samples[n / 10..n - n / 10];
+            let mut devs: Vec<f64> = steady.iter().map(|s| (s.bips - 5.5).abs()).collect();
+            let mean_b = steady.iter().map(|s| s.bips).sum::<f64>() / steady.len() as f64;
+            let mean_d = devs.iter().sum::<f64>() / devs.len() as f64;
+            devs.sort_by(f64::total_cmp);
+            let p95 = devs[(devs.len() as f64 * 0.95) as usize];
+            let values = named(
+                &["mean_bips", "dev_mean", "dev_p95"],
+                &[mean_b, mean_d, p95],
+                2,
+            );
+            rows.show(&[("bound", bound)], &values);
+            let cols: &[TraceColumn<'_>] = &[("bips", |s| s.bips), ("p_big", |s| s.p_big)];
+            write_trace(&format!("fig15a_trace_{i}.csv"), r, cols);
+        }
+        for (bound, _, runs) in &bounds {
+            let exd = lab.exd_vs(runs, &base);
+            rows.show(&[("bound", bound)], &[("exd_norm", exd, 4)]);
+        }
+    })
+}
+
+/// Figure 16: sensitivity to the uncertainty guardband ±40% … ±500%, with
+/// auto-tuning off so each radius is used as given, plus the default
+/// auto-tuned design as the `auto` row.
+///
+/// (a) The output deviation bounds the synthesis guarantees, and each
+///     relative to the ±40% design's. Paper: they degrade only slowly.
+/// (b) E×D on four representative workloads, normalized to Coordinated
+///     heuristic. Paper: lowest at ±40%, rising with the guardband.
+fn fig16(p: &mut Plan) -> Render {
+    let wls = [
+        spec::mcf(),
+        spec::gamess(),
+        parsec::blackscholes(),
+        parsec::streamcluster(),
+    ];
+    let base = wls.clone().map(|w| p.eval(COORDINATED, w));
+    let designs = [Some(0.4), Some(1.0), Some(2.5), Some(5.0), None].map(|fixed| {
+        let mut d = DesignOptions::default();
+        if let Some(g) = fixed {
+            d.hw_uncertainty = g;
+            d.guardband.auto = false;
+        }
+        let runs = wls.clone().map(|w| p.cell(d.clone(), SSV, w, None));
+        (fixed.map_or("auto".to_string(), percent), p.design(d), runs)
+    });
+    Box::new(move |lab, rows| {
+        let mut first: Option<Vec<f64>> = None;
+        for (label, design, _) in &designs {
+            let Ok(d) = &lab.designs[*design] else {
+                println!("{label}: synthesis failed — the guardband is too large");
+                continue;
+            };
+            let bounds = &d.hw_ssv.guaranteed_bounds;
+            let base = first.get_or_insert_with(|| bounds.clone());
+            let rel: Vec<f64> = bounds.iter().zip(base.iter()).map(|(a, b)| a / b).collect();
+            let synthesis = [d.hw_uncertainty_used, d.hw_ssv.mu_peak];
+            let mut values = named(&["delta", "mu_hat"], &synthesis, 4);
+            let names = ["perf_bound", "p_big_bound", "p_little_bound", "temp_bound"];
+            values.extend(named(&names, bounds, 4));
+            let names = ["rel_perf", "rel_p_big", "rel_p_little", "rel_temp"];
+            values.extend(named(&names, &rounded(&rel, 2), 2));
+            rows.show(&[("guardband", label)], &values);
+        }
+        for (label, design, runs) in &designs {
+            if lab.designs[*design].is_ok() {
+                let exd = lab.exd_vs(runs, &base);
+                rows.show(&[("guardband", label)], &[("exd_norm", exd, 4)]);
+            }
+        }
+    })
+}
+
+/// Figure 17: big-cluster power on blackscholes for hardware input weights
+/// 0.5 / 1 / 2 under a fixed 2.5 W big-cluster target, over the run after
+/// its first 20% and before its last 10%. Paper: weight 0.5 ripples, 2 is
+/// sluggish (~40 s to shed the thread-launch power), 1 responds at modest
+/// speed without oscillation.
+fn fig17(p: &mut Plan) -> Render {
+    let tracking = Deploy::Fixed(HwOutputs::from_slice(&[6.0, 2.5, 0.2, 70.0]), None);
+    let weights = [0.5, 1.0, 2.0].map(|w| {
+        let d = DesignOptions {
+            hw_weights: [w; 4],
+            ..Default::default()
+        };
+        let cell = p.cell(d, tracking, parsec::blackscholes(), None);
+        (format!("{w:.1}"), cell)
+    });
+    Box::new(move |lab, rows| {
+        for (i, (weight, cell)) in weights.iter().enumerate() {
+            let r = lab.report(*cell);
+            let n = r.trace.samples.len();
+            let steady = &r.trace.samples[n / 5..n - n / 10];
+            let mean = steady.iter().map(|s| s.p_big).sum::<f64>() / steady.len() as f64;
+            let sq_dev = |s: &TraceSample| (s.p_big - mean).powi(2);
+            let var = steady.iter().map(sq_dev).sum::<f64>() / steady.len() as f64;
+            let crossings = r.trace.crossings_above(|s| s.p_big, 2.5) as f64;
+            let values = [
+                ("mean_p_big_w", mean, 2),
+                ("ripple_std_w", var.sqrt(), 3),
+                ("crossings_2v5", crossings, 0),
+            ];
+            rows.show(&[("weight", weight)], &values);
+            let cols: &[TraceColumn<'_>] = &[("p_big", |s| s.p_big), ("f_big", |s| s.f_big)];
+            write_trace(&format!("fig17_trace_w{i}.csv"), r, cols);
+        }
+    })
+}
+
+/// Excitation-schedule ablation: the design pipeline under each excitation
+/// family — fit per output, held-out residual, auto-tuned guardband, µ̂
+/// and γ per layer — and the SSV pair's E×D on blackscholes against the
+/// coordinated heuristic, every run under a 400 s cap.
+fn ablation_excitation(p: &mut Plan) -> Render {
+    let opts = Some(RunOptions {
+        timeout_s: 400.0,
+        ..Default::default()
+    });
+    let wl = parsec::blackscholes();
+    let coord = p.cell(DesignOptions::default(), COORDINATED, wl.clone(), opts);
+    let kinds = [
+        ("random-walk", ExcitationKind::RandomWalk),
+        ("prbs", ExcitationKind::Prbs),
+        ("multisine", ExcitationKind::Multisine),
+    ];
+    let kinds = kinds.map(|(name, excitation)| {
+        let d = DesignOptions {
+            excitation,
+            ..Default::default()
+        };
+        let run = p.cell(d.clone(), SSV, wl.clone(), opts);
+        (name, p.design(d), run)
+    });
+    Box::new(move |lab, rows| {
+        let outputs = ["perf", "p_big", "p_little", "temp"];
+        let outputs = outputs
+            .iter()
+            .chain(&["perf_little", "perf_big", "spare_diff"]);
+        for (name, design, _) in &kinds {
+            let Ok(d) = &lab.designs[*design] else {
+                println!("{name}: design failed");
+                continue;
+            };
+            let fits = rounded(&[&d.hw_fit[..], &d.os_fit].concat(), 3);
+            println!("{name}: fit hw {:?} / os {:?}", &fits[..4], &fits[4..]);
+            for (output, fit) in outputs.clone().zip(fits) {
+                let labels = [("excitation", *name), ("output", output)];
+                rows.push(&labels, &[("fit", fit, 3)]);
+            }
+            let hw = (d.hw_residual, d.hw_uncertainty_used, &d.hw_ssv);
+            let os = (d.os_residual, d.os_uncertainty_used, &d.os_ssv);
+            for (layer, (residual, guardband, syn)) in [("hw", hw), ("os", os)] {
+                let mut values = named(&["residual", "guardband"], &[residual, guardband], 3);
+                values.extend(named(&["mu_hat", "gamma"], &[syn.mu_peak, syn.gamma], 2));
+                rows.show(&[("excitation", name), ("layer", layer)], &values);
+            }
+        }
+        let base = lab.report(coord).metrics.exd();
+        let ssv = kinds.iter().map(|(name, _, run)| (*name, *run));
+        for (name, run) in std::iter::once(("coordinated heuristic", coord)).chain(ssv) {
+            let Some(r) = &lab.reports[run] else { continue };
+            let m = &r.metrics;
+            let values = [
+                ("energy_j", m.energy_joules, 1),
+                ("delay_s", m.delay_seconds, 1),
+                ("exd", m.exd(), 0),
+                ("exd_ratio", m.exd() / base, 2),
+                ("completed", f64::from(u8::from(m.completed)), 0),
+            ];
+            rows.show(&[("run", name)], &values);
+        }
+    })
+}
+
+/// A deployment ablation: per workload, the `ablated` deployment of the
+/// default design against the scheme it ablates, as deployed. Renders
+/// each pair's E×D and their ratio (ablated / deployed), then the geomean
+/// ratio.
+fn ablation(p: &mut Plan, ablated: Deploy, workloads: Vec<Workload>) -> Render {
+    let deployed = Deploy::Scheme(ablated.scheme());
+    let mut pair = |w: Workload| (p.eval(deployed, w.clone()), p.eval(ablated, w));
+    let (deployed, ablated): (Vec<usize>, Vec<usize>) =
+        workloads.into_iter().map(&mut pair).unzip();
+    Box::new(move |lab, rows| {
+        for (&a, &b) in deployed.iter().zip(&ablated) {
+            let (a, b) = (lab.report(a), lab.report(b));
+            let (exd_a, exd_b) = (a.metrics.exd(), b.metrics.exd());
+            let mut values = named(&["exd_deployed", "exd_ablated"], &[exd_a, exd_b], 0);
+            values.push(("ratio", exd_b / exd_a, 3));
+            rows.show(&[("workload", &a.workload)], &values);
+        }
+        let geomean = lab.exd_vs(&ablated, &deployed);
+        rows.show(&[("workload", "geomean")], &[("ratio", geomean, 3)]);
+    })
+}
+
+/// Ablation: the value of the external-signal channels (the coordination
+/// mechanism itself) — Yukta: HW SSV+OS SSV with them zeroed.
+fn ablation_extsig(p: &mut Plan) -> Render {
+    let wls = vec![
+        spec::mcf(),
+        spec::gamess(),
+        parsec::blackscholes(),
+        parsec::streamcluster(),
+        mixes::blmc(),
+    ];
+    ablation(p, Deploy::NoExtSig, wls)
+}
+
+/// Ablation: quantization awareness — HW SSV + OS heuristic whose observer
+/// tracks the applied (snapped) inputs, as deployed, against one that
+/// believes its raw commands were applied (Section VI-B).
+fn ablation_quant(p: &mut Plan) -> Render {
+    let wls = vec![spec::gamess(), parsec::blackscholes(), parsec::canneal()];
+    ablation(p, Deploy::NaiveQuant, wls)
+}
+
+/// The `hwcost` label of the hardware controller truncated to N = 20.
+const TRUNCATED: &str = "hardware, truncated to N=20";
+
+/// Section VI-D: the deployed SSV controllers' implementation cost (state
+/// dimension, arithmetic, storage at 32-bit words; the measured latency is
+/// wall clock, so printed but not recorded), and the hardware controller's
+/// after balanced truncation to the paper's N = 20, whose Hankel spectrum
+/// shows how many states carry its behaviour. Paper: N = 20 → ≈700
+/// fixed-point MACs, ≈2.6 KB, ≈28 µs on a Cortex-A7.
+fn hwcost(p: &mut Plan) -> Render {
+    let design = p.design(DesignOptions::default());
+    Box::new(move |lab, rows| {
+        let d = lab.designs[design].as_ref().expect("the default design");
+        for (name, syn) in [("hardware", &d.hw_ssv), ("software", &d.os_ssv)] {
+            let c = ControllerCost::of(&syn.controller);
+            let values = [
+                ("n_state", c.n_state),
+                ("n_inputs", c.n_inputs),
+                ("n_meas", c.n_meas),
+                ("multiplies", c.multiplies),
+                ("macs", c.total_ops() / 2),
+                ("storage_bytes", c.storage_bytes),
+            ];
+            rows.show(
+                &[("controller", name)],
+                &values.map(|(m, v)| (m, v as f64, 0)),
+            );
+            let mut rt = ObsAwController::new(&syn.controller).expect("deployed controller");
+            let (meas, iters) = (vec![0.1; rt.n_meas()], 4_000);
+            let ident = |u: &[f64], out: &mut Vec<f64>| out.extend_from_slice(u);
+            let (best, ()) = time_best(5, || {
+                for _ in 0..iters {
+                    rt.step(&meas, &ident).unwrap();
+                }
+            });
+            let micros = best / iters as f64 * 1e6;
+            println!("  measured latency {micros:.2} µs / invocation");
+        }
+        match balanced_truncation(&d.hw_ssv.controller, 20) {
+            Ok(red) => {
+                let c = ControllerCost::of(&red.sys);
+                let tail: f64 = red.hankel.iter().skip(20).sum();
+                let dropped = 100.0 * tail / red.hankel.iter().sum::<f64>();
+                let n_dropped = red.hankel.len().saturating_sub(20) as f64;
+                let values = [
+                    ("multiplies", c.multiplies as f64, 0),
+                    ("storage_bytes", c.storage_bytes as f64, 0),
+                    ("hinf_error_bound", red.error_bound, 6),
+                    ("hankel_dropped_pct", dropped, 2),
+                    ("dropped_states", n_dropped, 0),
+                ];
+                rows.show(&[("controller", TRUNCATED)], &values);
+            }
+            Err(e) => println!("balanced truncation unavailable: {e}"),
+        }
+    })
+}
+
+const BEGIN: &str = "<!-- figures:begin -->\n";
+const END: &str = "<!-- figures:end -->";
+
+/// The EXPERIMENTS.md headline table. Each `{figure|metric|labels…:spec}`
+/// slot names a row of `BENCH_figures.json` by its string fields in order
+/// and formats its value: `.N` at N decimals, `%` as a signed percent
+/// change from 1.
+const HEADLINE: &str = r"| Claim | Paper | Measured | Reproduced? |
+|---|---|---|---|
+| Decoupling the heuristics hurts (Fig 9a) | +52% E×D | {fig09|exd_norm|Avg|Decoupled heuristic:%} E×D (geomean) | direction ✓, magnitude weaker |
+| Yukta HW SSV + OS heuristic vs baseline (Fig 9a) | −37% E×D | {fig09|exd_norm|Avg|Yukta: HW SSV+OS heuristic:%} E×D | ✗ (see analysis) |
+| Yukta HW SSV + OS SSV vs baseline (Fig 9a) | −50% E×D | {fig09|exd_norm|Avg|Yukta: HW SSV+OS SSV:%} E×D | ✗ (see analysis) |
+| SSV controls power far more smoothly (Fig 10) | fewer peaks/valleys | 3.3 W limit crossings: {fig10_11|crossings_3v3|Coordinated heuristic:.0} (coordinated) → {fig10_11|crossings_3v3|Yukta: HW SSV+OS heuristic:.0} (HW SSV) | ✓ strongly |
+| LQG cannot coordinate; monolithic LQG in between (Fig 12) | Decoupled LQG ≈ baseline, Monolithic −20% | Decoupled LQG {fig12_13|exd_norm|Avg|Decoupled HW LQG+OS LQG:%}, Monolithic {fig12_13|exd_norm|Avg|Monolithic LQG:%} | ordering ✗ |
+| Tighter bounds → better E×D (Fig 15b) | 0.50 / 0.59 / 0.70 at ±20/30/50% | {fig15|exd_norm|±20%:.4} / {fig15|exd_norm|±30%:.4} / {fig15|exd_norm|±50%:.4} | ✗ (not monotone: the ±30% design is the outlier) |
+| Guaranteed bounds degrade slowly with guardband (Fig 16a) | similar up to ±250% | fixed Δ (auto-tuning off): ×{fig16|rel_perf|±40%:.2} / ×{fig16|rel_perf|±100%:.2} / ×{fig16|rel_perf|±250%:.2} / ×{fig16|rel_perf|±500%:.2} at ±40/100/250/500% (HW µ̂ {fig16|mu_hat|±40%:.2} → {fig16|mu_hat|±500%:.2}); auto-tuned Δ = {fig16|delta|auto:.3}: ×{fig16|rel_perf|auto:.2} (µ̂ {fig16|mu_hat|auto:.2}) | ✓ |
+| E×D vs guardband shallow then rising (Fig 16b) | lowest at ±40% | {fig16|exd_norm|±40%:.4} / {fig16|exd_norm|±100%:.4} / {fig16|exd_norm|±250%:.4} / {fig16|exd_norm|±500%:.4} at ±40/100/250/500%, auto-tuned {fig16|exd_norm|auto:.4}: shallow, but *falling* with the guardband | shallow ✓, direction ✗ |
+| Moderate input weights damp best (Fig 17) | 0.5 ripply, 1 smooth, 2 sluggish | mean P_big {fig17|mean_p_big_w|0.5:.2} / {fig17|mean_p_big_w|1.0:.2} / {fig17|mean_p_big_w|2.0:.2} W against the 2.5 W target, ripple σ {fig17|ripple_std_w|0.5:.3} / {fig17|ripple_std_w|1.0:.3} / {fig17|ripple_std_w|2.0:.3} W | partial: 2 sluggish ✓, 1 not the smoothest ✗ |
+| HW controller cost (§VI-D) | N=20, ≈700 MACs, ≈2.6 KB, ≈28 µs (A7) | N={hwcost|n_state|hardware:.0} deployed ({hwcost|macs|hardware:.0} MACs, {hwcost|storage_bytes|hardware:.0} B); balanced-truncated to N=20: **{hwcost|multiplies|hardware, truncated to N=20:.0} MACs, {hwcost|storage_bytes|hardware, truncated to N=20:.0} B**, with {hwcost|hankel_dropped_pct|hardware, truncated to N=20:.2}% of the Hankel energy dropped | ✓ after model reduction |
+| Identification quality µ̂ ≈ 1 (§V) | µ̂ ≈ 1 | board-side HW µ̂ = {ablation_excitation|mu_hat|prbs|hw:.2}, residual-limited by the nonlinear substrate (order-16 plants: `bench_ident`); PRBS excitation cuts the SSV pair's E×D gap from {ablation_excitation|exd_ratio|random-walk:.2}× (random walk) to {ablation_excitation|exd_ratio|prbs:.2}× (`ablation_excitation`) | ✓ where substrate allows |
+| External signals carry value (ablation) | — | E×D ×{ablation_extsig|ratio|geomean:.3} with them zeroed | ✗ (slightly better without) |
+| Quantization-aware deployment helps (ablation) | — | E×D ×{ablation_quant|ratio|geomean:.3} under the naive deployment | ✓ (small) |
+";
+
+/// [`HEADLINE`] with its slots filled from a `BENCH_figures.json`
+/// document.
+///
+/// # Panics
+///
+/// Panics on a slot that names no row.
+fn headline(doc: &Json) -> String {
+    let rows = doc
+        .get("rows")
+        .and_then(Json::as_arr)
+        .expect("a rows array");
+    let strings = |row: &Json| match row {
+        Json::Obj(pairs) => pairs
+            .iter()
+            .filter_map(|(_, v)| v.as_str())
+            .collect::<Vec<_>>()
+            .join("|"),
+        _ => String::new(),
+    };
+    let (mut out, mut rest) = (String::new(), HEADLINE);
+    while let Some(open) = rest.find('{') {
+        let close = open + rest[open..].find('}').expect("a closed slot");
+        let (key, spec) = rest[open + 1..close].rsplit_once(':').expect("a slot spec");
+        let row = rows.iter().find(|r| strings(r) == key);
+        let value = row
+            .and_then(|r| r.get("default")?.as_f64())
+            .unwrap_or_else(|| panic!("no row {key}"));
+        out.push_str(&rest[..open]);
+        let _ = match spec.strip_prefix('.') {
+            Some(decimals) => write!(out, "{value:.*}", decimals.parse().expect("decimals")),
+            None => write!(out, "{:+.0}%", 100.0 * (value - 1.0)),
+        };
+        rest = &rest[close + 1..];
+    }
+    out + rest
+}
+
+fn main() {
+    let _obs = yukta_bench::obs::capture("figures");
+    let ids: Vec<String> = std::env::args().skip(1).filter(|a| a != "--obs").collect();
+    if let Some(bad) = ids.iter().find(|id| !FIGURES.iter().any(|(f, _)| f == id)) {
+        let known: Vec<&str> = FIGURES.iter().map(|(f, _)| *f).collect();
+        eprintln!("unknown figure `{bad}`; known: {}", known.join(" "));
+        std::process::exit(2);
+    }
+    let selected = FIGURES
+        .iter()
+        .filter(|(id, _)| ids.is_empty() || ids.iter().any(|i| i == id));
+    let mut plan = Plan::default();
+    let renders: Vec<(&'static str, Render)> =
+        selected.map(|(id, spec)| (*id, spec(&mut plan))).collect();
+    println!(
+        "[figures] {} designs, {} runs",
+        plan.designs.len(),
+        plan.cells.len()
+    );
+    let lab = Lab::run(&plan);
+    let mut rows = Rows::default();
+    for (id, render) in renders {
+        println!("\n=== {id} ===");
+        rows.figure = id;
+        render(&lab, &mut rows);
+    }
+    if ids.is_empty() {
+        let text = rows.json();
+        write_results("BENCH_figures.json", &text);
+        let doc = json::parse(&text).expect("BENCH_figures.json parses");
+        println!(
+            "\nEXPERIMENTS.md headline table:\n\n{BEGIN}{}{END}",
+            headline(&doc)
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_design_and_shared_run_is_planned_once() {
+        let mut plan = Plan::default();
+        for (_, spec) in FIGURES {
+            let _ = spec(&mut plan);
+        }
+        // Default, fig15 ±30/50%, fig16's four fixed guardbands, fig17's
+        // weights 0.5/2, and the random-walk and multisine excitations.
+        assert_eq!(plan.designs.len(), 11);
+        let mut shared = Plan::default();
+        let _ = fig09(&mut shared);
+        let n = shared.cells.len();
+        let _ = fig10_11(&mut shared);
+        assert_eq!(shared.cells.len(), n, "Figs 10/11 re-plot Fig 9's runs");
+    }
+
+    #[test]
+    fn geomean_basics() {
+        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
+        assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
+        assert!(geomean(&[]).is_nan());
+    }
+
+    #[test]
+    fn rows_are_fixed_decimal_json() {
+        let mut rows = Rows {
+            figure: "f",
+            ..Default::default()
+        };
+        rows.push(
+            &[("workload", "mcf")],
+            &[("a", 1.0, 3), ("b", 2.0 / 3.0, 4)],
+        );
+        let text = rows.json();
+        let want = r#"{"figure": "f", "metric": "b", "workload": "mcf", "default": 0.6667}"#;
+        assert!(text.contains(want), "{text}");
+        let doc = json::parse(&text).unwrap();
+        assert_eq!(
+            doc.get("rows").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(2)
+        );
+    }
+
+    /// EXPERIMENTS.md's headline table is what [`headline`] renders from
+    /// the committed `BENCH_figures.json` — the table a full run prints.
+    #[test]
+    fn experiments_headline_matches_committed_json() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let read = |path: &str| std::fs::read_to_string(format!("{root}/{path}")).unwrap();
+        let doc = json::parse(&read("results/BENCH_figures.json")).unwrap();
+        let text = read("EXPERIMENTS.md");
+        let start = text.find(BEGIN).expect("begin marker") + BEGIN.len();
+        let stop = text.find(END).expect("end marker");
+        assert_eq!(
+            text[start..stop],
+            headline(&doc),
+            "EXPERIMENTS.md's headline table is stale: paste the one `figures` prints"
+        );
+    }
+}
