@@ -22,14 +22,14 @@
 //!    degrading to the fallback heuristic can legitimately *improve* E×D
 //!    for schemes whose primary is the weaker policy in this plant.
 //!
-//! Any violation exits non-zero, which gates CI. `--quick` runs a reduced
-//! grid for smoke coverage. Output: `results/BENCH_chaos.json`.
+//! One grid, 80 cells (4 schemes × 5 severities × 4 variants). Any
+//! violation exits non-zero, which gates CI. Output:
+//! `results/BENCH_chaos.json`, deterministic to the byte; CI fails on any
+//! difference from the committed envelope.
 
 use yukta_bench::campaign::Campaign;
 use yukta_board::FaultPlan;
-use yukta_core::runtime::{
-    Experiment, RecoveryOptions, RunOptions, SwapSpec, SwapTrigger, UnifiedOptions,
-};
+use yukta_core::runtime::{Experiment, RecoveryOptions, SwapSpec, SwapTrigger, UnifiedOptions};
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
 use yukta_workloads::catalog;
@@ -160,34 +160,20 @@ fn run_cell(
 fn main() {
     let _obs = yukta_bench::obs::capture("bench_chaos");
     let mut camp = Campaign::new("bench_chaos");
-    let quick = camp.quick();
-
-    let schemes: Vec<Scheme> = if quick {
-        vec![Scheme::CoordinatedHeuristic, Scheme::YuktaHwSsvOsSsv]
-    } else {
-        vec![
-            Scheme::CoordinatedHeuristic,
-            Scheme::DecoupledHeuristic,
-            Scheme::YuktaHwSsvOsSsv,
-            Scheme::MonolithicLqg,
-        ]
-    };
-    let severities: &[f64] = if quick {
-        &[0.0, 0.5, 1.0]
-    } else {
-        &[0.0, 0.25, 0.5, 0.75, 1.0]
-    };
-    // SSV schemes take ~550 simulated seconds on blackscholes, so both
-    // grids keep the full evaluation timeout; the cells are cheap in
-    // wall-clock terms either way.
+    let schemes = [
+        Scheme::CoordinatedHeuristic,
+        Scheme::DecoupledHeuristic,
+        Scheme::YuktaHwSsvOsSsv,
+        Scheme::MonolithicLqg,
+    ];
+    let severities = [0.0, 0.25, 0.5, 0.75, 1.0];
+    // SSV schemes take ~550 simulated seconds on blackscholes, well inside
+    // the default 1200 s evaluation timeout.
     let wl = catalog::parsec::blackscholes();
-    let options = RunOptions::default();
 
     let mut total_violations = 0u64;
     for (ci, scheme) in schemes.iter().enumerate() {
-        let exp = Experiment::new(*scheme)
-            .expect("experiment construction")
-            .with_options(options);
+        let exp = Experiment::new(*scheme).expect("experiment construction");
         // One fault seed per scheme, shared across the severity sweep, so
         // the degradation envelope compares like against like.
         let seed = 0xCA05 + (ci as u64) * 17;
@@ -197,7 +183,7 @@ fn main() {
         // must stay within tolerance of the max seen at lower severity).
         let mut sev0_exd: Vec<(String, f64)> = Vec::new();
         let mut deg_envelope: Vec<(&'static str, f64)> = Vec::new();
-        for &severity in severities {
+        for &severity in &severities {
             for v in &VARIANTS {
                 let label = format!("{} severity {severity} variant {}", scheme.label(), v.name);
                 let Some(c) = camp.cell(&label, || run_cell(&exp, &wl, seed, severity, v)) else {

@@ -18,13 +18,15 @@
 //!    (the standing determinism invariant), including after a binary
 //!    serialization round trip.
 //!
-//! Any violation exits non-zero, which gates CI. `--quick` runs a reduced
-//! grid for smoke coverage. Output: `results/BENCH_crash.json`.
+//! One grid, 48 cells (4 schemes × 2 workloads × 2 checkpoint intervals ×
+//! 3 crash sets). Any violation exits non-zero, which gates CI. Output:
+//! `results/BENCH_crash.json`, deterministic to the byte; CI fails on any
+//! difference from the committed envelope.
 
 use yukta_bench::campaign::Campaign;
 use yukta_board::FaultPlan;
 use yukta_core::recorder::Journal;
-use yukta_core::runtime::{Experiment, RecoveryOptions, RunOptions};
+use yukta_core::runtime::{Experiment, RecoveryOptions};
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
 use yukta_workloads::{Workload, catalog};
@@ -34,39 +36,19 @@ const SEVERITY: f64 = 0.5;
 fn main() {
     let _obs = yukta_bench::obs::capture("bench_crash");
     let mut camp = Campaign::new("bench_crash");
-    let quick = camp.quick();
-
-    let schemes: Vec<Scheme> = if quick {
-        vec![Scheme::CoordinatedHeuristic, Scheme::DecoupledHeuristic]
-    } else {
-        vec![
-            Scheme::CoordinatedHeuristic,
-            Scheme::DecoupledHeuristic,
-            Scheme::YuktaHwSsvOsSsv,
-            Scheme::MonolithicLqg,
-        ]
-    };
-    let workloads: Vec<Workload> = if quick {
-        vec![catalog::parsec::blackscholes()]
-    } else {
-        vec![catalog::parsec::blackscholes(), catalog::spec::mcf()]
-    };
-    let intervals: &[u64] = if quick { &[8] } else { &[5, 20] };
-    let crash_sets: &[&[u64]] = if quick {
-        &[&[7], &[9, 31]]
-    } else {
-        &[&[9], &[40], &[9, 31, 77]]
-    };
-    let options = RunOptions {
-        timeout_s: if quick { 300.0 } else { 1200.0 },
-        ..RunOptions::default()
-    };
+    let schemes = [
+        Scheme::CoordinatedHeuristic,
+        Scheme::DecoupledHeuristic,
+        Scheme::YuktaHwSsvOsSsv,
+        Scheme::MonolithicLqg,
+    ];
+    let workloads: [Workload; 2] = [catalog::parsec::blackscholes(), catalog::spec::mcf()];
+    let intervals: [u64; 2] = [5, 20];
+    let crash_sets: [&[u64]; 3] = [&[9], &[40], &[9, 31, 77]];
 
     for (ci, scheme) in schemes.iter().enumerate() {
         for (wi, wl) in workloads.iter().enumerate() {
-            let exp = Experiment::new(*scheme)
-                .expect("experiment construction")
-                .with_options(options);
+            let exp = Experiment::new(*scheme).expect("experiment construction");
             let seed = ((ci * 10 + wi) as u64) + 0xC4A5;
             let plan = FaultPlan::uniform(seed, SEVERITY);
             // Uninterrupted ground truth: same plan, crashes never fire.
@@ -81,8 +63,8 @@ fn main() {
                 base_exd,
                 baseline.trace.samples.len()
             );
-            for &interval in intervals {
-                for &crashes in crash_sets {
+            for &interval in &intervals {
+                for &crashes in &crash_sets {
                     let label = format!(
                         "{} / {} interval {interval} crashes {crashes:?}",
                         scheme.label(),

@@ -13,12 +13,13 @@
 //!    degradation envelope, alongside the supervisor's fallback
 //!    entry/exit counts and time in degraded mode.
 //!
-//! `--quick` runs a reduced grid (heuristic schemes, one workload, short
-//! timeout) for CI smoke coverage. Output: `results/BENCH_faults.json`.
+//! One grid, 60 cells (4 schemes × 3 workloads × 5 severities). Output:
+//! `results/BENCH_faults.json`, deterministic to the byte; CI fails on any
+//! difference from the committed envelope.
 
 use yukta_bench::campaign::Campaign;
 use yukta_board::FaultPlan;
-use yukta_core::runtime::{Experiment, RunOptions};
+use yukta_core::runtime::Experiment;
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
 use yukta_workloads::{Workload, catalog};
@@ -28,36 +29,21 @@ const SEVERITIES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 fn main() {
     let _obs = yukta_bench::obs::capture("bench_faults");
     let mut camp = Campaign::new("bench_faults");
-    let quick = camp.quick();
-    let schemes: Vec<Scheme> = if quick {
-        vec![Scheme::CoordinatedHeuristic, Scheme::DecoupledHeuristic]
-    } else {
-        vec![
-            Scheme::CoordinatedHeuristic,
-            Scheme::DecoupledHeuristic,
-            Scheme::YuktaHwSsvOsSsv,
-            Scheme::MonolithicLqg,
-        ]
-    };
-    let workloads: Vec<Workload> = if quick {
-        vec![catalog::parsec::blackscholes()]
-    } else {
-        vec![
-            catalog::parsec::blackscholes(),
-            catalog::spec::mcf(),
-            catalog::spec::gamess(),
-        ]
-    };
-    let options = RunOptions {
-        timeout_s: if quick { 300.0 } else { 1200.0 },
-        ..RunOptions::default()
-    };
+    let schemes = [
+        Scheme::CoordinatedHeuristic,
+        Scheme::DecoupledHeuristic,
+        Scheme::YuktaHwSsvOsSsv,
+        Scheme::MonolithicLqg,
+    ];
+    let workloads: [Workload; 3] = [
+        catalog::parsec::blackscholes(),
+        catalog::spec::mcf(),
+        catalog::spec::gamess(),
+    ];
 
     for (ci, scheme) in schemes.iter().enumerate() {
         for (wi, wl) in workloads.iter().enumerate() {
-            let exp = Experiment::new(*scheme)
-                .expect("experiment construction")
-                .with_options(options);
+            let exp = Experiment::new(*scheme).expect("experiment construction");
             let baseline = exp.run(wl).expect("fault-free baseline run");
             let base_exd = baseline.metrics.exd();
             println!(

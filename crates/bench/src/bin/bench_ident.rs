@@ -18,13 +18,15 @@
 //! * synthesis wall time < 500 ms — the same one-controller-period budget
 //!   `bench_resynth` enforces, since the in-loop resynthesis path runs
 //!   this exact pipeline.
-//! * when `results/BENCH_ident.json` holds a recorded baseline, the worst
-//!   measured µ̂ must not regress past 1.25× the recorded value.
+//! * the worst measured µ̂ must not regress past 1.25× the baseline
+//!   recorded in `results/BENCH_ident.json`.
 //!
-//! `--quick` (the CI job) runs min-of-2 timing reps per plant and does not
-//! rewrite the JSON; the full run uses min-of-3 timings and records it.
+//! `--quick` (the CI job) checks without recording: min-of-2 timing reps
+//! per plant, and a missing baseline fails. The full run uses min-of-3
+//! timings, gates against the baseline when there is one, and rewrites
+//! the JSON.
 
-use yukta_bench::{recorded, splitmix, time_best, write_results};
+use yukta_bench::{recorded, required, splitmix, time_best, write_results};
 use yukta_control::dk::synthesize_ssv;
 use yukta_control::plant::SsvSpec;
 use yukta_control::ss::StateSpace;
@@ -212,14 +214,20 @@ fn main() {
             r.synthesize_ms
         );
     }
-    if let Some(base) = recorded("results/BENCH_ident.json", &["worst_mu"]) {
+    let (path, keys) = ("results/BENCH_ident.json", &["worst_mu"]);
+    let base = if quick {
+        Some(required(path, keys))
+    } else {
+        recorded(path, keys)
+    };
+    if let Some(base) = base {
         println!("recorded baseline worst_mu: {base:.3} (gate: <= 1.25x)");
         assert!(
             worst_mu <= 1.25 * base,
             "worst mu_hat {worst_mu:.3} regressed past 1.25x the recorded {base:.3}"
         );
     } else {
-        println!("no recorded baseline in results/BENCH_ident.json; skipping regression gate");
+        println!("no recorded baseline in {path}; recording the first one");
     }
     if quick {
         return;

@@ -9,14 +9,15 @@
 //! inside it can hot-swap at the next invocation with zero actuation gap.
 //!
 //! Both modes gate the resynthesis at the 500 ms budget. `--quick` is the
-//! CI gate: when `results/BENCH_resynth.json` holds a recorded baseline,
-//! the measured resynthesis time must also not regress past 2× the
-//! recorded value. It does not rewrite the JSON; the full run does.
+//! CI gate: it checks without recording — the measured resynthesis time
+//! must also not regress past 2× the baseline committed in
+//! `results/BENCH_resynth.json`, and a missing baseline fails. The full
+//! run rewrites the JSON.
 //!
 //! The D-search-dominated order-16/120-point `two_1x1` µ sweep is timed
 //! by `bench_sweep`.
 
-use yukta_bench::{recorded, splitmix, time_best, write_results};
+use yukta_bench::{required, splitmix, time_best, write_results};
 use yukta_control::dk::synthesize_ssv;
 use yukta_control::plant::SsvSpec;
 use yukta_control::ss::StateSpace;
@@ -109,19 +110,14 @@ fn main() {
         rs.total_ms
     );
     if quick {
-        if let Some(base_ms) = recorded("results/BENCH_resynth.json", &["resynth", "total_ms"]) {
-            println!("recorded baseline: {base_ms:.2} ms (gate: < 2x)");
-            assert!(
-                rs.total_ms < 2.0 * base_ms,
-                "resynthesis {:.1} ms regressed past 2x the recorded {:.1} ms baseline",
-                rs.total_ms,
-                base_ms
-            );
-        } else {
-            println!(
-                "no recorded baseline in results/BENCH_resynth.json; skipping regression gate"
-            );
-        }
+        let base_ms = required("results/BENCH_resynth.json", &["resynth", "total_ms"]);
+        println!("recorded baseline: {base_ms:.2} ms (gate: < 2x)");
+        assert!(
+            rs.total_ms < 2.0 * base_ms,
+            "resynthesis {:.1} ms regressed past 2x the recorded {:.1} ms baseline",
+            rs.total_ms,
+            base_ms
+        );
         return;
     }
     let threads = std::thread::available_parallelism()

@@ -20,11 +20,13 @@
 //!    scheme's run-lifetime p99 is no worse than the best single-layer
 //!    (uncoordinated) ablation's.
 //!
-//! Any violation exits non-zero, which gates CI. `--quick` runs a reduced
-//! grid for smoke coverage. Output: `results/BENCH_slo.json`.
+//! One grid, 65 cells (5 schemes × 4 patterns × 3 loads, plus one
+//! interference twin per scheme). Any violation exits non-zero, which
+//! gates CI. Output: `results/BENCH_slo.json`, deterministic to the byte;
+//! CI fails on any difference from the committed envelope.
 
 use yukta_bench::campaign::Campaign;
-use yukta_core::runtime::{Experiment, RunOptions, ServingSpec, UnifiedOptions};
+use yukta_core::runtime::{Experiment, ServingSpec, UnifiedOptions};
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
 use yukta_workloads::{TrafficConfig, TrafficPattern, catalog};
@@ -109,38 +111,21 @@ fn run_cell(
 fn main() {
     let _obs = yukta_bench::obs::capture("bench_slo");
     let mut camp = Campaign::new("bench_slo");
-    let quick = camp.quick();
-
-    let schemes: Vec<Scheme> = if quick {
-        vec![MULTILAYER, ABLATIONS[0], ABLATIONS[1]]
-    } else {
-        vec![
-            MULTILAYER,
-            ABLATIONS[0],
-            ABLATIONS[1],
-            Scheme::YuktaHwSsvOsSsv,
-            Scheme::MonolithicLqg,
-        ]
-    };
-    let patterns: Vec<(&'static str, TrafficPattern)> = if quick {
-        vec![
-            ("constant", TrafficPattern::Constant),
-            ("flash_crowd", TrafficPattern::flash_crowd()),
-        ]
-    } else {
-        vec![
-            ("constant", TrafficPattern::Constant),
-            ("diurnal", TrafficPattern::diurnal()),
-            ("bursty", TrafficPattern::bursty()),
-            ("flash_crowd", TrafficPattern::flash_crowd()),
-        ]
-    };
-    let loads: &[f64] = if quick { &[0.6, 1.4] } else { &[0.6, 1.0, 1.4] };
-    let top_load = *loads.last().expect("non-empty load sweep");
-    // Overloaded cells legitimately stretch the batch run (the serving
-    // queue steals no capacity, but throttled hardware does), so even the
-    // quick grid keeps the full evaluation timeout.
-    let options = RunOptions::default();
+    let schemes = [
+        MULTILAYER,
+        ABLATIONS[0],
+        ABLATIONS[1],
+        Scheme::YuktaHwSsvOsSsv,
+        Scheme::MonolithicLqg,
+    ];
+    let patterns: [(&str, TrafficPattern); 4] = [
+        ("constant", TrafficPattern::Constant),
+        ("diurnal", TrafficPattern::diurnal()),
+        ("bursty", TrafficPattern::bursty()),
+        ("flash_crowd", TrafficPattern::flash_crowd()),
+    ];
+    let loads = [0.6, 1.0, 1.4];
+    let top_load = loads[loads.len() - 1];
     // bodytrack: alternating 8-thread tracking and 2-thread reduction
     // phases keep both layers busy, so coordination (placement-sized
     // cores, big-first packing) actually differentiates the multilayer
@@ -150,9 +135,7 @@ fn main() {
     // Flash-crowd p99 at the top load, per scheme, for the ablation gate.
     let mut flash_p99: Vec<(Scheme, f64)> = Vec::new();
     for scheme in &schemes {
-        let exp = Experiment::new(*scheme)
-            .expect("experiment construction")
-            .with_options(options);
+        let exp = Experiment::new(*scheme).expect("experiment construction");
         for (pname, pattern) in patterns.iter() {
             // Monotone SLO-violation envelope over the ascending loads.
             let mut violation_envelope = 0.0f64;
@@ -166,12 +149,9 @@ fn main() {
                     &[None]
                 };
                 for &cap in caps {
-                    // Seeded by (pattern, load) only — by their *values*,
-                    // not their grid indices, so a --quick cell draws the
-                    // identical arrival trace as its full-grid twin and
-                    // bench_compare can match the rows. Every scheme also
-                    // faces the identical trace, so the cross-scheme p99
-                    // gate compares like against like.
+                    // Seeded by the (pattern, load) values only: every
+                    // scheme faces the identical arrival trace, so the
+                    // cross-scheme p99 gate compares like against like.
                     let seed = pname
                         .bytes()
                         .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64))

@@ -23,7 +23,7 @@
 //! `--quick` runs only the overhead gate and fails on a regression — the
 //! CI gate. It does not rewrite `results/BENCH_sweep.json`.
 
-use yukta_bench::{splitmix, time_best, time_interleaved, write_results};
+use yukta_bench::{median, splitmix, time_best, time_interleaved, write_results};
 use yukta_control::mu::{MuBlock, log_grid, mu_peak, mu_peak_serial, mu_peak_serial_raw};
 use yukta_control::ss::StateSpace;
 use yukta_linalg::Mat;
@@ -98,12 +98,6 @@ fn obs_overhead_gate() {
             overhead * 100.0
         );
     }
-}
-
-/// The upper median of `v`.
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
 }
 
 fn main() {

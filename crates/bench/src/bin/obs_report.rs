@@ -4,8 +4,8 @@
 //! obs_report results/obs_bench_faults.jsonl results/obs_bench_faults_chrome.json
 //! obs_report --check results/obs_*.jsonl   # validate only, exit 1 on failure
 //! obs_report --phases dk results/obs_bench_resynth.jsonl
-//! obs_report --phases health results/obs_adaptive.jsonl
-//! obs_report results/obs_a.jsonl results/obs_b.jsonl  # merged aggregate
+//! obs_report --phases health results/obs_bench_health.jsonl
+//! obs_report results/obs_bench_faults.jsonl results/obs_bench_slo.jsonl  # merged aggregate
 //! ```
 //!
 //! `.jsonl` files are checked against the JSONL wire format (one object

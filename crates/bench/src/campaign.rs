@@ -1,10 +1,12 @@
 //! Shared campaign scaffolding for the robustness benches
-//! (`bench_faults`, `bench_crash`, `bench_chaos`, `bench_slo`): the
-//! `catch_unwind` cell runner, panic/failure accounting, and the
-//! standard JSON envelope written under `results/`. Injected controller
-//! crashes are values the runtime recovers from, never panics, so any
-//! panic a cell raises is a real failure. Every campaign gates CI the same way — any
-//! panic or gate violation exits non-zero from [`Campaign::finish`].
+//! (`bench_faults`, `bench_crash`, `bench_chaos`, `bench_slo`,
+//! `bench_health`): the `catch_unwind` cell runner, panic/failure
+//! accounting, and the standard JSON envelope written under `results/`.
+//! Injected controller crashes are values the runtime recovers from, never
+//! panics, so any panic a cell raises is a real failure. Every campaign
+//! gates CI the same way — any panic or gate violation exits non-zero from
+//! [`Campaign::finish`] — and its envelope is deterministic, so CI also
+//! fails on any byte of it that differs from the committed one.
 
 use std::panic::{AssertUnwindSafe, catch_unwind};
 
@@ -14,7 +16,6 @@ use crate::write_results;
 /// rows, and writes the standard envelope at the end.
 pub struct Campaign {
     name: &'static str,
-    quick: bool,
     rows: Vec<String>,
     cells: usize,
     panics: usize,
@@ -22,21 +23,15 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Starts a campaign, reading `--quick` from the process arguments.
+    /// Starts a campaign.
     pub fn new(name: &'static str) -> Campaign {
         Campaign {
             name,
-            quick: std::env::args().any(|a| a == "--quick"),
             rows: Vec::new(),
             cells: 0,
             panics: 0,
             failures: 0,
         }
-    }
-
-    /// Whether the reduced CI smoke grid was requested.
-    pub fn quick(&self) -> bool {
-        self.quick
     }
 
     /// Cells run so far (including panicked ones).
@@ -80,9 +75,9 @@ impl Campaign {
     /// the rows.
     fn envelope_json(&self, extra: &[(&str, String)]) -> String {
         let mut head = format!(
-            "  \"campaign\": \"{}\",\n  \"quick\": {},\n  \"cells\": {},\n  \
-             \"panics\": {},\n  \"failures\": {}",
-            self.name, self.quick, self.cells, self.panics, self.failures
+            "  \"campaign\": \"{}\",\n  \"cells\": {},\n  \"panics\": {},\n  \
+             \"failures\": {}",
+            self.name, self.cells, self.panics, self.failures
         );
         for (k, v) in extra {
             head.push_str(&format!(",\n  \"{k}\": {v}"));
@@ -115,20 +110,9 @@ impl Campaign {
 mod tests {
     use super::*;
 
-    fn bare(name: &'static str) -> Campaign {
-        Campaign {
-            name,
-            quick: true,
-            rows: Vec::new(),
-            cells: 0,
-            panics: 0,
-            failures: 0,
-        }
-    }
-
     #[test]
     fn cells_count_and_panics_become_failures() {
-        let mut c = bare("test");
+        let mut c = Campaign::new("test");
         assert_eq!(c.cell("ok", || 7), Some(7));
         assert_eq!(c.cells(), 1);
         assert_eq!(c.failures(), 0);
@@ -142,13 +126,13 @@ mod tests {
 
     #[test]
     fn envelope_carries_accounting_extra_fields_and_rows() {
-        let mut c = bare("unit");
+        let mut c = Campaign::new("unit");
         c.cell("a", || ());
         c.push_row("    {\"k\": 1}".to_string());
         c.push_row("    {\"k\": 2}".to_string());
         let json = c.envelope_json(&[("severity", "0.5".to_string())]);
         assert!(json.contains("\"campaign\": \"unit\""));
-        assert!(json.contains("\"quick\": true"));
+        assert!(!json.contains("quick"));
         assert!(json.contains("\"cells\": 1"));
         assert!(json.contains("\"panics\": 0"));
         assert!(json.contains("\"severity\": 0.5"));

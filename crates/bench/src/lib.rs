@@ -61,6 +61,18 @@ pub fn time_interleaved<A, B>(
         .collect()
 }
 
+/// The upper median of `v` (the larger middle value when `v.len()` is
+/// even), ordered by [`f64::total_cmp`]: the statistic every bench takes
+/// over its paired timing ratios.
+///
+/// # Panics
+///
+/// Panics when `v` is empty.
+pub fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
 /// Deterministic pseudo-random value in `[-0.5, 0.5)`: the generator
 /// behind every synthetic plant in the benches, so plant families are
 /// comparable across them.
@@ -73,14 +85,32 @@ pub fn splitmix(s: &mut u64) -> f64 {
 
 /// Reads a recorded number from a committed results file: the value at
 /// `keys` (a path of nested object keys) in the JSON at `path`. `None`
-/// when the file is missing, is not valid JSON, or lacks the key — the
-/// `--quick` regression gates then have no baseline to compare against.
+/// when the file is missing, is not valid JSON, or lacks the key — a
+/// recording run then writes the first baseline.
 pub fn recorded(path: &str, keys: &[&str]) -> Option<f64> {
     let text = fs::read_to_string(path).ok()?;
     let root = yukta_obs::json::parse(&text).ok()?;
     keys.iter()
         .try_fold(&root, |node, key| node.get(key))?
         .as_f64()
+}
+
+/// The committed baseline a check-only (`--quick`) regression gate
+/// compares against: [`recorded`], but a missing file or key is an error,
+/// so a writer that renames a key fails the gate instead of switching it
+/// off.
+///
+/// # Panics
+///
+/// Panics when `path` holds no number at `keys`.
+pub fn required(path: &str, keys: &[&str]) -> f64 {
+    recorded(path, keys).unwrap_or_else(|| {
+        panic!(
+            "no recorded baseline `{}` in {path}: a check-only run gates against the \
+             committed one (a full run records it)",
+            keys.join(".")
+        )
+    })
 }
 
 /// Writes a file under `results/`, creating the directory if needed.
@@ -118,12 +148,32 @@ mod tests {
         )
         .unwrap();
         let path_str = path.to_str().unwrap();
+        // What a check-only gate's `required` panics with.
+        let missing = |keys: &[&str]| {
+            let err = std::panic::catch_unwind(|| required(path_str, keys)).unwrap_err();
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
         assert_eq!(recorded(path_str, &["worst_mu"]), Some(1.5));
         assert_eq!(recorded(path_str, &["resynth", "total_ms"]), Some(167.768));
+        assert_eq!(required(path_str, &["resynth", "total_ms"]), 167.768);
         assert_eq!(recorded(path_str, &["total_ms"]), None);
         assert_eq!(recorded(path_str, &["resynth", "mu_peak"]), None);
+        // A writer that renamed the key.
+        assert!(
+            missing(&["resynth", "mu_peak"]).starts_with("no recorded baseline `resynth.mu_peak`")
+        );
         fs::remove_file(&path).unwrap();
         assert_eq!(recorded(path_str, &["worst_mu"]), None);
+        // No committed file at all.
+        assert!(missing(&["worst_mu"]).starts_with("no recorded baseline `worst_mu` in "));
+    }
+
+    #[test]
+    fn median_is_the_upper_middle_value() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
+        assert_eq!(median(vec![0.0, -0.0]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(median(vec![5.0]), 5.0);
     }
 
     #[test]
