@@ -158,7 +158,7 @@ fn run_cell(
 }
 
 fn main() {
-    let _obs = yukta_bench::obs::capture("bench_chaos");
+    let _obs = yukta_bench::obs::capture_obs_only("bench_chaos");
     let mut camp = Campaign::new("bench_chaos");
     let schemes = [
         Scheme::CoordinatedHeuristic,

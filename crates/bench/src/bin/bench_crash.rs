@@ -34,7 +34,7 @@ use yukta_workloads::{Workload, catalog};
 const SEVERITY: f64 = 0.5;
 
 fn main() {
-    let _obs = yukta_bench::obs::capture("bench_crash");
+    let _obs = yukta_bench::obs::capture_obs_only("bench_crash");
     let mut camp = Campaign::new("bench_crash");
     let schemes = [
         Scheme::CoordinatedHeuristic,

@@ -27,7 +27,7 @@ use yukta_workloads::{Workload, catalog};
 const SEVERITIES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
 fn main() {
-    let _obs = yukta_bench::obs::capture("bench_faults");
+    let _obs = yukta_bench::obs::capture_obs_only("bench_faults");
     let mut camp = Campaign::new("bench_faults");
     let schemes = [
         Scheme::CoordinatedHeuristic,

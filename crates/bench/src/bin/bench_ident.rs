@@ -175,8 +175,8 @@ const MU_GATE: f64 = 2.0;
 const BUDGET_MS: f64 = 500.0;
 
 fn main() {
-    let _obs = yukta_bench::obs::capture("bench_ident");
     let quick = std::env::args().any(|a| a == "--quick");
+    let _obs = yukta_bench::obs::capture("bench_ident", quick);
     // `--scan` surveys 16 seeds (no gates, no JSON) — the evidence base
     // for the fixed seed choice below.
     if std::env::args().any(|a| a == "--scan") {

@@ -100,8 +100,8 @@ fn resynth_benchmark(reps: usize) -> ResynthRow {
 const BUDGET_MS: f64 = 500.0;
 
 fn main() {
-    let _obs = yukta_bench::obs::capture("bench_resynth");
     let quick = std::env::args().any(|a| a == "--quick");
+    let _obs = yukta_bench::obs::capture("bench_resynth", quick);
     let reps = if quick { 3 } else { 5 };
     let rs = resynth_benchmark(reps);
     assert!(

@@ -109,7 +109,7 @@ fn run_cell(
 }
 
 fn main() {
-    let _obs = yukta_bench::obs::capture("bench_slo");
+    let _obs = yukta_bench::obs::capture_obs_only("bench_slo");
     let mut camp = Campaign::new("bench_slo");
     let schemes = [
         MULTILAYER,

@@ -101,9 +101,10 @@ fn obs_overhead_gate() {
 }
 
 fn main() {
-    let _obs = yukta_bench::obs::capture("bench_sweep");
+    let quick = std::env::args().any(|a| a == "--quick");
+    let _obs = yukta_bench::obs::capture("bench_sweep", quick);
     obs_overhead_gate();
-    if std::env::args().any(|a| a == "--quick") {
+    if quick {
         return;
     }
     let blocks = TWO_1X1;

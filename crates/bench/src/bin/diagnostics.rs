@@ -14,7 +14,7 @@ use yukta_linalg::eig::spectral_radius;
 use yukta_workloads::catalog;
 
 fn main() {
-    let _obs = yukta_bench::obs::capture("diagnostics");
+    let _obs = yukta_bench::obs::capture_obs_only("diagnostics");
     let d = default_design();
     println!("=== Yukta design diagnostics ===\n");
     println!("identification fit (1 = perfect, one-step-ahead):");

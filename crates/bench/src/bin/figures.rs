@@ -13,7 +13,9 @@
 //! `results/BENCH_figures.json` (one row per line: `figure`, `metric`,
 //! labels, and the value in `default`), the time series to
 //! `results/fig*_trace_*.csv`, and prints the EXPERIMENTS.md headline
-//! table rendered from that JSON.
+//! table rendered from that JSON. Every run ends with the wall time and
+//! the simulator's speed (simulated seconds per wall second of the runs)
+//! on stdout; neither goes into the JSON, which holds no wall-clock value.
 //!
 //! ```text
 //! figures                  # every figure; rewrites results/BENCH_figures.json
@@ -21,6 +23,7 @@
 //! ```
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
 use yukta_bench::{rounded, time_best, write_results};
 use yukta_control::reduce::balanced_truncation;
@@ -181,6 +184,8 @@ struct Lab {
     designs: Vec<Result<Design>>,
     /// `None` where the cell's design failed to build.
     reports: Vec<Option<Report>>,
+    /// Wall time of the runs, after the designs were built (s).
+    runs_wall_s: f64,
 }
 
 impl Lab {
@@ -190,6 +195,7 @@ impl Lab {
             opts if *opts == DesignOptions::default() => Ok(default_design().clone()),
             opts => build_design(opts),
         });
+        let t0 = Instant::now();
         let reports = parallel_map(plan.cells.len(), |i| {
             let cell = &plan.cells[i];
             let design = designs[cell.design].as_ref().ok()?;
@@ -200,7 +206,20 @@ impl Lab {
             let wl = &plan.workloads[cell.workload];
             Some(exp.run_with_controllers(wl, controllers).expect("run"))
         });
-        Lab { designs, reports }
+        Lab {
+            designs,
+            reports,
+            runs_wall_s: t0.elapsed().as_secs_f64(),
+        }
+    }
+
+    /// Simulated time over every finished run (s).
+    fn simulated_s(&self) -> f64 {
+        self.reports
+            .iter()
+            .flatten()
+            .map(|r| r.metrics.delay_seconds)
+            .sum()
     }
 
     fn report(&self, cell: usize) -> &Report {
@@ -791,7 +810,8 @@ fn headline(doc: &Json) -> String {
 }
 
 fn main() {
-    let _obs = yukta_bench::obs::capture("figures");
+    let start = Instant::now();
+    let _obs = yukta_bench::obs::capture("figures", false);
     let ids: Vec<String> = std::env::args().skip(1).filter(|a| a != "--obs").collect();
     if let Some(bad) = ids.iter().find(|id| !FIGURES.iter().any(|(f, _)| f == id)) {
         let known: Vec<&str> = FIGURES.iter().map(|(f, _)| *f).collect();
@@ -825,6 +845,13 @@ fn main() {
             headline(&doc)
         );
     }
+    let (sim_s, runs_s) = (lab.simulated_s(), lab.runs_wall_s);
+    println!(
+        "\n[figures] wall {:.2} s; runs {runs_s:.2} s for {sim_s:.0} simulated s: \
+         {:.0} simulated s per wall s",
+        start.elapsed().as_secs_f64(),
+        sim_s / runs_s
+    );
 }
 
 #[cfg(test)]

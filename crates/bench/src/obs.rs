@@ -1,9 +1,10 @@
 //! Opt-in telemetry capture for the harness binaries.
 //!
-//! Every binary under `src/bin/` calls [`capture`] as the first statement
-//! of `main`. With `--obs` on the command line (or `YUKTA_OBS=1` in the
-//! environment) it installs a process-global in-memory recorder *before*
-//! any instrumented work runs — crucially before
+//! Every binary under `src/bin/` but `obs_report` calls [`capture`] (or,
+//! when `--obs` is its only argument, [`capture_obs_only`]) as the first
+//! statement of `main`. With `--obs` on the command line (or
+//! `YUKTA_OBS=1` in the environment) it installs a process-global
+//! in-memory recorder *before* any instrumented work runs — crucially before
 //! `yukta_core::design::default_design()` caches the synthesis telemetry —
 //! and returns a guard that, on drop, exports
 //! `results/obs_<name>.jsonl` (JSONL wire format, stamped with a
@@ -47,12 +48,14 @@ fn requested() -> bool {
         || std::env::var("YUKTA_OBS").is_ok_and(|v| v == "1" || v == "true")
 }
 
-/// Installs the process-global recorder when capture was requested.
+/// Installs the process-global recorder when capture was requested. The
+/// export's run-metadata header carries `quick`: whether the binary ran
+/// its check-only `--quick` mode.
 ///
 /// The recorder is intentionally leaked: [`yukta_obs::install`] requires a
 /// `'static` borrow, and exactly one is ever created per process.
-pub fn capture(name: &'static str) -> ObsScope {
-    let meta = RunMeta::new(0, name, std::env::args().any(|a| a == "--quick"));
+pub fn capture(name: &'static str, quick: bool) -> ObsScope {
+    let meta = RunMeta::new(0, name, quick);
     if !requested() {
         return ObsScope { rec: None, meta };
     }
@@ -65,5 +68,38 @@ pub fn capture(name: &'static str) -> ObsScope {
     ObsScope {
         rec: Some((rec, name)),
         meta,
+    }
+}
+
+/// [`capture`] for a binary that takes no argument but `--obs`: any other
+/// argument prints a usage error and exits with code 2, so a mistyped or
+/// retired flag fails instead of being silently ignored.
+pub fn capture_obs_only(name: &'static str) -> ObsScope {
+    if let Some(arg) = unexpected_arg(std::env::args().skip(1)) {
+        eprintln!("{name}: unexpected argument `{arg}`\nusage: {name} [--obs]");
+        std::process::exit(2);
+    }
+    capture(name, false)
+}
+
+/// The first argument other than `--obs`, if any.
+fn unexpected_arg(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|a| a != "--obs")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_obs_is_accepted() {
+        let args = |v: &[&str]| v.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(unexpected_arg(args(&[])), None);
+        assert_eq!(unexpected_arg(args(&["--obs"])), None);
+        assert_eq!(
+            unexpected_arg(args(&["--obs", "--quick"])),
+            Some("--quick".to_string())
+        );
+        assert_eq!(unexpected_arg(args(&["fig09"])), Some("fig09".to_string()));
     }
 }

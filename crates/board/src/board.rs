@@ -15,7 +15,7 @@ use yukta_obs::{ObsHandle, Value};
 use crate::config::{BoardConfig, Cluster};
 use crate::faults::{FaultEvent, FaultInjector, FaultPlan, FaultStats};
 use crate::perf::{ThreadLoad, multiplex, thread_gips};
-use crate::power::cluster_power;
+use crate::power::ClusterRates;
 use crate::sensors::{PerfCounter, PowerSensor};
 use crate::thermal::ThermalState;
 use crate::tmu::{Tmu, TmuCaps};
@@ -181,6 +181,75 @@ pub struct Board {
     /// Per-thread progress of the last step, reused so a step allocates
     /// nothing once it has seen its widest `loads`.
     progress: Vec<f64>,
+    /// The rates of the operating point the last step ran at, so a step
+    /// at the same point and loads skips straight to the physics.
+    rates: RateMemo,
+}
+
+/// Everything a step's per-thread rates and the rate-only power terms
+/// depend on besides the loads: the effective (post-TMU, post-external-cap)
+/// operating point, the stall gates and the HMP factors.
+#[derive(Debug, Clone, Copy)]
+struct OperatingPoint {
+    f_big: f64,
+    f_little: f64,
+    big_cores: usize,
+    little_cores: usize,
+    placement: Placement,
+    exec_big: f64,
+    exec_little: f64,
+    hmp_big: f64,
+    hmp_little: f64,
+}
+
+impl OperatingPoint {
+    /// The memo key: every field's bits, so ±0.0 never alias and a NaN
+    /// only matches a NaN with the same bits.
+    fn bits(&self) -> [u64; 11] {
+        [
+            self.f_big.to_bits(),
+            self.f_little.to_bits(),
+            self.big_cores as u64,
+            self.little_cores as u64,
+            self.placement.threads_big as u64,
+            self.placement.packing_big.to_bits(),
+            self.placement.packing_little.to_bits(),
+            self.exec_big.to_bits(),
+            self.exec_little.to_bits(),
+            self.hmp_big.to_bits(),
+            self.hmp_little.to_bits(),
+        ]
+    }
+}
+
+/// Whether two loads are the same bit for bit.
+fn same_load(a: &ThreadLoad, b: &ThreadLoad) -> bool {
+    a.active == b.active
+        && a.mem_intensity.to_bits() == b.mem_intensity.to_bits()
+        && a.ipc_factor_big.to_bits() == b.ipc_factor_big.to_bits()
+        && a.ipc_factor_little.to_bits() == b.ipc_factor_little.to_bits()
+}
+
+/// The operating-point rates of the last [`Board::step`], keyed by the
+/// bits of its [`OperatingPoint`] and loads. The board's `progress`
+/// buffer holds the per-thread progress that goes with them.
+#[derive(Debug, Clone, Default)]
+struct RateMemo {
+    /// `None` until the first step.
+    point: Option<[u64; 11]>,
+    loads: Vec<ThreadLoad>,
+    instr_big: f64,
+    instr_little: f64,
+    power_big: ClusterRates,
+    power_little: ClusterRates,
+}
+
+impl RateMemo {
+    fn hits(&self, point: &[u64; 11], loads: &[ThreadLoad]) -> bool {
+        self.point.as_ref() == Some(point)
+            && self.loads.len() == loads.len()
+            && self.loads.iter().zip(loads).all(|(a, b)| same_load(a, b))
+    }
 }
 
 impl Board {
@@ -223,6 +292,7 @@ impl Board {
             acts_since_step: 0,
             obs: ObsHandle::default(),
             progress: Vec::new(),
+            rates: RateMemo::default(),
         }
     }
 
@@ -438,6 +508,9 @@ impl Board {
     /// Allocation-free once the board has seen `loads.len()` slots: the
     /// active slots are split between the clusters in place, and the
     /// progress lands in a buffer the board owns and the report borrows.
+    /// The per-thread rates and the rate-only power terms are recomputed
+    /// only when the operating point or the loads change bit-wise; within
+    /// a controller period only leakage, thermal, sensors and the TMU move.
     pub fn step(&mut self, loads: &[ThreadLoad]) -> StepReport<'_> {
         let dt = self.cfg.dt;
         // Refresh the HMP packing-noise factors every 500 ms.
@@ -469,87 +542,40 @@ impl Board {
         }
         self.acts_since_step = 0;
 
-        // Partition the active threads: the first `n_big` active slots run
-        // on big, the rest on little.
-        let n_active = loads.iter().filter(|l| l.active).count();
-        let n_big = self.placement.threads_big.min(n_active);
-        let mux_big = multiplex(n_big, big_cores, self.placement.packing_big);
-        let mux_little = multiplex(
-            n_active - n_big,
-            little_cores,
-            self.placement.packing_little,
-        );
-
         // Execution, gated by transition stalls.
         let exec_big = if self.stall_big > 0.0 { 0.0 } else { 1.0 };
         let exec_little = if self.stall_little > 0.0 { 0.0 } else { 1.0 };
         self.stall_big = (self.stall_big - dt).max(0.0);
         self.stall_little = (self.stall_little - dt).max(0.0);
 
-        self.progress.clear();
-        self.progress.resize(loads.len(), 0.0);
-        let mut instr_big = 0.0;
-        let mut instr_little = 0.0;
-        let mut big_left = n_big;
-        for (l, progress) in loads.iter().zip(&mut self.progress) {
-            if !l.active {
-                continue;
-            }
-            if big_left > 0 {
-                big_left -= 1;
-                let gips = thread_gips(
-                    &self.cfg.big,
-                    l.ipc_factor_big,
-                    l.mem_intensity,
-                    f_big,
-                    mux_big.share_per_thread,
-                ) * self.hmp_factor_big
-                    * exec_big;
-                *progress = gips * dt;
-                instr_big += gips * dt;
-            } else {
-                let gips = thread_gips(
-                    &self.cfg.little,
-                    l.ipc_factor_little,
-                    l.mem_intensity,
-                    f_little,
-                    mux_little.share_per_thread,
-                ) * self.hmp_factor_little
-                    * exec_little;
-                *progress = gips * dt;
-                instr_little += gips * dt;
-            }
+        let op = OperatingPoint {
+            f_big,
+            f_little,
+            big_cores,
+            little_cores,
+            placement: self.placement,
+            exec_big,
+            exec_little,
+            hmp_big: self.hmp_factor_big,
+            hmp_little: self.hmp_factor_little,
+        };
+        let key = op.bits();
+        if !self.rates.hits(&key, loads) {
+            self.refresh_rates(&op, loads);
+            self.rates.point = Some(key);
         }
+        let instr_big = self.rates.instr_big;
+        let instr_little = self.rates.instr_little;
 
         // Power and thermal.
-        let busy_big = if exec_big > 0.0 {
-            mux_big.cores_used as f64
-        } else {
-            0.2
-        };
-        let busy_little = if exec_little > 0.0 {
-            mux_little.cores_used as f64
-        } else {
-            0.2
-        };
-        let p_big = cluster_power(
-            &self.cfg.big,
-            &self.cfg.thermal,
-            big_cores,
-            busy_big,
-            f_big,
-            self.thermal.t_hot,
-        )
-        .total();
-        let p_little = cluster_power(
-            &self.cfg.little,
-            &self.cfg.thermal,
-            little_cores,
-            busy_little,
-            f_little,
-            self.thermal.t_board,
-        )
-        .total();
+        let p_big = self
+            .rates
+            .power_big
+            .total_at(&self.cfg.thermal, self.thermal.t_hot);
+        let p_little = self
+            .rates
+            .power_little
+            .total_at(&self.cfg.thermal, self.thermal.t_board);
         let p_total = p_big + p_little + 0.3; // rest-of-board draw
         self.thermal.step(&self.cfg.thermal, p_big, p_total, dt);
 
@@ -613,6 +639,78 @@ impl Board {
             instr_big,
             instr_little,
         }
+    }
+
+    /// Recomputes the memoized rates for operating point `op` and `loads`:
+    /// partitions the active threads, multiplexes each cluster, rewrites
+    /// the per-thread progress and the cluster instruction sums, and
+    /// fixes each cluster's rate-only power terms.
+    fn refresh_rates(&mut self, op: &OperatingPoint, loads: &[ThreadLoad]) {
+        let dt = self.cfg.dt;
+        // Partition the active threads: the first `n_big` active slots run
+        // on big, the rest on little.
+        let n_active = loads.iter().filter(|l| l.active).count();
+        let n_big = op.placement.threads_big.min(n_active);
+        let mux_big = multiplex(n_big, op.big_cores, op.placement.packing_big);
+        let mux_little = multiplex(
+            n_active - n_big,
+            op.little_cores,
+            op.placement.packing_little,
+        );
+
+        self.progress.clear();
+        self.progress.resize(loads.len(), 0.0);
+        let mut instr_big = 0.0;
+        let mut instr_little = 0.0;
+        let mut big_left = n_big;
+        for (l, progress) in loads.iter().zip(&mut self.progress) {
+            if !l.active {
+                continue;
+            }
+            if big_left > 0 {
+                big_left -= 1;
+                let gips = thread_gips(
+                    &self.cfg.big,
+                    l.ipc_factor_big,
+                    l.mem_intensity,
+                    op.f_big,
+                    mux_big.share_per_thread,
+                ) * op.hmp_big
+                    * op.exec_big;
+                *progress = gips * dt;
+                instr_big += gips * dt;
+            } else {
+                let gips = thread_gips(
+                    &self.cfg.little,
+                    l.ipc_factor_little,
+                    l.mem_intensity,
+                    op.f_little,
+                    mux_little.share_per_thread,
+                ) * op.hmp_little
+                    * op.exec_little;
+                *progress = gips * dt;
+                instr_little += gips * dt;
+            }
+        }
+
+        let busy_big = if op.exec_big > 0.0 {
+            mux_big.cores_used as f64
+        } else {
+            0.2
+        };
+        let busy_little = if op.exec_little > 0.0 {
+            mux_little.cores_used as f64
+        } else {
+            0.2
+        };
+        let memo = &mut self.rates;
+        memo.loads.clear();
+        memo.loads.extend_from_slice(loads);
+        memo.instr_big = instr_big;
+        memo.instr_little = instr_little;
+        memo.power_big = ClusterRates::new(&self.cfg.big, op.big_cores, busy_big, op.f_big);
+        memo.power_little =
+            ClusterRates::new(&self.cfg.little, op.little_cores, busy_little, op.f_little);
     }
 
     fn draw_hmp_factor(&mut self) -> f64 {
@@ -729,6 +827,221 @@ impl Board {
             placement: self.placement,
             t_hot: self.thermal.t_hot,
             caps,
+        }
+    }
+}
+
+/// The plant step as it was before the rate memo, kept as the bit-exact
+/// oracle for [`Board::step`].
+#[cfg(test)]
+mod reference {
+    use yukta_obs::Value;
+
+    use super::{Board, Slots, StepReport};
+    use crate::config::{ClusterConfig, ThermalConfig};
+    use crate::perf::{ThreadLoad, multiplex, thread_gips};
+    use crate::power::ClusterPower;
+
+    /// The unsplit cluster power model (rates and leakage in one pass).
+    fn cluster_power(
+        cfg: &ClusterConfig,
+        thermal: &ThermalConfig,
+        cores_on: usize,
+        busy_cores: f64,
+        freq: f64,
+        temp: f64,
+    ) -> ClusterPower {
+        if cores_on == 0 {
+            return ClusterPower::default();
+        }
+        let v = cfg.voltage(freq);
+        let busy = busy_cores.clamp(0.0, cores_on as f64);
+        let idle = cores_on as f64 - busy;
+        let per_core_dyn = cfg.c_eff * v * v * freq;
+        let dynamic = per_core_dyn * (busy + idle * cfg.idle_activity);
+        let leak_scale = ((temp - thermal.t_leak_ref) / thermal.t_leak_scale).exp();
+        let leakage = cfg.k_leak * v * cores_on as f64 * leak_scale;
+        ClusterPower {
+            dynamic,
+            leakage,
+            uncore: cfg.p_uncore,
+        }
+    }
+
+    /// The unmemoized [`Board::step`]: every substep rebuilds the
+    /// partition, the per-thread rates and the cluster power.
+    pub(super) fn step<'a>(b: &'a mut Board, loads: &[ThreadLoad]) -> StepReport<'a> {
+        // This step rewrites the progress buffer the memo's rates go with.
+        b.rates.point = None;
+        let dt = b.cfg.dt;
+        // Refresh the HMP packing-noise factors every 500 ms.
+        b.hmp_timer += dt;
+        if b.hmp_timer >= 0.5 {
+            b.hmp_timer = 0.0;
+            b.hmp_factor_big = b.draw_hmp_factor();
+            b.hmp_factor_little = b.draw_hmp_factor();
+        }
+        // Apply TMU caps to the requested operating point, then the
+        // external cap (both strictly shrink; see `ext_cap_f_big`).
+        let caps = b.tmu.caps();
+        let f_big = caps.f_big.map_or(b.req_f_big, |c| b.req_f_big.min(c));
+        let f_big = b.ext_cap_f_big.map_or(f_big, |c| f_big.min(c));
+        let f_little = caps
+            .f_little
+            .map_or(b.req_f_little, |c| b.req_f_little.min(c));
+        let big_cores = caps
+            .big_cores
+            .map_or(b.req_big_cores, |c| b.req_big_cores.min(c.max(1)));
+        let little_cores = b.req_little_cores;
+        // The TMU may only shrink the requested point; an effective knob
+        // above its request means the capper turned into a writer.
+        if f_big > b.req_f_big + 1e-12
+            || f_little > b.req_f_little + 1e-12
+            || big_cores > b.req_big_cores
+        {
+            b.audit.tmu_cap_expansions += 1;
+        }
+        b.acts_since_step = 0;
+
+        // Partition the active threads: the first `n_big` active slots run
+        // on big, the rest on little.
+        let n_active = loads.iter().filter(|l| l.active).count();
+        let n_big = b.placement.threads_big.min(n_active);
+        let mux_big = multiplex(n_big, big_cores, b.placement.packing_big);
+        let mux_little = multiplex(n_active - n_big, little_cores, b.placement.packing_little);
+
+        // Execution, gated by transition stalls.
+        let exec_big = if b.stall_big > 0.0 { 0.0 } else { 1.0 };
+        let exec_little = if b.stall_little > 0.0 { 0.0 } else { 1.0 };
+        b.stall_big = (b.stall_big - dt).max(0.0);
+        b.stall_little = (b.stall_little - dt).max(0.0);
+
+        b.progress.clear();
+        b.progress.resize(loads.len(), 0.0);
+        let mut instr_big = 0.0;
+        let mut instr_little = 0.0;
+        let mut big_left = n_big;
+        for (l, progress) in loads.iter().zip(&mut b.progress) {
+            if !l.active {
+                continue;
+            }
+            if big_left > 0 {
+                big_left -= 1;
+                let gips = thread_gips(
+                    &b.cfg.big,
+                    l.ipc_factor_big,
+                    l.mem_intensity,
+                    f_big,
+                    mux_big.share_per_thread,
+                ) * b.hmp_factor_big
+                    * exec_big;
+                *progress = gips * dt;
+                instr_big += gips * dt;
+            } else {
+                let gips = thread_gips(
+                    &b.cfg.little,
+                    l.ipc_factor_little,
+                    l.mem_intensity,
+                    f_little,
+                    mux_little.share_per_thread,
+                ) * b.hmp_factor_little
+                    * exec_little;
+                *progress = gips * dt;
+                instr_little += gips * dt;
+            }
+        }
+
+        // Power and thermal.
+        let busy_big = if exec_big > 0.0 {
+            mux_big.cores_used as f64
+        } else {
+            0.2
+        };
+        let busy_little = if exec_little > 0.0 {
+            mux_little.cores_used as f64
+        } else {
+            0.2
+        };
+        let p_big = cluster_power(
+            &b.cfg.big,
+            &b.cfg.thermal,
+            big_cores,
+            busy_big,
+            f_big,
+            b.thermal.t_hot,
+        )
+        .total();
+        let p_little = cluster_power(
+            &b.cfg.little,
+            &b.cfg.thermal,
+            little_cores,
+            busy_little,
+            f_little,
+            b.thermal.t_board,
+        )
+        .total();
+        let p_total = p_big + p_little + 0.3; // rest-of-board draw
+        b.thermal.step(&b.cfg.thermal, p_big, p_total, dt);
+
+        // Sensors, counters, energy.
+        b.p_sensor_big.integrate(p_big, dt);
+        b.p_sensor_little.integrate(p_little, dt);
+        b.counter_big.add(instr_big);
+        b.counter_little.add(instr_little);
+        b.energy_j += (p_big + p_little) * dt;
+
+        // Emergency heuristics observe the (lagging) sensor powers.
+        let tmu_before = if b.obs.get().enabled() {
+            Some((b.tmu.caps(), b.tmu.trips()))
+        } else {
+            None
+        };
+        b.tmu.step(
+            dt,
+            b.thermal.t_hot,
+            b.p_sensor_big.read(),
+            b.p_sensor_little.read(),
+            f_big,
+        );
+        if let Some((caps_before, trips_before)) = tmu_before {
+            let rec = b.obs.get();
+            let caps_after = b.tmu.caps();
+            let trips_after = b.tmu.trips();
+            if trips_after > trips_before {
+                rec.counter_add("board.tmu_trips", trips_after - trips_before);
+            }
+            if caps_after.active() != caps_before.active() {
+                let name = if caps_after.active() {
+                    "board.tmu_engage"
+                } else {
+                    "board.tmu_release"
+                };
+                rec.event(
+                    name,
+                    &[
+                        (
+                            "f_big_cap",
+                            Value::F64(caps_after.f_big.unwrap_or(f64::NAN)),
+                        ),
+                        (
+                            "big_cores_cap",
+                            Value::F64(caps_after.big_cores.map_or(f64::NAN, |c| c as f64)),
+                        ),
+                        ("t_hot", Value::F64(b.thermal.t_hot)),
+                        ("t_sim", Value::F64(b.time)),
+                    ],
+                );
+            }
+        }
+
+        b.time += dt;
+        StepReport {
+            thread_progress: Slots(&b.progress),
+            p_big,
+            p_little,
+            t_hot: b.thermal.t_hot,
+            instr_big,
+            instr_little,
         }
     }
 }
@@ -952,6 +1265,22 @@ mod tests {
         assert_eq!(b.state().placement.packing_big, 1.0);
     }
 
+    /// Every observable of a step report, as bits.
+    fn report_bits(rep: &StepReport<'_>) -> Vec<u64> {
+        let mut v: Vec<u64> = rep.thread_progress.iter().map(|g| g.to_bits()).collect();
+        v.extend(
+            [
+                rep.p_big,
+                rep.p_little,
+                rep.t_hot,
+                rep.instr_big,
+                rep.instr_little,
+            ]
+            .map(f64::to_bits),
+        );
+        v
+    }
+
     /// Checks one report against the loads it was stepped with: one
     /// progress entry per slot, exact zeros on inactive slots, and the
     /// cluster totals equal to the per-slot sums bit for bit.
@@ -999,20 +1328,6 @@ mod tests {
                 shapes.push(loads);
             }
         }
-        let bits = |rep: StepReport<'_>| {
-            let mut v: Vec<u64> = rep.thread_progress.iter().map(|g| g.to_bits()).collect();
-            v.extend(
-                [
-                    rep.p_big,
-                    rep.p_little,
-                    rep.t_hot,
-                    rep.instr_big,
-                    rep.instr_little,
-                ]
-                .map(f64::to_bits),
-            );
-            v
-        };
         let schedule = || shapes.iter().cycle().take(3 * shapes.len());
         let mut twin = None;
         let mut after_clone = Vec::new();
@@ -1023,13 +1338,265 @@ mod tests {
             let rep = b.step(loads);
             check_report(&rep, loads, 2);
             if twin.is_some() {
-                after_clone.push(bits(rep));
+                after_clone.push(report_bits(&rep));
             }
         }
         // A clone taken mid-run replays the rest of the run bit for bit.
         let mut twin = twin.unwrap();
         for (loads, want) in schedule().skip(shapes.len()).zip(&after_clone) {
-            assert_eq!(&bits(twin.step(loads)), want);
+            assert_eq!(&report_bits(&twin.step(loads)), want);
+        }
+    }
+
+    /// A deterministic draw in `[0, 1)` for the differential test's moves.
+    fn unit(r: &mut u64) -> f64 {
+        *r = r
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*r >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Every side-effect-free observable of a board, as bits.
+    fn board_bits(b: &Board) -> Vec<u64> {
+        let s = b.state();
+        let audit = b.actuation_audit();
+        let opt = |x: Option<f64>| x.map_or(u64::MAX, f64::to_bits);
+        vec![
+            s.time.to_bits(),
+            s.f_big.to_bits(),
+            s.f_little.to_bits(),
+            s.big_cores as u64,
+            s.little_cores as u64,
+            s.placement.threads_big as u64,
+            s.placement.packing_big.to_bits(),
+            s.placement.packing_little.to_bits(),
+            s.t_hot.to_bits(),
+            opt(s.caps.f_big),
+            opt(s.caps.f_little),
+            s.caps.big_cores.map_or(u64::MAX, |c| c as u64),
+            b.energy().to_bits(),
+            b.instructions(Cluster::Big).to_bits(),
+            b.instructions(Cluster::Little).to_bits(),
+            b.tmu_trips(),
+            audit.actuation_requests,
+            audit.double_actuations,
+            audit.tmu_cap_expansions,
+        ]
+    }
+
+    /// Number of move kinds [`drive_differential`] decodes.
+    const MOVES: u32 = 18;
+
+    /// Drives the reference board and the memoized boards through `moves`
+    /// (`(kind, seed)` pairs), asserting after every substep and move that
+    /// each memoized board matches the reference bit for bit. Returns the
+    /// reference board.
+    ///
+    /// `variant` 1 installs a fault plan; `variant` 2 zeroes the transition
+    /// stalls, so a knob change reaches the rates without the stall gates
+    /// changing too.
+    fn drive_differential(moves: &[(u32, u64)], variant: u32) -> Board {
+        let mk = || {
+            let mut cfg = BoardConfig::odroid_xu3();
+            if variant == 2 {
+                cfg.dvfs_stall = 0.0;
+                cfg.hotplug_stall = 0.0;
+                cfg.migration_stall = 0.0;
+            }
+            if variant == 1 {
+                Board::with_faults(cfg, crate::faults::FaultPlan::uniform(5, 0.5))
+            } else {
+                Board::new(cfg)
+            }
+        };
+        let mut want = mk();
+        let mut boards = vec![mk()];
+        let mut loads = eight_threads();
+        for (i, &(kind, seed)) in moves.iter().enumerate() {
+            let mut r = seed;
+            let mut steps = 0;
+            let mut act = None;
+            match kind {
+                0..=3 => steps = 1 + (seed % 120) as usize,
+                // The identity request: no knob moves, no stall.
+                4 => act = Some(Actuation::default()),
+                // Maximum frequency everywhere, long enough to trip the TMU.
+                5 => {
+                    act = Some(Actuation {
+                        f_big: Some(2.0),
+                        f_little: Some(1.4),
+                        big_cores: Some(4),
+                        little_cores: Some(4),
+                        placement: Some(Placement {
+                            threads_big: 8,
+                            packing_big: 1.0,
+                            packing_little: 1.0,
+                        }),
+                    });
+                    steps = 1500;
+                }
+                6 => {
+                    act = Some(Actuation {
+                        big_cores: Some((seed % 5) as usize),
+                        little_cores: Some((seed >> 8) as usize % 5),
+                        ..Default::default()
+                    })
+                }
+                // A migration of one placement knob or all three: both
+                // clusters stall.
+                7 => {
+                    let mut p = want.state().placement;
+                    let (tb, pb, pl) = match seed % 4 {
+                        0 => (true, false, false),
+                        1 => (false, true, false),
+                        2 => (false, false, true),
+                        _ => (true, true, true),
+                    };
+                    if tb {
+                        p.threads_big = (seed >> 2) as usize % 11;
+                    }
+                    if pb {
+                        p.packing_big = 0.5 + 2.5 * unit(&mut r);
+                    }
+                    if pl {
+                        p.packing_little = 0.5 + 2.5 * unit(&mut r);
+                    }
+                    act = Some(Actuation {
+                        placement: Some(p),
+                        ..Default::default()
+                    })
+                }
+                8 => {
+                    act = Some(Actuation {
+                        f_big: Some(0.2 + 1.8 * unit(&mut r)),
+                        f_little: Some(0.2 + 1.2 * unit(&mut r)),
+                        ..Default::default()
+                    })
+                }
+                9 => {
+                    let cap = (seed % 2 == 1).then(|| 0.2 + 1.8 * unit(&mut r));
+                    want.set_external_cap_f_big(cap);
+                    boards
+                        .iter_mut()
+                        .for_each(|b| b.set_external_cap_f_big(cap));
+                }
+                // A phase flip: every slot takes new characteristics.
+                10 => {
+                    let (mi, ib, il) = (unit(&mut r), 0.3 + unit(&mut r), 0.3 + unit(&mut r));
+                    for l in &mut loads {
+                        l.mem_intensity = mi;
+                        l.ipc_factor_big = ib;
+                        l.ipc_factor_little = il;
+                    }
+                }
+                11 => {
+                    if let Some(l) = loads.get_mut(seed as usize % 13) {
+                        l.active = !l.active;
+                    }
+                }
+                // A narrower or wider slice (up to 12 slots).
+                12 => loads.resize(seed as usize % 13, ThreadLoad::nominal()),
+                // One field of every slot to +0.0, or a zero to its
+                // opposite sign; or one slot's field to NaN.
+                13 | 14 => {
+                    for (s, l) in loads.iter_mut().enumerate() {
+                        let field = match (seed >> 8) % 3 {
+                            0 => &mut l.mem_intensity,
+                            1 => &mut l.ipc_factor_big,
+                            _ => &mut l.ipc_factor_little,
+                        };
+                        if kind == 13 {
+                            *field = if *field == 0.0 { -*field } else { 0.0 };
+                        } else if s == seed as usize % 13 {
+                            *field = f64::NAN;
+                        }
+                    }
+                }
+                15 => {
+                    let reads = |b: &mut Board| {
+                        [
+                            b.read_power(Cluster::Big),
+                            b.read_power(Cluster::Little),
+                            b.read_temp(),
+                        ]
+                        .map(f64::to_bits)
+                    };
+                    let w = reads(&mut want);
+                    for b in &mut boards {
+                        assert_eq!(reads(b), w, "move {i}: sensor reads");
+                    }
+                }
+                // A checkpoint: a clone joins the run (at most three boards).
+                _ => {
+                    let twin = boards[seed as usize % boards.len()].clone();
+                    if boards.len() < 3 {
+                        boards.push(twin);
+                    } else {
+                        boards[(seed >> 8) as usize % 3] = twin;
+                    }
+                }
+            }
+            if let Some(act) = act {
+                want.actuate(&act);
+                boards.iter_mut().for_each(|b| b.actuate(&act));
+            }
+            if steps == 0 {
+                // A few substeps after most moves, none after some.
+                steps = (seed >> 60) as usize % 4;
+            }
+            for k in 0..steps {
+                let w = report_bits(&reference::step(&mut want, &loads));
+                for b in &mut boards {
+                    assert_eq!(report_bits(&b.step(&loads)), w, "move {i} step {k}");
+                }
+            }
+            let w = board_bits(&want);
+            for b in &boards {
+                assert_eq!(board_bits(b), w, "move {i} (kind {kind})");
+            }
+        }
+        want
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The memoized step gives the reference step's bits through random
+        /// interleavings of actuations (no-op, TMU-tripping maximum,
+        /// hotplug, stalling migrations, DVFS, external cap on and off),
+        /// load edits (phase flips, inactive slots, narrower and wider
+        /// slices, ±0.0 and NaN fields), sensor reads and mid-run clones.
+        #[test]
+        fn memoized_step_matches_reference_bits(
+            moves in proptest::prop::collection::vec((0..MOVES, 0u64..u64::MAX), 1..60),
+            variant in 0u32..3,
+        ) {
+            drive_differential(&moves, variant);
+        }
+    }
+
+    /// One scripted interleaving that surely reaches every move kind, and
+    /// the TMU: each move once, in order, then again in reverse, then one
+    /// knob at a time and ±0.0 flips of each load field.
+    #[test]
+    fn memoized_step_matches_reference_on_every_move() {
+        let mut moves: Vec<(u32, u64)> = (0..MOVES)
+            .chain((0..MOVES).rev())
+            .map(|k| (k, 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(k) + 1)))
+            .collect();
+        let steps = 1u64 << 60;
+        for seed in [0, 1, 2, 5, 6, 9] {
+            moves.extend([(7, seed | steps), (8, seed | steps)]);
+        }
+        for field in 0..3u64 {
+            moves.extend([(13, field << 8 | steps); 3]);
+        }
+        for variant in 0..3 {
+            let want = drive_differential(&moves, variant);
+            assert!(
+                want.tmu_trips() > 0,
+                "the maximum-frequency move must trip the TMU"
+            );
         }
     }
 

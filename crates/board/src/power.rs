@@ -21,6 +21,63 @@ impl ClusterPower {
     }
 }
 
+/// The temperature-independent part of a cluster's power at one operating
+/// point: everything [`ClusterPower`] holds except the leakage exponent.
+///
+/// A board computes the rates once per operating point and applies the
+/// current temperature on every substep with [`ClusterRates::total_at`];
+/// [`cluster_power`] is the same two steps back to back, so both give the
+/// same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct ClusterRates {
+    /// Switching power of busy cores (W).
+    dynamic: f64,
+    /// Leakage of all powered cores at `t_leak_ref` (W): `k_leak·v·cores_on`.
+    leak_ref: f64,
+    /// Uncore/interconnect share (W).
+    uncore: f64,
+    /// False when every core is hotplugged off: the cluster draws nothing.
+    powered: bool,
+}
+
+impl ClusterRates {
+    /// The rates of a cluster with `cores_on` powered cores, `busy_cores`
+    /// equivalent busy cores, at `freq` GHz (see [`cluster_power`]).
+    pub(crate) fn new(cfg: &ClusterConfig, cores_on: usize, busy_cores: f64, freq: f64) -> Self {
+        if cores_on == 0 {
+            return ClusterRates::default();
+        }
+        let v = cfg.voltage(freq);
+        let busy = busy_cores.clamp(0.0, cores_on as f64);
+        let idle = cores_on as f64 - busy;
+        let per_core_dyn = cfg.c_eff * v * v * freq;
+        ClusterRates {
+            dynamic: per_core_dyn * (busy + idle * cfg.idle_activity),
+            leak_ref: cfg.k_leak * v * cores_on as f64,
+            uncore: cfg.p_uncore,
+            powered: true,
+        }
+    }
+
+    /// The cluster's power with its leakage at `temp` (°C).
+    pub(crate) fn at(&self, thermal: &ThermalConfig, temp: f64) -> ClusterPower {
+        if !self.powered {
+            return ClusterPower::default();
+        }
+        let leak_scale = ((temp - thermal.t_leak_ref) / thermal.t_leak_scale).exp();
+        ClusterPower {
+            dynamic: self.dynamic,
+            leakage: self.leak_ref * leak_scale,
+            uncore: self.uncore,
+        }
+    }
+
+    /// Total cluster power (W) with its leakage at `temp` (°C).
+    pub(crate) fn total_at(&self, thermal: &ThermalConfig, temp: f64) -> f64 {
+        self.at(thermal, temp).total()
+    }
+}
+
 /// Computes the power of a cluster given its operating point.
 ///
 /// * `cores_on` — powered cores (the rest are hotplugged off and draw
@@ -37,21 +94,7 @@ pub fn cluster_power(
     freq: f64,
     temp: f64,
 ) -> ClusterPower {
-    if cores_on == 0 {
-        return ClusterPower::default();
-    }
-    let v = cfg.voltage(freq);
-    let busy = busy_cores.clamp(0.0, cores_on as f64);
-    let idle = cores_on as f64 - busy;
-    let per_core_dyn = cfg.c_eff * v * v * freq;
-    let dynamic = per_core_dyn * (busy + idle * cfg.idle_activity);
-    let leak_scale = ((temp - thermal.t_leak_ref) / thermal.t_leak_scale).exp();
-    let leakage = cfg.k_leak * v * cores_on as f64 * leak_scale;
-    ClusterPower {
-        dynamic,
-        leakage,
-        uncore: cfg.p_uncore,
-    }
+    ClusterRates::new(cfg, cores_on, busy_cores, freq).at(thermal, temp)
 }
 
 #[cfg(test)]
