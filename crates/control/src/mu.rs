@@ -167,6 +167,11 @@ fn probe(
 /// within ±[`REFINE_HALF_DECADES`] of each free block (last block pinned
 /// at 1), evaluating through the fused scale-and-reduce kernel. Returns
 /// the µ upper bound at the final scalings, never above the unscaled σ̄.
+///
+/// The σ̄ at the final scalings is the last block's winning probe: that
+/// probe ran with every other block at its final weight and the last
+/// block pinned at 1, so it is the same evaluation, bit for bit, and is
+/// not repeated.
 fn refine_point(
     n: &CMat,
     blocks: &[MuBlock],
@@ -194,6 +199,7 @@ fn refine_point(
     fill_weights(blocks, d, row_w, col_w);
     let phi = 0.5 * (5f64.sqrt() - 1.0);
     let (mut r0, mut c0) = (0, 0);
+    let mut final_sig = 0.0;
     for (bi, b) in blocks.iter().enumerate().take(nb - 1) {
         let ld0 = d[bi].log10();
         let (mut lo, mut hi) = (ld0 - REFINE_HALF_DECADES, ld0 + REFINE_HALF_DECADES);
@@ -216,16 +222,16 @@ fn refine_point(
                 f2 = probe(n, b, r0, c0, x2, row_w, col_w, scratch);
             }
         }
-        let ld = if f1 < f2 { x1 } else { x2 };
+        let (ld, f) = if f1 < f2 { (x1, f1) } else { (x2, f2) };
+        final_sig = f;
         d[bi] = 10f64.powf(ld);
         row_w[r0..r0 + b.n_out].fill(d[bi]);
         col_w[c0..c0 + b.n_in].fill(1.0 / d[bi]);
         r0 += b.n_out;
         c0 += b.n_in;
     }
-    // Final consistency: report the value at the final scalings, never
-    // above the unscaled bound (D = I is always admissible).
-    let final_sig = sigma_max_scaled(n, row_w, col_w, scratch);
+    // Report the value at the final scalings, never above the unscaled
+    // bound (D = I is always admissible).
     row_w.fill(1.0);
     col_w.fill(1.0);
     let unscaled = sigma_max_scaled(n, row_w, col_w, scratch);
@@ -709,6 +715,57 @@ mod tests {
         // (it cannot zero a block), so it certifies the weakest block.
         assert!((ub - 3.0).abs() < 0.1, "ub {ub}");
         assert!(lb >= 1.0 - 1e-9 && lb <= ub + 1e-9, "lb {lb} ub {ub}");
+    }
+
+    /// The reported bound is the σ̄ at the final scalings bit for bit,
+    /// although it is read off the last golden-section probe instead of
+    /// being recomputed: 2–4 blocks, general (power-iteration) and
+    /// closed-form shapes.
+    #[test]
+    fn refined_value_is_fresh_sigma_at_final_scalings_bits() {
+        let mut s = 0x9e37u64;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+        };
+        let structures: [&[(usize, usize)]; 5] = [
+            &[(4, 4), (8, 14)],
+            &[(1, 1), (1, 1)],
+            &[(2, 1), (1, 3), (3, 2)],
+            &[(1, 2), (2, 2), (3, 1), (1, 3)],
+            &[(2, 3), (3, 2), (1, 1), (2, 2)],
+        ];
+        for sizes in structures {
+            let blocks: Vec<MuBlock> = sizes
+                .iter()
+                .map(|&(n_out, n_in)| MuBlock { n_out, n_in })
+                .collect();
+            let rows = sizes.iter().map(|b| b.0).sum();
+            let cols = sizes.iter().map(|b| b.1).sum();
+            for _ in 0..6 {
+                let mut n = CMat::zeros(rows, cols);
+                for i in 0..rows {
+                    for j in 0..cols {
+                        n.set(i, j, C64::new(4.0 * next(), 4.0 * next()));
+                    }
+                }
+                let info = mu_upper_bound(&n, &blocks).unwrap();
+                let mut row_w = vec![0.0; rows];
+                let mut col_w = vec![0.0; cols];
+                let mut scratch = CMat::zeros(1, 1);
+                fill_weights(&blocks, &info.scalings, &mut row_w, &mut col_w);
+                let at_final = sigma_max_scaled(&n, &row_w, &col_w, &mut scratch);
+                let unscaled =
+                    sigma_max_scaled(&n, &vec![1.0; rows], &vec![1.0; cols], &mut scratch);
+                assert_eq!(
+                    info.value.to_bits(),
+                    at_final.min(unscaled).to_bits(),
+                    "{sizes:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -479,12 +479,40 @@ struct ServingState {
     violations: u64,
 }
 
-/// One recovery point: a deep copy of the run state, the engine snapshot,
-/// and how much of the journal was already written when it was taken.
+/// One recovery point: a deep copy of the run state without its trace,
+/// the engine snapshot, and how much of the journal and of the trace was
+/// already written when it was taken.
 struct Checkpoint {
     state: RunState,
     engine: EngineState,
     journal_len: usize,
+    trace_len: usize,
+}
+
+impl Checkpoint {
+    /// Takes a recovery point of `st`. The trace only ever grows, so the
+    /// checkpoint keeps its length instead of a copy: copying it would
+    /// make every checkpoint cost as much as the run so far.
+    fn take(st: &mut RunState, engine: EngineState, journal_len: usize) -> Self {
+        let trace = std::mem::take(&mut st.trace);
+        let state = st.clone();
+        st.trace = trace;
+        Checkpoint {
+            state,
+            engine,
+            journal_len,
+            trace_len: st.trace.samples.len(),
+        }
+    }
+
+    /// Rolls `st` back to this checkpoint, keeping its live trace cut
+    /// back to the samples recorded before the checkpoint.
+    fn restore(&self, st: &mut RunState) {
+        let mut trace = std::mem::take(&mut st.trace);
+        trace.samples.truncate(self.trace_len);
+        *st = self.state.clone();
+        st.trace = trace;
+    }
 }
 
 /// An experiment: a scheme plus the design artifacts it deploys.
@@ -1082,11 +1110,7 @@ impl Experiment {
         let mut cycles: Vec<SwapCycle> = Vec::new();
         // The step of a phase-change verdict not yet acted on.
         let mut detected: Option<u64> = None;
-        let mut ckpt = interval.map(|_| Checkpoint {
-            state: st.clone(),
-            engine: engine.save_state(),
-            journal_len: 0,
-        });
+        let mut ckpt = interval.map(|_| Checkpoint::take(&mut st, engine.save_state(), 0));
         if ckpt.is_some() {
             recovery.checkpoints = 1;
         }
@@ -1102,11 +1126,7 @@ impl Experiment {
                 if st.step > c.state.step && st.step.is_multiple_of(interval) {
                     let rec = self.rec();
                     let span = yukta_obs::span(rec, "runtime.checkpoint");
-                    *c = Checkpoint {
-                        state: st.clone(),
-                        engine: engine.save_state(),
-                        journal_len: journal.len(),
-                    };
+                    *c = Checkpoint::take(&mut st, engine.save_state(), journal.len());
                     recovery.checkpoints += 1;
                     if rec.enabled() {
                         span.end_with(&[
@@ -1183,7 +1203,7 @@ impl Experiment {
             engine = self.build_engine(serving, opts.sup_cfg)?;
             engine.restore_state(&c.engine)?;
             engine.automaton().begin_recovery();
-            st = c.state.clone();
+            c.restore(&mut st);
             for i in c.journal_len..journal.len() {
                 // A swap that committed after the checkpoint was rolled back
                 // with it: the period re-performs it at the same point.
@@ -1646,6 +1666,71 @@ mod tests {
             rec.report.bit_identical(&base),
             "recovered run differs from uninterrupted run"
         );
+    }
+
+    #[test]
+    fn late_crash_recovers_bit_identically_from_trace_free_checkpoints() {
+        let wl = catalog::spec::gamess();
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
+            .unwrap()
+            .with_options(quick_options());
+        let plan = FaultPlan::uniform(13, 0.0);
+        let base = exp
+            .run_supervised(&wl, SupervisorConfig::default(), Some(plan.clone()))
+            .unwrap();
+        let n = base.trace.samples.len() as u64;
+        assert!(n > 100, "the run is long: {n} invocations");
+        // Three invocations before the end, several checkpoints in: the
+        // restore cuts a long live trace back to the checkpoint's length.
+        let rec = exp
+            .run_recoverable(
+                &wl,
+                Some(SupervisorConfig::default()),
+                Some(plan.with_crash(n - 3)),
+                RecoveryOptions::default(),
+            )
+            .unwrap();
+        assert_eq!(rec.recovery.crashes, 1);
+        assert!(rec.recovery.replayed_records > 0, "crash off checkpoint");
+        assert_eq!(rec.recovery.replay_divergences, 0, "replay diverged");
+        assert!(
+            rec.report.bit_identical(&base),
+            "recovered run differs from uninterrupted run"
+        );
+
+        // A checkpoint copies none of the trace; restoring truncates the
+        // live trace to the length it had when the checkpoint was taken.
+        let engine = exp
+            .build_engine(Scheme::CoordinatedHeuristic, None)
+            .unwrap();
+        let mut st = exp.init_state(&wl, None, None);
+        let sample = |time| TraceSample {
+            time,
+            p_big: 1.0,
+            p_little: 0.5,
+            temp: 50.0,
+            bips: 2.0,
+            bips_big: 1.5,
+            bips_little: 0.5,
+            f_big: 1.8,
+            f_little: 1.2,
+            big_cores: 4,
+            little_cores: 4,
+            threads_big: 2,
+            active_threads: 4,
+        };
+        for k in 0..5 {
+            st.trace.push(sample(k as f64));
+        }
+        let c = Checkpoint::take(&mut st, engine.save_state(), 0);
+        assert!(c.state.trace.samples.is_empty());
+        assert_eq!((c.trace_len, st.trace.samples.len()), (5, 5));
+        for k in 5..9 {
+            st.trace.push(sample(k as f64));
+        }
+        c.restore(&mut st);
+        let times: Vec<f64> = st.trace.samples.iter().map(|s| s.time).collect();
+        assert_eq!(times, [0.0, 1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -154,6 +154,46 @@ impl std::fmt::Display for C64 {
     }
 }
 
+/// The interleaved parts `[re₀, im₀, re₁, im₁, …]` of complex values.
+pub(crate) fn parts(v: &[C64]) -> &[f64] {
+    // SAFETY: `C64` is `repr(C)` with two `f64` fields and no padding, so
+    // `v` is `2·len` initialized, contiguous and aligned `f64`s.
+    unsafe { std::slice::from_raw_parts(v.as_ptr().cast(), 2 * v.len()) }
+}
+
+/// [`parts`], mutably.
+pub(crate) fn parts_mut(v: &mut [C64]) -> &mut [f64] {
+    // SAFETY: as in `parts`; the borrow of `v` is exclusive for the
+    // lifetime of the result.
+    unsafe { std::slice::from_raw_parts_mut(v.as_mut_ptr().cast(), 2 * v.len()) }
+}
+
+/// The [`C64`] product `aₖ·b` of each complex lane `aₖ` of `a` (two per
+/// 256-bit register, real part first) with one scalar `b`, given as its
+/// broadcast parts `b_re` and `b_im`: a separate multiply per lane, then
+/// `addsub`, no FMA. Lane for lane that is
+/// `(aᵣ·bᵣ − aᵢ·bᵢ, aᵢ·bᵣ + aᵣ·bᵢ)`: the scalar product's four
+/// products, its subtraction, and its addition with the two terms in
+/// the other order, which is exact (a sum does not depend on the order
+/// of its terms; only the payload of a NaN can). The AVX2 kernels build
+/// on it to give the portable loops' bits.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+pub(crate) unsafe fn mul_lanes(
+    a: core::arch::x86_64::__m256d,
+    b_re: core::arch::x86_64::__m256d,
+    b_im: core::arch::x86_64::__m256d,
+) -> core::arch::x86_64::__m256d {
+    use core::arch::x86_64::*;
+    let swapped = _mm256_permute_pd::<0b0101>(a);
+    _mm256_addsub_pd(_mm256_mul_pd(a, b_re), _mm256_mul_pd(swapped, b_im))
+}
+
 /// A dense, row-major complex matrix.
 ///
 /// ```
@@ -217,6 +257,11 @@ impl CMat {
     /// The underlying entries in row-major order (length `rows · cols`).
     pub fn as_slice(&self) -> &[C64] {
         &self.data
+    }
+
+    /// The underlying entries in row-major order, mutably.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [C64] {
+        &mut self.data
     }
 
     /// Entry at `(i, j)`.
@@ -591,5 +636,54 @@ mod tests {
         let y = m.matvec(&[C64::ONE, C64::real(2.0)]).unwrap();
         assert_eq!(y[0], C64::I);
         assert_eq!(y[1], C64::new(0.0, 2.0));
+    }
+}
+
+/// Inputs and a bit comparison for the tests of the kernels that run on
+/// complex lanes.
+#[cfg(test)]
+pub(crate) mod lane_inputs {
+    use super::C64;
+
+    /// Values an entry is drawn from besides plain ones: NaN, ±∞, ±0
+    /// and subnormals.
+    const SPECIAL: [f64; 7] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        4.9e-324,
+        -1.5e-310,
+    ];
+
+    /// A deterministic stream of `f64`s in [-2, 2), about one in
+    /// `special_every` taken from [`SPECIAL`] (none when it is 0).
+    pub(crate) fn draws(seed: u64, special_every: u64) -> impl FnMut() -> f64 {
+        let mut s = seed | 1;
+        move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = s >> 11;
+            if special_every > 0 && r.is_multiple_of(special_every) {
+                SPECIAL[(r / special_every) as usize % SPECIAL.len()]
+            } else {
+                4.0 * ((r >> 11) as f64 / (1u64 << 42) as f64) - 2.0
+            }
+        }
+    }
+
+    /// `len` complex values from [`draws`].
+    pub(crate) fn values(len: usize, seed: u64, special_every: u64) -> Vec<C64> {
+        let mut next = draws(seed, special_every);
+        (0..len).map(|_| C64::new(next(), next())).collect()
+    }
+
+    /// The bits of complex values, every NaN read as the same NaN: the
+    /// lanes may carry another NaN payload than the scalar loop.
+    pub(crate) fn lane_bits(v: &[C64]) -> Vec<[u64; 2]> {
+        let bits = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
+        v.iter().map(|z| [bits(z.re), bits(z.im)]).collect()
     }
 }

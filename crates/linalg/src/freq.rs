@@ -23,7 +23,11 @@
 //! parallel sweeps share one system and give each worker thread its own
 //! evaluator.
 
+#[cfg(target_arch = "x86_64")]
+use crate::cmat::mul_lanes;
+use crate::cmat::{parts, parts_mut};
 use crate::eig::hessenberg_q;
+use crate::lu::sub_rows;
 use crate::{C64, CMat, Error, Mat, Result};
 
 /// A state-space realization `(A, B, C, D)` preprocessed for repeated
@@ -52,8 +56,9 @@ pub struct FreqSystem {
     h: Vec<f64>,
     /// `Qᵀ B`, row-major `n × m`.
     qtb: Vec<f64>,
-    /// `C Q`, row-major `p × n`.
-    cq: Vec<f64>,
+    /// `−C Q`, row-major `p × n`: negated so that the output product
+    /// runs on [`sub_rows`] as `D − (−CQ)·X`.
+    neg_cq: Vec<f64>,
     /// Feedthrough `D`, row-major `p × m`.
     d: Vec<f64>,
     n: usize,
@@ -96,7 +101,7 @@ impl FreqSystem {
             return Ok(FreqSystem {
                 h: Vec::new(),
                 qtb: Vec::new(),
-                cq: Vec::new(),
+                neg_cq: Vec::new(),
                 d: d.as_slice().to_vec(),
                 n,
                 m,
@@ -105,11 +110,11 @@ impl FreqSystem {
         }
         let (h, q) = hessenberg_q(a);
         let qtb = q.t().matmul(b)?;
-        let cq = c.matmul(&q)?;
+        let neg_cq = c.matmul(&q)?.scale(-1.0);
         Ok(FreqSystem {
             h: h.into_vec(),
             qtb: qtb.into_vec(),
-            cq: cq.into_vec(),
+            neg_cq: neg_cq.into_vec(),
             d: d.as_slice().to_vec(),
             n,
             m,
@@ -225,41 +230,264 @@ impl FreqEvaluator<'_> {
             let factor = self.lu[(k + 1) * n + k] / pivot;
             if factor != C64::ZERO {
                 let (top, bottom) = self.lu.split_at_mut((k + 1) * n);
-                let src = &top[k * n..(k + 1) * n];
-                for j in (k + 1)..n {
-                    bottom[j] = bottom[j] - factor * src[j];
-                }
+                sub_scaled(
+                    &mut bottom[k + 1..n],
+                    factor,
+                    &top[k * n + k + 1..(k + 1) * n],
+                );
                 let (xt, xb) = self.x.split_at_mut((k + 1) * m);
-                let xsrc = &xt[k * m..(k + 1) * m];
-                for j in 0..m {
-                    xb[j] = xb[j] - factor * xsrc[j];
-                }
+                sub_scaled(&mut xb[..m], factor, &xt[k * m..(k + 1) * m]);
             }
         }
         if self.lu[(n - 1) * n + (n - 1)].abs() < 1e-300 {
             return Err(Error::Singular { op: "freq_eval" });
         }
 
-        // Back substitution, all m right-hand sides at once.
+        // Back substitution, all m right-hand sides at once. Dividing by
+        // the pivot is multiplying by its reciprocal (`C64`'s `Div`), so
+        // the reciprocal is taken once per row.
         for k in (0..n).rev() {
-            let pivot = self.lu[k * n + k];
-            for j in 0..m {
-                let mut acc = self.x[k * m + j];
-                for i in (k + 1)..n {
-                    acc = acc - self.lu[k * n + i] * self.x[i * m + j];
-                }
-                self.x[k * m + j] = acc / pivot;
-            }
+            let recip = self.lu[k * n + k].recip();
+            let (head, below) = self.x.split_at_mut((k + 1) * m);
+            back_row(
+                &mut head[k * m..],
+                &self.lu[k * n + k + 1..(k + 1) * n],
+                below,
+                recip,
+            );
         }
 
-        // out = CQ · X + D (D already loaded above).
+        // out = CQ · X + D (D already loaded above), as D − (−CQ)·X on
+        // the interleaved parts: a real coefficient scales both parts of
+        // a complex entry, `o − (−c)·v` is exactly `o + v·c`, and each
+        // entry still takes its nonzero terms in `k` order.
+        if m > 0 {
+            let x = parts(&self.x);
+            for (row, neg_c) in out
+                .as_mut_slice()
+                .chunks_exact_mut(m)
+                .zip(self.sys.neg_cq.chunks_exact(n))
+            {
+                sub_rows(parts_mut(row), neg_c, x, 2 * m);
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// `dst[j] = dst[j] − f·src[j]` for every `j`: the elimination's row
+/// update. On hosts with AVX2 it runs [`sub_scaled_avx2`], which gives
+/// the same bits.
+fn sub_scaled(dst: &mut [C64], f: C64, src: &[C64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        assert_eq!(dst.len(), src.len());
+        // SAFETY: AVX2 was detected on this host; the lengths are
+        // asserted equal above.
+        unsafe { sub_scaled_avx2(dst, f, src) };
+        return;
+    }
+    sub_scaled_scalar(dst, f, src);
+}
+
+/// The portable loop of [`sub_scaled`].
+fn sub_scaled_scalar(dst: &mut [C64], f: C64, src: &[C64]) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = *d - f * v;
+    }
+}
+
+/// The AVX2 loop of [`sub_scaled`]: two elements per register, the
+/// product on complex lanes ([`mul_lanes`]) and a separate subtract.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2 and `src.len() == dst.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sub_scaled_avx2(dst: &mut [C64], f: C64, src: &[C64]) {
+    use core::arch::x86_64::*;
+
+    let (f_re, f_im) = (_mm256_set1_pd(f.re), _mm256_set1_pd(f.im));
+    let dp = dst.as_mut_ptr().cast::<f64>();
+    let sp = src.as_ptr().cast::<f64>();
+    let mut j = 0;
+    while j + 2 <= dst.len() {
+        let d = _mm256_loadu_pd(dp.add(2 * j));
+        let v = _mm256_loadu_pd(sp.add(2 * j));
+        _mm256_storeu_pd(dp.add(2 * j), _mm256_sub_pd(d, mul_lanes(v, f_re, f_im)));
+        j += 2;
+    }
+    sub_scaled_scalar(&mut dst[j..], f, &src[j..]);
+}
+
+/// One row `k` of the back substitution, for all `m = xk.len()`
+/// right-hand sides: `xₖⱼ ← (xₖⱼ − Σₜ cₜ·x₍ₖ₊₁₊ₜ₎ⱼ)·recip`, the terms
+/// subtracted in `t` order, where `coef` is row `k` of `U` right of the
+/// diagonal and `below` the solved rows under `k`. On hosts with AVX2 it
+/// runs [`back_row_avx2`], which gives the same bits.
+fn back_row(xk: &mut [C64], coef: &[C64], below: &[C64], recip: C64) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        assert!(below.len() >= coef.len() * xk.len());
+        // SAFETY: AVX2 was detected on this host; `below` holds a row of
+        // `xk.len()` values per coefficient, asserted above.
+        unsafe { back_row_avx2(xk, coef, below, recip) };
+        return;
+    }
+    back_row_scalar(xk, coef, below, recip);
+}
+
+/// The portable loop of [`back_row`].
+fn back_row_scalar(xk: &mut [C64], coef: &[C64], below: &[C64], recip: C64) {
+    let m = xk.len();
+    for (j, x) in xk.iter_mut().enumerate() {
+        let mut acc = *x;
+        for (t, &c) in coef.iter().enumerate() {
+            acc = acc - c * below[t * m + j];
+        }
+        *x = acc * recip;
+    }
+}
+
+/// The AVX2 loop of [`back_row`]: each register holds two right-hand
+/// sides, eight per pass down all the terms, each product on complex
+/// lanes ([`mul_lanes`]) followed by a separate subtract, so every
+/// element sees [`back_row_scalar`]'s operations in its order. An odd
+/// last column runs the scalar terms.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2 and `below.len() >= coef.len()·xk.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn back_row_avx2(xk: &mut [C64], coef: &[C64], below: &[C64], recip: C64) {
+    let m = xk.len();
+    let mut j = 0;
+    while j + 8 <= m {
+        back_cols_avx2::<4>(xk, j, coef, below, recip);
+        j += 8;
+    }
+    while j + 2 <= m {
+        back_cols_avx2::<1>(xk, j, coef, below, recip);
+        j += 2;
+    }
+    if j < m {
+        let mut acc = xk[j];
+        for (t, &c) in coef.iter().enumerate() {
+            acc = acc - c * below[t * m + j];
+        }
+        xk[j] = acc * recip;
+    }
+}
+
+/// Columns `j .. j + 2P` of [`back_row_avx2`], one register per column
+/// pair.
+///
+/// # Safety
+///
+/// As [`back_row_avx2`], with `j + 2P <= xk.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn back_cols_avx2<const P: usize>(
+    xk: &mut [C64],
+    j: usize,
+    coef: &[C64],
+    below: &[C64],
+    recip: C64,
+) {
+    use core::arch::x86_64::*;
+
+    let m = xk.len();
+    let xp = xk.as_mut_ptr().add(j).cast::<f64>();
+    let bp = below.as_ptr().add(j).cast::<f64>();
+    let mut acc = [_mm256_setzero_pd(); P];
+    for (p, v) in acc.iter_mut().enumerate() {
+        *v = _mm256_loadu_pd(xp.add(4 * p));
+    }
+    for (t, c) in coef.iter().enumerate() {
+        let (c_re, c_im) = (_mm256_set1_pd(c.re), _mm256_set1_pd(c.im));
+        let row = bp.add(2 * t * m);
+        for (p, v) in acc.iter_mut().enumerate() {
+            *v = _mm256_sub_pd(*v, mul_lanes(_mm256_loadu_pd(row.add(4 * p)), c_re, c_im));
+        }
+    }
+    let (r_re, r_im) = (_mm256_set1_pd(recip.re), _mm256_set1_pd(recip.im));
+    for (p, &v) in acc.iter().enumerate() {
+        _mm256_storeu_pd(xp.add(4 * p), mul_lanes(v, r_re, r_im));
+    }
+}
+
+/// The evaluation loops [`FreqEvaluator::eval`] replaced, kept as the
+/// reference its kernels are pinned to bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::FreqSystem;
+    use crate::{C64, CMat, Error, Result};
+
+    pub(crate) fn eval(sys: &FreqSystem, lambda: C64) -> Result<CMat> {
+        let (n, m, p) = (sys.n, sys.m, sys.p);
+        let mut out = CMat::zeros(p, m);
         for i in 0..p {
-            let crow = &self.sys.cq[i * n..(i + 1) * n];
+            for j in 0..m {
+                out.set(i, j, C64::real(sys.d[i * m + j]));
+            }
+        }
+        if n == 0 {
+            return Ok(out);
+        }
+        let mut lu = vec![C64::ZERO; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                lu[i * n + j] = C64::new(-sys.h[i * n + j], 0.0);
+            }
+            lu[i * n + i] += lambda;
+        }
+        let mut x: Vec<C64> = sys.qtb.iter().map(|&b| C64::real(b)).collect();
+        for k in 0..n - 1 {
+            if lu[(k + 1) * n + k].abs_sq() > lu[k * n + k].abs_sq() {
+                for j in k..n {
+                    lu.swap(k * n + j, (k + 1) * n + j);
+                }
+                for j in 0..m {
+                    x.swap(k * m + j, (k + 1) * m + j);
+                }
+            }
+            let pivot = lu[k * n + k];
+            if pivot.abs() < 1e-300 {
+                return Err(Error::Singular { op: "freq_eval" });
+            }
+            let factor = lu[(k + 1) * n + k] / pivot;
+            if factor != C64::ZERO {
+                for j in (k + 1)..n {
+                    lu[(k + 1) * n + j] = lu[(k + 1) * n + j] - factor * lu[k * n + j];
+                }
+                for j in 0..m {
+                    x[(k + 1) * m + j] = x[(k + 1) * m + j] - factor * x[k * m + j];
+                }
+            }
+        }
+        if lu[(n - 1) * n + (n - 1)].abs() < 1e-300 {
+            return Err(Error::Singular { op: "freq_eval" });
+        }
+        for k in (0..n).rev() {
+            let pivot = lu[k * n + k];
+            for j in 0..m {
+                let mut acc = x[k * m + j];
+                for i in (k + 1)..n {
+                    acc = acc - lu[k * n + i] * x[i * m + j];
+                }
+                x[k * m + j] = acc / pivot;
+            }
+        }
+        for i in 0..p {
             for j in 0..m {
                 let mut acc = out.get(i, j);
-                for (k, &c) in crow.iter().enumerate() {
+                for k in 0..n {
+                    let c = -sys.neg_cq[i * n + k];
                     if c != 0.0 {
-                        acc += self.x[k * m + j] * c;
+                        acc += x[k * m + j] * c;
                     }
                 }
                 out.set(i, j, acc);
@@ -272,6 +500,96 @@ impl FreqEvaluator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cmat::lane_inputs::{draws, lane_bits, values};
+    use proptest::prelude::*;
+
+    /// Both AVX2 loops give the portable loops' bits: every length up to
+    /// 21 (the 8-wide blocks, the pairs and the odd tail), up to six
+    /// terms, with plain entries and with NaN, ±∞, ±0 and subnormals.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_solve_kernels_match_scalar_bits() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        for len in 0..=21usize {
+            for terms in 0..=6usize {
+                for special_every in [0, 4, 19] {
+                    let seed = 0xf5e9 + 97 * (len * 7 + terms) as u64;
+                    let dst = values(len, seed, special_every);
+                    let src = values(len, seed ^ 0xa1, special_every);
+                    let coef = values(terms, seed ^ 0xb2, special_every);
+                    let below = values(terms * len, seed ^ 0xc3, special_every);
+                    let f = values(2, seed ^ 0xd4, special_every);
+                    let case = format!("len {len}, terms {terms}, specials every {special_every}");
+
+                    let (mut want, mut got) = (dst.clone(), dst.clone());
+                    sub_scaled_scalar(&mut want, f[0], &src);
+                    // SAFETY: AVX2 was detected above; `src` and `dst`
+                    // have the same length.
+                    unsafe { sub_scaled_avx2(&mut got, f[0], &src) };
+                    assert_eq!(lane_bits(&got), lane_bits(&want), "sub_scaled, {case}");
+
+                    let (mut want, mut got) = (dst.clone(), dst);
+                    back_row_scalar(&mut want, &coef, &below, f[1]);
+                    // SAFETY: AVX2 was detected above; `below` holds
+                    // `terms·len` values.
+                    unsafe { back_row_avx2(&mut got, &coef, &below, f[1]) };
+                    assert_eq!(lane_bits(&got), lane_bits(&want), "back_row, {case}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The evaluator gives the old loops' bits: orders up to 40, up to
+        /// 20 inputs and 12 outputs (the deployed µ shapes included), at
+        /// points on the imaginary axis and the unit circle, with plain
+        /// `B`, `C`, `D` and with NaN, ±∞, ±0 and subnormal entries; a
+        /// singular point fails on both.
+        #[test]
+        fn eval_matches_old_loop_bits(
+            n in 0usize..=40,
+            m in 0usize..=20,
+            p in 0usize..=12,
+            seed in 0u64..u64::MAX,
+            special in 0u64..3,
+            w in -3.0f64..3.0,
+            circle in 0u32..2,
+        ) {
+            let mut plain = draws(seed, 0);
+            let mut next = draws(seed ^ 0x5eed, [0, 7, 31][special as usize]);
+            let mut a = Mat::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    a[(i, j)] = 0.5 * plain();
+                }
+                a[(i, i)] -= 1.5;
+            }
+            let mut fill = |r: usize, c: usize| {
+                let mut out = Mat::zeros(r, c);
+                for i in 0..r {
+                    for j in 0..c {
+                        // Sparse enough that the zero skip is exercised.
+                        let v = next();
+                        out[(i, j)] = if v.abs() < 0.3 { 0.0 } else { v };
+                    }
+                }
+                out
+            };
+            let (b, c, d) = (fill(n, m), fill(p, n), fill(p, m));
+            let sys = FreqSystem::new(&a, &b, &c, &d).unwrap();
+            let lambda = if circle == 1 { C64::cis(w) } else { C64::new(0.0, 10f64.powf(w)) };
+            match (sys.evaluator().eval(lambda), reference::eval(&sys, lambda)) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(lane_bits(got.as_slice()), lane_bits(want.as_slice()));
+                }
+                (got, want) => prop_assert!(got.is_err() && want.is_err(), "{got:?} vs {want:?}"),
+            }
+        }
+    }
 
     /// Reference evaluation: dense complex LU on the original realization.
     fn eval_naive(a: &Mat, b: &Mat, c: &Mat, d: &Mat, lambda: C64) -> CMat {

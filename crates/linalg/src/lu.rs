@@ -227,7 +227,8 @@ const PANEL: usize = 16;
 
 /// `dst[j] −= c[t]·src[t·stride + j]` for `t = 0, 1, …` in turn, skipping
 /// zero `c[t]`: the row update `xᵢ −= Σₜ cₜ·xₜ` of every kernel here and,
-/// with negated coefficients, of [`Mat::matmul`]. On hosts with AVX2 it
+/// with negated coefficients, of [`Mat::matmul`] and of the output
+/// product in [`crate::freq::FreqEvaluator::eval`]. On hosts with AVX2 it
 /// runs [`sub_rows_avx2`]; neither loop fuses the multiply-add, and both
 /// give each element its terms in `t` order, so they round as the scalar
 /// expression does and give the same bits.

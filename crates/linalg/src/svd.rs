@@ -4,6 +4,8 @@
 //! `sigma_max` on complex frequency responses is the inner loop of the
 //! structured-singular-value upper bound, so it gets a dedicated fast path.
 
+#[cfg(target_arch = "x86_64")]
+use crate::cmat::mul_lanes;
 use crate::{C64, CMat};
 
 /// Largest singular value of a complex matrix.
@@ -175,11 +177,14 @@ fn scale_into(a: &CMat, row_w: &[f64], col_w: &[f64], scratch: &mut CMat) {
 /// on it can therefore sit slightly below the true bound at the final
 /// scalings.
 ///
-/// The iteration allocates one buffer per call and reuses it for every
-/// step of both starts. `A·x` runs four rows per pass over `x`, `Aᴴ·y`
-/// one row of `A` at a time into every output, and each output element
-/// sums its terms in index order from zero, as [`CMat::matvec`] on `A`
-/// and on `Aᴴ` would.
+/// The two starts run in lockstep, so each pass over `A` serves both
+/// until one stops; each start still performs exactly the operations it
+/// would alone. The iteration allocates one buffer per call and reuses
+/// it for every step. Each output element of `A·x` and `Aᴴ·y` sums its
+/// terms in index order from zero, as [`CMat::matvec`] on `A` and on
+/// `Aᴴ` would; on hosts with AVX2 the products run on complex lanes
+/// (two rows, or two columns, per 256-bit register) and give the same
+/// bits as the portable loops.
 pub fn sigma_max_power(a: &CMat) -> f64 {
     let (m, n) = a.shape();
     if m == 0 || n == 0 {
@@ -205,46 +210,95 @@ pub fn sigma_max_power(a: &CMat) -> f64 {
         return 0.0;
     }
     let data = a.as_slice();
-    let mut buf = vec![C64::ZERO; 2 * n + m];
-    let (x, rest) = buf.split_at_mut(n);
-    let (y, z) = rest.split_at_mut(m);
-    let mut best = 0.0f64;
+    let mut buf = vec![C64::ZERO; 4 * n + 2 * m];
+    let (x0, rest) = buf.split_at_mut(n);
+    let (x1, rest) = rest.split_at_mut(n);
+    let (z0, rest) = rest.split_at_mut(n);
+    let (z1, rest) = rest.split_at_mut(n);
+    let (y0, y1) = rest.split_at_mut(m);
     // Two deterministic starts: matrix-seeded, and alternating-phase.
-    for start in 0..2 {
-        for (j, xj) in x.iter_mut().enumerate() {
-            *xj = if start == 0 {
-                a.get(seed_row, j).conj()
-            } else {
-                C64::cis(1.7 * j as f64 + 0.3)
-            };
-        }
-        let mut prev = 0.0f64;
-        for _ in 0..200 {
-            // y = A x ; z = Aᴴ y ; σ² estimate = ‖y‖² / ‖x‖²
-            mul_into(data, n, x, y);
-            mul_h_into(data, n, y, z);
-            let xn: f64 = x.iter().map(|v| v.abs_sq()).sum::<f64>().sqrt();
-            let yn: f64 = y.iter().map(|v| v.abs_sq()).sum::<f64>().sqrt();
-            if xn < 1e-300 {
-                break;
-            }
-            let est = yn / xn;
-            let zn: f64 = z.iter().map(|v| v.abs_sq()).sum::<f64>().sqrt();
-            if zn < 1e-300 {
-                break;
-            }
-            for (xj, &zj) in x.iter_mut().zip(z.iter()) {
-                *xj = zj * (1.0 / zn);
-            }
-            if (est - prev).abs() <= 1e-12 * est.max(1e-300) {
-                prev = est;
-                break;
-            }
-            prev = est;
-        }
-        best = best.max(prev);
+    for (j, (x0j, x1j)) in x0.iter_mut().zip(x1.iter_mut()).enumerate() {
+        *x0j = a.get(seed_row, j).conj();
+        *x1j = C64::cis(1.7 * j as f64 + 0.3);
     }
-    best
+    let mut prev = [0.0f64; 2];
+    let mut live = [true; 2];
+    for _ in 0..200 {
+        // y = A x ; z = Aᴴ y for every live start.
+        match live {
+            [true, true] => products(
+                data,
+                n,
+                [&*x0, &*x1],
+                [&mut *y0, &mut *y1],
+                [&mut *z0, &mut *z1],
+            ),
+            [true, false] => products(data, n, [&*x0], [&mut *y0], [&mut *z0]),
+            [false, true] => products(data, n, [&*x1], [&mut *y1], [&mut *z1]),
+            [false, false] => break,
+        }
+        if live[0] {
+            live[0] = advance(x0, y0, z0, &mut prev[0]);
+        }
+        if live[1] {
+            live[1] = advance(x1, y1, z1, &mut prev[1]);
+        }
+    }
+    0.0f64.max(prev[0]).max(prev[1])
+}
+
+/// One step of a start after its products: reads the estimate
+/// `‖y‖/‖x‖` into `prev` and renormalizes `x ← z/‖z‖`. Returns whether
+/// the start goes on: it stops on a vanishing `x` or `z` (keeping the
+/// previous estimate) and when the estimate has converged.
+fn advance(x: &mut [C64], y: &[C64], z: &[C64], prev: &mut f64) -> bool {
+    let xn: f64 = x.iter().map(|v| v.abs_sq()).sum::<f64>().sqrt();
+    let yn: f64 = y.iter().map(|v| v.abs_sq()).sum::<f64>().sqrt();
+    if xn < 1e-300 {
+        return false;
+    }
+    let est = yn / xn;
+    let zn: f64 = z.iter().map(|v| v.abs_sq()).sum::<f64>().sqrt();
+    if zn < 1e-300 {
+        return false;
+    }
+    for (xj, &zj) in x.iter_mut().zip(z) {
+        *xj = zj * (1.0 / zn);
+    }
+    let converged = (est - *prev).abs() <= 1e-12 * est.max(1e-300);
+    *prev = est;
+    !converged
+}
+
+/// `yₛ = A·xₛ`, then `zₛ = Aᴴ·yₛ`, for each of the `S` starts. On hosts
+/// with AVX2 each product is one pass over `A` for all the starts
+/// ([`mul_avx2`], [`mul_h_avx2`]); otherwise the portable [`mul_into`]
+/// and [`mul_h_into`] run once per start. Both give the same bits.
+fn products<const S: usize>(
+    a: &[C64],
+    n: usize,
+    x: [&[C64]; S],
+    y: [&mut [C64]; S],
+    z: [&mut [C64]; S],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        let mut y = y;
+        assert!(x.iter().all(|v| v.len() == n) && z.iter().all(|v| v.len() == n));
+        assert!(y.iter().all(|v| a.len() == v.len() * n));
+        // SAFETY: AVX2 was detected on this host; every `x`/`z` holds `n`
+        // values and `A` holds `n` per element of every `y`, asserted
+        // above.
+        unsafe {
+            mul_avx2(a, n, x, y.each_mut().map(|v| &mut **v));
+            mul_h_avx2(a, n, y.map(|v| &*v), z);
+        }
+        return;
+    }
+    for ((x, y), z) in x.into_iter().zip(y).zip(z) {
+        mul_into(a, n, x, y);
+        mul_h_into(a, n, y, z);
+    }
 }
 
 /// `y = A·x` for a row-major `A` with `n` columns, four rows per pass
@@ -266,12 +320,17 @@ fn mul_into(a: &[C64], n: usize, x: &[C64], y: &mut [C64]) {
         yq.copy_from_slice(&acc);
     }
     for (row, yi) in rows.remainder().chunks_exact(n).zip(out.into_remainder()) {
-        let mut acc = C64::ZERO;
-        for (&aij, &xj) in row.iter().zip(x) {
-            acc += aij * xj;
-        }
-        *yi = acc;
+        *yi = dot_row(row, x);
     }
+}
+
+/// `Σⱼ aⱼ·xⱼ` from zero in index order: one element of [`mul_into`].
+fn dot_row(row: &[C64], x: &[C64]) -> C64 {
+    let mut acc = C64::ZERO;
+    for (&aij, &xj) in row.iter().zip(x) {
+        acc += aij * xj;
+    }
+    acc
 }
 
 /// `z = Aᴴ·y` for a row-major `A` with `n` columns, one row of `A` at a
@@ -282,6 +341,165 @@ fn mul_h_into(a: &[C64], n: usize, y: &[C64], z: &mut [C64]) {
     for (row, &yi) in a.chunks_exact(n).zip(y) {
         for (zj, &aij) in z.iter_mut().zip(row) {
             *zj += aij.conj() * yi;
+        }
+    }
+}
+
+/// The AVX2 form of [`mul_into`] for `S` starts at once: each register
+/// holds one element of a row pair (`aᵢⱼ`, `aᵢ₊₁ⱼ`) and its two partial
+/// sums, four rows per pass, so each element of `A` is loaded once for
+/// all the starts. Every `yᵢ` gets [`dot_row`]'s terms in its order, so
+/// the bits are the same as the scalar loop's; an odd last row runs
+/// [`dot_row`] itself.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2, `x[s].len() >= n` and
+/// `a.len() >= y[s].len()·n` for every start `s`, and equal lengths of
+/// all the `y[s]`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mul_avx2<const S: usize>(a: &[C64], n: usize, x: [&[C64]; S], mut y: [&mut [C64]; S]) {
+    let m = y.first().map_or(0, |v| v.len());
+    let mut i = 0;
+    while i + 4 <= m {
+        mul_rows_avx2::<2, S>(a, n, i, &x, &mut y);
+        i += 4;
+    }
+    if i + 2 <= m {
+        mul_rows_avx2::<1, S>(a, n, i, &x, &mut y);
+        i += 2;
+    }
+    if i < m {
+        for (xs, ys) in x.iter().zip(y) {
+            ys[i] = dot_row(&a[i * n..(i + 1) * n], xs);
+        }
+    }
+}
+
+/// Rows `i .. i + 2P` of [`mul_avx2`]: `P` row pairs, one register per
+/// pair and start.
+///
+/// # Safety
+///
+/// As [`mul_avx2`], with `i + 2P <= y[s].len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn mul_rows_avx2<const P: usize, const S: usize>(
+    a: &[C64],
+    n: usize,
+    i: usize,
+    x: &[&[C64]; S],
+    y: &mut [&mut [C64]; S],
+) {
+    use core::arch::x86_64::*;
+
+    let ap = a.as_ptr().cast::<f64>();
+    let mut acc = [[_mm256_setzero_pd(); P]; S];
+    for j in 0..n {
+        let mut pair = [_mm256_setzero_pd(); P];
+        for (p, v) in pair.iter_mut().enumerate() {
+            let lo = ap.add(2 * ((i + 2 * p) * n + j));
+            let hi = lo.add(2 * n);
+            *v = _mm256_insertf128_pd::<1>(
+                _mm256_castpd128_pd256(_mm_loadu_pd(lo)),
+                _mm_loadu_pd(hi),
+            );
+        }
+        for (acc_s, xs) in acc.iter_mut().zip(x) {
+            let xj = xs.as_ptr().add(j).cast::<f64>();
+            let re = _mm256_broadcast_sd(&*xj);
+            let im = _mm256_broadcast_sd(&*xj.add(1));
+            for (acc_p, &v) in acc_s.iter_mut().zip(&pair) {
+                *acc_p = _mm256_add_pd(*acc_p, mul_lanes(v, re, im));
+            }
+        }
+    }
+    for (acc_s, ys) in acc.iter().zip(y.iter_mut()) {
+        let out = ys.as_mut_ptr().add(i).cast::<f64>();
+        for (p, &v) in acc_s.iter().enumerate() {
+            _mm256_storeu_pd(out.add(4 * p), v);
+        }
+    }
+}
+
+/// The AVX2 form of [`mul_h_into`] for `S` starts at once: each register
+/// holds a column pair (`aᵢⱼ`, `aᵢⱼ₊₁`) of one row, conjugated by a sign
+/// flip (exact), and the two partial sums, four columns per pass down
+/// all the rows. Every `zⱼ` starts from zero and gets the scalar loop's
+/// terms in its order, so the bits are the same; an odd last column runs
+/// the scalar terms itself.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2, `z[s].len() == n` and
+/// `a.len() >= y[s].len()·n` for every start `s`, and equal lengths of
+/// all the `y[s]`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mul_h_avx2<const S: usize>(a: &[C64], n: usize, y: [&[C64]; S], mut z: [&mut [C64]; S]) {
+    let mut j = 0;
+    while j + 4 <= n {
+        mul_h_cols_avx2::<2, S>(a, n, j, &y, &mut z);
+        j += 4;
+    }
+    if j + 2 <= n {
+        mul_h_cols_avx2::<1, S>(a, n, j, &y, &mut z);
+        j += 2;
+    }
+    if j < n {
+        for (ys, zs) in y.iter().zip(z) {
+            let mut acc = C64::ZERO;
+            for (row, &yi) in a.chunks_exact(n).zip(*ys) {
+                acc += row[j].conj() * yi;
+            }
+            zs[j] = acc;
+        }
+    }
+}
+
+/// Columns `j .. j + 2P` of [`mul_h_avx2`]: `P` column pairs, one
+/// register per pair and start.
+///
+/// # Safety
+///
+/// As [`mul_h_avx2`], with `j + 2P <= n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn mul_h_cols_avx2<const P: usize, const S: usize>(
+    a: &[C64],
+    n: usize,
+    j: usize,
+    y: &[&[C64]; S],
+    z: &mut [&mut [C64]; S],
+) {
+    use core::arch::x86_64::*;
+
+    let m = y.first().map_or(0, |v| v.len());
+    let ap = a.as_ptr().cast::<f64>();
+    let conj = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
+    let mut acc = [[_mm256_setzero_pd(); P]; S];
+    for i in 0..m {
+        let mut pair = [_mm256_setzero_pd(); P];
+        for (p, v) in pair.iter_mut().enumerate() {
+            let row = ap.add(2 * (i * n + j + 2 * p));
+            *v = _mm256_xor_pd(_mm256_loadu_pd(row), conj);
+        }
+        for (acc_s, ys) in acc.iter_mut().zip(y) {
+            let yi = ys.as_ptr().add(i).cast::<f64>();
+            let re = _mm256_broadcast_sd(&*yi);
+            let im = _mm256_broadcast_sd(&*yi.add(1));
+            for (acc_p, &v) in acc_s.iter_mut().zip(&pair) {
+                *acc_p = _mm256_add_pd(*acc_p, mul_lanes(v, re, im));
+            }
+        }
+    }
+    for (acc_s, zs) in acc.iter().zip(z.iter_mut()) {
+        let out = zs.as_mut_ptr().add(j).cast::<f64>();
+        for (p, &v) in acc_s.iter().enumerate() {
+            _mm256_storeu_pd(out.add(4 * p), v);
         }
     }
 }
@@ -353,6 +571,7 @@ pub(crate) mod reference {
 mod tests {
     use super::*;
     use crate::Mat;
+    use crate::cmat::lane_inputs::{lane_bits, values};
     use crate::symeig::symmetric_eigen;
     use proptest::prelude::*;
 
@@ -546,6 +765,91 @@ mod tests {
             let a = kernel_input(m, n, seed, shape);
             prop_assert_eq!(sigma_max_power(&a).to_bits(), reference::sigma_max_power(&a).to_bits());
         }
+    }
+
+    /// Both AVX2 products give the portable loops' bits, for one start
+    /// and for two in lockstep: every shape up to 9×9 (odd `n`, `m < 4`,
+    /// `m % 4 ≠ 0`, single rows and columns), the HW (12×18) and OS
+    /// (9×17) µ shapes and two larger ones, with plain entries and with
+    /// NaN, ±∞, ±0 and subnormal entries.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_power_kernels_match_scalar_bits() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let shapes = (1..=9).flat_map(|m| (1..=9).map(move |n| (m, n))).chain([
+            (12, 18),
+            (9, 17),
+            (13, 7),
+            (24, 23),
+        ]);
+        for (k, (m, n)) in shapes.enumerate() {
+            for special_every in [0, 5, 23] {
+                let seed = 0x51_6a + 7919 * k as u64 + special_every;
+                let a = values(m * n, seed, special_every);
+                let x = [
+                    values(n, seed ^ 0xa1, special_every),
+                    values(n, seed ^ 0xb2, special_every),
+                ];
+                let y = [
+                    values(m, seed ^ 0xc3, special_every),
+                    values(m, seed ^ 0xd4, special_every),
+                ];
+                let mut want = [vec![C64::ZERO; m], vec![C64::ZERO; m]];
+                let mut want_h = [vec![C64::ZERO; n], vec![C64::ZERO; n]];
+                for s in 0..2 {
+                    mul_into(&a, n, &x[s], &mut want[s]);
+                    mul_h_into(&a, n, &y[s], &mut want_h[s]);
+                }
+                let mut one = vec![C64::ONE; m];
+                let mut one_h = vec![C64::ONE; n];
+                let [mut g0, mut g1] = [vec![C64::ONE; m], vec![C64::ONE; m]];
+                let [mut h0, mut h1] = [vec![C64::ONE; n], vec![C64::ONE; n]];
+                // SAFETY: AVX2 was detected above; every `x`/`z` holds `n`
+                // values, every `y` holds `m` and `A` holds `m·n`.
+                unsafe {
+                    mul_avx2(&a, n, [&x[1]], [&mut one]);
+                    mul_h_avx2(&a, n, [&y[1]], [&mut one_h]);
+                    mul_avx2(&a, n, [&x[0], &x[1]], [&mut g0, &mut g1]);
+                    mul_h_avx2(&a, n, [&y[0], &y[1]], [&mut h0, &mut h1]);
+                }
+                let case = format!("{m}×{n}, specials every {special_every}");
+                assert_eq!(lane_bits(&one), lane_bits(&want[1]), "A·x, {case}");
+                assert_eq!(lane_bits(&one_h), lane_bits(&want_h[1]), "Aᴴ·y, {case}");
+                assert_eq!(lane_bits(&g0), lane_bits(&want[0]), "A·x₀, {case}");
+                assert_eq!(lane_bits(&g1), lane_bits(&want[1]), "A·x₁, {case}");
+                assert_eq!(lane_bits(&h0), lane_bits(&want_h[0]), "Aᴴ·y₀, {case}");
+                assert_eq!(lane_bits(&h1), lane_bits(&want_h[1]), "Aᴴ·y₁, {case}");
+            }
+        }
+    }
+
+    /// Lockstep with one start stopping early: the matrix-seeded start
+    /// sits on an exact singular vector (σ = 1, the largest-norm row)
+    /// and stops after two steps; the alternating-phase start climbs a
+    /// near-tie (σ₁/σ₂ = 1 + 1e-4, σ₁ ≈ 1.21) whose estimate still moves
+    /// by ~1e-5 per step at step 200, so it runs to the cap alone. The
+    /// result is the second start's, with the sequential loop's bits.
+    #[test]
+    fn lockstep_start_stopping_early_keeps_reference_bits() {
+        let mut a = CMat::zeros(7, 3);
+        a.set(0, 0, C64::real(1.0));
+        for i in 1..7 {
+            if i % 2 == 1 {
+                a.set(i, 1, C64::new(0.0, 0.7));
+            } else {
+                a.set(i, 2, C64::real(0.7 * (1.0 - 1e-4)));
+            }
+        }
+        let sigma_1 = 0.7 * 3f64.sqrt();
+        let got = sigma_max_power(&a);
+        assert_eq!(got.to_bits(), reference::sigma_max_power(&a).to_bits());
+        assert!(got > 1.2, "the slow start's estimate is the result: {got}");
+        assert!(
+            sigma_1 - got > 1e-9,
+            "the slow start converged before the cap: {got} vs σ₁ {sigma_1}"
+        );
     }
 
     #[test]
