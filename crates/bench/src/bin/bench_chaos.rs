@@ -173,7 +173,7 @@ fn main() {
 
     let mut total_violations = 0u64;
     for (ci, scheme) in schemes.iter().enumerate() {
-        let exp = Experiment::new(*scheme).expect("experiment construction");
+        let exp = Experiment::new(*scheme);
         // One fault seed per scheme, shared across the severity sweep, so
         // the degradation envelope compares like against like.
         let seed = 0xCA05 + (ci as u64) * 17;

@@ -48,7 +48,7 @@ fn main() {
 
     for (ci, scheme) in schemes.iter().enumerate() {
         for (wi, wl) in workloads.iter().enumerate() {
-            let exp = Experiment::new(*scheme).expect("experiment construction");
+            let exp = Experiment::new(*scheme);
             let seed = ((ci * 10 + wi) as u64) + 0xC4A5;
             let plan = FaultPlan::uniform(seed, SEVERITY);
             // Uninterrupted ground truth: same plan, crashes never fire.

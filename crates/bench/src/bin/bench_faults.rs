@@ -43,7 +43,7 @@ fn main() {
 
     for (ci, scheme) in schemes.iter().enumerate() {
         for (wi, wl) in workloads.iter().enumerate() {
-            let exp = Experiment::new(*scheme).expect("experiment construction");
+            let exp = Experiment::new(*scheme);
             let baseline = exp.run(wl).expect("fault-free baseline run");
             let base_exd = baseline.metrics.exd();
             println!(

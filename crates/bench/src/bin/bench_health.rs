@@ -122,7 +122,7 @@ fn main() {
     ];
     for scheme in &stationary {
         let label = format!("stationary {}", scheme.label());
-        let exp = Experiment::new(*scheme).expect("experiment construction");
+        let exp = Experiment::new(*scheme);
         // A monitor is configured per loop, like any CUSUM chart: k is
         // half the smallest shift worth detecting in that loop's units and
         // h follows from the in-control run length. The SSV loop's
@@ -138,7 +138,6 @@ fn main() {
                 ph_lambda: 30.0,
                 cusum_k: 1.5,
                 cusum_h: 25.0,
-                ..HealthConfig::default()
             },
             _ => HealthConfig::default(),
         };
@@ -202,7 +201,7 @@ fn main() {
     let upgraded = Scheme::CoordinatedHeuristic;
     {
         let label = "phase-change adaptive";
-        let base_exp = Experiment::new(initial).expect("experiment construction");
+        let base_exp = Experiment::new(initial);
         let cell = camp.cell(label, || {
             let run = base_exp
                 .run_unified(&pc_wl, adaptive(health, None, Some(upgraded)))
@@ -312,7 +311,7 @@ fn main() {
             t_end: f64::INFINITY,
         });
         plan.bias_frac = 0.25;
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic).expect("experiment construction");
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic);
         let cell = camp.cell(label, || {
             exp.run_unified(&stationary_wl, adaptive(health, Some(plan.clone()), None))
                 .expect("bias-onset adaptive run")
@@ -364,7 +363,7 @@ fn main() {
     // ------------------------------------------------------------------
     {
         let label = "observer purity";
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic).expect("experiment construction");
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic);
         let cell = camp.cell(label, || {
             let base = exp
                 .run_supervised(&stationary_wl, SupervisorConfig::default(), None)

@@ -5,7 +5,7 @@
 //! For each evaluation plant the bench runs the full board pipeline in
 //! miniature — PRBS excitation (`sysid::excitation`), ARX identification,
 //! held-out validation residual, guardband auto-tuning
-//! (`GuardbandConfig::radius`), and D–K synthesis at the production option
+//! (`design::guardband_radius`), and D–K synthesis at the production option
 //! set — and reports the resulting µ̂, the residual, and the synthesis
 //! wall time. A multisine identification of the same plant rides along as
 //! a residual cross-check.
@@ -31,7 +31,7 @@ use yukta_control::dk::synthesize_ssv;
 use yukta_control::plant::SsvSpec;
 use yukta_control::ss::StateSpace;
 use yukta_control::sysid::{SysIdConfig, excitation, fit_arx, validation_residual};
-use yukta_core::design::{GuardbandConfig, SYSID_CONFIG, dk_options};
+use yukta_core::design::{HOLDOUT_FRAC, SYSID_CONFIG, dk_options, guardband_radius};
 use yukta_linalg::Mat;
 use yukta_linalg::lu::Lu;
 
@@ -114,12 +114,11 @@ struct IdentRow {
 fn evaluate(plant_seed: u64, reps: usize) -> IdentRow {
     let truth = eval_plant(plant_seed);
     let n_samples = 400usize;
-    let gb = GuardbandConfig::default();
     let cfg = SysIdConfig {
         na: 8,
         ..SYSID_CONFIG
     };
-    let split = ((n_samples as f64) * (1.0 - gb.holdout_frac)) as usize;
+    let split = ((n_samples as f64) * (1.0 - HOLDOUT_FRAC)) as usize;
 
     let identify = |multisine: bool| {
         let u = excite(plant_seed, n_samples, multisine);
@@ -137,7 +136,7 @@ fn evaluate(plant_seed: u64, reps: usize) -> IdentRow {
     let (t_id, (model, residual)) = time_best(reps, || identify(false));
     let (_, residual_multisine) = identify(true);
 
-    let guardband = gb.radius(residual);
+    let guardband = guardband_radius(residual);
     let spec = SsvSpec {
         uncertainty: guardband,
         ..SsvSpec::new(0.5, 2, 2, 1)
@@ -185,8 +184,9 @@ fn main() {
         }
         return;
     }
-    // Min-of-2 even in quick mode: the synthesis sits ~450 ms against the
-    // 500 ms budget, and a single timing rep flakes under CI load.
+    // Min-of-2 even in quick mode: the synthesis sits ≈300–330 ms
+    // (`BENCH_ident.json`) against the 500 ms budget, and a single timing
+    // rep can still flake under CI load.
     let reps = if quick { 2 } else { 3 };
     // Fixed evaluation seeds, chosen by `--scan` (see below): plants whose
     // conditioned draw is regulable at the production option set. The

@@ -135,7 +135,7 @@ fn main() {
     // Flash-crowd p99 at the top load, per scheme, for the ablation gate.
     let mut flash_p99: Vec<(Scheme, f64)> = Vec::new();
     for scheme in &schemes {
-        let exp = Experiment::new(*scheme).expect("experiment construction");
+        let exp = Experiment::new(*scheme);
         for (pname, pattern) in patterns.iter() {
             // Monotone SLO-violation envelope over the ascending loads.
             let mut violation_envelope = 0.0f64;

@@ -86,7 +86,6 @@ fn main() {
     // that period).
     let wl = catalog::parsec::blackscholes();
     let rep = Experiment::new(Scheme::YuktaHwSsvOsSsv)
-        .expect("experiment")
         .with_options(RunOptions {
             timeout_s: 120.0,
             ..Default::default()

@@ -514,7 +514,7 @@ fn fig16(p: &mut Plan) -> Render {
         let mut d = DesignOptions::default();
         if let Some(g) = fixed {
             d.hw_uncertainty = g;
-            d.guardband.auto = false;
+            d.auto_guardband = false;
         }
         let runs = wls.clone().map(|w| p.cell(d.clone(), SSV, w, None));
         (fixed.map_or("auto".to_string(), percent), p.design(d), runs)

@@ -27,50 +27,23 @@ pub const LATENCY_BOUNDS_S: [f64; 16] = [
     16.384, 32.768, 65.536,
 ];
 
-/// Static configuration of the admission queue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueueConfig {
-    /// Maximum queued (admitted but unfinished) requests; arrivals
-    /// beyond this are rejected at the door.
-    pub backlog_cap: usize,
-    /// Queueing time after which a request is dropped unserved (s).
-    pub timeout_s: f64,
-    /// Sliding window over which tail latency is estimated (s).
-    pub window_s: f64,
-}
+/// Maximum queued (admitted but unfinished) requests; arrivals beyond
+/// this are rejected at the door.
+pub const BACKLOG_CAP: usize = 512;
 
-impl Default for QueueConfig {
-    fn default() -> Self {
-        QueueConfig {
-            backlog_cap: 512,
-            timeout_s: 10.0,
-            window_s: 5.0,
-        }
-    }
-}
+/// Queueing time after which a request is dropped unserved (s).
+pub const TIMEOUT_S: f64 = 10.0;
 
-impl QueueConfig {
-    /// Rejects non-finite/non-positive parameters; the runtime's serving
-    /// spec wraps the message into its typed error.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.backlog_cap == 0 {
-            return Err("backlog_cap must be >= 1".to_string());
-        }
-        if !(self.timeout_s.is_finite() && self.timeout_s > 0.0) {
-            return Err(format!(
-                "timeout_s must be finite and > 0, got {}",
-                self.timeout_s
-            ));
-        }
-        if !(self.window_s.is_finite() && self.window_s > 0.0) {
-            return Err(format!(
-                "window_s must be finite and > 0, got {}",
-                self.window_s
-            ));
-        }
-        Ok(())
-    }
-}
+/// Sliding window over which tail latency is estimated (s).
+pub const WINDOW_S: f64 = 5.0;
+
+const _: () = assert!(BACKLOG_CAP >= 1 && TIMEOUT_S > 0.0 && WINDOW_S > 0.0);
+
+/// Holds nothing: the queue's limits are [`BACKLOG_CAP`], [`TIMEOUT_S`]
+/// and [`WINDOW_S`]. The type stays because the `benchmark` package passes
+/// a `ServingSpec::queue` to [`RequestQueue::new`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct QueueConfig {}
 
 /// Cumulative request accounting over a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,7 +82,7 @@ pub struct LatencySnapshot {
     pub completed: u64,
     /// Drops (timeout + rejection + shed) inside the window.
     pub dropped: u64,
-    /// Current backlog as a fraction of `backlog_cap`.
+    /// Current backlog as a fraction of [`BACKLOG_CAP`].
     pub backlog_frac: f64,
 }
 
@@ -123,7 +96,6 @@ struct Queued {
 /// windowed tail-latency estimation.
 #[derive(Debug, Clone)]
 pub struct RequestQueue {
-    cfg: QueueConfig,
     queue: VecDeque<Queued>,
     /// `(completion_time_s, latency_s)` inside the stats window.
     completions: VecDeque<(f64, f64)>,
@@ -139,9 +111,8 @@ pub struct RequestQueue {
 
 impl RequestQueue {
     /// An empty queue.
-    pub fn new(cfg: QueueConfig) -> Self {
+    pub fn new(_cfg: QueueConfig) -> Self {
         RequestQueue {
-            cfg,
             queue: VecDeque::new(),
             completions: VecDeque::new(),
             drops: VecDeque::new(),
@@ -149,11 +120,6 @@ impl RequestQueue {
             shed_acc: 0.0,
             stats: QueueStats::default(),
         }
-    }
-
-    /// The queue's configuration.
-    pub fn config(&self) -> &QueueConfig {
-        &self.cfg
     }
 
     /// Cumulative counters.
@@ -184,7 +150,7 @@ impl RequestQueue {
             self.drops.push_back(arrival_s);
             return false;
         }
-        if self.queue.len() >= self.cfg.backlog_cap {
+        if self.queue.len() >= BACKLOG_CAP {
             self.stats.rejected += 1;
             self.drops.push_back(arrival_s);
             return false;
@@ -207,7 +173,7 @@ impl RequestQueue {
     pub fn advance(&mut self, from_s: f64, to_s: f64, capacity_gi: f64) {
         // Timeout reaping at the window boundary.
         while let Some(head) = self.queue.front() {
-            if from_s - head.arrival_s > self.cfg.timeout_s {
+            if from_s - head.arrival_s > TIMEOUT_S {
                 self.queue.pop_front();
                 self.stats.timed_out += 1;
                 self.drops.push_back(from_s);
@@ -235,7 +201,7 @@ impl RequestQueue {
             }
         }
         // Age out the stats window.
-        let horizon = to_s - self.cfg.window_s;
+        let horizon = to_s - WINDOW_S;
         while self.completions.front().is_some_and(|&(t, _)| t < horizon) {
             self.completions.pop_front();
         }
@@ -264,7 +230,7 @@ impl RequestQueue {
             p99_s: hist.quantile(0.99).unwrap_or(0.0),
             completed: self.completions.len() as u64,
             dropped: self.drops.len() as u64,
-            backlog_frac: self.queue.len() as f64 / self.cfg.backlog_cap as f64,
+            backlog_frac: self.queue.len() as f64 / BACKLOG_CAP as f64,
         }
     }
 }
@@ -273,46 +239,13 @@ impl RequestQueue {
 mod tests {
     use super::*;
 
-    fn q(cap: usize, timeout: f64) -> RequestQueue {
-        RequestQueue::new(QueueConfig {
-            backlog_cap: cap,
-            timeout_s: timeout,
-            window_s: 5.0,
-        })
-    }
-
-    #[test]
-    fn config_validation_rejects_degenerate_values() {
-        assert!(QueueConfig::default().validate().is_ok());
-        assert!(
-            QueueConfig {
-                backlog_cap: 0,
-                ..Default::default()
-            }
-            .validate()
-            .is_err()
-        );
-        assert!(
-            QueueConfig {
-                timeout_s: f64::NAN,
-                ..Default::default()
-            }
-            .validate()
-            .is_err()
-        );
-        assert!(
-            QueueConfig {
-                window_s: -1.0,
-                ..Default::default()
-            }
-            .validate()
-            .is_err()
-        );
+    fn q() -> RequestQueue {
+        RequestQueue::new(QueueConfig::default())
     }
 
     #[test]
     fn fifo_service_completes_in_order_with_interpolated_times() {
-        let mut queue = q(16, 100.0);
+        let mut queue = q();
         queue.offer(0.0, 1.0, 0.0);
         queue.offer(0.1, 1.0, 0.0);
         queue.offer(0.2, 2.0, 0.0);
@@ -328,7 +261,7 @@ mod tests {
 
     #[test]
     fn partial_service_carries_remaining_work_across_windows() {
-        let mut queue = q(16, 100.0);
+        let mut queue = q();
         queue.offer(0.0, 3.0, 0.0);
         queue.advance(0.0, 0.5, 1.0);
         assert_eq!(queue.stats().completed, 0);
@@ -344,34 +277,36 @@ mod tests {
 
     #[test]
     fn backlog_cap_rejects_and_timeout_reaps() {
-        let mut queue = q(2, 1.0);
-        assert!(queue.offer(0.0, 1.0, 0.0));
-        assert!(queue.offer(0.0, 1.0, 0.0));
-        assert!(!queue.offer(0.0, 1.0, 0.0), "third must bounce off the cap");
-        // No capacity: both queued requests outlive the 1 s timeout.
-        queue.advance(2.0, 2.5, 0.0);
+        let mut queue = q();
+        for _ in 0..BACKLOG_CAP {
+            assert!(queue.offer(0.0, 1.0, 0.0));
+        }
+        assert!(!queue.offer(0.0, 1.0, 0.0), "one past the cap must bounce");
+        // No capacity: every queued request outlives the timeout.
+        queue.advance(TIMEOUT_S + 1.0, TIMEOUT_S + 1.5, 0.0);
         let stats = queue.stats();
         assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.timed_out, 2);
+        assert_eq!(stats.timed_out, BACKLOG_CAP as u64);
         assert_eq!(queue.backlog(), 0);
-        assert_eq!(stats.dropped(), 3);
+        assert_eq!(stats.dropped(), BACKLOG_CAP as u64 + 1);
     }
 
     #[test]
     fn shedding_is_deterministic_accumulator_thinning() {
-        let mut queue = q(1024, 100.0);
+        let mut queue = q();
         let mut admitted = 0;
-        for i in 0..1000 {
+        // 400 offers keep the 300 admitted ones under the backlog cap.
+        for i in 0..400 {
             if queue.offer(i as f64 * 0.001, 0.01, 0.25) {
                 admitted += 1;
             }
         }
-        // Exactly every fourth request is shed: 250 drops, no randomness.
-        assert_eq!(admitted, 750);
-        assert_eq!(queue.stats().shed, 250);
+        // Exactly every fourth request is shed: 100 drops, no randomness.
+        assert_eq!(admitted, 300);
+        assert_eq!(queue.stats().shed, 100);
         // Replay is bit-identical.
-        let mut twin = q(1024, 100.0);
-        for i in 0..1000 {
+        let mut twin = q();
+        for i in 0..400 {
             twin.offer(i as f64 * 0.001, 0.01, 0.25);
         }
         assert_eq!(twin.stats(), queue.stats());
@@ -379,7 +314,7 @@ mod tests {
 
     #[test]
     fn full_shed_drops_everything() {
-        let mut queue = q(16, 100.0);
+        let mut queue = q();
         for i in 0..10 {
             assert!(!queue.offer(i as f64, 0.01, 1.0));
         }
@@ -389,7 +324,7 @@ mod tests {
 
     #[test]
     fn window_ages_out_old_completions() {
-        let mut queue = q(16, 100.0);
+        let mut queue = q();
         queue.offer(0.0, 0.1, 0.0);
         queue.advance(0.0, 0.5, 1.0);
         assert_eq!(queue.latency_snapshot().completed, 1);
@@ -404,7 +339,7 @@ mod tests {
     #[test]
     fn tail_latency_grows_when_capacity_shrinks() {
         let run = |capacity: f64| {
-            let mut queue = q(4096, 100.0);
+            let mut queue = q();
             for step in 0..40 {
                 let t = step as f64 * 0.5;
                 for k in 0..20 {

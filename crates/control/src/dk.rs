@@ -33,8 +33,7 @@ pub struct SsvSynthesis {
     /// Final constant D-scalings (per µ block).
     pub scalings: Vec<f64>,
     /// The fitted rational `D(s)` sections of the winning design, empty
-    /// when a constant-D iteration won (or the rational step was
-    /// disabled). Minimum phase by construction.
+    /// when a constant-D iteration won. Minimum phase by construction.
     pub d_sections: Vec<RatSection>,
     /// D–K iterations performed.
     pub iterations: usize,
@@ -53,20 +52,33 @@ pub struct DkOptions {
     /// γ-bisection iterations per K-step (the multi-candidate search
     /// reaches the same bracket resolution in half as many rounds).
     pub gamma_iters: usize,
-    /// Frequency-grid points for the µ sweep.
+    /// Frequency-grid points for the µ sweep, from [`W_MIN`] up to
+    /// [`W_MAX_FRAC`] of the Nyquist rate.
     pub n_freq: usize,
-    /// Lower edge of the µ frequency grid, rad/s.
-    pub w_min: f64,
-    /// Upper edge of the µ grid as a fraction of the Nyquist rate π/ts.
-    pub w_max_frac: f64,
-    /// Relative D-scaling change below which the iteration is converged.
-    pub d_converge_tol: f64,
-    /// First-order sections of the rational `D(s)` fitted to the
-    /// per-grid-point Osborne scalings for one final frequency-dependent
-    /// K-step. `0` disables the rational step (constant-D only, the
-    /// pre-existing behaviour).
-    pub d_fit_sections: usize,
+    /// Holds nothing. The `benchmark` package writes
+    /// `..DkOptions::default()` after the three fields above, which clippy
+    /// rejects as a needless update when no other field is left.
+    pub reserved: (),
 }
+
+/// Lower edge of the µ frequency grid, rad/s.
+pub const W_MIN: f64 = 1e-3;
+
+/// Upper edge of the µ grid as a fraction of the Nyquist rate π/ts.
+pub const W_MAX_FRAC: f64 = 0.98;
+
+/// Relative D-scaling change below which the iteration is converged.
+pub const D_CONVERGE_TOL: f64 = 0.05;
+
+/// First-order sections of the rational `D(s)` fitted to the
+/// per-grid-point Osborne scalings for one final frequency-dependent
+/// K-step.
+pub const D_FIT_SECTIONS: usize = 1;
+
+const _: () = assert!(W_MIN > 0.0 && 0.0 < W_MAX_FRAC && W_MAX_FRAC <= 1.0);
+const _: () = assert!(D_CONVERGE_TOL > 0.0);
+// More sections would balloon the scaled plant's order.
+const _: () = assert!(D_FIT_SECTIONS <= 4);
 
 impl Default for DkOptions {
     fn default() -> Self {
@@ -74,18 +86,15 @@ impl Default for DkOptions {
             max_iters: 3,
             gamma_iters: 20,
             n_freq: 40,
-            w_min: 1e-3,
-            w_max_frac: 0.98,
-            d_converge_tol: 0.05,
-            d_fit_sections: 1,
+            reserved: (),
         }
     }
 }
 
 impl DkOptions {
     /// Checks the options against the sample time `ts` before any
-    /// synthesis work starts: a degenerate frequency grid or a non-finite
-    /// tolerance would otherwise produce a silently meaningless µ sweep.
+    /// synthesis work starts: a degenerate frequency grid would otherwise
+    /// produce a silently meaningless µ sweep.
     ///
     /// # Errors
     ///
@@ -99,25 +108,9 @@ impl DkOptions {
         if self.n_freq == 0 {
             return Err(fail("empty frequency grid (n_freq must be at least 1)"));
         }
-        if !self.w_min.is_finite() || self.w_min <= 0.0 {
+        if self.n_freq > 1 && W_MIN >= W_MAX_FRAC * std::f64::consts::PI / ts {
             return Err(fail(
-                "frequency grid start w_min must be positive and finite",
-            ));
-        }
-        if !self.w_max_frac.is_finite() || self.w_max_frac <= 0.0 || self.w_max_frac > 1.0 {
-            return Err(fail("w_max_frac must lie in (0, 1]"));
-        }
-        if self.n_freq > 1 && self.w_min >= self.w_max_frac * std::f64::consts::PI / ts {
-            return Err(fail(
-                "frequency grid not monotone: w_min reaches the Nyquist cap",
-            ));
-        }
-        if !self.d_converge_tol.is_finite() || self.d_converge_tol <= 0.0 {
-            return Err(fail("d_converge_tol must be positive and finite"));
-        }
-        if self.d_fit_sections > 4 {
-            return Err(fail(
-                "d_fit_sections above 4 would balloon the scaled plant order",
+                "frequency grid not monotone: W_MIN reaches the Nyquist cap",
             ));
         }
         Ok(())
@@ -126,7 +119,7 @@ impl DkOptions {
     /// The µ sweep grid these options define for sample time `ts`.
     fn grid(&self, ts: f64) -> Vec<f64> {
         let w_nyquist = std::f64::consts::PI / ts;
-        log_grid(self.w_min, self.w_max_frac * w_nyquist, self.n_freq)
+        log_grid(W_MIN, W_MAX_FRAC * w_nyquist, self.n_freq)
     }
 }
 
@@ -247,7 +240,7 @@ pub fn synthesize_ssv_obs(
             ]);
             iter_span.end_with(&[("iter", Value::U64(iters as u64))]);
         }
-        if (new_d / d_scale - 1.0).abs() < opts.d_converge_tol {
+        if (new_d / d_scale - 1.0).abs() < D_CONVERGE_TOL {
             break; // scalings converged
         }
         d_scale = new_d;
@@ -258,52 +251,50 @@ pub fn synthesize_ssv_obs(
     // µ is still evaluated on the *unscaled* closed loop and the winner
     // is chosen by minimum µ, so this step can only improve on the
     // constant-D bound, never fall below it.
-    if opts.d_fit_sections > 0 {
-        let fit_data = best_design.as_ref().map(|c| {
-            let omega: Vec<f64> = c.peak.curve.iter().map(|&(w, _)| w).collect();
-            let mags: Vec<f64> = c
-                .peak
-                .point_scalings
+    let fit_data = best_design.as_ref().map(|c| {
+        let omega: Vec<f64> = c.peak.curve.iter().map(|&(w, _)| w).collect();
+        let mags: Vec<f64> = c
+            .peak
+            .point_scalings
+            .iter()
+            .map(|s| s[0].clamp(1e-3, 1e3))
+            .collect();
+        (omega, mags, c.peak.peak)
+    });
+    if let Some((omega, mags, best_mu)) = fit_data {
+        let spread = mags.iter().cloned().fold(0.0f64, f64::max)
+            / mags
                 .iter()
-                .map(|s| s[0].clamp(1e-3, 1e3))
-                .collect();
-            (omega, mags, c.peak.peak)
-        });
-        if let Some((omega, mags, best_mu)) = fit_data {
-            let spread = mags.iter().cloned().fold(0.0f64, f64::max)
-                / mags
-                    .iter()
-                    .cloned()
-                    .fold(f64::INFINITY, f64::min)
-                    .max(1e-300);
-            // A near-constant d(ω) has nothing to gain over the constant
-            // step the loop already took.
-            if omega.len() >= 3 && spread > 1.05 {
-                let rat_span = yukta_obs::span(rec, "dk.rational_step");
-                // `dk.rational_step` times this K-step, so it reports no
-                // `dk.gamma_bisect` span of its own.
-                let rational = ratfit::fit_sections(&omega, &mags, opts.d_fit_sections)
-                    .ok()
-                    .filter(|fitted| fitted.iter().any(|s| s.z != s.p))
-                    .and_then(|fitted| {
-                        let scaled = plant.scaled_rational(&fitted).ok()?;
-                        let (design, gamma) =
-                            k_step(&scaled, opts.gamma_iters, &NoopRecorder, iters).ok()?;
-                        measure(design, gamma, fitted).ok()
-                    });
-                let rat_mu = rational.as_ref().map_or(f64::NAN, |c| c.peak.peak);
-                if let Some(candidate) = rational {
-                    iters += 1;
-                    if candidate.peak.peak < best_mu {
-                        best_design = Some(candidate);
-                    }
+                .cloned()
+                .fold(f64::INFINITY, f64::min)
+                .max(1e-300);
+        // A near-constant d(ω) has nothing to gain over the constant
+        // step the loop already took.
+        if omega.len() >= 3 && spread > 1.05 {
+            let rat_span = yukta_obs::span(rec, "dk.rational_step");
+            // `dk.rational_step` times this K-step, so it reports no
+            // `dk.gamma_bisect` span of its own.
+            let rational = ratfit::fit_sections(&omega, &mags, D_FIT_SECTIONS)
+                .ok()
+                .filter(|fitted| fitted.iter().any(|s| s.z != s.p))
+                .and_then(|fitted| {
+                    let scaled = plant.scaled_rational(&fitted).ok()?;
+                    let (design, gamma) =
+                        k_step(&scaled, opts.gamma_iters, &NoopRecorder, iters).ok()?;
+                    measure(design, gamma, fitted).ok()
+                });
+            let rat_mu = rational.as_ref().map_or(f64::NAN, |c| c.peak.peak);
+            if let Some(candidate) = rational {
+                iters += 1;
+                if candidate.peak.peak < best_mu {
+                    best_design = Some(candidate);
                 }
-                if rec.enabled() {
-                    rat_span.end_with(&[
-                        ("sections", Value::U64(opts.d_fit_sections as u64)),
-                        ("mu", Value::F64(rat_mu)),
-                    ]);
-                }
+            }
+            if rec.enabled() {
+                rat_span.end_with(&[
+                    ("sections", Value::U64(D_FIT_SECTIONS as u64)),
+                    ("mu", Value::F64(rat_mu)),
+                ]);
             }
         }
     }
@@ -522,8 +513,8 @@ mod tests {
 
     /// Each invalid option must be rejected with the typed `dk_options`
     /// error before any synthesis work runs.
-    fn assert_rejected(opts: DkOptions) {
-        match synthesize_ssv(&toy_model(), &toy_spec(), opts) {
+    fn assert_rejected(spec: &SsvSpec, opts: DkOptions) {
+        match synthesize_ssv(&toy_model(), spec, opts) {
             Err(Error::NoSolution { op, .. }) => assert_eq!(op, "dk_options"),
             other => panic!("expected dk_options rejection, got {other:?}"),
         }
@@ -531,59 +522,22 @@ mod tests {
 
     #[test]
     fn empty_grid_rejected() {
-        assert_rejected(DkOptions {
-            n_freq: 0,
-            ..DkOptions::default()
-        });
-    }
-
-    #[test]
-    fn nonpositive_w_min_rejected() {
-        assert_rejected(DkOptions {
-            w_min: 0.0,
-            ..DkOptions::default()
-        });
-        assert_rejected(DkOptions {
-            w_min: f64::NAN,
-            ..DkOptions::default()
-        });
-    }
-
-    #[test]
-    fn out_of_range_w_max_frac_rejected() {
-        assert_rejected(DkOptions {
-            w_max_frac: 0.0,
-            ..DkOptions::default()
-        });
-        assert_rejected(DkOptions {
-            w_max_frac: 1.5,
-            ..DkOptions::default()
-        });
-        assert_rejected(DkOptions {
-            w_max_frac: f64::INFINITY,
-            ..DkOptions::default()
-        });
+        assert_rejected(
+            &toy_spec(),
+            DkOptions {
+                n_freq: 0,
+                ..DkOptions::default()
+            },
+        );
     }
 
     #[test]
     fn non_monotone_grid_rejected() {
-        // w_min at the Nyquist cap: the log grid would collapse.
-        assert_rejected(DkOptions {
-            w_min: 0.98 * std::f64::consts::PI / 0.5,
-            ..DkOptions::default()
-        });
-    }
-
-    #[test]
-    fn bad_converge_tol_rejected() {
-        assert_rejected(DkOptions {
-            d_converge_tol: 0.0,
-            ..DkOptions::default()
-        });
-        assert_rejected(DkOptions {
-            d_converge_tol: f64::NAN,
-            ..DkOptions::default()
-        });
+        // A sample time so long that the Nyquist cap falls below W_MIN:
+        // the log grid would collapse.
+        let mut spec = toy_spec();
+        spec.ts = 2.0 * W_MAX_FRAC * std::f64::consts::PI / W_MIN;
+        assert_rejected(&spec, DkOptions::default());
     }
 
     #[test]
@@ -592,61 +546,47 @@ mod tests {
     }
 
     #[test]
-    fn excessive_d_fit_sections_rejected() {
-        assert_rejected(DkOptions {
-            d_fit_sections: 5,
-            ..DkOptions::default()
-        });
-    }
-
-    #[test]
     fn rational_step_never_degrades_mu() {
         // The rational-D candidate is adopted only when its µ beats the
-        // best constant-D iterate, so enabling the step can never raise
-        // the reported bound.
-        let constant = synthesize_ssv(
-            &toy_model(),
-            &toy_spec(),
-            DkOptions {
-                d_fit_sections: 0,
-                ..DkOptions::default()
-            },
-        )
-        .unwrap();
-        for sections in [1usize, 2] {
-            let rational = synthesize_ssv(
-                &toy_model(),
-                &toy_spec(),
-                DkOptions {
-                    d_fit_sections: sections,
-                    ..DkOptions::default()
-                },
-            )
-            .unwrap();
-            assert!(
-                rational.mu_peak <= constant.mu_peak + 1e-12,
-                "sections {sections}: rational µ {} above constant-D µ {}",
-                rational.mu_peak,
-                constant.mu_peak
-            );
-            // Any adopted sections must be realizable minimum-phase
-            // filters.
-            assert!(rational.d_sections.iter().all(|s| s.is_minimum_phase()));
-        }
-    }
-
-    #[test]
-    fn disabled_rational_step_reports_no_sections() {
-        let syn = synthesize_ssv(
-            &toy_model(),
-            &toy_spec(),
-            DkOptions {
-                d_fit_sections: 0,
-                ..DkOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(syn.d_sections.is_empty());
+        // best constant-D iterate, so the reported bound is the minimum
+        // over every D-step and the rational step.
+        let rec = yukta_obs::mem::MemRecorder::new();
+        let syn =
+            synthesize_ssv_obs(&toy_model(), &toy_spec(), DkOptions::default(), &rec).unwrap();
+        let snap = rec.snapshot();
+        let mu_of = |name: &str| -> Vec<f64> {
+            snap.entries
+                .iter()
+                .filter(|e| e.name == name)
+                .filter_map(|e| {
+                    snap.fields_of(e).iter().find_map(|(k, v)| match v {
+                        OwnedValue::F64(mu) if *k == "mu" => Some(*mu),
+                        _ => None,
+                    })
+                })
+                .collect()
+        };
+        let d_steps = mu_of("dk.d_step");
+        let rational = mu_of("dk.rational_step");
+        assert!(!d_steps.is_empty());
+        assert_eq!(
+            rational.len(),
+            1,
+            "the toy plant exercises the rational step"
+        );
+        // `f64::min` skips the NaN a failed rational candidate reports.
+        let best = d_steps
+            .iter()
+            .chain(&rational)
+            .copied()
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(
+            syn.mu_peak.to_bits(),
+            best.to_bits(),
+            "{d_steps:?} {rational:?}"
+        );
+        // Any adopted sections must be realizable minimum-phase filters.
+        assert!(syn.d_sections.iter().all(|s| s.is_minimum_phase()));
     }
 
     #[test]

@@ -51,91 +51,55 @@ pub enum ExcitationKind {
     RandomWalk,
 }
 
-/// Guardband auto-tuning: derive the uncertainty radius Δ from a held-out
-/// validation residual instead of a fixed Table II/III constant.
-///
-/// A guardband much wider than the model's actual prediction error forces
-/// the µ synthesis to defend against plants that cannot occur, inflating
-/// µ̂ and detuning the controller; one narrower than the residual voids the
-/// robustness guarantee. The tuner sets
-/// `Δ = clamp(margin · residual, min, max)` per layer, where `residual` is
-/// the worst-output relative RMS one-step prediction error on a held-out
-/// tail of the excitation record.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GuardbandConfig {
-    /// Tune Δ from the validation residual; `false` keeps the fixed
-    /// `hw_uncertainty`/`os_uncertainty` values.
-    pub auto: bool,
-    /// Safety factor applied to the measured residual.
-    pub margin: f64,
-    /// Floor of the tuned radius (never trust a residual of zero).
-    pub min: f64,
-    /// Ceiling of the tuned radius (beyond this the synthesis gives up
-    /// performance for phantom robustness).
-    pub max: f64,
-    /// Fraction of the excitation record held out for validation.
-    pub holdout_frac: f64,
+/// Seconds of excitation per training workload.
+const EXCITATION_SECS: f64 = 60.0;
+
+// Guardband auto-tuning derives the uncertainty radius Δ from a held-out
+// validation residual instead of a fixed Table II/III constant. A
+// guardband much wider than the model's actual prediction error forces
+// the µ synthesis to defend against plants that cannot occur, inflating
+// µ̂ and detuning the controller; one narrower than the residual voids the
+// robustness guarantee.
+
+/// Safety factor applied to the measured validation residual.
+const GUARDBAND_MARGIN: f64 = 1.25;
+
+/// Floor of the tuned radius (never trust a residual of zero).
+const GUARDBAND_MIN: f64 = 0.10;
+
+/// Ceiling of the tuned radius (beyond this the synthesis gives up
+/// performance for phantom robustness).
+const GUARDBAND_MAX: f64 = 0.60;
+
+/// Fraction of the excitation record held out for validation.
+pub const HOLDOUT_FRAC: f64 = 0.25;
+
+const _: () = assert!(GUARDBAND_MARGIN > 0.0 && 0.0 < GUARDBAND_MIN);
+const _: () = assert!(GUARDBAND_MIN <= GUARDBAND_MAX);
+const _: () = assert!(0.0 < HOLDOUT_FRAC && HOLDOUT_FRAC < 0.9);
+
+/// The tuned radius for a measured validation residual (the worst-output
+/// relative RMS one-step prediction error on a held-out tail of the
+/// excitation record): `clamp(GUARDBAND_MARGIN · residual, GUARDBAND_MIN,
+/// GUARDBAND_MAX)`.
+pub fn guardband_radius(residual: f64) -> f64 {
+    (GUARDBAND_MARGIN * residual).clamp(GUARDBAND_MIN, GUARDBAND_MAX)
 }
 
-impl Default for GuardbandConfig {
-    fn default() -> Self {
-        GuardbandConfig {
-            auto: true,
-            margin: 1.25,
-            min: 0.10,
-            max: 0.60,
-            holdout_frac: 0.25,
-        }
+/// One layer's `(residual, radius)`. With auto-tuning on, the layer is
+/// re-fitted on the leading part of the record and the residual is
+/// measured on the held-out tail: it bounds how wrong the production
+/// model (fitted on all data, so at least as good) can be on unseen data.
+/// With auto-tuning off: `(NaN, fixed)`.
+fn tune_guardband(auto: bool, u: &[Vec<f64>], y: &[Vec<f64>], fixed: f64) -> Result<(f64, f64)> {
+    if !auto {
+        return Ok((f64::NAN, fixed));
     }
-}
-
-impl GuardbandConfig {
-    /// Checks the configuration before the design pipeline starts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoSolution`] (op `guardband_config`) naming the
-    /// first violated constraint.
-    pub fn validate(&self) -> Result<()> {
-        let fail = |why: &'static str| Error::NoSolution {
-            op: "guardband_config",
-            why,
-        };
-        if !(self.margin.is_finite() && self.margin > 0.0) {
-            return Err(fail("margin must be positive and finite"));
-        }
-        if !(self.min.is_finite() && self.min > 0.0) {
-            return Err(fail("min radius must be positive and finite"));
-        }
-        if !(self.max.is_finite() && self.max >= self.min) {
-            return Err(fail("max radius must be finite and at least min"));
-        }
-        if !(self.holdout_frac > 0.0 && self.holdout_frac < 0.9) {
-            return Err(fail("holdout_frac must lie in (0, 0.9)"));
-        }
-        Ok(())
-    }
-
-    /// The tuned radius for a measured validation residual.
-    pub fn radius(&self, residual: f64) -> f64 {
-        (self.margin * residual).clamp(self.min, self.max)
-    }
-
-    /// One layer's `(residual, radius)`. With auto-tuning on, the layer is
-    /// re-fitted on the leading part of the record and the residual is
-    /// measured on the held-out tail: it bounds how wrong the production
-    /// model (fitted on all data, so at least as good) can be on unseen
-    /// data. With auto-tuning off: `(NaN, fixed)`.
-    fn tune(&self, u: &[Vec<f64>], y: &[Vec<f64>], fixed: f64) -> Result<(f64, f64)> {
-        if !self.auto {
-            return Ok((f64::NAN, fixed));
-        }
-        let (u, y) = align_for_arx(u, y);
-        let split = ((1.0 - self.holdout_frac) * u.len() as f64) as usize;
-        let train = fit_arx(&u[..split], &y[..split], SYSID_CONFIG)?;
-        let residual = validation_residual(&u[split..], &y[split..], &train)?;
-        Ok((residual, self.radius(residual)))
-    }
+    let (u, y) = align_for_arx(u, y);
+    let split = ((1.0 - HOLDOUT_FRAC) * u.len() as f64) as usize;
+    let train = fit_arx(&u[..split], &y[..split], SYSID_CONFIG)?;
+    let residual = validation_residual(&u[split..], &y[split..], &train)?;
+    Ok((residual, guardband_radius(residual)))
 }
 
 /// Designer-facing knobs (Tables II and III), exposed so the sensitivity
@@ -147,7 +111,7 @@ pub struct DesignOptions {
     pub hw_bounds: [f64; 4],
     /// HW input weights (#big, #little, f_big, f_little).
     pub hw_weights: [f64; 4],
-    /// HW uncertainty guardband (used as-is when `guardband.auto` is off;
+    /// HW uncertainty guardband (used as-is when `auto_guardband` is off;
     /// otherwise the auto-tuner overrides it).
     pub hw_uncertainty: f64,
     /// OS output deviation bounds (Perf_little, Perf_big, ΔSC).
@@ -159,12 +123,12 @@ pub struct DesignOptions {
     /// Seed of the excitation schedules (every actuator channel derives
     /// its own salted stream from this).
     pub seed: u64,
-    /// Seconds of excitation per training workload.
-    pub excitation_secs: f64,
     /// Excitation schedule family.
     pub excitation: ExcitationKind,
-    /// Guardband auto-tuning configuration.
-    pub guardband: GuardbandConfig,
+    /// Tune each layer's Δ from its held-out validation residual
+    /// ([`guardband_radius`]); `false` keeps the fixed
+    /// `hw_uncertainty`/`os_uncertainty` values.
+    pub auto_guardband: bool,
     /// DC boost of the shaped performance weight (see `SsvSpec`).
     pub perf_dc_boost: f64,
     /// Corner frequency of the shaped performance weight (rad/s).
@@ -185,9 +149,8 @@ impl Default for DesignOptions {
             os_weights: [2.0, 2.0, 2.0],
             os_uncertainty: 0.50,
             seed: 0x5EED_CAFE,
-            excitation_secs: 60.0,
             excitation: ExcitationKind::Prbs,
-            guardband: GuardbandConfig::default(),
+            auto_guardband: true,
             perf_dc_boost: 5.0,
             perf_corner: 0.15,
             effort_scale: 1.0,
@@ -242,7 +205,7 @@ pub struct Design {
     /// Per-output identification fit of the full OS model.
     pub os_fit: Vec<f64>,
     /// The HW uncertainty radius the synthesis actually used (auto-tuned
-    /// when `options.guardband.auto`).
+    /// when `options.auto_guardband`).
     pub hw_uncertainty_used: f64,
     /// The OS uncertainty radius the synthesis actually used.
     pub os_uncertainty_used: f64,
@@ -343,7 +306,7 @@ pub fn collect_excitation(opts: &DesignOptions) -> ExcitationData {
         let mut perf_reader_big = yukta_board::sensors::BipsReader::new();
         let mut perf_reader_little = yukta_board::sensors::BipsReader::new();
         let steps_per_interval = (0.5 / board.config().dt).round() as usize;
-        let n_intervals = (opts.excitation_secs / 0.5) as usize;
+        let n_intervals = (EXCITATION_SECS / 0.5) as usize;
         // Per-channel index schedules, precomputed for the whole record.
         // Every channel gets its own salted stream of the experiment seed
         // (workload index included in the salt so records differ across
@@ -613,7 +576,6 @@ pub fn identify_layer(u: &[Vec<f64>], y: &[Vec<f64>], dc: &Mat) -> Result<IdMode
 /// synthesis failures (infeasible bounds/guardbands, per the paper's
 /// description of MATLAB failing to build the controller).
 pub fn build_design(opts: &DesignOptions) -> Result<Design> {
-    opts.guardband.validate()?;
     let data = collect_excitation(opts);
     if data.len() < 100 {
         return Err(Error::NoSolution {
@@ -637,9 +599,11 @@ pub fn build_design(opts: &DesignOptions) -> Result<Design> {
     let u_os_full = concat(&data.u_os, &data.u_hw);
     let hw_id = identify_layer(&u_hw_full, &data.y_hw, &pick(hw, all))?;
     let os_id = identify_layer(&u_os_full, &data.y_os, &pick(os, os_hw))?;
-    let gb = &opts.guardband;
-    let (hw_residual, hw_uncertainty) = gb.tune(&u_hw_full, &data.y_hw, opts.hw_uncertainty)?;
-    let (os_residual, os_uncertainty) = gb.tune(&u_os_full, &data.y_os, opts.os_uncertainty)?;
+    let auto = opts.auto_guardband;
+    let (hw_residual, hw_uncertainty) =
+        tune_guardband(auto, &u_hw_full, &data.y_hw, opts.hw_uncertainty)?;
+    let (os_residual, os_uncertainty) =
+        tune_guardband(auto, &u_os_full, &data.y_os, opts.os_uncertainty)?;
     // Solo and joint models for the LQG baselines.
     let hw_solo = identify_layer(&data.u_hw, &data.y_hw, &pick(hw, hw))?;
     let os_solo = identify_layer(&data.u_os, &data.y_os, &pick(os, os))?;
@@ -687,11 +651,7 @@ mod tests {
 
     #[test]
     fn excitation_produces_rich_data() {
-        let opts = DesignOptions {
-            excitation_secs: 20.0,
-            ..Default::default()
-        };
-        let data = collect_excitation(&opts);
+        let data = collect_excitation(&DesignOptions::default());
         assert!(data.len() > 100, "samples {}", data.len());
         // Inputs actually move (random walk).
         let f_col: Vec<f64> = data.u_hw.iter().map(|r| r[2]).collect();
@@ -729,10 +689,7 @@ mod tests {
 
     #[test]
     fn design_is_deterministic() {
-        let opts = DesignOptions {
-            excitation_secs: 15.0,
-            ..Default::default()
-        };
+        let opts = DesignOptions::default();
         let d1 = collect_excitation(&opts);
         let d2 = collect_excitation(&opts);
         assert_eq!(d1.u_hw, d2.u_hw);

@@ -237,7 +237,7 @@ impl HealthTap {
     }
 
     /// Re-arms after a hot-swap: the detectors re-learn their baselines
-    /// (holdoff per [`HealthConfig::rearm`]) and, when a refit produced a
+    /// (holdoff per [`yukta_obs::health::REARM`]) and, when a refit produced a
     /// new plant model, the open-loop recursion restarts against it.
     pub fn rearm_after_swap(&mut self, refit: Option<StateSpace>) {
         if let Some(model) = refit {

@@ -36,7 +36,7 @@
 //! use yukta_workloads::catalog;
 //!
 //! # fn main() -> Result<(), yukta_linalg::Error> {
-//! let report = Experiment::new(Scheme::YuktaHwSsvOsSsv)?
+//! let report = Experiment::new(Scheme::YuktaHwSsvOsSsv)
 //!     .run(&catalog::parsec::blackscholes())?;
 //! println!("E×D = {:.1} J·s", report.metrics.exd());
 //! # Ok(())

@@ -45,7 +45,7 @@
 //! | any      | `RecoveryBegin`       | `!recovering`                | recovering | replay journal suffix  |
 //! | any      | `RecoveryEnd`         | `recovering`                 | !recovering | resume live loop      |
 //!
-//! `N = reengage_after` (hysteresis) and `M = escalate_after`
+//! `N = `[`REENGAGE_AFTER`] (hysteresis) and `M = `[`ESCALATE_AFTER`]
 //! (sustained-fault escalation). At most one level change happens per
 //! event; the automaton checks this itself.
 //!
@@ -187,7 +187,7 @@ pub enum InvariantViolation {
     Flapping {
         /// Clean streak at the (illegal) promotion.
         streak: u32,
-        /// Required streak (`reengage_after`).
+        /// Required streak ([`REENGAGE_AFTER`]).
         required: u32,
     },
     /// An event the current state has no transition for.
@@ -303,25 +303,24 @@ pub struct ModeState {
     pub recovering: bool,
 }
 
-/// Guard thresholds of the automaton.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ModeConfig {
-    /// Consecutive clean samples before a demoted level is promoted one
-    /// step (hysteresis guard `N`).
-    pub reengage_after: u32,
-    /// Consecutive dirty samples in Fallback before escalating to Safe
-    /// (sustained-fault guard `M`).
-    pub escalate_after: u32,
-}
+/// Hysteresis guard `N`: consecutive clean samples before a demoted
+/// level is promoted one step (3 s of clean telemetry at 500 ms).
+pub const REENGAGE_AFTER: u32 = 6;
 
-impl Default for ModeConfig {
-    fn default() -> Self {
-        ModeConfig {
-            reengage_after: 6,  // 3 s of clean telemetry at 500 ms
-            escalate_after: 24, // 12 s of continuous fault evidence
-        }
-    }
-}
+/// Sustained-fault guard `M`: consecutive dirty samples in Fallback before
+/// escalating to Safe (12 s of continuous fault evidence).
+pub const ESCALATE_AFTER: u32 = 24;
+
+// A guard of 1 re-engages on a single clean sample or escalates on the
+// first dirty one: the mode would flap.
+const _: () = assert!(REENGAGE_AFTER >= 2 && ESCALATE_AFTER >= 2);
+
+/// Holds nothing: the automaton's guards are [`REENGAGE_AFTER`] and
+/// [`ESCALATE_AFTER`]. The type stays because the `benchmark` package
+/// passes `ModeConfig::default()` to [`ModeAutomaton::new`]; it has braces
+/// so that call is not a default-constructed unit struct to clippy.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ModeConfig {}
 
 /// Resumable snapshot of a [`ModeAutomaton`]. Taken between invocation
 /// brackets (checkpoints), restored bit-exactly on crash recovery. The
@@ -353,7 +352,6 @@ const TRANSITION_LOG_CAP: usize = 1024;
 /// space, transition table, and invariant catalog.
 #[derive(Debug, Clone)]
 pub struct ModeAutomaton {
-    cfg: ModeConfig,
     level: SupervisorMode,
     clean_streak: u32,
     dirty_streak: u32,
@@ -369,9 +367,8 @@ pub struct ModeAutomaton {
 
 impl ModeAutomaton {
     /// A fresh automaton in `Primary`, no swap pending, not recovering.
-    pub fn new(cfg: ModeConfig) -> Self {
+    pub fn new(_cfg: ModeConfig) -> Self {
         ModeAutomaton {
-            cfg,
             level: SupervisorMode::Primary,
             clean_streak: 0,
             dirty_streak: 0,
@@ -546,13 +543,13 @@ impl ModeAutomaton {
                 }
                 // Hysteresis re-engagement, guard re-verified at the
                 // promotion itself (the no-flapping invariant).
-                if self.level != Primary && self.clean_streak >= self.cfg.reengage_after {
+                if self.level != Primary && self.clean_streak >= REENGAGE_AFTER {
                     // The no-flapping invariant: the hysteresis guard is
                     // re-verified at the moment the promotion fires.
-                    if self.clean_streak < self.cfg.reengage_after {
+                    if self.clean_streak < REENGAGE_AFTER {
                         return self.reject(InvariantViolation::Flapping {
                             streak: self.clean_streak,
-                            required: self.cfg.reengage_after,
+                            required: REENGAGE_AFTER,
                         });
                     }
                     let to = match self.level {
@@ -565,10 +562,7 @@ impl ModeAutomaton {
                     // Fault evidence demotes for this sample and until the
                     // clean streak rebuilds.
                     change = Some(self.fire(Fallback, "fault_evidence"));
-                } else if self.level == Fallback
-                    && !clean
-                    && self.dirty_streak >= self.cfg.escalate_after
-                {
+                } else if self.level == Fallback && !clean && self.dirty_streak >= ESCALATE_AFTER {
                     // Sustained fault evidence: stop burning the fallback
                     // heuristic on a hostile sensor view, park in Safe.
                     // Unreachable in the same event as a Primary demotion
@@ -696,13 +690,6 @@ mod tests {
     use super::*;
     use SupervisorMode::{Fallback, Primary, Safe};
 
-    fn cfg() -> ModeConfig {
-        ModeConfig {
-            reengage_after: 3,
-            escalate_after: 4,
-        }
-    }
-
     /// Brackets one invocation with all knobs claimed by the serving level.
     fn full_bracket(a: &mut ModeAutomaton) {
         a.begin_invocation();
@@ -730,7 +717,7 @@ mod tests {
         ];
         for level in [Primary, Fallback, Safe] {
             for ev in events {
-                let mut a = ModeAutomaton::new(cfg());
+                let mut a = ModeAutomaton::new(ModeConfig::default());
                 // Drive to the target level through legal transitions.
                 match level {
                     Primary => {}
@@ -766,8 +753,7 @@ mod tests {
         // Replica of the pre-refactor supervisor's mode/streak logic, fed
         // the same clean/dirty sequence: serving decisions must agree
         // step for step (the zero-severity bit-identity anchor).
-        let c = cfg();
-        let mut auto = ModeAutomaton::new(c);
+        let mut auto = ModeAutomaton::new(ModeConfig::default());
         let mut mode = Primary;
         let mut clean_streak = 0u32;
         // A fixed pseudo-random clean/dirty pattern covering demotion,
@@ -784,7 +770,7 @@ mod tests {
             } else {
                 clean_streak = 0;
             }
-            if mode != Primary && clean_streak >= c.reengage_after {
+            if mode != Primary && clean_streak >= REENGAGE_AFTER {
                 mode = match mode {
                     Safe => Fallback,
                     _ => Primary,
@@ -809,12 +795,11 @@ mod tests {
 
     #[test]
     fn escalation_fires_after_sustained_dirt_and_recovers_through_fallback() {
-        let c = cfg();
-        let mut a = ModeAutomaton::new(c);
+        let mut a = ModeAutomaton::new(ModeConfig::default());
         a.on_sample(false);
         assert_eq!(a.level(), Fallback);
-        // dirty_streak is already 1; escalation at >= escalate_after.
-        for _ in 0..c.escalate_after - 2 {
+        // dirty_streak is already 1; escalation at >= ESCALATE_AFTER.
+        for _ in 0..ESCALATE_AFTER - 2 {
             a.on_sample(false);
             assert_eq!(a.level(), Fallback);
         }
@@ -823,11 +808,11 @@ mod tests {
         assert_eq!(d.change.map(|ch| ch.cause), Some("escalation"));
         // Clean streak promotes Safe → Fallback → Primary, one level per
         // full streak.
-        for _ in 0..c.reengage_after {
+        for _ in 0..REENGAGE_AFTER {
             a.on_sample(true);
         }
         assert_eq!(a.level(), Fallback);
-        for _ in 0..c.reengage_after {
+        for _ in 0..REENGAGE_AFTER {
             a.on_sample(true);
         }
         assert_eq!(a.level(), Primary);
@@ -836,7 +821,7 @@ mod tests {
 
     #[test]
     fn dual_writer_and_actuation_gap_are_caught() {
-        let mut a = ModeAutomaton::new(cfg());
+        let mut a = ModeAutomaton::new(ModeConfig::default());
         a.begin_invocation();
         a.claim(Knob::Dvfs, "primary");
         a.claim(Knob::Dvfs, "fallback"); // second writer on the same knob
@@ -860,7 +845,7 @@ mod tests {
         // Shedding is part of the no-actuation-gap contract: a bracket
         // that writes everything except the admission knob leaves the
         // door policy undefined for that invocation.
-        let mut a = ModeAutomaton::new(cfg());
+        let mut a = ModeAutomaton::new(ModeConfig::default());
         a.begin_invocation();
         for k in [Knob::Dvfs, Knob::Hotplug, Knob::Migration] {
             a.claim(k, "primary");
@@ -878,7 +863,7 @@ mod tests {
 
     #[test]
     fn complete_bracket_records_no_violation() {
-        let mut a = ModeAutomaton::new(cfg());
+        let mut a = ModeAutomaton::new(ModeConfig::default());
         for _ in 0..10 {
             full_bracket(&mut a);
         }
@@ -888,7 +873,7 @@ mod tests {
 
     #[test]
     fn swap_protocol_guards_reentry_and_commit_without_request() {
-        let mut a = ModeAutomaton::new(cfg());
+        let mut a = ModeAutomaton::new(ModeConfig::default());
         assert!(
             a.apply(ModeEvent::SwapCommit).is_err(),
             "commit w/o request"
@@ -903,7 +888,7 @@ mod tests {
 
     #[test]
     fn recovery_protocol_guards_double_begin_and_stray_end() {
-        let mut a = ModeAutomaton::new(cfg());
+        let mut a = ModeAutomaton::new(ModeConfig::default());
         assert!(a.apply(ModeEvent::RecoveryEnd).is_err());
         assert!(a.apply(ModeEvent::RecoveryBegin).is_ok());
         assert!(a.recovering());
@@ -914,15 +899,14 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_mid_episode_bit_for_bit() {
-        let c = cfg();
-        let mut a = ModeAutomaton::new(c);
+        let mut a = ModeAutomaton::new(ModeConfig::default());
         a.on_sample(false); // demote
         a.on_sample(true);
         a.on_sample(true); // partial clean streak
         a.request_swap(); // pending swap survives the snapshot
         full_bracket(&mut a);
         let snap = a.snapshot();
-        let mut b = ModeAutomaton::new(c);
+        let mut b = ModeAutomaton::new(ModeConfig::default());
         b.restore(&snap);
         assert_eq!(b.snapshot(), snap);
         // Both continue identically.
@@ -935,7 +919,7 @@ mod tests {
 
     #[test]
     fn transition_log_drains_and_labels_causes() {
-        let mut a = ModeAutomaton::new(cfg());
+        let mut a = ModeAutomaton::new(ModeConfig::default());
         a.on_sample(false);
         a.request_swap();
         a.commit_swap();
@@ -949,7 +933,7 @@ mod tests {
 
     #[test]
     fn primary_error_outside_primary_is_a_typed_violation() {
-        let mut a = ModeAutomaton::new(cfg());
+        let mut a = ModeAutomaton::new(ModeConfig::default());
         a.on_sample(false);
         assert_eq!(a.level(), Fallback);
         let err = a.apply(ModeEvent::PrimaryError);

@@ -57,7 +57,7 @@ enum EngineState {
 
 impl Engine {
     /// Wraps `controllers` in the supervisor when `sup_cfg` is set; a raw
-    /// engine carries its own automaton with the default configuration.
+    /// engine carries its own automaton.
     fn new(controllers: Controllers, sup_cfg: Option<SupervisorConfig>) -> Self {
         match sup_cfg {
             None => Engine::Raw {
@@ -286,7 +286,8 @@ pub enum SwapTrigger {
 pub struct ServingSpec {
     /// Open-loop arrival process (pattern, rate, load factor, seed).
     pub traffic: TrafficConfig,
-    /// Admission queue (backlog cap, timeout, stats window).
+    /// Admission queue: its backlog cap, timeout and stats window are
+    /// the constants of `yukta_board::queue`.
     pub queue: QueueConfig,
     /// External big-cluster frequency cap (GHz), strictly a capper on top
     /// of whatever the controllers command (`None` = no interference).
@@ -294,7 +295,7 @@ pub struct ServingSpec {
 }
 
 impl ServingSpec {
-    /// Rejects non-finite/degenerate traffic, queue, SLO-bound, and cap
+    /// Rejects non-finite/degenerate traffic, SLO-bound, and cap
     /// parameters with typed errors before a run starts.
     ///
     /// # Errors
@@ -303,8 +304,6 @@ impl ServingSpec {
     pub fn validate(&self, limits: &Limits) -> Result<()> {
         let why = if self.traffic.validate().is_err() {
             "invalid traffic config (see TrafficConfig::validate)"
-        } else if self.queue.validate().is_err() {
-            "invalid queue config (see QueueConfig::validate)"
         } else if !(limits.latency_slo_s.is_finite() && limits.latency_slo_s > 0.0) {
             "latency SLO bound must be finite and positive"
         } else if self
@@ -329,8 +328,7 @@ impl ServingSpec {
 /// optional; the default is a plain run.
 #[derive(Debug, Clone, Default)]
 pub struct UnifiedOptions {
-    /// Wrap the controllers in the fault-containment supervisor
-    /// (validated via [`SupervisorConfig::validate`]).
+    /// Wrap the controllers in the fault-containment supervisor.
     pub sup_cfg: Option<SupervisorConfig>,
     /// Fault-injection plan corrupting the board interface; its crash
     /// points fire only when `recovery` is enabled.
@@ -352,22 +350,17 @@ pub struct UnifiedOptions {
 
 impl UnifiedOptions {
     /// Rejects invalid stages and combinations with typed errors before a
-    /// run starts: a flapping-prone supervisor configuration, a degenerate
-    /// serving spec (checked against `limits`), crash points without
-    /// recovery, a phase-change swap trigger without the health monitor,
-    /// and the health monitor or a phase-change trigger together with
-    /// recovery (neither the tap nor detector-driven swaps are
-    /// checkpointed).
+    /// run starts: a degenerate serving spec (checked against `limits`),
+    /// crash points without recovery, a phase-change swap trigger without
+    /// the health monitor, and the health monitor or a phase-change
+    /// trigger together with recovery (neither the tap nor detector-driven
+    /// swaps are checkpointed).
     ///
     /// # Errors
     ///
-    /// [`yukta_linalg::Error::NoSolution`] from
-    /// [`SupervisorConfig::validate`] and [`ServingSpec::validate`], and
-    /// with `op: "run_unified"` for the invalid combinations.
+    /// [`yukta_linalg::Error::NoSolution`] from [`ServingSpec::validate`],
+    /// and with `op: "run_unified"` for the invalid combinations.
     pub fn validate(&self, limits: &Limits) -> Result<()> {
-        if let Some(cfg) = &self.sup_cfg {
-            cfg.validate()?;
-        }
         if let Some(spec) = &self.serving {
             spec.validate(limits)?;
         }
@@ -525,13 +518,8 @@ pub struct Experiment {
 
 impl Experiment {
     /// Creates an experiment against the cached default design.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible for valid schemes; kept fallible for parity
-    /// with [`Experiment::run`] call sites.
-    pub fn new(scheme: Scheme) -> Result<Self> {
-        Ok(Self::with_design(scheme, default_design().clone()))
+    pub fn new(scheme: Scheme) -> Self {
+        Self::with_design(scheme, default_design().clone())
     }
 
     /// Creates an experiment against an explicit design (sensitivity
@@ -625,8 +613,7 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Typed [`Error::NoSolution`] on an invalid [`SupervisorConfig`];
-    /// propagates controller-instantiation failures. The supervised loop
+    /// Propagates controller-instantiation failures. The supervised loop
     /// itself never returns a controller error.
     pub fn run_supervised(
         &self,
@@ -654,8 +641,8 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Typed [`Error::NoSolution`] on an invalid [`SupervisorConfig`] or
-    /// [`HealthConfig`]; propagates controller-instantiation failures.
+    /// Typed [`Error::NoSolution`] on an invalid [`HealthConfig`];
+    /// propagates controller-instantiation failures.
     pub fn run_monitored(
         &self,
         workload: &Workload,
@@ -1370,9 +1357,7 @@ mod tests {
 
     #[test]
     fn coordinated_heuristic_completes_blackscholes() {
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let rep = exp.run(&catalog::parsec::blackscholes()).unwrap();
         assert!(
             rep.metrics.completed,
@@ -1388,12 +1373,10 @@ mod tests {
     fn decoupled_heuristic_is_worse_than_coordinated() {
         let wl = catalog::spec::mcf();
         let coord = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
             .with_options(quick_options())
             .run(&wl)
             .unwrap();
         let dec = Experiment::new(Scheme::DecoupledHeuristic)
-            .unwrap()
             .with_options(quick_options())
             .run(&wl)
             .unwrap();
@@ -1416,12 +1399,10 @@ mod tests {
         // ~208 s / ~1.3x on this workload.
         let wl = catalog::parsec::blackscholes();
         let coord = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
             .with_options(quick_options())
             .run(&wl)
             .unwrap();
         let yukta = Experiment::new(Scheme::YuktaHwSsvOsSsv)
-            .unwrap()
             .with_options(quick_options())
             .run(&wl)
             .unwrap();
@@ -1436,9 +1417,7 @@ mod tests {
 
     #[test]
     fn traces_respect_limits_on_average_for_ssv() {
-        let exp = Experiment::new(Scheme::YuktaHwSsvOsSsv)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::YuktaHwSsvOsSsv).with_options(quick_options());
         let rep = exp.run(&catalog::parsec::blackscholes()).unwrap();
         // Transients may cross the limit, but sustained operation must not.
         let mean_p = rep.trace.mean_of(|s| s.p_big);
@@ -1450,9 +1429,7 @@ mod tests {
     #[test]
     fn zero_severity_supervised_run_is_bit_identical_to_baseline() {
         let wl = catalog::parsec::blackscholes();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let base = exp.run(&wl).unwrap();
         let sup = exp
             .run_supervised(
@@ -1485,9 +1462,7 @@ mod tests {
     #[test]
     fn supervised_run_survives_full_severity_faults() {
         let wl = catalog::spec::gamess();
-        let exp = Experiment::new(Scheme::MonolithicLqg)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::MonolithicLqg).with_options(quick_options());
         let rep = exp
             .run_supervised(
                 &wl,
@@ -1509,9 +1484,7 @@ mod tests {
     #[test]
     fn identical_seed_and_plan_reproduce_report_bit_for_bit() {
         let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let plan = FaultPlan::uniform(42, 0.6);
         let a = exp
             .run_supervised(&wl, SupervisorConfig::default(), Some(plan.clone()))
@@ -1588,9 +1561,7 @@ mod tests {
 
     #[test]
     fn monolithic_lqg_runs() {
-        let exp = Experiment::new(Scheme::MonolithicLqg)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::MonolithicLqg).with_options(quick_options());
         let rep = exp.run(&catalog::spec::gamess()).unwrap();
         assert!(rep.metrics.delay_seconds > 0.0);
     }
@@ -1598,9 +1569,7 @@ mod tests {
     #[test]
     fn recoverable_without_crashes_matches_supervised_run_bit_for_bit() {
         let wl = catalog::parsec::blackscholes();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let plan = FaultPlan::uniform(17, 0.3);
         let base = exp
             .run_supervised(&wl, SupervisorConfig::default(), Some(plan.clone()))
@@ -1639,9 +1608,7 @@ mod tests {
     #[test]
     fn crash_recovery_reproduces_uninterrupted_run_bit_for_bit() {
         let wl = catalog::spec::gamess();
-        let exp = Experiment::new(Scheme::MonolithicLqg)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::MonolithicLqg).with_options(quick_options());
         let plan = FaultPlan::uniform(21, 0.5).with_crash(9).with_crash(31);
         // run_supervised ignores crash points, so the same plan doubles as
         // the uninterrupted baseline.
@@ -1671,9 +1638,7 @@ mod tests {
     #[test]
     fn late_crash_recovers_bit_identically_from_trace_free_checkpoints() {
         let wl = catalog::spec::gamess();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let plan = FaultPlan::uniform(13, 0.0);
         let base = exp
             .run_supervised(&wl, SupervisorConfig::default(), Some(plan.clone()))
@@ -1740,9 +1705,7 @@ mod tests {
         // deterministic and the transfer is bumpless, so the swapped run
         // reproduces the unswapped one bit-for-bit.
         let wl = catalog::parsec::blackscholes();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let base = exp
             .run_supervised(&wl, SupervisorConfig::default(), None)
             .unwrap();
@@ -1773,9 +1736,7 @@ mod tests {
         // and no actuation gap (one trace sample per supervisor
         // invocation).
         let wl = catalog::parsec::blackscholes();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let rep = exp
             .run_unified(
                 &wl,
@@ -1818,9 +1779,7 @@ mod tests {
     #[test]
     fn raw_engine_crash_recovery_matches_plain_run() {
         let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::DecoupledLqg)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::DecoupledLqg).with_options(quick_options());
         let base = exp.run(&wl).unwrap();
         // A zero-severity plan leaves the board identical to a plan-less
         // run; only the crash point differs from `run`.
@@ -1859,9 +1818,7 @@ mod tests {
     #[test]
     fn unified_rejects_invalid_combinations_with_typed_errors() {
         let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         // Crash points without recovery: there is nothing to recover with.
         let err = exp
             .run_unified(
@@ -1878,29 +1835,6 @@ mod tests {
                 err,
                 Error::NoSolution {
                     op: "run_unified",
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
-        // Flapping-prone supervisor configurations are rejected up front.
-        let err = exp
-            .run_unified(
-                &wl,
-                UnifiedOptions {
-                    sup_cfg: Some(SupervisorConfig {
-                        reengage_after: 1,
-                        ..Default::default()
-                    }),
-                    ..Default::default()
-                },
-            )
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::NoSolution {
-                    op: "supervisor_config",
                     ..
                 }
             ),
@@ -1949,42 +1883,6 @@ mod tests {
     }
 
     #[test]
-    fn supervised_and_monitored_runs_validate_the_supervisor_config() {
-        // The flapping-prone configuration `run_unified` rejects is
-        // rejected by every entry point, before the run starts.
-        let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
-        let bad = SupervisorConfig {
-            reengage_after: 0,
-            ..Default::default()
-        };
-        let rejected = |err: Error| {
-            assert!(
-                matches!(
-                    err,
-                    Error::NoSolution {
-                        op: "supervisor_config",
-                        ..
-                    }
-                ),
-                "{err:?}"
-            );
-        };
-        rejected(exp.run_supervised(&wl, bad, None).unwrap_err());
-        rejected(
-            exp.run_monitored(&wl, bad, None, HealthConfig::default())
-                .unwrap_err(),
-        );
-        let opts = UnifiedOptions {
-            sup_cfg: Some(bad),
-            ..Default::default()
-        };
-        rejected(exp.run_unified(&wl, opts).unwrap_err());
-    }
-
-    #[test]
     fn crash_inside_the_swap_window_recovers_bit_identically() {
         // The composed case the pairwise paths never exercised: a crash
         // that lands between swap-request and swap-commit, under fault
@@ -1992,9 +1890,7 @@ mod tests {
         // journal suffix, re-performs the swap by recipe, and the final
         // report is bit-identical to the crash-free twin.
         let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let swap_at = 7;
         let plan = FaultPlan::uniform(33, 0.4)
             .with_crash(swap_at)
@@ -2046,9 +1942,7 @@ mod tests {
         // Swap + recovery composes on the raw engine too: the automaton
         // lives in the engine, not the supervisor.
         let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::DecoupledHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::DecoupledHeuristic).with_options(quick_options());
         let swap_at = 6;
         let run = exp
             .run_unified(
@@ -2094,9 +1988,7 @@ mod tests {
     #[test]
     fn serving_runs_are_deterministic_and_report_slo() {
         let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let spec = ServingSpec::default();
         let a = exp.run_unified(&wl, serving_options(spec.clone())).unwrap();
         let b = exp.run_unified(&wl, serving_options(spec)).unwrap();
@@ -2122,9 +2014,7 @@ mod tests {
     fn sustained_overload_sheds_without_invariant_violations() {
         // ~8 GIPS offered against a ~3 GIPS board: the governor must shed.
         let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let spec = ServingSpec {
             traffic: TrafficConfig {
                 load_factor: 2.0,
@@ -2150,9 +2040,7 @@ mod tests {
         // big cluster while the OS layer scales up — tail latency must be
         // strictly worse than the uncapped twin.
         let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let near_capacity = TrafficConfig {
             load_factor: 1.2,
             service_mean_gi: 0.05,
@@ -2196,9 +2084,7 @@ mod tests {
         // shed fraction together: the recovered report is bit-identical to
         // the uninterrupted serving twin.
         let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let spec = ServingSpec {
             traffic: TrafficConfig {
                 load_factor: 2.0,
@@ -2243,20 +2129,11 @@ mod tests {
     #[test]
     fn degenerate_serving_specs_are_rejected_with_typed_errors() {
         let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         for spec in [
             ServingSpec {
                 traffic: TrafficConfig {
                     base_rate_rps: -1.0,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-            ServingSpec {
-                queue: QueueConfig {
-                    timeout_s: f64::NAN,
                     ..Default::default()
                 },
                 ..Default::default()
@@ -2314,9 +2191,7 @@ mod tests {
     #[test]
     fn monitored_run_is_bit_identical_to_supervised() {
         let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let base = exp
             .run_supervised(&wl, SupervisorConfig::default(), None)
             .unwrap();
@@ -2342,9 +2217,7 @@ mod tests {
         // but never acts on it: attaching it to a serving run leaves the
         // report bit-identical.
         let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let spec = ServingSpec {
             traffic: TrafficConfig {
                 load_factor: 2.0,
@@ -2376,9 +2249,7 @@ mod tests {
     #[test]
     fn invalid_health_config_is_rejected_with_typed_error() {
         let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let err = exp
             .run_monitored(
                 &wl,
@@ -2444,9 +2315,7 @@ mod tests {
         let wl = phase_change_workload();
         // Start on the weaker decoupled heuristic; each detector-driven
         // swap installs the coordinated one.
-        let exp = Experiment::new(Scheme::DecoupledHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::DecoupledHeuristic).with_options(quick_options());
         let run = exp
             .run_unified(&wl, adaptive_options(Some(Scheme::CoordinatedHeuristic)))
             .unwrap();
@@ -2470,9 +2339,7 @@ mod tests {
     #[test]
     fn adaptive_run_on_stationary_workload_never_swaps() {
         let wl = catalog::spec::mcf();
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-            .unwrap()
-            .with_options(quick_options());
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
         let run = exp.run_unified(&wl, adaptive_options(None)).unwrap();
         assert!(run.report.metrics.completed);
         assert!(

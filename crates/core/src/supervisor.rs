@@ -8,22 +8,32 @@
 //!    the last good value, physically impossible readings are clamped to
 //!    the plant's envelope;
 //! 2. **watches for stuck sensors** — a reading whose bit pattern repeats
-//!    for [`SupervisorConfig::stuck_window`] consecutive samples is flagged
-//!    (the 260 ms INA231 windows and the noisy TMU sensor make genuine
-//!    bit-identical repeats vanishingly unlikely);
+//!    for [`STUCK_WINDOW`] consecutive samples is flagged (the 260 ms
+//!    INA231 windows and the noisy TMU sensor make genuine bit-identical
+//!    repeats vanishingly unlikely);
 //! 3. **degrades gracefully** — on any fault evidence or a typed controller
 //!    error the model-based scheme is demoted to the *coordinated
 //!    heuristic* (the paper's strongest baseline, memoryless and
 //!    conservative), and if even that fails — or the fault evidence is
-//!    sustained for [`SupervisorConfig::escalate_after`] samples — to a
-//!    fixed safe static configuration;
-//! 4. **re-engages with hysteresis** — after
-//!    [`SupervisorConfig::reengage_after`] consecutive clean samples the
-//!    demoted controller is reset (stale estimator state from the faulty
-//!    episode is discarded) and promoted one level;
+//!    sustained for [`ESCALATE_AFTER`] samples — to a fixed safe static
+//!    configuration;
+//! 4. **re-engages with hysteresis** — after [`REENGAGE_AFTER`]
+//!    consecutive clean samples the demoted controller is reset (stale
+//!    estimator state from the faulty episode is discarded) and promoted
+//!    one level;
 //! 5. **saturates actuations** — commands outside the board's legal range
-//!    are clamped, and a long streak of clamped samples triggers an
-//!    anti-windup reset of the primary controller's internal state.
+//!    are clamped, and [`WINDUP_RESET_AFTER`] clamped samples in a row
+//!    trigger an anti-windup reset of the primary controller's internal
+//!    state;
+//! 6. **sheds load** — when the serving layer's tail latency blows past
+//!    the SLO for a sustained streak (or the backlog nearly fills), a
+//!    fraction of incoming requests is shed at the door instead of
+//!    letting the backlog melt down. Shedding is an actuation like any
+//!    other: the supervisor is the single writer of the
+//!    [`Knob::Admission`] knob, and the shed fraction ramps by
+//!    [`SHED_STEP`] up to [`SHED_MAX`] and holds between
+//!    [`RELEASE_RATIO`] and [`ENGAGE_RATIO`], so admission does not flap
+//!    at the SLO boundary.
 //!
 //! The mode decisions themselves (which level serves, when to demote,
 //! when to re-engage, the swap/recovery protocol) live in one checked
@@ -39,8 +49,11 @@
 //! randomness, so supervised runs stay bit-reproducible; with no faults
 //! injected the supervisor is exactly transparent (clean samples take the
 //! primary path and in-range values are returned bit-identically).
+//!
+//! [`ESCALATE_AFTER`]: crate::modes::ESCALATE_AFTER
+//! [`REENGAGE_AFTER`]: crate::modes::REENGAGE_AFTER
 
-use yukta_linalg::{Error, Result};
+use yukta_linalg::Result;
 
 use crate::controllers::heuristic::{CoordinatedHeuristicHw, CoordinatedHeuristicOs};
 use crate::controllers::{HwPolicy, HwSense, OsPolicy, OsSense};
@@ -50,183 +63,57 @@ use crate::modes::{
 use crate::schemes::{Controllers, ControllersState};
 use crate::signals::{HwInputs, HwOutputs, Limits, OsInputs, OsOutputs, SloSense};
 
-/// Overload-protection policy: when the serving layer's tail latency blows
-/// past the SLO for a sustained streak, the supervisor sheds a fraction of
-/// incoming requests (admission control) instead of letting the backlog
-/// melt down. Shedding is an actuation like any other: the supervisor is
-/// the single writer of the [`Knob::Admission`] knob, and the shed
-/// fraction moves hysteretically (engage high, release low) so admission
-/// does not flap at the SLO boundary.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShedPolicy {
-    /// p99/SLO ratio at or above which a sample counts as overloaded.
-    pub engage_ratio: f64,
-    /// p99/SLO ratio at or below which shedding decays one step
-    /// (hysteresis: between `release_ratio` and `engage_ratio` the shed
-    /// fraction holds).
-    pub release_ratio: f64,
-    /// Backlog fraction at or above which a sample counts as overloaded
-    /// regardless of latency (the queue is about to reject).
-    pub backlog_hi: f64,
-    /// Consecutive overloaded samples before shedding engages or ramps.
-    pub overload_after: u32,
-    /// Shed-fraction increment (and decay) per qualifying sample.
-    pub shed_step: f64,
-    /// Shed-fraction ceiling; Safe mode pins admission here.
-    pub shed_max: f64,
-}
+/// Consecutive bit-identical non-zero readings of one sensor channel that
+/// count as a stuck sensor (2 s of frozen readings).
+pub const STUCK_WINDOW: u32 = 4;
 
-impl Default for ShedPolicy {
-    fn default() -> Self {
-        ShedPolicy {
-            engage_ratio: 1.0,  // shed only once the SLO is actually violated
-            release_ratio: 0.7, // 30% hysteresis band against flapping
-            backlog_hi: 0.9,    // queue nearly full → shed regardless
-            overload_after: 4,  // 2 s of sustained overload at 500 ms
-            shed_step: 0.1,
-            shed_max: 0.9, // never black-hole the service completely
-        }
-    }
-}
+/// Consecutive samples with at least one clamped actuation before the
+/// primary controller's state is reset (anti-windup freeze; 4 s of
+/// continuous saturation).
+pub const WINDUP_RESET_AFTER: u32 = 8;
 
-impl ShedPolicy {
-    /// Rejects non-finite, negative, or flapping-prone shed thresholds
-    /// with typed errors.
-    ///
-    /// # Errors
-    ///
-    /// [`yukta_linalg::Error::NoSolution`] naming the offending knob.
-    pub fn validate(&self) -> Result<()> {
-        let finite = [
-            self.engage_ratio,
-            self.release_ratio,
-            self.backlog_hi,
-            self.shed_step,
-            self.shed_max,
-        ]
-        .iter()
-        .all(|v| v.is_finite());
-        if !finite {
-            return Err(Error::NoSolution {
-                op: "shed_policy",
-                why: "shed thresholds must be finite",
-            });
-        }
-        if self.engage_ratio <= 0.0 || self.release_ratio <= 0.0 {
-            return Err(Error::NoSolution {
-                op: "shed_policy",
-                why: "overload ratios must be positive",
-            });
-        }
-        if self.release_ratio >= self.engage_ratio {
-            return Err(Error::NoSolution {
-                op: "shed_policy",
-                why: "release_ratio >= engage_ratio leaves no hysteresis band (admission flapping)",
-            });
-        }
-        if !(0.0..=1.0).contains(&self.backlog_hi) {
-            return Err(Error::NoSolution {
-                op: "shed_policy",
-                why: "backlog_hi must lie in [0, 1]",
-            });
-        }
-        if self.shed_step <= 0.0 || self.shed_step > 1.0 {
-            return Err(Error::NoSolution {
-                op: "shed_policy",
-                why: "shed_step must lie in (0, 1]",
-            });
-        }
-        if !(0.0..1.0).contains(&self.shed_max) {
-            return Err(Error::NoSolution {
-                op: "shed_policy",
-                why: "shed_max must lie in [0, 1) — shedding everything forever is an outage",
-            });
-        }
-        if self.overload_after < 2 {
-            return Err(Error::NoSolution {
-                op: "shed_policy",
-                why: "overload_after < 2 sheds on a single slow sample (admission flapping)",
-            });
-        }
-        Ok(())
-    }
-}
+// A stuck window of 1 flags every reading as stuck.
+const _: () = assert!(STUCK_WINDOW >= 2 && WINDUP_RESET_AFTER >= 1);
 
-/// Tuning knobs of the supervisor's fault handling.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SupervisorConfig {
-    /// Consecutive clean samples required before a demoted controller is
-    /// promoted one level (Safe → Fallback → Primary).
-    pub reengage_after: u32,
-    /// Consecutive bit-identical non-zero readings of one sensor channel
-    /// that count as a stuck sensor.
-    pub stuck_window: u32,
-    /// Consecutive samples with at least one clamped actuation before the
-    /// primary controller's state is reset (anti-windup freeze).
-    pub windup_reset_after: u32,
-    /// Consecutive dirty samples in Fallback before escalating to Safe
-    /// (sustained correlated faults defeat the heuristic's sensor view).
-    pub escalate_after: u32,
-    /// Overload-protection (load-shedding) policy for request-serving runs.
-    pub shed: ShedPolicy,
-}
+/// p99/SLO ratio at or above which a sample counts as overloaded: shed
+/// only once the SLO is actually violated.
+pub const ENGAGE_RATIO: f64 = 1.0;
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            reengage_after: 6,     // 3 s of clean telemetry at 500 ms
-            stuck_window: 4,       // 2 s of frozen readings
-            windup_reset_after: 8, // 4 s of continuous saturation
-            escalate_after: 24,    // 12 s of sustained dirt
-            shed: ShedPolicy::default(),
-        }
-    }
-}
+/// p99/SLO ratio at or below which shedding decays one step. Between
+/// `RELEASE_RATIO` and [`ENGAGE_RATIO`] the shed fraction holds (a 30%
+/// hysteresis band against flapping).
+pub const RELEASE_RATIO: f64 = 0.7;
 
-impl SupervisorConfig {
-    /// Rejects flapping-prone or degenerate configurations with typed
-    /// errors (mirroring `DkOptions::validate`). Checked at every unified
-    /// runtime entry point before a supervisor is constructed.
-    ///
-    /// # Errors
-    ///
-    /// [`yukta_linalg::Error::NoSolution`] naming the offending knob.
-    pub fn validate(&self) -> Result<()> {
-        if self.reengage_after < 2 {
-            return Err(Error::NoSolution {
-                op: "supervisor_config",
-                why: "reengage_after < 2 re-engages on a single clean sample (mode flapping)",
-            });
-        }
-        if self.stuck_window < 2 {
-            return Err(Error::NoSolution {
-                op: "supervisor_config",
-                why: "stuck_window < 2 flags every reading as stuck",
-            });
-        }
-        if self.windup_reset_after < 1 {
-            return Err(Error::NoSolution {
-                op: "supervisor_config",
-                why: "windup_reset_after must be at least 1",
-            });
-        }
-        if self.escalate_after < 2 {
-            return Err(Error::NoSolution {
-                op: "supervisor_config",
-                why: "escalate_after < 2 escalates on the first dirty sample (mode flapping)",
-            });
-        }
-        self.shed.validate()
-    }
+/// Backlog fraction at or above which a sample counts as overloaded
+/// regardless of latency (the queue is about to reject).
+pub const BACKLOG_HI: f64 = 0.9;
 
-    /// The automaton guard thresholds this configuration induces.
-    pub fn mode_config(&self) -> ModeConfig {
-        ModeConfig {
-            reengage_after: self.reengage_after,
-            escalate_after: self.escalate_after,
-        }
-    }
-}
+/// Consecutive overloaded samples before shedding engages or ramps (2 s
+/// of sustained overload at 500 ms).
+pub const OVERLOAD_AFTER: u32 = 4;
+
+/// Shed-fraction increment (and decay) per qualifying sample.
+pub const SHED_STEP: f64 = 0.1;
+
+/// Shed-fraction ceiling; Safe mode pins admission here. Below 1: never
+/// black-hole the service completely.
+pub const SHED_MAX: f64 = 0.9;
+
+// No hysteresis band means admission flapping; shedding everything
+// forever is an outage; shedding on a single slow sample flaps.
+const _: () = assert!(0.0 < RELEASE_RATIO && RELEASE_RATIO < ENGAGE_RATIO);
+const _: () = assert!(0.0 <= BACKLOG_HI && BACKLOG_HI <= 1.0);
+const _: () = assert!(0.0 < SHED_STEP && SHED_STEP <= 1.0);
+const _: () = assert!(0.0 <= SHED_MAX && SHED_MAX < 1.0);
+const _: () = assert!(OVERLOAD_AFTER >= 2);
+
+/// Holds nothing: the supervisor's thresholds are the constants of this
+/// module and of [`crate::modes`]. The type stays because the `benchmark`
+/// package passes `SupervisorConfig::default()` to [`Supervisor::new`] and
+/// the `run_*` entry points; it has braces so those calls are not
+/// default-constructed unit structs to clippy.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SupervisorConfig {}
 
 /// Which controller is currently in charge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -399,7 +286,6 @@ pub(crate) fn swap_controllers(
 /// actuation saturation. Mode decisions flow through the checked
 /// [`ModeAutomaton`]; see the module docs for the full state machine.
 pub struct Supervisor {
-    cfg: SupervisorConfig,
     primary: Controllers,
     fb_hw: CoordinatedHeuristicHw,
     fb_os: CoordinatedHeuristicOs,
@@ -414,14 +300,13 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// Supervises `primary` with the given configuration.
-    pub fn new(primary: Controllers, cfg: SupervisorConfig) -> Self {
+    /// Supervises `primary`.
+    pub fn new(primary: Controllers, _cfg: SupervisorConfig) -> Self {
         Supervisor {
-            cfg,
             primary,
             fb_hw: CoordinatedHeuristicHw::new(),
             fb_os: CoordinatedHeuristicOs::new(),
-            auto: ModeAutomaton::new(cfg.mode_config()),
+            auto: ModeAutomaton::new(ModeConfig::default()),
             clamp_streak: 0,
             watchdogs: [StuckChannel::default(); 3],
             last_good_hw: HwOutputs::default(),
@@ -435,12 +320,11 @@ impl Supervisor {
     /// The admission shed fraction currently in force: the fraction of
     /// incoming requests the serving layer must drop at the door. Zero
     /// unless the overload governor engaged; Safe mode pins it at
-    /// [`ShedPolicy::shed_max`] (a degraded configuration cannot absorb
-    /// open-loop traffic, so admission is throttled along with everything
-    /// else).
+    /// [`SHED_MAX`] (a degraded configuration cannot absorb open-loop
+    /// traffic, so admission is throttled along with everything else).
     pub fn shed_frac(&self) -> f64 {
         if self.auto.level() == SupervisorMode::Safe {
-            self.shed_frac.max(self.cfg.shed.shed_max)
+            self.shed_frac.max(SHED_MAX)
         } else {
             self.shed_frac
         }
@@ -456,7 +340,6 @@ impl Supervisor {
             self.overload_streak = 0;
             return;
         }
-        let p = self.cfg.shed;
         // latency_slo_s is validated positive at the runtime entry points;
         // guard anyway so a hostile Limits cannot poison the governor.
         let bound = if limits.latency_slo_s > 0.0 && limits.latency_slo_s.is_finite() {
@@ -465,19 +348,19 @@ impl Supervisor {
             1.0
         };
         let ratio = slo.p99_s / bound;
-        let overloaded = ratio >= p.engage_ratio || slo.backlog_frac >= p.backlog_hi;
+        let overloaded = ratio >= ENGAGE_RATIO || slo.backlog_frac >= BACKLOG_HI;
         if overloaded {
             self.overload_streak = self.overload_streak.saturating_add(1);
-            if self.overload_streak >= p.overload_after {
+            if self.overload_streak >= OVERLOAD_AFTER {
                 if self.shed_frac == 0.0 {
                     self.stats.shed_engagements += 1;
                 }
-                self.shed_frac = (self.shed_frac + p.shed_step).min(p.shed_max);
+                self.shed_frac = (self.shed_frac + SHED_STEP).min(SHED_MAX);
             }
         } else {
             self.overload_streak = 0;
-            if ratio <= p.release_ratio && slo.backlog_frac < p.backlog_hi {
-                self.shed_frac = (self.shed_frac - p.shed_step).max(0.0);
+            if ratio <= RELEASE_RATIO && slo.backlog_frac < BACKLOG_HI {
+                self.shed_frac = (self.shed_frac - SHED_STEP).max(0.0);
             }
             // Between release and engage: hold (the hysteresis band).
         }
@@ -659,7 +542,7 @@ impl Supervisor {
         if clamps > 0 {
             self.stats.actuation_clamps += clamps;
             self.clamp_streak += 1;
-            if self.clamp_streak >= self.cfg.windup_reset_after {
+            if self.clamp_streak >= WINDUP_RESET_AFTER {
                 // Anti-windup: a controller pinned at its limits for this
                 // long has accumulated phantom state — freeze it out.
                 self.primary.reset();
@@ -700,9 +583,9 @@ impl Supervisor {
                 w.repeats = 0;
                 w.last_bits = bits;
             }
-            if w.repeats + 1 >= self.cfg.stuck_window {
+            if w.repeats + 1 >= STUCK_WINDOW {
                 any = true;
-                if w.repeats + 1 == self.cfg.stuck_window {
+                if w.repeats + 1 == STUCK_WINDOW {
                     self.stats.stuck_detections += 1;
                 }
             }
@@ -781,6 +664,7 @@ impl Supervisor {
 mod tests {
     use super::*;
     use crate::controllers::heuristic::{DecoupledHeuristicHw, DecoupledHeuristicOs};
+    use crate::modes::{ESCALATE_AFTER, REENGAGE_AFTER};
     use crate::runtime::Experiment;
     use crate::schemes::Scheme;
     use crate::signals::Limits;
@@ -885,8 +769,7 @@ mod tests {
 
     #[test]
     fn nan_sensor_demotes_then_hysteresis_reengages() {
-        let cfg = SupervisorConfig::default();
-        let mut sup = Supervisor::new(heuristic_primary(), cfg);
+        let mut sup = Supervisor::new(heuristic_primary(), SupervisorConfig::default());
         let mut hw = clean_hw_sense();
         let mut os = clean_os_sense();
         jitter(&mut hw, &mut os, 0);
@@ -900,7 +783,7 @@ mod tests {
         assert_eq!(sup.stats().fallback_entries, 1);
         assert!(sup.stats().nonfinite_repairs >= 1);
         // One clean sample is not enough to re-engage…
-        for k in 0..cfg.reengage_after - 1 {
+        for k in 0..REENGAGE_AFTER - 1 {
             let mut h = clean_hw_sense();
             let mut o = clean_os_sense();
             jitter(&mut h, &mut o, k as usize + 1);
@@ -914,19 +797,18 @@ mod tests {
         sup.step(&h, &o);
         assert_eq!(sup.mode(), SupervisorMode::Primary);
         assert_eq!(sup.stats().fallback_exits, 1);
-        assert!(sup.stats().degraded_invocations >= cfg.reengage_after as u64);
+        assert!(sup.stats().degraded_invocations >= REENGAGE_AFTER as u64);
     }
 
     #[test]
     fn stuck_sensor_watchdog_fires_after_window() {
-        let cfg = SupervisorConfig::default();
-        let mut sup = Supervisor::new(heuristic_primary(), cfg);
+        let mut sup = Supervisor::new(heuristic_primary(), SupervisorConfig::default());
         let hw = clean_hw_sense();
         let os = clean_os_sense();
-        // Bit-identical readings every sample: stuck after `stuck_window`.
-        for k in 0..cfg.stuck_window {
+        // Bit-identical readings every sample: stuck after `STUCK_WINDOW`.
+        for k in 0..STUCK_WINDOW {
             sup.step(&hw, &os);
-            if k + 1 < cfg.stuck_window {
+            if k + 1 < STUCK_WINDOW {
                 assert_eq!(sup.stats().stuck_detections, 0, "sample {k}");
             }
         }
@@ -987,7 +869,7 @@ mod tests {
 
     #[test]
     fn raw_run_over_a_failing_hw_layer_returns_its_error() {
-        let exp = Experiment::new(Scheme::CoordinatedHeuristic).unwrap();
+        let exp = Experiment::new(Scheme::CoordinatedHeuristic);
         let primary = Controllers::Split {
             hw: Box::new(FailingHw),
             os: Box::new(DecoupledHeuristicOs::new()),
@@ -1034,16 +916,13 @@ mod tests {
 
     #[test]
     fn wild_actuations_are_clamped_and_windup_resets_fire() {
-        let cfg = SupervisorConfig {
-            windup_reset_after: 3,
-            ..Default::default()
-        };
         let primary = Controllers::Split {
             hw: Box::new(WildHw),
             os: Box::new(DecoupledHeuristicOs::new()),
         };
-        let mut sup = Supervisor::new(primary, cfg);
-        for k in 0..6 {
+        let mut sup = Supervisor::new(primary, SupervisorConfig::default());
+        let n = 2 * WINDUP_RESET_AFTER as usize;
+        for k in 0..n {
             let mut hw = clean_hw_sense();
             let mut os = clean_os_sense();
             jitter(&mut hw, &mut os, k);
@@ -1055,7 +934,7 @@ mod tests {
         }
         let st = sup.stats();
         assert!(
-            st.actuation_clamps >= 6 * 3,
+            st.actuation_clamps >= n as u64 * 3,
             "clamps {}",
             st.actuation_clamps
         );
@@ -1090,8 +969,8 @@ mod tests {
 
     /// Demotes a fresh supervisor to Fallback with one NaN sample, then
     /// feeds `n` clean samples. Returns the supervisor for inspection.
-    fn demoted_then_clean(cfg: SupervisorConfig, n: u32) -> Supervisor {
-        let mut sup = Supervisor::new(heuristic_primary(), cfg);
+    fn demoted_then_clean(n: u32) -> Supervisor {
+        let mut sup = Supervisor::new(heuristic_primary(), SupervisorConfig::default());
         let mut hw = clean_hw_sense();
         let mut os = clean_os_sense();
         jitter(&mut hw, &mut os, 0);
@@ -1111,16 +990,14 @@ mod tests {
 
     #[test]
     fn reengagement_boundary_one_below_threshold_stays_fallback() {
-        let cfg = SupervisorConfig::default();
-        let sup = demoted_then_clean(cfg, cfg.reengage_after - 1);
+        let sup = demoted_then_clean(REENGAGE_AFTER - 1);
         assert_eq!(sup.mode(), SupervisorMode::Fallback);
         assert_eq!(sup.stats().fallback_exits, 0);
     }
 
     #[test]
     fn reengagement_boundary_exactly_at_threshold_promotes_and_serves_primary() {
-        let cfg = SupervisorConfig::default();
-        let mut sup = demoted_then_clean(cfg, cfg.reengage_after - 1);
+        let mut sup = demoted_then_clean(REENGAGE_AFTER - 1);
         // The Nth clean sample promotes *before* the invocation is routed,
         // so Primary serves it: the returned actuation must match a bare
         // primary that was reset at the promotion (stale-state discard).
@@ -1136,20 +1013,16 @@ mod tests {
         assert_eq!(ou, bare_os.invoke(&o).unwrap());
         // The promoting sample itself was served by Primary, so it does
         // not count as degraded.
-        assert_eq!(
-            sup.stats().degraded_invocations,
-            u64::from(cfg.reengage_after)
-        );
+        assert_eq!(sup.stats().degraded_invocations, u64::from(REENGAGE_AFTER));
     }
 
     #[test]
     fn reengagement_boundary_one_past_threshold_does_not_flap() {
-        let cfg = SupervisorConfig::default();
-        let mut sup = demoted_then_clean(cfg, cfg.reengage_after);
+        let mut sup = demoted_then_clean(REENGAGE_AFTER);
         assert_eq!(sup.mode(), SupervisorMode::Primary);
         // Continued clean samples: mode stays Primary, no extra
         // entries/exits — a single demotion episode, no flapping.
-        for k in 0..2 * cfg.reengage_after {
+        for k in 0..2 * REENGAGE_AFTER {
             let mut h = clean_hw_sense();
             let mut o = clean_os_sense();
             jitter(&mut h, &mut o, 60 + k as usize);
@@ -1163,8 +1036,7 @@ mod tests {
 
     #[test]
     fn dirty_sample_mid_streak_restarts_the_hysteresis_count() {
-        let cfg = SupervisorConfig::default();
-        let mut sup = demoted_then_clean(cfg, cfg.reengage_after - 1);
+        let mut sup = demoted_then_clean(REENGAGE_AFTER - 1);
         // A dirty sample resets the streak: N−1 more clean samples are
         // again not enough…
         let mut bad = clean_hw_sense();
@@ -1172,7 +1044,7 @@ mod tests {
         let os = clean_os_sense();
         sup.step(&bad, &os);
         assert_eq!(sup.mode(), SupervisorMode::Fallback);
-        for k in 0..cfg.reengage_after - 1 {
+        for k in 0..REENGAGE_AFTER - 1 {
             let mut h = clean_hw_sense();
             let mut o = clean_os_sense();
             jitter(&mut h, &mut o, 70 + k as usize);
@@ -1192,21 +1064,17 @@ mod tests {
     #[test]
     fn sustained_dirt_escalates_to_safe_then_recovers_through_fallback() {
         // Correlated faults keep every sample dirty: after
-        // `escalate_after` dirty samples in Fallback the supervisor parks
+        // `ESCALATE_AFTER` dirty samples in Fallback the supervisor parks
         // in Safe; a clean streak then re-engages one level at a time.
-        let cfg = SupervisorConfig {
-            escalate_after: 5,
-            ..Default::default()
-        };
-        let mut sup = Supervisor::new(heuristic_primary(), cfg);
+        let mut sup = Supervisor::new(heuristic_primary(), SupervisorConfig::default());
         let mut bad = clean_hw_sense();
         bad.outputs.p_big = f64::NAN;
         let os = clean_os_sense();
         // Sample 1 demotes to Fallback (dirty_streak 1); escalation at
-        // dirty_streak == escalate_after.
-        for k in 0..cfg.escalate_after {
+        // dirty_streak == ESCALATE_AFTER.
+        for k in 0..ESCALATE_AFTER {
             sup.step(&bad, &os);
-            if k + 1 < cfg.escalate_after {
+            if k + 1 < ESCALATE_AFTER {
                 assert_eq!(sup.mode(), SupervisorMode::Fallback, "sample {k}");
             }
         }
@@ -1224,75 +1092,10 @@ mod tests {
             jitter(&mut h, &mut o, k);
             sup.step(&h, &o);
             k += 1;
-            assert!(k <= 3 * cfg.reengage_after as usize, "no re-engagement");
+            assert!(k <= 3 * REENGAGE_AFTER as usize, "no re-engagement");
         }
         assert_eq!(sup.stats().fallback_exits, 1);
         assert_eq!(sup.stats().invariant_violations, 0);
-    }
-
-    #[test]
-    fn validate_rejects_flapping_prone_configs() {
-        assert!(SupervisorConfig::default().validate().is_ok());
-        let bad = |cfg: SupervisorConfig| matches!(cfg.validate(), Err(Error::NoSolution { op, .. }) if op == "supervisor_config");
-        assert!(bad(SupervisorConfig {
-            reengage_after: 1,
-            ..Default::default()
-        }));
-        assert!(bad(SupervisorConfig {
-            stuck_window: 0,
-            ..Default::default()
-        }));
-        assert!(bad(SupervisorConfig {
-            windup_reset_after: 0,
-            ..Default::default()
-        }));
-        assert!(bad(SupervisorConfig {
-            escalate_after: 1,
-            ..Default::default()
-        }));
-    }
-
-    #[test]
-    fn shed_policy_validation_rejects_degenerate_thresholds() {
-        assert!(ShedPolicy::default().validate().is_ok());
-        let bad = |p: ShedPolicy| matches!(p.validate(), Err(Error::NoSolution { op, .. }) if op == "shed_policy");
-        assert!(bad(ShedPolicy {
-            engage_ratio: f64::NAN,
-            ..Default::default()
-        }));
-        assert!(bad(ShedPolicy {
-            engage_ratio: -1.0,
-            ..Default::default()
-        }));
-        assert!(bad(ShedPolicy {
-            release_ratio: 1.5, // >= engage_ratio: no hysteresis band
-            ..Default::default()
-        }));
-        assert!(bad(ShedPolicy {
-            backlog_hi: 1.5,
-            ..Default::default()
-        }));
-        assert!(bad(ShedPolicy {
-            shed_step: 0.0,
-            ..Default::default()
-        }));
-        assert!(bad(ShedPolicy {
-            shed_max: 1.0,
-            ..Default::default()
-        }));
-        assert!(bad(ShedPolicy {
-            overload_after: 1,
-            ..Default::default()
-        }));
-        // A bad shed policy fails the whole supervisor config.
-        let cfg = SupervisorConfig {
-            shed: ShedPolicy {
-                shed_step: f64::INFINITY,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        assert!(matches!(cfg.validate(), Err(Error::NoSolution { op, .. }) if op == "shed_policy"));
     }
 
     /// An SLO observation violating the default 1 s p99 bound.
@@ -1308,8 +1111,7 @@ mod tests {
 
     #[test]
     fn sustained_overload_engages_shedding_with_hysteresis() {
-        let cfg = SupervisorConfig::default();
-        let mut sup = Supervisor::new(heuristic_primary(), cfg);
+        let mut sup = Supervisor::new(heuristic_primary(), SupervisorConfig::default());
         // Jitter every sensor channel each sample so the stuck-sensor
         // watchdog stays quiet: this test is about overload, not faults.
         let mut tick = 0usize;
@@ -1322,7 +1124,7 @@ mod tests {
             (h, o)
         };
         // Overloaded samples below the streak threshold: no shedding yet.
-        for k in 0..cfg.shed.overload_after - 1 {
+        for k in 0..OVERLOAD_AFTER - 1 {
             let (h, o) = senses(violating_slo());
             sup.step(&h, &o);
             assert_eq!(sup.shed_frac(), 0.0, "sample {k}");
@@ -1336,7 +1138,7 @@ mod tests {
             shed_prev = sup.shed_frac();
         }
         assert!(shed_prev > 0.0);
-        assert!(shed_prev <= cfg.shed.shed_max);
+        assert!(shed_prev <= SHED_MAX);
         assert_eq!(sup.stats().shed_engagements, 1);
         // In the hysteresis band (between release and engage): hold.
         let mut band = violating_slo();
@@ -1380,27 +1182,22 @@ mod tests {
 
     #[test]
     fn safe_mode_pins_admission_at_shed_max() {
-        let cfg = SupervisorConfig {
-            escalate_after: 3,
-            ..Default::default()
-        };
-        let mut sup = Supervisor::new(heuristic_primary(), cfg);
+        let mut sup = Supervisor::new(heuristic_primary(), SupervisorConfig::default());
         let mut bad = clean_hw_sense();
         bad.outputs.p_big = f64::NAN;
         let os = clean_os_sense();
         while sup.mode() != SupervisorMode::Safe {
             sup.step(&bad, &os);
         }
-        assert_eq!(sup.shed_frac(), cfg.shed.shed_max);
+        assert_eq!(sup.shed_frac(), SHED_MAX);
         assert_eq!(sup.stats().invariant_violations, 0);
     }
 
     #[test]
     fn shedder_state_survives_save_restore() {
-        let cfg = SupervisorConfig::default();
-        let mut sup = Supervisor::new(heuristic_primary(), cfg);
+        let mut sup = Supervisor::new(heuristic_primary(), SupervisorConfig::default());
         let os = clean_os_sense();
-        for k in 0..cfg.shed.overload_after + 2 {
+        for k in 0..OVERLOAD_AFTER + 2 {
             let mut h = clean_hw_sense();
             h.slo = violating_slo();
             h.outputs.p_big += 1e-9 * (k as f64 + 1.0);
@@ -1408,7 +1205,7 @@ mod tests {
         }
         assert!(sup.shed_frac() > 0.0);
         let snap = sup.save_state();
-        let mut restored = Supervisor::new(heuristic_primary(), cfg);
+        let mut restored = Supervisor::new(heuristic_primary(), SupervisorConfig::default());
         restored.restore_state(&snap).unwrap();
         assert_eq!(restored.shed_frac().to_bits(), sup.shed_frac().to_bits());
         for k in 0..6 {
@@ -1431,9 +1228,8 @@ mod tests {
         // A swap request opens the crash-vulnerable window; steps inside it
         // and the eventual commit are bit-transparent vs an unswapped
         // twin, and the protocol records no violations.
-        let cfg = SupervisorConfig::default();
-        let mut sup = Supervisor::new(heuristic_primary(), cfg);
-        let mut twin = Supervisor::new(heuristic_primary(), cfg);
+        let mut sup = Supervisor::new(heuristic_primary(), SupervisorConfig::default());
+        let mut twin = Supervisor::new(heuristic_primary(), SupervisorConfig::default());
         for k in 0..4 {
             let mut h = clean_hw_sense();
             let mut o = clean_os_sense();
@@ -1460,17 +1256,16 @@ mod tests {
 
     #[test]
     fn save_restore_roundtrips_supervisor_bit_for_bit() {
-        let cfg = SupervisorConfig::default();
         // Capture mid-episode: demoted, partway through a clean streak.
-        let mut sup = demoted_then_clean(cfg, 2);
+        let mut sup = demoted_then_clean(2);
         let snap = sup.save_state();
         assert_eq!(snap.automaton.level, SupervisorMode::Fallback);
         assert_eq!(snap.automaton.clean_streak, 2);
         // "Restart the daemon": a fresh supervisor around fresh
         // controllers, restored from the snapshot.
-        let mut restored = Supervisor::new(heuristic_primary(), cfg);
+        let mut restored = Supervisor::new(heuristic_primary(), SupervisorConfig::default());
         restored.restore_state(&snap).unwrap();
-        for k in 0..3 * cfg.reengage_after {
+        for k in 0..3 * REENGAGE_AFTER {
             let mut h = clean_hw_sense();
             let mut o = clean_os_sense();
             jitter(&mut h, &mut o, 10 + k as usize);
@@ -1488,9 +1283,8 @@ mod tests {
         // A mid-run swap to a same-scheme replacement must carry the
         // primary state across: the supervised trace stays bit-identical
         // to an unswapped twin.
-        let cfg = SupervisorConfig::default();
-        let mut sup = Supervisor::new(heuristic_primary(), cfg);
-        let mut twin = Supervisor::new(heuristic_primary(), cfg);
+        let mut sup = Supervisor::new(heuristic_primary(), SupervisorConfig::default());
+        let mut twin = Supervisor::new(heuristic_primary(), SupervisorConfig::default());
         for k in 0..5 {
             let mut h = clean_hw_sense();
             let mut o = clean_os_sense();
@@ -1514,8 +1308,7 @@ mod tests {
         // Swapping in controllers of a different scheme cannot be
         // bumpless; the replacement starts from reset but service
         // continues with finite in-range actuations and no mode change.
-        let cfg = SupervisorConfig::default();
-        let mut sup = Supervisor::new(heuristic_primary(), cfg);
+        let mut sup = Supervisor::new(heuristic_primary(), SupervisorConfig::default());
         for k in 0..5 {
             let mut h = clean_hw_sense();
             let mut o = clean_os_sense();

@@ -27,9 +27,7 @@ fn quick_options() -> RunOptions {
 /// offsets ≤ 0) re-performs the swap by recipe.
 fn check_crash_offset(seed: u64, severity: f64, swap_at: u64, offset: i64) {
     let wl = catalog::spec::mcf();
-    let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-        .unwrap()
-        .with_options(quick_options());
+    let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
     let crash_at = swap_at.saturating_add_signed(offset).max(1);
     let plan = FaultPlan::uniform(seed, severity).with_crash(crash_at);
     let swap = Some(SwapSpec {
@@ -89,9 +87,7 @@ fn check_interleaving(
     crashes: &[u64],
 ) {
     let wl = catalog::spec::mcf();
-    let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-        .unwrap()
-        .with_options(quick_options());
+    let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
     let mut plan = FaultPlan::uniform(seed, severity);
     if bursts {
         plan = plan.with_bursts(1, 8.0).with_burst_region(10.0);
@@ -162,17 +158,13 @@ proptest! {
 #[test]
 fn correlated_burst_drives_fallback_to_safe_escalation() {
     let wl = catalog::spec::mcf();
-    let exp = Experiment::new(Scheme::CoordinatedHeuristic)
-        .unwrap()
-        .with_options(quick_options());
-    let cfg = SupervisorConfig {
-        escalate_after: 5,
-        ..Default::default()
-    };
+    let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
     let plan = FaultPlan::uniform(77, 0.0)
         .with_bursts(1, 15.0)
         .with_burst_region(4.0);
-    let rep = exp.run_supervised(&wl, cfg, Some(plan)).unwrap();
+    let rep = exp
+        .run_supervised(&wl, SupervisorConfig::default(), Some(plan))
+        .unwrap();
     let sup = rep.supervisor.unwrap();
     assert!(sup.safe_entries >= 1, "burst never escalated: {sup:?}");
     assert_eq!(sup.invariant_violations, 0);

@@ -21,7 +21,7 @@ use yukta_core::design::{Design, DesignOptions, build_design, default_design};
 
 /// Digest of [`default_design`] (guardband auto-tuning on).
 const GOLDEN_DEFAULT: u64 = 0x0005b1eb736b1aa2;
-/// Digest of the design built with `guardband.auto = false`.
+/// Digest of the design built with `auto_guardband = false`.
 const GOLDEN_FIXED_GUARDBAND: u64 = 0x40dce451b41ce487;
 
 /// FNV-1a over the little-endian bytes of each value, in order.
@@ -91,9 +91,10 @@ fn digest(d: &Design) -> u64 {
 }
 
 fn fixed_guardband_options() -> DesignOptions {
-    let mut opts = DesignOptions::default();
-    opts.guardband.auto = false;
-    opts
+    DesignOptions {
+        auto_guardband: false,
+        ..Default::default()
+    }
 }
 
 #[test]

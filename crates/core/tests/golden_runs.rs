@@ -145,7 +145,7 @@ fn options() -> RunOptions {
 }
 
 fn experiment(scheme: Scheme) -> Experiment {
-    Experiment::new(scheme).unwrap().with_options(options())
+    Experiment::new(scheme).with_options(options())
 }
 
 /// Every scheme through [`Scheme::instantiate`] on blackscholes.

@@ -35,7 +35,6 @@ const GOLDEN: (usize, usize, u64) = (1631, 218220, 0xd0d45a77c4bfb853);
 fn entry_lines() -> (usize, String) {
     let rec = Arc::new(MemRecorder::manual());
     Experiment::new(Scheme::YuktaHwSsvOsSsv)
-        .unwrap()
         .with_options(RunOptions {
             timeout_s: 700.0,
             ..Default::default()

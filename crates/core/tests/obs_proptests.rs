@@ -34,13 +34,11 @@ fn run_pair(seed: u64, severity: f64) -> (Report, Report, usize) {
     let wl = catalog::parsec::blackscholes();
     let plan = FaultPlan::uniform(seed, severity);
     let bare = Experiment::new(Scheme::CoordinatedHeuristic)
-        .unwrap()
         .with_options(quick_options())
         .run_supervised(&wl, SupervisorConfig::default(), Some(plan.clone()))
         .unwrap();
     let rec = Arc::new(MemRecorder::new());
     let instrumented = Experiment::new(Scheme::CoordinatedHeuristic)
-        .unwrap()
         .with_options(quick_options())
         .with_recorder(rec.clone())
         .run_supervised(&wl, SupervisorConfig::default(), Some(plan))

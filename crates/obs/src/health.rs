@@ -58,8 +58,6 @@ pub enum HealthConfigError {
         lo: f64,
         hi: f64,
     },
-    /// A fraction left `(0, 1)`.
-    NotAFraction { field: &'static str, got: f64 },
 }
 
 impl std::fmt::Display for HealthConfigError {
@@ -73,9 +71,6 @@ impl std::fmt::Display for HealthConfigError {
             }
             Self::Ordering { what, lo, hi } => {
                 write!(f, "health config: {what} requires {lo} < {hi}")
-            }
-            Self::NotAFraction { field, got } => {
-                write!(f, "health config: {field} must lie in (0, 1), got {got}")
             }
         }
     }
@@ -101,16 +96,22 @@ pub struct HealthConfig {
     pub cusum_k: f64,
     /// CUSUM alarm threshold h (σ units).
     pub cusum_h: f64,
-    /// Invocations per BIPS/W phase-statistic window.
-    pub window: u32,
-    /// Fraction of an alarm threshold at which the verdict becomes
-    /// `Drifting` (strictly between 0 and 1).
-    pub drift_score: f64,
-    /// Hold-off after an alarm before the detectors re-arm (invocations).
-    /// During hold-off the monitor re-learns its baseline, so one plant
-    /// change yields one `PhaseChange`, not an alarm storm.
-    pub rearm: u32,
 }
+
+/// Invocations per BIPS/W phase-statistic window.
+pub const WINDOW: u32 = 8;
+
+/// Fraction of an alarm threshold at which the verdict becomes
+/// `Drifting`.
+pub const DRIFT_SCORE: f64 = 0.5;
+
+/// Hold-off after an alarm before the detectors re-arm (invocations).
+/// During hold-off the monitor re-learns its baseline, so one plant
+/// change yields one `PhaseChange`, not an alarm storm.
+pub const REARM: u32 = 24;
+
+const _: () = assert!(WINDOW >= 2);
+const _: () = assert!(0.0 < DRIFT_SCORE && DRIFT_SCORE < 1.0);
 
 impl Default for HealthConfig {
     fn default() -> Self {
@@ -120,9 +121,6 @@ impl Default for HealthConfig {
             ph_lambda: 12.0,
             cusum_k: 0.75,
             cusum_h: 10.0,
-            window: 8,
-            drift_score: 0.5,
-            rearm: 24,
         }
     }
 }
@@ -136,13 +134,6 @@ impl HealthConfig {
                 field: "warmup",
                 min: 4,
                 got: self.warmup,
-            });
-        }
-        if self.window < 2 {
-            return Err(HealthConfigError::TooSmall {
-                field: "window",
-                min: 2,
-                got: self.window,
             });
         }
         for (field, v) in [
@@ -167,12 +158,6 @@ impl HealthConfig {
                 what: "cusum_k < cusum_h",
                 lo: self.cusum_k,
                 hi: self.cusum_h,
-            });
-        }
-        if !(self.drift_score.is_finite() && self.drift_score > 0.0 && self.drift_score < 1.0) {
-            return Err(HealthConfigError::NotAFraction {
-                field: "drift_score",
-                got: self.drift_score,
             });
         }
         Ok(())
@@ -207,7 +192,7 @@ pub struct HealthSample {
 pub enum HealthVerdict {
     /// All detector statistics below the drift fraction of their alarms.
     Healthy,
-    /// A detector statistic crossed `drift_score` of its alarm threshold;
+    /// A detector statistic crossed [`DRIFT_SCORE`] of its alarm threshold;
     /// `score` is the worst fraction across detectors, in `[0, 1)`.
     Drifting { score: f64 },
     /// A detector alarmed: the plant's behavior shifted at or before
@@ -488,11 +473,6 @@ impl HealthMonitor {
         })
     }
 
-    /// The validated configuration in force.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
     /// Feeds one invocation's signals and returns the verdict.
     pub fn observe(&mut self, s: &HealthSample) -> HealthVerdict {
         let at_step = self.step;
@@ -512,11 +492,11 @@ impl HealthMonitor {
         self.win_sum += s.bips_per_watt;
         self.win_fill += 1;
         let mut phase_score = 0.0;
-        if self.win_fill == self.cfg.window {
-            let mean = self.win_sum / self.cfg.window as f64;
+        if self.win_fill == WINDOW {
+            let mean = self.win_sum / WINDOW as f64;
             // Phase-channel warmup is counted in windows, scaled so it
             // completes near the residual channel's warmup.
-            let phase_warmup = (self.cfg.warmup / self.cfg.window).max(3);
+            let phase_warmup = (self.cfg.warmup / WINDOW).max(3);
             phase_score = self.phase.push(mean, phase_warmup, &self.cfg, false);
             self.life_hist
                 .merge(&self.win_hist)
@@ -543,7 +523,7 @@ impl HealthMonitor {
             self.rearm();
             return HealthVerdict::PhaseChange { at_step };
         }
-        if score >= self.cfg.drift_score {
+        if score >= DRIFT_SCORE {
             return HealthVerdict::Drifting { score };
         }
         HealthVerdict::Healthy
@@ -559,7 +539,7 @@ impl HealthMonitor {
         self.win_hist.reset();
         self.win_sum = 0.0;
         self.win_fill = 0;
-        self.holdoff = self.cfg.rearm;
+        self.holdoff = REARM;
     }
 
     /// Samples observed so far.
@@ -638,15 +618,6 @@ mod tests {
             })
         );
         let mut c = cfg();
-        c.window = 1;
-        assert!(matches!(
-            c.validate(),
-            Err(HealthConfigError::TooSmall {
-                field: "window",
-                ..
-            })
-        ));
-        let mut c = cfg();
         c.ph_lambda = 0.0;
         assert_eq!(
             c.validate(),
@@ -669,12 +640,6 @@ mod tests {
         assert!(matches!(
             c.validate(),
             Err(HealthConfigError::Ordering { .. })
-        ));
-        let mut c = cfg();
-        c.drift_score = 1.0;
-        assert!(matches!(
-            c.validate(),
-            Err(HealthConfigError::NotAFraction { .. })
         ));
         // Errors render a human-readable description.
         let msg = HealthConfigError::NonPositive { field: "cusum_h" }.to_string();
@@ -736,7 +701,7 @@ mod tests {
         }
         let (latency, _) = detected.expect("throughput collapse must be detected");
         // Windowed channel: latency bounded by a few windows.
-        assert!(latency <= 5 * cfg().window as u64, "latency {latency}");
+        assert!(latency <= 5 * WINDOW as u64, "latency {latency}");
     }
 
     #[test]

@@ -20,6 +20,16 @@ use rand::{Rng, SeedableRng};
 /// fault injector (which XORs its own constant into the shared run seed).
 const TRAFFIC_SEED_SALT: u64 = 0x7452_4146_4649_4331; // "TRAFFIC1"
 
+/// Pareto tail index of the per-request service demand (> 1 so the mean
+/// exists).
+pub const SERVICE_ALPHA: f64 = 1.5;
+
+/// Hard cap on a single request's demand (giga-instructions): keeps the
+/// heavy tail bounded, as any real request timeout would.
+pub const SERVICE_CAP_GI: f64 = 0.5;
+
+const _: () = assert!(SERVICE_ALPHA > 1.0 && SERVICE_CAP_GI > 0.0);
+
 /// Shape of the offered-load curve over time. Each variant multiplies
 /// the configured base rate; shapes average roughly 1.0 over their
 /// period so `base_rate_rps × load_factor` stays the mean offered load.
@@ -112,14 +122,9 @@ pub struct TrafficConfig {
     pub load_factor: f64,
     /// Seed of the traffic generator's private RNG stream.
     pub seed: u64,
-    /// Mean per-request service demand (giga-instructions).
+    /// Mean per-request service demand (giga-instructions), at most
+    /// [`SERVICE_CAP_GI`].
     pub service_mean_gi: f64,
-    /// Pareto tail index of the service-demand distribution (> 1 so the
-    /// mean exists).
-    pub service_alpha: f64,
-    /// Hard cap on a single request's demand (giga-instructions) — keeps
-    /// the heavy tail bounded, as any real request timeout would.
-    pub service_cap_gi: f64,
 }
 
 impl Default for TrafficConfig {
@@ -130,8 +135,6 @@ impl Default for TrafficConfig {
             load_factor: 1.0,
             seed: 7,
             service_mean_gi: 0.02,
-            service_alpha: 1.5,
-            service_cap_gi: 0.5,
         }
     }
 }
@@ -151,17 +154,10 @@ impl TrafficConfig {
         pos("base_rate_rps", self.base_rate_rps)?;
         pos("load_factor", self.load_factor)?;
         pos("service_mean_gi", self.service_mean_gi)?;
-        pos("service_cap_gi", self.service_cap_gi)?;
-        if !(self.service_alpha.is_finite() && self.service_alpha > 1.0) {
+        if SERVICE_CAP_GI < self.service_mean_gi {
             return Err(format!(
-                "service_alpha must be finite and > 1 (mean must exist), got {}",
-                self.service_alpha
-            ));
-        }
-        if self.service_cap_gi < self.service_mean_gi {
-            return Err(format!(
-                "service_cap_gi ({}) must be >= service_mean_gi ({})",
-                self.service_cap_gi, self.service_mean_gi
+                "service_mean_gi ({}) must be <= the {SERVICE_CAP_GI} Gi demand cap",
+                self.service_mean_gi
             ));
         }
         if self.base_rate_rps * self.load_factor > 1.0e4 {
@@ -356,10 +352,10 @@ impl Traffic {
     /// Bounded-Pareto service demand: `xm / u^(1/α)` capped, with `xm`
     /// chosen so the *uncapped* Pareto mean equals `service_mean_gi`.
     fn draw_demand(&mut self) -> f64 {
-        let alpha = self.cfg.service_alpha;
+        let alpha = SERVICE_ALPHA;
         let xm = self.cfg.service_mean_gi * (alpha - 1.0) / alpha;
         let u = self.rng.gen_range(0.0..1.0).max(1e-12);
-        (xm / u.powf(1.0 / alpha)).min(self.cfg.service_cap_gi)
+        (xm / u.powf(1.0 / alpha)).min(SERVICE_CAP_GI)
     }
 }
 
@@ -428,11 +424,7 @@ mod tests {
                 ..base
             },
             TrafficConfig {
-                service_alpha: 1.0,
-                ..base
-            },
-            TrafficConfig {
-                service_cap_gi: 1e-6,
+                service_mean_gi: 2.0 * SERVICE_CAP_GI,
                 ..base
             },
             TrafficConfig {
@@ -495,7 +487,7 @@ mod tests {
             }
             for r in &reqs {
                 assert!(r.arrival_s >= start && r.arrival_s < start + 0.5);
-                assert!(r.demand_gi > 0.0 && r.demand_gi <= traffic.config().service_cap_gi);
+                assert!(r.demand_gi > 0.0 && r.demand_gi <= SERVICE_CAP_GI);
             }
         }
     }

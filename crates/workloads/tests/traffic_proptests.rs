@@ -5,6 +5,7 @@
 //! serving run replays and recovers bit-identically.
 
 use proptest::prelude::*;
+use yukta_workloads::traffic::SERVICE_CAP_GI;
 use yukta_workloads::{Traffic, TrafficConfig, TrafficPattern};
 
 fn pattern_strategy() -> impl Strategy<Value = TrafficPattern> {
@@ -93,7 +94,7 @@ proptest! {
                 prop_assert!(r.arrival_s >= last_arrival - 1e-9, "arrivals out of order");
                 last_arrival = r.arrival_s;
                 prop_assert!(r.demand_gi > 0.0);
-                prop_assert!(r.demand_gi <= cfg.service_cap_gi + 1e-12);
+                prop_assert!(r.demand_gi <= SERVICE_CAP_GI + 1e-12);
             }
             now = next;
         }

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "scheme", "time (s)", "E (J)", "E x D", "mean Pbig", "mean thr_big"
     );
     for scheme in Scheme::all() {
-        let report = Experiment::new(scheme)?
+        let report = Experiment::new(scheme)
             .with_options(RunOptions {
                 timeout_s: 1200.0,
                 ..Default::default()

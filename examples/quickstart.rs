@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run blackscholes — the paper's running example — under two schemes.
     let wl = catalog::parsec::blackscholes();
     for scheme in [Scheme::CoordinatedHeuristic, Scheme::YuktaHwSsvOsSsv] {
-        let report = Experiment::new(scheme)?
+        let report = Experiment::new(scheme)
             .with_options(RunOptions {
                 timeout_s: 900.0,
                 ..Default::default()

@@ -111,16 +111,10 @@ fn run_command(args: &[String]) -> ExitCode {
         .and_then(|v| v.parse::<f64>().ok())
         .unwrap_or(1200.0);
     eprintln!("building the controller design (cached per process)...");
-    let exp = match Experiment::new(scheme) {
-        Ok(e) => e.with_options(RunOptions {
-            timeout_s: timeout,
-            ..Default::default()
-        }),
-        Err(e) => {
-            eprintln!("design failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let exp = Experiment::new(scheme).with_options(RunOptions {
+        timeout_s: timeout,
+        ..Default::default()
+    });
     let report = match exp.run(&wl) {
         Ok(r) => r,
         Err(e) => {

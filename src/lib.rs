@@ -16,7 +16,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let app = catalog::parsec::blackscholes();
-//! let report = Experiment::new(Scheme::CoordinatedHeuristic)?.run(&app)?;
+//! let report = Experiment::new(Scheme::CoordinatedHeuristic).run(&app)?;
 //! assert!(report.metrics.energy_joules > 0.0);
 //! # Ok(())
 //! # }

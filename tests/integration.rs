@@ -35,7 +35,6 @@ fn every_scheme_completes_blackscholes() {
     let wl = catalog::parsec::blackscholes();
     for scheme in Scheme::all() {
         let rep = Experiment::new(scheme)
-            .unwrap()
             .with_options(quick())
             .run(&wl)
             .unwrap();
@@ -52,7 +51,6 @@ fn every_scheme_completes_blackscholes() {
 #[test]
 fn ssv_respects_constraints_on_average() {
     let rep = Experiment::new(Scheme::YuktaHwSsvOsSsv)
-        .unwrap()
         .with_options(quick())
         .run(&catalog::spec::gamess())
         .unwrap();
@@ -71,12 +69,10 @@ fn decoupled_heuristic_oscillates_more_than_coordinated() {
     // limit-crossing power peaks.
     let wl = catalog::parsec::blackscholes();
     let coord = Experiment::new(Scheme::CoordinatedHeuristic)
-        .unwrap()
         .with_options(quick())
         .run(&wl)
         .unwrap();
     let dec = Experiment::new(Scheme::DecoupledHeuristic)
-        .unwrap()
         .with_options(quick())
         .run(&wl)
         .unwrap();
@@ -125,7 +121,6 @@ fn workload_engine_drives_the_board_to_completion() {
 #[test]
 fn mixes_run_under_yukta() {
     let rep = Experiment::new(Scheme::YuktaHwSsvOsSsv)
-        .unwrap()
         .with_options(quick())
         .run(&catalog::mixes::blst())
         .unwrap();
