@@ -15,8 +15,7 @@
 //! 3. **Zero replay divergence.** Checkpoint-restore plus journal-suffix
 //!    replay reproduces every journaled record exactly, and a fresh
 //!    controller stack replays the full journal with zero divergences
-//!    (the standing determinism invariant), including after a binary
-//!    serialization round trip.
+//!    (the standing determinism invariant).
 //!
 //! One grid, 48 cells (4 schemes × 2 workloads × 2 checkpoint intervals ×
 //! 3 crash sets). Any violation exits non-zero, which gates CI. Output:
@@ -25,7 +24,6 @@
 
 use yukta_bench::campaign::Campaign;
 use yukta_board::FaultPlan;
-use yukta_core::recorder::Journal;
 use yukta_core::runtime::{Experiment, RecoveryOptions};
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
@@ -88,22 +86,17 @@ fn main() {
                         continue;
                     };
                     let identical = rec.report.bit_identical(&baseline);
-                    let bytes = rec.journal.to_bytes();
-                    let decode_ok = Journal::from_bytes(&bytes)
-                        .map(|j| j.len() == rec.journal.len())
-                        .unwrap_or(false);
                     let replay = exp
                         .replay_journal(&rec.journal, Some(SupervisorConfig::default()))
                         .expect("journal replay");
                     let ok = identical
-                        && decode_ok
                         && rec.recovery.crashes == crashes.len() as u64
                         && rec.recovery.recoveries == rec.recovery.crashes
                         && rec.recovery.replay_divergences == 0
                         && replay.is_exact();
                     if !ok {
                         camp.fail(&format!(
-                            "{label}: bit_identical={identical} decode_ok={decode_ok} \
+                            "{label}: bit_identical={identical} \
                              recovery={:?} replay={:?}",
                             rec.recovery, replay
                         ));
@@ -132,7 +125,7 @@ fn main() {
                          \"replay_divergences\": {}, \
                          \"exd\": {:.4}, \"baseline_exd\": {:.4}, \
                          \"bit_identical\": {identical}, \
-                         \"journal_records\": {}, \"journal_bytes\": {}, \
+                         \"journal_records\": {}, \
                          \"replay_exact\": {}}}",
                         scheme.label(),
                         wl.name,
@@ -144,7 +137,6 @@ fn main() {
                         rec.report.metrics.exd(),
                         base_exd,
                         rec.journal.len(),
-                        bytes.len(),
                         replay.is_exact(),
                     ));
                 }

@@ -17,11 +17,11 @@
 //! A second measurement is the telemetry overhead gate: the
 //! order-16/120-point sweep through the instrumented entry point
 //! (`mu_peak_serial`, no-op recorder) against the uninstrumented
-//! `mu_peak_serial_raw`. Disabled telemetry must cost < 2%; the measured
-//! number goes to `results/BENCH_obs.json`.
+//! `mu_peak_serial_raw`. Disabled telemetry must cost < 2%; a full run
+//! records the measured number in `results/BENCH_obs.json`.
 //!
-//! `--quick` runs only the overhead gate and fails on a regression — the
-//! CI gate. It does not rewrite `results/BENCH_sweep.json`.
+//! `--quick` runs only the overhead gate, prints it and fails on a
+//! regression — the CI gate. It writes nothing under `results/`.
 
 use yukta_bench::{median, splitmix, time_best, time_interleaved, write_results};
 use yukta_control::mu::{MuBlock, log_grid, mu_peak, mu_peak_serial, mu_peak_serial_raw};
@@ -52,10 +52,10 @@ const TWO_1X1: [MuBlock; 2] = [MuBlock { n_out: 1, n_in: 1 }, MuBlock { n_out: 1
 /// (frequency ramps, noisy neighbours) that a minimum of each side leaves
 /// to chance, and the median ignores the samples a burst hit. The reported
 /// times are the per-sweep medians of each side.
-/// Writes `results/BENCH_obs.json` and fails the process beyond 2% —
-/// unless a recording (enabled) recorder is installed, in which case the
-/// measurement is of *enabled* capture and only reported.
-fn obs_overhead_gate() {
+/// Fails the process beyond 2% — unless a recording (enabled) recorder is
+/// installed, in which case the measurement is of *enabled* capture and
+/// only reported. Returns the `results/BENCH_obs.json` text.
+fn obs_overhead_gate() -> String {
     let (order, points, reps, inner) = (16usize, 120usize, 120usize, 24usize);
     let sys = stable_sys(order, order as u64);
     let grid = log_grid(1e-3, 0.98 * std::f64::consts::PI / 0.5, points);
@@ -80,17 +80,6 @@ fn obs_overhead_gate() {
         overhead * 100.0,
         if recording { " [recorder ENABLED]" } else { "" }
     );
-    write_results(
-        "BENCH_obs.json",
-        &format!(
-            concat!(
-                "{{\n  \"order\": {}, \"grid_points\": {}, \"reps\": {}, \"inner\": {},\n",
-                "  \"raw_s\": {:.6}, \"noop_s\": {:.6},\n",
-                "  \"overhead_frac\": {:.6}, \"recorder_enabled\": {}\n}}\n"
-            ),
-            order, points, reps, inner, t_raw, t_inst, overhead, recording
-        ),
-    );
     if !recording {
         assert!(
             overhead < 0.02,
@@ -98,15 +87,24 @@ fn obs_overhead_gate() {
             overhead * 100.0
         );
     }
+    format!(
+        concat!(
+            "{{\n  \"order\": {}, \"grid_points\": {}, \"reps\": {}, \"inner\": {},\n",
+            "  \"raw_s\": {:.6}, \"noop_s\": {:.6},\n",
+            "  \"overhead_frac\": {:.6}, \"recorder_enabled\": {}\n}}\n"
+        ),
+        order, points, reps, inner, t_raw, t_inst, overhead, recording
+    )
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let _obs = yukta_bench::obs::capture("bench_sweep", quick);
-    obs_overhead_gate();
+    let obs_json = obs_overhead_gate();
     if quick {
         return;
     }
+    write_results("BENCH_obs.json", &obs_json);
     let blocks = TWO_1X1;
     let reps = 9;
     let mut rows = Vec::new();

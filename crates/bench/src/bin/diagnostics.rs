@@ -1,13 +1,10 @@
 //! Design diagnostics: everything a control engineer would inspect before
 //! deploying the synthesized controllers — identification fit, achieved γ,
-//! the µ upper/lower bracket across frequency, Hankel spectrum, and the
-//! closed-loop robustness margins.
+//! µ upper bound, Hankel spectrum, and the deployed stack's compute cost.
 
-use yukta_bench::{rounded, write_results};
-use yukta_control::mu::{MuBlock, log_grid, mu_lower_bound, mu_upper_bound};
-use yukta_control::plant::build_ssv_plant;
+use yukta_bench::rounded;
 use yukta_control::reduce::balanced_truncation;
-use yukta_core::design::{Layer, default_design, layer_spec};
+use yukta_core::design::default_design;
 use yukta_core::runtime::{Experiment, RunOptions};
 use yukta_core::schemes::Scheme;
 use yukta_linalg::eig::spectral_radius;
@@ -56,30 +53,6 @@ fn main() {
         println!();
     }
 
-    // µ bracket across frequency for the HW design, on a freshly assembled
-    // generalized plant (the closed loop of the *synthesis* model).
-    let spec = layer_spec(&d.options, Layer::Hw, d.hw_uncertainty_used);
-    let plant = build_ssv_plant(&d.hw_model_full, &spec).expect("plant");
-    let blocks: Vec<MuBlock> = plant.mu_blocks();
-    // The synthesis closed loop is not retained; the open generalized plant
-    // serves as the reference curve.
-    let grid = log_grid(1e-3, 6.0, 40);
-    let mut csv = String::from("omega,mu_upper,mu_lower\n");
-    println!("mu bracket of the open generalized plant across frequency:");
-    for (i, &w) in grid.iter().enumerate() {
-        if let Ok(n) = plant.gen.sys.freq_response(w) {
-            let ub = mu_upper_bound(&n_block(&n, &blocks), &blocks).map(|m| m.value);
-            let lb = mu_lower_bound(&n_block(&n, &blocks), &blocks);
-            if let (Ok(ub), Ok(lb)) = (ub, lb) {
-                csv.push_str(&format!("{w:.5},{ub:.5},{lb:.5}\n"));
-                if i % 8 == 0 {
-                    println!("  w = {w:8.4} rad/s : {lb:8.3} <= mu <= {ub:8.3}");
-                }
-            }
-        }
-    }
-    write_results("diagnostics_mu_curve.csv", &csv);
-
     // Wall-clock controller compute cost: the real time the deployed stack
     // spends inside `invoke` (the control-law jitter budget — the paper's
     // prototype fired every 500 ms, so the worst case must stay far below
@@ -98,18 +71,4 @@ fn main() {
     println!("  mean / invoke   = {:.2} µs", c.mean_ns() / 1e3);
     println!("  worst invoke    = {:.2} µs", c.max_ns as f64 / 1e3);
     println!("  total compute   = {:.3} ms", c.total_ms());
-}
-
-/// Extracts the w→z block of the generalized plant response (drops the
-/// control/measurement channels) so the µ structure tiles it.
-fn n_block(g: &yukta_linalg::CMat, blocks: &[MuBlock]) -> yukta_linalg::CMat {
-    let nz: usize = blocks.iter().map(|b| b.n_out).sum();
-    let nw: usize = blocks.iter().map(|b| b.n_in).sum();
-    let mut out = yukta_linalg::CMat::zeros(nz, nw);
-    for i in 0..nz {
-        for j in 0..nw {
-            out.set(i, j, g.get(i, j));
-        }
-    }
-    out
 }

@@ -26,9 +26,9 @@
 //!   coordinated heuristic (and ultimately a safe static configuration),
 //!   and re-engages them with hysteresis — as a thin driver of [`modes`].
 //! * [`recorder`] — the crash-tolerance flight recorder: an append-only
-//!   journal of every invocation with a compact binary wire format and a
-//!   bit-exact replay verifier, feeding
-//!   [`runtime::Experiment::run_recoverable`]'s checkpoint/restore path.
+//!   in-memory journal of every invocation and a bit-exact replay
+//!   verifier, feeding [`runtime::Experiment::run_recoverable`]'s
+//!   checkpoint/restore path.
 //!
 //! ```no_run
 //! use yukta_core::runtime::Experiment;

@@ -8,33 +8,20 @@
 //! crashed run resumable: restore the latest checkpoint, replay the journal
 //! suffix, and continue — bit-identically to a run that never crashed.
 //!
-//! The journal doubles as a standing determinism proof: feeding its recorded
-//! senses to a freshly instantiated controller stack via [`replay_with`]
-//! must reproduce the recorded actuation stream exactly
-//! (`f64::to_bits`-equal), or the run was not deterministic.
-//!
-//! Serialization is a hand-rolled little-endian binary format (no type in
-//! the workspace derives a serializer); see [`Journal::to_bytes`] for the
-//! layout.
+//! The journal lives in memory, like the checkpoints, and is never
+//! serialized. What makes it trustworthy is two checked invariants: each
+//! replayed invocation must be [`JournalRecord::bit_identical`] to the
+//! record it re-executes, and feeding the recorded senses to a freshly
+//! instantiated controller stack via [`replay_with`] must reproduce the
+//! recorded actuation stream exactly (`f64::to_bits`-equal), or the run
+//! was not deterministic.
 
-use yukta_board::{FaultChannel, FaultEvent, FaultKind};
-use yukta_linalg::{Error, Result};
+use yukta_board::FaultEvent;
+use yukta_linalg::Result;
 
 use crate::controllers::{HwSense, OsSense};
-use crate::signals::{HwInputs, HwOutputs, Limits, OsInputs, OsOutputs, SloSense};
+use crate::signals::{HwInputs, Limits, OsInputs, SloSense};
 use crate::supervisor::SupervisorMode;
-
-/// Magic number opening every serialized journal (`"YKTJ"` big-endian).
-pub const JOURNAL_MAGIC: u32 = 0x594B_544A;
-/// Current journal format version. Version 2 added the request-serving
-/// fields: one [`SloSense`] per sense vector and `latency_slo_s` in
-/// [`Limits`]. Version-1 journals are rejected rather than migrated — the
-/// journal is a per-run crash-recovery artifact, not an archival format.
-pub const JOURNAL_VERSION: u32 = 2;
-
-/// Encoded size of one fault event: `time:f64, kind:u8, at_step:u64,
-/// channel:u8, value:f64`.
-const FAULT_EVENT_BYTES: usize = 26;
 
 /// Everything the runtime knew and decided at one controller invocation.
 #[derive(Debug, Clone)]
@@ -60,47 +47,82 @@ pub struct JournalRecord {
 
 impl JournalRecord {
     /// Whether two records are bit-identical: every `f64` compared via
-    /// [`f64::to_bits`], discrete fields via equality. Two records are
-    /// bit-identical exactly when their [`Journal::to_bytes`] encodings
-    /// are equal, so that is how they are compared.
+    /// [`f64::to_bits`] (so `-0.0 ≠ +0.0` and NaN payloads count),
+    /// discrete fields via equality. Allocates nothing: it runs once per
+    /// replayed record during crash recovery.
     pub fn bit_identical(&self, other: &JournalRecord) -> bool {
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        self.encode(&mut a);
-        other.encode(&mut b);
-        a == b
+        self.step == other.step
+            && self.time.to_bits() == other.time.to_bits()
+            && hw_sense_identical(&self.hw_sense, &other.hw_sense)
+            && os_sense_identical(&self.os_sense, &other.os_sense)
+            && same_bits(&self.hw_u.to_vec(), &other.hw_u.to_vec())
+            && same_bits(&self.os_u.to_vec(), &other.os_u.to_vec())
+            && self.mode == other.mode
+            && self.fault_events.len() == other.fault_events.len()
+            && self
+                .fault_events
+                .iter()
+                .zip(&other.fault_events)
+                .all(|(a, b)| fault_event_identical(a, b))
     }
+}
 
-    /// Appends this record's wire encoding (see [`Journal::to_bytes`]).
-    fn encode(&self, out: &mut Vec<u8>) {
-        let (hw, os) = (&self.hw_sense, &self.os_sense);
-        put_u64(out, self.step);
-        put_f64(out, self.time);
-        put_f64s(out, &hw.outputs.to_vec());
-        put_f64s(out, &hw.ext.to_vec());
-        put_f64s(out, &hw.current.to_vec());
-        put_limits(out, &hw.limits);
-        put_u64(out, hw.active_threads as u64);
-        put_slo(out, &hw.slo);
-        put_f64s(out, &os.outputs.to_vec());
-        put_f64s(out, &os.ext.to_vec());
-        put_f64s(out, &os.current.to_vec());
-        put_f64s(out, &os.system.to_vec());
-        put_limits(out, &os.limits);
-        put_u64(out, os.active_threads as u64);
-        put_slo(out, &os.slo);
-        put_f64s(out, &self.hw_u.to_vec());
-        put_f64s(out, &self.os_u.to_vec());
-        out.push(mode_code(self.mode));
-        put_u32(out, self.fault_events.len() as u32);
-        for e in &self.fault_events {
-            put_f64(out, e.time);
-            let (kind, at_step) = kind_code(e.kind);
-            out.push(kind);
-            put_u64(out, at_step);
-            out.push(channel_code(e.channel));
-            put_f64(out, e.value);
-        }
-    }
+fn hw_sense_identical(a: &HwSense, b: &HwSense) -> bool {
+    same_bits(&a.outputs.to_vec(), &b.outputs.to_vec())
+        && same_bits(&a.ext.to_vec(), &b.ext.to_vec())
+        && same_bits(&a.current.to_vec(), &b.current.to_vec())
+        && a.active_threads == b.active_threads
+        && slo_identical(&a.slo, &b.slo)
+        && same_bits(&limit_floats(&a.limits), &limit_floats(&b.limits))
+}
+
+fn os_sense_identical(a: &OsSense, b: &OsSense) -> bool {
+    same_bits(&a.outputs.to_vec(), &b.outputs.to_vec())
+        && same_bits(&a.ext.to_vec(), &b.ext.to_vec())
+        && same_bits(&a.current.to_vec(), &b.current.to_vec())
+        && a.active_threads == b.active_threads
+        && same_bits(&a.system.to_vec(), &b.system.to_vec())
+        && slo_identical(&a.slo, &b.slo)
+        && same_bits(&limit_floats(&a.limits), &limit_floats(&b.limits))
+}
+
+fn slo_identical(a: &SloSense, b: &SloSense) -> bool {
+    a.active == b.active && same_bits(&slo_floats(a), &slo_floats(b))
+}
+
+// `slo_floats` and `limit_floats` destructure their struct, so a field
+// added to it fails to compile here until it is compared.
+fn slo_floats(s: &SloSense) -> [f64; 4] {
+    let SloSense {
+        active: _,
+        p95_s,
+        p99_s,
+        backlog_frac,
+        drop_frac,
+    } = *s;
+    [p95_s, p99_s, backlog_frac, drop_frac]
+}
+
+fn limit_floats(l: &Limits) -> [f64; 4] {
+    let Limits {
+        p_big_max,
+        p_little_max,
+        temp_max,
+        latency_slo_s,
+    } = *l;
+    [p_big_max, p_little_max, temp_max, latency_slo_s]
+}
+
+fn fault_event_identical(a: &FaultEvent, b: &FaultEvent) -> bool {
+    a.time.to_bits() == b.time.to_bits()
+        && a.kind == b.kind
+        && a.channel == b.channel
+        && a.value.to_bits() == b.value.to_bits()
+}
+
+/// Whether two `f64` slices are equal bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The append-only flight-recorder journal of one run.
@@ -125,11 +147,6 @@ impl Journal {
         self.records.is_empty()
     }
 
-    /// The record at invocation index `i`, if recorded.
-    pub fn get(&self, i: usize) -> Option<&JournalRecord> {
-        self.records.get(i)
-    }
-
     /// All records in invocation order.
     pub fn records(&self) -> &[JournalRecord] {
         &self.records
@@ -138,132 +155,6 @@ impl Journal {
     /// Appends one invocation record.
     pub fn push(&mut self, record: JournalRecord) {
         self.records.push(record);
-    }
-
-    /// Serializes the journal to the compact little-endian binary format.
-    ///
-    /// Layout: header `magic:u32, version:u32, count:u64`, then per record
-    /// `step:u64, time:f64`, the hardware sense (15 `f64` in Table II order
-    /// — outputs, ext, current, limits — plus `active_threads:u64` and the
-    /// SLO sense `active:u8` + 4 `f64`), the software sense (18 `f64` —
-    /// outputs, ext, current, system, limits — plus `active_threads:u64`
-    /// and the SLO sense), the actuations (4 + 3 `f64`), the mode
-    /// byte (0 = raw, 1 = primary, 2 = fallback, 3 = safe), and the fault
-    /// events (`count:u32`, then per event `time:f64, kind:u8,
-    /// at_step:u64, channel:u8, value:f64`; `at_step` is 0 for non-crash
-    /// kinds). All `f64`s are stored as raw IEEE-754 bits, so a decode is
-    /// bit-exact.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.records.len() * 320);
-        put_u32(&mut out, JOURNAL_MAGIC);
-        put_u32(&mut out, JOURNAL_VERSION);
-        put_u64(&mut out, self.records.len() as u64);
-        for r in &self.records {
-            r.encode(&mut out);
-        }
-        out
-    }
-
-    /// Decodes a journal serialized by [`Journal::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::NoSolution`] with `op = "journal_decode"` on a bad magic
-    /// number, unsupported version, truncated buffer, trailing garbage, or
-    /// invalid mode/kind/channel code.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Journal> {
-        let mut c = Cursor { buf: bytes, pos: 0 };
-        if c.u32()? != JOURNAL_MAGIC {
-            return Err(decode_err("bad magic number"));
-        }
-        if c.u32()? != JOURNAL_VERSION {
-            return Err(decode_err("unsupported journal version"));
-        }
-        let count = c.u64()?;
-        let mut records = Vec::new();
-        for _ in 0..count {
-            let step = c.u64()?;
-            let time = c.f64()?;
-            let hw_outputs = HwOutputs {
-                perf: c.f64()?,
-                p_big: c.f64()?,
-                p_little: c.f64()?,
-                temp: c.f64()?,
-            };
-            let hw_ext = c.os_inputs()?;
-            let hw_current = c.hw_inputs()?;
-            let hw_limits = c.limits()?;
-            let hw_threads = c.u64()? as usize;
-            let hw_slo = c.slo()?;
-            let os_outputs = OsOutputs {
-                perf_little: c.f64()?,
-                perf_big: c.f64()?,
-                spare_diff: c.f64()?,
-            };
-            let os_ext = c.hw_inputs()?;
-            let os_current = c.os_inputs()?;
-            let os_system = HwOutputs {
-                perf: c.f64()?,
-                p_big: c.f64()?,
-                p_little: c.f64()?,
-                temp: c.f64()?,
-            };
-            let os_limits = c.limits()?;
-            let os_threads = c.u64()? as usize;
-            let os_slo = c.slo()?;
-            let hw_u = c.hw_inputs()?;
-            let os_u = c.os_inputs()?;
-            let mode = mode_decode(c.u8()?)?;
-            let n_events = c.u32()?;
-            // The count is untrusted: reserve no more events than the
-            // bytes left could hold, so a corrupt count fails as a
-            // truncated journal instead of a huge allocation.
-            let fit = (bytes.len() - c.pos) / FAULT_EVENT_BYTES;
-            let mut fault_events = Vec::with_capacity((n_events as usize).min(fit));
-            for _ in 0..n_events {
-                let time = c.f64()?;
-                let kind_byte = c.u8()?;
-                let at_step = c.u64()?;
-                let kind = kind_decode(kind_byte, at_step)?;
-                let channel = channel_decode(c.u8()?)?;
-                let value = c.f64()?;
-                fault_events.push(FaultEvent {
-                    time,
-                    kind,
-                    channel,
-                    value,
-                });
-            }
-            records.push(JournalRecord {
-                step,
-                time,
-                hw_sense: HwSense {
-                    outputs: hw_outputs,
-                    ext: hw_ext,
-                    current: hw_current,
-                    active_threads: hw_threads,
-                    slo: hw_slo,
-                    limits: hw_limits,
-                },
-                os_sense: OsSense {
-                    outputs: os_outputs,
-                    ext: os_ext,
-                    current: os_current,
-                    active_threads: os_threads,
-                    system: os_system,
-                    slo: os_slo,
-                    limits: os_limits,
-                },
-                hw_u,
-                os_u,
-                mode,
-                fault_events,
-            });
-        }
-        if c.pos != bytes.len() {
-            return Err(decode_err("trailing bytes after last record"));
-        }
-        Ok(Journal { records })
     }
 }
 
@@ -302,16 +193,8 @@ pub fn replay_with(
     let mut outcome = ReplayOutcome::default();
     for r in journal.records() {
         let (hw_u, os_u) = invoke(&r.hw_sense, &r.os_sense)?;
-        let same = hw_u
-            .to_vec()
-            .iter()
-            .zip(r.hw_u.to_vec())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-            && os_u
-                .to_vec()
-                .iter()
-                .zip(r.os_u.to_vec())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
+        let same = same_bits(&hw_u.to_vec(), &r.hw_u.to_vec())
+            && same_bits(&os_u.to_vec(), &r.os_u.to_vec());
         if !same {
             outcome.divergences += 1;
             if outcome.first_divergence.is_none() {
@@ -323,197 +206,11 @@ pub fn replay_with(
     Ok(outcome)
 }
 
-fn decode_err(why: &'static str) -> Error {
-    Error::NoSolution {
-        op: "journal_decode",
-        why,
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
-    for &v in vs {
-        put_f64(out, v);
-    }
-}
-
-fn put_limits(out: &mut Vec<u8>, l: &Limits) {
-    put_f64s(
-        out,
-        &[l.p_big_max, l.p_little_max, l.temp_max, l.latency_slo_s],
-    );
-}
-
-fn put_slo(out: &mut Vec<u8>, s: &SloSense) {
-    out.push(u8::from(s.active));
-    put_f64s(out, &[s.p95_s, s.p99_s, s.backlog_frac, s.drop_frac]);
-}
-
-fn mode_code(mode: Option<SupervisorMode>) -> u8 {
-    match mode {
-        None => 0,
-        Some(SupervisorMode::Primary) => 1,
-        Some(SupervisorMode::Fallback) => 2,
-        Some(SupervisorMode::Safe) => 3,
-    }
-}
-
-fn mode_decode(code: u8) -> Result<Option<SupervisorMode>> {
-    Ok(match code {
-        0 => None,
-        1 => Some(SupervisorMode::Primary),
-        2 => Some(SupervisorMode::Fallback),
-        3 => Some(SupervisorMode::Safe),
-        _ => return Err(decode_err("invalid supervisor-mode code")),
-    })
-}
-
-fn kind_code(kind: FaultKind) -> (u8, u64) {
-    match kind {
-        FaultKind::StuckAt => (0, 0),
-        FaultKind::DroppedSample => (1, 0),
-        FaultKind::Spike => (2, 0),
-        FaultKind::BiasNoise => (3, 0),
-        FaultKind::DelayedRead => (4, 0),
-        FaultKind::DvfsRejected => (5, 0),
-        FaultKind::HotplugIgnored => (6, 0),
-        FaultKind::ActuationLag => (7, 0),
-        FaultKind::Crash { at_step } => (8, at_step),
-    }
-}
-
-fn kind_decode(code: u8, at_step: u64) -> Result<FaultKind> {
-    Ok(match code {
-        0 => FaultKind::StuckAt,
-        1 => FaultKind::DroppedSample,
-        2 => FaultKind::Spike,
-        3 => FaultKind::BiasNoise,
-        4 => FaultKind::DelayedRead,
-        5 => FaultKind::DvfsRejected,
-        6 => FaultKind::HotplugIgnored,
-        7 => FaultKind::ActuationLag,
-        8 => FaultKind::Crash { at_step },
-        _ => return Err(decode_err("invalid fault-kind code")),
-    })
-}
-
-fn channel_code(channel: FaultChannel) -> u8 {
-    match channel {
-        FaultChannel::PowerBig => 0,
-        FaultChannel::PowerLittle => 1,
-        FaultChannel::Temp => 2,
-        FaultChannel::Dvfs => 3,
-        FaultChannel::Hotplug => 4,
-        FaultChannel::Actuation => 5,
-    }
-}
-
-fn channel_decode(code: u8) -> Result<FaultChannel> {
-    Ok(match code {
-        0 => FaultChannel::PowerBig,
-        1 => FaultChannel::PowerLittle,
-        2 => FaultChannel::Temp,
-        3 => FaultChannel::Dvfs,
-        4 => FaultChannel::Hotplug,
-        5 => FaultChannel::Actuation,
-        _ => return Err(decode_err("invalid fault-channel code")),
-    })
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(decode_err("truncated journal"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let s = self.take(4)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(s);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn hw_inputs(&mut self) -> Result<HwInputs> {
-        Ok(HwInputs {
-            big_cores: self.f64()?,
-            little_cores: self.f64()?,
-            f_big: self.f64()?,
-            f_little: self.f64()?,
-        })
-    }
-
-    fn os_inputs(&mut self) -> Result<OsInputs> {
-        Ok(OsInputs {
-            threads_big: self.f64()?,
-            packing_big: self.f64()?,
-            packing_little: self.f64()?,
-        })
-    }
-
-    fn limits(&mut self) -> Result<Limits> {
-        Ok(Limits {
-            p_big_max: self.f64()?,
-            p_little_max: self.f64()?,
-            temp_max: self.f64()?,
-            latency_slo_s: self.f64()?,
-        })
-    }
-
-    fn slo(&mut self) -> Result<SloSense> {
-        let active = match self.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(decode_err("invalid slo-active flag")),
-        };
-        Ok(SloSense {
-            active,
-            p95_s: self.f64()?,
-            p99_s: self.f64()?,
-            backlog_frac: self.f64()?,
-            drop_frac: self.f64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::signals::{HwOutputs, OsOutputs};
+    use yukta_board::{FaultChannel, FaultKind};
 
     fn record(step: u64) -> JournalRecord {
         let k = step as f64;
@@ -618,119 +315,145 @@ mod tests {
         }
     }
 
-    #[test]
-    fn serialization_roundtrips_bit_for_bit() {
-        let mut j = Journal::new();
-        for s in 0..4 {
-            j.push(record(s));
+    /// Every `f64` of a record, in declaration order.
+    fn floats(r: &mut JournalRecord) -> Vec<&mut f64> {
+        let (hw, os) = (&mut r.hw_sense, &mut r.os_sense);
+        let mut v = vec![&mut r.time];
+        v.extend([
+            &mut hw.outputs.perf,
+            &mut hw.outputs.p_big,
+            &mut hw.outputs.p_little,
+            &mut hw.outputs.temp,
+        ]);
+        v.extend(os_inputs(&mut hw.ext));
+        v.extend(hw_inputs(&mut hw.current));
+        v.extend(slo(&mut hw.slo));
+        v.extend(limits(&mut hw.limits));
+        v.extend([
+            &mut os.outputs.perf_little,
+            &mut os.outputs.perf_big,
+            &mut os.outputs.spare_diff,
+        ]);
+        v.extend(hw_inputs(&mut os.ext));
+        v.extend(os_inputs(&mut os.current));
+        v.extend([
+            &mut os.system.perf,
+            &mut os.system.p_big,
+            &mut os.system.p_little,
+            &mut os.system.temp,
+        ]);
+        v.extend(slo(&mut os.slo));
+        v.extend(limits(&mut os.limits));
+        v.extend(hw_inputs(&mut r.hw_u));
+        v.extend(os_inputs(&mut r.os_u));
+        for e in &mut r.fault_events {
+            v.extend([&mut e.time, &mut e.value]);
         }
-        // A raw (mode-less) record and a NaN sense value must survive too.
-        let mut raw = record(4);
-        raw.mode = None;
-        raw.hw_sense.outputs.p_big = f64::from_bits(0x7FF8_0000_DEAD_BEEF); // NaN payload
-        j.push(raw);
+        v
+    }
 
-        let bytes = j.to_bytes();
-        let back = Journal::from_bytes(&bytes).expect("decode");
-        assert_eq!(back.len(), j.len());
-        for (a, b) in j.records().iter().zip(back.records()) {
-            assert!(
-                a.bit_identical(b),
-                "record {} changed across the wire",
-                a.step
-            );
-        }
+    fn hw_inputs(u: &mut HwInputs) -> [&mut f64; 4] {
+        [
+            &mut u.big_cores,
+            &mut u.little_cores,
+            &mut u.f_big,
+            &mut u.f_little,
+        ]
+    }
+
+    fn os_inputs(u: &mut OsInputs) -> [&mut f64; 3] {
+        [
+            &mut u.threads_big,
+            &mut u.packing_big,
+            &mut u.packing_little,
+        ]
+    }
+
+    fn slo(s: &mut SloSense) -> [&mut f64; 4] {
+        [
+            &mut s.p95_s,
+            &mut s.p99_s,
+            &mut s.backlog_frac,
+            &mut s.drop_frac,
+        ]
+    }
+
+    fn limits(l: &mut Limits) -> [&mut f64; 4] {
+        [
+            &mut l.p_big_max,
+            &mut l.p_little_max,
+            &mut l.temp_max,
+            &mut l.latency_slo_s,
+        ]
+    }
+
+    /// Asserts `a` and `b` are each identical to their clone but not to
+    /// each other, in either order.
+    fn assert_differ(a: &JournalRecord, b: &JournalRecord, what: &str) {
+        assert!(a.bit_identical(&a.clone()) && b.bit_identical(&b.clone()));
+        assert!(
+            !a.bit_identical(b) && !b.bit_identical(a),
+            "{what}: a one-field change went unnoticed"
+        );
     }
 
     #[test]
-    fn decode_rejects_corrupt_buffers() {
-        let mut j = Journal::new();
-        j.push(record(0));
-        let bytes = j.to_bytes();
+    fn bit_identical_notices_every_field() {
+        // Record 1 carries two fault events, one of them a crash.
+        let base = record(1);
+        let mut nan = base.clone();
+        nan.hw_sense.outputs.p_big = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+        nan.mode = None;
+        assert!(nan.bit_identical(&nan.clone()), "NaN payload vs its clone");
 
-        // Truncated mid-record.
-        assert!(Journal::from_bytes(&bytes[..bytes.len() - 3]).is_err());
-        // Trailing garbage.
-        let mut long = bytes.clone();
-        long.push(0xAB);
-        assert!(Journal::from_bytes(&long).is_err());
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xFF;
-        assert!(Journal::from_bytes(&bad).is_err());
-        // Unsupported version.
-        let mut ver = bytes.clone();
-        ver[4] = 99;
-        assert!(Journal::from_bytes(&ver).is_err());
-        // Invalid mode code (mode byte sits right before the event count,
-        // 8 + 4 f64 bytes from the end of this single-event-free record).
-        let mut j2 = Journal::new();
-        let mut r = record(2);
-        r.fault_events.clear();
-        j2.push(r);
-        let mut b2 = j2.to_bytes();
-        let mode_at = b2.len() - 4 - 1;
-        b2[mode_at] = 9;
-        assert!(Journal::from_bytes(&b2).is_err());
-    }
-
-    /// The shortest journal whose fault-event count asks for 171 GB: one
-    /// event-free record (439 bytes in all) whose count reads
-    /// `u32::MAX`. The decoder must report it truncated, not reserve it.
-    #[test]
-    fn huge_fault_event_count_is_a_truncated_journal() {
-        let mut r = record(2);
-        r.fault_events.clear();
-        let mut j = Journal::new();
-        j.push(r);
-        let mut bytes = j.to_bytes();
-        assert_eq!(bytes.len(), 439);
-        let count_at = bytes.len() - 4;
-        bytes[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
-        match Journal::from_bytes(&bytes) {
-            Err(Error::NoSolution {
-                op: "journal_decode",
-                why: "truncated journal",
-            }) => {}
-            other => panic!("expected a truncated-journal error, got {other:?}"),
+        // Every float, fault-event times and values included: +0.0 vs
+        // −0.0, one ULP apart, two NaN payloads.
+        for i in 0..floats(&mut base.clone()).len() {
+            let v = *floats(&mut base.clone())[i];
+            for (x, y) in [
+                (0.0, -0.0),
+                (v, f64::from_bits(v.to_bits() + 1)),
+                (
+                    f64::from_bits(0x7FF8_0000_0000_0001),
+                    f64::from_bits(0x7FF8_0000_0000_0002),
+                ),
+            ] {
+                let (mut a, mut b) = (base.clone(), base.clone());
+                *floats(&mut a)[i] = x;
+                *floats(&mut b)[i] = y;
+                assert_differ(&a, &b, &format!("float {i}: {x:?} vs {y:?}"));
+            }
         }
-    }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-        /// Random, truncated and bit-flipped journals decode to `Ok` or
-        /// the typed `journal_decode` error, never a panic or an abort.
-        #[test]
-        fn damaged_journals_decode_to_ok_or_a_typed_error(
-            n_records in 0..4u64,
-            damage in 0..3u32,
-            cut in 0.0..1.0f64,
-            flips in prop::collection::vec((0.0..1.0f64, 0..8u32), 1..4),
-            noise in prop::collection::vec(0..=255u8, 0..600),
-        ) {
-            let mut j = Journal::new();
-            for s in 0..n_records {
-                j.push(record(s));
-            }
-            let mut bytes = j.to_bytes();
-            match damage {
-                0 => bytes.truncate((cut * bytes.len() as f64) as usize),
-                1 => {
-                    for (at, bit) in flips {
-                        let i = ((at * bytes.len() as f64) as usize).min(bytes.len() - 1);
-                        bytes[i] ^= 1 << bit;
-                    }
-                }
-                // A valid magic and version, then random bytes.
-                _ => {
-                    bytes.truncate(8);
-                    bytes.extend(noise);
-                }
-            }
-            match Journal::from_bytes(&bytes) {
-                Ok(_) | Err(Error::NoSolution { op: "journal_decode", .. }) => {}
-                Err(e) => panic!("untyped decode error {e:?}"),
-            }
+        // Every discrete field.
+        type Edit = (&'static str, fn(&mut JournalRecord));
+        let edits: [Edit; 13] = [
+            ("step", |r| r.step += 1),
+            ("hw active_threads", |r| r.hw_sense.active_threads += 1),
+            ("os active_threads", |r| r.os_sense.active_threads += 1),
+            ("hw slo.active", |r| r.hw_sense.slo.active ^= true),
+            ("os slo.active", |r| r.os_sense.slo.active ^= true),
+            ("mode None", |r| r.mode = None),
+            ("mode Safe", |r| r.mode = Some(SupervisorMode::Safe)),
+            ("one fault event fewer", |r| {
+                r.fault_events.pop();
+            }),
+            ("no fault events", |r| r.fault_events.clear()),
+            ("fault kind", |r| {
+                r.fault_events[0].kind = FaultKind::StuckAt
+            }),
+            ("crash step", |r| {
+                r.fault_events[1].kind = FaultKind::Crash { at_step: 10 }
+            }),
+            ("fault channel", |r| {
+                r.fault_events[0].channel = FaultChannel::Temp
+            }),
+            ("fault order", |r| r.fault_events.reverse()),
+        ];
+        for (what, edit) in edits {
+            let mut b = base.clone();
+            edit(&mut b);
+            assert_differ(&base, &b, what);
         }
     }
 

@@ -1589,13 +1589,8 @@ mod tests {
         assert_eq!(rec.recovery.crashes, 0);
         assert_eq!(rec.recovery.replay_divergences, 0);
         assert!(rec.recovery.checkpoints >= 1);
-        // The journal covers every invocation and survives the wire.
+        // The journal covers every invocation.
         assert_eq!(rec.journal.len(), base.trace.samples.len());
-        let back = Journal::from_bytes(&rec.journal.to_bytes()).unwrap();
-        assert_eq!(back.len(), rec.journal.len());
-        for (a, b) in rec.journal.records().iter().zip(back.records()) {
-            assert!(a.bit_identical(b));
-        }
         // Standing invariant: a fresh controller stack replays the journal
         // with zero divergences.
         let replay = exp

@@ -262,11 +262,6 @@ impl Traffic {
         }
     }
 
-    /// The generator's configuration.
-    pub fn config(&self) -> &TrafficConfig {
-        &self.cfg
-    }
-
     /// Current internal clock (s).
     pub fn now_s(&self) -> f64 {
         self.now_s
