@@ -20,7 +20,7 @@
 //!   state machine (Primary/Fallback/Safe × swap-pending × recovering)
 //!   through which every supervisor, hot-swap, and crash-recovery
 //!   transition flows, with machine-checked invariants (no actuation gap,
-//!   single writer per knob, no flapping) on every step.
+//!   single writer per knob, legal events only) on every step.
 //! * [`supervisor`] — the fault-containment layer: sanitizes sensor views,
 //!   watches for stuck sensors, degrades SSV/LQG schemes to the
 //!   coordinated heuristic (and ultimately a safe static configuration),
@@ -59,8 +59,7 @@ pub use controllers::ControllerState;
 pub use health::HealthTap;
 pub use metrics::{FaultReport, Metrics, Report};
 pub use modes::{
-    Decision, InvariantViolation, Knob, LevelChange, ModeAutomaton, ModeConfig, ModeEvent,
-    ModeSnapshot, ModeState, TransitionRecord,
+    InvariantViolation, Knob, ModeAutomaton, ModeConfig, ModeSnapshot, TransitionRecord,
 };
 pub use recorder::{Journal, JournalRecord, ReplayOutcome};
 pub use runtime::{

@@ -22,38 +22,44 @@
 //!
 //! # Transition table
 //!
-//! | level    | event                 | guard                        | next     | driver action            |
+//! One method per event; each states its own rows.
+//!
+//! | level    | method                | guard                        | next     | driver action            |
 //! |----------|-----------------------|------------------------------|----------|--------------------------|
-//! | Primary  | `Sample{clean}`       | —                            | Primary  | serve primary            |
-//! | Primary  | `Sample{!clean}`      | —                            | Fallback | fresh fallback, serve it |
-//! | Fallback | `Sample{clean}`       | `clean_streak < N`           | Fallback | serve fallback           |
-//! | Fallback | `Sample{clean}`       | `clean_streak ≥ N`           | Primary  | reset + serve primary    |
-//! | Fallback | `Sample{!clean}`      | `dirty_streak < M`           | Fallback | serve fallback           |
-//! | Fallback | `Sample{!clean}`      | `dirty_streak ≥ M`           | Safe     | serve safe static        |
-//! | Safe     | `Sample{clean}`       | `clean_streak < N`           | Safe     | serve safe static        |
-//! | Safe     | `Sample{clean}`       | `clean_streak ≥ N`           | Fallback | fresh fallback, serve it |
-//! | Safe     | `Sample{!clean}`      | —                            | Safe     | serve safe static        |
-//! | Primary  | `PrimaryError`        | —                            | Fallback | fresh fallback, serve it |
-//! | F/S      | `PrimaryError`        | —                            | *(violation: primary not serving)* | |
-//! | Fallback | `FallbackError`       | —                            | Safe     | serve safe static        |
-//! | Safe     | `FallbackError`       | —                            | Safe     | tolerated no-op          |
-//! | Primary  | `FallbackError`       | —                            | *(violation: fallback not serving)* | |
-//! | any      | `SwapRequest`         | `!swap_pending`              | pending  | prepare replacement      |
-//! | any      | `SwapRequest`         | `swap_pending`               | *(violation: re-entrant swap)* | |
-//! | any      | `SwapCommit`          | `swap_pending`               | !pending | install replacement      |
-//! | any      | `SwapCommit`          | `!swap_pending`              | *(violation: commit w/o request)* | |
-//! | any      | `RecoveryBegin`       | `!recovering`                | recovering | replay journal suffix  |
-//! | any      | `RecoveryEnd`         | `recovering`                 | !recovering | resume live loop      |
+//! | Primary  | `on_sample(true)`     | —                            | Primary  | serve primary            |
+//! | Primary  | `on_sample(false)`    | —                            | Fallback | fresh fallback, serve it |
+//! | Fallback | `on_sample(true)`     | `clean_streak < N`           | Fallback | serve fallback           |
+//! | Fallback | `on_sample(true)`     | `clean_streak ≥ N`           | Primary  | reset + serve primary    |
+//! | Fallback | `on_sample(false)`    | `dirty_streak < M`           | Fallback | serve fallback           |
+//! | Fallback | `on_sample(false)`    | `dirty_streak ≥ M`           | Safe     | serve safe static        |
+//! | Safe     | `on_sample(true)`     | `clean_streak < N`           | Safe     | serve safe static        |
+//! | Safe     | `on_sample(true)`     | `clean_streak ≥ N`           | Fallback | fresh fallback, serve it |
+//! | Safe     | `on_sample(false)`    | —                            | Safe     | serve safe static        |
+//! | Primary  | `on_primary_error`    | —                            | Fallback | fresh fallback, serve it |
+//! | F/S      | `on_primary_error`    | —                            | *(violation: primary not serving)* | |
+//! | Fallback | `on_fallback_error`   | —                            | Safe     | serve safe static        |
+//! | Safe     | `on_fallback_error`   | —                            | Safe     | tolerated no-op          |
+//! | Primary  | `on_fallback_error`   | —                            | *(violation: fallback not serving)* | |
+//! | any      | `request_swap`        | `!swap_pending`              | pending  | prepare replacement      |
+//! | any      | `request_swap`        | `swap_pending`               | *(violation: re-entrant swap)* | |
+//! | any      | `commit_swap`         | `swap_pending`               | !pending | install replacement      |
+//! | any      | `commit_swap`         | `!swap_pending`              | *(violation: commit w/o request)* | |
+//! | any      | `begin_recovery`      | `!recovering`                | recovering | replay journal suffix  |
+//! | any      | `begin_recovery`      | `recovering`                 | *(violation: recovery re-entered)* | |
+//! | any      | `end_recovery`        | `recovering`                 | !recovering | resume live loop      |
+//! | any      | `end_recovery`        | `!recovering`                | *(violation: recovery-end while live)* | |
 //!
 //! `N = `[`REENGAGE_AFTER`] (hysteresis) and `M = `[`ESCALATE_AFTER`]
-//! (sustained-fault escalation). At most one level change happens per
-//! event; the automaton checks this itself.
+//! (sustained-fault escalation). Every level change restarts the clean
+//! streak, so a promotion always follows `N` clean samples at the level it
+//! leaves. At most one level change happens per event: `on_sample` is one
+//! `if`/`else` chain and every other method has one edge per level.
 //!
 //! # Invariant catalog
 //!
-//! Machine-checked on every step, recorded (count + first occurrence) and
-//! surfaced as typed [`InvariantViolation`] values — never a panic and
-//! never silent behavior:
+//! Recorded (count + first occurrence) and surfaced as typed
+//! [`InvariantViolation`] values — never a panic and never silent
+//! behavior:
 //!
 //! * **No actuation gap** — every `begin_invocation`/`end_invocation`
 //!   bracket must claim every knob (DVFS, hotplug, migration, admission)
@@ -63,12 +69,13 @@
 //!   *capper*, not a writer: it never claims a knob, and the board audits
 //!   separately that its caps only ever tighten a request
 //!   (`yukta_board::ActuationAudit`).
-//! * **No flapping** — a Fallback→Primary or Safe→Fallback promotion is
-//!   re-verified against the hysteresis guard at the moment it fires;
-//!   promoting below the threshold is [`InvariantViolation::Flapping`].
 //! * **Legal events only** — an event a state has no transition for
 //!   ([`InvariantViolation::IllegalEvent`]) leaves the state unchanged
 //!   (fail-safe: the automaton keeps serving).
+//!
+//! The hysteresis guard is not re-checked at run time; the property test
+//! `hysteresis_holds_under_random_events` drives twenty thousand random
+//! events through the methods and checks every promotion against it.
 //!
 //! The automaton is pure integer/boolean arithmetic: bit-reproducible,
 //! checkpointable via [`ModeSnapshot`], and exactly restored across crash
@@ -96,16 +103,6 @@ impl Knob {
     /// All knobs, in claim order.
     pub const ALL: [Knob; 4] = [Knob::Dvfs, Knob::Hotplug, Knob::Migration, Knob::Admission];
 
-    /// Short label for telemetry and diagnostics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Knob::Dvfs => "dvfs",
-            Knob::Hotplug => "hotplug",
-            Knob::Migration => "migration",
-            Knob::Admission => "admission",
-        }
-    }
-
     fn index(&self) -> usize {
         match self {
             Knob::Dvfs => 0,
@@ -122,44 +119,6 @@ pub fn level_label(level: SupervisorMode) -> &'static str {
         SupervisorMode::Primary => "primary",
         SupervisorMode::Fallback => "fallback",
         SupervisorMode::Safe => "safe",
-    }
-}
-
-/// Inputs of the synchronous automaton.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModeEvent {
-    /// One sanitized sensor sample; `clean` = no fault evidence.
-    Sample {
-        /// Whether the sample carried no fault evidence.
-        clean: bool,
-    },
-    /// The primary controller returned a typed error or non-finite output.
-    PrimaryError,
-    /// The fallback heuristic returned a typed error or non-finite output.
-    FallbackError,
-    /// A hot-swap of the primary controllers was requested.
-    SwapRequest,
-    /// The requested hot-swap is being installed.
-    SwapCommit,
-    /// Crash recovery started (checkpoint restored, replay begins).
-    RecoveryBegin,
-    /// Crash recovery finished (journal suffix replayed).
-    RecoveryEnd,
-}
-
-impl ModeEvent {
-    /// Short label for diagnostics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ModeEvent::Sample { clean: true } => "sample_clean",
-            ModeEvent::Sample { clean: false } => "sample_dirty",
-            ModeEvent::PrimaryError => "primary_error",
-            ModeEvent::FallbackError => "fallback_error",
-            ModeEvent::SwapRequest => "swap_request",
-            ModeEvent::SwapCommit => "swap_commit",
-            ModeEvent::RecoveryBegin => "recovery_begin",
-            ModeEvent::RecoveryEnd => "recovery_end",
-        }
     }
 }
 
@@ -183,19 +142,14 @@ pub enum InvariantViolation {
         /// Owner that claimed second.
         second: &'static str,
     },
-    /// A promotion fired below the hysteresis threshold.
-    Flapping {
-        /// Clean streak at the (illegal) promotion.
-        streak: u32,
-        /// Required streak ([`REENGAGE_AFTER`]).
-        required: u32,
-    },
     /// An event the current state has no transition for.
     IllegalEvent {
         /// Serving level when the event arrived.
         level: SupervisorMode,
-        /// The offending event.
-        event: ModeEvent,
+        /// The offending event's transition-log label (`primary_error`,
+        /// `fallback_error`, `swap_request`, `swap_commit`,
+        /// `recovery_begin`, `recovery_end`).
+        event: &'static str,
     },
     /// `begin_invocation` while the previous bracket was still open.
     UnterminatedInvocation {
@@ -209,74 +163,10 @@ pub enum InvariantViolation {
     },
 }
 
-impl std::fmt::Display for InvariantViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InvariantViolation::ActuationGap { step, knob } => {
-                write!(
-                    f,
-                    "actuation gap at step {step}: no writer for {}",
-                    knob.label()
-                )
-            }
-            InvariantViolation::DualWriter {
-                knob,
-                first,
-                second,
-            } => {
-                write!(f, "dual writer on {}: {first} then {second}", knob.label())
-            }
-            InvariantViolation::Flapping { streak, required } => {
-                write!(
-                    f,
-                    "flapping: promoted at clean streak {streak} < {required}"
-                )
-            }
-            InvariantViolation::IllegalEvent { level, event } => {
-                write!(
-                    f,
-                    "illegal event {} in level {}",
-                    event.label(),
-                    level_label(*level)
-                )
-            }
-            InvariantViolation::UnterminatedInvocation { step } => {
-                write!(f, "invocation bracket at step {step} never ended")
-            }
-            InvariantViolation::OutOfBracket { step } => {
-                write!(f, "claim/end outside an invocation bracket at step {step}")
-            }
-        }
-    }
-}
-
-/// Why a level change fired (telemetry label).
-pub type TransitionCause = &'static str;
-
-/// A level change decided by the automaton; the driver applies the
-/// matching action (controller reset, fresh fallbacks, counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelChange {
-    /// Level before the event.
-    pub from: SupervisorMode,
-    /// Level after the event.
-    pub to: SupervisorMode,
-    /// Why (one of the causes in the transition table).
-    pub cause: TransitionCause,
-}
-
-/// The outcome of feeding one event: which level serves this invocation
-/// and the level change (if any) the driver must act on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Decision {
-    /// The level that serves after this event.
-    pub serve: SupervisorMode,
-    /// At most one level change per event.
-    pub change: Option<LevelChange>,
-}
-
-/// One recorded transition, drained by the runtime into `mode.transition`
-/// telemetry events.
+/// One transition, returned to the driver when it changes the level (the
+/// driver applies the matching action: controller reset, fresh fallbacks,
+/// counters) and drained by the runtime into `mode.transition` telemetry
+/// events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransitionRecord {
     /// Automaton step counter when the transition fired (0 before the
@@ -289,18 +179,7 @@ pub struct TransitionRecord {
     /// Cause label (`fault_evidence`, `hysteresis_reengage`,
     /// `controller_error`, `fallback_error`, `escalation`, `swap_request`,
     /// `swap_commit`, `recovery_begin`, `recovery_end`).
-    pub cause: TransitionCause,
-}
-
-/// The full typed state triple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ModeState {
-    /// Serving level.
-    pub level: SupervisorMode,
-    /// A hot-swap is requested but not yet committed.
-    pub swap_pending: bool,
-    /// A crash recovery replay is in progress.
-    pub recovering: bool,
+    pub cause: &'static str,
 }
 
 /// Hysteresis guard `N`: consecutive clean samples before a demoted
@@ -388,35 +267,6 @@ impl ModeAutomaton {
         self.level
     }
 
-    /// The full typed state triple.
-    pub fn state(&self) -> ModeState {
-        ModeState {
-            level: self.level,
-            swap_pending: self.swap_pending,
-            recovering: self.recovering,
-        }
-    }
-
-    /// Consecutive clean samples toward re-engagement.
-    pub fn clean_streak(&self) -> u32 {
-        self.clean_streak
-    }
-
-    /// Consecutive dirty samples toward escalation.
-    pub fn dirty_streak(&self) -> u32 {
-        self.dirty_streak
-    }
-
-    /// Whether a swap is requested but not yet committed.
-    pub fn swap_pending(&self) -> bool {
-        self.swap_pending
-    }
-
-    /// Whether a recovery replay is in progress.
-    pub fn recovering(&self) -> bool {
-        self.recovering
-    }
-
     /// Invariant violations recorded so far.
     pub fn violations(&self) -> u64 {
         self.violations
@@ -439,26 +289,26 @@ impl ModeAutomaton {
         }
     }
 
-    /// Records `v` and returns it as the rejected event's outcome.
-    fn reject(&mut self, v: InvariantViolation) -> Result<Decision, InvariantViolation> {
-        self.record_violation(v);
-        Err(v)
+    /// Records an event the current level has no transition for; the
+    /// state is left as it was.
+    fn illegal(&mut self, event: &'static str) {
+        self.record_violation(InvariantViolation::IllegalEvent {
+            level: self.level,
+            event,
+        });
     }
 
-    fn record_transition(
-        &mut self,
-        from: SupervisorMode,
-        to: SupervisorMode,
-        cause: TransitionCause,
-    ) {
+    fn record_transition(&mut self, to: SupervisorMode, cause: &'static str) -> TransitionRecord {
+        let record = TransitionRecord {
+            step: self.step,
+            from: self.level,
+            to,
+            cause,
+        };
         if self.transitions.len() < TRANSITION_LOG_CAP {
-            self.transitions.push(TransitionRecord {
-                step: self.step,
-                from,
-                to,
-                cause,
-            });
+            self.transitions.push(record);
         }
+        record
     }
 
     /// Opens one invocation bracket: claims reset, step counter advances.
@@ -517,142 +367,101 @@ impl ModeAutomaton {
         self.in_bracket = false;
     }
 
-    /// Moves the level and records the transition; returns the change for
-    /// the driver to act on.
-    fn fire(&mut self, to: SupervisorMode, cause: TransitionCause) -> LevelChange {
-        let from = self.level;
+    /// Moves the level, restarting the clean streak toward the next
+    /// promotion, and records the transition; returns it for the driver
+    /// to act on.
+    fn fire(&mut self, to: SupervisorMode, cause: &'static str) -> TransitionRecord {
+        let record = self.record_transition(to, cause);
         self.level = to;
-        self.record_transition(from, to, cause);
-        LevelChange { from, to, cause }
+        self.clean_streak = 0;
+        record
     }
 
-    /// Feeds one event through the checked transition table. Violations
-    /// are recorded *and* returned; the state is left fail-safe (serving
-    /// continues at the current level).
-    pub fn apply(&mut self, event: ModeEvent) -> Result<Decision, InvariantViolation> {
+    /// One sanitized sensor sample; `clean` = no fault evidence. Returns
+    /// the level change it fired, if any: hysteresis re-engagement,
+    /// fault-evidence demotion, or sustained-fault escalation.
+    pub fn on_sample(&mut self, clean: bool) -> Option<TransitionRecord> {
         use SupervisorMode::{Fallback, Primary, Safe};
-        let mut change: Option<LevelChange> = None;
-        match event {
-            ModeEvent::Sample { clean } => {
-                if clean {
-                    self.clean_streak += 1;
-                    self.dirty_streak = 0;
-                } else {
-                    self.clean_streak = 0;
-                    self.dirty_streak += 1;
-                }
-                // Hysteresis re-engagement, guard re-verified at the
-                // promotion itself (the no-flapping invariant).
-                if self.level != Primary && self.clean_streak >= REENGAGE_AFTER {
-                    // The no-flapping invariant: the hysteresis guard is
-                    // re-verified at the moment the promotion fires.
-                    if self.clean_streak < REENGAGE_AFTER {
-                        return self.reject(InvariantViolation::Flapping {
-                            streak: self.clean_streak,
-                            required: REENGAGE_AFTER,
-                        });
-                    }
-                    let to = match self.level {
-                        Safe => Fallback,
-                        _ => Primary,
-                    };
-                    change = Some(self.fire(to, "hysteresis_reengage"));
-                    self.clean_streak = 0;
-                } else if self.level == Primary && !clean {
-                    // Fault evidence demotes for this sample and until the
-                    // clean streak rebuilds.
-                    change = Some(self.fire(Fallback, "fault_evidence"));
-                } else if self.level == Fallback && !clean && self.dirty_streak >= ESCALATE_AFTER {
-                    // Sustained fault evidence: stop burning the fallback
-                    // heuristic on a hostile sensor view, park in Safe.
-                    // Unreachable in the same event as a Primary demotion
-                    // (the `else` chain enforces one change per event).
-                    change = Some(self.fire(Safe, "escalation"));
-                    self.dirty_streak = 0;
-                }
-            }
-            ModeEvent::PrimaryError => match self.level {
-                Primary => {
-                    change = Some(self.fire(Fallback, "controller_error"));
-                    self.clean_streak = 0;
-                }
-                level => return self.reject(InvariantViolation::IllegalEvent { level, event }),
-            },
-            ModeEvent::FallbackError => match self.level {
-                Fallback => change = Some(self.fire(Safe, "fallback_error")),
-                Safe => {} // already parked; tolerated no-op
-                level @ Primary => {
-                    return self.reject(InvariantViolation::IllegalEvent { level, event });
-                }
-            },
-            // The swap and recovery protocol: each event sets or clears
-            // its phase flag, and a repeat is illegal.
-            ModeEvent::SwapRequest
-            | ModeEvent::SwapCommit
-            | ModeEvent::RecoveryBegin
-            | ModeEvent::RecoveryEnd => {
-                let (phase, enter) = match event {
-                    ModeEvent::SwapRequest => (&mut self.swap_pending, true),
-                    ModeEvent::SwapCommit => (&mut self.swap_pending, false),
-                    ModeEvent::RecoveryBegin => (&mut self.recovering, true),
-                    _ => (&mut self.recovering, false),
-                };
-                if *phase == enter {
-                    let level = self.level;
-                    return self.reject(InvariantViolation::IllegalEvent { level, event });
-                }
-                *phase = enter;
-                self.record_transition(self.level, self.level, event.label());
-            }
+        if clean {
+            self.clean_streak += 1;
+            self.dirty_streak = 0;
+        } else {
+            self.clean_streak = 0;
+            self.dirty_streak += 1;
         }
-        Ok(Decision {
-            serve: self.level,
-            change,
-        })
-    }
-
-    /// [`ModeAutomaton::apply`] with the fail-safe default: on a recorded
-    /// violation the decision is "keep serving at the current level".
-    fn apply_lenient(&mut self, event: ModeEvent) -> Decision {
-        self.apply(event).unwrap_or(Decision {
-            serve: self.level,
-            change: None,
-        })
-    }
-
-    /// One sanitized sensor sample.
-    pub fn on_sample(&mut self, clean: bool) -> Decision {
-        self.apply_lenient(ModeEvent::Sample { clean })
+        if self.level != Primary && self.clean_streak >= REENGAGE_AFTER {
+            let to = match self.level {
+                Safe => Fallback,
+                _ => Primary,
+            };
+            Some(self.fire(to, "hysteresis_reengage"))
+        } else if self.level == Primary && !clean {
+            // Fault evidence demotes for this sample and until the clean
+            // streak rebuilds.
+            Some(self.fire(Fallback, "fault_evidence"))
+        } else if self.level == Fallback && self.dirty_streak >= ESCALATE_AFTER {
+            // Sustained fault evidence: stop burning the fallback heuristic
+            // on a hostile sensor view, park in Safe.
+            self.dirty_streak = 0;
+            Some(self.fire(Safe, "escalation"))
+        } else {
+            None
+        }
     }
 
     /// The primary controller failed (typed error / non-finite output).
-    pub fn on_primary_error(&mut self) -> Decision {
-        self.apply_lenient(ModeEvent::PrimaryError)
+    /// Illegal unless the primary is serving.
+    pub fn on_primary_error(&mut self) -> Option<TransitionRecord> {
+        if self.level != SupervisorMode::Primary {
+            self.illegal("primary_error");
+            return None;
+        }
+        Some(self.fire(SupervisorMode::Fallback, "controller_error"))
     }
 
-    /// The fallback heuristic failed.
-    pub fn on_fallback_error(&mut self) -> Decision {
-        self.apply_lenient(ModeEvent::FallbackError)
+    /// The fallback heuristic failed: Fallback parks in Safe, Safe stays.
+    /// Illegal in Primary.
+    pub fn on_fallback_error(&mut self) -> Option<TransitionRecord> {
+        match self.level {
+            SupervisorMode::Fallback => Some(self.fire(SupervisorMode::Safe, "fallback_error")),
+            SupervisorMode::Safe => None,
+            SupervisorMode::Primary => {
+                self.illegal("fallback_error");
+                None
+            }
+        }
+    }
+
+    /// Enters (`enter`) or leaves a swap/recovery phase whose flag reads
+    /// `current`, and returns the flag's new value. A repeat is illegal
+    /// and leaves the flag as it was.
+    fn phase(&mut self, current: bool, enter: bool, event: &'static str) -> bool {
+        if current == enter {
+            self.illegal(event);
+        } else {
+            self.record_transition(self.level, event);
+        }
+        enter
     }
 
     /// Requests a hot-swap (enters the swap-pending window).
     pub fn request_swap(&mut self) {
-        self.apply_lenient(ModeEvent::SwapRequest);
+        self.swap_pending = self.phase(self.swap_pending, true, "swap_request");
     }
 
     /// Commits the pending hot-swap.
     pub fn commit_swap(&mut self) {
-        self.apply_lenient(ModeEvent::SwapCommit);
+        self.swap_pending = self.phase(self.swap_pending, false, "swap_commit");
     }
 
     /// Marks the start of a crash-recovery replay.
     pub fn begin_recovery(&mut self) {
-        self.apply_lenient(ModeEvent::RecoveryBegin);
+        self.recovering = self.phase(self.recovering, true, "recovery_begin");
     }
 
     /// Marks the end of a crash-recovery replay.
     pub fn end_recovery(&mut self) {
-        self.apply_lenient(ModeEvent::RecoveryEnd);
+        self.recovering = self.phase(self.recovering, false, "recovery_end");
     }
 
     /// Snapshot for a checkpoint (between invocation brackets).
@@ -700,23 +509,38 @@ mod tests {
         a.end_invocation();
     }
 
+    /// Every event, as the method that feeds it.
+    type Event = fn(&mut ModeAutomaton) -> Option<TransitionRecord>;
+    const EVENTS: [Event; 8] = [
+        |a| a.on_sample(true),
+        |a| a.on_sample(false),
+        |a| a.on_primary_error(),
+        |a| a.on_fallback_error(),
+        |a| {
+            a.request_swap();
+            None
+        },
+        |a| {
+            a.commit_swap();
+            None
+        },
+        |a| {
+            a.begin_recovery();
+            None
+        },
+        |a| {
+            a.end_recovery();
+            None
+        },
+    ];
+
     #[test]
     fn totality_every_state_event_pair_is_handled_without_panic() {
         // Walk the automaton into each level and feed it every event; the
-        // outcome is always a Decision or a typed violation, never a panic
-        // and never more than one level change.
-        let events = [
-            ModeEvent::Sample { clean: true },
-            ModeEvent::Sample { clean: false },
-            ModeEvent::PrimaryError,
-            ModeEvent::FallbackError,
-            ModeEvent::SwapRequest,
-            ModeEvent::SwapCommit,
-            ModeEvent::RecoveryBegin,
-            ModeEvent::RecoveryEnd,
-        ];
+        // outcome is a level change, no change, or a typed violation that
+        // leaves the level alone — never a panic.
         for level in [Primary, Fallback, Safe] {
-            for ev in events {
+            for (e, event) in EVENTS.iter().enumerate() {
                 let mut a = ModeAutomaton::new(ModeConfig::default());
                 // Drive to the target level through legal transitions.
                 match level {
@@ -730,19 +554,18 @@ mod tests {
                     }
                 }
                 assert_eq!(a.level(), level);
-                match a.apply(ev) {
-                    Ok(d) => {
-                        assert_eq!(d.serve, a.level());
-                        if let Some(ch) = d.change {
-                            assert_eq!(ch.to, a.level());
-                            assert_ne!(ch.from, ch.to, "level change must move");
-                        }
-                    }
-                    Err(v) => {
-                        assert_eq!(a.level(), level, "violation must not move the level");
-                        assert_eq!(a.first_violation(), Some(v));
-                        assert!(a.violations() >= 1);
-                    }
+                assert_eq!(a.violations(), 0);
+                let change = event(&mut a);
+                if a.violations() > 0 {
+                    assert_eq!(a.violations(), 1, "{level:?} event {e}");
+                    assert!(a.first_violation().is_some());
+                    assert_eq!(a.level(), level, "violation must not move the level");
+                    assert_eq!(change, None, "{level:?} event {e}");
+                } else if let Some(ch) = change {
+                    assert_eq!((ch.from, ch.to), (level, a.level()), "{level:?} event {e}");
+                    assert_ne!(ch.from, ch.to, "level change must move");
+                } else {
+                    assert_eq!(a.level(), level, "{level:?} event {e}");
                 }
             }
         }
@@ -781,16 +604,61 @@ mod tests {
                 mode = Fallback;
                 clean_streak = 0;
             }
-            let d = auto.on_sample(clean);
+            auto.on_sample(clean);
             // The replica never escalates (old code had no escalation);
             // skip comparison once the automaton parks in Safe.
             if auto.level() == Safe {
                 break;
             }
-            assert_eq!(d.serve, mode, "sample {k}");
-            assert_eq!(auto.clean_streak(), clean_streak, "sample {k}");
+            assert_eq!(auto.level(), mode, "sample {k}");
+            assert_eq!(auto.snapshot().clean_streak, clean_streak, "sample {k}");
         }
         assert_eq!(auto.violations(), 0);
+    }
+
+    #[test]
+    fn hysteresis_holds_under_random_events() {
+        // A seeded random mix of clean and dirty samples, plus fallback
+        // errors wherever the fallback or safe level serves. Every
+        // re-engagement must follow REENGAGE_AFTER consecutive clean
+        // samples at the level it leaves, and no event may log more than
+        // one transition.
+        let mut a = ModeAutomaton::new(ModeConfig::default());
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut clean_since_change = 0u32;
+        let mut promotions = [0u32; 2]; // Fallback→Primary, Safe→Fallback
+        for k in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let before = a.level();
+            let change = if before != Primary && x.is_multiple_of(16) {
+                a.on_fallback_error()
+            } else {
+                let clean = x % 8 != 1;
+                if clean {
+                    clean_since_change += 1;
+                } else {
+                    clean_since_change = 0;
+                }
+                a.on_sample(clean)
+            };
+            let log = a.drain_transitions();
+            assert!(log.len() <= 1, "event {k}: {log:?}");
+            assert_eq!(log.first().copied(), change, "event {k}");
+            let Some(ch) = change else { continue };
+            assert_eq!((ch.from, ch.to), (before, a.level()), "event {k}");
+            if ch.cause == "hysteresis_reengage" {
+                assert!(
+                    clean_since_change >= REENGAGE_AFTER,
+                    "event {k}: promoted after {clean_since_change}"
+                );
+                promotions[usize::from(ch.from == Safe)] += 1;
+            }
+            clean_since_change = 0;
+        }
+        assert!(promotions.iter().all(|&n| n > 0), "{promotions:?}");
+        assert_eq!(a.violations(), 0, "{:?}", a.first_violation());
     }
 
     #[test]
@@ -803,9 +671,9 @@ mod tests {
             a.on_sample(false);
             assert_eq!(a.level(), Fallback);
         }
-        let d = a.on_sample(false);
+        let change = a.on_sample(false);
         assert_eq!(a.level(), Safe);
-        assert_eq!(d.change.map(|ch| ch.cause), Some("escalation"));
+        assert_eq!(change.map(|ch| ch.cause), Some("escalation"));
         // Clean streak promotes Safe → Fallback → Primary, one level per
         // full streak.
         for _ in 0..REENGAGE_AFTER {
@@ -874,27 +742,47 @@ mod tests {
     #[test]
     fn swap_protocol_guards_reentry_and_commit_without_request() {
         let mut a = ModeAutomaton::new(ModeConfig::default());
-        assert!(
-            a.apply(ModeEvent::SwapCommit).is_err(),
-            "commit w/o request"
+        a.commit_swap(); // commit w/o request
+        assert_eq!(a.violations(), 1);
+        assert_eq!(
+            a.first_violation(),
+            Some(InvariantViolation::IllegalEvent {
+                level: Primary,
+                event: "swap_commit",
+            })
         );
-        assert!(a.apply(ModeEvent::SwapRequest).is_ok());
-        assert!(a.swap_pending());
-        assert!(a.apply(ModeEvent::SwapRequest).is_err(), "re-entrant swap");
-        assert!(a.apply(ModeEvent::SwapCommit).is_ok());
-        assert!(!a.swap_pending());
+        a.request_swap();
+        assert_eq!(a.violations(), 1);
+        assert!(a.snapshot().swap_pending);
+        a.request_swap(); // re-entrant swap
         assert_eq!(a.violations(), 2);
+        assert!(a.snapshot().swap_pending);
+        a.commit_swap();
+        assert_eq!(a.violations(), 2);
+        assert!(!a.snapshot().swap_pending);
     }
 
     #[test]
     fn recovery_protocol_guards_double_begin_and_stray_end() {
         let mut a = ModeAutomaton::new(ModeConfig::default());
-        assert!(a.apply(ModeEvent::RecoveryEnd).is_err());
-        assert!(a.apply(ModeEvent::RecoveryBegin).is_ok());
-        assert!(a.recovering());
-        assert!(a.apply(ModeEvent::RecoveryBegin).is_err());
-        assert!(a.apply(ModeEvent::RecoveryEnd).is_ok());
-        assert!(!a.recovering());
+        a.end_recovery(); // stray end
+        assert_eq!(a.violations(), 1);
+        assert_eq!(
+            a.first_violation(),
+            Some(InvariantViolation::IllegalEvent {
+                level: Primary,
+                event: "recovery_end",
+            })
+        );
+        a.begin_recovery();
+        assert_eq!(a.violations(), 1);
+        assert!(a.snapshot().recovering);
+        a.begin_recovery(); // double begin
+        assert_eq!(a.violations(), 2);
+        assert!(a.snapshot().recovering);
+        a.end_recovery();
+        assert_eq!(a.violations(), 2);
+        assert!(!a.snapshot().recovering);
     }
 
     #[test]
@@ -913,7 +801,7 @@ mod tests {
         for k in 0..20 {
             let clean = k % 3 != 0;
             assert_eq!(a.on_sample(clean), b.on_sample(clean), "sample {k}");
-            assert_eq!(a.state(), b.state(), "sample {k}");
+            assert_eq!(a.snapshot(), b.snapshot(), "sample {k}");
         }
     }
 
@@ -936,12 +824,12 @@ mod tests {
         let mut a = ModeAutomaton::new(ModeConfig::default());
         a.on_sample(false);
         assert_eq!(a.level(), Fallback);
-        let err = a.apply(ModeEvent::PrimaryError);
+        assert_eq!(a.on_primary_error(), None);
         assert_eq!(
-            err,
-            Err(InvariantViolation::IllegalEvent {
+            a.first_violation(),
+            Some(InvariantViolation::IllegalEvent {
                 level: Fallback,
-                event: ModeEvent::PrimaryError,
+                event: "primary_error",
             })
         );
         assert_eq!(a.level(), Fallback, "fail-safe: keeps serving");

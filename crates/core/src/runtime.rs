@@ -240,8 +240,8 @@ pub struct RecoveryReport {
     /// bit-for-bit. Must be zero for a deterministic stack.
     pub replay_divergences: u64,
     /// Mode-automaton invariant violations observed by the engine over the
-    /// whole run (actuation gaps, dual writers, flapping, illegal
-    /// swap/recovery events). Must be zero for a correct stack.
+    /// whole run (actuation gaps, dual writers, illegal swap/recovery
+    /// events). Must be zero for a correct stack.
     pub invariant_violations: u64,
 }
 

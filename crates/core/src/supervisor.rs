@@ -57,9 +57,7 @@ use yukta_linalg::Result;
 
 use crate::controllers::heuristic::{CoordinatedHeuristicHw, CoordinatedHeuristicOs};
 use crate::controllers::{HwPolicy, HwSense, OsPolicy, OsSense};
-use crate::modes::{
-    Knob, LevelChange, ModeAutomaton, ModeConfig, ModeSnapshot, TransitionRecord, level_label,
-};
+use crate::modes::{Knob, ModeAutomaton, ModeConfig, ModeSnapshot, TransitionRecord, level_label};
 use crate::schemes::{Controllers, ControllersState};
 use crate::signals::{HwInputs, HwOutputs, Limits, OsInputs, OsOutputs, SloSense};
 
@@ -152,7 +150,7 @@ pub struct SupervisorStats {
     /// Invocations served by Fallback or Safe.
     pub degraded_invocations: u64,
     /// Mode-automaton invariant violations (actuation gaps, dual writers,
-    /// flapping, illegal events). Zero in any correct run.
+    /// illegal events). Zero in any correct run.
     pub invariant_violations: u64,
     /// Load-shedding engagements: transitions of the shed fraction from
     /// zero to positive (one per overload episode).
@@ -257,11 +255,10 @@ fn repair(v: &mut f64, rail: (f64, f64), last_good: f64, stats: &mut SupervisorS
     }
 }
 
-/// Replaces the serving controllers `primary` with `next`, routed through
-/// the automaton's request→commit protocol. Callers that staged the swap
-/// earlier (entering the crash-vulnerable window) request it on the
-/// automaton first, and this call commits it; a direct call is an atomic
-/// request+commit. The current state transfers into `next` when the
+/// Replaces the serving controllers `primary` with `next` and commits the
+/// swap on the automaton. Callers request the swap first (entering the
+/// crash-vulnerable window); a commit without a request is recorded as an
+/// illegal event. The current state transfers into `next` when the
 /// shapes match (bumpless transfer); otherwise `next` starts from a clean
 /// reset. Returns `true` when the transfer was bumpless.
 pub(crate) fn swap_controllers(
@@ -269,9 +266,6 @@ pub(crate) fn swap_controllers(
     mut next: Controllers,
     auto: &mut ModeAutomaton,
 ) -> bool {
-    if !auto.swap_pending() {
-        auto.request_swap();
-    }
     let saved = primary.save_state();
     let bumpless = next.restore_state(&saved).is_ok();
     if !bumpless {
@@ -451,7 +445,7 @@ impl Supervisor {
     /// Performs the driver action matching an automaton level change:
     /// reset the controller being engaged (stale state from the previous
     /// episode must not leak forward) and bump the matching counter.
-    fn apply_change(&mut self, change: Option<LevelChange>) {
+    fn apply_change(&mut self, change: Option<TransitionRecord>) {
         let Some(ch) = change else { return };
         match (ch.from, ch.to) {
             (SupervisorMode::Fallback, SupervisorMode::Primary) => {
@@ -521,15 +515,15 @@ impl Supervisor {
         // One sample event: hysteresis re-engagement, fault-evidence
         // demotion, and sustained-dirt escalation all fire (at most one)
         // inside the automaton.
-        let d = self.auto.on_sample(clean);
-        self.apply_change(d.change);
+        let change = self.auto.on_sample(clean);
+        self.apply_change(change);
 
         let (hw_u, os_u) = match self.auto.level() {
             SupervisorMode::Primary => match self.invoke_primary(&hw, &os) {
                 Some(u) => u,
                 None => {
-                    let d = self.auto.on_primary_error();
-                    self.apply_change(d.change);
+                    let change = self.auto.on_primary_error();
+                    self.apply_change(change);
                     self.invoke_fallback(&hw, &os)
                 }
             },
@@ -612,8 +606,8 @@ impl Supervisor {
             (Ok(hu), Ok(ou)) if finite_hw(&hu) && finite_os(&ou) => (hu, ou),
             _ => {
                 self.stats.controller_errors += 1;
-                let d = self.auto.on_fallback_error();
-                self.apply_change(d.change);
+                let change = self.auto.on_fallback_error();
+                self.apply_change(change);
                 safe_static(os.active_threads)
             }
         }
@@ -1237,13 +1231,13 @@ mod tests {
             assert_eq!(sup.step(&h, &o), twin.step(&h, &o));
         }
         sup.automaton().request_swap();
-        assert!(sup.automaton().swap_pending());
+        assert!(sup.automaton().snapshot().swap_pending);
         let mut h = clean_hw_sense();
         let mut o = clean_os_sense();
         jitter(&mut h, &mut o, 4);
         assert_eq!(sup.step(&h, &o), twin.step(&h, &o), "pending window");
         assert!(sup.swap_primary(heuristic_primary()), "commit is bumpless");
-        assert!(!sup.automaton().swap_pending());
+        assert!(!sup.automaton().snapshot().swap_pending);
         for k in 5..15 {
             let mut h = clean_hw_sense();
             let mut o = clean_os_sense();
@@ -1291,6 +1285,7 @@ mod tests {
             jitter(&mut h, &mut o, k);
             assert_eq!(sup.step(&h, &o), twin.step(&h, &o));
         }
+        sup.automaton().request_swap();
         let bumpless = sup.swap_primary(heuristic_primary());
         assert!(bumpless, "same-scheme swap must be bumpless");
         for k in 5..25 {
@@ -1319,6 +1314,7 @@ mod tests {
             hw: Box::new(CoordinatedHeuristicHw::new()),
             os: Box::new(CoordinatedHeuristicOs::new()),
         };
+        sup.automaton().request_swap();
         let bumpless = sup.swap_primary(next);
         assert!(!bumpless, "cross-scheme swap cannot transfer state");
         assert_eq!(sup.mode(), SupervisorMode::Primary);
