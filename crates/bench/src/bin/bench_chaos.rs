@@ -29,6 +29,7 @@
 
 use yukta_bench::campaign::Campaign;
 use yukta_board::FaultPlan;
+use yukta_core::InvariantViolation;
 use yukta_core::runtime::{Experiment, RecoveryOptions, SwapSpec, SwapTrigger, UnifiedOptions};
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
@@ -82,6 +83,7 @@ struct CellOutcome {
     checkpoints: u64,
     replay_divergences: u64,
     invariant_violations: u64,
+    first_violation: Option<InvariantViolation>,
     burst_windows: u64,
     double_actuations: u64,
     tmu_cap_expansions: u64,
@@ -151,6 +153,7 @@ fn run_cell(
         checkpoints: run.recovery.checkpoints,
         replay_divergences: run.recovery.replay_divergences,
         invariant_violations: run.recovery.invariant_violations + sup.invariant_violations,
+        first_violation: run.recovery.first_violation.or(sup.first_violation),
         burst_windows: faults.stats.burst_windows,
         double_actuations: run.report.actuation.double_actuations,
         tmu_cap_expansions: run.report.actuation.tmu_cap_expansions,
@@ -227,7 +230,7 @@ fn main() {
                 if !ok {
                     camp.fail(&format!(
                         "{label}: completed={} bit_identical={} crashes={}/{} \
-                         divergences={} violations={} double_act={} \
+                         divergences={} violations={} (first {:?}) double_act={} \
                          tmu_expand={} bursts={} monotone={monotone} \
                          degraded_frac={:.3}",
                         c.completed,
@@ -236,6 +239,7 @@ fn main() {
                         c.crashes,
                         c.replay_divergences,
                         c.invariant_violations,
+                        c.first_violation,
                         c.double_actuations,
                         c.tmu_cap_expansions,
                         c.burst_windows,

@@ -161,7 +161,8 @@ fn main() {
         }
         if violations > 0 {
             camp.fail(&format!(
-                "{label}: {violations} mode-automaton invariant violations"
+                "{label}: {violations} mode-automaton invariant violations, first {:?}",
+                run.recovery.first_violation
             ));
         }
         println!(
@@ -219,7 +220,8 @@ fn main() {
             }
             if violations > 0 {
                 camp.fail(&format!(
-                    "{label}: {violations} mode-automaton invariant violations"
+                    "{label}: {violations} mode-automaton invariant violations, first {:?}",
+                    run.recovery.first_violation
                 ));
             }
             let truth = switch_step(&run.report);
@@ -321,7 +323,8 @@ fn main() {
             let violations = run.recovery.invariant_violations;
             if violations > 0 {
                 camp.fail(&format!(
-                    "{label}: {violations} mode-automaton invariant violations"
+                    "{label}: {violations} mode-automaton invariant violations, first {:?}",
+                    run.recovery.first_violation
                 ));
             }
             let detect = run.cycles.first().map(|c| c.detect_step);

@@ -26,6 +26,7 @@
 //! CI fails on any difference from the committed envelope.
 
 use yukta_bench::campaign::Campaign;
+use yukta_core::InvariantViolation;
 use yukta_core::runtime::{Experiment, ServingSpec, UnifiedOptions};
 use yukta_core::schemes::Scheme;
 use yukta_core::supervisor::SupervisorConfig;
@@ -54,6 +55,7 @@ struct Cell {
     dropped: u64,
     shed_engagements: u64,
     invariant_violations: u64,
+    first_violation: Option<InvariantViolation>,
     double_actuations: u64,
     tmu_cap_expansions: u64,
     run_completed: bool,
@@ -101,6 +103,7 @@ fn run_cell(
         dropped: slo.dropped(),
         shed_engagements: sup.shed_engagements,
         invariant_violations: sup.invariant_violations,
+        first_violation: sup.first_violation,
         double_actuations: run.report.actuation.double_actuations,
         tmu_cap_expansions: run.report.actuation.tmu_cap_expansions,
         run_completed: run.report.metrics.completed,
@@ -172,9 +175,12 @@ fn main() {
                     }
                     if c.invariant_violations + c.double_actuations + c.tmu_cap_expansions > 0 {
                         camp.fail(&format!(
-                            "{label}: {} invariant violations, {} double actuations, \
-                             {} TMU cap expansions",
-                            c.invariant_violations, c.double_actuations, c.tmu_cap_expansions
+                            "{label}: {} invariant violations (first {:?}), \
+                             {} double actuations, {} TMU cap expansions",
+                            c.invariant_violations,
+                            c.first_violation,
+                            c.double_actuations,
+                            c.tmu_cap_expansions
                         ));
                     }
                     if c.offered == 0 || c.completed == 0 {

@@ -14,7 +14,8 @@
 //! rejected. Without `--check`, all JSONL inputs merge into a single
 //! aggregate per-phase breakdown (one file renders as itself). `.json`
 //! files are checked as Chrome `trace_event` documents. `--phases dk`
-//! replaces the generic breakdown with the per-D–K-iteration table;
+//! replaces the generic breakdown with the per-D–K-iteration table and
+//! a line for the rational-D K-steps (wall time, probes, warm hits);
 //! `--phases health` renders the loop-health timeline (verdicts, online
 //! refits, hot-swaps) plus the `health.*` gauges per input.
 
@@ -85,10 +86,10 @@ fn main() {
                     }
                     match phases.as_deref() {
                         Some("dk") => match dk_phase_breakdown(&text) {
-                            Ok(rows) if rows.is_empty() => {
+                            Ok((rows, rational)) if rows.is_empty() && rational.steps == 0 => {
                                 println!("{path}: no dk.* spans in log");
                             }
-                            Ok(rows) => println!("{}", render_dk(&rows)),
+                            Ok((rows, rational)) => println!("{}", render_dk(&rows, &rational)),
                             Err(e) => {
                                 eprintln!("{path}: dk breakdown failed: {e}");
                                 failed = true;

@@ -11,7 +11,7 @@ use yukta_linalg::ratfit::{self, RatSection};
 use yukta_linalg::{Error, Result};
 use yukta_obs::{NoopRecorder, Recorder, Value};
 
-use crate::hinf::{DgkfFactors, GenPlant, HinfDesign, hinf_bisect_counted};
+use crate::hinf::{DgkfFactors, GammaSearch, GenPlant, HinfDesign, hinf_bisect_counted};
 use crate::mu::{MuPeak, log_grid, mu_peak_obs};
 use crate::plant::{SsvSpec, build_ssv_plant};
 use crate::ss::StateSpace;
@@ -167,7 +167,10 @@ pub fn synthesize_ssv(model: &StateSpace, spec: &SsvSpec, opts: DkOptions) -> Re
 /// `dk.gamma_bisect` span around the multi-candidate γ-search, and a
 /// `dk.d_step` span around the µ sweep and scaling update (with a nested
 /// `mu.sweep` span). Every per-iteration span carries an `iter` field so
-/// `obs_report --phases dk` can attribute wall time per iteration.
+/// `obs_report --phases dk` can attribute wall time per iteration. A
+/// `dk.rational_step` span times the rational-D step (fit, K-step and µ
+/// sweep) and carries its µ, its γ-search's `probes` and whether the
+/// last constant-D bracket was confirmed (`warm_hit`).
 /// Telemetry never influences the computation — results are identical to
 /// [`synthesize_ssv`].
 ///
@@ -203,14 +206,22 @@ pub fn synthesize_ssv_obs(
 
     let mut d_scale = 1.0f64;
     let mut best_design: Option<DkCandidate> = None;
+    // The final γ bracket of the last constant-D K-step that succeeded:
+    // the rational step's warm start. The rational step usually lands in
+    // the same γ cell; a constant-D step does not (γ moves about 25% from
+    // the first to the second), so those start cold.
+    let mut last_bracket = None;
     let mut iters = 0;
     for _ in 0..opts.max_iters.max(1) {
         iters += 1;
         let iter_span = yukta_obs::span(rec, "dk.iteration");
         let k_span = yukta_obs::span(rec, "dk.k_step");
         let scaled = plant.scaled(d_scale)?;
-        let (design, gamma) = match k_step(&scaled, opts.gamma_iters, rec, iters) {
-            Ok(kg) => kg,
+        let (design, gamma) = match k_step(&scaled, opts.gamma_iters, rec, iters, None) {
+            Ok((design, gamma, search)) => {
+                last_bracket = Some(search.bracket);
+                (design, gamma)
+            }
             Err(e) => {
                 if best_design.is_some() {
                     break; // keep the best design found so far
@@ -273,14 +284,23 @@ pub fn synthesize_ssv_obs(
         if omega.len() >= 3 && spread > 1.05 {
             let rat_span = yukta_obs::span(rec, "dk.rational_step");
             // `dk.rational_step` times this K-step, so it reports no
-            // `dk.gamma_bisect` span of its own.
+            // `dk.gamma_bisect` span of its own: its γ-search's probes
+            // and whether the warm bracket hit are the span's fields.
+            let mut search = None;
             let rational = ratfit::fit_sections(&omega, &mags, D_FIT_SECTIONS)
                 .ok()
                 .filter(|fitted| fitted.iter().any(|s| s.z != s.p))
                 .and_then(|fitted| {
                     let scaled = plant.scaled_rational(&fitted).ok()?;
-                    let (design, gamma) =
-                        k_step(&scaled, opts.gamma_iters, &NoopRecorder, iters).ok()?;
+                    let (design, gamma, spent) = k_step(
+                        &scaled,
+                        opts.gamma_iters,
+                        &NoopRecorder,
+                        iters,
+                        last_bracket,
+                    )
+                    .ok()?;
+                    search = Some(spent);
                     measure(design, gamma, fitted).ok()
                 });
             let rat_mu = rational.as_ref().map_or(f64::NAN, |c| c.peak.peak);
@@ -294,6 +314,8 @@ pub fn synthesize_ssv_obs(
                 rat_span.end_with(&[
                     ("sections", Value::U64(D_FIT_SECTIONS as u64)),
                     ("mu", Value::F64(rat_mu)),
+                    ("probes", Value::U64(search.map_or(0, |s| s.probes))),
+                    ("warm_hit", Value::Bool(search.is_some_and(|s| s.warm_hit))),
                 ]);
             }
         }
@@ -335,15 +357,19 @@ pub fn synthesize_ssv_obs(
 /// assumptions) and run the γ-search on it inside a `dk.gamma_bisect`
 /// span tagged with `iter`, the H∞ syntheses the search started
 /// (`probes`) and how many of those it abandoned as moot (`cancelled`).
+/// A `warm` bracket from an earlier K-step of the same synthesis is
+/// re-probed on this plant before any cold search (see
+/// [`hinf_bisect_counted`]).
 fn k_step(
     scaled: &GenPlant,
     gamma_iters: usize,
     rec: &dyn Recorder,
     iter: usize,
-) -> Result<(HinfDesign, f64)> {
+    warm: Option<(f64, f64)>,
+) -> Result<(HinfDesign, f64, GammaSearch)> {
     let fac = DgkfFactors::new(scaled)?;
     let span = yukta_obs::span(rec, "dk.gamma_bisect");
-    let (design, gamma, spent) = hinf_bisect_counted(scaled, &fac, 0.05, 64.0, gamma_iters)?;
+    let (design, gamma, spent) = hinf_bisect_counted(scaled, &fac, 0.05, 64.0, gamma_iters, warm)?;
     if rec.enabled() {
         span.end_with(&[
             ("iter", Value::U64(iter as u64)),
@@ -352,7 +378,7 @@ fn k_step(
             ("cancelled", Value::U64(spent.cancelled)),
         ]);
     }
-    Ok((design, gamma))
+    Ok((design, gamma, spent))
 }
 
 /// One D–K candidate: the H∞ design, its achieved γ, the µ sweep of its
@@ -587,6 +613,32 @@ mod tests {
         );
         // Any adopted sections must be realizable minimum-phase filters.
         assert!(syn.d_sections.iter().all(|s| s.is_minimum_phase()));
+    }
+
+    #[test]
+    fn rational_step_confirms_the_last_constant_d_bracket() {
+        // The toy model's rational step lands in the γ cell of its last
+        // constant-D K-step: two probes confirm the bracket and the cold
+        // search never runs.
+        let rec = yukta_obs::mem::MemRecorder::new();
+        synthesize_ssv_obs(&toy_model(), &toy_spec(), DkOptions::default(), &rec).unwrap();
+        let snap = rec.snapshot();
+        let rational: Vec<_> = snap
+            .entries
+            .iter()
+            .filter(|e| e.name == "dk.rational_step")
+            .collect();
+        assert_eq!(rational.len(), 1);
+        let fields = snap.fields_of(rational[0]);
+        let warm_hit = fields.iter().find_map(|(k, v)| match v {
+            OwnedValue::Bool(b) if *k == "warm_hit" => Some(*b),
+            _ => None,
+        });
+        let probes = fields.iter().find_map(|(k, v)| match v {
+            OwnedValue::U64(n) if *k == "probes" => Some(*n),
+            _ => None,
+        });
+        assert_eq!((warm_hit, probes), (Some(true), Some(2)), "{fields:?}");
     }
 
     #[test]

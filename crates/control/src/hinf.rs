@@ -413,15 +413,23 @@ fn candidates(lo: f64, hi: f64) -> [f64; GAMMA_CANDIDATES] {
     std::array::from_fn(|k| lo * ratio.powf((k + 1) as f64 / (GAMMA_CANDIDATES + 1) as f64))
 }
 
-/// What a γ-search spent: the H∞ syntheses it started, and how many of
-/// them gave up because their result became moot (a feasible candidate
-/// left of theirs, or a failed ceiling under a speculative round).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct GammaProbes {
+/// What a γ-search spent and where it ended: the H∞ syntheses it
+/// started, how many of them gave up because their result became moot
+/// (a feasible candidate left of theirs, or a failed ceiling under a
+/// speculative round), whether a warm bracket was confirmed, and the
+/// final bracket.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct GammaSearch {
     /// Syntheses started.
     pub probes: u64,
     /// Syntheses that returned early, their result moot.
     pub cancelled: u64,
+    /// Whether the warm bracket was confirmed, skipping the cold search.
+    pub warm_hit: bool,
+    /// The final bracket `(lo, hi)`: `hi` is the returned level, and `lo`
+    /// is the last infeasible level probed (or the start's floor, if no
+    /// candidate failed).
+    pub bracket: (f64, f64),
 }
 
 /// Bisects γ between `g_lo` and `g_hi` (expanding `g_hi` upward if it is
@@ -444,23 +452,27 @@ pub fn hinf_bisect(
     g_hi: f64,
     iters: usize,
 ) -> Result<(HinfDesign, f64)> {
-    hinf_bisect_counted(p, fac, g_lo, g_hi, iters).map(|(k, g, _)| (k, g))
+    hinf_bisect_counted(p, fac, g_lo, g_hi, iters, None).map(|(k, g, _)| (k, g))
 }
 
-/// [`hinf_bisect`] that also reports what the search spent.
+/// [`hinf_bisect`] that reports what the search spent and its final
+/// bracket, and first tries the `warm` bracket if one is given (see
+/// [`bisect_on`]).
 pub(crate) fn hinf_bisect_counted(
     p: &GenPlant,
     fac: &DgkfFactors,
     g_lo: f64,
     g_hi: f64,
     iters: usize,
-) -> Result<(HinfDesign, f64, GammaProbes)> {
+    warm: Option<(f64, f64)>,
+) -> Result<(HinfDesign, f64, GammaSearch)> {
     bisect_on(
         p,
         fac,
         g_lo,
         g_hi,
         iters,
+        warm,
         crate::sweep::workers(1 + GAMMA_CANDIDATES),
     )
 }
@@ -475,14 +487,37 @@ pub(crate) fn hinf_bisect_counted(
 /// and give up if the ceiling fails. A failed ceiling discards them and
 /// expands as before. One worker runs the ceiling then the candidates in
 /// order, the serial search.
+///
+/// # Warm bracket
+///
+/// `warm` is the final bracket `(lo, hi)` of a search with the same
+/// `g_lo`, `g_hi` and `iters` on a nearby plant. One fan-out probes `lo`
+/// then `hi` on this plant (a feasible `lo` makes `hi` moot, a failed `hi`
+/// makes `lo` moot). If `hi` is feasible and `lo` is not, `hi` and its
+/// design are returned at once; otherwise the cold search below runs,
+/// unchanged. The two probes are then spent for nothing.
+///
+/// A confirmed warm bracket returns what the cold search would. The cold
+/// search's path depends only on which of its candidates are feasible,
+/// and every level it reads lies outside the open final cell `(lo, hi)`:
+/// each infeasible one it reads is at most its final `lo`, each feasible
+/// one at least its final `hi`. If feasibility is monotone in γ, an
+/// infeasible `lo` and a feasible `hi` give every such level the same
+/// answer on this plant, so the cold search here computes the same γ
+/// floats, takes the same path and ends in the same cell, returning `hi`
+/// with the design [`hinf_syn`] computes at `hi`. That synthesis is pure,
+/// so the warm design is the cold one bit for bit. Where monotonicity
+/// fails, the result is still a bracket verified on this plant at the
+/// same resolution: `hi` feasible, `lo` infeasible.
 fn bisect_on(
     p: &GenPlant,
     fac: &DgkfFactors,
     g_lo: f64,
     g_hi: f64,
     iters: usize,
+    warm: Option<(f64, f64)>,
     workers: usize,
-) -> Result<(HinfDesign, f64, GammaProbes)> {
+) -> Result<(HinfDesign, f64, GammaSearch)> {
     let (probes, cancelled) = (AtomicU64::new(0), AtomicU64::new(0));
     let syn = |gamma: f64, moot: Moot<'_>| {
         probes.fetch_add(1, Ordering::Relaxed);
@@ -492,6 +527,29 @@ fn bisect_on(
         }
         k.ok()
     };
+    let spent = |warm_hit: bool, bracket: (f64, f64)| GammaSearch {
+        probes: probes.load(Ordering::Relaxed),
+        cancelled: cancelled.load(Ordering::Relaxed),
+        warm_hit,
+        bracket,
+    };
+    if let Some((lo, hi)) = warm {
+        // `lo` gives up once `hi` has failed. Like the ceiling's, the flag
+        // publishes no other data: a stale read only lets `lo` run longer.
+        let hi_failed = AtomicBool::new(false);
+        let mut ends = crate::sweep::first_feasible(2, workers, 0, |i, moot| {
+            if i == 1 {
+                let k = syn(hi, moot);
+                hi_failed.store(k.is_none(), Ordering::Relaxed);
+                return k;
+            }
+            let dropped = || hi_failed.load(Ordering::Relaxed);
+            syn(lo, Moot::new(&dropped))
+        });
+        if let (None, Some(design)) = (ends[0].take(), ends[1].take()) {
+            return Ok((design, hi, spent(true, (lo, hi))));
+        }
+    }
     let rounds = iters.div_ceil(2);
     let spec = candidates(g_lo.min(g_hi * 0.5), g_hi);
     // A hint for the speculative candidates, publishing no other data:
@@ -546,11 +604,7 @@ fn bisect_on(
             break;
         }
     }
-    let spent = GammaProbes {
-        probes: probes.into_inner(),
-        cancelled: cancelled.into_inner(),
-    };
-    Ok((best.0, best.1, spent))
+    Ok((best.0, best.1, spent(false, (lo, hi))))
 }
 
 /// Whether a symmetric matrix is positive semidefinite (within tolerance),
@@ -685,9 +739,9 @@ mod tests {
     fn multi_bisect_bit_identical_to_serial_twin() {
         let p = simple_plant(1.0);
         let fac = DgkfFactors::new(&p).unwrap();
-        let (ks, gs, _) = bisect_on(&p, &fac, 0.1, 100.0, 20, 1).unwrap();
+        let (ks, gs, _) = bisect_on(&p, &fac, 0.1, 100.0, 20, None, 1).unwrap();
         for workers in 2..=4 {
-            let (kp, gp, _) = bisect_on(&p, &fac, 0.1, 100.0, 20, workers).unwrap();
+            let (kp, gp, _) = bisect_on(&p, &fac, 0.1, 100.0, 20, None, workers).unwrap();
             assert_eq!(gp.to_bits(), gs.to_bits(), "{workers} workers");
             assert_designs_bit_identical(&kp, &ks);
         }
@@ -702,11 +756,11 @@ mod tests {
         // search always has.
         let p = simple_plant(1.0);
         let fac = DgkfFactors::new(&p).unwrap();
-        let (_, gamma, spent) = bisect_on(&p, &fac, 0.05, 0.06, 20, 1).unwrap();
+        let (_, gamma, spent) = bisect_on(&p, &fac, 0.05, 0.06, 20, None, 1).unwrap();
         assert!(gamma > 0.06);
         assert_eq!(spent.cancelled, GAMMA_CANDIDATES as u64, "{spent:?}");
         // A feasible ceiling on one worker abandons nothing.
-        let (_, _, spent) = bisect_on(&p, &fac, 0.05, 64.0, 20, 1).unwrap();
+        let (_, _, spent) = bisect_on(&p, &fac, 0.05, 64.0, 20, None, 1).unwrap();
         assert_eq!(spent.cancelled, 0, "{spent:?}");
     }
 
@@ -724,14 +778,61 @@ mod tests {
         ) {
             let p = simple_plant(we);
             let fac = DgkfFactors::new(&p).unwrap();
-            let (ks, gs, _) = bisect_on(&p, &fac, 0.05, g_hi, 20, 1).unwrap();
+            let (ks, gs, _) = bisect_on(&p, &fac, 0.05, g_hi, 20, None, 1).unwrap();
             let (kp, gp) = hinf_bisect(&p, &fac, 0.05, g_hi, 20).unwrap();
             prop_assert_eq!(gp.to_bits(), gs.to_bits());
             assert_designs_bit_identical(&kp, &ks);
             for workers in 2..=4 {
-                let (kp, gp, _) = bisect_on(&p, &fac, 0.05, g_hi, 20, workers).unwrap();
+                let (kp, gp, _) = bisect_on(&p, &fac, 0.05, g_hi, 20, None, workers).unwrap();
                 prop_assert_eq!(gp.to_bits(), gs.to_bits(), "{} workers", workers);
                 assert_designs_bit_identical(&kp, &ks);
+            }
+        }
+    }
+
+    proptest! {
+        /// A warm search given the cold search's own final bracket
+        /// confirms it with two probes and returns the cold `(K, γ)` bit
+        /// for bit, on any number of workers; a bracket one lattice cell
+        /// above or below it misses, and one taken from another weight's
+        /// plant may hit or miss, and all of them return the cold result.
+        /// Ceilings below the achievable level (`0.06`) make the cold
+        /// search expand before it bisects.
+        #[test]
+        fn warm_bracket_returns_the_cold_result(
+            we in 0.5..15.0f64,
+            other in 0.5..15.0f64,
+            g_hi in prop_oneof![Just(64.0), Just(0.06), 0.06..64.0f64],
+        ) {
+            let p = simple_plant(we);
+            let fac = DgkfFactors::new(&p).unwrap();
+            let (kc, gc, cold) = bisect_on(&p, &fac, 0.05, g_hi, 20, None, 1).unwrap();
+            prop_assert!(!cold.warm_hit);
+            let (lo, hi) = cold.bracket;
+            prop_assert_eq!(hi.to_bits(), gc.to_bits());
+            prop_assert!(cold.probes > 2, "{:?}", cold);
+            for workers in 1..=4 {
+                let (kw, gw, warm) =
+                    bisect_on(&p, &fac, 0.05, g_hi, 20, Some((lo, hi)), workers).unwrap();
+                prop_assert!(warm.warm_hit, "{} workers: {:?}", workers, warm);
+                prop_assert_eq!(warm.probes, 2);
+                prop_assert_eq!(warm.bracket, (lo, hi));
+                prop_assert_eq!(gw.to_bits(), gc.to_bits(), "{} workers", workers);
+                assert_designs_bit_identical(&kw, &kc);
+            }
+            let donor = simple_plant(other);
+            let donor_fac = DgkfFactors::new(&donor).unwrap();
+            let (_, _, from_donor) = bisect_on(&donor, &donor_fac, 0.05, g_hi, 20, None, 1).unwrap();
+            let cell = hi / lo;
+            for (bracket, misses) in [
+                ((hi, hi * cell), true),
+                ((lo / cell, lo), true),
+                (from_donor.bracket, false),
+            ] {
+                let (kw, gw, warm) = bisect_on(&p, &fac, 0.05, g_hi, 20, Some(bracket), 2).unwrap();
+                prop_assert!(!(misses && warm.warm_hit), "{:?} hit", bracket);
+                prop_assert_eq!(gw.to_bits(), gc.to_bits(), "{:?}", bracket);
+                assert_designs_bit_identical(&kw, &kc);
             }
         }
     }

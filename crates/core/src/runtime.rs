@@ -27,7 +27,9 @@ use crate::controllers::{HwSense, OsSense};
 use crate::design::{Design, SYSID_CONFIG, default_design};
 use crate::health::{HealthTap, emit_verdict};
 use crate::metrics::{ComputeStats, FaultReport, Metrics, Report, SloReport, Trace, TraceSample};
-use crate::modes::{Knob, ModeAutomaton, ModeConfig, ModeSnapshot, level_label};
+use crate::modes::{
+    InvariantViolation, Knob, ModeAutomaton, ModeConfig, ModeSnapshot, level_label,
+};
 use crate::recorder::{Journal, JournalRecord, ReplayOutcome, replay_with};
 use crate::schemes::{Controllers, ControllersState, Scheme};
 use crate::signals::{HwInputs, HwOutputs, Limits, OsInputs, OsOutputs, SloSense, spare_capacity};
@@ -243,6 +245,8 @@ pub struct RecoveryReport {
     /// whole run (actuation gaps, dual writers, illegal swap/recovery
     /// events). Must be zero for a correct stack.
     pub invariant_violations: u64,
+    /// The first of those violations, so a run that has any says which.
+    pub first_violation: Option<InvariantViolation>,
 }
 
 /// A mid-run controller hot-swap, specified by recipe so recovery can
@@ -1228,6 +1232,7 @@ impl Experiment {
             }
         }
         recovery.invariant_violations = engine.automaton().violations();
+        recovery.first_violation = engine.automaton().first_violation();
         let report = self.finish(st, &engine, opts.plan.as_ref(), workload);
         Ok(RecoveredRun {
             report,
@@ -1925,7 +1930,11 @@ mod tests {
         assert_eq!(run.recovery.crashes, 2, "both crashes must fire");
         assert_eq!(run.recovery.recoveries, 2);
         assert_eq!(run.recovery.replay_divergences, 0, "replay diverged");
-        assert_eq!(run.recovery.invariant_violations, 0);
+        assert_eq!(
+            run.recovery.invariant_violations, 0,
+            "first {:?}",
+            run.recovery.first_violation
+        );
         assert!(
             run.report.bit_identical(&base),
             "crash during the swap window perturbed the run"
@@ -1958,7 +1967,11 @@ mod tests {
             .unwrap();
         assert_eq!(run.recovery.crashes, 1);
         assert_eq!(run.recovery.replay_divergences, 0);
-        assert_eq!(run.recovery.invariant_violations, 0);
+        assert_eq!(
+            run.recovery.invariant_violations, 0,
+            "first {:?}",
+            run.recovery.first_violation
+        );
         // Zero-change swap + zero-severity plan: bit-identical to a plain
         // run of the same scheme.
         let base = exp.run(&wl).unwrap();
@@ -2025,7 +2038,11 @@ mod tests {
         assert!(slo.violation_frac > 0.0);
         let sup = run.report.supervisor.unwrap();
         assert!(sup.shed_engagements >= 1);
-        assert_eq!(sup.invariant_violations, 0);
+        assert_eq!(
+            sup.invariant_violations, 0,
+            "first {:?}",
+            sup.first_violation
+        );
         assert_eq!(run.report.actuation.double_actuations, 0);
     }
 
@@ -2317,7 +2334,8 @@ mod tests {
         assert!(run.report.metrics.completed, "adaptive run timed out");
         assert_eq!(
             run.recovery.invariant_violations, 0,
-            "swap violated the automaton"
+            "swap violated the automaton: first {:?}",
+            run.recovery.first_violation
         );
         let health = run.health.expect("monitor was attached");
         assert_eq!(
@@ -2342,6 +2360,10 @@ mod tests {
             "false-positive swap at step {:?}",
             run.cycles.first().map(|c| c.detect_step)
         );
-        assert_eq!(run.recovery.invariant_violations, 0);
+        assert_eq!(
+            run.recovery.invariant_violations, 0,
+            "first {:?}",
+            run.recovery.first_violation
+        );
     }
 }

@@ -1,8 +1,9 @@
 //! Householder QR factorization, plain and column-pivoted.
 //!
-//! [`lstsq`] backs least-squares system identification; the
-//! column-pivoted variant extracts well-conditioned bases for invariant
-//! subspaces in the Riccati sign-function solver.
+//! [`lstsq`] backs least-squares system identification;
+//! [`leading_basis`], a truncated column-pivoted factorization, extracts
+//! well-conditioned bases for invariant subspaces in the Riccati
+//! sign-function solver.
 
 use crate::{Error, Mat, Result};
 
@@ -164,109 +165,65 @@ fn qt_times(reflectors: &[Reflector], b: &Mat, rows: usize) -> Mat {
     qtb
 }
 
-/// Column-pivoted QR: `A·Π = Q·R` with diagonal of `R` non-increasing in
-/// magnitude. Used to pick a well-conditioned set of `rank` columns.
-#[derive(Debug, Clone)]
-pub struct PivotedQr {
-    q: Mat,
-    r: Mat,
-    /// `piv[j]` is the original column index that ended up in position `j`.
-    piv: Vec<usize>,
-}
-
-impl PivotedQr {
-    /// Factors `a` with greedy column pivoting on residual column norms.
-    ///
-    /// Every sum runs down a column in row order, as a column-at-a-time
-    /// loop would add it, but all columns advance together along
-    /// contiguous rows; `Q` is accumulated transposed for the same reason.
-    pub fn new(a: &Mat) -> Self {
-        let (m, n) = a.shape();
-        let mut r = a.clone();
-        let mut qt = Mat::identity(m);
-        let mut piv: Vec<usize> = (0..n).collect();
-        let mut sums = vec![0.0; n.max(m)];
-        let mut v = vec![0.0; m];
-        for k in 0..n.min(m) {
-            // Pick the column with the largest residual norm.
-            let norms = &mut sums[k..n];
-            norms.fill(0.0);
-            for row in r.as_slice().chunks_exact(n).skip(k) {
-                for (s, &x) in norms.iter_mut().zip(&row[k..]) {
-                    *s += x * x;
-                }
-            }
-            let mut best_j = k;
-            let mut best = -1.0;
-            for (j, &norm) in (k..n).zip(norms.iter()) {
-                if norm > best {
-                    best = norm;
-                    best_j = j;
-                }
-            }
-            if best_j != k {
-                for row in r.as_mut_slice().chunks_exact_mut(n) {
-                    row.swap(k, best_j);
-                }
-                piv.swap(k, best_j);
-            }
-            if best.sqrt() < 1e-300 {
-                break;
-            }
-            // Householder on column k.
-            let norm = best.sqrt();
-            let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
-            for (i, vi) in v.iter_mut().enumerate().skip(k) {
-                *vi = r[(i, k)];
-            }
-            v[k] -= alpha;
-            let vnorm_sq: f64 = v[k..].iter().map(|x| x * x).sum();
-            if vnorm_sq < 1e-300 {
-                continue;
-            }
-            reflect_rows(&mut r, &v, k, 0, vnorm_sq, &mut sums);
-            reflect_rows(&mut qt, &v, k, 0, vnorm_sq, &mut sums);
-        }
-        for i in 0..m {
-            for j in 0..n.min(i) {
-                r[(i, j)] = 0.0;
+/// The first `rank` columns of `Q` in the column-pivoted QR `A·Π = Q·R`
+/// (greedy pivoting on residual column norms): an orthonormal basis for
+/// the column space of a matrix of that rank.
+///
+/// The factorization stops after `rank` Householder steps: reflection
+/// `k` touches only rows `k..` of `Qᵀ`, so its first `rank` rows are final
+/// by then. Step `k` reflects `R` from column `k`, since the pivot search
+/// and the reflectors read no column left of it again. Every sum runs
+/// down a column in row order, as a column-at-a-time loop would add it,
+/// but all columns advance together along contiguous rows; `Q` is
+/// accumulated transposed for the same reason. So the basis is bit for
+/// bit the leading columns of the full factorization's `Q`. `rank` must
+/// not exceed `a.rows()`.
+pub fn leading_basis(a: &Mat, rank: usize) -> Mat {
+    let (m, n) = a.shape();
+    let mut r = a.clone();
+    let mut qt = Mat::identity(m);
+    let mut sums = vec![0.0; n.max(m)];
+    let mut v = vec![0.0; m];
+    for k in 0..rank.min(n) {
+        // Pick the column with the largest residual norm.
+        let norms = &mut sums[k..n];
+        norms.fill(0.0);
+        for row in r.as_slice().chunks_exact(n).skip(k) {
+            for (s, &x) in norms.iter_mut().zip(&row[k..]) {
+                *s += x * x;
             }
         }
-        PivotedQr { q: qt.t(), r, piv }
-    }
-
-    /// The orthogonal factor.
-    pub fn q(&self) -> &Mat {
-        &self.q
-    }
-
-    /// The upper-triangular factor (with permuted columns).
-    pub fn r(&self) -> &Mat {
-        &self.r
-    }
-
-    /// The column permutation: position `j` holds original column `piv[j]`.
-    pub fn pivots(&self) -> &[usize] {
-        &self.piv
-    }
-
-    /// Numerical rank with relative tolerance `tol` on `|R[k,k]| / |R[0,0]|`.
-    pub fn rank(&self, tol: f64) -> usize {
-        let steps = self.r.rows().min(self.r.cols());
-        let r00 = self.r[(0, 0)].abs();
-        if r00 < 1e-300 {
-            return 0;
+        let mut best_j = k;
+        let mut best = -1.0;
+        for (j, &norm) in (k..n).zip(norms.iter()) {
+            if norm > best {
+                best = norm;
+                best_j = j;
+            }
         }
-        (0..steps)
-            .take_while(|&k| self.r[(k, k)].abs() > tol * r00)
-            .count()
+        if best_j != k {
+            for row in r.as_mut_slice().chunks_exact_mut(n).skip(k) {
+                row.swap(k, best_j);
+            }
+        }
+        if best.sqrt() < 1e-300 {
+            break;
+        }
+        // Householder on column k.
+        let norm = best.sqrt();
+        let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
+        for (i, vi) in v.iter_mut().enumerate().skip(k) {
+            *vi = r[(i, k)];
+        }
+        v[k] -= alpha;
+        let vnorm_sq: f64 = v[k..].iter().map(|x| x * x).sum();
+        if vnorm_sq < 1e-300 {
+            continue;
+        }
+        reflect_rows(&mut r, &v, k, k, vnorm_sq, &mut sums);
+        reflect_rows(&mut qt, &v, k, 0, vnorm_sq, &mut sums);
     }
-
-    /// An orthonormal basis for the column space of the factored matrix:
-    /// the first `rank` columns of `Q`.
-    pub fn range_basis(&self, rank: usize) -> Mat {
-        self.q.block(0, self.q.rows(), 0, rank)
-    }
+    qt.block(0, rank, 0, m).t()
 }
 
 /// Applies `H = I − 2vvᵀ/(vᵀv)` from the left to rows `k..` of `x`,
@@ -301,12 +258,12 @@ pub(crate) fn reflect_rows(
     }
 }
 
-/// The column-at-a-time loops `PivotedQr::new` replaced and the full-`Q`
-/// factorization [`lstsq`] replaced, kept as the references the
-/// row-oriented versions are pinned to bit for bit.
+/// The full column-pivoted factorization [`leading_basis`] truncates and
+/// the full-`Q` factorization [`lstsq`] replaced, as column-at-a-time
+/// loops: the references the row-oriented versions are pinned to bit for
+/// bit.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::PivotedQr;
     use crate::{Error, Mat, Result};
 
     /// A Householder QR factorization `A = Q·R` with `Q` full `m × m`.
@@ -412,12 +369,12 @@ pub(crate) mod reference {
         }
     }
 
-    /// `PivotedQr::new` as the column-at-a-time loops wrote it.
-    pub(super) fn pivoted(a: &Mat) -> PivotedQr {
+    /// The orthogonal factor `Q` (`m × m`) of the column-pivoted QR,
+    /// pivoting greedily on residual column norms.
+    pub(super) fn pivoted(a: &Mat) -> Mat {
         let (m, n) = a.shape();
         let mut r = a.clone();
         let mut q = Mat::identity(m);
-        let mut piv: Vec<usize> = (0..n).collect();
         let steps = n.min(m);
         for k in 0..steps {
             // Pick the column with the largest residual norm.
@@ -436,7 +393,6 @@ pub(crate) mod reference {
                     r[(i, k)] = r[(i, best_j)];
                     r[(i, best_j)] = t;
                 }
-                piv.swap(k, best_j);
             }
             if best.sqrt() < 1e-300 {
                 break;
@@ -474,12 +430,7 @@ pub(crate) mod reference {
                 }
             }
         }
-        for i in 0..m {
-            for j in 0..n.min(i) {
-                r[(i, j)] = 0.0;
-            }
-        }
-        PivotedQr { q, r, piv }
+        q
     }
 }
 
@@ -562,25 +513,23 @@ mod tests {
     }
 
     #[test]
-    fn pivoted_qr_rank_detection() {
+    fn leading_basis_spans_the_column_space() {
         // Rank-2 matrix of size 4x4.
         let u = Mat::from_rows(&[&[1.0, 0.0], &[2.0, 1.0], &[3.0, -1.0], &[0.5, 2.0]]);
         let v = Mat::from_rows(&[&[1.0, 1.0, 0.0, 2.0], &[0.0, 1.0, 1.0, -1.0]]);
         let a = &u * &v;
-        let f = PivotedQr::new(&a);
-        assert_eq!(f.rank(1e-10), 2);
         // Basis reconstructs the column space: A = Q1 Q1ᵀ A.
-        let q1 = f.range_basis(2);
+        let q1 = leading_basis(&a, 2);
+        assert_eq!(q1.shape(), (4, 2));
+        assert!(orthonormal(&q1, 1e-12));
         let proj = &(&q1 * &q1.t()) * &a;
         assert!(proj.approx_eq(&a, 1e-10));
     }
 
     #[test]
-    fn pivoted_qr_full_rank() {
+    fn leading_basis_of_full_rank_is_orthonormal() {
         let a = Mat::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
-        let f = PivotedQr::new(&a);
-        assert_eq!(f.rank(1e-12), 2);
-        assert!(orthonormal(f.q(), 1e-12));
+        assert!(orthonormal(&leading_basis(&a, 2), 1e-12));
     }
 
     /// A `rows × cols` matrix of rank at most `rank` drawn from `seed`;
@@ -607,21 +556,25 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// The truncated factorization's basis is bit for bit the leading
+        /// columns of the full column-loop factorization's `Q`, for any
+        /// basis width, on full-rank and rank-deficient matrices (and on
+        /// the square `2n × 2n` projector shape with width `n` that `care`
+        /// passes, among the random shapes).
         #[test]
-        fn pivoted_qr_matches_column_loop_reference_bits(
+        fn leading_basis_matches_column_loop_reference_bits(
             rows in 1usize..=100,
             cols in 1usize..=100,
             rank_pct in 0usize..=100,
+            width_pct in 0usize..=100,
             seed in 0u64..u64::MAX,
             zeros in 0u32..2,
         ) {
             let rank = (rows.min(cols) * rank_pct).div_ceil(100);
+            let width = (rows * width_pct).div_ceil(100);
             let a = low_rank(rows, cols, rank, seed, zeros == 1);
-            let got = PivotedQr::new(&a);
-            let want = reference::pivoted(&a);
-            prop_assert_eq!(bits(got.q()), bits(want.q()));
-            prop_assert_eq!(bits(got.r()), bits(want.r()));
-            prop_assert_eq!(got.pivots(), want.pivots());
+            let want = reference::pivoted(&a).block(0, rows, 0, width);
+            prop_assert_eq!(bits(&leading_basis(&a, width)), bits(&want));
         }
     }
 
@@ -739,9 +692,9 @@ mod tests {
     }
 
     #[test]
-    fn pivoted_qr_zero_matrix() {
-        let a = Mat::zeros(3, 3);
-        let f = PivotedQr::new(&a);
-        assert_eq!(f.rank(1e-12), 0);
+    fn leading_basis_of_zero_matrix_is_the_identity_block() {
+        // No column has a residual norm: nothing is reflected.
+        let basis = leading_basis(&Mat::zeros(3, 3), 2);
+        assert_eq!(bits(&basis), bits(&Mat::identity(3).block(0, 3, 0, 2)));
     }
 }

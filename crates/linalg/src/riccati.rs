@@ -2,13 +2,13 @@
 //!
 //! * [`care`] — continuous-time ARE via the matrix sign function: build the
 //!   Hamiltonian, project onto its stable invariant subspace with a
-//!   column-pivoted QR, and recover `X = U₂·U₁⁻¹`. Accepts indefinite `G`,
+//!   column-pivoted QR stopped after `n` steps, and recover `X = U₂·U₁⁻¹`. Accepts indefinite `G`,
 //!   which is required by H∞ synthesis (where `G = B₂B₂ᵀ − γ⁻²B₁B₁ᵀ`).
 //! * [`dare`] — discrete-time ARE via the structure-preserving doubling
 //!   algorithm (SDA), which converges quadratically using only small
 //!   inverses.
 
-use crate::qr::PivotedQr;
+use crate::qr::leading_basis;
 use crate::sign::matrix_sign_unless;
 use crate::{Error, Mat, Moot, Result};
 
@@ -71,8 +71,7 @@ pub fn care_unless(a: &Mat, g: &Mat, q: &Mat, moot: Moot<'_>) -> Result<Mat> {
     moot.check("care")?;
     // Projector onto the stable subspace; its range has dimension n.
     let p = (&Mat::identity(2 * n) - &s).scale(0.5);
-    let f = PivotedQr::new(&p);
-    let basis = f.range_basis(n);
+    let basis = leading_basis(&p, n);
     let u1 = basis.block(0, n, 0, n);
     let u2 = basis.block(n, 2 * n, 0, n);
     let x = match u1.inverse() {

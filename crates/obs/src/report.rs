@@ -329,11 +329,29 @@ pub struct DkIterRow {
     pub iteration_ns: f64,
 }
 
-/// Extracts the per-iteration D–K phase breakdown from a JSONL telemetry
-/// log. Non-dk records are ignored; a dk span without an `iter` field is
-/// an error (the emitter always attaches one).
-pub fn dk_phase_breakdown(text: &str) -> Result<Vec<DkIterRow>, String> {
+/// The rational-D K-steps of a log (its `dk.rational_step` spans),
+/// summed over every synthesis in it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DkRationalRow {
+    /// Rational steps recorded.
+    pub steps: u64,
+    /// Their total wall time: D(s) fit, K-step and µ sweep.
+    pub ns: f64,
+    /// The slowest step's wall time.
+    pub max_ns: f64,
+    /// H∞ syntheses their γ-searches started (the spans' `probes`).
+    pub probes: u64,
+    /// Steps whose warm γ bracket was confirmed (the spans' `warm_hit`).
+    pub warm_hits: u64,
+}
+
+/// Extracts the per-iteration D–K phase breakdown and the rational-D
+/// step summary from a JSONL telemetry log. Non-dk records are ignored;
+/// an iteration's dk span without an `iter` field is an error (the
+/// emitter always attaches one).
+pub fn dk_phase_breakdown(text: &str) -> Result<(Vec<DkIterRow>, DkRationalRow), String> {
     let mut rows: Vec<DkIterRow> = Vec::new();
+    let mut rational = DkRationalRow::default();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -343,21 +361,27 @@ pub fn dk_phase_breakdown(text: &str) -> Result<Vec<DkIterRow>, String> {
             continue;
         }
         let name = v.get("name").and_then(Json::as_str).unwrap_or("");
+        let field = |key: &str| v.get("fields").and_then(|f| f.get(key));
+        let num = |key: &str| field(key).and_then(Json::as_f64);
+        let dur = v.get("dur_ns").and_then(Json::as_f64).unwrap_or(0.0);
+        if name == "dk.rational_step" {
+            rational.steps += 1;
+            rational.ns += dur;
+            rational.max_ns = rational.max_ns.max(dur);
+            rational.probes += num("probes").unwrap_or(0.0) as u64;
+            rational.warm_hits +=
+                u64::from(field("warm_hit").and_then(Json::as_bool) == Some(true));
+            continue;
+        }
         if !matches!(
             name,
             "dk.iteration" | "dk.k_step" | "dk.gamma_bisect" | "dk.d_step"
         ) {
             continue;
         }
-        let field = |key: &str| {
-            v.get("fields")
-                .and_then(|f| f.get(key))
-                .and_then(Json::as_f64)
-        };
-        let iter = field("iter")
+        let iter = num("iter")
             .ok_or_else(|| format!("line {}: dk span {name:?} without iter field", i + 1))?
             as u64;
-        let dur = v.get("dur_ns").and_then(Json::as_f64).unwrap_or(0.0);
         let row = match rows.iter_mut().find(|r| r.iter == iter) {
             Some(r) => r,
             None => {
@@ -373,18 +397,19 @@ pub fn dk_phase_breakdown(text: &str) -> Result<Vec<DkIterRow>, String> {
             "dk.k_step" => row.k_step_ns += dur,
             "dk.gamma_bisect" => {
                 row.gamma_bisect_ns += dur;
-                row.probes += field("probes").unwrap_or(0.0) as u64;
-                row.cancelled += field("cancelled").unwrap_or(0.0) as u64;
+                row.probes += num("probes").unwrap_or(0.0) as u64;
+                row.cancelled += num("cancelled").unwrap_or(0.0) as u64;
             }
             _ => row.d_step_ns += dur,
         }
     }
     rows.sort_by_key(|r| r.iter);
-    Ok(rows)
+    Ok((rows, rational))
 }
 
-/// Renders the D–K breakdown as an aligned text table.
-pub fn render_dk(rows: &[DkIterRow]) -> String {
+/// Renders the D–K breakdown as an aligned text table, with the
+/// rational-D steps on a line of their own below it.
+pub fn render_dk(rows: &[DkIterRow], rational: &DkRationalRow) -> String {
     let line = |iter: &dyn std::fmt::Display, r: &DkIterRow| {
         format!(
             "{:<6} {:>12} {:>14} {:>7} {:>9} {:>12} {:>12}\n",
@@ -412,6 +437,17 @@ pub fn render_dk(rows: &[DkIterRow]) -> String {
         total.iteration_ns += r.iteration_ns;
     }
     out.push_str(&line(&"total", &total));
+    if rational.steps > 0 {
+        out.push_str(&format!(
+            "rational-D K-step: {} step(s), {} total, {} max, {} probes, {}/{} warm hits\n",
+            rational.steps,
+            fmt_ns(rational.ns),
+            fmt_ns(rational.max_ns),
+            rational.probes,
+            rational.warm_hits,
+            rational.steps
+        ));
+    }
     out
 }
 
@@ -555,8 +591,28 @@ mod tests {
         rec.advance_ns(10);
         s.end_with(&[]);
         rec.event("board.fault", &[]);
-        let rows = dk_phase_breakdown(&to_jsonl(&rec.snapshot())).unwrap();
+        // The rational step carries no `iter`: it sums on a line of its own.
+        for (ns, hit) in [(40, true), (60, false)] {
+            let r = span(&rec, "dk.rational_step");
+            rec.advance_ns(ns);
+            r.end_with(&[
+                ("sections", Value::U64(1)),
+                ("probes", Value::U64(ns / 10)),
+                ("warm_hit", Value::Bool(hit)),
+            ]);
+        }
+        let (rows, rational) = dk_phase_breakdown(&to_jsonl(&rec.snapshot())).unwrap();
         assert_eq!(rows.len(), 2);
+        assert_eq!(
+            rational,
+            DkRationalRow {
+                steps: 2,
+                ns: 100.0,
+                max_ns: 60.0,
+                probes: 10,
+                warm_hits: 1,
+            }
+        );
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r.iter, i as u64);
             assert_eq!(r.gamma_bisect_ns, 300.0);
@@ -565,10 +621,15 @@ mod tests {
             assert_eq!(r.d_step_ns, 50.0);
             assert_eq!(r.iteration_ns, 450.0);
         }
-        let text = render_dk(&rows);
+        let text = render_dk(&rows, &rational);
         assert!(text.contains("gamma_bisect"));
         assert!(text.contains("cancelled"));
-        let total = text.lines().last().unwrap();
+        let last = text.lines().last().unwrap();
+        assert!(
+            last.contains("2 step(s)") && last.contains("1/2 warm hits"),
+            "{text}"
+        );
+        let total = text.lines().nth_back(1).unwrap();
         assert!(total.starts_with("total"), "{text}");
         assert!(total.contains(" 15 ") && total.contains(" 1 "), "{text}");
     }
