@@ -14,8 +14,10 @@
 //! rejected. Without `--check`, all JSONL inputs merge into a single
 //! aggregate per-phase breakdown (one file renders as itself). `.json`
 //! files are checked as Chrome `trace_event` documents. `--phases dk`
-//! replaces the generic breakdown with the per-D–K-iteration table and
-//! a line for the rational-D K-steps (wall time, probes, warm hits);
+//! replaces the generic breakdown with the per-D–K-iteration table (with
+//! each iteration's γ-hint hits and leaf walk), a line for the rational-D
+//! K-steps (wall time, probes, warm hits, leaf steps) and a summary of
+//! every hinted K-step (hits, leaf steps, cold fallbacks);
 //! `--phases health` renders the loop-health timeline (verdicts, online
 //! refits, hot-swaps) plus the `health.*` gauges per input.
 

@@ -169,8 +169,9 @@ pub fn synthesize_ssv(model: &StateSpace, spec: &SsvSpec, opts: DkOptions) -> Re
 /// `mu.sweep` span). Every per-iteration span carries an `iter` field so
 /// `obs_report --phases dk` can attribute wall time per iteration. A
 /// `dk.rational_step` span times the rational-D step (fit, K-step and µ
-/// sweep) and carries its µ, its γ-search's `probes` and whether the
-/// last constant-D bracket was confirmed (`warm_hit`).
+/// sweep) and carries its µ, its γ-search's `probes`, whether the hint
+/// from the last constant-D γ verified a leaf (`warm_hit`) and the
+/// leaves its walk stepped (`walk`).
 /// Telemetry never influences the computation — results are identical to
 /// [`synthesize_ssv`].
 ///
@@ -206,20 +207,22 @@ pub fn synthesize_ssv_obs(
 
     let mut d_scale = 1.0f64;
     let mut best_design: Option<DkCandidate> = None;
-    // The final γ bracket of the last constant-D K-step that succeeded:
-    // the rational step's warm start. The rational step usually lands in
-    // the same γ cell; a constant-D step does not (γ moves about 25% from
-    // the first to the second), so those start cold.
-    let mut last_bracket = None;
+    // The γ hint of the next K-step. A constant-D K-step after the first
+    // starts from the µ the D-step before it measured: that D-step's
+    // scalings are the ones this K-step runs on, and its γ lands within
+    // a few lattice leaves of that µ. The rational step starts from the
+    // last constant-D γ, whose leaf it usually ends in.
+    let mut hint = None;
+    let mut last_gamma = None;
     let mut iters = 0;
     for _ in 0..opts.max_iters.max(1) {
         iters += 1;
         let iter_span = yukta_obs::span(rec, "dk.iteration");
         let k_span = yukta_obs::span(rec, "dk.k_step");
         let scaled = plant.scaled(d_scale)?;
-        let (design, gamma) = match k_step(&scaled, opts.gamma_iters, rec, iters, None) {
-            Ok((design, gamma, search)) => {
-                last_bracket = Some(search.bracket);
+        let (design, gamma) = match k_step(&scaled, opts.gamma_iters, rec, iters, hint) {
+            Ok((design, gamma, _)) => {
+                last_gamma = Some(gamma);
                 (design, gamma)
             }
             Err(e) => {
@@ -255,6 +258,7 @@ pub fn synthesize_ssv_obs(
             break; // scalings converged
         }
         d_scale = new_d;
+        hint = Some(mu_here);
     }
     // Rational-D refinement: fit a low-order minimum-phase D(s) to the
     // per-grid-point Osborne scalings of the best constant-D design and
@@ -284,22 +288,17 @@ pub fn synthesize_ssv_obs(
         if omega.len() >= 3 && spread > 1.05 {
             let rat_span = yukta_obs::span(rec, "dk.rational_step");
             // `dk.rational_step` times this K-step, so it reports no
-            // `dk.gamma_bisect` span of its own: its γ-search's probes
-            // and whether the warm bracket hit are the span's fields.
+            // `dk.gamma_bisect` span of its own: its γ-search's probes,
+            // whether the hint verified a leaf and the walk are the
+            // span's fields.
             let mut search = None;
             let rational = ratfit::fit_sections(&omega, &mags, D_FIT_SECTIONS)
                 .ok()
                 .filter(|fitted| fitted.iter().any(|s| s.z != s.p))
                 .and_then(|fitted| {
                     let scaled = plant.scaled_rational(&fitted).ok()?;
-                    let (design, gamma, spent) = k_step(
-                        &scaled,
-                        opts.gamma_iters,
-                        &NoopRecorder,
-                        iters,
-                        last_bracket,
-                    )
-                    .ok()?;
+                    let (design, gamma, spent) =
+                        k_step(&scaled, opts.gamma_iters, &NoopRecorder, iters, last_gamma).ok()?;
                     search = Some(spent);
                     measure(design, gamma, fitted).ok()
                 });
@@ -315,7 +314,8 @@ pub fn synthesize_ssv_obs(
                     ("sections", Value::U64(D_FIT_SECTIONS as u64)),
                     ("mu", Value::F64(rat_mu)),
                     ("probes", Value::U64(search.map_or(0, |s| s.probes))),
-                    ("warm_hit", Value::Bool(search.is_some_and(|s| s.warm_hit))),
+                    ("warm_hit", Value::Bool(search.is_some_and(|s| s.hint_hit))),
+                    ("walk", Value::U64(search.map_or(0, |s| s.walk))),
                 ]);
             }
         }
@@ -356,26 +356,30 @@ pub fn synthesize_ssv_obs(
 /// step: factor the D-scaled plant (which checks the synthesis
 /// assumptions) and run the γ-search on it inside a `dk.gamma_bisect`
 /// span tagged with `iter`, the H∞ syntheses the search started
-/// (`probes`) and how many of those it abandoned as moot (`cancelled`).
-/// A `warm` bracket from an earlier K-step of the same synthesis is
-/// re-probed on this plant before any cold search (see
-/// [`hinf_bisect_counted`]).
+/// (`probes`), how many of those it abandoned as moot (`cancelled`), the
+/// γ `hint` (NaN when the search starts cold), whether the hint verified
+/// a lattice leaf (`hint_hit`) and how many leaves it walked (`walk`).
+/// A hint from earlier in the same synthesis is verified on this plant
+/// before it is used (see [`hinf_bisect_counted`]).
 fn k_step(
     scaled: &GenPlant,
     gamma_iters: usize,
     rec: &dyn Recorder,
     iter: usize,
-    warm: Option<(f64, f64)>,
+    hint: Option<f64>,
 ) -> Result<(HinfDesign, f64, GammaSearch)> {
     let fac = DgkfFactors::new(scaled)?;
     let span = yukta_obs::span(rec, "dk.gamma_bisect");
-    let (design, gamma, spent) = hinf_bisect_counted(scaled, &fac, 0.05, 64.0, gamma_iters, warm)?;
+    let (design, gamma, spent) = hinf_bisect_counted(scaled, &fac, 0.05, 64.0, gamma_iters, hint)?;
     if rec.enabled() {
         span.end_with(&[
             ("iter", Value::U64(iter as u64)),
             ("gamma", Value::F64(gamma)),
             ("probes", Value::U64(spent.probes)),
             ("cancelled", Value::U64(spent.cancelled)),
+            ("hint", Value::F64(hint.unwrap_or(f64::NAN))),
+            ("hint_hit", Value::Bool(spent.hint_hit)),
+            ("walk", Value::U64(spent.walk)),
         ]);
     }
     Ok((design, gamma, spent))
@@ -617,9 +621,9 @@ mod tests {
 
     #[test]
     fn rational_step_confirms_the_last_constant_d_bracket() {
-        // The toy model's rational step lands in the γ cell of its last
-        // constant-D K-step: two probes confirm the bracket and the cold
-        // search never runs.
+        // The toy model's rational step lands in the lattice leaf of its
+        // last constant-D γ: two probes confirm the leaf, no walk, and
+        // the cold search never runs.
         let rec = yukta_obs::mem::MemRecorder::new();
         synthesize_ssv_obs(&toy_model(), &toy_spec(), DkOptions::default(), &rec).unwrap();
         let snap = rec.snapshot();
@@ -638,7 +642,62 @@ mod tests {
             OwnedValue::U64(n) if *k == "probes" => Some(*n),
             _ => None,
         });
-        assert_eq!((warm_hit, probes), (Some(true), Some(2)), "{fields:?}");
+        let walk = fields.iter().find_map(|(k, v)| match v {
+            OwnedValue::U64(n) if *k == "walk" => Some(*n),
+            _ => None,
+        });
+        assert_eq!(
+            (warm_hit, probes, walk),
+            (Some(true), Some(2), Some(0)),
+            "{fields:?}"
+        );
+    }
+
+    #[test]
+    fn second_k_step_takes_the_d_step_mu_as_its_hint() {
+        // Iteration 1 starts cold; iteration 2 starts from the µ that
+        // iteration 1's D-step measured and verifies a lattice leaf
+        // without the cold search, walking at most the cap.
+        let rec = yukta_obs::mem::MemRecorder::new();
+        synthesize_ssv_obs(&toy_model(), &toy_spec(), DkOptions::default(), &rec).unwrap();
+        let snap = rec.snapshot();
+        let field = |name: &str, iter: u64, key: &str| {
+            let e = snap
+                .entries
+                .iter()
+                .find(|e| {
+                    e.name == name && snap.fields_of(e).contains(&("iter", OwnedValue::U64(iter)))
+                })
+                .unwrap_or_else(|| panic!("no {name} span for iteration {iter}"));
+            let fields = snap.fields_of(e);
+            fields
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.clone())
+                .unwrap_or_else(|| panic!("no {key} in {fields:?}"))
+        };
+        let f64_of = |v: OwnedValue| match v {
+            OwnedValue::F64(x) => x,
+            other => panic!("not an f64: {other:?}"),
+        };
+        assert!(f64_of(field("dk.gamma_bisect", 1, "hint")).is_nan());
+        assert_eq!(
+            field("dk.gamma_bisect", 1, "hint_hit"),
+            OwnedValue::Bool(false)
+        );
+        let mu_1 = f64_of(field("dk.d_step", 1, "mu"));
+        assert_eq!(
+            f64_of(field("dk.gamma_bisect", 2, "hint")).to_bits(),
+            mu_1.to_bits()
+        );
+        assert_eq!(
+            field("dk.gamma_bisect", 2, "hint_hit"),
+            OwnedValue::Bool(true)
+        );
+        match field("dk.gamma_bisect", 2, "walk") {
+            OwnedValue::U64(walk) => assert!(walk <= crate::hinf::HINT_WALK_CAP),
+            other => panic!("walk {other:?}"),
+        }
     }
 
     #[test]

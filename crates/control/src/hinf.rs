@@ -382,15 +382,12 @@ fn syn_unless(p: &GenPlant, fac: &DgkfFactors, gamma: f64, moot: Moot<'_>) -> Re
 }
 
 /// Expands an infeasible ceiling `g_hi` upward ×4 up to six times and
-/// returns the first feasible level with its design.
-fn expand_ceiling(
-    syn: impl Fn(f64, Moot<'_>) -> Option<HinfDesign>,
-    g_hi: f64,
-) -> Result<(HinfDesign, f64)> {
+/// returns the first feasible level with what `feasible` found there.
+fn expand_ceiling<T>(feasible: impl Fn(f64) -> Option<T>, g_hi: f64) -> Result<(T, f64)> {
     let mut g = g_hi;
     for _ in 0..6 {
         g *= 4.0;
-        if let Some(k) = syn(g, Moot::NEVER) {
+        if let Some(k) = feasible(g) {
             return Ok((k, g));
         }
     }
@@ -407,29 +404,84 @@ fn expand_ceiling(
 /// at the first feasible one.
 const GAMMA_CANDIDATES: usize = 3;
 
+/// Most lattice leaves a hinted γ-search walks before it gives up and
+/// runs the cold search. The longest walk on the deployed designs and
+/// the `figures` designs is 3 leaves.
+pub(crate) const HINT_WALK_CAP: u64 = 4;
+
 /// A round's candidates: the geometric quartiles of `[lo, hi]`.
 fn candidates(lo: f64, hi: f64) -> [f64; GAMMA_CANDIDATES] {
     let ratio = hi / lo;
     std::array::from_fn(|k| lo * ratio.powf((k + 1) as f64 / (GAMMA_CANDIDATES + 1) as f64))
 }
 
-/// What a γ-search spent and where it ended: the H∞ syntheses it
+/// The bisection rounds from the bracket `(lo, hi]`, whose `hi` carries
+/// `best`: `round` returns the first feasible of a round's candidates
+/// (its index and what was found there), or `None` if all of them fail.
+/// The search and its replay ([`leaf`]) both run this loop, so they
+/// compute the same candidate floats. Returns the last feasible find
+/// and the final bracket.
+fn descend<T>(
+    mut lo: f64,
+    mut hi: f64,
+    rounds: usize,
+    mut best: T,
+    mut round: impl FnMut([f64; GAMMA_CANDIDATES]) -> Option<(usize, T)>,
+) -> (T, (f64, f64)) {
+    for _ in 0..rounds {
+        let cands = candidates(lo, hi);
+        // The smallest feasible candidate becomes the new ceiling; its
+        // infeasible left neighbour (if any) raises the floor.
+        match round(cands) {
+            Some((j, found)) => {
+                best = found;
+                hi = cands[j];
+                if j > 0 {
+                    lo = cands[j - 1];
+                }
+            }
+            None => lo = cands[GAMMA_CANDIDATES - 1],
+        }
+        if hi / lo < 1.02 {
+            break;
+        }
+    }
+    (best, (lo, hi))
+}
+
+/// The final bracket `(lo, hi]` of the cold search from `[g_lo, g_hi]`
+/// with `iters` halvings on a plant where exactly the levels `γ ≥ t` are
+/// feasible: the lattice leaf that contains `t`. It replays the search's
+/// ceiling, expansion and rounds with that threshold in place of
+/// synthesis, so it costs no H∞ probe. `None` if `t` lies above every
+/// expanded ceiling.
+fn leaf(g_lo: f64, g_hi: f64, iters: usize, t: f64) -> Option<(f64, f64)> {
+    let feasible = |g: f64| (g >= t).then_some(());
+    let hi = match feasible(g_hi) {
+        Some(()) => g_hi,
+        None => expand_ceiling(feasible, g_hi).ok()?.1,
+    };
+    let ((), bracket) = descend(g_lo.min(hi * 0.5), hi, iters.div_ceil(2), (), |cands| {
+        cands.iter().position(|&g| g >= t).map(|j| (j, ()))
+    });
+    Some(bracket)
+}
+
+/// What a γ-search spent and how its hint fared: the H∞ syntheses it
 /// started, how many of them gave up because their result became moot
 /// (a feasible candidate left of theirs, or a failed ceiling under a
-/// speculative round), whether a warm bracket was confirmed, and the
-/// final bracket.
+/// speculative round), whether the hint verified a leaf so the cold
+/// search never ran, and how many leaves the hint walked.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct GammaSearch {
     /// Syntheses started.
     pub probes: u64,
     /// Syntheses that returned early, their result moot.
     pub cancelled: u64,
-    /// Whether the warm bracket was confirmed, skipping the cold search.
-    pub warm_hit: bool,
-    /// The final bracket `(lo, hi)`: `hi` is the returned level, and `lo`
-    /// is the last infeasible level probed (or the start's floor, if no
-    /// candidate failed).
-    pub bracket: (f64, f64),
+    /// Whether the hint verified a leaf, skipping the cold search.
+    pub hint_hit: bool,
+    /// Leaf steps the hint walked past its own leaf.
+    pub walk: u64,
 }
 
 /// Bisects γ between `g_lo` and `g_hi` (expanding `g_hi` upward if it is
@@ -455,31 +507,25 @@ pub fn hinf_bisect(
     hinf_bisect_counted(p, fac, g_lo, g_hi, iters, None).map(|(k, g, _)| (k, g))
 }
 
-/// [`hinf_bisect`] that reports what the search spent and its final
-/// bracket, and first tries the `warm` bracket if one is given (see
-/// [`bisect_on`]).
+/// [`hinf_bisect`] that reports what the search spent, and first walks
+/// the lattice from the `hint` γ if one is given (see [`bisect_on`]).
 pub(crate) fn hinf_bisect_counted(
     p: &GenPlant,
     fac: &DgkfFactors,
     g_lo: f64,
     g_hi: f64,
     iters: usize,
-    warm: Option<(f64, f64)>,
+    hint: Option<f64>,
 ) -> Result<(HinfDesign, f64, GammaSearch)> {
-    bisect_on(
-        p,
-        fac,
-        g_lo,
-        g_hi,
-        iters,
-        warm,
-        crate::sweep::workers(1 + GAMMA_CANDIDATES),
-    )
+    let workers = crate::sweep::workers(1 + GAMMA_CANDIDATES);
+    bisect_on(p, fac, g_lo, g_hi, iters, hint, workers).map(|(k, g, spent, _)| (k, g, spent))
 }
 
-/// [`hinf_bisect`] probing on `workers` workers. A round reads nothing
-/// right of its first feasible candidate, so every worker count makes the
-/// same bracket decisions.
+/// [`hinf_bisect`] probing on `workers` workers, returning also what it
+/// spent and its final bracket `(lo, hi)`: `hi` is the returned level,
+/// and `lo` the last infeasible level probed (or the start's floor, if no
+/// candidate failed). A round reads nothing right of its first feasible
+/// candidate, so every worker count makes the same bracket decisions.
 ///
 /// The ceiling `g_hi` is probed in one fan-out with the candidates round
 /// one takes if it is feasible: the ceiling first (it always runs to the
@@ -488,36 +534,46 @@ pub(crate) fn hinf_bisect_counted(
 /// expands as before. One worker runs the ceiling then the candidates in
 /// order, the serial search.
 ///
-/// # Warm bracket
+/// # γ hint
 ///
-/// `warm` is the final bracket `(lo, hi)` of a search with the same
-/// `g_lo`, `g_hi` and `iters` on a nearby plant. One fan-out probes `lo`
-/// then `hi` on this plant (a feasible `lo` makes `hi` moot, a failed `hi`
-/// makes `lo` moot). If `hi` is feasible and `lo` is not, `hi` and its
-/// design are returned at once; otherwise the cold search below runs,
-/// unchanged. The two probes are then spent for nothing.
+/// `hint` is an estimate γ̂ of the level this search will return, for a
+/// search with the same `g_lo`, `g_hi` and `iters`. [`leaf`] computes the
+/// lattice leaf `(lo, hi]` that holds γ̂ without probing, and one fan-out
+/// probes `lo` then `hi` on this plant (a feasible `lo` makes `hi` moot,
+/// a failed `hi` makes `lo` moot; a `lo` that is the unprobed floor is
+/// not probed). If `hi` is feasible and `lo` is not, `hi` and its design
+/// are returned. Otherwise the search walks one leaf at a time, one probe
+/// per step: down to the leaf below (`leaf` at `lo`, whose `hi` is the
+/// feasible `lo`) when `lo` was feasible, probing its `lo`; up to the
+/// leaf above (`leaf` at the float after `hi`, whose `lo` is the failed
+/// `hi`) when `hi` failed, probing its `hi`. After [`HINT_WALK_CAP`]
+/// steps, or when γ̂ or a step's threshold is not below `g_hi`, or γ̂ is
+/// not finite, the cold search below runs, unchanged, and the probes
+/// were spent for nothing.
 ///
-/// A confirmed warm bracket returns what the cold search would. The cold
-/// search's path depends only on which of its candidates are feasible,
-/// and every level it reads lies outside the open final cell `(lo, hi)`:
+/// A verified leaf returns what the cold search would. The cold search's
+/// path depends only on which levels it reads are feasible, and every
+/// level it reads lies outside the open leaf `(lo, hi)` it ends in:
 /// each infeasible one it reads is at most its final `lo`, each feasible
-/// one at least its final `hi`. If feasibility is monotone in γ, an
-/// infeasible `lo` and a feasible `hi` give every such level the same
+/// one at least its final `hi`, and a floor `lo` is never read. Below
+/// `g_hi` the replay reads the ceiling as feasible, as this plant does
+/// once `hi` is. If feasibility is monotone in γ, an infeasible `lo` and
+/// a feasible `hi` give every level the replayed path reads the same
 /// answer on this plant, so the cold search here computes the same γ
-/// floats, takes the same path and ends in the same cell, returning `hi`
+/// floats, takes the same path and ends in the same leaf, returning `hi`
 /// with the design [`hinf_syn`] computes at `hi`. That synthesis is pure,
-/// so the warm design is the cold one bit for bit. Where monotonicity
-/// fails, the result is still a bracket verified on this plant at the
-/// same resolution: `hi` feasible, `lo` infeasible.
+/// so the hinted design is the cold one bit for bit. Where monotonicity
+/// fails, the result is still a leaf verified on this plant at the same
+/// resolution: `hi` feasible, `lo` infeasible.
 fn bisect_on(
     p: &GenPlant,
     fac: &DgkfFactors,
     g_lo: f64,
     g_hi: f64,
     iters: usize,
-    warm: Option<(f64, f64)>,
+    hint: Option<f64>,
     workers: usize,
-) -> Result<(HinfDesign, f64, GammaSearch)> {
+) -> Result<(HinfDesign, f64, GammaSearch, (f64, f64))> {
     let (probes, cancelled) = (AtomicU64::new(0), AtomicU64::new(0));
     let syn = |gamma: f64, moot: Moot<'_>| {
         probes.fetch_add(1, Ordering::Relaxed);
@@ -527,31 +583,26 @@ fn bisect_on(
         }
         k.ok()
     };
-    let spent = |warm_hit: bool, bracket: (f64, f64)| GammaSearch {
+    let mut walk = 0;
+    let spent = |hint_hit: bool, walk: u64| GammaSearch {
         probes: probes.load(Ordering::Relaxed),
         cancelled: cancelled.load(Ordering::Relaxed),
-        warm_hit,
-        bracket,
+        hint_hit,
+        walk,
     };
-    if let Some((lo, hi)) = warm {
-        // `lo` gives up once `hi` has failed. Like the ceiling's, the flag
-        // publishes no other data: a stale read only lets `lo` run longer.
-        let hi_failed = AtomicBool::new(false);
-        let mut ends = crate::sweep::first_feasible(2, workers, 0, |i, moot| {
-            if i == 1 {
-                let k = syn(hi, moot);
-                hi_failed.store(k.is_none(), Ordering::Relaxed);
-                return k;
-            }
-            let dropped = || hi_failed.load(Ordering::Relaxed);
-            syn(lo, Moot::new(&dropped))
-        });
-        if let (None, Some(design)) = (ends[0].take(), ends[1].take()) {
-            return Ok((design, hi, spent(true, (lo, hi))));
+    let floor = g_lo.min(g_hi * 0.5);
+    if let Some(t) = hint.filter(|t| t.is_finite() && *t < g_hi) {
+        let replay =
+            |t: f64| leaf(g_lo, g_hi, iters, t).expect("a threshold below g_hi has a leaf");
+        let start = replay(t);
+        if let Some((design, bracket)) =
+            walk_leaves(&syn, replay, start, floor, g_hi, workers, &mut walk)
+        {
+            return Ok((design, bracket.1, spent(true, walk), bracket));
         }
     }
     let rounds = iters.div_ceil(2);
-    let spec = candidates(g_lo.min(g_hi * 0.5), g_hi);
+    let spec = candidates(floor, g_hi);
     // A hint for the speculative candidates, publishing no other data:
     // a stale read only lets a discarded candidate run a little longer.
     let ceiling_failed = AtomicBool::new(false);
@@ -566,45 +617,100 @@ fn bisect_on(
         syn(spec[i - 1], Moot::new(&dropped))
     });
     let mut round_one = None;
-    let mut best = match first.remove(0) {
+    let (start, hi) = match first.remove(0) {
         Some(k) => {
             round_one = Some(first);
             (k, g_hi)
         }
-        None => expand_ceiling(syn, g_hi)?,
+        None => expand_ceiling(|g| syn(g, Moot::NEVER), g_hi)?,
     };
-    let mut hi = best.1;
-    let mut lo = g_lo.min(hi * 0.5);
-    for _ in 0..rounds {
-        let cands = candidates(lo, hi);
+    let (design, bracket) = descend(g_lo.min(hi * 0.5), hi, rounds, start, |cands| {
         let results = round_one.take().unwrap_or_else(|| {
             crate::sweep::first_feasible(GAMMA_CANDIDATES, workers, 0, |i, moot| {
                 syn(cands[i], moot)
             })
         });
-        // The smallest feasible candidate becomes the new ceiling; its
-        // infeasible left neighbour (if any) raises the floor.
-        match results
+        results
             .into_iter()
             .enumerate()
             .find_map(|(j, r)| Some((j, r?)))
-        {
-            Some((j, design)) => {
-                best = (design, cands[j]);
-                hi = cands[j];
-                if j > 0 {
-                    lo = cands[j - 1];
+    });
+    Ok((design, bracket.1, spent(false, walk), bracket))
+}
+
+/// The leaf walk of a hinted search (see [`bisect_on`]) from the hint's
+/// leaf `(lo, hi)`: `replay` gives the leaf at a threshold below
+/// `g_hi`, `floor` is the start's unprobed floor, and `walk` counts the
+/// leaf steps. Returns the design at the verified leaf's `hi` with the
+/// leaf, or `None` when the cold search must run.
+fn walk_leaves(
+    syn: &(impl Fn(f64, Moot<'_>) -> Option<HinfDesign> + Sync),
+    replay: impl Fn(f64) -> (f64, f64),
+    (mut lo, mut hi): (f64, f64),
+    floor: f64,
+    g_hi: f64,
+    workers: usize,
+    walk: &mut u64,
+) -> Option<(HinfDesign, (f64, f64))> {
+    // Where the hint's own leaf points: `Some` with the design at a
+    // feasible `lo` (walk down), `None` when `hi` failed (walk up).
+    let mut below = if lo == floor {
+        match syn(hi, Moot::NEVER) {
+            Some(design) => return Some((design, (lo, hi))),
+            None => None,
+        }
+    } else {
+        // `lo` gives up once `hi` has failed. Like the ceiling's, the
+        // flag publishes no other data: a stale read only lets `lo` run
+        // longer.
+        let hi_failed = AtomicBool::new(false);
+        let mut ends = crate::sweep::first_feasible(2, workers, 0, |i, moot| {
+            if i == 1 {
+                let k = syn(hi, moot);
+                hi_failed.store(k.is_none(), Ordering::Relaxed);
+                return k;
+            }
+            let dropped = || hi_failed.load(Ordering::Relaxed);
+            syn(lo, Moot::new(&dropped))
+        });
+        match (ends[0].take(), ends[1].take()) {
+            (None, Some(design)) => return Some((design, (lo, hi))),
+            (feasible_lo, _) => feasible_lo,
+        }
+    };
+    while *walk < HINT_WALK_CAP {
+        *walk += 1;
+        below = match below {
+            // The leaf below ends at the feasible `lo`.
+            Some(design) => {
+                let next = replay(lo);
+                debug_assert_eq!(next.1, lo);
+                (lo, hi) = next;
+                if lo == floor {
+                    return Some((design, (lo, hi)));
+                }
+                match syn(lo, Moot::NEVER) {
+                    None => return Some((design, (lo, hi))),
+                    feasible_lo => feasible_lo,
                 }
             }
+            // The leaf above starts at the failed `hi`.
             None => {
-                lo = cands[GAMMA_CANDIDATES - 1];
+                let t = hi.next_up();
+                if t >= g_hi {
+                    return None;
+                }
+                let next = replay(t);
+                debug_assert_eq!(next.0, hi);
+                (lo, hi) = next;
+                match syn(hi, Moot::NEVER) {
+                    Some(design) => return Some((design, (lo, hi))),
+                    None => None,
+                }
             }
-        }
-        if hi / lo < 1.02 {
-            break;
-        }
+        };
     }
-    Ok((best.0, best.1, spent(false, (lo, hi))))
+    None
 }
 
 /// Whether a symmetric matrix is positive semidefinite (within tolerance),
@@ -739,9 +845,9 @@ mod tests {
     fn multi_bisect_bit_identical_to_serial_twin() {
         let p = simple_plant(1.0);
         let fac = DgkfFactors::new(&p).unwrap();
-        let (ks, gs, _) = bisect_on(&p, &fac, 0.1, 100.0, 20, None, 1).unwrap();
+        let (ks, gs, ..) = bisect_on(&p, &fac, 0.1, 100.0, 20, None, 1).unwrap();
         for workers in 2..=4 {
-            let (kp, gp, _) = bisect_on(&p, &fac, 0.1, 100.0, 20, None, workers).unwrap();
+            let (kp, gp, ..) = bisect_on(&p, &fac, 0.1, 100.0, 20, None, workers).unwrap();
             assert_eq!(gp.to_bits(), gs.to_bits(), "{workers} workers");
             assert_designs_bit_identical(&kp, &ks);
         }
@@ -756,11 +862,11 @@ mod tests {
         // search always has.
         let p = simple_plant(1.0);
         let fac = DgkfFactors::new(&p).unwrap();
-        let (_, gamma, spent) = bisect_on(&p, &fac, 0.05, 0.06, 20, None, 1).unwrap();
+        let (_, gamma, spent, _) = bisect_on(&p, &fac, 0.05, 0.06, 20, None, 1).unwrap();
         assert!(gamma > 0.06);
         assert_eq!(spent.cancelled, GAMMA_CANDIDATES as u64, "{spent:?}");
         // A feasible ceiling on one worker abandons nothing.
-        let (_, _, spent) = bisect_on(&p, &fac, 0.05, 64.0, 20, None, 1).unwrap();
+        let (_, _, spent, _) = bisect_on(&p, &fac, 0.05, 64.0, 20, None, 1).unwrap();
         assert_eq!(spent.cancelled, 0, "{spent:?}");
     }
 
@@ -778,12 +884,12 @@ mod tests {
         ) {
             let p = simple_plant(we);
             let fac = DgkfFactors::new(&p).unwrap();
-            let (ks, gs, _) = bisect_on(&p, &fac, 0.05, g_hi, 20, None, 1).unwrap();
+            let (ks, gs, ..) = bisect_on(&p, &fac, 0.05, g_hi, 20, None, 1).unwrap();
             let (kp, gp) = hinf_bisect(&p, &fac, 0.05, g_hi, 20).unwrap();
             prop_assert_eq!(gp.to_bits(), gs.to_bits());
             assert_designs_bit_identical(&kp, &ks);
             for workers in 2..=4 {
-                let (kp, gp, _) = bisect_on(&p, &fac, 0.05, g_hi, 20, None, workers).unwrap();
+                let (kp, gp, ..) = bisect_on(&p, &fac, 0.05, g_hi, 20, None, workers).unwrap();
                 prop_assert_eq!(gp.to_bits(), gs.to_bits(), "{} workers", workers);
                 assert_designs_bit_identical(&kp, &ks);
             }
@@ -791,49 +897,83 @@ mod tests {
     }
 
     proptest! {
-        /// A warm search given the cold search's own final bracket
-        /// confirms it with two probes and returns the cold `(K, γ)` bit
-        /// for bit, on any number of workers; a bracket one lattice cell
-        /// above or below it misses, and one taken from another weight's
-        /// plant may hit or miss, and all of them return the cold result.
-        /// Ceilings below the achievable level (`0.06`) make the cold
-        /// search expand before it bisects.
+        /// A search hinted anywhere returns the cold `(K, γ)` bit for bit
+        /// on 1–4 workers: random hints, the cold leaf's bounds and their
+        /// neighbouring floats, a hint below the floor, hints at or above
+        /// the ceiling and non-finite ones. A hint inside the cold leaf
+        /// hits with at most two probes; one just past either bound walks
+        /// one leaf back; any hit verifies the cold leaf at no more than
+        /// two probes per walked leaf plus two, and hints the walk cannot
+        /// use run the cold search alone. Ceilings below the achievable
+        /// level (`0.06`) make the cold search expand, so every hint
+        /// below them walks up to the ceiling and falls back.
         #[test]
-        fn warm_bracket_returns_the_cold_result(
+        fn hinted_search_returns_the_cold_result(
             we in 0.5..15.0f64,
-            other in 0.5..15.0f64,
             g_hi in prop_oneof![Just(64.0), Just(0.06), 0.06..64.0f64],
+            random in 0.01..200.0f64,
         ) {
             let p = simple_plant(we);
             let fac = DgkfFactors::new(&p).unwrap();
-            let (kc, gc, cold) = bisect_on(&p, &fac, 0.05, g_hi, 20, None, 1).unwrap();
-            prop_assert!(!cold.warm_hit);
-            let (lo, hi) = cold.bracket;
+            let (kc, gc, cold, (lo, hi)) = bisect_on(&p, &fac, 0.05, g_hi, 20, None, 1).unwrap();
+            prop_assert!(!cold.hint_hit && cold.walk == 0, "{:?}", cold);
             prop_assert_eq!(hi.to_bits(), gc.to_bits());
             prop_assert!(cold.probes > 2, "{:?}", cold);
-            for workers in 1..=4 {
-                let (kw, gw, warm) =
-                    bisect_on(&p, &fac, 0.05, g_hi, 20, Some((lo, hi)), workers).unwrap();
-                prop_assert!(warm.warm_hit, "{} workers: {:?}", workers, warm);
-                prop_assert_eq!(warm.probes, 2);
-                prop_assert_eq!(warm.bracket, (lo, hi));
-                prop_assert_eq!(gw.to_bits(), gc.to_bits(), "{} workers", workers);
-                assert_designs_bit_identical(&kw, &kc);
+            let floor = 0.05f64.min(g_hi * 0.5);
+            let hints = [
+                random,
+                lo,
+                lo.next_down(),
+                lo.next_up(),
+                hi,
+                hi.next_down(),
+                hi.next_up(),
+                floor * 0.5,
+                g_hi,
+                g_hi * 2.0,
+                f64::NAN,
+                f64::INFINITY,
+            ];
+            for hint in hints {
+                for workers in 1..=4 {
+                    let (kw, gw, warm, bracket) =
+                        bisect_on(&p, &fac, 0.05, g_hi, 20, Some(hint), workers).unwrap();
+                    let at = format!("hint {hint}, {workers} workers: {warm:?}");
+                    prop_assert_eq!(gw.to_bits(), gc.to_bits(), "{}", at);
+                    assert_designs_bit_identical(&kw, &kc);
+                    prop_assert!(warm.walk <= HINT_WALK_CAP, "{}", at);
+                    if warm.hint_hit {
+                        prop_assert!(warm.probes <= 2 + warm.walk, "{}", at);
+                        prop_assert_eq!(bracket.0.to_bits(), lo.to_bits(), "{}", at);
+                    }
+                    if hint.is_nan() || hint >= g_hi {
+                        prop_assert!(!warm.hint_hit && warm.walk == 0, "{}", at);
+                    } else if lo < hint && hint <= hi {
+                        prop_assert!(warm.hint_hit && warm.walk == 0, "{}", at);
+                        prop_assert!(warm.probes <= 2, "{}", at);
+                    } else if hint == hi.next_up() || (hint == lo && lo != floor) {
+                        prop_assert!(warm.hint_hit && warm.walk == 1, "{}", at);
+                    }
+                }
             }
-            let donor = simple_plant(other);
-            let donor_fac = DgkfFactors::new(&donor).unwrap();
-            let (_, _, from_donor) = bisect_on(&donor, &donor_fac, 0.05, g_hi, 20, None, 1).unwrap();
-            let cell = hi / lo;
-            for (bracket, misses) in [
-                ((hi, hi * cell), true),
-                ((lo / cell, lo), true),
-                (from_donor.bracket, false),
-            ] {
-                let (kw, gw, warm) = bisect_on(&p, &fac, 0.05, g_hi, 20, Some(bracket), 2).unwrap();
-                prop_assert!(!(misses && warm.warm_hit), "{:?} hit", bracket);
-                prop_assert_eq!(gw.to_bits(), gc.to_bits(), "{:?}", bracket);
-                assert_designs_bit_identical(&kw, &kc);
-            }
+        }
+    }
+
+    proptest! {
+        /// The replay at the cold search's own γ ends in the cold
+        /// search's final bracket, bit for bit, for any number of
+        /// halvings and also where the ceiling expands.
+        #[test]
+        fn replay_at_the_cold_gamma_reproduces_the_cold_bracket(
+            we in 0.5..15.0f64,
+            g_hi in prop_oneof![Just(64.0), Just(0.06), 0.06..64.0f64],
+            iters in 0..24usize,
+        ) {
+            let p = simple_plant(we);
+            let fac = DgkfFactors::new(&p).unwrap();
+            let (_, gc, _, (lo, hi)) = bisect_on(&p, &fac, 0.05, g_hi, iters, None, 1).unwrap();
+            let (rlo, rhi) = leaf(0.05, g_hi, iters, gc).unwrap();
+            prop_assert_eq!((rlo.to_bits(), rhi.to_bits()), (lo.to_bits(), hi.to_bits()));
         }
     }
 

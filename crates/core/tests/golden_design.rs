@@ -7,6 +7,10 @@
 //! the fits, the uncertainty radii used and the validation residuals.
 //! A refactor of the pipeline is correct when these digests do not move.
 //!
+//! It also pins the γ hints of the deployed syntheses: every hinted
+//! K-step verifies a lattice leaf without the cold γ-search, a property
+//! that moves no bit but guards the synthesis time the hints save.
+//!
 //! Regenerate after an *intentional* numerical change with:
 //!
 //! ```text
@@ -15,9 +19,12 @@
 //!
 //! and paste the printed constants over the ones below.
 
-use yukta_control::dk::SsvSynthesis;
+use yukta_control::dk::{SsvSynthesis, synthesize_ssv_obs};
 use yukta_control::ss::StateSpace;
-use yukta_core::design::{Design, DesignOptions, build_design, default_design};
+use yukta_core::design::{
+    Design, DesignOptions, Layer, build_design, default_design, dk_options, layer_spec,
+};
+use yukta_obs::mem::{MemRecorder, OwnedValue};
 
 /// Digest of [`default_design`] (guardband auto-tuning on).
 const GOLDEN_DEFAULT: u64 = 0x0005b1eb736b1aa2;
@@ -118,6 +125,62 @@ fn fixed_guardband_design_matches_golden_digest() {
         GOLDEN_FIXED_GUARDBAND,
         "fixed-guardband design drifted"
     );
+}
+
+/// Resynthesizes both deployed layers and checks every hinted K-step: the
+/// second constant-D K-step (hinted by the first D-step's µ) and the
+/// rational-D step (hinted by the last constant-D γ) each verify a
+/// lattice leaf, so neither runs the cold 15-probe γ-search. A fallback
+/// would cost time but no bits, so the digests above cannot see it; this
+/// count is deterministic, so host speed cannot flake it.
+#[test]
+fn deployed_resynthesis_takes_every_gamma_hint() {
+    let d = default_design();
+    let layers = [
+        (
+            Layer::Hw,
+            &d.hw_model_full,
+            &d.hw_ssv,
+            d.hw_uncertainty_used,
+        ),
+        (
+            Layer::Os,
+            &d.os_model_full,
+            &d.os_ssv,
+            d.os_uncertainty_used,
+        ),
+    ];
+    for (layer, model, deployed, uncertainty) in layers {
+        let rec = MemRecorder::new();
+        let spec = layer_spec(&d.options, layer, uncertainty);
+        let syn = synthesize_ssv_obs(model, &spec, dk_options(), &rec).unwrap();
+        let (mut again, mut before) = (Fnv::new(), Fnv::new());
+        again.ssv(&syn);
+        before.ssv(deployed);
+        assert_eq!(again.0, before.0, "{layer:?} resynthesis drifted");
+        let snap = rec.snapshot();
+        let mut hinted = 0;
+        for e in &snap.entries {
+            let fields = snap.fields_of(e);
+            let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+            let hit = match e.name {
+                "dk.gamma_bisect" => match get("hint") {
+                    Some(OwnedValue::F64(h)) if h.is_finite() => get("hint_hit"),
+                    _ => continue,
+                },
+                "dk.rational_step" => get("warm_hit"),
+                _ => continue,
+            };
+            hinted += 1;
+            assert_eq!(
+                hit,
+                Some(&OwnedValue::Bool(true)),
+                "{layer:?} {} fell back to the cold search: {fields:?}",
+                e.name
+            );
+        }
+        assert_eq!(hinted, 2, "{layer:?}: K-step 2 and the rational step");
+    }
 }
 
 /// Prints the golden constants. Run with `-- --ignored --nocapture` (see

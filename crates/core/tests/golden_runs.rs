@@ -18,6 +18,7 @@
 //!
 //! and paste the printed table over [`GOLDEN`].
 
+use yukta_board::ActuationAudit;
 use yukta_board::faults::FaultPlan;
 use yukta_core::controllers::heuristic::CoordinatedHeuristicOs;
 use yukta_core::controllers::ssv::{SsvHwController, SsvOsController};
@@ -27,7 +28,7 @@ use yukta_core::optimizer::{HwOptimizer, OsOptimizer};
 use yukta_core::runtime::{Experiment, RecoveryOptions, RunOptions};
 use yukta_core::schemes::{Controllers, Scheme};
 use yukta_core::signals::{HwOutputs, Limits, OsOutputs};
-use yukta_core::supervisor::SupervisorConfig;
+use yukta_core::supervisor::{SupervisorConfig, SupervisorStats};
 use yukta_workloads::catalog;
 
 /// One digest per named run, in the order the groups below produce them.
@@ -70,8 +71,8 @@ impl Fnv {
         }
     }
 
-    /// Length-prefixed text (labels and the `Debug` form of the
-    /// all-integer records that `bit_identical` compares with `==`).
+    /// Length-prefixed text (labels and the text of the all-integer
+    /// records that `bit_identical` compares with `==`).
     fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
         self.bytes(s.as_bytes());
@@ -132,9 +133,74 @@ fn digest(r: &Report) -> u64 {
             h.f64s(&[s.p95_s, s.p99_s, s.violation_frac, s.max_shed_frac]);
         }
     }
-    h.str(&format!("{:?}", r.supervisor));
-    h.str(&format!("{:?}", r.actuation));
+    h.str(&match &r.supervisor {
+        None => "None".to_string(),
+        Some(s) => format!("Some({})", supervisor_text(s)),
+    });
+    h.str(&actuation_text(&r.actuation));
     h.0
+}
+
+/// `field: value` for each named counter, as the digest's record text
+/// `Name { field: value, … }` lists them.
+fn named(counters: &[(&str, u64)]) -> Vec<String> {
+    counters.iter().map(|(k, v)| format!("{k}: {v}")).collect()
+}
+
+/// The supervisor counters by name, with `first_violation` appended only
+/// when there is one. The destructure is exhaustive, so a new field fails
+/// to compile here until the digest decides how to hash it.
+fn supervisor_text(s: &SupervisorStats) -> String {
+    let SupervisorStats {
+        nonfinite_repairs,
+        range_clamps,
+        stuck_detections,
+        controller_errors,
+        actuation_clamps,
+        windup_resets,
+        fallback_entries,
+        fallback_exits,
+        safe_entries,
+        invocations,
+        degraded_invocations,
+        invariant_violations,
+        shed_engagements,
+        first_violation,
+    } = *s;
+    let mut fields = named(&[
+        ("nonfinite_repairs", nonfinite_repairs),
+        ("range_clamps", range_clamps),
+        ("stuck_detections", stuck_detections),
+        ("controller_errors", controller_errors),
+        ("actuation_clamps", actuation_clamps),
+        ("windup_resets", windup_resets),
+        ("fallback_entries", fallback_entries),
+        ("fallback_exits", fallback_exits),
+        ("safe_entries", safe_entries),
+        ("invocations", invocations),
+        ("degraded_invocations", degraded_invocations),
+        ("invariant_violations", invariant_violations),
+        ("shed_engagements", shed_engagements),
+    ]);
+    if let Some(v) = first_violation {
+        fields.push(format!("first_violation: Some({v:?})"));
+    }
+    format!("SupervisorStats {{ {} }}", fields.join(", "))
+}
+
+/// The actuation audit by name; exhaustive like [`supervisor_text`].
+fn actuation_text(a: &ActuationAudit) -> String {
+    let ActuationAudit {
+        actuation_requests,
+        double_actuations,
+        tmu_cap_expansions,
+    } = *a;
+    let fields = named(&[
+        ("actuation_requests", actuation_requests),
+        ("double_actuations", double_actuations),
+        ("tmu_cap_expansions", tmu_cap_expansions),
+    ]);
+    format!("ActuationAudit {{ {} }}", fields.join(", "))
 }
 
 fn options() -> RunOptions {

@@ -323,6 +323,13 @@ pub struct DkIterRow {
     pub probes: u64,
     /// Of those, the ones abandoned as moot (its span's `cancelled`).
     pub cancelled: u64,
+    /// γ-searches that started from a hint (a finite `hint`).
+    pub hinted: u64,
+    /// Of those, the ones whose hint verified a lattice leaf, so the
+    /// cold search never ran (`hint_hit`).
+    pub hint_hits: u64,
+    /// Lattice leaves the hinted searches walked (`walk`).
+    pub walk: u64,
     /// D-step time: µ sweep plus scaling update.
     pub d_step_ns: f64,
     /// Whole-iteration wall time.
@@ -341,8 +348,13 @@ pub struct DkRationalRow {
     pub max_ns: f64,
     /// H∞ syntheses their γ-searches started (the spans' `probes`).
     pub probes: u64,
-    /// Steps whose warm γ bracket was confirmed (the spans' `warm_hit`).
+    /// Steps that ran a γ-search (nonzero `probes`); each starts from
+    /// the last constant-D γ.
+    pub searched: u64,
+    /// Steps whose hint verified a lattice leaf (the spans' `warm_hit`).
     pub warm_hits: u64,
+    /// Lattice leaves their hinted searches walked (the spans' `walk`).
+    pub walk: u64,
 }
 
 /// Extracts the per-iteration D–K phase breakdown and the rational-D
@@ -363,14 +375,17 @@ pub fn dk_phase_breakdown(text: &str) -> Result<(Vec<DkIterRow>, DkRationalRow),
         let name = v.get("name").and_then(Json::as_str).unwrap_or("");
         let field = |key: &str| v.get("fields").and_then(|f| f.get(key));
         let num = |key: &str| field(key).and_then(Json::as_f64);
+        let flag = |key: &str| field(key).and_then(Json::as_bool) == Some(true);
         let dur = v.get("dur_ns").and_then(Json::as_f64).unwrap_or(0.0);
         if name == "dk.rational_step" {
             rational.steps += 1;
             rational.ns += dur;
             rational.max_ns = rational.max_ns.max(dur);
-            rational.probes += num("probes").unwrap_or(0.0) as u64;
-            rational.warm_hits +=
-                u64::from(field("warm_hit").and_then(Json::as_bool) == Some(true));
+            let probes = num("probes").unwrap_or(0.0) as u64;
+            rational.probes += probes;
+            rational.searched += u64::from(probes > 0);
+            rational.warm_hits += u64::from(flag("warm_hit"));
+            rational.walk += num("walk").unwrap_or(0.0) as u64;
             continue;
         }
         if !matches!(
@@ -399,6 +414,10 @@ pub fn dk_phase_breakdown(text: &str) -> Result<(Vec<DkIterRow>, DkRationalRow),
                 row.gamma_bisect_ns += dur;
                 row.probes += num("probes").unwrap_or(0.0) as u64;
                 row.cancelled += num("cancelled").unwrap_or(0.0) as u64;
+                // A cold search's NaN hint is written as `null`.
+                row.hinted += u64::from(num("hint").is_some());
+                row.hint_hits += u64::from(flag("hint_hit"));
+                row.walk += num("walk").unwrap_or(0.0) as u64;
             }
             _ => row.d_step_ns += dur,
         }
@@ -407,24 +426,36 @@ pub fn dk_phase_breakdown(text: &str) -> Result<(Vec<DkIterRow>, DkRationalRow),
     Ok((rows, rational))
 }
 
-/// Renders the D–K breakdown as an aligned text table, with the
-/// rational-D steps on a line of their own below it.
+/// Renders the D–K breakdown as an aligned text table (its `hits`
+/// column is hint hits over hinted γ-searches), with the rational-D
+/// steps on a line of their own below it and a last line summing every
+/// hinted K-step: hits, leaves walked and cold fallbacks.
 pub fn render_dk(rows: &[DkIterRow], rational: &DkRationalRow) -> String {
     let line = |iter: &dyn std::fmt::Display, r: &DkIterRow| {
         format!(
-            "{:<6} {:>12} {:>14} {:>7} {:>9} {:>12} {:>12}\n",
+            "{:<6} {:>12} {:>14} {:>7} {:>9} {:>7} {:>5} {:>12} {:>12}\n",
             iter,
             fmt_ns(r.k_step_ns),
             fmt_ns(r.gamma_bisect_ns),
             r.probes,
             r.cancelled,
+            format!("{}/{}", r.hint_hits, r.hinted),
+            r.walk,
             fmt_ns(r.d_step_ns),
             fmt_ns(r.iteration_ns)
         )
     };
     let mut out = format!(
-        "{:<6} {:>12} {:>14} {:>7} {:>9} {:>12} {:>12}\n",
-        "iter", "k_step", "gamma_bisect", "probes", "cancelled", "d_step", "iteration"
+        "{:<6} {:>12} {:>14} {:>7} {:>9} {:>7} {:>5} {:>12} {:>12}\n",
+        "iter",
+        "k_step",
+        "gamma_bisect",
+        "probes",
+        "cancelled",
+        "hits",
+        "walk",
+        "d_step",
+        "iteration"
     );
     let mut total = DkIterRow::default();
     for r in rows {
@@ -433,21 +464,32 @@ pub fn render_dk(rows: &[DkIterRow], rational: &DkRationalRow) -> String {
         total.gamma_bisect_ns += r.gamma_bisect_ns;
         total.probes += r.probes;
         total.cancelled += r.cancelled;
+        total.hinted += r.hinted;
+        total.hint_hits += r.hint_hits;
+        total.walk += r.walk;
         total.d_step_ns += r.d_step_ns;
         total.iteration_ns += r.iteration_ns;
     }
     out.push_str(&line(&"total", &total));
     if rational.steps > 0 {
         out.push_str(&format!(
-            "rational-D K-step: {} step(s), {} total, {} max, {} probes, {}/{} warm hits\n",
+            "rational-D K-step: {} step(s), {} total, {} max, {} probes, {}/{} warm hits, {} leaf steps\n",
             rational.steps,
             fmt_ns(rational.ns),
             fmt_ns(rational.max_ns),
             rational.probes,
             rational.warm_hits,
-            rational.steps
+            rational.searched,
+            rational.walk
         ));
     }
+    let hinted = total.hinted + rational.searched;
+    let hits = total.hint_hits + rational.warm_hits;
+    out.push_str(&format!(
+        "hinted K-steps: {hits}/{hinted} hits, {} leaf steps, {} cold fallbacks\n",
+        total.walk + rational.walk,
+        hinted - hits
+    ));
     out
 }
 
@@ -578,6 +620,10 @@ mod tests {
                 ("gamma", Value::F64(2.0)),
                 ("probes", Value::U64(7 + iter)),
                 ("cancelled", Value::U64(iter)),
+                // Iteration 0 starts cold, iteration 1 walks two leaves.
+                ("hint", Value::F64(if iter == 0 { f64::NAN } else { 2.1 })),
+                ("hint_hit", Value::Bool(iter == 1)),
+                ("walk", Value::U64(2 * iter)),
             ]);
             rec.advance_ns(100);
             k.end_with(&[("iter", Value::U64(iter)), ("gamma", Value::F64(2.0))]);
@@ -599,6 +645,7 @@ mod tests {
                 ("sections", Value::U64(1)),
                 ("probes", Value::U64(ns / 10)),
                 ("warm_hit", Value::Bool(hit)),
+                ("walk", Value::U64(if hit { 0 } else { 4 })),
             ]);
         }
         let (rows, rational) = dk_phase_breakdown(&to_jsonl(&rec.snapshot())).unwrap();
@@ -610,13 +657,17 @@ mod tests {
                 ns: 100.0,
                 max_ns: 60.0,
                 probes: 10,
+                searched: 2,
                 warm_hits: 1,
+                walk: 4,
             }
         );
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r.iter, i as u64);
             assert_eq!(r.gamma_bisect_ns, 300.0);
             assert_eq!((r.probes, r.cancelled), (7 + i as u64, i as u64));
+            let i = i as u64;
+            assert_eq!((r.hinted, r.hint_hits, r.walk), (i, i, 2 * i));
             assert_eq!(r.k_step_ns, 400.0);
             assert_eq!(r.d_step_ns, 50.0);
             assert_eq!(r.iteration_ns, 450.0);
@@ -625,13 +676,19 @@ mod tests {
         assert!(text.contains("gamma_bisect"));
         assert!(text.contains("cancelled"));
         let last = text.lines().last().unwrap();
-        assert!(
-            last.contains("2 step(s)") && last.contains("1/2 warm hits"),
+        assert_eq!(
+            last, "hinted K-steps: 2/3 hits, 6 leaf steps, 1 cold fallbacks",
             "{text}"
         );
-        let total = text.lines().nth_back(1).unwrap();
+        let rat = text.lines().nth_back(1).unwrap();
+        assert!(
+            rat.contains("2 step(s)") && rat.contains("1/2 warm hits, 4 leaf steps"),
+            "{text}"
+        );
+        let total = text.lines().nth_back(2).unwrap();
         assert!(total.starts_with("total"), "{text}");
         assert!(total.contains(" 15 ") && total.contains(" 1 "), "{text}");
+        assert!(total.contains(" 1/1 ") && total.contains(" 2 "), "{text}");
     }
 
     #[test]
