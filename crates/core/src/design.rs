@@ -29,6 +29,7 @@ use yukta_control::sysid::{
     IdModel, SysIdConfig, calibrate_dc_gains, fit_arx, validation_residual,
 };
 use yukta_linalg::{Error, Mat, Result};
+use yukta_obs::Value;
 use yukta_workloads::WorkloadRun;
 use yukta_workloads::catalog::training;
 
@@ -97,7 +98,7 @@ fn tune_guardband(auto: bool, u: &[Vec<f64>], y: &[Vec<f64>], fixed: f64) -> Res
     }
     let (u, y) = align_for_arx(u, y);
     let split = ((1.0 - HOLDOUT_FRAC) * u.len() as f64) as usize;
-    let train = fit_arx(&u[..split], &y[..split], SYSID_CONFIG)?;
+    let train = fit(&u[..split], &y[..split])?;
     let residual = validation_residual(&u[split..], &y[split..], &train)?;
     Ok((residual, guardband_radius(residual)))
 }
@@ -549,6 +550,27 @@ pub fn layer_spec(opts: &DesignOptions, layer: Layer, uncertainty: f64) -> SsvSp
     }
 }
 
+/// [`fit_arx`] at [`SYSID_CONFIG`] inside a `design.identify` span on
+/// the global recorder, as [`synthesize_ssv`] times D–K. The span carries
+/// the shape of the least-squares problem solved: `rows` (samples plus
+/// ridge rows), `cols` (regressors) and `outputs`.
+fn fit(u: &[Vec<f64>], y: &[Vec<f64>]) -> Result<IdModel> {
+    let rec = yukta_obs::handle();
+    let span = yukta_obs::span(rec, "design.identify");
+    let id = fit_arx(u, y, SYSID_CONFIG)?;
+    if rec.enabled() {
+        let (outputs, cols) = id.theta.shape();
+        let ridge_rows = if SYSID_CONFIG.ridge > 0.0 { cols } else { 0 };
+        let rows = u.len() - SYSID_CONFIG.na.max(SYSID_CONFIG.nb) + ridge_rows;
+        span.end_with(&[
+            ("rows", Value::U64(rows as u64)),
+            ("cols", Value::U64(cols as u64)),
+            ("outputs", Value::U64(outputs as u64)),
+        ]);
+    }
+    Ok(id)
+}
+
 /// Identifies one model from a logged record: aligns it to the ARX
 /// convention, fits [`SYSID_CONFIG`], stabilizes (spectral radius ≤ 0.97),
 /// resamples to the 500 ms controller period and calibrates the DC gains
@@ -560,9 +582,7 @@ pub fn layer_spec(opts: &DesignOptions, layer: Layer, uncertainty: f64) -> SsvSp
 /// failures.
 pub fn identify_layer(u: &[Vec<f64>], y: &[Vec<f64>], dc: &Mat) -> Result<IdModel> {
     let (u, y) = align_for_arx(u, y);
-    let mut id = fit_arx(u, y, SYSID_CONFIG)?
-        .stabilized(0.97)?
-        .with_sample_period(0.5)?;
+    let mut id = fit(u, y)?.stabilized(0.97)?.with_sample_period(0.5)?;
     id.sys = calibrate_dc_gains(&id.sys, dc)?;
     Ok(id)
 }

@@ -19,7 +19,7 @@
 //! and paste the printed table over [`GOLDEN`].
 
 use yukta_board::ActuationAudit;
-use yukta_board::faults::FaultPlan;
+use yukta_board::faults::{FaultChannel, FaultKind, FaultPlan, FaultStats};
 use yukta_core::controllers::heuristic::CoordinatedHeuristicOs;
 use yukta_core::controllers::ssv::{SsvHwController, SsvOsController};
 use yukta_core::design::default_design;
@@ -108,11 +108,11 @@ fn digest(r: &Report) -> u64 {
             h.u64(1);
             h.u64(f.seed);
             h.f64s(&[f.severity]);
-            h.str(&format!("{:?}", f.stats));
+            h.str(&fault_text(&f.stats));
             h.u64(f.trace.len() as u64);
             for e in &f.trace {
                 h.f64s(&[e.time, e.value]);
-                h.str(&format!("{:?} {:?}", e.kind, e.channel));
+                h.str(&fault_event_text(e.kind, e.channel));
             }
         }
     }
@@ -201,6 +201,59 @@ fn actuation_text(a: &ActuationAudit) -> String {
         ("tmu_cap_expansions", tmu_cap_expansions),
     ]);
     format!("ActuationAudit {{ {} }}", fields.join(", "))
+}
+
+/// The fault counters by name; exhaustive like [`supervisor_text`].
+fn fault_text(f: &FaultStats) -> String {
+    let FaultStats {
+        sensor_faults,
+        stuck_episodes,
+        dropped_samples,
+        spikes,
+        delayed_reads,
+        dvfs_rejections,
+        hotplug_ignored,
+        actuation_lags,
+        burst_windows,
+    } = *f;
+    let fields = named(&[
+        ("sensor_faults", sensor_faults),
+        ("stuck_episodes", stuck_episodes),
+        ("dropped_samples", dropped_samples),
+        ("spikes", spikes),
+        ("delayed_reads", delayed_reads),
+        ("dvfs_rejections", dvfs_rejections),
+        ("hotplug_ignored", hotplug_ignored),
+        ("actuation_lags", actuation_lags),
+        ("burst_windows", burst_windows),
+    ]);
+    format!("FaultStats {{ {} }}", fields.join(", "))
+}
+
+/// A fault event's kind and channel by name, `Kind Channel`. The matches
+/// are exhaustive, so a new kind or channel fails to compile here until
+/// the digest decides how to hash it.
+fn fault_event_text(kind: FaultKind, channel: FaultChannel) -> String {
+    let kind = match kind {
+        FaultKind::StuckAt => "StuckAt".to_string(),
+        FaultKind::DroppedSample => "DroppedSample".to_string(),
+        FaultKind::Spike => "Spike".to_string(),
+        FaultKind::BiasNoise => "BiasNoise".to_string(),
+        FaultKind::DelayedRead => "DelayedRead".to_string(),
+        FaultKind::DvfsRejected => "DvfsRejected".to_string(),
+        FaultKind::HotplugIgnored => "HotplugIgnored".to_string(),
+        FaultKind::ActuationLag => "ActuationLag".to_string(),
+        FaultKind::Crash { at_step } => format!("Crash {{ at_step: {at_step} }}"),
+    };
+    let channel = match channel {
+        FaultChannel::PowerBig => "PowerBig",
+        FaultChannel::PowerLittle => "PowerLittle",
+        FaultChannel::Temp => "Temp",
+        FaultChannel::Dvfs => "Dvfs",
+        FaultChannel::Hotplug => "Hotplug",
+        FaultChannel::Actuation => "Actuation",
+    };
+    format!("{kind} {channel}")
 }
 
 fn options() -> RunOptions {

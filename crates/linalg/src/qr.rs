@@ -12,12 +12,22 @@ use crate::{Error, Mat, Result};
 /// back substitution on `R·x = Qᵀ·b`, without forming `Q`.
 ///
 /// `R` is factored in place and the Householder vectors are kept. The
-/// rows of `Q = H₀·H₁·…` are then rebuilt four at a time: each starts as
-/// a row of the identity and takes every reflection in turn, its dot
-/// products summed in column order. Each finished row `t` adds its terms
-/// to `Qᵀb` in ascending `t` as `acc −= (−q)·b`, skipping `q == 0`, the
-/// order [`Mat::matmul`] uses. So the result is bit for bit that of an
-/// explicit `m × m` `Q` multiplied out, in O(m·n) memory.
+/// rows of `Q = H₀·H₁·…` are then rebuilt sixteen at a time, in one lane
+/// block of `m` rows: each starts as a row of the identity and takes every
+/// reflection in turn. One sweep down the block applies reflection `h`
+/// (`q −= s·v`) and, from the first row reflection `h + 1` touches,
+/// accumulates that reflection's dot products from the values it has just
+/// written, so the block is read once per reflection, not twice. Each
+/// finished row `t` adds its terms to `Qᵀb` in ascending `t` as
+/// `acc −= (−q)·b`, skipping `q == 0`, the order [`Mat::matmul`] uses.
+///
+/// The result is bit for bit that of an explicit `m × m` `Q` multiplied
+/// out, in O(m·n) memory: every dot product still starts from `+0` and
+/// sums in ascending row order over the values the previous reflection
+/// left, and `s = 2d/vᵀv` and the update are the same expressions. Fusing
+/// the passes and widening the block only interleave work on different
+/// elements; the AVX2 kernel does separate multiplies and adds, as the
+/// portable loop does.
 ///
 /// ```
 /// use yukta_linalg::{Mat, qr::lstsq};
@@ -103,7 +113,8 @@ fn householder_r(a: &Mat) -> (Mat, Vec<Reflector>) {
         if vnorm_sq < 1e-300 {
             continue;
         }
-        reflect_rows(&mut r, &v, k, 0, vnorm_sq, &mut scratch);
+        // Columns left of `k` are not read again and are zeroed below.
+        reflect_rows(&mut r, &v, k, k, vnorm_sq, &mut scratch);
         reflectors.push(Reflector {
             k,
             v: v[k..].to_vec(),
@@ -119,11 +130,19 @@ fn householder_r(a: &Mat) -> (Mat, Vec<Reflector>) {
     (r, reflectors)
 }
 
+/// Rows of `Q` one lane block of [`qt_times`] rebuilds together: one
+/// block row fills the AVX2 kernel's four registers.
+const LANES: usize = 16;
+
+/// One row of a lane block: lane `l` holds the entry of row `t + l` of `Q`.
+type Lanes = [f64; LANES];
+
 /// The first `rows` rows of `Qᵀ·b`, where `Q = H₀·H₁·…` is the product of
 /// `reflectors` (each of order `b.rows()`). `Q` is rebuilt one block of
-/// four rows at a time, lane `l` of `block[i]` holding `Q[t + l, i]`.
+/// [`LANES`] rows at a time, lane `l` of `block[i]` holding `Q[t + l, i]`:
+/// each sweep of [`reflect_lanes`] applies one reflection and sums the
+/// next one's dot products from the values it has just written.
 fn qt_times(reflectors: &[Reflector], b: &Mat, rows: usize) -> Mat {
-    const LANES: usize = 4;
     let (m, p) = b.shape();
     let mut qtb = Mat::zeros(rows, p);
     if p == 0 {
@@ -135,19 +154,21 @@ fn qt_times(reflectors: &[Reflector], b: &Mat, rows: usize) -> Mat {
         for (l, q) in block[t..].iter_mut().take(LANES).enumerate() {
             q[l] = 1.0;
         }
-        for h in reflectors {
-            let tail = &mut block[h.k..];
+        if let Some(first) = reflectors.first() {
             let mut dot = [0.0f64; LANES];
-            for (q, &vi) in tail.iter().zip(&h.v) {
+            for (q, &vi) in block[first.k..].iter().zip(&first.v) {
                 for l in 0..LANES {
                     dot[l] += vi * q[l];
                 }
             }
-            let s = dot.map(|d| 2.0 * d / h.vnorm_sq);
-            for (q, &vi) in tail.iter_mut().zip(&h.v) {
-                for l in 0..LANES {
-                    q[l] -= s[l] * vi;
-                }
+            for (j, h) in reflectors.iter().enumerate() {
+                let s = dot.map(|d| 2.0 * d / h.vnorm_sq);
+                // The last reflection is needed only in the rows read below.
+                let (end, next) = match reflectors.get(j + 1) {
+                    Some(next) => (m, &next.v[..]),
+                    None => (rows.clamp(h.k, m), &[][..]),
+                };
+                dot = reflect_lanes(&mut block[h.k..end], &h.v, &s, next);
             }
         }
         for (l, brow) in b.as_slice().chunks_exact(p).skip(t).take(LANES).enumerate() {
@@ -163,6 +184,86 @@ fn qt_times(reflectors: &[Reflector], b: &Mat, rows: usize) -> Mat {
         }
     }
     qtb
+}
+
+/// One fused sweep of [`qt_times`]: `q −= s·vᵢ` on every row of `block`,
+/// and, over its last `next.len()` rows (where the next reflection's
+/// vector starts), `dot += nextᵢ·q` from the updated `q`, summed in row
+/// order from `+0`. Returns the next reflection's dot products. On hosts
+/// with AVX2 it runs [`reflect_lanes_avx2`]; neither loop fuses the
+/// multiply-add, and both give each lane its operations in row order, so
+/// they give the same bits.
+fn reflect_lanes(block: &mut [Lanes], v: &[f64], s: &Lanes, next: &[f64]) -> Lanes {
+    assert!(v.len() >= block.len() && next.len() <= block.len());
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected on this host; the lengths are
+        // asserted above.
+        return unsafe { reflect_lanes_avx2(block, v, s, next) };
+    }
+    reflect_lanes_scalar(block, v, s, next)
+}
+
+/// The portable loop of [`reflect_lanes`].
+fn reflect_lanes_scalar(block: &mut [Lanes], v: &[f64], s: &Lanes, next: &[f64]) -> Lanes {
+    let (head, tail) = block.split_at_mut(block.len() - next.len());
+    for (q, &vi) in head.iter_mut().zip(v) {
+        for l in 0..LANES {
+            q[l] -= s[l] * vi;
+        }
+    }
+    let mut dot = [0.0f64; LANES];
+    for ((q, &vi), &wi) in tail.iter_mut().zip(&v[head.len()..]).zip(next) {
+        for l in 0..LANES {
+            q[l] -= s[l] * vi;
+            dot[l] += wi * q[l];
+        }
+    }
+    dot
+}
+
+/// The AVX2 loop of [`reflect_lanes`]: a separate multiply and add (no
+/// FMA), so every lane sees the same operations in the same order as
+/// [`reflect_lanes_scalar`] and gets the same bits. `s` and the dot
+/// products stay in registers across the sweep.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2, `v.len() >= block.len()` and
+/// `next.len() <= block.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn reflect_lanes_avx2(block: &mut [Lanes], v: &[f64], s: &Lanes, next: &[f64]) -> Lanes {
+    use core::arch::x86_64::*;
+
+    let split = block.len() - next.len();
+    let sp = s.as_ptr();
+    let s: [__m256d; LANES / 4] = core::array::from_fn(|j| _mm256_loadu_pd(sp.add(4 * j)));
+    let bp = block.as_mut_ptr().cast::<f64>();
+    for i in 0..split {
+        let vi = _mm256_set1_pd(*v.get_unchecked(i));
+        let q = bp.add(i * LANES);
+        for (j, &sj) in s.iter().enumerate() {
+            let qj = _mm256_sub_pd(_mm256_loadu_pd(q.add(4 * j)), _mm256_mul_pd(sj, vi));
+            _mm256_storeu_pd(q.add(4 * j), qj);
+        }
+    }
+    let mut dot = [_mm256_setzero_pd(); LANES / 4];
+    for (i, &wi) in (split..block.len()).zip(next) {
+        let vi = _mm256_set1_pd(*v.get_unchecked(i));
+        let wi = _mm256_set1_pd(wi);
+        let q = bp.add(i * LANES);
+        for (j, (&sj, d)) in s.iter().zip(&mut dot).enumerate() {
+            let qj = _mm256_sub_pd(_mm256_loadu_pd(q.add(4 * j)), _mm256_mul_pd(sj, vi));
+            _mm256_storeu_pd(q.add(4 * j), qj);
+            *d = _mm256_add_pd(*d, _mm256_mul_pd(wi, qj));
+        }
+    }
+    let mut out = [0.0f64; LANES];
+    for (j, d) in dot.into_iter().enumerate() {
+        _mm256_storeu_pd(out.as_mut_ptr().add(4 * j), d);
+    }
+    out
 }
 
 /// The first `rank` columns of `Q` in the column-pivoted QR `A·Π = Q·R`
@@ -260,10 +361,12 @@ pub(crate) fn reflect_rows(
 
 /// The full column-pivoted factorization [`leading_basis`] truncates and
 /// the full-`Q` factorization [`lstsq`] replaced, as column-at-a-time
-/// loops: the references the row-oriented versions are pinned to bit for
+/// loops, and the two-pass four-lane `Qᵀb` rebuild the fused one
+/// replaced: the references the current versions are pinned to bit for
 /// bit.
 #[cfg(test)]
 pub(crate) mod reference {
+    use super::Reflector;
     use crate::{Error, Mat, Result};
 
     /// A Householder QR factorization `A = Q·R` with `Q` full `m × m`.
@@ -367,6 +470,52 @@ pub(crate) mod reference {
             }
             Ok(x)
         }
+    }
+
+    /// The first `rows` rows of `Qᵀ·b`, where `Q = H₀·H₁·…` is the product of
+    /// `reflectors` (each of order `b.rows()`). `Q` is rebuilt one block of
+    /// four rows at a time, lane `l` of `block[i]` holding `Q[t + l, i]`.
+    pub(super) fn qt_times(reflectors: &[Reflector], b: &Mat, rows: usize) -> Mat {
+        const LANES: usize = 4;
+        let (m, p) = b.shape();
+        let mut qtb = Mat::zeros(rows, p);
+        if p == 0 {
+            return qtb;
+        }
+        let mut block = vec![[0.0f64; LANES]; m];
+        for t in (0..m).step_by(LANES) {
+            block.fill([0.0; LANES]);
+            for (l, q) in block[t..].iter_mut().take(LANES).enumerate() {
+                q[l] = 1.0;
+            }
+            for h in reflectors {
+                let tail = &mut block[h.k..];
+                let mut dot = [0.0f64; LANES];
+                for (q, &vi) in tail.iter().zip(&h.v) {
+                    for l in 0..LANES {
+                        dot[l] += vi * q[l];
+                    }
+                }
+                let s = dot.map(|d| 2.0 * d / h.vnorm_sq);
+                for (q, &vi) in tail.iter_mut().zip(&h.v) {
+                    for l in 0..LANES {
+                        q[l] -= s[l] * vi;
+                    }
+                }
+            }
+            for (l, brow) in b.as_slice().chunks_exact(p).skip(t).take(LANES).enumerate() {
+                for (i, out) in qtb.as_mut_slice().chunks_exact_mut(p).enumerate() {
+                    let c = -block[i][l];
+                    if c == 0.0 {
+                        continue;
+                    }
+                    for (o, &bv) in out.iter_mut().zip(brow) {
+                        *o -= c * bv;
+                    }
+                }
+            }
+        }
+        qtb
     }
 
     /// The orthogonal factor `Q` (`m × m`) of the column-pivoted QR,
@@ -676,15 +825,91 @@ mod tests {
         );
     }
 
-    /// A full-length identification regression: 717 rows of 22
+    /// Full-length identification regressions: 717 rows of 22
     /// regressors plus 22 ridge rows, the shape of the deployed HW
-    /// layer's `fit_arx`.
+    /// layer's `fit_arx`, and 718 rows of 28 plus 28, the monolithic
+    /// model's.
     #[test]
     fn lstsq_matches_reference_at_identification_size() {
-        let (a, b) = lstsq_input(717, 22, 22, 5, false, Shape::Ridge);
-        assert_eq!(a.shape(), (739, 22));
-        let want = reference::Qr::new(&a).solve_least_squares(&b).unwrap();
-        assert_eq!(bits(&lstsq(&a, &b).unwrap()), bits(&want));
+        for (rows, cols) in [(717, 22), (718, 28)] {
+            let (a, b) = lstsq_input(rows, cols, cols, 5, false, Shape::Ridge);
+            assert_eq!(a.shape(), (rows + cols, cols));
+            let want = reference::Qr::new(&a).solve_least_squares(&b).unwrap();
+            assert_eq!(bits(&lstsq(&a, &b).unwrap()), bits(&want));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The fused sixteen-lane rebuild against the two-pass four-lane
+        /// one, bit for bit, for any number of output rows: every lane
+        /// block count and partial last block, ridge-stacked inputs, zero
+        /// columns (skipped reflections) and exact zeros in `A` and `b`.
+        #[test]
+        fn qt_times_matches_two_pass_reference_bits(
+            rows in 1usize..=100,
+            cols_pct in 1usize..=100,
+            rank_pct in 0usize..=100,
+            out_pct in 0usize..=100,
+            seed in 0u64..u64::MAX,
+            zeros in 0u32..2,
+            shape in 0u32..3,
+        ) {
+            let shape = [Shape::Plain, Shape::Ridge, Shape::ZeroColumn][shape as usize];
+            let cols = (rows * cols_pct).div_ceil(100);
+            let rank = (cols * rank_pct).div_ceil(100);
+            let (a, b) = lstsq_input(rows, cols, rank, seed, zeros == 1, shape);
+            let out = (a.rows() * out_pct).div_ceil(100);
+            let (_, reflectors) = householder_r(&a);
+            prop_assert_eq!(
+                bits(&qt_times(&reflectors, &b, out)),
+                bits(&reference::qt_times(&reflectors, &b, out))
+            );
+        }
+    }
+
+    /// The AVX2 sweep against the portable loop, bit for bit: every block
+    /// length up to 40, the next reflection starting anywhere in the
+    /// block or absent, vectors longer than the block, and exact and
+    /// signed zeros in the block, the vectors and the scale factors.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_reflect_lanes_matches_scalar_bits() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0x0f05_ed16);
+        let draw = |rng: &mut StdRng| match rng.gen_range(0u32..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-2.0..2.0),
+        };
+        for len in 0..=40usize {
+            for next_len in [0, 1, len / 2, len.saturating_sub(1), len] {
+                let next_len = next_len.min(len);
+                let block: Vec<Lanes> = (0..len)
+                    .map(|_| std::array::from_fn(|_| draw(&mut rng)))
+                    .collect();
+                let v: Vec<f64> = (0..len + 3).map(|_| draw(&mut rng)).collect();
+                let next: Vec<f64> = (0..next_len).map(|_| draw(&mut rng)).collect();
+                let s: Lanes = std::array::from_fn(|_| draw(&mut rng));
+                let mut want = block.clone();
+                let want_dot = reflect_lanes_scalar(&mut want, &v, &s, &next);
+                let mut got = block;
+                // SAFETY: AVX2 was detected above; `v` is longer than the
+                // block and `next` no longer.
+                let got_dot = unsafe { reflect_lanes_avx2(&mut got, &v, &s, &next) };
+                let bits =
+                    |q: &[Lanes]| q.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "len {len}, next {next_len}");
+                assert_eq!(
+                    bits(&[got_dot]),
+                    bits(&[want_dot]),
+                    "len {len}, next {next_len}"
+                );
+            }
+        }
     }
 
     fn bits(m: &Mat) -> Vec<u64> {
