@@ -98,7 +98,7 @@ fn run_cell(
 ) -> CellOutcome {
     let mut plan = FaultPlan::uniform(seed, severity);
     if v.bursts {
-        plan = plan.with_bursts(2, 8.0).with_burst_region(35.0);
+        plan = plan.with_bursts(2, 8.0, 35.0);
     }
     for &at in v.crashes {
         plan = plan.with_crash(at);

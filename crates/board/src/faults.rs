@@ -48,7 +48,9 @@ impl FaultChannel {
     }
 }
 
-/// The fault taxonomy (DESIGN.md §10).
+/// The fault taxonomy (DESIGN.md §10): what the injector does to a sensor
+/// read or an actuation. Controller-process crashes are not a kind: they
+/// are invocation indices in [`FaultPlan::crashes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Sensor latches its current value for a drawn duration.
@@ -68,14 +70,6 @@ pub enum FaultKind {
     HotplugIgnored,
     /// The whole actuation is applied one controller period late.
     ActuationLag,
-    /// The controller process dies at the start of invocation `at_step`
-    /// (counted in completed controller invocations). Injected by the
-    /// runtime loop — the board itself never panics — and recovered by
-    /// `Experiment::run_recoverable`.
-    Crash {
-        /// Invocation index at which the crash fires.
-        at_step: u64,
-    },
 }
 
 impl FaultKind {
@@ -90,22 +84,8 @@ impl FaultKind {
             FaultKind::DvfsRejected => "dvfs_rejected",
             FaultKind::HotplugIgnored => "hotplug_ignored",
             FaultKind::ActuationLag => "actuation_lag",
-            FaultKind::Crash { .. } => "crash",
         }
     }
-
-    /// Every sensor/actuator kind, in taxonomy order. Crashes are not
-    /// listed: they target the controller process, not a board channel.
-    pub const ALL: [FaultKind; 8] = [
-        FaultKind::StuckAt,
-        FaultKind::DroppedSample,
-        FaultKind::Spike,
-        FaultKind::BiasNoise,
-        FaultKind::DelayedRead,
-        FaultKind::DvfsRejected,
-        FaultKind::HotplugIgnored,
-        FaultKind::ActuationLag,
-    ];
 }
 
 /// A fault forced on for a time window, independent of the probabilistic
@@ -122,38 +102,25 @@ pub struct ScheduledFault {
     pub t_end: f64,
 }
 
-/// Per-read/per-actuation fault probabilities, all scaled by a single
-/// severity knob in `[0, 1]`.
+/// A seeded fault stream: per-class rates scaled by a single severity
+/// knob in `[0, 1]`, forced windows, correlated bursts, and the
+/// controller-process crash points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// RNG seed for the (plant-independent) fault stream.
     pub seed: u64,
     /// Master severity in `[0, 1]`; `0.0` injects nothing.
     pub severity: f64,
-    /// Probability per sensor read of entering a stuck-at episode
-    /// (before severity scaling).
-    pub p_stuck: f64,
-    /// Probability per sensor read of a dropped sample.
-    pub p_drop: f64,
-    /// Probability per sensor read of a spike/outlier.
-    pub p_spike: f64,
     /// Magnitude of the persistent sensor bias at severity 1, as a
     /// fraction of the channel's full scale; also scales the read noise.
     pub bias_frac: f64,
-    /// Probability per sensor read of serving a delayed (stale) value.
-    pub p_delay: f64,
-    /// Probability per actuation of a rejected DVFS transition.
-    pub p_dvfs_reject: f64,
-    /// Probability per actuation of an ignored hotplug request.
-    pub p_hotplug_ignore: f64,
-    /// Probability per actuation of one-period actuation lag.
-    pub p_act_lag: f64,
     /// Deterministically scheduled fault windows.
     pub schedule: Vec<ScheduledFault>,
-    /// Controller-process crash points ([`FaultKind::Crash`] entries).
-    /// Consumed by the runtime loop, never by the board's injector, so
-    /// adding crashes never perturbs the sensor/actuator fault stream.
-    pub crashes: Vec<FaultKind>,
+    /// Controller-process crash points: the invocation indices at whose
+    /// start the runtime loop kills the controller process, kept sorted and
+    /// free of duplicates by [`FaultPlan::with_crash`]. The injector never
+    /// reads them, so crashes never perturb the sensor/actuator faults.
+    pub crashes: Vec<u64>,
     /// Number of correlated burst windows: seeded intervals during which
     /// *all three* sensor channels latch together, the failure mode that
     /// drives the supervisor's Fallback→Safe escalation. Zero disables
@@ -178,14 +145,7 @@ impl FaultPlan {
         FaultPlan {
             seed,
             severity: severity.clamp(0.0, 1.0),
-            p_stuck: 0.02,
-            p_drop: 0.05,
-            p_spike: 0.05,
             bias_frac: 0.10,
-            p_delay: 0.08,
-            p_dvfs_reject: 0.10,
-            p_hotplug_ignore: 0.10,
-            p_act_lag: 0.08,
             schedule: Vec::new(),
             crashes: Vec::new(),
             n_bursts: 0,
@@ -202,22 +162,19 @@ impl FaultPlan {
 
     /// Adds a controller-process crash at invocation `at_step`.
     pub fn with_crash(mut self, at_step: u64) -> Self {
-        self.crashes.push(FaultKind::Crash { at_step });
+        if let Err(i) = self.crashes.binary_search(&at_step) {
+            self.crashes.insert(i, at_step);
+        }
         self
     }
 
     /// Enables `n` correlated burst windows of `secs` seconds each, with
-    /// starts drawn from the plan's seeded RNG within `[0, burst_region)`.
-    pub fn with_bursts(mut self, n: u32, secs: f64) -> Self {
+    /// starts drawn from the plan's seeded RNG within `[0, region)` (a
+    /// negative region counts as 0).
+    pub fn with_bursts(mut self, n: u32, secs: f64, region: f64) -> Self {
         self.n_bursts = n;
         self.burst_secs = secs;
-        self
-    }
-
-    /// Restricts burst-window starts to `[0, secs)` — useful for short
-    /// runs where the default 600 s region would rarely land a window.
-    pub fn with_burst_region(mut self, secs: f64) -> Self {
-        self.burst_region = secs.max(0.0);
+        self.burst_region = region.max(0.0);
         self
     }
 
@@ -229,19 +186,30 @@ impl FaultPlan {
         self
     }
 
-    /// The planned crash points, sorted and deduplicated.
-    pub fn crash_steps(&self) -> Vec<u64> {
-        let mut steps: Vec<u64> = self
-            .crashes
+    /// The planned crash points, soonest first.
+    pub fn crash_steps(&self) -> &[u64] {
+        &self.crashes
+    }
+
+    /// Whether a scheduled window forces `kind` on `channel` at `time`.
+    fn scheduled(&self, time: f64, kind: FaultKind, channel: FaultChannel) -> bool {
+        self.schedule
             .iter()
-            .filter_map(|k| match k {
-                FaultKind::Crash { at_step } => Some(*at_step),
-                _ => None,
-            })
-            .collect();
-        steps.sort_unstable();
-        steps.dedup();
-        steps
+            .any(|s| s.kind == kind && s.channel == channel && s.t_start <= time && time < s.t_end)
+    }
+
+    /// Whether fault class `kind` fires on `channel` at `time`: its seeded
+    /// `draw` lands under the severity-scaled `rate`, or a scheduled
+    /// window forces it.
+    fn fires(
+        &self,
+        time: f64,
+        kind: FaultKind,
+        channel: FaultChannel,
+        draw: f64,
+        rate: f64,
+    ) -> bool {
+        (self.severity > 0.0 && draw < self.severity * rate) || self.scheduled(time, kind, channel)
     }
 }
 
@@ -287,10 +255,52 @@ impl FaultStats {
     pub fn total(&self) -> u64 {
         self.sensor_faults + self.dvfs_rejections + self.hotplug_ignored + self.actuation_lags
     }
+
+    /// Counts one injected fault of `kind`: a sensor class's read in
+    /// `sensor_faults`, and the class's own counter on an `onset` — a read
+    /// served by a stuck-at latch or burst already entered starts nothing.
+    fn count(&mut self, kind: FaultKind, onset: bool) {
+        let (class, sensor) = match kind {
+            FaultKind::StuckAt => (&mut self.stuck_episodes, true),
+            FaultKind::DroppedSample => (&mut self.dropped_samples, true),
+            FaultKind::Spike => (&mut self.spikes, true),
+            FaultKind::DelayedRead => (&mut self.delayed_reads, true),
+            FaultKind::DvfsRejected => (&mut self.dvfs_rejections, false),
+            FaultKind::HotplugIgnored => (&mut self.hotplug_ignored, false),
+            FaultKind::ActuationLag => (&mut self.actuation_lags, false),
+            // Bias and noise are persistent: corrupted reads, no episodes.
+            FaultKind::BiasNoise => {
+                self.sensor_faults += 1;
+                return;
+            }
+        };
+        if onset {
+            *class += 1;
+        }
+        if sensor {
+            self.sensor_faults += 1;
+        }
+    }
 }
 
+/// Probability per sensor read of entering a stuck-at episode
+/// (before severity scaling).
+const P_STUCK: f64 = 0.02;
+/// Probability per sensor read of a dropped sample.
+const P_DROP: f64 = 0.05;
+/// Probability per sensor read of a spike/outlier.
+const P_SPIKE: f64 = 0.05;
+/// Probability per sensor read of serving a delayed (stale) value.
+const P_DELAY: f64 = 0.08;
+/// Probability per actuation of a rejected DVFS transition.
+const P_DVFS_REJECT: f64 = 0.10;
+/// Probability per actuation of an ignored hotplug request.
+const P_HOTPLUG_IGNORE: f64 = 0.10;
+/// Probability per actuation of one-period actuation lag.
+const P_ACT_LAG: f64 = 0.08;
+
 /// Per-sensor corruption state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct SensorState {
     /// Stuck-at latch: `Some((held_value, release_time))`.
     stuck_until: Option<(f64, f64)>,
@@ -307,11 +317,8 @@ struct SensorState {
 impl SensorState {
     fn new(bias: f64) -> Self {
         SensorState {
-            stuck_until: None,
             bias,
-            last_served: 0.0,
-            burst_hold: None,
-            history: Vec::new(),
+            ..Default::default()
         }
     }
 
@@ -336,20 +343,33 @@ impl SensorState {
 /// Cap on the recorded fault trace; counters keep counting past it.
 const TRACE_CAP: usize = 100_000;
 
-fn push_event(
-    trace: &mut Vec<FaultEvent>,
-    time: f64,
-    kind: FaultKind,
-    channel: FaultChannel,
-    value: f64,
-) {
-    if trace.len() < TRACE_CAP {
-        trace.push(FaultEvent {
-            time,
-            kind,
-            channel,
-            value: if value.is_finite() { value } else { 0.0 },
-        });
+/// What an injector has injected: the counters and the capped trace.
+#[derive(Debug, Clone, Default)]
+struct Log {
+    stats: FaultStats,
+    trace: Vec<FaultEvent>,
+}
+
+impl Log {
+    /// Records one injected fault in the counters ([`FaultStats::count`])
+    /// and, below [`TRACE_CAP`], in the trace (a non-finite value as 0).
+    fn record(
+        &mut self,
+        time: f64,
+        kind: FaultKind,
+        channel: FaultChannel,
+        value: f64,
+        onset: bool,
+    ) {
+        self.stats.count(kind, onset);
+        if self.trace.len() < TRACE_CAP {
+            self.trace.push(FaultEvent {
+                time,
+                kind,
+                channel,
+                value: if value.is_finite() { value } else { 0.0 },
+            });
+        }
     }
 }
 
@@ -373,8 +393,7 @@ pub struct FaultInjector {
     /// Index of the burst window most recently entered, so each window
     /// increments [`FaultStats::burst_windows`] exactly once.
     last_burst: Option<usize>,
-    stats: FaultStats,
-    trace: Vec<FaultEvent>,
+    log: Log,
 }
 
 impl FaultInjector {
@@ -411,37 +430,23 @@ impl FaultInjector {
             lagged: None,
             bursts,
             last_burst: None,
-            stats: FaultStats::default(),
-            trace: Vec::new(),
+            log: Log::default(),
         }
-    }
-
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Aggregate injection counters so far.
     pub fn stats(&self) -> FaultStats {
-        self.stats
+        self.log.stats
     }
 
     /// The recorded fault trace (capped at 100 000 events).
     pub fn trace(&self) -> &[FaultEvent] {
-        &self.trace
-    }
-
-    fn scheduled(&self, time: f64, kind: FaultKind, channel: FaultChannel) -> bool {
-        self.plan
-            .schedule
-            .iter()
-            .any(|s| s.kind == kind && s.channel == channel && s.t_start <= time && time < s.t_end)
+        &self.log.trace
     }
 
     /// Corrupts one sensor read. `scale` is the channel's full-scale value
     /// (sets spike floors and bias/noise magnitude).
     fn filter_sensor(&mut self, channel: FaultChannel, time: f64, truth: f64, scale: f64) -> f64 {
-        let sev = self.plan.severity;
         // Always consume the same number of draws per read so one fault
         // class firing never shifts the stream seen by the others.
         let d_stuck = self.rng.next_f64();
@@ -452,118 +457,87 @@ impl FaultInjector {
         let d_delay = self.rng.next_f64();
         let d_noise = self.rng.gen_range(-1.0..=1.0);
 
-        let sched_stuck = self.scheduled(time, FaultKind::StuckAt, channel);
-        let sched_drop = self.scheduled(time, FaultKind::DroppedSample, channel);
-        let sched_spike = self.scheduled(time, FaultKind::Spike, channel);
-        let sched_delay = self.scheduled(time, FaultKind::DelayedRead, channel);
-        let sched_bias = self.scheduled(time, FaultKind::BiasNoise, channel);
-        let (p_stuck, p_drop, p_spike, p_delay, bias_frac) = (
-            self.plan.p_stuck,
-            self.plan.p_drop,
-            self.plan.p_spike,
-            self.plan.p_delay,
-            self.plan.bias_frac,
-        );
-
         let burst = self
             .bursts
             .iter()
-            .enumerate()
-            .find(|(_, (start, end))| *start <= time && time < *end)
-            .map(|(i, _)| i);
-
+            .position(|&(start, end)| start <= time && time < end);
         // Disjoint field borrows: `state` aliases one sensor field while
-        // stats/trace are touched directly.
-        let stats = &mut self.stats;
-        let trace = &mut self.trace;
-        let last_burst = &mut self.last_burst;
+        // the plan and the log are touched directly.
+        let plan = &self.plan;
+        let fires = |kind, draw, rate| plan.fires(time, kind, channel, draw, rate);
+        let log = &mut self.log;
         let state = match channel {
             FaultChannel::PowerBig => &mut self.power_big,
             FaultChannel::PowerLittle => &mut self.power_little,
             _ => &mut self.temp,
         };
         state.remember(time, truth);
-        let prev_served = state.last_served;
 
         // A correlated burst overrides the independent draws (which were
         // already consumed above, keeping the stream aligned): every
         // channel latches the first value it serves inside the window, so
         // the supervisor's watchdogs see all sensors go stuck together.
-        if let Some(idx) = burst {
-            if *last_burst != Some(idx) {
-                *last_burst = Some(idx);
-                stats.burst_windows += 1;
+        // Outside a burst an active stuck-at latch overrides everything
+        // else, and a fresh stuck-at episode latches the truth.
+        let stuck = if let Some(idx) = burst {
+            if self.last_burst != Some(idx) {
+                self.last_burst = Some(idx);
+                log.stats.burst_windows += 1;
             }
-            let held = match state.burst_hold {
-                Some(h) => h,
-                None => {
-                    state.burst_hold = Some(truth);
-                    truth
+            Some((*state.burst_hold.get_or_insert(truth), false))
+        } else {
+            state.burst_hold = None;
+            match state.stuck_until {
+                Some((held, until)) if time < until => Some((held, false)),
+                _ if fires(FaultKind::StuckAt, d_stuck, P_STUCK) => {
+                    state.stuck_until = Some((truth, time + d_stuck_len));
+                    Some((truth, true))
                 }
-            };
+                _ => {
+                    state.stuck_until = None;
+                    None
+                }
+            }
+        };
+        if let Some((held, onset)) = stuck {
             state.last_served = held;
-            stats.sensor_faults += 1;
-            push_event(trace, time, FaultKind::StuckAt, channel, held);
+            log.record(time, FaultKind::StuckAt, channel, held, onset);
             return held;
         }
-        state.burst_hold = None;
 
-        // An active stuck-at latch overrides everything else.
-        if let Some((held, until)) = state.stuck_until {
-            if time < until {
-                state.last_served = held;
-                stats.sensor_faults += 1;
-                push_event(trace, time, FaultKind::StuckAt, channel, held);
-                return held;
-            }
-            state.stuck_until = None;
-        }
-        if (sev > 0.0 && d_stuck < sev * p_stuck) || sched_stuck {
-            state.stuck_until = Some((truth, time + d_stuck_len));
-            state.last_served = truth;
-            stats.stuck_episodes += 1;
-            stats.sensor_faults += 1;
-            push_event(trace, time, FaultKind::StuckAt, channel, truth);
-            return truth;
-        }
-
+        // At most one of a dropped sample, a spike and a delayed read, in
+        // that order of precedence.
+        let onset = if fires(FaultKind::DroppedSample, d_drop, P_DROP) {
+            Some((FaultKind::DroppedSample, state.last_served))
+        } else if fires(FaultKind::Spike, d_spike, P_SPIKE) {
+            Some((FaultKind::Spike, truth * d_spike_mag + 0.5 * scale))
+        } else if fires(FaultKind::DelayedRead, d_delay, P_DELAY) {
+            state
+                .delayed(time, 0.5)
+                .map(|stale| (FaultKind::DelayedRead, stale))
+        } else {
+            None
+        };
         let mut value = truth;
-        let mut faulted = false;
-        if (sev > 0.0 && d_drop < sev * p_drop) || sched_drop {
-            value = prev_served;
-            faulted = true;
-            stats.dropped_samples += 1;
-            stats.sensor_faults += 1;
-            push_event(trace, time, FaultKind::DroppedSample, channel, value);
-        } else if (sev > 0.0 && d_spike < sev * p_spike) || sched_spike {
-            value = truth * d_spike_mag + 0.5 * scale;
-            faulted = true;
-            stats.spikes += 1;
-            stats.sensor_faults += 1;
-            push_event(trace, time, FaultKind::Spike, channel, value);
-        } else if (sev > 0.0 && d_delay < sev * p_delay) || sched_delay {
-            if let Some(stale) = state.delayed(time, 0.5) {
-                value = stale;
-                faulted = true;
-                stats.delayed_reads += 1;
-                stats.sensor_faults += 1;
-                push_event(trace, time, FaultKind::DelayedRead, channel, value);
-            }
+        if let Some((kind, faulted)) = onset {
+            value = faulted;
+            log.record(time, kind, channel, value, true);
         }
         // Persistent bias + read noise ride on top of whatever happened.
         // A scheduled BiasNoise window adds a deterministic full-severity
         // bias (plus the read noise, whose draw is consumed every read
         // anyway), so bias onsets can be placed at exact times even in
         // otherwise fault-free plans without shifting the RNG stream.
+        let (sev, bias_frac) = (plan.severity, plan.bias_frac);
+        let sched_bias = plan.scheduled(time, FaultKind::BiasNoise, channel);
         if (sev > 0.0 && bias_frac > 0.0) || sched_bias {
             let window_bias = if sched_bias { bias_frac * scale } else { 0.0 };
             let noise_sev = if sched_bias { sev.max(1.0) } else { sev };
             let noisy =
                 value + state.bias + window_bias + noise_sev * bias_frac * scale * 0.25 * d_noise;
             if noisy != value {
-                if !faulted {
-                    stats.sensor_faults += 1;
-                    push_event(trace, time, FaultKind::BiasNoise, channel, noisy);
+                if onset.is_none() {
+                    log.record(time, FaultKind::BiasNoise, channel, noisy, true);
                 }
                 value = noisy;
             }
@@ -595,28 +569,22 @@ impl FaultInjector {
         time: f64,
         act: &crate::board::Actuation,
     ) -> crate::board::Actuation {
-        let sev = self.plan.severity;
+        use FaultChannel::{Dvfs, Hotplug};
+        use FaultKind::{ActuationLag, DvfsRejected, HotplugIgnored};
         let d_reject = self.rng.next_f64();
         let d_ignore = self.rng.next_f64();
         let d_lag = self.rng.next_f64();
+        let plan = &self.plan;
+        let fires = |kind, channel, draw, rate| plan.fires(time, kind, channel, draw, rate);
+        let mut record = |kind, channel, value| self.log.record(time, kind, channel, value, true);
         let mut act = *act;
 
         // Lag: hold this request back; the previously held one (if any)
         // lands now, one controller period late.
-        if (sev > 0.0 && d_lag < sev * self.plan.p_act_lag)
-            || self.scheduled(time, FaultKind::ActuationLag, FaultChannel::Actuation)
-        {
-            self.stats.actuation_lags += 1;
-            push_event(
-                &mut self.trace,
-                time,
-                FaultKind::ActuationLag,
-                FaultChannel::Actuation,
-                act.f_big.unwrap_or(0.0),
-            );
-            let held = self.lagged.take();
-            self.lagged = Some(act);
-            act = held.unwrap_or_default();
+        if fires(ActuationLag, FaultChannel::Actuation, d_lag, P_ACT_LAG) {
+            let f_big = act.f_big.unwrap_or(0.0);
+            record(ActuationLag, FaultChannel::Actuation, f_big);
+            act = self.lagged.replace(act).unwrap_or_default();
         } else if let Some(held) = self.lagged.take() {
             // A previously lagged request finally lands, merged under the
             // fresh one (fresh fields win, like repeated sysfs writes).
@@ -628,34 +596,18 @@ impl FaultInjector {
                 placement: act.placement.or(held.placement),
             };
         }
-        if (sev > 0.0 && d_reject < sev * self.plan.p_dvfs_reject)
-            || self.scheduled(time, FaultKind::DvfsRejected, FaultChannel::Dvfs)
-        {
+        // A rejected or ignored knob is recorded only if it was requested.
+        if fires(DvfsRejected, Dvfs, d_reject, P_DVFS_REJECT) {
             if act.f_big.is_some() || act.f_little.is_some() {
-                self.stats.dvfs_rejections += 1;
-                push_event(
-                    &mut self.trace,
-                    time,
-                    FaultKind::DvfsRejected,
-                    FaultChannel::Dvfs,
-                    act.f_big.unwrap_or(0.0),
-                );
+                record(DvfsRejected, Dvfs, act.f_big.unwrap_or(0.0));
             }
             act.f_big = None;
             act.f_little = None;
         }
-        if (sev > 0.0 && d_ignore < sev * self.plan.p_hotplug_ignore)
-            || self.scheduled(time, FaultKind::HotplugIgnored, FaultChannel::Hotplug)
-        {
+        if fires(HotplugIgnored, Hotplug, d_ignore, P_HOTPLUG_IGNORE) {
             if act.big_cores.is_some() || act.little_cores.is_some() {
-                self.stats.hotplug_ignored += 1;
-                push_event(
-                    &mut self.trace,
-                    time,
-                    FaultKind::HotplugIgnored,
-                    FaultChannel::Hotplug,
-                    act.big_cores.map(|c| c as f64).unwrap_or(0.0),
-                );
+                let big_cores = act.big_cores.map_or(0.0, |c| c as f64);
+                record(HotplugIgnored, Hotplug, big_cores);
             }
             act.big_cores = None;
             act.little_cores = None;
@@ -664,9 +616,303 @@ impl FaultInjector {
     }
 }
 
+/// The injector written out class by class: one hand-written trigger and
+/// one counter/event update per class, the rates as fields. The property
+/// test `injector_matches_reference` pins the shipped injector to it bit
+/// for bit.
+#[cfg(test)]
+mod reference {
+    use super::{FaultChannel, FaultEvent, FaultKind, FaultPlan, FaultStats, SensorState};
+    use crate::board::Actuation;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    const TRACE_CAP: usize = 100_000;
+
+    fn push_event(
+        trace: &mut Vec<FaultEvent>,
+        time: f64,
+        kind: FaultKind,
+        channel: FaultChannel,
+        value: f64,
+    ) {
+        if trace.len() < TRACE_CAP {
+            trace.push(FaultEvent {
+                time,
+                kind,
+                channel,
+                value: if value.is_finite() { value } else { 0.0 },
+            });
+        }
+    }
+
+    pub(super) struct Injector {
+        plan: FaultPlan,
+        p_stuck: f64,
+        p_drop: f64,
+        p_spike: f64,
+        p_delay: f64,
+        p_dvfs_reject: f64,
+        p_hotplug_ignore: f64,
+        p_act_lag: f64,
+        pub(super) rng: StdRng,
+        power_big: SensorState,
+        power_little: SensorState,
+        temp: SensorState,
+        lagged: Option<Actuation>,
+        bursts: Vec<(f64, f64)>,
+        last_burst: Option<usize>,
+        pub(super) stats: FaultStats,
+        pub(super) trace: Vec<FaultEvent>,
+    }
+
+    impl Injector {
+        pub(super) fn new(plan: FaultPlan) -> Self {
+            let mut rng = StdRng::seed_from_u64(plan.seed ^ 0xFA17_FA17_FA17_FA17);
+            let sev = plan.severity;
+            let mut bias = |scale: f64| -> f64 {
+                if plan.bias_frac > 0.0 && sev > 0.0 {
+                    sev * plan.bias_frac * scale * rng.gen_range(-1.0..=1.0)
+                } else {
+                    0.0
+                }
+            };
+            let power_big = SensorState::new(bias(4.0));
+            let power_little = SensorState::new(bias(0.4));
+            let temp = SensorState::new(bias(60.0));
+            let mut bursts = Vec::new();
+            if plan.n_bursts > 0 && plan.burst_secs > 0.0 {
+                let region = plan.burst_region.max(f64::MIN_POSITIVE);
+                for _ in 0..plan.n_bursts {
+                    let start = rng.gen_range(0.0..region);
+                    bursts.push((start, start + plan.burst_secs));
+                }
+            }
+            Injector {
+                plan,
+                p_stuck: 0.02,
+                p_drop: 0.05,
+                p_spike: 0.05,
+                p_delay: 0.08,
+                p_dvfs_reject: 0.10,
+                p_hotplug_ignore: 0.10,
+                p_act_lag: 0.08,
+                rng,
+                power_big,
+                power_little,
+                temp,
+                lagged: None,
+                bursts,
+                last_burst: None,
+                stats: FaultStats::default(),
+                trace: Vec::new(),
+            }
+        }
+
+        fn scheduled(&self, time: f64, kind: FaultKind, channel: FaultChannel) -> bool {
+            self.plan.schedule.iter().any(|s| {
+                s.kind == kind && s.channel == channel && s.t_start <= time && time < s.t_end
+            })
+        }
+
+        pub(super) fn filter_sensor(
+            &mut self,
+            channel: FaultChannel,
+            time: f64,
+            truth: f64,
+            scale: f64,
+        ) -> f64 {
+            let sev = self.plan.severity;
+            let d_stuck = self.rng.next_f64();
+            let d_stuck_len = self.rng.gen_range(1.0..=5.0);
+            let d_drop = self.rng.next_f64();
+            let d_spike = self.rng.next_f64();
+            let d_spike_mag = self.rng.gen_range(1.5..=6.0);
+            let d_delay = self.rng.next_f64();
+            let d_noise = self.rng.gen_range(-1.0..=1.0);
+
+            let sched_stuck = self.scheduled(time, FaultKind::StuckAt, channel);
+            let sched_drop = self.scheduled(time, FaultKind::DroppedSample, channel);
+            let sched_spike = self.scheduled(time, FaultKind::Spike, channel);
+            let sched_delay = self.scheduled(time, FaultKind::DelayedRead, channel);
+            let sched_bias = self.scheduled(time, FaultKind::BiasNoise, channel);
+            let (p_stuck, p_drop, p_spike, p_delay, bias_frac) = (
+                self.p_stuck,
+                self.p_drop,
+                self.p_spike,
+                self.p_delay,
+                self.plan.bias_frac,
+            );
+
+            let burst = self
+                .bursts
+                .iter()
+                .enumerate()
+                .find(|(_, (start, end))| *start <= time && time < *end)
+                .map(|(i, _)| i);
+
+            let stats = &mut self.stats;
+            let trace = &mut self.trace;
+            let last_burst = &mut self.last_burst;
+            let state = match channel {
+                FaultChannel::PowerBig => &mut self.power_big,
+                FaultChannel::PowerLittle => &mut self.power_little,
+                _ => &mut self.temp,
+            };
+            state.remember(time, truth);
+            let prev_served = state.last_served;
+
+            if let Some(idx) = burst {
+                if *last_burst != Some(idx) {
+                    *last_burst = Some(idx);
+                    stats.burst_windows += 1;
+                }
+                let held = match state.burst_hold {
+                    Some(h) => h,
+                    None => {
+                        state.burst_hold = Some(truth);
+                        truth
+                    }
+                };
+                state.last_served = held;
+                stats.sensor_faults += 1;
+                push_event(trace, time, FaultKind::StuckAt, channel, held);
+                return held;
+            }
+            state.burst_hold = None;
+
+            if let Some((held, until)) = state.stuck_until {
+                if time < until {
+                    state.last_served = held;
+                    stats.sensor_faults += 1;
+                    push_event(trace, time, FaultKind::StuckAt, channel, held);
+                    return held;
+                }
+                state.stuck_until = None;
+            }
+            if (sev > 0.0 && d_stuck < sev * p_stuck) || sched_stuck {
+                state.stuck_until = Some((truth, time + d_stuck_len));
+                state.last_served = truth;
+                stats.stuck_episodes += 1;
+                stats.sensor_faults += 1;
+                push_event(trace, time, FaultKind::StuckAt, channel, truth);
+                return truth;
+            }
+
+            let mut value = truth;
+            let mut faulted = false;
+            if (sev > 0.0 && d_drop < sev * p_drop) || sched_drop {
+                value = prev_served;
+                faulted = true;
+                stats.dropped_samples += 1;
+                stats.sensor_faults += 1;
+                push_event(trace, time, FaultKind::DroppedSample, channel, value);
+            } else if (sev > 0.0 && d_spike < sev * p_spike) || sched_spike {
+                value = truth * d_spike_mag + 0.5 * scale;
+                faulted = true;
+                stats.spikes += 1;
+                stats.sensor_faults += 1;
+                push_event(trace, time, FaultKind::Spike, channel, value);
+            } else if (sev > 0.0 && d_delay < sev * p_delay) || sched_delay {
+                if let Some(stale) = state.delayed(time, 0.5) {
+                    value = stale;
+                    faulted = true;
+                    stats.delayed_reads += 1;
+                    stats.sensor_faults += 1;
+                    push_event(trace, time, FaultKind::DelayedRead, channel, value);
+                }
+            }
+            if (sev > 0.0 && bias_frac > 0.0) || sched_bias {
+                let window_bias = if sched_bias { bias_frac * scale } else { 0.0 };
+                let noise_sev = if sched_bias { sev.max(1.0) } else { sev };
+                let noisy = value
+                    + state.bias
+                    + window_bias
+                    + noise_sev * bias_frac * scale * 0.25 * d_noise;
+                if noisy != value {
+                    if !faulted {
+                        stats.sensor_faults += 1;
+                        push_event(trace, time, FaultKind::BiasNoise, channel, noisy);
+                    }
+                    value = noisy;
+                }
+            }
+            state.last_served = value;
+            value
+        }
+
+        pub(super) fn filter_actuation(&mut self, time: f64, act: &Actuation) -> Actuation {
+            let sev = self.plan.severity;
+            let d_reject = self.rng.next_f64();
+            let d_ignore = self.rng.next_f64();
+            let d_lag = self.rng.next_f64();
+            let mut act = *act;
+
+            if (sev > 0.0 && d_lag < sev * self.p_act_lag)
+                || self.scheduled(time, FaultKind::ActuationLag, FaultChannel::Actuation)
+            {
+                self.stats.actuation_lags += 1;
+                push_event(
+                    &mut self.trace,
+                    time,
+                    FaultKind::ActuationLag,
+                    FaultChannel::Actuation,
+                    act.f_big.unwrap_or(0.0),
+                );
+                let held = self.lagged.take();
+                self.lagged = Some(act);
+                act = held.unwrap_or_default();
+            } else if let Some(held) = self.lagged.take() {
+                act = Actuation {
+                    f_big: act.f_big.or(held.f_big),
+                    f_little: act.f_little.or(held.f_little),
+                    big_cores: act.big_cores.or(held.big_cores),
+                    little_cores: act.little_cores.or(held.little_cores),
+                    placement: act.placement.or(held.placement),
+                };
+            }
+            if (sev > 0.0 && d_reject < sev * self.p_dvfs_reject)
+                || self.scheduled(time, FaultKind::DvfsRejected, FaultChannel::Dvfs)
+            {
+                if act.f_big.is_some() || act.f_little.is_some() {
+                    self.stats.dvfs_rejections += 1;
+                    push_event(
+                        &mut self.trace,
+                        time,
+                        FaultKind::DvfsRejected,
+                        FaultChannel::Dvfs,
+                        act.f_big.unwrap_or(0.0),
+                    );
+                }
+                act.f_big = None;
+                act.f_little = None;
+            }
+            if (sev > 0.0 && d_ignore < sev * self.p_hotplug_ignore)
+                || self.scheduled(time, FaultKind::HotplugIgnored, FaultChannel::Hotplug)
+            {
+                if act.big_cores.is_some() || act.little_cores.is_some() {
+                    self.stats.hotplug_ignored += 1;
+                    push_event(
+                        &mut self.trace,
+                        time,
+                        FaultKind::HotplugIgnored,
+                        FaultChannel::Hotplug,
+                        act.big_cores.map(|c| c as f64).unwrap_or(0.0),
+                    );
+                }
+                act.big_cores = None;
+                act.little_cores = None;
+            }
+            act
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::board::{Actuation, Placement};
+    use proptest::prelude::*;
 
     fn read_n(inj: &mut FaultInjector, n: usize, truth: f64) -> Vec<f64> {
         (0..n)
@@ -832,8 +1078,7 @@ mod tests {
             .with_crash(40)
             .with_crash(12)
             .with_crash(40);
-        assert_eq!(plan.crash_steps(), vec![12, 40]);
-        assert_eq!(FaultKind::Crash { at_step: 12 }.label(), "crash");
+        assert_eq!(plan.crash_steps(), &[12, 40]);
     }
 
     #[test]
@@ -851,9 +1096,7 @@ mod tests {
 
     #[test]
     fn correlated_burst_latches_all_sensors_together() {
-        let plan = FaultPlan::uniform(21, 0.0)
-            .with_bursts(1, 5.0)
-            .with_burst_region(1.0);
+        let plan = FaultPlan::uniform(21, 0.0).with_bursts(1, 5.0, 1.0);
         let mut inj = FaultInjector::new(plan);
         // First read inside the window latches each channel's truth...
         assert_eq!(inj.filter_power_big(1.0, 2.0), 2.0);
@@ -876,9 +1119,7 @@ mod tests {
     #[test]
     fn burst_plans_are_deterministic() {
         let run = || {
-            let plan = FaultPlan::uniform(17, 0.6)
-                .with_bursts(3, 4.0)
-                .with_burst_region(100.0);
+            let plan = FaultPlan::uniform(17, 0.6).with_bursts(3, 4.0, 100.0);
             let mut inj = FaultInjector::new(plan);
             let vals = read_n(&mut inj, 300, 2.5);
             (vals, inj.stats(), inj.trace().to_vec())
@@ -896,10 +1137,10 @@ mod tests {
     #[test]
     fn degenerate_burst_configs_stay_inactive() {
         for plan in [
-            FaultPlan::uniform(9, 0.0).with_bursts(0, 5.0),
-            FaultPlan::uniform(9, 0.0).with_bursts(2, 0.0),
+            FaultPlan::uniform(9, 0.0).with_bursts(0, 5.0, 1.0),
+            FaultPlan::uniform(9, 0.0).with_bursts(2, 0.0, 1.0),
         ] {
-            let mut inj = FaultInjector::new(plan.with_burst_region(1.0));
+            let mut inj = FaultInjector::new(plan);
             for v in read_n(&mut inj, 20, 2.5) {
                 assert_eq!(v.to_bits(), 2.5f64.to_bits());
             }
@@ -918,5 +1159,131 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.total(), 10);
+    }
+
+    const KINDS: [FaultKind; 8] = [
+        FaultKind::StuckAt,
+        FaultKind::DroppedSample,
+        FaultKind::Spike,
+        FaultKind::BiasNoise,
+        FaultKind::DelayedRead,
+        FaultKind::DvfsRejected,
+        FaultKind::HotplugIgnored,
+        FaultKind::ActuationLag,
+    ];
+
+    const CHANNELS: [FaultChannel; 6] = [
+        FaultChannel::PowerBig,
+        FaultChannel::PowerLittle,
+        FaultChannel::Temp,
+        FaultChannel::Dvfs,
+        FaultChannel::Hotplug,
+        FaultChannel::Actuation,
+    ];
+
+    /// Plans at severity 0, a random severity and 1, with random bias,
+    /// scheduled windows of any kind on any channel, and bursts on or off.
+    fn plans() -> impl Strategy<Value = FaultPlan> {
+        let severity = prop_oneof![Just(0.0), 0.0..1.0f64, Just(1.0)];
+        let bias_frac = prop_oneof![Just(0.10), Just(0.0), 0.0..0.5f64];
+        let window = (0usize..8, 0usize..6, 0.0..40.0f64, 0.0..8.0f64).prop_map(
+            |(kind, channel, t_start, len)| ScheduledFault {
+                kind: KINDS[kind],
+                channel: CHANNELS[channel],
+                t_start,
+                t_end: t_start + len,
+            },
+        );
+        let bursts = prop_oneof![
+            Just((0u32, 0.0, 600.0)),
+            (1u32..4, 0.0..10.0f64, 0.0..40.0f64),
+        ];
+        (
+            0u64..u64::MAX,
+            severity,
+            bias_frac,
+            prop::collection::vec(window, 0..16),
+            bursts,
+        )
+            .prop_map(|(seed, severity, bias_frac, schedule, (n, secs, region))| {
+                let mut plan = FaultPlan::uniform(seed, severity).with_bursts(n, secs, region);
+                plan.bias_frac = bias_frac;
+                plan.schedule = schedule;
+                plan
+            })
+    }
+
+    /// One call: a read of sensor 0..3 or an actuation (3), the time step
+    /// before it, the sensor truth (NaN and ±∞ included) and the request.
+    fn calls() -> impl Strategy<Value = Vec<(usize, f64, f64, Actuation)>> {
+        let dt = prop_oneof![Just(0.0), Just(0.5), 0.0..1.0f64];
+        let truth = prop_oneof![
+            8 => -5.0..90.0f64,
+            1 => Just(f64::NAN),
+            1 => Just(f64::INFINITY),
+            1 => Just(f64::NEG_INFINITY),
+        ];
+        let freq = || {
+            prop_oneof![
+                Just(None),
+                (0.2..2.0f64).prop_map(Some),
+                Just(Some(f64::NAN))
+            ]
+        };
+        let cores = || prop_oneof![Just(None), (1usize..5).prop_map(Some)];
+        let placement = prop_oneof![
+            Just(None),
+            (0usize..9, 1.0..2.0f64).prop_map(|(threads_big, packing)| Some(Placement {
+                threads_big,
+                packing_big: packing,
+                packing_little: packing,
+            })),
+        ];
+        let act = (freq(), freq(), cores(), cores(), placement).prop_map(
+            |(f_big, f_little, big_cores, little_cores, placement)| Actuation {
+                f_big,
+                f_little,
+                big_cores,
+                little_cores,
+                placement,
+            },
+        );
+        prop::collection::vec((0usize..4, dt, truth, act), 0..300)
+    }
+
+    fn event_bits(e: &FaultEvent) -> (u64, FaultKind, FaultChannel, u64) {
+        (e.time.to_bits(), e.kind, e.channel, e.value.to_bits())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The shipped injector serves, actuates, counts, traces and
+        /// leaves its RNG exactly as the reference does.
+        #[test]
+        fn injector_matches_reference(plan in plans(), calls in calls()) {
+            let mut new = FaultInjector::new(plan.clone());
+            let mut old = reference::Injector::new(plan);
+            let mut time = 0.0;
+            for (i, &(which, dt, truth, act)) in calls.iter().enumerate() {
+                time += dt;
+                if which == 3 {
+                    let (a, b) = (new.filter_actuation(time, &act), old.filter_actuation(time, &act));
+                    prop_assert_eq!(format!("{a:?}"), format!("{b:?}"), "actuation {}", i);
+                    continue;
+                }
+                let (channel, scale) = [
+                    (FaultChannel::PowerBig, 4.0),
+                    (FaultChannel::PowerLittle, 0.4),
+                    (FaultChannel::Temp, 60.0),
+                ][which];
+                let a = new.filter_sensor(channel, time, truth, scale);
+                let b = old.filter_sensor(channel, time, truth, scale);
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "read {}", i);
+            }
+            prop_assert_eq!(new.stats(), old.stats);
+            prop_assert!(new.trace().iter().map(event_bits).eq(old.trace.iter().map(event_bits)));
+            prop_assert_eq!(new.rng.next_u64(), old.rng.next_u64(), "next draw");
+        }
     }
 }

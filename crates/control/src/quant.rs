@@ -84,8 +84,7 @@ impl InputGrid {
             .expect("quantize returns a grid member")
     }
 
-    /// The largest gap between adjacent allowed values, used to size the
-    /// quantization-uncertainty guardband during synthesis.
+    /// The largest gap between adjacent allowed values.
     pub fn max_gap(&self) -> f64 {
         self.values
             .windows(2)

@@ -101,24 +101,11 @@ pub struct IdModel {
 /// # }
 /// ```
 pub fn fit_arx(u: &[Vec<f64>], y: &[Vec<f64>], config: SysIdConfig) -> Result<IdModel> {
-    let (phi, targets, ny, nu) = build_regression(u, y, config.na, config.nb)?;
-    let (phi_solve, targets_solve) = if config.ridge > 0.0 {
-        // Tikhonov: append sqrt(λ)·I rows so the normal equations become
-        // ΦᵀΦ + λI — always full rank.
-        let k = phi.cols();
-        let reg = Mat::identity(k).scale(config.ridge.sqrt());
-        (
-            Mat::vstack(&phi, &reg)?,
-            Mat::vstack(&targets, &Mat::zeros(k, targets.cols()))?,
-        )
-    } else {
-        (phi.clone(), targets.clone())
-    };
-    let theta_t =
-        lstsq(&phi_solve, &targets_solve).map_err(|_| Error::Singular { op: "fit_arx" })?;
+    let (phi, targets, n) = build_regression(u, y, config.na, config.nb, config.ridge)?;
+    let theta_t = lstsq(&phi, &targets).map_err(|_| Error::Singular { op: "fit_arx" })?;
     let theta = theta_t.t();
-    let fit = fit_scores(&phi, &theta_t, &targets);
-    let sys = realize_arx(&theta, ny, nu, config.na, config.nb)?;
+    let fit = fit_scores(&phi, &theta_t, &targets, n);
+    let sys = realize_arx(&theta, targets.cols(), u[0].len(), config.na, config.nb)?;
     Ok(IdModel {
         sys,
         fit,
@@ -127,14 +114,19 @@ pub fn fit_arx(u: &[Vec<f64>], y: &[Vec<f64>], config: SysIdConfig) -> Result<Id
     })
 }
 
-/// Builds the ARX regression: one row per usable sample, columns
-/// `[y(t−1) … y(t−na), u(t−1) … u(t−nb)]`.
+/// Builds the ARX regression `Φ θ ≈ T`: one row per usable sample,
+/// columns `[y(t−1) … y(t−na), u(t−1) … u(t−nb)]`, followed — for a
+/// positive Tikhonov `ridge` λ — by one row per column holding `√λ` on the
+/// diagonal and a zero target, so the normal equations become
+/// `ΦᵀΦ + λI`, always full rank. Returns `(Φ, T, samples)`, the sample
+/// rows first.
 fn build_regression(
     u: &[Vec<f64>],
     y: &[Vec<f64>],
     na: usize,
     nb: usize,
-) -> Result<(Mat, Mat, usize, usize)> {
+    ridge: f64,
+) -> Result<(Mat, Mat, usize)> {
     if u.len() != y.len() || u.is_empty() {
         return Err(Error::DimensionMismatch {
             op: "sysid_data",
@@ -155,8 +147,12 @@ fn build_regression(
     }
     let n_rows = t_total - lag;
     let n_cols = na * ny + nb * nu;
-    let mut phi = Mat::zeros(n_rows, n_cols);
-    let mut targets = Mat::zeros(n_rows, ny);
+    let ridge_rows = if ridge > 0.0 { n_cols } else { 0 };
+    let mut phi = Mat::zeros(n_rows + ridge_rows, n_cols);
+    let mut targets = Mat::zeros(n_rows + ridge_rows, ny);
+    for k in 0..ridge_rows {
+        phi[(n_rows + k, k)] = ridge.sqrt();
+    }
     for (row, t) in (lag..t_total).enumerate() {
         let mut col = 0;
         for k in 1..=na {
@@ -175,14 +171,14 @@ fn build_regression(
             targets[(row, j)] = y[t][j];
         }
     }
-    Ok((phi, targets, ny, nu))
+    Ok((phi, targets, n_rows))
 }
 
-/// Per-output fit score `1 − ‖e‖/‖y − ȳ‖`.
-fn fit_scores(phi: &Mat, theta_t: &Mat, targets: &Mat) -> Vec<f64> {
+/// Per-output fit score `1 − ‖e‖/‖y − ȳ‖` over the first `n` (sample)
+/// rows of the regression.
+fn fit_scores(phi: &Mat, theta_t: &Mat, targets: &Mat, n: usize) -> Vec<f64> {
     let pred = phi * theta_t;
     let ny = targets.cols();
-    let n = targets.rows();
     let mut out = Vec::with_capacity(ny);
     for j in 0..ny {
         let mean: f64 = (0..n).map(|i| targets[(i, j)]).sum::<f64>() / n as f64;
@@ -349,9 +345,9 @@ pub fn calibrate_dc_gains(sys: &StateSpace, measured_dc: &Mat) -> Result<StateSp
 /// Same data-shape failures as [`fit_arx`] (mismatched lengths, too few
 /// samples for the model's orders).
 pub fn validation_residual(u: &[Vec<f64>], y: &[Vec<f64>], model: &IdModel) -> Result<f64> {
-    let (phi, targets, ny, _) = build_regression(u, y, model.config.na, model.config.nb)?;
+    let (phi, targets, n) = build_regression(u, y, model.config.na, model.config.nb, 0.0)?;
     let pred = &phi * &model.theta.t();
-    let n = targets.rows();
+    let ny = targets.cols();
     let mut worst = 0.0f64;
     for j in 0..ny {
         let mean: f64 = (0..n).map(|i| targets[(i, j)]).sum::<f64>() / n as f64;
@@ -760,5 +756,82 @@ mod tests {
         .unwrap();
         let m2 = model.with_sample_period(0.5).unwrap();
         assert_eq!(m2.sys.ts(), Some(0.5));
+    }
+
+    /// `fit_arx`'s solve and score on two copies of the regression: the fit
+    /// scored on the samples-only Φ and T, the solve run on `vstack`ed
+    /// copies carrying the `√λ·I` rows.
+    fn fit_arx_vstack(u: &[Vec<f64>], y: &[Vec<f64>], config: SysIdConfig) -> (Mat, Vec<f64>) {
+        let (phi, targets, n) = build_regression(u, y, config.na, config.nb, 0.0).unwrap();
+        let (phi_solve, targets_solve) = if config.ridge > 0.0 {
+            let k = phi.cols();
+            let reg = Mat::identity(k).scale(config.ridge.sqrt());
+            (
+                Mat::vstack(&phi, &reg).unwrap(),
+                Mat::vstack(&targets, &Mat::zeros(k, targets.cols())).unwrap(),
+            )
+        } else {
+            (phi.clone(), targets.clone())
+        };
+        let theta_t = lstsq(&phi_solve, &targets_solve).unwrap();
+        let fit = fit_scores(&phi, &theta_t, &targets, n);
+        (theta_t.t(), fit)
+    }
+
+    /// A `(u, y)` record of `n` samples: `nu` pseudo-random inputs driving
+    /// `ny` first-order outputs, each mixing every input with a little noise.
+    fn mixed_record(n: usize, nu: usize, ny: usize) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let mut seed = 11u64;
+        let mut rng = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((seed >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+        };
+        let mut state = vec![0.0; ny];
+        let (mut u, mut y) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..n {
+            let ut: Vec<f64> = (0..nu).map(|_| rng()).collect();
+            y.push(state.clone());
+            for (j, s) in state.iter_mut().enumerate() {
+                let drive: f64 = ut
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| v / (1 + i + j) as f64)
+                    .sum();
+                *s = 0.6 * *s + 0.3 * drive + 0.01 * rng();
+            }
+            u.push(ut);
+        }
+        (u, y)
+    }
+
+    #[test]
+    fn ridge_rows_in_place_match_the_vstack_form() {
+        // The deployed HW (7 → 4), OS (7 → 3) and monolithic (7 → 7)
+        // shapes, at the production ridge and without one.
+        for (ny, ridge) in [(4, 1e-4), (3, 1e-4), (7, 1e-4), (4, 0.0), (7, 0.0)] {
+            let (u, y) = mixed_record(480, 7, ny);
+            let config = SysIdConfig {
+                na: 2,
+                nb: 2,
+                nc: 0,
+                plr_iters: 0,
+                ridge,
+            };
+            let model = fit_arx(&u, &y, config).unwrap();
+            let (theta, fit) = fit_arx_vstack(&u, &y, config);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(model.theta.as_slice()),
+                bits(theta.as_slice()),
+                "θ, {ny} outputs, ridge {ridge}"
+            );
+            assert_eq!(
+                bits(&model.fit),
+                bits(&fit),
+                "fit, {ny} outputs, ridge {ridge}"
+            );
+        }
     }
 }

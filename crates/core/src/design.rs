@@ -33,6 +33,7 @@ use yukta_obs::Value;
 use yukta_workloads::WorkloadRun;
 use yukta_workloads::catalog::training;
 
+use crate::CONTROL_PERIOD_S;
 use crate::controllers::check_widths;
 use crate::signals::{ActuatorGrids, SignalRanges, spare_capacity};
 
@@ -306,8 +307,8 @@ pub fn collect_excitation(opts: &DesignOptions) -> ExcitationData {
         let idx_lo: [usize; 7] = std::array::from_fn(|k| knob_grid[k].quantize_index(floor[k]));
         let mut perf_reader_big = yukta_board::sensors::BipsReader::new();
         let mut perf_reader_little = yukta_board::sensors::BipsReader::new();
-        let steps_per_interval = (0.5 / board.config().dt).round() as usize;
-        let n_intervals = (EXCITATION_SECS / 0.5) as usize;
+        let steps_per_interval = (CONTROL_PERIOD_S / board.config().dt).round() as usize;
+        let n_intervals = (EXCITATION_SECS / CONTROL_PERIOD_S) as usize;
         // Per-channel index schedules, precomputed for the whole record.
         // Every channel gets its own salted stream of the experiment seed
         // (workload index included in the salt so records differ across
@@ -546,7 +547,7 @@ pub fn layer_spec(opts: &DesignOptions, layer: Layer, uncertainty: f64) -> SsvSp
         perf_dc_boost: opts.perf_dc_boost,
         perf_corner: opts.perf_corner,
         effort_scale: opts.effort_scale,
-        ..SsvSpec::new(0.5, bounds.len(), weights.len(), n_ext)
+        ..SsvSpec::new(CONTROL_PERIOD_S, bounds.len(), weights.len(), n_ext)
     }
 }
 
@@ -582,7 +583,9 @@ fn fit(u: &[Vec<f64>], y: &[Vec<f64>]) -> Result<IdModel> {
 /// failures.
 pub fn identify_layer(u: &[Vec<f64>], y: &[Vec<f64>], dc: &Mat) -> Result<IdModel> {
     let (u, y) = align_for_arx(u, y);
-    let mut id = fit(u, y)?.stabilized(0.97)?.with_sample_period(0.5)?;
+    let mut id = fit(u, y)?
+        .stabilized(0.97)?
+        .with_sample_period(CONTROL_PERIOD_S)?;
     id.sys = calibrate_dc_gains(&id.sys, dc)?;
     Ok(id)
 }

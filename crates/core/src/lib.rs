@@ -55,6 +55,11 @@ pub mod schemes;
 pub mod signals;
 pub mod supervisor;
 
+/// The controller period (s): both layers' controllers are invoked once
+/// per period, as the prototype's privileged processes were every 500 ms,
+/// and the identified models are sampled at it.
+pub const CONTROL_PERIOD_S: f64 = 0.5;
+
 pub use controllers::ControllerState;
 pub use health::HealthTap;
 pub use metrics::{FaultReport, Metrics, Report};

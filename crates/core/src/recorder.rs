@@ -304,7 +304,7 @@ mod tests {
                     },
                     FaultEvent {
                         time: 0.74,
-                        kind: FaultKind::Crash { at_step: 9 },
+                        kind: FaultKind::ActuationLag,
                         channel: FaultChannel::Actuation,
                         value: 0.0,
                     },
@@ -442,8 +442,8 @@ mod tests {
             ("fault kind", |r| {
                 r.fault_events[0].kind = FaultKind::StuckAt
             }),
-            ("crash step", |r| {
-                r.fault_events[1].kind = FaultKind::Crash { at_step: 10 }
+            ("second fault kind", |r| {
+                r.fault_events[1].kind = FaultKind::DvfsRejected
             }),
             ("fault channel", |r| {
                 r.fault_events[0].channel = FaultChannel::Temp

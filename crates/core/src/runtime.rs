@@ -6,9 +6,10 @@
 //! [`UnifiedOptions`]: supervision, faults, a scheduled or detector-driven
 //! hot-swap, serving, the health tap, and crash tolerance (DESIGN.md §11),
 //! which journals every invocation into a [`Journal`], checkpoints the
-//! resumable state periodically, injects controller-process crashes from
-//! the fault plan ([`yukta_board::FaultKind::Crash`]), and recovers from
-//! the latest checkpoint and the journal suffix — bit-identically.
+//! resumable state periodically, injects controller-process crashes at
+//! the fault plan's crash points ([`yukta_board::FaultPlan::with_crash`]),
+//! and recovers from the latest checkpoint and the journal suffix —
+//! bit-identically.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,6 +24,7 @@ use yukta_workloads::{Traffic, TrafficConfig, Workload, WorkloadRun};
 use yukta_control::sysid::{fit_arx, validation_residual};
 use yukta_obs::health::{HealthConfig, HealthStats, HealthVerdict};
 
+use crate::CONTROL_PERIOD_S;
 use crate::controllers::{HwSense, OsSense};
 use crate::design::{Design, SYSID_CONFIG, default_design};
 use crate::health::{HealthTap, emit_verdict};
@@ -169,7 +171,7 @@ fn mode_label(mode: Option<SupervisorMode>) -> &'static str {
 }
 
 /// An injected controller-process crash
-/// ([`yukta_board::FaultKind::Crash`]): the value a controller period
+/// ([`yukta_board::FaultPlan::with_crash`]): the value a controller period
 /// returns in place of its journal record when a crash point of the plan
 /// fires. The run loop recovers from it (DESIGN.md §11).
 #[derive(Debug, Clone, Copy)]
@@ -355,10 +357,11 @@ pub struct UnifiedOptions {
 impl UnifiedOptions {
     /// Rejects invalid stages and combinations with typed errors before a
     /// run starts: a degenerate serving spec (checked against `limits`),
-    /// crash points without recovery, a phase-change swap trigger without
-    /// the health monitor, and the health monitor or a phase-change
-    /// trigger together with recovery (neither the tap nor detector-driven
-    /// swaps are checkpointed).
+    /// crash points without recovery or out of order (the loop walks them
+    /// soonest first), a phase-change swap trigger without the health
+    /// monitor, and the health monitor or a phase-change trigger together
+    /// with recovery (neither the tap nor detector-driven swaps are
+    /// checkpointed).
     ///
     /// # Errors
     ///
@@ -368,12 +371,14 @@ impl UnifiedOptions {
         if let Some(spec) = &self.serving {
             spec.validate(limits)?;
         }
-        let crashes = self.plan.as_ref().is_some_and(|p| !p.crashes.is_empty());
+        let crashes = self.plan.as_ref().map_or(&[][..], |p| p.crash_steps());
         let detector_swap = self
             .swap
             .is_some_and(|s| matches!(s.trigger, SwapTrigger::PhaseChange { .. }));
-        let why = if crashes && self.recovery.is_none() {
+        let why = if !crashes.is_empty() && self.recovery.is_none() {
             "crash points in the fault plan require recovery to be enabled"
+        } else if !crashes.is_sorted_by(|a, b| a < b) {
+            "crash points in the fault plan must be sorted and free of duplicates"
         } else if detector_swap && self.health.is_none() {
             "a phase-change swap trigger requires the health monitor"
         } else if (detector_swap || self.health.is_some()) && self.recovery.is_some() {
@@ -747,7 +752,7 @@ impl Experiment {
         if let Some(seed) = self.options.board_seed {
             cfg.seed = seed;
         }
-        let steps_per_invocation = (0.5 / cfg.dt).round() as usize;
+        let steps_per_invocation = (CONTROL_PERIOD_S / cfg.dt).round() as usize;
         let mut board = match plan {
             Some(p) => Board::with_faults(cfg, p.clone()),
             None => Board::new(cfg),
@@ -821,8 +826,8 @@ impl Experiment {
         let now = st.board.time();
         let ib = st.board.instructions(Cluster::Big);
         let il = st.board.instructions(Cluster::Little);
-        let bips_big = (ib - st.last_instr_big) / 0.5;
-        let bips_little = (il - st.last_instr_little) / 0.5;
+        let bips_big = (ib - st.last_instr_big) / CONTROL_PERIOD_S;
+        let bips_little = (il - st.last_instr_little) / CONTROL_PERIOD_S;
         st.last_instr_big = ib;
         st.last_instr_little = il;
         let n_active = st.run.active_threads();
@@ -833,9 +838,9 @@ impl Experiment {
         // observe windowed tail latency into both controllers' senses.
         let slo = match &mut st.serving {
             Some(sv) => {
-                let capacity_gi = (bips_big + bips_little) * 0.5;
-                sv.queue.advance(now - 0.5, now, capacity_gi);
-                for r in sv.traffic.tick(0.5) {
+                let capacity_gi = (bips_big + bips_little) * CONTROL_PERIOD_S;
+                sv.queue.advance(now - CONTROL_PERIOD_S, now, capacity_gi);
+                for r in sv.traffic.tick(CONTROL_PERIOD_S) {
                     sv.queue.offer(r.arrival_s, r.demand_gi, sv.shed_frac);
                 }
                 let snap = sv.queue.latency_snapshot();
@@ -1105,12 +1110,12 @@ impl Experiment {
         if ckpt.is_some() {
             recovery.checkpoints = 1;
         }
-        // Crash points, soonest first, read only when there is a checkpoint
-        // to recover from; consumed as they fire so recovery does not
-        // re-crash at the same step.
+        // Crash points not fired yet, soonest first, read only when there
+        // is a checkpoint to recover from; each one fired is stepped past,
+        // so recovery does not re-crash at the same step.
         let mut pending = match (&opts.plan, &ckpt) {
             (Some(plan), Some(_)) => plan.crash_steps(),
-            _ => Vec::new(),
+            _ => &[],
         };
         while !st.done {
             if let (Some(interval), Some(c)) = (interval, &mut ckpt) {
@@ -1173,7 +1178,7 @@ impl Experiment {
                     why: "injected crash without a checkpoint",
                 });
             };
-            pending.remove(0);
+            pending = &pending[1..];
             recovery.crashes += 1;
             let rec = self.rec();
             if rec.enabled() {
@@ -1844,7 +1849,15 @@ mod tests {
             trigger: SwapTrigger::PhaseChange { max_swaps: 1 },
             scheme: None,
         });
+        let mut unordered = FaultPlan::uniform(1, 0.0);
+        unordered.crashes = vec![9, 3];
         for opts in [
+            // The loop walks crash points soonest first.
+            UnifiedOptions {
+                plan: Some(unordered),
+                recovery: Some(RecoveryOptions::default()),
+                ..Default::default()
+            },
             // A phase-change trigger has no verdicts to act on without the
             // health monitor.
             UnifiedOptions {

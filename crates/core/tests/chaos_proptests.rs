@@ -90,7 +90,7 @@ fn check_interleaving(
     let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
     let mut plan = FaultPlan::uniform(seed, severity);
     if bursts {
-        plan = plan.with_bursts(1, 8.0).with_burst_region(10.0);
+        plan = plan.with_bursts(1, 8.0, 10.0);
     }
     for &c in crashes {
         plan = plan.with_crash(c);
@@ -159,9 +159,7 @@ proptest! {
 fn correlated_burst_drives_fallback_to_safe_escalation() {
     let wl = catalog::spec::mcf();
     let exp = Experiment::new(Scheme::CoordinatedHeuristic).with_options(quick_options());
-    let plan = FaultPlan::uniform(77, 0.0)
-        .with_bursts(1, 15.0)
-        .with_burst_region(4.0);
+    let plan = FaultPlan::uniform(77, 0.0).with_bursts(1, 15.0, 4.0);
     let rep = exp
         .run_supervised(&wl, SupervisorConfig::default(), Some(plan))
         .unwrap();

@@ -235,15 +235,14 @@ fn fault_text(f: &FaultStats) -> String {
 /// the digest decides how to hash it.
 fn fault_event_text(kind: FaultKind, channel: FaultChannel) -> String {
     let kind = match kind {
-        FaultKind::StuckAt => "StuckAt".to_string(),
-        FaultKind::DroppedSample => "DroppedSample".to_string(),
-        FaultKind::Spike => "Spike".to_string(),
-        FaultKind::BiasNoise => "BiasNoise".to_string(),
-        FaultKind::DelayedRead => "DelayedRead".to_string(),
-        FaultKind::DvfsRejected => "DvfsRejected".to_string(),
-        FaultKind::HotplugIgnored => "HotplugIgnored".to_string(),
-        FaultKind::ActuationLag => "ActuationLag".to_string(),
-        FaultKind::Crash { at_step } => format!("Crash {{ at_step: {at_step} }}"),
+        FaultKind::StuckAt => "StuckAt",
+        FaultKind::DroppedSample => "DroppedSample",
+        FaultKind::Spike => "Spike",
+        FaultKind::BiasNoise => "BiasNoise",
+        FaultKind::DelayedRead => "DelayedRead",
+        FaultKind::DvfsRejected => "DvfsRejected",
+        FaultKind::HotplugIgnored => "HotplugIgnored",
+        FaultKind::ActuationLag => "ActuationLag",
     };
     let channel = match channel {
         FaultChannel::PowerBig => "PowerBig",

@@ -103,7 +103,7 @@ fn record() -> JournalRecord {
             },
             FaultEvent {
                 time: 3.4,
-                kind: FaultKind::Crash { at_step: 9 },
+                kind: FaultKind::ActuationLag,
                 channel: FaultChannel::Actuation,
                 value: 0.0,
             },
