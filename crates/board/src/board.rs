@@ -12,13 +12,24 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use yukta_obs::{ObsHandle, Value};
 
-use crate::config::{BoardConfig, Cluster};
+use crate::config::{self, BIG, BoardConfig, Cluster, LITTLE, MIN_CORES};
 use crate::faults::{FaultEvent, FaultInjector, FaultPlan, FaultStats};
 use crate::perf::{ThreadLoad, multiplex, thread_gips};
 use crate::power::ClusterRates;
 use crate::sensors::{PerfCounter, PowerSensor};
 use crate::thermal::ThermalState;
 use crate::tmu::{Tmu, TmuCaps};
+
+/// DVFS transition stall (s) applied to a cluster on frequency change.
+const DVFS_STALL: f64 = 0.010;
+/// Hotplug stall (s) applied per core turned on/off.
+const HOTPLUG_STALL: f64 = 0.050;
+/// Migration stall (s) applied to threads whose placement changed.
+const MIGRATION_STALL: f64 = 0.030;
+/// Power-sensor update period in seconds (260 ms on the XU3's INA231s).
+const POWER_PERIOD: f64 = 0.26;
+/// Temperature-sensor noise bound (°C): reads are uniform within ±this.
+const TEMP_NOISE: f64 = 0.2;
 
 /// The OS-layer thread placement decision — the three inputs of the
 /// paper's software controller (Table III).
@@ -260,31 +271,22 @@ impl Board {
     /// Powers on a board in its reset state: both clusters at minimum
     /// frequency, all cores on, everything at ambient temperature.
     pub fn new(cfg: BoardConfig) -> Self {
-        let tmu = Tmu::new(
-            cfg.tmu.clone(),
-            cfg.big.f_max,
-            cfg.little.f_max,
-            cfg.big.n_cores,
-        );
-        let thermal = ThermalState::at_ambient(&cfg.thermal);
-        let p_period = cfg.sensors.power_period;
-        let seed = cfg.seed;
         Board {
-            req_f_big: cfg.big.f_min,
-            req_f_little: cfg.little.f_min,
-            req_big_cores: cfg.big.n_cores,
-            req_little_cores: cfg.little.n_cores,
+            req_f_big: BIG.f_min,
+            req_f_little: LITTLE.f_min,
+            req_big_cores: BIG.n_cores,
+            req_little_cores: LITTLE.n_cores,
             placement: Placement::default(),
             stall_big: 0.0,
             stall_little: 0.0,
-            thermal,
-            tmu,
-            p_sensor_big: PowerSensor::new(p_period),
-            p_sensor_little: PowerSensor::new(p_period),
+            thermal: ThermalState::at_ambient(),
+            tmu: Tmu::new(),
+            p_sensor_big: PowerSensor::new(POWER_PERIOD),
+            p_sensor_little: PowerSensor::new(POWER_PERIOD),
             counter_big: PerfCounter::new(),
             counter_little: PerfCounter::new(),
             energy_j: 0.0,
-            rng: StdRng::seed_from_u64(seed),
+            rng: StdRng::seed_from_u64(cfg.seed),
             hmp_factor_big: 1.0,
             hmp_factor_little: 1.0,
             hmp_timer: 0.0,
@@ -391,33 +393,33 @@ impl Board {
         };
         let act = &act;
         if let Some(f) = act.f_big {
-            let snapped = self.snap_freq(Cluster::Big, f);
+            let snapped = Board::snap_freq(Cluster::Big, f);
             if (snapped - self.req_f_big).abs() > 1e-9 {
                 self.req_f_big = snapped;
-                self.stall_big = self.stall_big.max(self.cfg.dvfs_stall);
+                self.stall_big = self.stall_big.max(DVFS_STALL);
             }
         }
         if let Some(f) = act.f_little {
-            let snapped = self.snap_freq(Cluster::Little, f);
+            let snapped = Board::snap_freq(Cluster::Little, f);
             if (snapped - self.req_f_little).abs() > 1e-9 {
                 self.req_f_little = snapped;
-                self.stall_little = self.stall_little.max(self.cfg.dvfs_stall);
+                self.stall_little = self.stall_little.max(DVFS_STALL);
             }
         }
         if let Some(n) = act.big_cores {
-            let n = n.clamp(1, self.cfg.big.n_cores);
+            let n = n.clamp(MIN_CORES, BIG.n_cores);
             if n != self.req_big_cores {
                 let delta = n.abs_diff(self.req_big_cores) as f64;
                 self.req_big_cores = n;
-                self.stall_big = self.stall_big.max(self.cfg.hotplug_stall * delta);
+                self.stall_big = self.stall_big.max(HOTPLUG_STALL * delta);
             }
         }
         if let Some(n) = act.little_cores {
-            let n = n.clamp(1, self.cfg.little.n_cores);
+            let n = n.clamp(MIN_CORES, LITTLE.n_cores);
             if n != self.req_little_cores {
                 let delta = n.abs_diff(self.req_little_cores) as f64;
                 self.req_little_cores = n;
-                self.stall_little = self.stall_little.max(self.cfg.hotplug_stall * delta);
+                self.stall_little = self.stall_little.max(HOTPLUG_STALL * delta);
             }
         }
         if let Some(p) = act.placement {
@@ -434,8 +436,8 @@ impl Board {
             if changed {
                 self.placement = p;
                 // Migration costs both clusters a brief stall.
-                self.stall_big = self.stall_big.max(self.cfg.migration_stall);
-                self.stall_little = self.stall_little.max(self.cfg.migration_stall);
+                self.stall_big = self.stall_big.max(MIGRATION_STALL);
+                self.stall_little = self.stall_little.max(MIGRATION_STALL);
             }
         }
         if let Some((pf_big, pf_little, pbc, plc, ppl)) = prev {
@@ -498,8 +500,8 @@ impl Board {
         }
     }
 
-    fn snap_freq(&self, c: Cluster, f: f64) -> f64 {
-        let cc = self.cfg.cluster(c);
+    fn snap_freq(c: Cluster, f: f64) -> f64 {
+        let cc = config::cluster(c);
         let clamped = f.clamp(cc.f_min, cc.f_max);
         let steps = ((clamped - cc.f_min) / cc.f_step).round();
         // Re-clamp: the reconstruction can overshoot f_max by one ULP
@@ -572,16 +574,10 @@ impl Board {
         let instr_little = self.rates.instr_little;
 
         // Power and thermal.
-        let p_big = self
-            .rates
-            .power_big
-            .total_at(&self.cfg.thermal, self.thermal.t_hot);
-        let p_little = self
-            .rates
-            .power_little
-            .total_at(&self.cfg.thermal, self.thermal.t_board);
+        let p_big = self.rates.power_big.total_at(self.thermal.t_hot);
+        let p_little = self.rates.power_little.total_at(self.thermal.t_board);
         let p_total = p_big + p_little + 0.3; // rest-of-board draw
-        self.thermal.step(&self.cfg.thermal, p_big, p_total, dt);
+        self.thermal.step(p_big, p_total, dt);
 
         // Sensors, counters, energy.
         self.p_sensor_big.integrate(p_big, dt);
@@ -674,7 +670,7 @@ impl Board {
             if big_left > 0 {
                 big_left -= 1;
                 let gips = thread_gips(
-                    &self.cfg.big,
+                    &BIG,
                     l.ipc_factor_big,
                     l.mem_intensity,
                     op.f_big,
@@ -685,7 +681,7 @@ impl Board {
                 instr_big += gips * dt;
             } else {
                 let gips = thread_gips(
-                    &self.cfg.little,
+                    &LITTLE,
                     l.ipc_factor_little,
                     l.mem_intensity,
                     op.f_little,
@@ -712,9 +708,8 @@ impl Board {
         memo.loads.extend_from_slice(loads);
         memo.instr_big = instr_big;
         memo.instr_little = instr_little;
-        memo.power_big = ClusterRates::new(&self.cfg.big, op.big_cores, busy_big, op.f_big);
-        memo.power_little =
-            ClusterRates::new(&self.cfg.little, op.little_cores, busy_little, op.f_little);
+        memo.power_big = ClusterRates::new(&BIG, op.big_cores, busy_big, op.f_big);
+        memo.power_little = ClusterRates::new(&LITTLE, op.little_cores, busy_little, op.f_little);
     }
 
     fn draw_hmp_factor(&mut self) -> f64 {
@@ -758,8 +753,7 @@ impl Board {
     /// zero-severity injector never perturbs the plant's noise stream.
     pub fn read_temp(&mut self) -> f64 {
         let fault_mark = self.fault_mark();
-        let noise = self.cfg.sensors.temp_noise;
-        let truth = self.thermal.t_hot + self.rng.gen_range(-noise..=noise);
+        let truth = self.thermal.t_hot + self.rng.gen_range(-TEMP_NOISE..=TEMP_NOISE);
         let read = match &mut self.faults {
             Some(inj) => inj.filter_temp(self.time, truth),
             None => truth,
@@ -811,7 +805,7 @@ impl Board {
     pub fn set_external_cap_f_big(&mut self, cap: Option<f64>) {
         self.ext_cap_f_big = cap
             .filter(|c| c.is_finite())
-            .map(|c| c.clamp(self.cfg.big.f_min, self.cfg.big.f_max));
+            .map(|c| c.clamp(BIG.f_min, BIG.f_max));
     }
 
     /// A snapshot of the effective operating point.
@@ -842,14 +836,13 @@ mod reference {
     use yukta_obs::Value;
 
     use super::{Board, Slots, StepReport};
-    use crate::config::{ClusterConfig, ThermalConfig};
+    use crate::config::{BIG, ClusterConfig, LITTLE};
     use crate::perf::{ThreadLoad, multiplex, thread_gips};
-    use crate::power::ClusterPower;
+    use crate::power::{ClusterPower, T_LEAK_REF, T_LEAK_SCALE};
 
     /// The unsplit cluster power model (rates and leakage in one pass).
     fn cluster_power(
         cfg: &ClusterConfig,
-        thermal: &ThermalConfig,
         cores_on: usize,
         busy_cores: f64,
         freq: f64,
@@ -863,7 +856,7 @@ mod reference {
         let idle = cores_on as f64 - busy;
         let per_core_dyn = cfg.c_eff * v * v * freq;
         let dynamic = per_core_dyn * (busy + idle * cfg.idle_activity);
-        let leak_scale = ((temp - thermal.t_leak_ref) / thermal.t_leak_scale).exp();
+        let leak_scale = ((temp - T_LEAK_REF) / T_LEAK_SCALE).exp();
         let leakage = cfg.k_leak * v * cores_on as f64 * leak_scale;
         ClusterPower {
             dynamic,
@@ -932,7 +925,7 @@ mod reference {
             if big_left > 0 {
                 big_left -= 1;
                 let gips = thread_gips(
-                    &b.cfg.big,
+                    &BIG,
                     l.ipc_factor_big,
                     l.mem_intensity,
                     f_big,
@@ -943,7 +936,7 @@ mod reference {
                 instr_big += gips * dt;
             } else {
                 let gips = thread_gips(
-                    &b.cfg.little,
+                    &LITTLE,
                     l.ipc_factor_little,
                     l.mem_intensity,
                     f_little,
@@ -966,18 +959,9 @@ mod reference {
         } else {
             0.2
         };
-        let p_big = cluster_power(
-            &b.cfg.big,
-            &b.cfg.thermal,
-            big_cores,
-            busy_big,
-            f_big,
-            b.thermal.t_hot,
-        )
-        .total();
+        let p_big = cluster_power(&BIG, big_cores, busy_big, f_big, b.thermal.t_hot).total();
         let p_little = cluster_power(
-            &b.cfg.little,
-            &b.cfg.thermal,
+            &LITTLE,
             little_cores,
             busy_little,
             f_little,
@@ -985,7 +969,7 @@ mod reference {
         )
         .total();
         let p_total = p_big + p_little + 0.3; // rest-of-board draw
-        b.thermal.step(&b.cfg.thermal, p_big, p_total, dt);
+        b.thermal.step(p_big, p_total, dt);
 
         // Sensors, counters, energy.
         b.p_sensor_big.integrate(p_big, dt);
@@ -1396,22 +1380,25 @@ mod tests {
     /// each memoized board matches the reference bit for bit. Returns the
     /// reference board.
     ///
-    /// `variant` 1 installs a fault plan; `variant` 2 zeroes the transition
-    /// stalls, so a knob change reaches the rates without the stall gates
-    /// changing too.
+    /// `variant` 1 installs a fault plan; `variant` 2 starts at the top big
+    /// frequency and turns the DVFS move into an external cap, which moves
+    /// the effective frequency with no stall, so a frequency change reaches
+    /// the rates without the stall gates changing too.
     fn drive_differential(moves: &[(u32, u64)], variant: u32) -> Board {
         let mk = || {
-            let mut cfg = BoardConfig::odroid_xu3();
-            if variant == 2 {
-                cfg.dvfs_stall = 0.0;
-                cfg.hotplug_stall = 0.0;
-                cfg.migration_stall = 0.0;
-            }
-            if variant == 1 {
+            let cfg = BoardConfig::odroid_xu3();
+            let mut b = if variant == 1 {
                 Board::with_faults(cfg, crate::faults::FaultPlan::uniform(5, 0.5))
             } else {
                 Board::new(cfg)
+            };
+            if variant == 2 {
+                b.actuate(&Actuation {
+                    f_big: Some(BIG.f_max),
+                    ..Default::default()
+                });
             }
+            b
         };
         let mut want = mk();
         let mut boards = vec![mk()];
@@ -1469,6 +1456,13 @@ mod tests {
                         placement: Some(p),
                         ..Default::default()
                     })
+                }
+                8 if variant == 2 => {
+                    let cap = Some(0.2 + 1.8 * unit(&mut r));
+                    want.set_external_cap_f_big(cap);
+                    boards
+                        .iter_mut()
+                        .for_each(|b| b.set_external_cap_f_big(cap));
                 }
                 8 => {
                     act = Some(Actuation {

@@ -299,6 +299,14 @@ const P_HOTPLUG_IGNORE: f64 = 0.10;
 /// Probability per actuation of one-period actuation lag.
 const P_ACT_LAG: f64 = 0.08;
 
+/// Full scale of the big-cluster power channel (W): sets its spike floor
+/// and its bias and noise magnitudes.
+const POWER_BIG_SCALE: f64 = 4.0;
+/// Full scale of the little-cluster power channel (W).
+const POWER_LITTLE_SCALE: f64 = 0.4;
+/// Full scale of the temperature channel (°C).
+const TEMP_SCALE: f64 = 60.0;
+
 /// Per-sensor corruption state.
 #[derive(Debug, Clone, Default)]
 struct SensorState {
@@ -408,9 +416,9 @@ impl FaultInjector {
                 0.0
             }
         };
-        let power_big = SensorState::new(bias(4.0));
-        let power_little = SensorState::new(bias(0.4));
-        let temp = SensorState::new(bias(60.0));
+        let power_big = SensorState::new(bias(POWER_BIG_SCALE));
+        let power_little = SensorState::new(bias(POWER_LITTLE_SCALE));
+        let temp = SensorState::new(bias(TEMP_SCALE));
         // Burst windows draw from the RNG only when bursts are configured,
         // so burst-free plans keep their exact historical fault streams.
         let mut bursts = Vec::new();
@@ -446,6 +454,10 @@ impl FaultInjector {
 
     /// Corrupts one sensor read. `scale` is the channel's full-scale value
     /// (sets spike floors and bias/noise magnitude).
+    ///
+    /// A NaN truth is served as is: no fault class makes an unreadable
+    /// sample observably worse, so it touches no sensor state and logs
+    /// nothing (its draws are still consumed).
     fn filter_sensor(&mut self, channel: FaultChannel, time: f64, truth: f64, scale: f64) -> f64 {
         // Always consume the same number of draws per read so one fault
         // class firing never shifts the stream seen by the others.
@@ -456,6 +468,9 @@ impl FaultInjector {
         let d_spike_mag = self.rng.gen_range(1.5..=6.0);
         let d_delay = self.rng.next_f64();
         let d_noise = self.rng.gen_range(-1.0..=1.0);
+        if truth.is_nan() {
+            return truth;
+        }
 
         let burst = self
             .bursts
@@ -548,17 +563,17 @@ impl FaultInjector {
 
     /// Corrupts a big-cluster power read.
     pub(crate) fn filter_power_big(&mut self, time: f64, truth: f64) -> f64 {
-        self.filter_sensor(FaultChannel::PowerBig, time, truth, 4.0)
+        self.filter_sensor(FaultChannel::PowerBig, time, truth, POWER_BIG_SCALE)
     }
 
     /// Corrupts a little-cluster power read.
     pub(crate) fn filter_power_little(&mut self, time: f64, truth: f64) -> f64 {
-        self.filter_sensor(FaultChannel::PowerLittle, time, truth, 0.4)
+        self.filter_sensor(FaultChannel::PowerLittle, time, truth, POWER_LITTLE_SCALE)
     }
 
     /// Corrupts a temperature read.
     pub(crate) fn filter_temp(&mut self, time: f64, truth: f64) -> f64 {
-        self.filter_sensor(FaultChannel::Temp, time, truth, 60.0)
+        self.filter_sensor(FaultChannel::Temp, time, truth, TEMP_SCALE)
     }
 
     /// Filters one actuation request, possibly rejecting the DVFS part,
@@ -730,6 +745,9 @@ mod reference {
             let d_spike_mag = self.rng.gen_range(1.5..=6.0);
             let d_delay = self.rng.next_f64();
             let d_noise = self.rng.gen_range(-1.0..=1.0);
+            if truth.is_nan() {
+                return truth;
+            }
 
             let sched_stuck = self.scheduled(time, FaultKind::StuckAt, channel);
             let sched_drop = self.scheduled(time, FaultKind::DroppedSample, channel);
@@ -1073,6 +1091,16 @@ mod tests {
     }
 
     #[test]
+    fn nan_reads_log_nothing() {
+        let mut inj = FaultInjector::new(FaultPlan::uniform(3, 0.5));
+        for v in read_n(&mut inj, 100, f64::NAN) {
+            assert!(v.is_nan());
+        }
+        assert_eq!(inj.stats().sensor_faults, 0);
+        assert!(inj.trace().is_empty());
+    }
+
+    #[test]
     fn crash_points_are_sorted_and_deduped() {
         let plan = FaultPlan::uniform(9, 0.0)
             .with_crash(40)
@@ -1273,9 +1301,9 @@ mod tests {
                     continue;
                 }
                 let (channel, scale) = [
-                    (FaultChannel::PowerBig, 4.0),
-                    (FaultChannel::PowerLittle, 0.4),
-                    (FaultChannel::Temp, 60.0),
+                    (FaultChannel::PowerBig, POWER_BIG_SCALE),
+                    (FaultChannel::PowerLittle, POWER_LITTLE_SCALE),
+                    (FaultChannel::Temp, TEMP_SCALE),
                 ][which];
                 let a = new.filter_sensor(channel, time, truth, scale);
                 let b = old.filter_sensor(channel, time, truth, scale);

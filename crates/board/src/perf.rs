@@ -102,19 +102,11 @@ pub fn multiplex(n_threads: usize, cores_on: usize, packing: f64) -> Multiplexin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BoardConfig;
-
-    fn big() -> ClusterConfig {
-        BoardConfig::odroid_xu3().big
-    }
-
-    fn little() -> ClusterConfig {
-        BoardConfig::odroid_xu3().little
-    }
+    use crate::config::{BIG, LITTLE};
 
     #[test]
     fn compute_bound_scales_linearly() {
-        let c = big();
+        let c = BIG;
         let g1 = thread_gips(&c, 1.0, 0.0, 1.0, 1.0);
         let g2 = thread_gips(&c, 1.0, 0.0, 2.0, 1.0);
         assert!((g2 / g1 - 2.0).abs() < 1e-12);
@@ -122,7 +114,7 @@ mod tests {
 
     #[test]
     fn memory_bound_saturates() {
-        let c = big();
+        let c = BIG;
         let g1 = thread_gips(&c, 1.0, 1.0, 1.0, 1.0);
         let g2 = thread_gips(&c, 1.0, 1.0, 2.0, 1.0);
         // Doubling frequency gains well under 2x for a memory-bound thread.
@@ -132,8 +124,8 @@ mod tests {
 
     #[test]
     fn big_core_outperforms_little_at_same_frequency() {
-        let gb = thread_gips(&big(), 1.0, 0.3, 1.0, 1.0);
-        let gl = thread_gips(&little(), 1.0, 0.3, 1.0, 1.0);
+        let gb = thread_gips(&BIG, 1.0, 0.3, 1.0, 1.0);
+        let gl = thread_gips(&LITTLE, 1.0, 0.3, 1.0, 1.0);
         assert!(gb > 1.8 * gl, "big {gb} vs little {gl}");
     }
 
@@ -141,15 +133,15 @@ mod tests {
     fn peak_system_bips_is_several() {
         // 4 big at 2.0 + 4 little at 1.4, nominal mix → a few BIPS total,
         // consistent with the paper's ~5.5 BIPS targets.
-        let gb = thread_gips(&big(), 1.0, 0.3, 2.0, 1.0) * 4.0;
-        let gl = thread_gips(&little(), 1.0, 0.3, 1.4, 1.0) * 4.0;
+        let gb = thread_gips(&BIG, 1.0, 0.3, 2.0, 1.0) * 4.0;
+        let gl = thread_gips(&LITTLE, 1.0, 0.3, 1.4, 1.0) * 4.0;
         let total = gb + gl;
         assert!((5.0..14.0).contains(&total), "peak BIPS {total}");
     }
 
     #[test]
     fn share_scales_throughput() {
-        let c = big();
+        let c = BIG;
         let full = thread_gips(&c, 1.0, 0.2, 1.5, 1.0);
         let half = thread_gips(&c, 1.0, 0.2, 1.5, 0.5);
         assert!((half / full - 0.5).abs() < 1e-12);

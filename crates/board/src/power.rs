@@ -1,7 +1,12 @@
 //! The cluster power model: dynamic CV²f switching power, temperature-
 //! dependent leakage, and uncore overhead.
 
-use crate::config::{ClusterConfig, ThermalConfig};
+use crate::config::ClusterConfig;
+
+/// Temperature at which the leakage reference is taken (°C).
+pub(crate) const T_LEAK_REF: f64 = 45.0;
+/// Exponential leakage scale (°C per e-fold).
+pub(crate) const T_LEAK_SCALE: f64 = 30.0;
 
 /// Instantaneous power draw of one cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -32,7 +37,7 @@ impl ClusterPower {
 pub(crate) struct ClusterRates {
     /// Switching power of busy cores (W).
     dynamic: f64,
-    /// Leakage of all powered cores at `t_leak_ref` (W): `k_leak·v·cores_on`.
+    /// Leakage of all powered cores at [`T_LEAK_REF`] (W): `k_leak·v·cores_on`.
     leak_ref: f64,
     /// Uncore/interconnect share (W).
     uncore: f64,
@@ -60,11 +65,11 @@ impl ClusterRates {
     }
 
     /// The cluster's power with its leakage at `temp` (°C).
-    pub(crate) fn at(&self, thermal: &ThermalConfig, temp: f64) -> ClusterPower {
+    pub(crate) fn at(&self, temp: f64) -> ClusterPower {
         if !self.powered {
             return ClusterPower::default();
         }
-        let leak_scale = ((temp - thermal.t_leak_ref) / thermal.t_leak_scale).exp();
+        let leak_scale = ((temp - T_LEAK_REF) / T_LEAK_SCALE).exp();
         ClusterPower {
             dynamic: self.dynamic,
             leakage: self.leak_ref * leak_scale,
@@ -73,8 +78,8 @@ impl ClusterRates {
     }
 
     /// Total cluster power (W) with its leakage at `temp` (°C).
-    pub(crate) fn total_at(&self, thermal: &ThermalConfig, temp: f64) -> f64 {
-        self.at(thermal, temp).total()
+    pub(crate) fn total_at(&self, temp: f64) -> f64 {
+        self.at(temp).total()
     }
 }
 
@@ -88,44 +93,37 @@ impl ClusterRates {
 /// * `temp` — hotspot temperature for the leakage exponent (°C).
 pub fn cluster_power(
     cfg: &ClusterConfig,
-    thermal: &ThermalConfig,
     cores_on: usize,
     busy_cores: f64,
     freq: f64,
     temp: f64,
 ) -> ClusterPower {
-    ClusterRates::new(cfg, cores_on, busy_cores, freq).at(thermal, temp)
+    ClusterRates::new(cfg, cores_on, busy_cores, freq).at(temp)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BoardConfig;
-
-    fn cfg() -> BoardConfig {
-        BoardConfig::odroid_xu3()
-    }
+    use crate::config::{BIG, LITTLE};
 
     #[test]
     fn big_cluster_envelope_matches_paper_limits() {
-        let c = cfg();
         // Four busy big cores at max frequency must exceed the 3.3 W limit
         // (that is why control is needed)…
-        let p_max = cluster_power(&c.big, &c.thermal, 4, 4.0, 2.0, 70.0).total();
+        let p_max = cluster_power(&BIG, 4, 4.0, 2.0, 70.0).total();
         assert!(p_max > 4.5, "max big power {p_max}");
         // …while ~1.3 GHz with four cores stays near the limit.
-        let p_sus = cluster_power(&c.big, &c.thermal, 4, 4.0, 1.3, 70.0).total();
+        let p_sus = cluster_power(&BIG, 4, 4.0, 1.3, 70.0).total();
         assert!((2.7..3.6).contains(&p_sus), "sustainable big power {p_sus}");
     }
 
     #[test]
     fn little_cluster_envelope() {
-        let c = cfg();
         // Four busy little cores at max frequency exceed 0.33 W…
-        let p_max = cluster_power(&c.little, &c.thermal, 4, 4.0, 1.4, 60.0).total();
+        let p_max = cluster_power(&LITTLE, 4, 4.0, 1.4, 60.0).total();
         assert!(p_max > 0.42, "max little power {p_max}");
         // …but ~0.9–1.0 GHz is sustainable.
-        let p_sus = cluster_power(&c.little, &c.thermal, 4, 4.0, 0.9, 60.0).total();
+        let p_sus = cluster_power(&LITTLE, 4, 4.0, 0.9, 60.0).total();
         assert!(
             (0.2..0.37).contains(&p_sus),
             "sustainable little power {p_sus}"
@@ -134,49 +132,44 @@ mod tests {
 
     #[test]
     fn power_monotone_in_frequency_and_cores() {
-        let c = cfg();
         let mut prev = 0.0;
-        let levels = ((c.big.f_max - c.big.f_min) / c.big.f_step).round() as usize + 1;
+        let levels = ((BIG.f_max - BIG.f_min) / BIG.f_step).round() as usize + 1;
         for k in 0..levels {
-            let f = c.big.f_min + k as f64 * c.big.f_step;
-            let p = cluster_power(&c.big, &c.thermal, 4, 4.0, f, 60.0).total();
+            let f = BIG.f_min + k as f64 * BIG.f_step;
+            let p = cluster_power(&BIG, 4, 4.0, f, 60.0).total();
             assert!(p > prev);
             prev = p;
         }
-        let p2 = cluster_power(&c.big, &c.thermal, 2, 2.0, 1.5, 60.0).total();
-        let p4 = cluster_power(&c.big, &c.thermal, 4, 4.0, 1.5, 60.0).total();
+        let p2 = cluster_power(&BIG, 2, 2.0, 1.5, 60.0).total();
+        let p4 = cluster_power(&BIG, 4, 4.0, 1.5, 60.0).total();
         assert!(p4 > p2);
     }
 
     #[test]
     fn leakage_grows_with_temperature() {
-        let c = cfg();
-        let cold = cluster_power(&c.big, &c.thermal, 4, 0.0, 1.0, 40.0);
-        let hot = cluster_power(&c.big, &c.thermal, 4, 0.0, 1.0, 90.0);
+        let cold = cluster_power(&BIG, 4, 0.0, 1.0, 40.0);
+        let hot = cluster_power(&BIG, 4, 0.0, 1.0, 90.0);
         assert!(hot.leakage > cold.leakage * 2.0);
         assert_eq!(hot.dynamic, cold.dynamic);
     }
 
     #[test]
     fn idle_cores_draw_little_dynamic_power() {
-        let c = cfg();
-        let busy = cluster_power(&c.big, &c.thermal, 4, 4.0, 1.5, 60.0);
-        let idle = cluster_power(&c.big, &c.thermal, 4, 0.0, 1.5, 60.0);
+        let busy = cluster_power(&BIG, 4, 4.0, 1.5, 60.0);
+        let idle = cluster_power(&BIG, 4, 0.0, 1.5, 60.0);
         assert!(idle.dynamic < 0.1 * busy.dynamic);
     }
 
     #[test]
     fn powered_off_cluster_draws_nothing() {
-        let c = cfg();
-        let p = cluster_power(&c.big, &c.thermal, 0, 0.0, 2.0, 90.0);
+        let p = cluster_power(&BIG, 0, 0.0, 2.0, 90.0);
         assert_eq!(p.total(), 0.0);
     }
 
     #[test]
     fn busy_cores_clamped_to_cores_on() {
-        let c = cfg();
-        let p_over = cluster_power(&c.big, &c.thermal, 2, 10.0, 1.0, 60.0);
-        let p_full = cluster_power(&c.big, &c.thermal, 2, 2.0, 1.0, 60.0);
+        let p_over = cluster_power(&BIG, 2, 10.0, 1.0, 60.0);
+        let p_full = cluster_power(&BIG, 2, 2.0, 1.0, 60.0);
         assert!((p_over.total() - p_full.total()).abs() < 1e-12);
     }
 }

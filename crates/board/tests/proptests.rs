@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use yukta_board::board::{Actuation, Board, Placement};
-use yukta_board::config::{BoardConfig, Cluster};
+use yukta_board::config::{BIG, BoardConfig, Cluster};
 use yukta_board::perf::{ThreadLoad, multiplex, thread_gips};
 use yukta_board::power::cluster_power;
 
@@ -89,10 +89,9 @@ proptest! {
 
     #[test]
     fn gips_monotone_in_share(f in 0.2..2.0f64, mi in 0.0..1.0f64, s1 in 0.0..1.0f64, s2 in 0.0..1.0f64) {
-        let cfg = BoardConfig::odroid_xu3();
         let (lo, hi) = if s1 <= s2 { (s1, s2) } else { (s2, s1) };
-        let g_lo = thread_gips(&cfg.big, 1.0, mi, f, lo);
-        let g_hi = thread_gips(&cfg.big, 1.0, mi, f, hi);
+        let g_lo = thread_gips(&BIG, 1.0, mi, f, lo);
+        let g_hi = thread_gips(&BIG, 1.0, mi, f, hi);
         prop_assert!(g_lo <= g_hi + 1e-12);
     }
 
@@ -108,10 +107,9 @@ proptest! {
 
     #[test]
     fn cluster_power_monotone_in_busy(busy1 in 0.0..4.0f64, busy2 in 0.0..4.0f64, f in 0.2..2.0f64) {
-        let cfg = BoardConfig::odroid_xu3();
         let (lo, hi) = if busy1 <= busy2 { (busy1, busy2) } else { (busy2, busy1) };
-        let p_lo = cluster_power(&cfg.big, &cfg.thermal, 4, lo, f, 60.0).total();
-        let p_hi = cluster_power(&cfg.big, &cfg.thermal, 4, hi, f, 60.0).total();
+        let p_lo = cluster_power(&BIG, 4, lo, f, 60.0).total();
+        let p_hi = cluster_power(&BIG, 4, hi, f, 60.0).total();
         prop_assert!(p_lo <= p_hi + 1e-12);
     }
 

@@ -11,10 +11,11 @@
 //! Linux `performance` governor — everything at maximum until a limit
 //! trips, then a threshold-based backoff that ignores thread placement.
 
+use yukta_board::config::{BIG, ClusterConfig, LITTLE, MIN_CORES};
 use yukta_linalg::{Error, Result};
 
 use crate::controllers::{ControllerState, HwPolicy, HwSense, OsPolicy, OsSense};
-use crate::signals::{HwInputs, Limits, OsInputs, SloSense};
+use crate::signals::{HwInputs, Limits, OsInputs, PACKING_MIN, SloSense};
 
 /// Whether the serving layer is close to (or past) its tail-latency bound.
 ///
@@ -48,8 +49,8 @@ impl OsPolicy for CoordinatedHeuristicOs {
         // hardware layer then powers exactly the cores the placement
         // needs. Planning on currently-powered cores instead would
         // deadlock both layers at one core each.
-        let nbc = 4usize;
-        let nlc = 4usize;
+        let nbc = BIG.n_cores;
+        let nlc = LITTLE.n_cores;
         if n == 0 {
             return Ok(OsInputs {
                 threads_big: 0.0,
@@ -63,7 +64,7 @@ impl OsPolicy for CoordinatedHeuristicOs {
         // throttle), spill some threads to little instead of stacking big —
         // unless the serving layer is under SLO pressure, where latency
         // beats E×D and threads migrate toward the fast cluster.
-        let f_ratio = (sense.ext.f_big / 2.0).clamp(0.0, 1.0);
+        let f_ratio = (sense.ext.f_big / BIG.f_max).clamp(0.0, 1.0);
         let throttled = f_ratio < 0.3 && !slo_pressure(&sense.slo, &sense.limits);
         let big_capacity = if throttled { nbc.min(2) } else { nbc };
         let (tb, pb, pl);
@@ -81,9 +82,9 @@ impl OsPolicy for CoordinatedHeuristicOs {
             let spill = n - big_capacity - nlc;
             let extra_big = spill.min(big_capacity);
             tb = big_capacity + extra_big;
-            pb = (tb as f64 / big_capacity.max(1) as f64).max(1.0);
+            pb = (tb as f64 / big_capacity.max(1) as f64).max(PACKING_MIN);
             let tl = n - tb;
-            pl = (tl as f64 / nlc.max(1) as f64).max(1.0);
+            pl = (tl as f64 / nlc.max(1) as f64).max(PACKING_MIN);
         }
         Ok(OsInputs {
             threads_big: tb as f64,
@@ -116,37 +117,36 @@ impl HwPolicy for CoordinatedHeuristicHw {
         // Size core counts from the thread distribution (coordination).
         let tb = sense.ext.threads_big.round() as usize;
         let tl = sense.active_threads.saturating_sub(tb);
-        let need_big = ((tb as f64 / sense.ext.packing_big.max(1.0)).ceil() as usize).clamp(1, 4);
-        let need_little =
-            ((tl as f64 / sense.ext.packing_little.max(1.0)).ceil() as usize).clamp(1, 4);
+        let need = |threads: usize, packing: f64, c: &ClusterConfig| {
+            ((threads as f64 / packing.max(PACKING_MIN)).ceil() as usize)
+                .clamp(MIN_CORES, c.n_cores)
+        };
+        let need_big = need(tb, sense.ext.packing_big, &BIG);
+        let need_little = need(tl, sense.ext.packing_little, &LITTLE);
         // Frequency: climb one step while clearly safe, back off
         // proportionally to the violation. Under SLO pressure the governor
         // jumps straight to the cluster cap instead of stepping: a flash
         // crowd ramps faster than any incremental climb, and the tail pays
         // for every period spent below capacity. The violation backoff is
         // unchanged — the safety rails outrank the SLO.
-        let climb = if slo_pressure(&sense.slo, &lim) {
-            2.0
-        } else {
-            0.1
-        };
+        let surge = slo_pressure(&sense.slo, &lim);
         let f_big = step_frequency(
+            &BIG,
             cur.f_big,
             y.p_big,
             lim.p_big_max,
             y.temp,
             lim.temp_max,
-            2.0,
-            climb,
+            surge,
         );
         let f_little = step_frequency(
+            &LITTLE,
             cur.f_little,
             y.p_little,
             lim.p_little_max,
             y.temp,
             lim.temp_max,
-            1.4,
-            climb,
+            surge,
         );
         Ok(HwInputs {
             big_cores: need_big as f64,
@@ -161,20 +161,31 @@ impl HwPolicy for CoordinatedHeuristicHw {
     }
 }
 
-/// One-step-up / proportional-step-down frequency rule shared by the
-/// coordinated governor. `climb` is the upward step while safe (0.1
-/// normally; large enough to hit the cap under SLO pressure).
-fn step_frequency(f: f64, p: f64, p_max: f64, t: f64, t_max: f64, f_cap: f64, climb: f64) -> f64 {
+/// One-step-up / proportional-step-down frequency rule of cluster `c`,
+/// shared by the coordinated governor. While safe it climbs one DVFS step,
+/// or straight to the cluster's top frequency under SLO pressure
+/// (`surge`).
+fn step_frequency(
+    c: &ClusterConfig,
+    f: f64,
+    p: f64,
+    p_max: f64,
+    t: f64,
+    t_max: f64,
+    surge: bool,
+) -> f64 {
     if p > p_max || t > t_max {
         let over = ((p / p_max - 1.0).max(0.0) + (t / t_max - 1.0).max(0.0)).max(0.01);
         let steps = (over / 0.05).ceil().min(5.0);
-        (f - 0.1 * steps).max(0.2)
+        (f - c.f_step * steps).max(c.f_min)
+    } else if surge {
+        c.f_max
     } else {
         // Climb whenever operation is safe (Table IV(a) verbatim). This is
         // what makes the heuristic probe the limit and produce the
         // peaks/valleys of Figure 10(a): the next step up periodically
         // violates and gets knocked back.
-        (f + climb).min(f_cap)
+        (f + c.f_step).min(c.f_max)
     }
 }
 
@@ -236,7 +247,7 @@ impl HwPolicy for DecoupledHeuristicHw {
             self.safe_streak = 0;
             if self.backoff_freq_steps < 8 {
                 self.backoff_freq_steps += 2; // reduce frequency first…
-            } else if self.backoff_cores < 3 {
+            } else if self.backoff_cores < BIG.n_cores - MIN_CORES {
                 self.backoff_cores += 1; // …then the number of cores
             }
         } else {
@@ -247,11 +258,13 @@ impl HwPolicy for DecoupledHeuristicHw {
                 self.backoff_cores = 0;
             }
         }
+        let backoff =
+            |c: &ClusterConfig| (c.f_max - c.f_step * self.backoff_freq_steps as f64).max(c.f_min);
         Ok(HwInputs {
-            big_cores: (4 - self.backoff_cores).max(1) as f64,
-            little_cores: 4.0,
-            f_big: (2.0 - 0.1 * self.backoff_freq_steps as f64).max(0.2),
-            f_little: (1.4 - 0.1 * self.backoff_freq_steps as f64).max(0.2),
+            big_cores: (BIG.n_cores - self.backoff_cores).max(MIN_CORES) as f64,
+            little_cores: LITTLE.n_cores as f64,
+            f_big: backoff(&BIG),
+            f_little: backoff(&LITTLE),
         })
     }
 

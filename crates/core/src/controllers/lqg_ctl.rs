@@ -23,8 +23,6 @@ use crate::signals::{ActuatorGrids, HwInputs, OsInputs, SignalRanges};
 #[derive(Debug, Clone)]
 pub struct LqgHwController {
     tracker: LqgTracker,
-    ranges: SignalRanges,
-    grids: ActuatorGrids,
     optimizer: HwOptimizer,
 }
 
@@ -38,24 +36,20 @@ impl LqgHwController {
     /// is not 4×4.
     pub fn new(tracker: LqgTracker, optimizer: HwOptimizer) -> Result<Self> {
         check_widths("hw_lqg", tracker.plant(), 4, 4)?;
-        Ok(LqgHwController {
-            tracker,
-            ranges: SignalRanges::xu3(),
-            grids: ActuatorGrids::xu3(),
-            optimizer,
-        })
+        Ok(LqgHwController { tracker, optimizer })
     }
 }
 
 impl HwPolicy for LqgHwController {
     fn invoke(&mut self, sense: &HwSense) -> Result<HwInputs> {
+        let (ranges, grids) = (SignalRanges::xu3(), ActuatorGrids::xu3());
         let targets = self.optimizer.update(&sense.outputs);
-        let r = self.ranges.norm_hw_outputs(&targets);
-        let y = self.ranges.norm_hw_outputs(&sense.outputs);
+        let r = ranges.norm_hw_outputs(&targets);
+        let y = ranges.norm_hw_outputs(&sense.outputs);
         let u = self.tracker.step(&r, &y)?;
-        let out = self.ranges.snap_hw(&self.grids, u);
+        let out = ranges.snap_hw(grids, u);
         self.tracker
-            .set_applied_input(&self.ranges.norm_hw_inputs(&out))?;
+            .set_applied_input(&ranges.norm_hw_inputs(&out))?;
         Ok(out)
     }
 
@@ -90,8 +84,6 @@ impl HwPolicy for LqgHwController {
 #[derive(Debug, Clone)]
 pub struct LqgOsController {
     tracker: LqgTracker,
-    ranges: SignalRanges,
-    grids: ActuatorGrids,
     optimizer: OsOptimizer,
 }
 
@@ -105,24 +97,20 @@ impl LqgOsController {
     /// is not 3×3.
     pub fn new(tracker: LqgTracker, optimizer: OsOptimizer) -> Result<Self> {
         check_widths("os_lqg", tracker.plant(), 3, 3)?;
-        Ok(LqgOsController {
-            tracker,
-            ranges: SignalRanges::xu3(),
-            grids: ActuatorGrids::xu3(),
-            optimizer,
-        })
+        Ok(LqgOsController { tracker, optimizer })
     }
 }
 
 impl OsPolicy for LqgOsController {
     fn invoke(&mut self, sense: &OsSense) -> Result<OsInputs> {
+        let (ranges, grids) = (SignalRanges::xu3(), ActuatorGrids::xu3());
         let targets = self.optimizer.update(&sense.outputs, &sense.system);
-        let r = self.ranges.norm_os_outputs(&targets);
-        let y = self.ranges.norm_os_outputs(&sense.outputs);
+        let r = ranges.norm_os_outputs(&targets);
+        let y = ranges.norm_os_outputs(&sense.outputs);
         let u = self.tracker.step(&r, &y)?;
-        let out = self.ranges.snap_os(&self.grids, u, sense.active_threads);
+        let out = ranges.snap_os(grids, u, sense.active_threads);
         self.tracker
-            .set_applied_input(&self.ranges.norm_os_inputs(&out))?;
+            .set_applied_input(&ranges.norm_os_inputs(&out))?;
         Ok(out)
     }
 
@@ -158,8 +146,6 @@ impl OsPolicy for LqgOsController {
 #[derive(Debug, Clone)]
 pub struct MonolithicLqg {
     tracker: LqgTracker,
-    ranges: SignalRanges,
-    grids: ActuatorGrids,
     hw_optimizer: HwOptimizer,
     os_optimizer: OsOptimizer,
 }
@@ -180,8 +166,6 @@ impl MonolithicLqg {
         check_widths("monolithic_lqg", tracker.plant(), 7, 7)?;
         Ok(MonolithicLqg {
             tracker,
-            ranges: SignalRanges::xu3(),
-            grids: ActuatorGrids::xu3(),
             hw_optimizer,
             os_optimizer,
         })
@@ -194,19 +178,20 @@ impl MonolithicLqg {
     ///
     /// Same contract as [`HwPolicy::invoke`].
     pub fn invoke(&mut self, hw: &HwSense, os: &OsSense) -> Result<(HwInputs, OsInputs)> {
+        let (ranges, grids) = (SignalRanges::xu3(), ActuatorGrids::xu3());
         let hw_targets = self.hw_optimizer.update(&hw.outputs);
         let os_targets = self.os_optimizer.update(&os.outputs, &hw.outputs);
-        let rh = self.ranges.norm_hw_outputs(&hw_targets);
-        let ro = self.ranges.norm_os_outputs(&os_targets);
-        let yh = self.ranges.norm_hw_outputs(&hw.outputs);
-        let yo = self.ranges.norm_os_outputs(&os.outputs);
+        let rh = ranges.norm_hw_outputs(&hw_targets);
+        let ro = ranges.norm_os_outputs(&os_targets);
+        let yh = ranges.norm_hw_outputs(&hw.outputs);
+        let yo = ranges.norm_os_outputs(&os.outputs);
         let r = [rh[0], rh[1], rh[2], rh[3], ro[0], ro[1], ro[2]];
         let y = [yh[0], yh[1], yh[2], yh[3], yo[0], yo[1], yo[2]];
         let u = self.tracker.step(&r, &y)?;
-        let hw_out = self.ranges.snap_hw(&self.grids, &u[..4]);
-        let os_out = self.ranges.snap_os(&self.grids, &u[4..], os.active_threads);
-        let hwn = self.ranges.norm_hw_inputs(&hw_out);
-        let osn = self.ranges.norm_os_inputs(&os_out);
+        let hw_out = ranges.snap_hw(grids, &u[..4]);
+        let os_out = ranges.snap_os(grids, &u[4..], os.active_threads);
+        let hwn = ranges.norm_hw_inputs(&hw_out);
+        let osn = ranges.norm_os_inputs(&os_out);
         self.tracker
             .set_applied_input(&[hwn[0], hwn[1], hwn[2], hwn[3], osn[0], osn[1], osn[2]])?;
         Ok((hw_out, os_out))

@@ -11,15 +11,15 @@ use yukta_linalg::{Error, Result};
 
 use crate::controllers::{ControllerState, HwPolicy, HwSense, OsPolicy, OsSense, check_widths};
 use crate::optimizer::{HwOptimizer, OsOptimizer};
-use crate::signals::{ActuatorGrids, HwInputs, HwOutputs, OsInputs, OsOutputs, SignalRanges};
+use crate::signals::{
+    ActuatorGrids, HwInputs, HwOutputs, OsInputs, OsOutputs, PACKING_MAX, PACKING_MIN, SignalRanges,
+};
 
-/// What both SSV layers deploy alike: the observer-form runtime, the
-/// signal interface, and the deployment switches.
+/// What both SSV layers deploy alike: the observer-form runtime and the
+/// deployment switches.
 #[derive(Debug, Clone)]
 struct SsvRuntime {
     rt: ObsAwController,
-    ranges: SignalRanges,
-    grids: ActuatorGrids,
     /// The optimizer is never stepped, so the targets stay as set.
     fixed_targets: bool,
     ignore_external: bool,
@@ -31,8 +31,6 @@ impl SsvRuntime {
         check_widths("ssv_controller", &syn.controller, n_in, n_out)?;
         Ok(SsvRuntime {
             rt: ObsAwController::new(&syn.controller)?,
-            ranges: SignalRanges::xu3(),
-            grids: ActuatorGrids::xu3(),
             fixed_targets: false,
             ignore_external: false,
             naive_quantization: false,
@@ -43,17 +41,17 @@ impl SsvRuntime {
     /// target errors followed by the other layer's external signals
     /// (zeroed under the external-signal ablation), and `snap` pushes the
     /// normalized actuation a command lands on onto the buffer it is
-    /// given. Returns the signal ranges and the applied input, normalized
-    /// — the raw command under the naive-quantization ablation, whose
-    /// observer believes the command went through unchanged (the board
-    /// still snaps it downstream).
+    /// given. Returns the applied input, normalized — the raw command
+    /// under the naive-quantization ablation, whose observer believes the
+    /// command went through unchanged (the board still snaps it
+    /// downstream).
     fn step(
         &mut self,
         target: &[f64],
         measured: &[f64],
         ext: &[f64],
-        snap: impl Fn(&SignalRanges, &ActuatorGrids, &[f64], &mut Vec<f64>),
-    ) -> Result<(&SignalRanges, &[f64])> {
+        snap: impl Fn(&[f64], &mut Vec<f64>),
+    ) -> Result<&[f64]> {
         // Both layers measure 7 signals: 4 errors + 3 external (HW), 3 + 4 (OS).
         let mut meas = [0.0; 7];
         let (errors, external) = meas.split_at_mut(target.len());
@@ -63,16 +61,16 @@ impl SsvRuntime {
         if !self.ignore_external {
             external.copy_from_slice(ext);
         }
-        let (ranges, grids, naive) = (&self.ranges, &self.grids, self.naive_quantization);
+        let naive = self.naive_quantization;
         let quantize = |u: &[f64], out: &mut Vec<f64>| {
             if naive {
                 out.extend_from_slice(u);
             } else {
-                snap(ranges, grids, u, out);
+                snap(u, out);
             }
         };
         let (_, applied) = self.rt.step(&meas, &quantize)?;
-        Ok((&self.ranges, applied))
+        Ok(applied)
     }
 
     /// Floats: observer state, then the optimizer payload. Ints: the
@@ -172,11 +170,11 @@ impl HwPolicy for SsvHwController {
         if !self.ssv.fixed_targets {
             self.optimizer.update(&sense.outputs);
         }
-        let r = &self.ssv.ranges;
+        let (r, g) = (SignalRanges::xu3(), ActuatorGrids::xu3());
         let ty = r.norm_hw_outputs(&self.optimizer.targets);
         let my = r.norm_hw_outputs(&sense.outputs);
         let ext = r.norm_os_inputs(&sense.ext);
-        let (r, applied) = self.ssv.step(&ty, &my, &ext, |r, g, u, out| {
+        let applied = self.ssv.step(&ty, &my, &ext, |u, out| {
             out.extend_from_slice(&r.norm_hw_inputs(&r.snap_hw(g, u)));
         })?;
         Ok(r.denorm_hw_inputs(applied))
@@ -262,19 +260,19 @@ impl OsPolicy for SsvOsController {
         if !self.ssv.fixed_targets {
             self.optimizer.update(&sense.outputs, &sense.system);
         }
-        let r = &self.ssv.ranges;
+        let (r, g) = (SignalRanges::xu3(), ActuatorGrids::xu3());
         let ty = r.norm_os_outputs(&self.optimizer.targets);
         let my = r.norm_os_outputs(&sense.outputs);
         let ext = r.norm_hw_inputs(&sense.ext);
         let n_active = sense.active_threads;
-        let (r, applied) = self.ssv.step(&ty, &my, &ext, |r, g, u, out| {
+        let applied = self.ssv.step(&ty, &my, &ext, |u, out| {
             out.extend_from_slice(&r.norm_os_inputs(&r.snap_os(g, u, n_active)));
         })?;
         let u = r.denorm_os_inputs(applied);
         Ok(OsInputs {
             threads_big: u.threads_big.clamp(0.0, n_active as f64),
-            packing_big: u.packing_big.clamp(1.0, 4.0),
-            packing_little: u.packing_little.clamp(1.0, 4.0),
+            packing_big: u.packing_big.clamp(PACKING_MIN, PACKING_MAX),
+            packing_little: u.packing_little.clamp(PACKING_MIN, PACKING_MAX),
         })
     }
 
@@ -561,7 +559,7 @@ mod tests {
                     if naive {
                         u.to_vec()
                     } else {
-                        r.norm_hw_inputs(&r.snap_hw(&g, u)).to_vec()
+                        r.norm_hw_inputs(&r.snap_hw(g, u)).to_vec()
                     }
                 });
                 let want = r.denorm_hw_inputs(&applied);
@@ -579,7 +577,7 @@ mod tests {
                     if naive {
                         u.to_vec()
                     } else {
-                        r.norm_os_inputs(&r.snap_os(&g, u, n_active)).to_vec()
+                        r.norm_os_inputs(&r.snap_os(g, u, n_active)).to_vec()
                     }
                 });
                 let want = r.denorm_os_inputs(&applied);

@@ -397,7 +397,7 @@ pub fn collect_excitation(opts: &DesignOptions) -> ExcitationData {
                 ranges.packing.normalize(st.placement.packing_big),
                 ranges.packing.normalize(st.placement.packing_little),
             ]);
-            let y = read_outputs(&mut board, &ranges, n_active, [bips_big, bips_little]);
+            let y = read_outputs(&mut board, ranges, n_active, [bips_big, bips_little]);
             data.y_hw.push(y[..4].to_vec());
             data.y_os.push(y[4..].to_vec());
         }
@@ -454,7 +454,7 @@ pub fn measure_dc_gains(opts: &DesignOptions) -> Mat {
                 (board.instructions(Cluster::Big) - ib0) / span,
                 (board.instructions(Cluster::Little) - il0) / span,
             ];
-            read_outputs(board, &ranges, run.active_threads(), bips)
+            read_outputs(board, ranges, run.active_threads(), bips)
         };
         let before = measure(&mut board, &mut run, 12.0, 5.0);
         vals[j] += steps[j];

@@ -60,8 +60,6 @@ pub struct HealthTap {
     ab: Mat,
     /// `[C D]` of the reference model.
     cd: Mat,
-    ranges: SignalRanges,
-    grids: ActuatorGrids,
     /// Uncertainty radius Δ the deployed synthesis guardbanded against.
     delta: f64,
     /// Open-loop model state and the input driving it, stacked `[x; u]`.
@@ -115,8 +113,6 @@ impl HealthTap {
             monitor,
             ab,
             cd,
-            ranges: SignalRanges::xu3(),
-            grids: ActuatorGrids::xu3(),
             delta: design.hw_uncertainty_used.max(1e-9),
             xu: vec![0.0; n_xu],
             xu_next: vec![0.0; n_xu],
@@ -134,7 +130,7 @@ impl HealthTap {
     /// ring is reserved at [`REFIT_HISTORY_CAP`] up front.
     pub fn observe(&mut self, r: &JournalRecord) -> HealthVerdict {
         let u = self.normalized_input(r);
-        let y = self.ranges.norm_hw_outputs(&r.hw_sense.outputs);
+        let y = SignalRanges::xu3().norm_hw_outputs(&r.hw_sense.outputs);
         // The sense at step k was taken before this step's actuation, so
         // it responds to the *previous* input. One-step-ahead prediction:
         // ŷ_k = C x_k + D u_{k−1}; residual in ∞-norm of normalized units.
@@ -190,15 +186,16 @@ impl HealthTap {
         let pinned = hw
             .iter()
             .chain(&os)
-            .zip(self.grids.knobs())
+            .zip(ActuatorGrids::xu3().knobs())
             .filter(|&(&v, g)| (v - g.min()).abs() < RAIL_EPS || (v - g.max()).abs() < RAIL_EPS)
             .count();
         pinned as f64 / N_U as f64
     }
 
     fn normalized_input(&self, r: &JournalRecord) -> [f64; N_U] {
-        let hw = self.ranges.norm_hw_inputs(&r.hw_u);
-        let os = self.ranges.norm_os_inputs(&r.os_u);
+        let ranges = SignalRanges::xu3();
+        let hw = ranges.norm_hw_inputs(&r.hw_u);
+        let os = ranges.norm_os_inputs(&r.os_u);
         [hw[0], hw[1], hw[2], hw[3], os[0], os[1], os[2]]
     }
 

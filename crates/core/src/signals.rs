@@ -2,7 +2,22 @@
 //! external signals of Tables II and III, their physical ranges, and the
 //! constraint limits of the evaluation (Section V-A).
 
+use std::sync::LazyLock;
+
+use yukta_board::config::{BIG, LITTLE, MIN_CORES};
 use yukta_control::quant::{InputGrid, SignalScaler};
+
+/// Fewest threads per non-idle core the OS layer packs (Table III).
+pub const PACKING_MIN: f64 = 1.0;
+/// Most threads per non-idle core the OS layer packs.
+pub const PACKING_MAX: f64 = 4.0;
+/// Step between the OS layer's packings: half a thread per core.
+pub const PACKING_STEP: f64 = 0.5;
+/// Most threads the OS layer places on the big cluster (Table III).
+pub const THREADS_BIG_MAX: f64 = 8.0;
+
+// `SignalRanges::cores` normalizes both clusters' core counts.
+const _: () = assert!(BIG.n_cores == LITTLE.n_cores);
 
 /// The constraint limits used throughout the evaluation: 3.3 W big-cluster
 /// power, 0.33 W little-cluster power, 79 °C hotspot — plus, for serving
@@ -159,7 +174,10 @@ pub fn spare_capacity(cores_on: usize, threads: usize) -> f64 {
 
 /// Fixed normalization ranges for every signal, set once from the board's
 /// physical envelope (the paper derives them from the training
-/// characterization).
+/// characterization). The actuated signals span the board's actuation
+/// envelope ([`yukta_board::config::BIG`], [`yukta_board::config::LITTLE`])
+/// and the OS layer's bounds ([`PACKING_MIN`]–[`PACKING_MAX`],
+/// 0–[`THREADS_BIG_MAX`]).
 #[derive(Debug, Clone)]
 pub struct SignalRanges {
     /// Total performance (BIPS).
@@ -189,22 +207,23 @@ pub struct SignalRanges {
 }
 
 impl SignalRanges {
-    /// The ranges for the XU3 envelope.
-    pub fn xu3() -> Self {
-        SignalRanges {
+    /// The ranges for the XU3 envelope, built once.
+    pub fn xu3() -> &'static Self {
+        static XU3: LazyLock<SignalRanges> = LazyLock::new(|| SignalRanges {
             perf: SignalScaler::from_range(0.0, 10.0),
             p_big: SignalScaler::from_range(0.0, 6.0),
             p_little: SignalScaler::from_range(0.0, 0.7),
             temp: SignalScaler::from_range(25.0, 95.0),
-            cores: SignalScaler::from_range(1.0, 4.0),
-            f_big: SignalScaler::from_range(0.2, 2.0),
-            f_little: SignalScaler::from_range(0.2, 1.4),
-            threads_big: SignalScaler::from_range(0.0, 8.0),
-            packing: SignalScaler::from_range(1.0, 4.0),
+            cores: SignalScaler::from_range(MIN_CORES as f64, BIG.n_cores as f64),
+            f_big: SignalScaler::from_range(BIG.f_min, BIG.f_max),
+            f_little: SignalScaler::from_range(LITTLE.f_min, LITTLE.f_max),
+            threads_big: SignalScaler::from_range(0.0, THREADS_BIG_MAX),
+            packing: SignalScaler::from_range(PACKING_MIN, PACKING_MAX),
             perf_big: SignalScaler::from_range(0.0, 9.0),
             perf_little: SignalScaler::from_range(0.0, 3.0),
             spare_diff: SignalScaler::from_range(-8.0, 8.0),
-        }
+        });
+        &XU3
     }
 
     /// Normalizes the hardware output vector.
@@ -292,9 +311,11 @@ impl SignalRanges {
     }
 }
 
-/// The discrete actuator grids of the prototype (Table II/III): core
-/// counts 1–4, big frequency 0.2–2.0 GHz and little 0.2–1.4 GHz in 0.1
-/// steps, threads-on-big 0–8, packing 1–4 in half-thread steps.
+/// The discrete actuator grids of the prototype (Table II/III): the
+/// board's core counts and DVFS tables ([`yukta_board::config::BIG`],
+/// [`yukta_board::config::LITTLE`]), threads-on-big
+/// 0–[`THREADS_BIG_MAX`], packing [`PACKING_MIN`]–[`PACKING_MAX`] in
+/// [`PACKING_STEP`] steps.
 #[derive(Debug, Clone)]
 pub struct ActuatorGrids {
     /// Big core count.
@@ -312,16 +333,17 @@ pub struct ActuatorGrids {
 }
 
 impl ActuatorGrids {
-    /// The XU3 prototype grids.
-    pub fn xu3() -> Self {
-        ActuatorGrids {
-            big_cores: InputGrid::stepped(1.0, 4.0, 1.0),
-            little_cores: InputGrid::stepped(1.0, 4.0, 1.0),
-            f_big: InputGrid::stepped(0.2, 2.0, 0.1),
-            f_little: InputGrid::stepped(0.2, 1.4, 0.1),
-            threads_big: InputGrid::stepped(0.0, 8.0, 1.0),
-            packing: InputGrid::stepped(1.0, 4.0, 0.5),
-        }
+    /// The XU3 prototype grids, built once.
+    pub fn xu3() -> &'static Self {
+        static XU3: LazyLock<ActuatorGrids> = LazyLock::new(|| ActuatorGrids {
+            big_cores: InputGrid::stepped(MIN_CORES as f64, BIG.n_cores as f64, 1.0),
+            little_cores: InputGrid::stepped(MIN_CORES as f64, LITTLE.n_cores as f64, 1.0),
+            f_big: InputGrid::stepped(BIG.f_min, BIG.f_max, BIG.f_step),
+            f_little: InputGrid::stepped(LITTLE.f_min, LITTLE.f_max, LITTLE.f_step),
+            threads_big: InputGrid::stepped(0.0, THREADS_BIG_MAX, 1.0),
+            packing: InputGrid::stepped(PACKING_MIN, PACKING_MAX, PACKING_STEP),
+        });
+        &XU3
     }
 
     /// The grid of each of the seven knobs, in actuation order `[#big,
@@ -398,7 +420,7 @@ mod tests {
     #[test]
     fn snaps_land_on_grids_and_invert_normalization() {
         let (r, g) = (SignalRanges::xu3(), ActuatorGrids::xu3());
-        let hw = r.snap_hw(&g, &[0.13, -2.0, 0.41, 0.07]);
+        let hw = r.snap_hw(g, &[0.13, -2.0, 0.41, 0.07]);
         assert_eq!(hw.little_cores, 1.0, "saturates at the rail");
         for (v, grid) in hw.to_vec().iter().zip(g.knobs()) {
             assert_eq!(grid.quantize(*v), *v);
@@ -407,11 +429,53 @@ mod tests {
         for (a, b) in back.to_vec().iter().zip(hw.to_vec()) {
             assert!((a - b).abs() < 1e-12);
         }
-        let os = r.snap_os(&g, &[1.0, 0.3, -0.3], 3);
+        let os = r.snap_os(g, &[1.0, 0.3, -0.3], 3);
         assert_eq!(os.threads_big, 3.0, "capped at the active threads");
         assert_eq!(g.packing.quantize(os.packing_big), os.packing_big);
         let back = r.denorm_os_inputs(&r.norm_os_inputs(&os));
         assert!((back.packing_little - os.packing_little).abs() < 1e-12);
+    }
+
+    /// Every grid frequency and core count is a point the board actuates
+    /// as is, and the grids end where the board's DVFS tables and core
+    /// counts do.
+    #[test]
+    fn actuator_grids_agree_with_the_board() {
+        use yukta_board::{Actuation, Board, BoardConfig};
+        let g = ActuatorGrids::xu3();
+        let mut board = Board::new(BoardConfig::odroid_xu3());
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
+        for &f in g.f_big.values() {
+            board.actuate(&Actuation {
+                f_big: Some(f),
+                ..Default::default()
+            });
+            assert!(close(board.state().f_big, f), "f_big {f}");
+        }
+        for &f in g.f_little.values() {
+            board.actuate(&Actuation {
+                f_little: Some(f),
+                ..Default::default()
+            });
+            assert!(close(board.state().f_little, f), "f_little {f}");
+        }
+        for (&nb, &nl) in g.big_cores.values().iter().zip(g.little_cores.values()) {
+            board.actuate(&Actuation {
+                big_cores: Some(nb as usize),
+                little_cores: Some(nl as usize),
+                ..Default::default()
+            });
+            let st = board.state();
+            assert!(close(st.big_cores as f64, nb), "big cores {nb}");
+            assert!(close(st.little_cores as f64, nl), "little cores {nl}");
+        }
+        for (grid, c) in [(&g.f_big, &BIG), (&g.f_little, &LITTLE)] {
+            assert!(close(grid.min(), c.f_min) && close(grid.max(), c.f_max));
+        }
+        for (grid, c) in [(&g.big_cores, &BIG), (&g.little_cores, &LITTLE)] {
+            assert_eq!(grid.min(), MIN_CORES as f64);
+            assert_eq!(grid.max(), c.n_cores as f64);
+        }
     }
 
     #[test]

@@ -53,6 +53,7 @@
 //! [`ESCALATE_AFTER`]: crate::modes::ESCALATE_AFTER
 //! [`REENGAGE_AFTER`]: crate::modes::REENGAGE_AFTER
 
+use yukta_board::config::{BIG, LITTLE, MIN_CORES};
 use yukta_linalg::Result;
 
 use crate::controllers::heuristic::{CoordinatedHeuristicHw, CoordinatedHeuristicOs};
@@ -62,7 +63,9 @@ use crate::modes::{
     level_label,
 };
 use crate::schemes::{Controllers, ControllersState};
-use crate::signals::{HwInputs, HwOutputs, Limits, OsInputs, OsOutputs, SloSense};
+use crate::signals::{
+    HwInputs, HwOutputs, Limits, OsInputs, OsOutputs, PACKING_MAX, PACKING_MIN, SloSense,
+};
 
 /// Consecutive bit-identical non-zero readings of one sensor channel that
 /// count as a stuck sensor (2 s of frozen readings).
@@ -224,15 +227,15 @@ const SPARE_RAIL: (f64, f64) = (-16.0, 16.0);
 fn safe_static(active_threads: usize) -> (HwInputs, OsInputs) {
     (
         HwInputs {
-            big_cores: 1.0,
-            little_cores: 4.0,
-            f_big: 0.2,
+            big_cores: MIN_CORES as f64,
+            little_cores: LITTLE.n_cores as f64,
+            f_big: BIG.f_min,
             f_little: 0.8,
         },
         OsInputs {
             threads_big: 0.0,
-            packing_big: 1.0,
-            packing_little: ((active_threads as f64) / 4.0).max(1.0),
+            packing_big: PACKING_MIN,
+            packing_little: ((active_threads as f64) / LITTLE.n_cores as f64).max(PACKING_MIN),
         },
     )
 }
@@ -649,13 +652,14 @@ impl Supervisor {
                 *v = c;
             }
         };
-        cl(&mut hw_u.big_cores, 1.0, 4.0);
-        cl(&mut hw_u.little_cores, 1.0, 4.0);
-        cl(&mut hw_u.f_big, 0.2, 2.0);
-        cl(&mut hw_u.f_little, 0.2, 1.4);
+        let min_cores = MIN_CORES as f64;
+        cl(&mut hw_u.big_cores, min_cores, BIG.n_cores as f64);
+        cl(&mut hw_u.little_cores, min_cores, LITTLE.n_cores as f64);
+        cl(&mut hw_u.f_big, BIG.f_min, BIG.f_max);
+        cl(&mut hw_u.f_little, LITTLE.f_min, LITTLE.f_max);
         cl(&mut os_u.threads_big, 0.0, active_threads as f64);
-        cl(&mut os_u.packing_big, 1.0, 4.0);
-        cl(&mut os_u.packing_little, 1.0, 4.0);
+        cl(&mut os_u.packing_big, PACKING_MIN, PACKING_MAX);
+        cl(&mut os_u.packing_little, PACKING_MIN, PACKING_MAX);
         (hw_u, os_u, clamps)
     }
 }

@@ -30,82 +30,82 @@ pub const SERVICE_CAP_GI: f64 = 0.5;
 
 const _: () = assert!(SERVICE_ALPHA > 1.0 && SERVICE_CAP_GI > 0.0);
 
+/// Full period of the diurnal swing (s): a compressed day, sized so a
+/// default run sees several periods.
+const DIURNAL_PERIOD_S: f64 = 200.0;
+/// Peak-to-mean excursion of the diurnal swing, in `[0, 1)`.
+const DIURNAL_AMPLITUDE: f64 = 0.4;
+/// Bursty rate multiplier in the quiet state.
+const BURSTY_LOW_RATIO: f64 = 0.3;
+/// Bursty rate multiplier in the burst state.
+const BURSTY_HIGH_RATIO: f64 = 1.7;
+/// Mean dwell time in each bursty state (s).
+const BURSTY_MEAN_DWELL_S: f64 = 10.0;
+/// When the flash crowd starts arriving (s).
+const FLASH_START_S: f64 = 20.0;
+/// Linear ramp duration up to (and later down from) the flash peak (s).
+const FLASH_RAMP_S: f64 = 5.0;
+/// Rate multiplier at the flash peak.
+const FLASH_PEAK_RATIO: f64 = 3.0;
+/// How long the flash peak holds (s).
+const FLASH_HOLD_S: f64 = 20.0;
+
+const _: () = assert!(
+    DIURNAL_PERIOD_S > 0.0
+        && 0.0 <= DIURNAL_AMPLITUDE
+        && DIURNAL_AMPLITUDE < 1.0
+        && 0.0 < BURSTY_LOW_RATIO
+        && BURSTY_LOW_RATIO <= BURSTY_HIGH_RATIO
+        && BURSTY_MEAN_DWELL_S > 0.0
+        && FLASH_START_S >= 0.0
+        && FLASH_RAMP_S > 0.0
+        && FLASH_PEAK_RATIO >= 1.0
+        && FLASH_HOLD_S > 0.0
+);
+
 /// Shape of the offered-load curve over time. Each variant multiplies
 /// the configured base rate; shapes average roughly 1.0 over their
 /// period so `base_rate_rps × load_factor` stays the mean offered load.
+/// The shapes are fixed presets.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficPattern {
     /// Fixed rate: the M/G/1-style baseline.
     Constant,
-    /// Sinusoidal day/night swing: `1 + amplitude·sin(2πt/period)`.
-    Diurnal {
-        /// Full period of the swing (s).
-        period_s: f64,
-        /// Peak-to-mean excursion in `[0, 1)`.
-        amplitude: f64,
-    },
+    /// Sinusoidal day/night swing, `1 + 0.4·sin(2πt/200 s)`.
+    Diurnal,
     /// Two-state Markov-modulated Poisson process: the rate alternates
-    /// between `low_ratio` and `high_ratio` with exponentially
-    /// distributed dwell times.
-    Bursty {
-        /// Rate multiplier in the quiet state.
-        low_ratio: f64,
-        /// Rate multiplier in the burst state.
-        high_ratio: f64,
-        /// Mean dwell time in each state (s).
-        mean_dwell_s: f64,
-    },
+    /// between 0.3× and 1.7× with exponentially distributed dwell times
+    /// (10 s mean).
+    Bursty,
     /// Baseline load with one ramp-up/hold/ramp-down spike — the
-    /// overload event the shedding machinery exists for.
-    FlashCrowd {
-        /// When the crowd starts arriving (s).
-        start_s: f64,
-        /// Linear ramp duration up to (and later down from) the peak (s).
-        ramp_s: f64,
-        /// Rate multiplier at the peak.
-        peak_ratio: f64,
-        /// How long the peak holds (s).
-        hold_s: f64,
-    },
+    /// overload event the shedding machinery exists for: 3× peak
+    /// arriving at t = 20 s, 5 s ramps, 20 s hold.
+    FlashCrowd,
 }
 
 impl TrafficPattern {
-    /// Canonical diurnal pattern: 200 s period, ±40 % swing (compressed
-    /// day, sized so a default run sees several periods).
+    /// The diurnal pattern.
     pub fn diurnal() -> Self {
-        TrafficPattern::Diurnal {
-            period_s: 200.0,
-            amplitude: 0.4,
-        }
+        TrafficPattern::Diurnal
     }
 
-    /// Canonical MMPP burst pattern: 0.3×/1.7× with 10 s mean dwell.
+    /// The MMPP burst pattern.
     pub fn bursty() -> Self {
-        TrafficPattern::Bursty {
-            low_ratio: 0.3,
-            high_ratio: 1.7,
-            mean_dwell_s: 10.0,
-        }
+        TrafficPattern::Bursty
     }
 
-    /// Canonical flash crowd: 3× peak arriving at t=20 s, 5 s ramps,
-    /// 20 s hold.
+    /// The flash crowd.
     pub fn flash_crowd() -> Self {
-        TrafficPattern::FlashCrowd {
-            start_s: 20.0,
-            ramp_s: 5.0,
-            peak_ratio: 3.0,
-            hold_s: 20.0,
-        }
+        TrafficPattern::FlashCrowd
     }
 
     /// Stable label for benchmark tables and result JSON.
     pub fn name(&self) -> &'static str {
         match self {
             TrafficPattern::Constant => "constant",
-            TrafficPattern::Diurnal { .. } => "diurnal",
-            TrafficPattern::Bursty { .. } => "bursty",
-            TrafficPattern::FlashCrowd { .. } => "flash_crowd",
+            TrafficPattern::Diurnal => "diurnal",
+            TrafficPattern::Bursty => "bursty",
+            TrafficPattern::FlashCrowd => "flash_crowd",
         }
     }
 }
@@ -166,57 +166,7 @@ impl TrafficConfig {
                 self.base_rate_rps * self.load_factor
             ));
         }
-        match self.pattern {
-            TrafficPattern::Constant => Ok(()),
-            TrafficPattern::Diurnal {
-                period_s,
-                amplitude,
-            } => {
-                pos("diurnal period_s", period_s)?;
-                if amplitude.is_finite() && (0.0..1.0).contains(&amplitude) {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "diurnal amplitude must be in [0, 1), got {amplitude}"
-                    ))
-                }
-            }
-            TrafficPattern::Bursty {
-                low_ratio,
-                high_ratio,
-                mean_dwell_s,
-            } => {
-                pos("bursty low_ratio", low_ratio)?;
-                pos("bursty high_ratio", high_ratio)?;
-                pos("bursty mean_dwell_s", mean_dwell_s)?;
-                if low_ratio <= high_ratio {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "bursty low_ratio ({low_ratio}) must be <= high_ratio ({high_ratio})"
-                    ))
-                }
-            }
-            TrafficPattern::FlashCrowd {
-                start_s,
-                ramp_s,
-                peak_ratio,
-                hold_s,
-            } => {
-                if !(start_s.is_finite() && start_s >= 0.0) {
-                    return Err(format!("flash_crowd start_s must be >= 0, got {start_s}"));
-                }
-                pos("flash_crowd ramp_s", ramp_s)?;
-                pos("flash_crowd hold_s", hold_s)?;
-                if peak_ratio.is_finite() && peak_ratio >= 1.0 {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "flash_crowd peak_ratio must be >= 1, got {peak_ratio}"
-                    ))
-                }
-            }
-        }
+        Ok(())
     }
 }
 
@@ -248,9 +198,7 @@ impl Traffic {
     pub fn new(cfg: TrafficConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ TRAFFIC_SEED_SALT);
         let (mmpp_high, mmpp_dwell_s) = match cfg.pattern {
-            TrafficPattern::Bursty { mean_dwell_s, .. } => {
-                (false, exp_draw(&mut rng, mean_dwell_s))
-            }
+            TrafficPattern::Bursty => (false, exp_draw(&mut rng, BURSTY_MEAN_DWELL_S)),
             _ => (false, 0.0),
         };
         Traffic {
@@ -272,37 +220,27 @@ impl Traffic {
     fn shape_at(&self, t: f64) -> f64 {
         match self.cfg.pattern {
             TrafficPattern::Constant => 1.0,
-            TrafficPattern::Diurnal {
-                period_s,
-                amplitude,
-            } => 1.0 + amplitude * (std::f64::consts::TAU * t / period_s).sin(),
-            TrafficPattern::Bursty {
-                low_ratio,
-                high_ratio,
-                ..
-            } => {
+            TrafficPattern::Diurnal => {
+                1.0 + DIURNAL_AMPLITUDE * (std::f64::consts::TAU * t / DIURNAL_PERIOD_S).sin()
+            }
+            TrafficPattern::Bursty => {
                 if self.mmpp_high {
-                    high_ratio
+                    BURSTY_HIGH_RATIO
                 } else {
-                    low_ratio
+                    BURSTY_LOW_RATIO
                 }
             }
-            TrafficPattern::FlashCrowd {
-                start_s,
-                ramp_s,
-                peak_ratio,
-                hold_s,
-            } => {
-                let excess = peak_ratio - 1.0;
-                let dt = t - start_s;
-                if dt < 0.0 || dt > 2.0 * ramp_s + hold_s {
+            TrafficPattern::FlashCrowd => {
+                let excess = FLASH_PEAK_RATIO - 1.0;
+                let dt = t - FLASH_START_S;
+                if !(0.0..=2.0 * FLASH_RAMP_S + FLASH_HOLD_S).contains(&dt) {
                     1.0
-                } else if dt < ramp_s {
-                    1.0 + excess * dt / ramp_s
-                } else if dt < ramp_s + hold_s {
-                    peak_ratio
+                } else if dt < FLASH_RAMP_S {
+                    1.0 + excess * dt / FLASH_RAMP_S
+                } else if dt < FLASH_RAMP_S + FLASH_HOLD_S {
+                    FLASH_PEAK_RATIO
                 } else {
-                    1.0 + excess * (2.0 * ramp_s + hold_s - dt) / ramp_s
+                    1.0 + excess * (2.0 * FLASH_RAMP_S + FLASH_HOLD_S - dt) / FLASH_RAMP_S
                 }
             }
         }
@@ -313,14 +251,14 @@ impl Traffic {
     /// bounded-Pareto service demand.
     pub fn tick(&mut self, dt: f64) -> Vec<Request> {
         let start = self.now_s;
-        if let TrafficPattern::Bursty { mean_dwell_s, .. } = self.cfg.pattern {
+        if self.cfg.pattern == TrafficPattern::Bursty {
             // Advance the modulating chain at tick granularity: flip
             // states until the dwell clock covers this tick. Rate is
             // evaluated at the state holding at the start of the tick.
             self.mmpp_dwell_s -= dt;
             while self.mmpp_dwell_s <= 0.0 {
                 self.mmpp_high = !self.mmpp_high;
-                self.mmpp_dwell_s += exp_draw(&mut self.rng, mean_dwell_s);
+                self.mmpp_dwell_s += exp_draw(&mut self.rng, BURSTY_MEAN_DWELL_S);
             }
         }
         // Rate for the window, evaluated mid-tick for smooth shapes.
@@ -425,22 +363,6 @@ mod tests {
             TrafficConfig {
                 base_rate_rps: 9000.0,
                 load_factor: 2.0,
-                ..base
-            },
-            TrafficConfig {
-                pattern: TrafficPattern::Diurnal {
-                    period_s: 0.0,
-                    amplitude: 0.4,
-                },
-                ..base
-            },
-            TrafficConfig {
-                pattern: TrafficPattern::FlashCrowd {
-                    start_s: 20.0,
-                    ramp_s: 5.0,
-                    peak_ratio: 0.5,
-                    hold_s: 20.0,
-                },
                 ..base
             },
         ] {
